@@ -11,10 +11,14 @@
 //! acknowledged and discarded.
 //!
 //! Connections are served sequentially (one request/reply per connection,
-//! see [`crate::protocol`]) off a non-blocking accept loop, with the
-//! failover monitor running between accepts. Campaign execution happens in
-//! the workers, so the master's work per exchange is a lease table update
-//! or a report merge — never a simulation.
+//! see [`crate::protocol`]) off a blocking accept, so the master waits only
+//! for the next request and never on a timer. The failover monitor runs
+//! right before each request is served: a dead worker's shards are only
+//! observable through a request (a lease, `Status`, `Results`), so
+//! requeueing then is exactly as fresh as any timer could make it.
+//! Campaign execution happens in the workers, so the master's work per
+//! exchange is a lease table update or a report merge — never a
+//! simulation.
 
 use std::collections::HashMap;
 use std::io;
@@ -36,8 +40,9 @@ pub struct MasterConfig {
     /// and the CI smoke job run in. When `false` the master stays up for
     /// further submissions until a `Shutdown` request.
     pub once: bool,
-    /// Idle sleep between accept attempts; also bounds how stale the
-    /// failover monitor can be.
+    /// The interval at which clients of this master should poll `Status`
+    /// or `Results`. The master itself never sleeps: it blocks in
+    /// `accept` and runs the failover monitor per request.
     pub tick: Duration,
 }
 
@@ -129,25 +134,14 @@ impl Master {
     /// Serves requests until shut down — or, in [`MasterConfig::once`]
     /// mode, until a completed job's results have been served.
     pub fn run(mut self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Ignore per-connection failures (a worker dying mid
-                    // exchange must not take the master down); failover
-                    // handles the fallout.
-                    let _ = self.serve_connection(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.config.tick);
-                }
-                Err(e) => return Err(e),
-            }
+        while !self.should_exit() {
+            let (stream, _) = self.listener.accept()?;
             self.monitor();
-            if self.should_exit() {
-                return Ok(());
-            }
+            // Ignore per-connection failures (a worker dying mid exchange
+            // must not take the master down); failover handles the fallout.
+            let _ = self.serve_connection(stream);
         }
+        Ok(())
     }
 
     fn should_exit(&self) -> bool {
@@ -158,10 +152,10 @@ impl Master {
     }
 
     fn serve_connection(&mut self, mut stream: TcpStream) -> io::Result<()> {
-        // The listener is non-blocking; the accepted stream must not be
-        // (inheritance is platform-specific). Timeouts keep a wedged peer
-        // from stalling the accept loop forever.
-        stream.set_nonblocking(false)?;
+        // Replies go out in one write; without this, Nagle's algorithm can
+        // hold the tail of a large reply until the client's delayed ACK.
+        stream.set_nodelay(true)?;
+        // Timeouts keep a wedged peer from stalling the accept loop forever.
         let io_timeout = self.config.io_timeout();
         stream.set_read_timeout(Some(io_timeout))?;
         stream.set_write_timeout(Some(io_timeout))?;

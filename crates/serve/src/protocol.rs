@@ -31,18 +31,20 @@ fn invalid(err: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, err.to_string())
 }
 
-/// Writes one length-prefixed JSON frame.
+/// Writes one length-prefixed JSON frame. Prefix and payload go out in a
+/// single write, so the prefix never travels as a segment of its own.
 pub fn write_frame<T: Serialize>(stream: &mut impl Write, msg: &T) -> io::Result<()> {
     let text = serde_json::to_string(msg).map_err(invalid)?;
-    let bytes = text.as_bytes();
-    let len = u32::try_from(bytes.len()).map_err(|_| invalid("frame exceeds u32::MAX bytes"))?;
+    let len = u32::try_from(text.len()).map_err(|_| invalid("frame exceeds u32::MAX bytes"))?;
     if len > MAX_FRAME_BYTES {
         return Err(invalid(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )));
     }
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + text.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -191,6 +193,21 @@ mod tests {
         );
         let back: Request = read_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn multi_megabyte_results_frames_round_trip() {
+        // A report string escapes every quote, backslash and newline it
+        // holds; decoding must stay linear in the frame size.
+        let chunk = "{\"load\":0.4,\"name\":\"Ω-β \\\\ 漢字 😀\",\"ctl\":\"\u{1}\"}\n";
+        let reply = Reply::Results {
+            report_json: chunk.repeat(80_000),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &reply).unwrap();
+        assert!(wire.len() > 4 << 20);
+        let back: Reply = read_frame(&mut wire.as_slice()).unwrap();
+        assert_eq!(back, reply);
     }
 
     #[test]

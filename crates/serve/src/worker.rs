@@ -14,8 +14,7 @@
 //! deterministically.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use min_sim::campaign::execute_shard;
@@ -179,36 +178,30 @@ fn retrying<T>(
 }
 
 /// A heartbeat ticker: sends [`Request::Heartbeat`] every
-/// [`WorkerConfig::heartbeat`] until dropped.
+/// [`WorkerConfig::heartbeat`] until dropped. The first beat is due one
+/// interval after start, because the lease that precedes it has already
+/// refreshed the worker's last-seen time.
 struct Heartbeat {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
     fn start(config: &WorkerConfig) -> Heartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel();
         let master = config.master.clone();
         let name = config.name.clone();
         let interval = config.heartbeat;
         let handle = std::thread::spawn(move || {
-            let step = Duration::from_millis(10).min(interval);
-            let mut since_beat = interval; // beat immediately on start
-            while !flag.load(Ordering::Relaxed) {
-                if since_beat >= interval {
-                    // A missed heartbeat is the master's problem to
-                    // notice, not ours to crash on.
-                    let _ = request(
-                        &master,
-                        &Request::Heartbeat {
-                            worker: name.clone(),
-                        },
-                    );
-                    since_beat = Duration::ZERO;
-                }
-                std::thread::sleep(step);
-                since_beat += step;
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                // A missed heartbeat is the master's problem to notice,
+                // not ours to crash on.
+                let _ = request(
+                    &master,
+                    &Request::Heartbeat {
+                        worker: name.clone(),
+                    },
+                );
             }
         });
         Heartbeat {
@@ -220,9 +213,65 @@ impl Heartbeat {
 
 impl Drop for Heartbeat {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::protocol::{read_frame, write_frame};
+
+    fn beating(listener: &TcpListener, interval: Duration) -> Heartbeat {
+        let mut config = WorkerConfig::new(listener.local_addr().unwrap().to_string(), "w");
+        config.heartbeat = interval;
+        Heartbeat::start(&config)
+    }
+
+    #[test]
+    fn dropping_a_heartbeat_returns_without_waiting_out_its_interval() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let beat = beating(&listener, Duration::from_secs(3600));
+        let (done, dropped) = mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(beat);
+            done.send(()).unwrap();
+        });
+        dropped
+            .recv_timeout(Duration::from_secs(60))
+            .expect("dropping the heartbeat waited out its interval");
+        dropper.join().unwrap();
+        // The lease already counts as a sign of life: no beat was sent.
+        listener.set_nonblocking(true).unwrap();
+        assert_eq!(
+            listener.accept().unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+    }
+
+    #[test]
+    fn heartbeats_flow_once_an_interval_has_passed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let beat = beating(&listener, Duration::from_millis(20));
+        for _ in 0..2 {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request: Request = read_frame(&mut stream).unwrap();
+            assert_eq!(
+                request,
+                Request::Heartbeat {
+                    worker: "w".to_string()
+                }
+            );
+            write_frame(&mut stream, &Reply::Ack).unwrap();
+        }
+        // Close the port first, so a beat already on its way is refused
+        // rather than left waiting for a reply.
+        drop(listener);
+        drop(beat);
     }
 }
