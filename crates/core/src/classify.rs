@@ -32,12 +32,12 @@
 //! The design mirrors `min-sim`'s scenario campaigns: subjects carry their
 //! position in the canonical grid expansion, random subjects derive their
 //! ChaCha8 seed from `(campaign_seed, index)` by the SplitMix64 finalizer
-//! ([`derive_seed`]), workers pull indices from an atomic cursor, and
-//! results are slotted by index — never by completion order. Class
-//! identifiers are assigned in order of first appearance. The
-//! [`ClassificationReport`] and its JSON are therefore **byte-identical at
-//! any worker-thread count**, which is what lets CI diff the partition
-//! across runs.
+//! ([`derive_seed`]), workers pull indices from an atomic cursor
+//! ([`run_indexed`]), and results are slotted by index — never by
+//! completion order. Class identifiers are assigned in order of first
+//! appearance. The [`ClassificationReport`] and its JSON are therefore
+//! **byte-identical at any worker-thread count**, which is what lets CI
+//! diff the partition across runs.
 //!
 //! ```
 //! use min_core::classify::{classify_subjects, Subject};
@@ -78,6 +78,48 @@ pub fn derive_seed(campaign_seed: u64, index: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Runs `job` on every index in `0..count` across `threads` scoped worker
+/// threads (`0` = one per available core, never more than `count`) and
+/// returns the results in index order.
+///
+/// Workers pull indices from a shared atomic cursor, so the output depends
+/// only on `job`, never on the thread count or on scheduling. This is the
+/// one worker pool behind both classification campaigns and `min-sim`'s
+/// in-process simulation campaigns. A panicking job panics the caller.
+pub fn run_indexed<T: Send>(
+    count: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let threads = match threads {
+        0 => thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    };
+    let cursor = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, T)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.clamp(1, count.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break local;
+                        }
+                        local.push((i, job(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, result)| result).collect()
 }
 
 /// One network to classify: descriptive metadata plus a deterministic
@@ -380,9 +422,9 @@ fn classify_one(subject: &Subject) -> Outcome {
 /// Runs the campaign across `threads` scoped worker threads (`0` = one
 /// worker per available core).
 ///
-/// Workers pull subject indices from a shared atomic cursor and outcomes
-/// land in index order, so the report is independent of the thread count;
-/// the class-assembly and cross-verification passes are sequential.
+/// Subjects are decided in parallel by [`run_indexed`], so outcomes land in
+/// index order and the report is independent of the thread count; the
+/// class-assembly and cross-verification passes are sequential.
 pub fn classify_subjects(
     subjects: &[Subject],
     threads: usize,
@@ -390,41 +432,7 @@ pub fn classify_subjects(
     if subjects.is_empty() {
         return Err(ClassifyError::NoSubjects);
     }
-    let workers = effective_threads(threads, subjects.len());
-
-    let cursor = AtomicUsize::new(0);
-    let collected: Vec<(usize, Outcome)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(subject) = subjects.get(i) else {
-                            break;
-                        };
-                        local.push((i, classify_one(subject)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("classification worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(subjects.len());
-    slots.resize_with(subjects.len(), || None);
-    for (i, outcome) in collected {
-        slots[i] = Some(outcome);
-    }
-    let outcomes: Vec<Outcome> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every subject index was claimed exactly once"))
-        .collect();
+    let outcomes = run_indexed(subjects.len(), threads, |i| classify_one(&subjects[i]));
 
     // Assemble classes in order of first appearance of their key.
     let mut classes: Vec<EquivalenceClass> = Vec::new();
@@ -497,17 +505,6 @@ pub fn classify_subjects(
         subjects: results,
         classes,
     })
-}
-
-/// Resolves the worker count: `0` means one per available core, and there
-/// is never a point in more workers than subjects.
-fn effective_threads(requested: usize, subjects: usize) -> usize {
-    let requested = if requested == 0 {
-        thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        requested
-    };
-    requested.clamp(1, subjects.max(1))
 }
 
 #[cfg(test)]
@@ -627,5 +624,22 @@ mod tests {
         assert_ne!(derive_seed(0, 0), derive_seed(0, 1));
         assert_ne!(derive_seed(0, 0), derive_seed(1, 0));
         assert_ne!(derive_seed(7, 3), derive_seed(3, 7));
+    }
+
+    #[test]
+    fn run_indexed_returns_index_order_at_any_thread_count() {
+        let job = |i: usize| derive_seed(42, i);
+        let expected: Vec<u64> = (0..100).map(job).collect();
+        for threads in [0, 1, 2, 8] {
+            assert_eq!(run_indexed(100, threads, job), expected, "{threads}");
+        }
+    }
+
+    #[test]
+    fn run_indexed_handles_empty_and_oversubscribed_runs() {
+        assert!(run_indexed(0, 4, |i| i).is_empty());
+        // The worker count is clamped to the job count: `usize::MAX` threads
+        // could never be spawned.
+        assert_eq!(run_indexed(3, usize::MAX, |i| i * 10), vec![0, 10, 20]);
     }
 }

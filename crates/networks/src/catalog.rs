@@ -170,13 +170,12 @@ mod tests {
         let cells = catalog_grid(3..=5);
         assert_eq!(cells.len(), 6 * 3);
         // Family-major: the first three cells are the Baseline at n = 3, 4, 5.
-        // The tuple comparisons exercise the legacy-shim `PartialEq`.
-        assert_eq!(cells[0], (ClassicalNetwork::Baseline, 3));
-        assert_eq!(cells[1], (ClassicalNetwork::Baseline, 4));
-        assert_eq!(cells[2], (ClassicalNetwork::Baseline, 5));
+        use crate::spec::NetworkSpec;
+        let baseline = |n| NetworkSpec::catalog(ClassicalNetwork::Baseline, n);
+        assert_eq!(cells[..3], [baseline(3), baseline(4), baseline(5)]);
         assert_eq!(
             cells[3],
-            crate::spec::NetworkSpec::catalog(ClassicalNetwork::ReverseBaseline, 3)
+            NetworkSpec::catalog(ClassicalNetwork::ReverseBaseline, 3)
         );
         // Every cell builds a network of the requested size.
         for spec in cells {

@@ -21,15 +21,11 @@
 //!
 //! ## Migration from the tuple API
 //!
-//! The `(ClassicalNetwork, usize)` shims are **deprecated**. Grid builders
-//! now take `Vec<NetworkSpec>` directly; the tuple spellings survive only
-//! behind `#[deprecated]` escape hatches so old code fails loudly instead
-//! of silently:
+//! Grid builders take `Vec<NetworkSpec>`; the `(ClassicalNetwork, usize)`
+//! tuple survives only as the catalog cell's wire format:
 //!
 //! * `config.with_cells(vec![(ClassicalNetwork::Omega, 3)])` becomes
-//!   `config.with_cells(vec![NetworkSpec::catalog(ClassicalNetwork::Omega, 3)])`;
-//!   the tuple form lives on as the deprecated `with_cell_tuples` /
-//!   `with_catalog_tuples` builders (and [`NetworkSpec::from_tuple`]).
+//!   `config.with_cells(vec![NetworkSpec::catalog(ClassicalNetwork::Omega, 3)])`.
 //! * `catalog_grid(3..=5)` now returns `Vec<NetworkSpec>`; code that matched
 //!   on the tuple can compare against [`NetworkSpec::catalog`] values or
 //!   match on [`NetworkSpec::Catalog`].
@@ -144,18 +140,6 @@ impl NetworkSpec {
         matches!(self, NetworkSpec::Catalog { .. })
     }
 
-    /// Converts a pre-redesign `(family, stages)` tuple into a spec.
-    ///
-    /// Kept only so legacy call sites have an explicit, greppable landing
-    /// spot; new code should call [`NetworkSpec::catalog`] directly.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `NetworkSpec::catalog(family, stages)` instead of the tuple shorthand"
-    )]
-    pub fn from_tuple((family, stages): (ClassicalNetwork, usize)) -> Self {
-        NetworkSpec::Catalog { family, stages }
-    }
-
     /// Builds the described network.
     pub fn build(&self) -> ConnectionNetwork {
         match *self {
@@ -168,27 +152,6 @@ impl NetworkSpec {
                 rewrite,
             } => rewrite.apply(&family.build(stages)),
         }
-    }
-}
-
-/// **Deprecated shim** — lets pre-redesign `(family, stages)` tuples flow
-/// into spec-typed APIs. `#[deprecated]` cannot be attached to a trait impl,
-/// so this delegates to the deprecated [`NetworkSpec::from_tuple`] as the
-/// lintable entry point; new code should build specs with
-/// [`NetworkSpec::catalog`].
-impl From<(ClassicalNetwork, usize)> for NetworkSpec {
-    fn from(tuple: (ClassicalNetwork, usize)) -> Self {
-        #[allow(deprecated)]
-        NetworkSpec::from_tuple(tuple)
-    }
-}
-
-/// **Deprecated shim** — lets pre-redesign assertions like
-/// `cells[0] == (ClassicalNetwork::Baseline, 3)` keep compiling against the
-/// migrated grids. Compare against [`NetworkSpec::catalog`] values instead.
-impl PartialEq<(ClassicalNetwork, usize)> for NetworkSpec {
-    fn eq(&self, &(family, stages): &(ClassicalNetwork, usize)) -> bool {
-        *self == NetworkSpec::Catalog { family, stages }
     }
 }
 
@@ -277,11 +240,9 @@ mod tests {
     fn catalog_specs_serialize_exactly_like_the_legacy_tuples() {
         for family in ClassicalNetwork::ALL {
             for stages in 2..=5 {
-                let tuple = (family, stages);
-                let spec = NetworkSpec::from(tuple);
                 assert_eq!(
-                    serde_json::to_string(&spec).unwrap(),
-                    serde_json::to_string(&tuple).unwrap(),
+                    serde_json::to_string(&NetworkSpec::catalog(family, stages)).unwrap(),
+                    serde_json::to_string(&(family, stages)).unwrap(),
                 );
             }
         }
@@ -306,7 +267,6 @@ mod tests {
     fn legacy_tuple_json_parses_as_a_catalog_spec() {
         let spec: NetworkSpec = serde_json::from_str("[\"Omega\",3]").unwrap();
         assert_eq!(spec, NetworkSpec::catalog(ClassicalNetwork::Omega, 3));
-        assert_eq!(spec, (ClassicalNetwork::Omega, 3));
     }
 
     #[test]

@@ -6,15 +6,12 @@
 //! machinery each time; this module builds them **once** per scenario and
 //! reruns them:
 //!
-//! * [`run_replications`] is the auto-router. Eligible workloads —
-//!   unbuffered buffer mode with at least [`LANE_THRESHOLD`] replications
-//!   on a fabric of at most [`LANE_MAX_STAGES`] stages — go through the
-//!   word-packed [`LaneEngine`], 64 replications per `u64`. Everything
-//!   else runs the scalar [`Simulator`], reseeded between replications so
-//!   arenas and cached fault-reroute epochs are reused.
-//! * [`run_replications_merged`] additionally folds the per-replication
-//!   metrics with [`Metrics::merge`] for callers that only need the
-//!   aggregate.
+//! [`run_replications`] is the auto-router. Eligible workloads — unbuffered
+//! buffer mode with at least [`LANE_THRESHOLD`] replications on a fabric of
+//! at most [`LANE_MAX_STAGES`] stages — go through the word-packed
+//! [`LaneEngine`], 64 replications per `u64`. Everything else runs the
+//! scalar [`Simulator`], reseeded between replications so arenas and cached
+//! fault-reroute epochs are reused.
 //!
 //! Both paths are bit-identical to building a fresh scalar simulator per
 //! seed — pinned by the packed-oracle proptests and the campaign layer's
@@ -76,20 +73,6 @@ pub fn run_replications(
         out.push(sim.run());
     }
     Ok(out)
-}
-
-/// Runs one scenario once per seed and folds the results into a single
-/// [`Metrics`] via [`Metrics::merge`].
-pub fn run_replications_merged(
-    net: &ConnectionNetwork,
-    config: &SimConfig,
-    seeds: &[u64],
-) -> Result<Metrics, SimError> {
-    let mut merged = Metrics::default();
-    for metrics in run_replications(net, config, seeds)? {
-        merged.merge(&metrics);
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -197,27 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_equals_sequential_merge_of_per_replication_metrics() {
-        let net = omega(3);
-        let config = SimConfig::default().with_cycles(150, 15).with_load(0.6);
-        let seeds: Vec<u64> = (10..30).collect();
-        let merged = run_replications_merged(&net, &config, &seeds).unwrap();
-        let mut sequential = Metrics::default();
-        for m in run_replications(&net, &config, &seeds).unwrap() {
-            sequential.merge(&m);
-        }
-        assert_eq!(merged, sequential);
-        assert_eq!(merged.measured_cycles, 150 * seeds.len() as u64);
-    }
-
-    #[test]
     fn empty_seed_lists_yield_no_metrics() {
         let net = omega(3);
         let config = SimConfig::default();
         assert!(run_replications(&net, &config, &[]).unwrap().is_empty());
-        assert_eq!(
-            run_replications_merged(&net, &config, &[]).unwrap(),
-            Metrics::default()
-        );
     }
 }

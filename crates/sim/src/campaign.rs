@@ -69,11 +69,10 @@ use crate::fabric::FabricError;
 use crate::fault::{FaultError, FaultPlan};
 use crate::metrics::Metrics;
 use crate::traffic::{TrafficError, TrafficPattern};
+use min_core::classify::run_indexed;
 use min_networks::{catalog_grid, ClassicalNetwork, NetworkSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 /// Declarative description of a simulation campaign.
 ///
@@ -149,15 +148,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Legacy tuple setter kept from the pre-[`NetworkSpec`] API.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build `NetworkSpec` cells (`NetworkSpec::catalog`, `catalog_grid`) and call `with_cells`"
-    )]
-    pub fn with_cell_tuples(self, cells: Vec<(ClassicalNetwork, usize)>) -> Self {
-        self.with_cells(cells.into_iter().map(Into::into).collect())
-    }
-
     /// Builder-style setter for the traffic axis.
     pub fn with_traffic(mut self, traffic: Vec<TrafficPattern>) -> Self {
         self.traffic = traffic;
@@ -201,20 +191,35 @@ impl CampaignConfig {
         self
     }
 
-    /// Number of scenarios the grid expands to.
+    /// Number of scenarios the grid expands to, saturating at `usize::MAX`
+    /// for a grid too large to address (which [`CampaignConfig::validate`]
+    /// rejects).
     pub fn scenario_count(&self) -> usize {
-        self.cells.len()
-            * self.traffic.len()
-            * self.loads.len()
-            * self.buffer_modes.len()
-            * self.fault_plans.len()
-            * self.replications as usize
+        self.checked_scenario_count().unwrap_or(usize::MAX)
     }
 
-    /// Checks the grid for structural problems (empty axes, unbuildable
-    /// stage counts, out-of-range loads, invalid buffer parameters, a
-    /// zero-cycle run).
+    /// The product of the six axis lengths, or `None` if it overflows.
+    fn checked_scenario_count(&self) -> Option<usize> {
+        [
+            self.traffic.len(),
+            self.loads.len(),
+            self.buffer_modes.len(),
+            self.fault_plans.len(),
+            self.replications as usize,
+        ]
+        .into_iter()
+        .try_fold(self.cells.len(), usize::checked_mul)
+    }
+
+    /// Checks the grid for structural problems (a scenario count that
+    /// overflows, empty axes, unbuildable stage counts, out-of-range loads,
+    /// invalid buffer parameters, a zero-cycle run).
     pub fn validate(&self) -> Result<(), CampaignError> {
+        // First, so an unaddressable grid is refused before any per-axis
+        // work or allocation.
+        if self.checked_scenario_count().is_none() {
+            return Err(CampaignError::TooManyScenarios);
+        }
         if self.cells.is_empty() {
             return Err(CampaignError::EmptyAxis("cells"));
         }
@@ -820,6 +825,8 @@ impl CampaignReport {
 pub enum CampaignError {
     /// One of the grid axes is empty.
     EmptyAxis(&'static str),
+    /// The product of the grid's axis lengths overflows `usize`.
+    TooManyScenarios,
     /// A grid cell's stage count is outside the buildable range `2..=32`.
     InvalidStages(usize),
     /// An offered load is outside `[0, 1]`.
@@ -881,6 +888,9 @@ impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CampaignError::EmptyAxis(axis) => write!(f, "campaign grid axis `{axis}` is empty"),
+            CampaignError::TooManyScenarios => {
+                write!(f, "the grid's scenario count overflows usize")
+            }
             CampaignError::InvalidStages(n) => {
                 write!(f, "stage count {n} is outside the buildable range 2..=32")
             }
@@ -995,18 +1005,15 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Per-cell disjoint-path diversity histograms, computed once per grid cell
-/// before the fan-out (the histogram depends only on the topology, not on
-/// the traffic/load/mode/plan axes). Cells above 8 stages are skipped — the
+/// Disjoint-path diversity histograms of the given grid cells, each
+/// computed once (the histogram depends only on the topology, not on the
+/// traffic/load/mode/plan axes). Cells above 8 stages are skipped — the
 /// per-pair analysis is quadratic in the cell count.
 type DiversityMap = std::collections::HashMap<NetworkSpec, Vec<u64>>;
 
-fn diversity_map(config: &CampaignConfig) -> DiversityMap {
+fn diversity_map<'a>(cells: impl IntoIterator<Item = &'a NetworkSpec>) -> DiversityMap {
     let mut map = DiversityMap::new();
-    if config.fault_plans.iter().all(FaultPlan::is_empty) {
-        return map;
-    }
-    for &spec in &config.cells {
+    for &spec in cells {
         if spec.stages() <= 8 {
             map.entry(spec)
                 .or_insert_with(|| min_routing::disjoint::path_diversity_histogram(&spec.build()));
@@ -1078,20 +1085,14 @@ fn scenario_result(
 fn run_grid_point(
     campaign: &CampaignConfig,
     group: &[Scenario],
-    shared: Option<&DiversityMap>,
-    cache: &mut DiversityMap,
+    diversity: &DiversityMap,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
     let first = &group[0];
     let net = first.network.build();
-    let path_diversity = if first.fault_plan.is_empty() || first.network.stages() > 8 {
+    let path_diversity = if first.fault_plan.is_empty() {
         Vec::new()
-    } else if let Some(map) = shared {
-        map.get(&first.network).cloned().unwrap_or_default()
     } else {
-        cache
-            .entry(first.network)
-            .or_insert_with(|| min_routing::disjoint::path_diversity_histogram(&net))
-            .clone()
+        diversity.get(&first.network).cloned().unwrap_or_default()
     };
     let config = first.sim_config(campaign);
     let seeds: Vec<u64> = group.iter().map(|s| s.seed).collect();
@@ -1118,20 +1119,20 @@ pub fn execute_shard(
     config: &CampaignConfig,
     shard: &Shard,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
-    execute_shard_with(config, shard, None)
+    let faulty = shard.scenarios.iter().filter(|s| !s.fault_plan.is_empty());
+    execute_shard_with(config, shard, &diversity_map(faulty.map(|s| &s.network)))
 }
 
-/// [`execute_shard`] with an optional precomputed disjoint-path diversity
-/// map: the in-process runner computes each grid cell's histogram once per
-/// campaign and shares it across every shard, instead of once per shard.
-/// The histogram is a pure function of the topology, so both paths produce
-/// identical bytes.
+/// [`execute_shard`] with the disjoint-path diversity histograms of (at
+/// least) the shard's faulty cells precomputed: the in-process runner
+/// builds one map for the whole grid and shares it across every shard. The
+/// histogram is a pure function of the topology, so both produce identical
+/// bytes.
 fn execute_shard_with(
     config: &CampaignConfig,
     shard: &Shard,
-    shared: Option<&DiversityMap>,
+    diversity: &DiversityMap,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let mut cache = DiversityMap::new();
     let mut out = Vec::with_capacity(shard.scenarios.len());
     let mut start = 0;
     while start < shard.scenarios.len() {
@@ -1150,7 +1151,7 @@ fn execute_shard_with(
                 })
                 .count();
         let group = &shard.scenarios[start..end];
-        out.extend(run_grid_point(config, group, shared, &mut cache)?);
+        out.extend(run_grid_point(config, group, diversity)?);
         start = end;
     }
     Ok(out)
@@ -1188,72 +1189,46 @@ pub fn assemble(
 /// [`CampaignConfig::plan`] → [`execute_shard`] → [`assemble`] across
 /// `threads` scoped worker threads (`0` = one worker per available core).
 ///
-/// Workers pull whole shards — grid points of `replications` consecutive
-/// scenarios that differ only in their derived seed — from a shared atomic
-/// cursor; the batch layer builds the fabric tables, switch arenas and
-/// fault machinery once per grid point (and eligible unbuffered blocks go
-/// through the bit-parallel [`crate::lane::LaneEngine`]). Results are
-/// slotted by canonical index regardless of which worker ran them, keeping
-/// the report independent of the thread count — and byte-identical to any
-/// other executor of the same plan, including the `min-serve`
-/// master/worker service.
+/// Workers of [`run_indexed`] pull whole shards — grid points of
+/// `replications` consecutive scenarios that differ only in their derived
+/// seed — from a shared atomic cursor; the batch layer builds the fabric
+/// tables, switch arenas and fault machinery once per grid point (and
+/// eligible unbuffered blocks go through the bit-parallel
+/// [`crate::lane::LaneEngine`]). Results are slotted by canonical index
+/// regardless of which worker ran them, keeping the report independent of
+/// the thread count — and byte-identical to any other executor of the same
+/// plan, including the `min-serve` master/worker service.
 pub fn run_campaign(
     config: &CampaignConfig,
     threads: usize,
 ) -> Result<CampaignReport, CampaignError> {
     let plan = config.plan()?;
-    let shards = &plan.shards;
-    let workers = effective_threads(threads, shards.len());
-    let diversity = diversity_map(config);
+    // Only faulty scenarios report path diversity.
+    let cells: &[NetworkSpec] = if config.fault_plans.iter().all(FaultPlan::is_empty) {
+        &[]
+    } else {
+        &config.cells
+    };
+    let diversity = diversity_map(cells);
+    run_plan(config, &plan, threads, |shard| {
+        execute_shard_with(config, shard, &diversity)
+    })
+}
 
-    let cursor = AtomicUsize::new(0);
-    let collected: Vec<(usize, Result<Vec<ScenarioResult>, CampaignError>)> =
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let shards = &shards;
-                    let diversity = &diversity;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            if g >= shards.len() {
-                                break;
-                            }
-                            let result = execute_shard_with(config, &shards[g], Some(diversity));
-                            local.push((g, result));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        });
-
-    // Surface errors in shard order so a failing campaign reports the same
-    // (lowest-index) scenario at any thread count.
-    let mut collected = collected;
-    collected.sort_by_key(|(g, _)| *g);
+/// Runs `execute` on every shard of `plan` across `threads` workers and
+/// assembles the report. Errors surface in shard order, so a failing
+/// campaign reports the same (lowest-index) shard at any thread count.
+fn run_plan(
+    config: &CampaignConfig,
+    plan: &CampaignPlan,
+    threads: usize,
+    execute: impl Fn(&Shard) -> Result<Vec<ScenarioResult>, CampaignError> + Sync,
+) -> Result<CampaignReport, CampaignError> {
     let mut results = Vec::with_capacity(plan.scenario_count());
-    for (_, shard_results) in collected {
+    for shard_results in run_indexed(plan.shards.len(), threads, |g| execute(&plan.shards[g])) {
         results.extend(shard_results?);
     }
     Ok(assemble(config, results)?)
-}
-
-/// Resolves the worker count: `0` means one per available core, and there is
-/// never a point in more workers than grid points.
-fn effective_threads(requested: usize, grid_points: usize) -> usize {
-    let requested = if requested == 0 {
-        thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        requested
-    };
-    requested.clamp(1, grid_points.max(1))
 }
 
 fn aggregate(results: &[ScenarioResult]) -> CampaignAggregate {
@@ -1522,6 +1497,49 @@ mod tests {
     }
 
     #[test]
+    fn grids_whose_scenario_count_overflows_are_rejected_before_expansion() {
+        // 128^5 grid points × u32::MAX replications ≈ 2^67 scenarios.
+        let cfg = tiny()
+            .with_cells(vec![NetworkSpec::catalog(ClassicalNetwork::Omega, 3); 128])
+            .with_traffic(vec![TrafficPattern::Uniform; 128])
+            .with_loads(vec![0.5; 128])
+            .with_buffer_modes(vec![BufferMode::Unbuffered; 128])
+            .with_fault_plans(vec![FaultPlan::none(); 128])
+            .with_replications(u32::MAX);
+        assert_eq!(cfg.scenario_count(), usize::MAX);
+        assert_eq!(cfg.validate(), Err(CampaignError::TooManyScenarios));
+        assert_eq!(
+            cfg.plan_chunked(4).unwrap_err(),
+            CampaignError::TooManyScenarios
+        );
+    }
+
+    #[test]
+    fn the_lowest_index_shard_error_wins_at_any_thread_count() {
+        // No validated grid fails inside a shard, so inject failures into
+        // run_campaign's runner at two shards.
+        let cfg = tiny();
+        let plan = cfg.plan().unwrap();
+        let failing = |shard: &Shard| match shard.id {
+            3 | 6 => Err(CampaignError::Fabric {
+                scenario: shard.first_index().unwrap(),
+                error: FabricError::NotDelta,
+            }),
+            _ => execute_shard(&cfg, shard),
+        };
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                run_plan(&cfg, &plan, threads, failing).unwrap_err(),
+                CampaignError::Fabric {
+                    scenario: plan.shards[3].first_index().unwrap(),
+                    error: FabricError::NotDelta,
+                },
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
     fn report_is_independent_of_thread_count() {
         let cfg = tiny().with_buffer_modes(vec![BufferMode::Unbuffered, worm()]);
         let one = run_campaign(&cfg, 1).unwrap();
@@ -1607,17 +1625,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn legacy_tuple_grids_keep_their_pre_spec_json_layout() {
-        // Old-style `(ClassicalNetwork, usize)` grids flow through the
-        // (now deprecated) tuple shims, and both the config and the report
-        // must render byte-for-byte as they did before the `NetworkSpec`
-        // redesign: tuple cells as two-element arrays, scenario networks as
-        // the bare family name next to a `stages` field.
+        // Catalog cells are still on the wire in the pre-`NetworkSpec`
+        // tuple layout: both the config and the report render them
+        // byte-for-byte as before the redesign — cells as two-element
+        // arrays, scenario networks as the bare family name next to a
+        // `stages` field.
         let cfg = CampaignConfig::over_catalog(3..=3)
-            .with_cell_tuples(vec![
-                (ClassicalNetwork::Omega, 3),
-                (ClassicalNetwork::ReverseBaseline, 4),
+            .with_cells(vec![
+                NetworkSpec::catalog(ClassicalNetwork::Omega, 3),
+                NetworkSpec::catalog(ClassicalNetwork::ReverseBaseline, 4),
             ])
             .with_cycles(40, 0);
         let cfg_json = serde_json::to_string(&cfg).unwrap();

@@ -1,21 +1,20 @@
 //! The switching fabric: a connection network plus the router that steers
 //! its packets.
 //!
-//! Since the `Router` redesign the fabric holds an
-//! [`min_routing::router::Router`] trait object selected at construction
-//! time, so the engine asks one uniform question — *which tag does the
-//! packet at `(source, terminal)` use for `destination`?* — and delta,
-//! multi-path and permutation-configured (looping) fabrics all plug in
-//! without engine-side branching:
+//! The fabric holds a [`min_routing::router::Router`] trait object, so the
+//! engine asks one uniform question — *which tag does the packet at
+//! `(source, terminal)` use for `destination`?* — whatever the topology.
+//! One private constructor checks 2-regularity and gives every delta
+//! network its destination-tag table; the two public entry points differ
+//! only in what a non-delta network gets:
 //!
-//! * [`Fabric::new`] keeps the historical contract: destination-tag
-//!   routing only, with [`FabricError::NotDelta`] for anything else (the
-//!   bit-parallel lane engine and existing callers rely on this);
-//! * [`Fabric::for_traffic`] picks the router for a scenario — the delta
-//!   table when one exists, the looping algorithm for a full-permutation
-//!   traffic pattern on a rearrangeable fabric (a structural failure is the
-//!   typed [`FabricError::NotRearrangeable`]), and per-pair multi-path
-//!   routing otherwise.
+//! * [`Fabric::new`] refuses it with [`FabricError::NotDelta`] (the
+//!   bit-parallel lane engine needs destination tags);
+//! * [`Fabric::for_traffic`] routes it for the scenario — the looping
+//!   algorithm for a full-permutation traffic pattern on a rearrangeable
+//!   fabric (a structural failure is the typed
+//!   [`FabricError::NotRearrangeable`]), and per-pair multi-path routing
+//!   otherwise.
 
 use crate::traffic::TrafficPattern;
 use min_core::ConnectionNetwork;
@@ -36,19 +35,10 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds a destination-tag-routed fabric, verifying delta routability —
-    /// the pre-redesign contract, unchanged.
+    /// Builds a destination-tag-routed fabric, refusing a network that is
+    /// not delta.
     pub fn new(net: ConnectionNetwork) -> Result<Self, FabricError> {
-        if !net.is_proper() {
-            return Err(FabricError::NotTwoRegular);
-        }
-        let routing = destination_tags(&net).ok_or(FabricError::NotDelta)?;
-        let router: Arc<dyn Router> = Arc::new(DeltaRouter::from_table(routing.clone()));
-        Ok(Fabric {
-            net,
-            routing: Some(routing),
-            router,
-        })
+        Self::build(net, |_| Err(FabricError::NotDelta))
     }
 
     /// Builds a fabric with the router selected for `traffic`:
@@ -64,36 +54,44 @@ impl Fabric {
         net: ConnectionNetwork,
         traffic: &TrafficPattern,
     ) -> Result<Self, FabricError> {
+        Self::build(net, |net| {
+            let cells = net.cells_per_stage();
+            Ok(match traffic {
+                TrafficPattern::Permutation(dest) if is_cell_permutation(dest, cells) => {
+                    // Lift the cell permutation to terminals: terminal
+                    // `2c + k` goes to terminal `2·perm[c] + k`, which keeps
+                    // the two packets of a source cell on link-disjoint
+                    // circuits.
+                    let permutation: Vec<u32> = (0..2 * cells as u32)
+                        .map(|t| 2 * dest[(t >> 1) as usize] + (t & 1))
+                        .collect();
+                    Arc::new(
+                        LoopingRouter::new(net, &permutation)
+                            .map_err(FabricError::NotRearrangeable)?,
+                    )
+                }
+                _ => Arc::new(MultiPathRouter::new(net)),
+            })
+        })
+    }
+
+    /// Checks 2-regularity, routes a delta network by its destination-tag
+    /// table, and asks `non_delta` for the router of any other network.
+    fn build(
+        net: ConnectionNetwork,
+        non_delta: impl FnOnce(&ConnectionNetwork) -> Result<Arc<dyn Router>, FabricError>,
+    ) -> Result<Self, FabricError> {
         if !net.is_proper() {
             return Err(FabricError::NotTwoRegular);
         }
-        if let Some(routing) = destination_tags(&net) {
-            let router: Arc<dyn Router> = Arc::new(DeltaRouter::from_table(routing.clone()));
-            return Ok(Fabric {
-                net,
-                routing: Some(routing),
-                router,
-            });
-        }
-        let cells = net.cells_per_stage();
-        let router: Arc<dyn Router> = match traffic {
-            TrafficPattern::Permutation(dest) if is_cell_permutation(dest, cells) => {
-                // Lift the cell permutation to terminals: terminal `2c + k`
-                // goes to terminal `2·perm[c] + k`, which keeps the two
-                // packets of a source cell on link-disjoint circuits.
-                let permutation: Vec<u32> = (0..2 * cells as u32)
-                    .map(|t| 2 * dest[(t >> 1) as usize] + (t & 1))
-                    .collect();
-                Arc::new(
-                    LoopingRouter::new(&net, &permutation)
-                        .map_err(FabricError::NotRearrangeable)?,
-                )
-            }
-            _ => Arc::new(MultiPathRouter::new(&net)),
+        let routing = destination_tags(&net);
+        let router: Arc<dyn Router> = match &routing {
+            Some(table) => Arc::new(DeltaRouter::from_table(table.clone())),
+            None => non_delta(&net)?,
         };
         Ok(Fabric {
             net,
-            routing: None,
+            routing,
             router,
         })
     }
@@ -101,14 +99,6 @@ impl Fabric {
     /// The underlying network.
     pub fn network(&self) -> &ConnectionNetwork {
         &self.net
-    }
-
-    /// The self-routing table. Panics for a non-delta fabric — use
-    /// [`Fabric::delta_routing`] when the fabric may be rearrangeable.
-    pub fn routing(&self) -> &SelfRoutingTable {
-        self.routing
-            .as_ref()
-            .expect("routing() requires a delta fabric; use delta_routing()")
     }
 
     /// The destination-tag table when the network is delta.
@@ -142,7 +132,11 @@ impl Fabric {
     /// Routing tag for a destination cell. Panics for a non-delta fabric —
     /// the source-aware entry point is [`Fabric::route`].
     pub fn tag_for(&self, destination: u32) -> u32 {
-        self.routing().tag_of_destination[destination as usize]
+        let table = self
+            .routing
+            .as_ref()
+            .expect("tag_for requires a delta fabric");
+        table.tag_of_destination[destination as usize]
     }
 
     /// Next-stage cell reached from `cell` through out-port `port` of
@@ -268,17 +262,14 @@ mod tests {
         let skew = min_core::Connection::from_fn(2, |_| 0, |x| x);
         let second = min_core::Connection::from_fn(2, |x| x, |x| x ^ 1);
         let net = min_core::ConnectionNetwork::new(2, vec![skew, second]);
-        assert_eq!(Fabric::new(net).unwrap_err(), FabricError::NotTwoRegular);
         assert_eq!(
-            Fabric::for_traffic(net_irregular(), &TrafficPattern::Uniform).unwrap_err(),
+            Fabric::new(net.clone()).unwrap_err(),
             FabricError::NotTwoRegular
         );
-    }
-
-    fn net_irregular() -> min_core::ConnectionNetwork {
-        let skew = min_core::Connection::from_fn(2, |_| 0, |x| x);
-        let second = min_core::Connection::from_fn(2, |x| x, |x| x ^ 1);
-        min_core::ConnectionNetwork::new(2, vec![skew, second])
+        assert_eq!(
+            Fabric::for_traffic(net, &TrafficPattern::Uniform).unwrap_err(),
+            FabricError::NotTwoRegular
+        );
     }
 
     #[test]
@@ -286,8 +277,8 @@ mod tests {
         let a = Fabric::new(omega(4)).unwrap();
         let b = Fabric::for_traffic(omega(4), &TrafficPattern::Uniform).unwrap();
         assert_eq!(
-            a.routing().tag_of_destination,
-            b.routing().tag_of_destination
+            a.delta_routing().unwrap().tag_of_destination,
+            b.delta_routing().unwrap().tag_of_destination
         );
         assert_eq!(b.router().label(), "delta");
     }

@@ -65,7 +65,7 @@ pub mod packet;
 pub mod switch;
 pub mod traffic;
 
-pub use batch::{run_replications, run_replications_merged};
+pub use batch::run_replications;
 pub use campaign::{
     assemble, execute_shard, run_campaign, CampaignConfig, CampaignPlan, CampaignReport,
     MergeError, Scenario, ScenarioResult, Shard,

@@ -16,9 +16,13 @@
 //!   versioned on-disk format and a loader returning typed errors.
 //!
 //! Injection state lives in [`TrafficSources`], which the engine asks for
-//! an [`Offer`] per (cell, terminal) each cycle; destination draws go
-//! through a [`DestSampler`] so the scalar and word-packed engines share
-//! one draw path and stay bit-identical. Everything is deterministic under
+//! an [`Offer`] per (cell, terminal) each cycle. Destinations have one draw
+//! path: [`TrafficPattern::sampler`] builds a [`DestSampler`] holding each
+//! stateless pattern's draw (a uniform range, the hot-spot coin, a
+//! per-source table for permutation and bit-reversal, a [`ZipfCdf`]), and
+//! both the scalar and word-packed engines draw through it, so they stay
+//! bit-identical. Trace destinations come with the offer instead
+//! ([`Offer::PacketTo`]). Everything is deterministic under
 //! the engine's per-scenario ChaCha8 streams: a pattern draws nothing
 //! beyond its documented per-offer draws, in a fixed order.
 //!
@@ -381,70 +385,37 @@ impl TrafficPattern {
         }
     }
 
-    /// Draws a destination for a packet injected at `source`, given `cells`
-    /// cells per stage and `width_bits = log2(cells)`.
+    /// Builds the destination sampler for a fabric of `cells` cells per
+    /// stage and `width_bits = log2(cells)`: the one draw path both engines
+    /// use. Permutation and bit-reversal destinations are tabulated per
+    /// source cell and Zipf's CDF is precomputed, once per sampler.
     ///
     /// The pattern must be valid for the fabric
     /// ([`TrafficPattern::validate_for`]); the engines guarantee this by
-    /// validating at construction. For [`TrafficPattern::Zipf`] this
-    /// rebuilds the CDF per call — engines draw through
-    /// [`TrafficPattern::sampler`] instead, which precomputes it once (the
-    /// draws themselves are bit-identical either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`TrafficPattern::Trace`]: trace destinations come from
-    /// the recorded schedule via [`TrafficSources::offer`], never from a
-    /// distribution draw. The engines never call this for a trace.
-    pub fn destination<R: Rng>(
-        &self,
-        source: u32,
-        cells: u32,
-        width_bits: usize,
-        rng: &mut R,
-    ) -> u32 {
-        match self {
-            TrafficPattern::Uniform | TrafficPattern::OnOff { .. } => rng.gen_range(0..cells),
-            TrafficPattern::Hotspot { fraction, target } => {
-                // `fraction` is validated finite and in [0, 1] up front, so
-                // no clamp runs here (a clamp would silently launder a NaN
-                // into the RNG's range assertion).
-                if rng.gen_bool(*fraction) {
-                    *target
-                } else {
-                    rng.gen_range(0..cells)
-                }
-            }
-            TrafficPattern::Permutation(dest) => dest[source as usize],
-            TrafficPattern::BitReversal => {
-                let mut r = 0u32;
-                for k in 0..width_bits {
-                    r |= ((source >> k) & 1) << (width_bits - 1 - k);
-                }
-                r
-            }
-            TrafficPattern::Zipf { exponent } => ZipfCdf::new(cells, *exponent).sample(rng),
-            TrafficPattern::Trace(_) => {
-                panic!("trace destinations are replayed via TrafficSources::offer, not drawn")
-            }
-        }
-    }
-
-    /// Builds the destination sampler the engines draw through: a
-    /// precomputed [`ZipfCdf`] for [`TrafficPattern::Zipf`], a delegate to
-    /// [`TrafficPattern::destination`] for every other pattern. The sampler
-    /// draws bit-identically to `destination`, so the scalar and packed
-    /// engines share one stream shape.
+    /// validating at construction.
     pub fn sampler(&self, cells: u32, width_bits: usize) -> DestSampler {
-        let kind = match self {
-            TrafficPattern::Zipf { exponent } => SamplerKind::Zipf(ZipfCdf::new(cells, *exponent)),
-            other => SamplerKind::Pattern(other.clone()),
-        };
-        DestSampler {
-            kind,
-            cells,
-            width_bits,
-        }
+        DestSampler(match self {
+            TrafficPattern::Uniform | TrafficPattern::OnOff { .. } => DestDraw::Uniform(cells),
+            &TrafficPattern::Hotspot { fraction, target } => DestDraw::Hotspot {
+                fraction,
+                target,
+                cells,
+            },
+            TrafficPattern::Permutation(dest) => DestDraw::Table(dest.clone()),
+            // The shift is 32 only for the one-cell fabric, whose single
+            // source reverses to 0.
+            TrafficPattern::BitReversal => DestDraw::Table(
+                (0..cells)
+                    .map(|s| {
+                        s.reverse_bits()
+                            .checked_shr(32 - width_bits as u32)
+                            .unwrap_or(0)
+                    })
+                    .collect(),
+            ),
+            TrafficPattern::Zipf { exponent } => DestDraw::Zipf(ZipfCdf::new(cells, *exponent)),
+            TrafficPattern::Trace(_) => DestDraw::Replayed,
+        })
     }
 }
 
@@ -498,34 +469,63 @@ impl ZipfCdf {
     }
 }
 
-/// How a traffic pattern resolves destinations inside the engines: either a
-/// delegate to the pattern's own draw or a precomputed [`ZipfCdf`].
+/// The destination draw of a traffic pattern, built once per simulator by
+/// [`TrafficPattern::sampler`].
 ///
-/// Built once per simulator via [`TrafficPattern::sampler`]; both the
-/// scalar and the word-packed engine draw through it, which is what keeps
-/// Zipf scenarios bit-identical across the two paths.
+/// This is the only place destinations are drawn: the scalar and the
+/// word-packed engine both call [`DestSampler::draw`], which is what keeps
+/// their streams bit-identical.
 #[derive(Debug, Clone)]
-pub struct DestSampler {
-    kind: SamplerKind,
-    cells: u32,
-    width_bits: usize,
-}
+pub struct DestSampler(DestDraw);
 
 #[derive(Debug, Clone)]
-enum SamplerKind {
-    Pattern(TrafficPattern),
+enum DestDraw {
+    /// Uniform over `0..cells` (also the destinations of ON/OFF bursts).
+    Uniform(u32),
+    /// `target` with probability `fraction`, otherwise uniform.
+    Hotspot {
+        fraction: f64,
+        target: u32,
+        cells: u32,
+    },
+    /// A fixed destination per source cell (permutation, bit-reversal).
+    Table(Vec<u32>),
     Zipf(ZipfCdf),
+    /// Trace destinations are part of the replayed schedule.
+    Replayed,
 }
 
 impl DestSampler {
-    /// Draws a destination for a packet injected at `source`.
+    /// Draws a destination for a packet injected at source cell `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a [`TrafficPattern::Trace`] sampler: trace destinations
+    /// arrive with the offer ([`Offer::PacketTo`]), never from a draw. The
+    /// engines never draw for a trace.
     #[inline]
     pub fn draw<R: Rng>(&self, source: u32, rng: &mut R) -> u32 {
-        match &self.kind {
-            SamplerKind::Pattern(pattern) => {
-                pattern.destination(source, self.cells, self.width_bits, rng)
+        match &self.0 {
+            &DestDraw::Uniform(cells) => rng.gen_range(0..cells),
+            // `fraction` is validated finite and in [0, 1] up front, so no
+            // clamp runs here (a clamp would silently launder a NaN into
+            // the RNG's range assertion).
+            &DestDraw::Hotspot {
+                fraction,
+                target,
+                cells,
+            } => {
+                if rng.gen_bool(fraction) {
+                    target
+                } else {
+                    rng.gen_range(0..cells)
+                }
             }
-            SamplerKind::Zipf(cdf) => cdf.sample(rng),
+            DestDraw::Table(dest) => dest[source as usize],
+            DestDraw::Zipf(cdf) => cdf.sample(rng),
+            DestDraw::Replayed => {
+                panic!("trace destinations are replayed via TrafficSources::offer, not drawn")
+            }
         }
     }
 }
@@ -913,7 +913,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(211);
         let mut seen = [false; 8];
         for _ in 0..500 {
-            let d = TrafficPattern::Uniform.destination(0, 8, 3, &mut rng);
+            let d = TrafficPattern::Uniform.sampler(8, 3).draw(0, &mut rng);
             seen[d as usize] = true;
         }
         assert!(seen.iter().all(|&b| b));
@@ -922,12 +922,13 @@ mod tests {
     #[test]
     fn hotspot_biases_towards_the_target() {
         let mut rng = ChaCha8Rng::seed_from_u64(223);
-        let pattern = TrafficPattern::Hotspot {
+        let sampler = TrafficPattern::Hotspot {
             fraction: 0.5,
             target: 3,
-        };
+        }
+        .sampler(8, 3);
         let hits = (0..2_000)
-            .filter(|_| pattern.destination(1, 8, 3, &mut rng) == 3)
+            .filter(|_| sampler.draw(1, &mut rng) == 3)
             .count();
         // 50% direct + 1/8 of the uniform remainder ≈ 56%.
         assert!(hits > 800 && hits < 1500, "hits = {hits}");
@@ -936,18 +937,18 @@ mod tests {
     #[test]
     fn permutation_is_deterministic() {
         let mut rng = ChaCha8Rng::seed_from_u64(227);
-        let pattern = TrafficPattern::Permutation(vec![3, 2, 1, 0]);
+        let sampler = TrafficPattern::Permutation(vec![3, 2, 1, 0]).sampler(4, 2);
         for s in 0..4u32 {
-            assert_eq!(pattern.destination(s, 4, 2, &mut rng), 3 - s);
+            assert_eq!(sampler.draw(s, &mut rng), 3 - s);
         }
     }
 
     #[test]
     fn bit_reversal_reverses() {
         let mut rng = ChaCha8Rng::seed_from_u64(229);
-        let pattern = TrafficPattern::BitReversal;
-        assert_eq!(pattern.destination(0b001, 8, 3, &mut rng), 0b100);
-        assert_eq!(pattern.destination(0b110, 8, 3, &mut rng), 0b011);
+        let sampler = TrafficPattern::BitReversal.sampler(8, 3);
+        assert_eq!(sampler.draw(0b001, &mut rng), 0b100);
+        assert_eq!(sampler.draw(0b110, &mut rng), 0b011);
     }
 
     #[test]
@@ -1316,32 +1317,66 @@ mod tests {
     }
 
     #[test]
-    fn sampler_draws_match_destination_draws() {
-        // The sampler must consume the RNG exactly like the compat path so
-        // engines can migrate to it without moving any stream.
-        let patterns = [
-            TrafficPattern::Uniform,
-            TrafficPattern::Hotspot {
-                fraction: 0.3,
-                target: 5,
-            },
-            TrafficPattern::BitReversal,
-            TrafficPattern::Zipf { exponent: 0.9 },
+    fn sampler_draw_streams_are_pinned() {
+        // Golden streams: from seed 269, every source of a 16-cell fabric
+        // takes its first 64 draws in turn; the FNV-1a hash of those draws
+        // and the RNG's next word pin both the values and how many words
+        // each draw consumes. No committed artifact covers the hot-spot,
+        // permutation or bit-reversal streams, so this is their guard.
+        const CELLS: u32 = 16;
+        let permutation = (0..CELLS).map(|s| (5 * s + 3) % CELLS).collect();
+        let cases = [
+            (
+                TrafficPattern::Uniform,
+                0x57de_31e0_af01_6951,
+                0x80f4_45ba_63de_5018,
+            ),
+            (
+                TrafficPattern::OnOff {
+                    on_dwell: 8.0,
+                    off_dwell: 8.0,
+                    on_rate: 1.0,
+                },
+                0x57de_31e0_af01_6951,
+                0x80f4_45ba_63de_5018,
+            ),
+            (
+                TrafficPattern::Hotspot {
+                    fraction: 0.3,
+                    target: 5,
+                },
+                0xe9aa_e45a_9f12_a885,
+                0x6f61_bb3f_b9d6_e0ef,
+            ),
+            (
+                TrafficPattern::Permutation(permutation),
+                0x8f15_9587_f830_5925,
+                0x9605_5bef_136f_9a43,
+            ),
+            (
+                TrafficPattern::BitReversal,
+                0xa120_4b45_9583_5925,
+                0x9605_5bef_136f_9a43,
+            ),
+            (
+                TrafficPattern::Zipf { exponent: 0.9 },
+                0x6358_3bee_f1a2_6e83,
+                0x80f4_45ba_63de_5018,
+            ),
         ];
-        for pattern in patterns {
-            let sampler = pattern.sampler(8, 3);
-            let mut a = ChaCha8Rng::seed_from_u64(269);
-            let mut b = ChaCha8Rng::seed_from_u64(269);
-            for source in 0..8u32 {
+        for (pattern, hash, next) in cases {
+            let sampler = pattern.sampler(CELLS, 4);
+            let mut rng = ChaCha8Rng::seed_from_u64(269);
+            let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+            for source in 0..CELLS {
                 for _ in 0..64 {
-                    assert_eq!(
-                        sampler.draw(source, &mut a),
-                        pattern.destination(source, 8, 3, &mut b),
-                        "{pattern:?}"
-                    );
+                    fnv = (fnv ^ u64::from(sampler.draw(source, &mut rng)))
+                        .wrapping_mul(0x0100_0000_01b3);
                 }
             }
-            assert_eq!(a.next_u64(), b.next_u64(), "stream alignment {pattern:?}");
+            let label = pattern.label();
+            assert_eq!(fnv, hash, "{label} draws");
+            assert_eq!(rng.next_u64(), next, "{label} stream alignment");
         }
     }
 }

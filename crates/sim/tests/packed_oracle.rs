@@ -12,7 +12,7 @@
 //! drift in the packed planes is caught against the reference.
 
 use min_networks::ClassicalNetwork;
-use min_sim::batch::{packed_eligible, run_replications, run_replications_merged, LANE_THRESHOLD};
+use min_sim::batch::{packed_eligible, run_replications, LANE_THRESHOLD};
 use min_sim::campaign::scenario_seed;
 use min_sim::{BufferMode, FaultPlan, Metrics, SimConfig, Simulator, TrafficPattern};
 use proptest::prelude::*;
@@ -102,7 +102,10 @@ proptest! {
             .with_cycles(CYCLES, WARMUP);
         let seeds: Vec<u64> =
             (0..LANE_THRESHOLD + 2).map(|i| scenario_seed(campaign_seed, i)).collect();
-        let merged = run_replications_merged(&family.build(stages), &config, &seeds).unwrap();
+        let mut merged = Metrics::default();
+        for metrics in run_replications(&family.build(stages), &config, &seeds).unwrap() {
+            merged.merge(&metrics);
+        }
         let mut reference = Metrics::default();
         for &seed in &seeds {
             reference.merge(&fresh_scalar(family, stages, &config, seed));

@@ -10,7 +10,7 @@
 //! counter and the full latency histogram across seeds, loads and both
 //! packet-atomic buffer modes.
 
-use min_sim::{simulate, BufferMode, Metrics, SimConfig, TrafficPattern};
+use min_sim::{simulate, BufferMode, DestSampler, Metrics, SimConfig, TrafficPattern};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 /// `(stage, cell)`, with the original three-phase cycle.
 struct ReferenceSimulator {
     fabric: min_sim::fabric::Fabric,
+    sampler: DestSampler,
     config: SimConfig,
     rng: ChaCha8Rng,
     queues: Vec<Vec<VecDeque<min_sim::Packet>>>,
@@ -33,8 +34,12 @@ impl ReferenceSimulator {
         let stages = fabric.stages();
         let cells = fabric.cells();
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let sampler = config
+            .traffic
+            .sampler(cells as u32, fabric.network().width());
         ReferenceSimulator {
             fabric,
+            sampler,
             config,
             rng,
             queues: vec![vec![VecDeque::new(); cells]; stages],
@@ -126,7 +131,6 @@ impl ReferenceSimulator {
             }
         }
 
-        let width_bits = self.fabric.network().width();
         for cell in 0..cells {
             for _terminal in 0..2 {
                 if !self.rng.gen_bool(self.config.offered_load) {
@@ -136,12 +140,7 @@ impl ReferenceSimulator {
                 if self.queues[0][cell].len() >= capacity {
                     continue;
                 }
-                let destination = self.config.traffic.destination(
-                    cell as u32,
-                    cells as u32,
-                    width_bits,
-                    &mut self.rng,
-                );
+                let destination = self.sampler.draw(cell as u32, &mut self.rng);
                 let packet = min_sim::Packet {
                     id: self.next_packet_id,
                     source: cell as u32,
