@@ -99,11 +99,14 @@ impl NetworkSpec {
     }
 
     /// The actual stage count of the built network (for the Benes family
-    /// this is `2n - 1`, not `n`).
+    /// this is `2n - 1`, not `n`), saturating so that validation refuses a
+    /// deserialized `n = 0` or huge `n` instead of overflowing.
     pub fn stages(&self) -> usize {
         match *self {
             NetworkSpec::Catalog { stages, .. } | NetworkSpec::Rewritten { stages, .. } => stages,
-            NetworkSpec::Benes { n } | NetworkSpec::BenesVariant { n } => 2 * n - 1,
+            NetworkSpec::Benes { n } | NetworkSpec::BenesVariant { n } => {
+                n.saturating_mul(2).saturating_sub(1)
+            }
         }
     }
 
@@ -235,6 +238,24 @@ impl Deserialize for NetworkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn benes_stage_counts_saturate_instead_of_overflowing() {
+        for spec in [
+            NetworkSpec::Benes { n: 0 },
+            NetworkSpec::BenesVariant { n: 0 },
+        ] {
+            assert_eq!(spec.stages(), 0);
+        }
+        let huge = usize::MAX / 2 + 1;
+        for spec in [
+            NetworkSpec::Benes { n: huge },
+            NetworkSpec::BenesVariant { n: huge },
+        ] {
+            assert_eq!(spec.stages(), usize::MAX - 1);
+        }
+        assert_eq!(NetworkSpec::Benes { n: 3 }.stages(), 5);
+    }
 
     #[test]
     fn catalog_specs_serialize_exactly_like_the_legacy_tuples() {

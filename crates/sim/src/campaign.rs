@@ -1497,6 +1497,25 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_benes_cells_are_refused_as_invalid_stages() {
+        let huge = usize::MAX / 2 + 1;
+        for (n, stages) in [(0, 0), (huge, usize::MAX - 1)] {
+            let direct = tiny().with_cells(vec![NetworkSpec::Benes { n }]);
+            assert_eq!(direct.validate(), Err(CampaignError::InvalidStages(stages)));
+            // The same cell arriving as untrusted campaign JSON.
+            let json = serde_json::to_string(&tiny().with_cells(vec![NetworkSpec::Benes { n: 3 }]))
+                .unwrap()
+                .replace(
+                    "{\"Benes\":{\"n\":3}}",
+                    &format!("{{\"Benes\":{{\"n\":{n}}}}}"),
+                );
+            let parsed: CampaignConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(parsed, direct);
+            assert_eq!(parsed.validate(), Err(CampaignError::InvalidStages(stages)));
+        }
+    }
+
+    #[test]
     fn grids_whose_scenario_count_overflows_are_rejected_before_expansion() {
         // 128^5 grid points × u32::MAX replications ≈ 2^67 scenarios.
         let cfg = tiny()

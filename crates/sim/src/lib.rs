@@ -43,6 +43,10 @@
 //!   three phases over scoped threads, and the `min-serve` crate drives the
 //!   same plan over TCP workers — per-scenario seeds derived from the
 //!   campaign seed keep reports bitwise reproducible under any executor;
+//! * load curves ([`curves`]) — the one home of the replication fold
+//!   ([`curves::fold`], keyed by grid axis), the saturation knee
+//!   ([`curves::Curve::saturation_load`]) and the two artifact layouts
+//!   ([`curves::stability_json`], [`curves::saturation_json`]);
 //! * the bit-parallel fast path ([`lane`] and [`batch`]) — a word-packed
 //!   [`lane::LaneEngine`] simulating up to 64 independent unbuffered
 //!   replications per `u64` (occupancy, conflict and drop sets as bitwise
@@ -56,6 +60,7 @@
 pub mod batch;
 pub mod campaign;
 pub mod config;
+pub mod curves;
 pub mod engine;
 pub mod fabric;
 pub mod fault;

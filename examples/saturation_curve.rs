@@ -5,10 +5,11 @@
 //! replications per scenario that the word-packed `LaneEngine` carries the
 //! whole sweep, prints the per-scenario table, and writes the saturation
 //! curve (replication-averaged throughput/latency per family × size ×
-//! load) to `saturation.json`; the committed copy at the repository root
-//! is this example's default-argument output. The same `--seed` yields a
-//! byte-identical curve at any `--threads` value (the CI smoke job `cmp`s
-//! a single-thread rerun against the parallel one).
+//! load, folded and written by `min_sim::curves`) to `saturation.json`;
+//! the committed copy at the repository root is its default-argument
+//! output. The same `--seed` yields a byte-identical curve at any
+//! `--threads` value (CI `cmp`s a single-thread rerun against the parallel
+//! one).
 //!
 //! Setting the `BENCH_QUICK` environment variable to anything but `0` or
 //! the empty string shrinks the grid (fewer loads, smaller fabrics,
@@ -21,83 +22,7 @@
 //!     [--cycles <C>] [--out <path>]
 //! ```
 
-use baseline_equivalence::prelude::{run_campaign, CampaignConfig, CampaignReport};
-use std::fmt::Write as _;
-
-/// One grid point of the saturation curve, folded over its replications.
-#[derive(Default)]
-struct CurvePoint {
-    network: String,
-    stages: usize,
-    load: f64,
-    throughput_sum: f64,
-    mean_latency_sum: f64,
-    p99_latency: u64,
-    acceptance_sum: f64,
-    delivered: u64,
-    dropped: u64,
-}
-
-/// Renders the replication-averaged saturation curve as deterministic JSON:
-/// one point per (family, stage count, offered load) grid cell, in the
-/// canonical grid-expansion order. Fixed-precision float formatting keeps
-/// the bytes reproducible across platforms and thread counts.
-fn curve_json(report: &CampaignReport, cycles: u64, replications: u32) -> String {
-    let mut points: Vec<CurvePoint> = Vec::new();
-    for r in &report.scenarios {
-        let s = &r.scenario;
-        // Replications of one grid point are adjacent in the canonical
-        // expansion (the replication axis is innermost), so grouping is a
-        // running fold over the result list.
-        let matches = points.last().is_some_and(|p| {
-            (p.network.as_str(), p.stages, p.load)
-                == (s.network.name().as_str(), s.stages, s.offered_load)
-        });
-        if !matches {
-            points.push(CurvePoint {
-                network: s.network.name(),
-                stages: s.stages,
-                load: s.offered_load,
-                ..CurvePoint::default()
-            });
-        }
-        let p = points.last_mut().expect("just pushed");
-        p.throughput_sum += r.throughput;
-        p.mean_latency_sum += r.mean_latency;
-        p.p99_latency = p.p99_latency.max(r.p99_latency);
-        p.acceptance_sum += r.acceptance;
-        p.delivered += r.delivered;
-        p.dropped += r.dropped;
-    }
-    let reps = f64::from(replications);
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"cycles\":{cycles},\"replications\":{replications},\"points\":["
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"network\":\"{}\",\"stages\":{},\"load\":{:.2},\
-             \"throughput\":{:.6},\"mean_latency\":{:.4},\"p99_latency\":{},\
-             \"acceptance\":{:.6},\"delivered\":{},\"dropped\":{}}}",
-            p.network,
-            p.stages,
-            p.load,
-            p.throughput_sum / reps,
-            p.mean_latency_sum / reps,
-            p.p99_latency,
-            p.acceptance_sum / reps,
-            p.delivered,
-            p.dropped,
-        );
-    }
-    out.push_str("]}");
-    out
-}
+use baseline_equivalence::prelude::{curves, run_campaign, CampaignConfig};
 
 fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
@@ -176,7 +101,7 @@ fn main() {
         }
     );
 
-    std::fs::write(&out_path, curve_json(&report, cycles, replications))
-        .expect("write saturation curve");
+    let json = curves::saturation_json(&config, &curves::fold(&config, &report));
+    std::fs::write(&out_path, json).expect("write saturation curve");
     println!("curve written to {out_path}");
 }

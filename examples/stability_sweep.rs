@@ -15,10 +15,10 @@
 //! The replication-averaged curves — offered rate, delivered throughput,
 //! acceptance, latency and occupancy per grid point, plus the detected
 //! saturation load (the first point where throughput falls more than 5 %
-//! below the offered rate) — are written as deterministic fixed-precision
-//! JSON; the committed `stability.json` at the repository root is this
-//! example's default-argument output. The same `--seed` yields a
-//! byte-identical file at any `--threads` value (CI `cmp`s a single-thread
+//! below the offered rate) — are folded and written as fixed-precision JSON
+//! by `min_sim::curves`; the committed `stability.json` at the repository
+//! root is this example's default-argument output. The same `--seed` yields
+//! a byte-identical file at any `--threads` value (CI `cmp`s a single-thread
 //! rerun against the parallel one).
 //!
 //! The example *gates its own output*: it exits nonzero unless every buffer
@@ -38,166 +38,8 @@
 //! ```
 
 use baseline_equivalence::prelude::{
-    run_campaign, BufferMode, CampaignConfig, CampaignReport, ClassicalNetwork, NetworkSpec,
-    TrafficPattern,
+    curves, run_campaign, BufferMode, CampaignConfig, ClassicalNetwork, NetworkSpec, TrafficPattern,
 };
-use std::fmt::Write as _;
-
-/// Relative throughput shortfall that marks the saturation point: the
-/// first ladder load where `throughput < (1 - THRESHOLD) × offered`.
-const DIVERGENCE_THRESHOLD: f64 = 0.05;
-
-/// One load point of a stability curve, folded over its replications.
-struct Point {
-    load: f64,
-    offered_packets: u64,
-    throughput_sum: f64,
-    acceptance_sum: f64,
-    mean_latency_sum: f64,
-    occupancy_sum: f64,
-    replications: u32,
-    terminals: usize,
-}
-
-impl Point {
-    /// Replication-averaged offered rate (packets per terminal per cycle).
-    /// Open-loop: refused packets are in the numerator too.
-    fn offered_rate(&self, cycles: u64) -> f64 {
-        let slots = cycles as f64 * self.terminals as f64 * f64::from(self.replications);
-        if slots == 0.0 {
-            0.0
-        } else {
-            self.offered_packets as f64 / slots
-        }
-    }
-}
-
-/// One (network × traffic × buffer mode) stability curve: its load ladder
-/// in ascending order.
-struct Curve {
-    network: String,
-    stages: usize,
-    traffic: &'static str,
-    buffers: String,
-    points: Vec<Point>,
-}
-
-impl Curve {
-    /// The first ladder load whose delivered throughput falls more than
-    /// [`DIVERGENCE_THRESHOLD`] below the offered rate — the stability
-    /// knee. `None` when the curve never diverges on this ladder.
-    fn saturation_load(&self, cycles: u64) -> Option<f64> {
-        self.points.iter().find_map(|p| {
-            let offered = p.offered_rate(cycles);
-            let throughput = p.throughput_sum / f64::from(p.replications);
-            (offered > 0.0 && throughput < (1.0 - DIVERGENCE_THRESHOLD) * offered).then_some(p.load)
-        })
-    }
-}
-
-/// Groups the scenario results into per-(network, traffic, buffer-mode)
-/// curves. The load axis sits *outside* the buffer-mode axis in the
-/// canonical grid expansion, so one curve's points are not adjacent in the
-/// result list: grouping goes through an insertion-ordered keyed lookup
-/// (replications, the innermost axis, still fold into the last point).
-fn fold_curves(report: &CampaignReport) -> Vec<Curve> {
-    let mut curves: Vec<Curve> = Vec::new();
-    for r in &report.scenarios {
-        let s = &r.scenario;
-        let key = (
-            s.network.name(),
-            s.stages,
-            s.traffic.label(),
-            s.buffer_mode.label(),
-        );
-        let curve = match curves.iter_mut().find(|c| {
-            (c.network.as_str(), c.stages, c.traffic, c.buffers.as_str())
-                == (key.0.as_str(), key.1, key.2, key.3.as_str())
-        }) {
-            Some(curve) => curve,
-            None => {
-                curves.push(Curve {
-                    network: key.0,
-                    stages: key.1,
-                    traffic: key.2,
-                    buffers: key.3,
-                    points: Vec::new(),
-                });
-                curves.last_mut().expect("just pushed")
-            }
-        };
-        let same_load = curve.points.last().map(|p| p.load) == Some(s.offered_load);
-        if !same_load {
-            curve.points.push(Point {
-                load: s.offered_load,
-                offered_packets: 0,
-                throughput_sum: 0.0,
-                acceptance_sum: 0.0,
-                mean_latency_sum: 0.0,
-                occupancy_sum: 0.0,
-                replications: 0,
-                terminals: s.network.terminals(),
-            });
-        }
-        let p = curve.points.last_mut().expect("just pushed");
-        p.offered_packets += r.offered;
-        p.throughput_sum += r.throughput;
-        p.acceptance_sum += r.acceptance;
-        p.mean_latency_sum += r.mean_latency;
-        p.occupancy_sum += r.mean_occupancy;
-        p.replications += 1;
-    }
-    curves
-}
-
-/// Renders the curves as deterministic JSON: fixed-precision floats in the
-/// canonical curve order keep the bytes identical across platforms and
-/// thread counts.
-fn stability_json(curves: &[Curve], cycles: u64, warmup: u64, replications: u32) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"cycles\":{cycles},\"warmup\":{warmup},\"replications\":{replications},\
-         \"divergence_threshold\":{DIVERGENCE_THRESHOLD},\"curves\":["
-    );
-    for (i, c) in curves.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"network\":\"{}\",\"stages\":{},\"traffic\":\"{}\",\"buffers\":\"{}\",\"points\":[",
-            c.network, c.stages, c.traffic, c.buffers
-        );
-        for (j, p) in c.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let reps = f64::from(p.replications);
-            let _ = write!(
-                out,
-                "{{\"load\":{:.2},\"offered\":{:.6},\"throughput\":{:.6},\
-                 \"acceptance\":{:.6},\"mean_latency\":{:.4},\"occupancy\":{:.6}}}",
-                p.load,
-                p.offered_rate(cycles),
-                p.throughput_sum / reps,
-                p.acceptance_sum / reps,
-                p.mean_latency_sum / reps,
-                p.occupancy_sum / reps,
-            );
-        }
-        out.push_str("],\"saturation_load\":");
-        match c.saturation_load(cycles) {
-            Some(load) => {
-                let _ = write!(out, "{load:.2}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
 
 fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
@@ -296,28 +138,28 @@ fn main() {
     };
     let elapsed = started.elapsed();
 
-    let curves = fold_curves(&report);
+    let folded = curves::fold(&config, &report);
     println!(
         "{:<10} {:>2}  {:<8} {:<14} {:>10}",
         "network", "n", "traffic", "buffers", "saturation"
     );
-    for c in &curves {
-        let knee = match c.saturation_load(cycles) {
-            Some(load) => format!("{load:.2}"),
-            None => "—".to_string(),
-        };
+    for c in &folded {
+        let knee = c
+            .saturation_load(cycles)
+            .map_or("—".to_string(), |load| format!("{load:.2}"));
         println!(
             "{:<10} {:>2}  {:<8} {:<14} {:>10}",
-            c.network, c.stages, c.traffic, c.buffers, knee
+            c.network.name(),
+            c.network.stages(),
+            c.traffic.label(),
+            c.buffer_mode.label(),
+            knee
         );
     }
     println!("\ncompleted in {elapsed:.2?}");
 
-    std::fs::write(
-        &out_path,
-        stability_json(&curves, cycles, warmup, replications),
-    )
-    .expect("write stability curves");
+    std::fs::write(&out_path, curves::stability_json(&config, &folded))
+        .expect("write stability curves");
     println!("curves written to {out_path}");
 
     // Self-gate: every buffer mode must show the stability-literature shape
@@ -327,9 +169,9 @@ fn main() {
     let mut failures = Vec::new();
     for mode in &config.buffer_modes {
         for wanted in ["zipf", "on-off"] {
-            let saturates = curves.iter().any(|c| {
-                c.buffers == mode.label()
-                    && c.traffic == wanted
+            let saturates = folded.iter().any(|c| {
+                c.buffer_mode == *mode
+                    && c.traffic.label() == wanted
                     && c.saturation_load(cycles).is_some()
             });
             if !saturates {

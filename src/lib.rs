@@ -75,9 +75,9 @@ pub mod prelude {
     pub use min_routing::{loop_setup, LoopingSetting, Router};
     pub use min_serve::{Master, MasterConfig, WorkerConfig};
     pub use min_sim::{
-        assemble, execute_shard, run_campaign, simulate, BufferMode, CampaignConfig, CampaignPlan,
-        CampaignReport, FaultKind, FaultPlan, Shard, SimConfig, Simulator, SwitchCore, TraceData,
-        TraceRecord, TrafficPattern,
+        assemble, curves, execute_shard, run_campaign, simulate, BufferMode, CampaignConfig,
+        CampaignPlan, CampaignReport, FaultKind, FaultPlan, Shard, SimConfig, Simulator,
+        SwitchCore, TraceData, TraceRecord, TrafficPattern,
     };
 }
 
