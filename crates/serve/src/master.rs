@@ -8,7 +8,9 @@
 //! seeds are derived per index, a requeued shard re-executes to
 //! byte-identical results on any other worker — pushes are therefore
 //! idempotent: the first one fills the slot, later duplicates are
-//! acknowledged and discarded.
+//! acknowledged and discarded. A push is checked against the plan first:
+//! results that are not exactly the shard's planned scenarios, in shard
+//! order, get a `Reply::Error` and leave the slot as it was.
 //!
 //! Connections are served sequentially (one request/reply per connection,
 //! see [`crate::protocol`]) off a blocking accept, so the master waits only
@@ -194,10 +196,10 @@ impl Master {
                 status: self.status(),
             },
             Request::Results => match &self.job {
-                Some(job) if job.complete() => {
+                Some(job) if job.complete() && job.store.is_complete_for(&job.config) => {
                     self.served_results = true;
                     Reply::Results {
-                        report_json: self.job.as_ref().expect("checked").store.to_json(),
+                        report_json: job.store.to_json(),
                     }
                 }
                 Some(_) => Reply::NotReady,
@@ -248,6 +250,18 @@ impl Master {
         if shard >= job.slots.len() {
             return Reply::Error {
                 message: format!("shard {shard} out of range ({} shards)", job.slots.len()),
+            };
+        }
+        // The results must be exactly this shard's planned scenarios, in
+        // shard order: anything else would fill (or hole) another shard's
+        // slots under this shard's name.
+        let planned = &job.shards[shard].scenarios;
+        if !results.iter().map(|r| &r.scenario).eq(planned) {
+            return Reply::Error {
+                message: format!(
+                    "rejected results for shard {shard}: they do not match its {} planned scenarios",
+                    planned.len()
+                ),
             };
         }
         if matches!(job.slots[shard], Slot::Done) {

@@ -142,3 +142,79 @@ fn duplicate_pushes_for_a_requeued_shard_are_discarded() {
     assert_eq!(report_json, reference);
     master.join().unwrap();
 }
+
+#[test]
+fn a_push_that_is_not_the_shards_planned_results_is_rejected() {
+    // The master checks every push against the plan: shard 1's results
+    // pushed as shard 0 (or an empty push) must neither fill slot 0 nor
+    // block the honest pushes, which still give the reference bytes.
+    use min_serve::{Reply, Request};
+    use min_sim::campaign::execute_shard;
+
+    let config = CampaignConfig::over_catalog(3..=3).with_cycles(80, 10);
+    let reference = run_campaign(&config, 1).unwrap().to_json();
+
+    let master = Master::bind(
+        "127.0.0.1:0",
+        MasterConfig {
+            heartbeat_timeout: Duration::from_secs(30),
+            once: true,
+            tick: NEVER,
+        },
+    )
+    .unwrap();
+    let addr = master.local_addr();
+    let master = std::thread::spawn(move || master.run().unwrap());
+    let push = |shard: usize, results| {
+        client::request(
+            addr,
+            &Request::Push {
+                worker: "w".to_string(),
+                shard,
+                results,
+            },
+        )
+        .unwrap()
+    };
+
+    let (shards, _) = client::submit(addr, &config, 1).unwrap();
+    assert!(shards > 1);
+    let leased: Vec<_> = (0..shards)
+        .map(|_| {
+            let reply = client::request(
+                addr,
+                &Request::Lease {
+                    worker: "w".to_string(),
+                },
+            )
+            .unwrap();
+            match reply {
+                Reply::Assignment { shard, .. } => shard,
+                other => panic!("expected an assignment, got {other:?}"),
+            }
+        })
+        .collect();
+    let results: Vec<_> = leased
+        .iter()
+        .map(|shard| execute_shard(&config, shard).unwrap())
+        .collect();
+
+    for forged in [results[1].clone(), Vec::new()] {
+        let reply = push(leased[0].id, forged);
+        assert!(matches!(reply, Reply::Error { .. }), "{reply:?}");
+    }
+    let status = client::status(addr).unwrap();
+    assert_eq!(
+        (status.done, status.running),
+        (0, shards),
+        "slots unchanged"
+    );
+    assert_eq!(client::results(addr).unwrap(), None);
+
+    for (shard, results) in leased.iter().zip(results) {
+        assert_eq!(push(shard.id, results), Reply::Ack);
+    }
+    let report_json = client::results(addr).unwrap().expect("all slots filled");
+    assert_eq!(report_json, reference);
+    master.join().unwrap();
+}

@@ -348,8 +348,7 @@ impl LaneEngine {
     fn fault_drop(&mut self, mut mask: u64, stage: usize) {
         while mask != 0 {
             let r = mask.trailing_zeros() as usize;
-            self.metrics[r].dropped_fault += 1;
-            self.metrics[r].record_fault_exposure(stage);
+            self.metrics[r].record_fault_loss(stage);
             // A packet removed at `stage` was counted by `stage + 1`
             // end-of-cycle occupancy snapshots (stages 0..=stage).
             self.occ_fault[r] += stage as u64 + 1;

@@ -80,7 +80,7 @@ pub use engine::{simulate, SimError, Simulator};
 pub use fault::{Fault, FaultError, FaultKind, FaultPlan, FaultView, LinkStatus};
 pub use lane::{LaneEngine, LANE_WIDTH};
 pub use metrics::Metrics;
-pub use packet::{Flit, Packet};
+pub use packet::Packet;
 pub use switch::{FifoCore, RingArena, SwitchCore, UnbufferedCore, WormholeCore};
 pub use traffic::{
     DestSampler, Offer, TraceData, TraceError, TraceRecord, TrafficError, TrafficPattern,

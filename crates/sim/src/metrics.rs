@@ -169,6 +169,13 @@ impl Metrics {
         self.fault_exposure[stage] += 1;
     }
 
+    /// Records one packet (or whole worm) lost to a fault at `stage`: the
+    /// loss and its exposure event are always counted together.
+    pub fn record_fault_loss(&mut self, stage: usize) {
+        self.dropped_fault += 1;
+        self.record_fault_exposure(stage);
+    }
+
     /// Total fault-exposure events across every stage.
     pub fn total_fault_exposure(&self) -> u64 {
         self.fault_exposure.iter().sum()

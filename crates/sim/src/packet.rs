@@ -1,4 +1,4 @@
-//! Packets and flits.
+//! Packets.
 
 use serde::{Deserialize, Serialize};
 
@@ -6,8 +6,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// In the packet-switched cores ([`crate::switch::UnbufferedCore`],
 /// [`crate::switch::FifoCore`]) the packet is the atomic unit of transfer; in
-/// [`crate::switch::WormholeCore`] it is split into [`Flit`]s and the packet
-/// header travels with the lane bookkeeping.
+/// [`crate::switch::WormholeCore`] it travels as a worm of flits, and its
+/// header is stored with each lane the worm holds (the flits themselves are
+/// only counted).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Monotonic identifier (injection order).
@@ -28,46 +29,6 @@ impl Packet {
     pub fn port_at(&self, stage: usize) -> u8 {
         ((self.tag >> stage) & 1) as u8
     }
-
-    /// The `seq`-th flit of this packet when split into `of` flits.
-    #[inline]
-    pub fn flit(&self, seq: u32, of: u32) -> Flit {
-        Flit {
-            packet_id: self.id,
-            seq,
-            of,
-        }
-    }
-}
-
-/// One flow-control unit (flit) of a packet in wormhole mode.
-///
-/// The head flit (`seq == 0`) carries the route — in this simulator the
-/// routing tag lives in the [`Packet`] header stored with the lane that the
-/// head allocated — and the tail flit (`seq == of - 1`) releases every lane
-/// the worm holds as it drains through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Flit {
-    /// Identifier of the packet this flit belongs to.
-    pub packet_id: u64,
-    /// Position of this flit within its packet (0-based).
-    pub seq: u32,
-    /// Total number of flits the packet was split into.
-    pub of: u32,
-}
-
-impl Flit {
-    /// Whether this is the head flit (establishes the route).
-    #[inline]
-    pub fn is_head(&self) -> bool {
-        self.seq == 0
-    }
-
-    /// Whether this is the tail flit (releases held lanes).
-    #[inline]
-    pub fn is_tail(&self) -> bool {
-        self.seq + 1 == self.of
-    }
 }
 
 #[cfg(test)]
@@ -87,28 +48,5 @@ mod tests {
         assert_eq!(p.port_at(1), 0);
         assert_eq!(p.port_at(2), 1);
         assert_eq!(p.port_at(3), 0);
-    }
-
-    #[test]
-    fn flit_split_marks_head_and_tail() {
-        let p = Packet {
-            id: 9,
-            source: 0,
-            destination: 3,
-            tag: 0b11,
-            injected_at: 7,
-        };
-        let flits: Vec<Flit> = (0..4).map(|s| p.flit(s, 4)).collect();
-        assert!(flits[0].is_head() && !flits[0].is_tail());
-        assert!(!flits[1].is_head() && !flits[1].is_tail());
-        assert!(flits[3].is_tail() && !flits[3].is_head());
-        assert!(flits.iter().all(|f| f.packet_id == 9 && f.of == 4));
-    }
-
-    #[test]
-    fn a_single_flit_packet_is_both_head_and_tail() {
-        let p = Packet::default();
-        let f = p.flit(0, 1);
-        assert!(f.is_head() && f.is_tail());
     }
 }

@@ -17,21 +17,17 @@
 //!   per cycle, and a blocked worm holds its lanes across stages until the
 //!   tail drains through.
 //!
-//! The packet-atomic cores keep their state in struct-of-arrays ring
-//! buffers: the routing tags, destinations and injection times of every
-//! queued packet live in three parallel flat arrays indexed by
-//! `(stage, cell)` ring cursors, with ring capacities padded to a power of
-//! two so every wrap is a mask instead of a hardware division. Compared
-//! with the previous array-of-`Packet` arena this keeps the per-cycle
-//! advance/arbitrate/deliver loop branch-light and cache-linear: the switch
-//! pass touches only the tag lane, delivery only the destination and
-//! injection-time lanes, and the unobservable `id`/`source` header fields
-//! are not stored at all. The wormhole core keeps its flits in a
-//! [`RingArena`] (one contiguous, preallocated slot vector plus per-ring
-//! `head`/`len` cursors) with the same power-of-two wrap.
+//! The packet-atomic cores keep their queues in one [`RingArena`]: a ring
+//! per `(stage, cell)` in a single contiguous, preallocated slot vector with
+//! per-ring `head`/`len` cursors, each ring padded to a power of two so
+//! every wrap is a mask instead of a hardware division. A queued packet is
+//! stored as its routing tag, destination and injection time only; the
+//! unobservable `id`/`source` header fields are not stored at all. The
+//! wormhole core stores no flits: a lane holds one worm at a time, so its
+//! whole flit state is two counters (flits held, flits still to arrive).
 //!
-//! All cores support [`SwitchCore::reset`], which rewinds the arenas to
-//! their pristine state without reallocating — the batching layer
+//! All cores support [`SwitchCore::reset`], which rewinds the storage to
+//! its pristine state without reallocating — the batching layer
 //! ([`crate::batch`]) uses it to run every replication of a scenario
 //! through one core instance.
 
@@ -39,7 +35,7 @@ use crate::config::BufferMode;
 use crate::fabric::Fabric;
 use crate::fault::{FaultView, LinkStatus};
 use crate::metrics::Metrics;
-use crate::packet::{Flit, Packet};
+use crate::packet::Packet;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -243,276 +239,26 @@ impl<T: Copy + Default> RingArena<T> {
     }
 }
 
-/// Shared state and cycle logic of the two packet-atomic cores, stored as
-/// struct-of-arrays ring buffers: one ring per `(stage, cell)` whose slots
-/// live in three parallel lanes — routing `tag`, `dest`ination, and
-/// `injected_at` time. The `id`/`source` header fields of [`Packet`] are
-/// never observable through the metrics, so they are not stored at all;
-/// the switching pass reads only the tag lane to arbitrate, and delivery
-/// reads only the destination and injection-time lanes.
-#[derive(Debug)]
-struct PacketQueues {
-    tag: Vec<u32>,
-    dest: Vec<u32>,
-    injected_at: Vec<u64>,
-    head: Vec<u32>,
-    len: Vec<u32>,
-    stages: usize,
-    cells: usize,
-    /// Logical per-ring capacity — the admission limit.
-    capacity: u32,
-    /// Power-of-two cursor wrap mask (storage is padded like [`RingArena`]).
-    mask: u32,
-    /// Ring stride shift into the slot lanes.
-    shift: u32,
-}
-
-impl PacketQueues {
-    fn new(stages: usize, cells: usize, capacity: usize) -> Self {
-        assert!(
-            capacity > 0 && capacity < u32::MAX as usize,
-            "queue capacity {capacity}"
-        );
-        let storage = capacity.next_power_of_two();
-        let rings = stages * cells;
-        PacketQueues {
-            tag: vec![0; rings * storage],
-            dest: vec![0; rings * storage],
-            injected_at: vec![0; rings * storage],
-            head: vec![0; rings],
-            len: vec![0; rings],
-            stages,
-            cells,
-            capacity: capacity as u32,
-            mask: storage as u32 - 1,
-            shift: storage.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn ring(&self, stage: usize, cell: usize) -> usize {
-        stage * self.cells + cell
-    }
-
-    #[inline]
-    fn slot(&self, r: usize, offset: u32) -> usize {
-        (r << self.shift) + ((self.head[r].wrapping_add(offset)) & self.mask) as usize
-    }
-
-    #[inline]
-    fn pop_front(&mut self, r: usize) -> Option<(u32, u32, u64)> {
-        if self.len[r] == 0 {
-            return None;
-        }
-        let s = self.slot(r, 0);
-        let v = (self.tag[s], self.dest[s], self.injected_at[s]);
-        self.head[r] = (self.head[r] + 1) & self.mask;
-        self.len[r] -= 1;
-        Some(v)
-    }
-
-    #[inline]
-    fn push_back(&mut self, r: usize, tag: u32, dest: u32, injected_at: u64) {
-        debug_assert!(self.len[r] < self.capacity, "ring {r} overflow");
-        let s = self.slot(r, self.len[r]);
-        self.tag[s] = tag;
-        self.dest[s] = dest;
-        self.injected_at[s] = injected_at;
-        self.len[r] += 1;
-    }
-
-    #[inline]
-    fn push_front(&mut self, r: usize, tag: u32, dest: u32, injected_at: u64) {
-        debug_assert!(self.len[r] < self.capacity, "ring {r} overflow");
-        self.head[r] = self.head[r].wrapping_add(self.mask) & self.mask;
-        let s = self.slot(r, 0);
-        self.tag[s] = tag;
-        self.dest[s] = dest;
-        self.injected_at[s] = injected_at;
-        self.len[r] += 1;
-    }
-
-    fn total_len(&self) -> u64 {
-        self.len.iter().map(|&l| u64::from(l)).sum()
-    }
-
-    /// Logical slot capacity (`rings × capacity`), excluding padding.
-    fn slot_count(&self) -> u64 {
-        self.head.len() as u64 * u64::from(self.capacity)
-    }
-
-    fn reset(&mut self) {
-        self.head.fill(0);
-        self.len.fill(0);
-    }
-
-    fn deliver(&mut self, faults: &FaultView<'_>, cycle: u64, warmup: u64, metrics: &mut Metrics) {
-        let last = self.stages - 1;
-        let degraded = faults.any_active();
-        for cell in 0..self.cells {
-            let r = self.ring(last, cell);
-            if faults.cell_dead(last, cell) {
-                while self.pop_front(r).is_some() {
-                    metrics.dropped_fault += 1;
-                    metrics.record_fault_exposure(last);
-                }
-                continue;
-            }
-            while let Some((_, dest, injected_at)) = self.pop_front(r) {
-                metrics.delivered += 1;
-                if degraded {
-                    metrics.delivered_despite_fault += 1;
-                }
-                if dest as usize != cell {
-                    metrics.misrouted += 1;
-                }
-                if injected_at >= warmup {
-                    metrics.record_latency(cycle - injected_at);
-                }
-            }
-        }
-    }
-
-    /// One switching pass. `unbuffered` selects the drop-on-conflict policy;
-    /// otherwise blocked packets are retained at the head of their queue in
-    /// arrival order.
-    fn switch(
-        &mut self,
-        fabric: &Fabric,
-        faults: &FaultView<'_>,
-        rng: &mut ChaCha8Rng,
-        metrics: &mut Metrics,
-        unbuffered: bool,
-    ) {
-        for s in (0..self.stages - 1).rev() {
-            for cell in 0..self.cells {
-                let r = self.ring(s, cell);
-                // A switch that died takes its queued traffic with it.
-                if faults.cell_dead(s, cell) {
-                    while self.pop_front(r).is_some() {
-                        metrics.dropped_fault += 1;
-                        metrics.record_fault_exposure(s);
-                    }
-                    continue;
-                }
-                // A 2x2 cell forwards at most one packet per out-port per
-                // cycle; only the two packets at the head of the queue are
-                // considered this cycle (FIFO order preserved).
-                let mut port_used = [false; 2];
-                let mut cand_tag = [0u32; 2];
-                let mut cand_dest = [0u32; 2];
-                let mut cand_inj = [0u64; 2];
-                let mut count = 0;
-                while count < 2 {
-                    match self.pop_front(r) {
-                        Some((tag, dest, injected_at)) => {
-                            cand_tag[count] = tag;
-                            cand_dest[count] = dest;
-                            cand_inj[count] = injected_at;
-                            count += 1;
-                        }
-                        None => break,
-                    }
-                }
-                // Resolve same-port contention with a fair coin.
-                if count == 2 && ((cand_tag[0] ^ cand_tag[1]) >> s) & 1 == 0 && rng.gen_bool(0.5) {
-                    cand_tag.swap(0, 1);
-                    cand_dest.swap(0, 1);
-                    cand_inj.swap(0, 1);
-                }
-                let mut ret_tag = [0u32; 2];
-                let mut ret_dest = [0u32; 2];
-                let mut ret_inj = [0u64; 2];
-                let mut retained_count = 0;
-                for i in 0..count {
-                    let (tag, dest, injected_at) = (cand_tag[i], cand_dest[i], cand_inj[i]);
-                    let port = ((tag >> s) & 1) as usize;
-                    if port_used[port] {
-                        // Lost arbitration.
-                        if unbuffered {
-                            metrics.dropped_arbitration += 1;
-                        } else {
-                            ret_tag[retained_count] = tag;
-                            ret_dest[retained_count] = dest;
-                            ret_inj[retained_count] = injected_at;
-                            retained_count += 1;
-                        }
-                        continue;
-                    }
-                    match faults.link_status(s, cell, port) {
-                        LinkStatus::Down => {
-                            // The packet's next hop is gone: it is lost in
-                            // flight.
-                            metrics.dropped_fault += 1;
-                            metrics.record_fault_exposure(s);
-                            continue;
-                        }
-                        LinkStatus::Throttled => {
-                            // Half-bandwidth link on an off cycle: wait if
-                            // the core can hold the packet, lose it if not.
-                            metrics.record_fault_exposure(s);
-                            if unbuffered {
-                                metrics.dropped_fault += 1;
-                            } else {
-                                ret_tag[retained_count] = tag;
-                                ret_dest[retained_count] = dest;
-                                ret_inj[retained_count] = injected_at;
-                                retained_count += 1;
-                            }
-                            continue;
-                        }
-                        LinkStatus::Up => {}
-                    }
-                    let next = fabric.next_cell(s, cell as u32, port as u8) as usize;
-                    if faults.cell_dead(s + 1, next) {
-                        metrics.dropped_fault += 1;
-                        metrics.record_fault_exposure(s);
-                        continue;
-                    }
-                    let nr = self.ring(s + 1, next);
-                    if self.len[nr] < self.capacity {
-                        port_used[port] = true;
-                        self.push_back(nr, tag, dest, injected_at);
-                    } else if unbuffered {
-                        metrics.dropped_backpressure += 1;
-                    } else {
-                        ret_tag[retained_count] = tag;
-                        ret_dest[retained_count] = dest;
-                        ret_inj[retained_count] = injected_at;
-                        retained_count += 1;
-                    }
-                }
-                // Put retained packets back at the front, preserving order.
-                for i in (0..retained_count).rev() {
-                    self.push_front(r, ret_tag[i], ret_dest[i], ret_inj[i]);
-                }
-                // In unbuffered mode nothing may linger in an interior queue.
-                if unbuffered && s > 0 {
-                    while self.pop_front(r).is_some() {
-                        metrics.dropped_backpressure += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn can_accept(&self, cell: usize) -> bool {
-        self.len[self.ring(0, cell)] < self.capacity
-    }
-
-    fn inject(&mut self, cell: usize, packet: Packet) {
-        let r = self.ring(0, cell);
-        self.push_back(r, packet.tag, packet.destination, packet.injected_at);
-    }
+/// One packet waiting in a packet-atomic core's queue: the header fields
+/// the metrics can observe. The `id`/`source` fields of [`Packet`] are never
+/// observable, so they are not stored.
+#[derive(Debug, Clone, Copy, Default)]
+struct Queued {
+    tag: u32,
+    dest: u32,
+    injected_at: u64,
 }
 
 /// The shared packet-atomic core, parameterized at the type level by its
 /// conflict policy: `UNBUFFERED = true` drops conflict losers (Patel's
-/// model), `false` retains them with backpressure. Use through the
+/// model), `false` retains them with backpressure. Its queues are one
+/// [`RingArena`] with a ring per `(stage, cell)`. Use through the
 /// [`UnbufferedCore`] and [`FifoCore`] aliases.
 #[derive(Debug)]
 pub struct PacketCore<const UNBUFFERED: bool> {
-    queues: PacketQueues,
+    queues: RingArena<Queued>,
+    stages: usize,
+    cells: usize,
 }
 
 /// Patel's unbuffered crossbar cells over a flat arena: conflict losers and
@@ -527,9 +273,7 @@ pub type FifoCore = PacketCore<false>;
 impl PacketCore<true> {
     /// An unbuffered core for a `stages × cells` fabric.
     pub fn new(stages: usize, cells: usize) -> Self {
-        PacketCore {
-            queues: PacketQueues::new(stages, cells, 2),
-        }
+        Self::with_capacity(stages, cells, 2)
     }
 }
 
@@ -537,9 +281,22 @@ impl PacketCore<false> {
     /// A FIFO core for a `stages × cells` fabric with per-cell FIFOs holding
     /// `2 · depth` packets (depth per input port of the 2×2 cell).
     pub fn new(stages: usize, cells: usize, depth: usize) -> Self {
+        Self::with_capacity(stages, cells, 2 * depth.max(1))
+    }
+}
+
+impl<const UNBUFFERED: bool> PacketCore<UNBUFFERED> {
+    fn with_capacity(stages: usize, cells: usize, capacity: usize) -> Self {
         PacketCore {
-            queues: PacketQueues::new(stages, cells, 2 * depth.max(1)),
+            queues: RingArena::new(stages * cells, capacity),
+            stages,
+            cells,
         }
+    }
+
+    #[inline]
+    fn ring(&self, stage: usize, cell: usize) -> usize {
+        stage * self.cells + cell
     }
 }
 
@@ -552,9 +309,34 @@ impl<const UNBUFFERED: bool> SwitchCore for PacketCore<UNBUFFERED> {
         warmup: u64,
         metrics: &mut Metrics,
     ) {
-        self.queues.deliver(faults, cycle, warmup, metrics);
+        let last = self.stages - 1;
+        let degraded = faults.any_active();
+        for cell in 0..self.cells {
+            let r = self.ring(last, cell);
+            if faults.cell_dead(last, cell) {
+                while self.queues.pop_front(r).is_some() {
+                    metrics.record_fault_loss(last);
+                }
+                continue;
+            }
+            while let Some(q) = self.queues.pop_front(r) {
+                metrics.delivered += 1;
+                if degraded {
+                    metrics.delivered_despite_fault += 1;
+                }
+                if q.dest as usize != cell {
+                    metrics.misrouted += 1;
+                }
+                if q.injected_at >= warmup {
+                    metrics.record_latency(cycle - q.injected_at);
+                }
+            }
+        }
     }
 
+    /// One switching pass. `UNBUFFERED` selects the drop-on-conflict
+    /// policy; otherwise blocked packets are retained at the head of their
+    /// queue in arrival order.
     fn switch(
         &mut self,
         fabric: &Fabric,
@@ -562,15 +344,114 @@ impl<const UNBUFFERED: bool> SwitchCore for PacketCore<UNBUFFERED> {
         rng: &mut ChaCha8Rng,
         metrics: &mut Metrics,
     ) {
-        self.queues.switch(fabric, faults, rng, metrics, UNBUFFERED);
+        for s in (0..self.stages - 1).rev() {
+            for cell in 0..self.cells {
+                let r = self.ring(s, cell);
+                // A switch that died takes its queued traffic with it.
+                if faults.cell_dead(s, cell) {
+                    while self.queues.pop_front(r).is_some() {
+                        metrics.record_fault_loss(s);
+                    }
+                    continue;
+                }
+                // A 2x2 cell forwards at most one packet per out-port per
+                // cycle; only the two packets at the head of the queue are
+                // considered this cycle (FIFO order preserved).
+                let mut port_used = [false; 2];
+                let mut cand = [Queued::default(); 2];
+                let mut count = 0;
+                while count < 2 {
+                    match self.queues.pop_front(r) {
+                        Some(q) => {
+                            cand[count] = q;
+                            count += 1;
+                        }
+                        None => break,
+                    }
+                }
+                // Resolve same-port contention with a fair coin.
+                if count == 2 && ((cand[0].tag ^ cand[1].tag) >> s) & 1 == 0 && rng.gen_bool(0.5) {
+                    cand.swap(0, 1);
+                }
+                let mut retained = [Queued::default(); 2];
+                let mut retained_count = 0;
+                for &q in &cand[..count] {
+                    let port = ((q.tag >> s) & 1) as usize;
+                    if port_used[port] {
+                        // Lost arbitration.
+                        if UNBUFFERED {
+                            metrics.dropped_arbitration += 1;
+                        } else {
+                            retained[retained_count] = q;
+                            retained_count += 1;
+                        }
+                        continue;
+                    }
+                    match faults.link_status(s, cell, port) {
+                        LinkStatus::Down => {
+                            // The packet's next hop is gone: it is lost in
+                            // flight.
+                            metrics.record_fault_loss(s);
+                            continue;
+                        }
+                        LinkStatus::Throttled => {
+                            // Half-bandwidth link on an off cycle: wait if
+                            // the core can hold the packet, lose it if not.
+                            if UNBUFFERED {
+                                metrics.record_fault_loss(s);
+                            } else {
+                                metrics.record_fault_exposure(s);
+                                retained[retained_count] = q;
+                                retained_count += 1;
+                            }
+                            continue;
+                        }
+                        LinkStatus::Up => {}
+                    }
+                    let next = fabric.next_cell(s, cell as u32, port as u8) as usize;
+                    if faults.cell_dead(s + 1, next) {
+                        metrics.record_fault_loss(s);
+                        continue;
+                    }
+                    let nr = self.ring(s + 1, next);
+                    if !self.queues.is_full(nr) {
+                        port_used[port] = true;
+                        self.queues.push_back(nr, q);
+                    } else if UNBUFFERED {
+                        metrics.dropped_backpressure += 1;
+                    } else {
+                        retained[retained_count] = q;
+                        retained_count += 1;
+                    }
+                }
+                // Put retained packets back at the front, preserving order.
+                for &q in retained[..retained_count].iter().rev() {
+                    self.queues.push_front(r, q);
+                }
+                // In unbuffered mode nothing may linger in an interior queue.
+                if UNBUFFERED && s > 0 {
+                    while self.queues.pop_front(r).is_some() {
+                        metrics.dropped_backpressure += 1;
+                    }
+                }
+            }
+        }
     }
 
     fn can_accept(&self, cell: usize) -> bool {
-        self.queues.can_accept(cell)
+        !self.queues.is_full(self.ring(0, cell))
     }
 
     fn inject(&mut self, cell: usize, packet: Packet) {
-        self.queues.inject(cell, packet);
+        let r = self.ring(0, cell);
+        self.queues.push_back(
+            r,
+            Queued {
+                tag: packet.tag,
+                dest: packet.destination,
+                injected_at: packet.injected_at,
+            },
+        );
     }
 
     fn in_flight(&self) -> u64 {
@@ -593,6 +474,8 @@ struct LaneState {
     active: bool,
     /// Header of the owning worm (routing tag, destination, injection time).
     packet: Packet,
+    /// Flits of the worm buffered in this lane (zero whenever it is free).
+    held: u32,
     /// Flits of the worm that have not yet arrived into this lane (they are
     /// still in the upstream lane, or in the source staging buffer for
     /// first-stage lanes).
@@ -605,13 +488,16 @@ struct LaneState {
 
 /// Multi-lane virtual-channel wormhole core.
 ///
-/// Every cell owns `lanes` lanes, each a [`RingArena`] ring of `lane_depth`
-/// flits. A packet is injected as a worm of `flits_per_packet` flits into a
-/// free first-stage lane; its head flit allocates a free lane in the
-/// downstream cell chosen by destination-tag routing, and the body streams
-/// behind it at one flit per out-port per cycle (same-port contention between
-/// lanes is arbitrated uniformly at random, and a blocked winner yields the
-/// port to the next ready lane). A lane is released only when the worm's tail
+/// Every cell owns `lanes` lanes, each buffering up to `lane_depth` flits.
+/// A lane holds one worm at a time, so it stores no flit records: it counts
+/// the flits it holds and the flits still to arrive, and the flit that
+/// leaves it with both counts at zero is the worm's tail. A packet is
+/// injected as a worm of `flits_per_packet` flits into a free first-stage
+/// lane; its head flit allocates a free lane in the downstream cell chosen
+/// by destination-tag routing, and the body streams behind it at one flit
+/// per out-port per cycle (same-port contention between lanes is arbitrated
+/// uniformly at random, and a blocked winner yields the port to the next
+/// ready lane). A lane is released only when the worm's tail
 /// flit has drained through it, so a blocked worm holds lanes across several
 /// stages — the defining wormhole behaviour. The stage-ordered channel
 /// dependencies of a MIN are acyclic, so this cannot deadlock.
@@ -620,9 +506,9 @@ pub struct WormholeCore {
     stages: usize,
     cells: usize,
     lanes_per_cell: usize,
+    lane_depth: u32,
     flits_per_packet: u32,
     lane: Vec<LaneState>,
-    flits: RingArena<Flit>,
     in_flight: u64,
     /// Reused per-port candidate lists for the switching pass, kept on the
     /// core so steady-state switching allocates nothing.
@@ -649,9 +535,11 @@ impl WormholeCore {
             stages,
             cells,
             lanes_per_cell: lanes,
+            // A lane never holds more than one worm's flits, so a depth
+            // beyond `u32` behaves exactly like `u32::MAX`.
+            lane_depth: lane_depth.min(u32::MAX as usize) as u32,
             flits_per_packet: flits_per_packet as u32,
             lane: vec![LaneState::default(); lane_count],
-            flits: RingArena::new(lane_count, lane_depth),
             in_flight: 0,
             want_scratch: [Vec::new(), Vec::new()],
         }
@@ -691,23 +579,22 @@ impl WormholeCore {
             self.lane[dl] = LaneState {
                 active: true,
                 packet,
+                held: 0,
                 to_receive: self.flits_per_packet,
                 route_set: false,
                 out_lane: 0,
             };
         }
         let dl = self.lane[li].out_lane as usize;
-        if self.flits.is_full(dl) {
+        if self.lane[dl].held == self.lane_depth {
             return false;
         }
-        let flit = self
-            .flits
-            .pop_front(li)
-            .expect("forward candidates hold a flit");
-        self.flits.push_back(dl, flit);
+        self.lane[li].held -= 1;
+        self.lane[dl].held += 1;
         self.lane[dl].to_receive -= 1;
-        // The whole worm has drained through: release the upstream lane.
-        if self.flits.is_empty(li) && self.lane[li].to_receive == 0 {
+        // The tail has left: the whole worm drained through, so release
+        // the upstream lane.
+        if self.lane[li].held == 0 && self.lane[li].to_receive == 0 {
             self.lane[li] = LaneState::default();
         }
         true
@@ -715,18 +602,16 @@ impl WormholeCore {
 
     /// Kills the worm with packet id `id` outright: every lane it holds (in
     /// any stage, including flits already forwarded past the fault and the
-    /// source staging remainder) is drained and freed. One fault loss is
-    /// recorded at `stage`.
+    /// source staging remainder) is freed. One fault loss is recorded at
+    /// `stage`.
     fn kill_worm(&mut self, id: u64, stage: usize, metrics: &mut Metrics) {
-        for li in 0..self.lane.len() {
-            if self.lane[li].active && self.lane[li].packet.id == id {
-                while self.flits.pop_front(li).is_some() {}
-                self.lane[li] = LaneState::default();
+        for lane in &mut self.lane {
+            if lane.active && lane.packet.id == id {
+                *lane = LaneState::default();
             }
         }
         self.in_flight -= 1;
-        metrics.dropped_fault += 1;
-        metrics.record_fault_exposure(stage);
+        metrics.record_fault_loss(stage);
     }
 
     /// Kills every worm holding a lane at `(stage, cell)` — the cell died.
@@ -769,27 +654,27 @@ impl SwitchCore for WormholeCore {
                 }
                 let l = (start + k) % self.lanes_per_cell;
                 let li = self.lane_index(self.stages - 1, cell, l);
-                if !self.lane[li].active {
+                let lane = &mut self.lane[li];
+                if lane.held == 0 {
                     continue;
                 }
-                if let Some(flit) = self.flits.pop_front(li) {
-                    eject_budget -= 1;
-                    metrics.flits_delivered += 1;
-                    if flit.is_tail() {
-                        let p = self.lane[li].packet;
-                        metrics.delivered += 1;
-                        if degraded {
-                            metrics.delivered_despite_fault += 1;
-                        }
-                        if p.destination as usize != cell {
-                            metrics.misrouted += 1;
-                        }
-                        if p.injected_at >= warmup {
-                            metrics.record_latency(cycle - p.injected_at);
-                        }
-                        self.lane[li] = LaneState::default();
-                        self.in_flight -= 1;
+                lane.held -= 1;
+                eject_budget -= 1;
+                metrics.flits_delivered += 1;
+                if lane.held == 0 && lane.to_receive == 0 {
+                    let p = lane.packet;
+                    metrics.delivered += 1;
+                    if degraded {
+                        metrics.delivered_despite_fault += 1;
                     }
+                    if p.destination as usize != cell {
+                        metrics.misrouted += 1;
+                    }
+                    if p.injected_at >= warmup {
+                        metrics.record_latency(cycle - p.injected_at);
+                    }
+                    *lane = LaneState::default();
+                    self.in_flight -= 1;
                 }
             }
         }
@@ -819,7 +704,7 @@ impl SwitchCore for WormholeCore {
                 want[1].clear();
                 for l in 0..self.lanes_per_cell {
                     let li = self.lane_index(s, cell, l);
-                    if self.lane[li].active && !self.flits.is_empty(li) {
+                    if self.lane[li].held > 0 {
                         let port = self.lane[li].packet.port_at(s) as usize;
                         want[port].push(li);
                     }
@@ -879,16 +764,11 @@ impl SwitchCore for WormholeCore {
         // Source streaming: each first-stage lane draws one flit per cycle
         // from its worm's injection staging buffer, after the stage pass so
         // space freed this cycle is usable immediately.
-        for cell in 0..self.cells {
-            for l in 0..self.lanes_per_cell {
-                let li = self.lane_index(0, cell, l);
-                let state = self.lane[li];
-                if state.active && state.to_receive > 0 && !self.flits.is_full(li) {
-                    let seq = self.flits_per_packet - state.to_receive;
-                    self.flits
-                        .push_back(li, state.packet.flit(seq, self.flits_per_packet));
-                    self.lane[li].to_receive -= 1;
-                }
+        let depth = self.lane_depth;
+        for lane in &mut self.lane[..self.cells * self.lanes_per_cell] {
+            if lane.to_receive > 0 && lane.held < depth {
+                lane.held += 1;
+                lane.to_receive -= 1;
             }
         }
     }
@@ -906,12 +786,11 @@ impl SwitchCore for WormholeCore {
             packet,
             // The head flit enters the lane in the injection cycle itself;
             // the rest of the worm streams in from the source staging buffer.
+            held: 1,
             to_receive: self.flits_per_packet - 1,
             route_set: false,
             out_lane: 0,
         };
-        self.flits
-            .push_back(li, packet.flit(0, self.flits_per_packet));
         self.in_flight += 1;
     }
 
@@ -926,7 +805,6 @@ impl SwitchCore for WormholeCore {
 
     fn reset(&mut self) {
         self.lane.fill(LaneState::default());
-        self.flits.reset();
         self.in_flight = 0;
         self.want_scratch[0].clear();
         self.want_scratch[1].clear();
