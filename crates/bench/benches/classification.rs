@@ -8,18 +8,24 @@
 //! * `classification_kernels` — the GF(2) kernel suite the classification
 //!   decision procedure leans on (rank, kernel, solve, inverse, compose),
 //!   run packed (`min_labels::bitmat`) versus the retained scalar baseline
-//!   (`min_labels::scalar`) on identical random matrix batches. The CI
+//!   (`min-labels`' `tests/support/scalar.rs`, the reference oracle of its
+//!   property tests) on identical random matrix batches. The CI
 //!   delta table tracks `packed/<n>` against `scalar/<n>`; the packed path
 //!   is expected to stay ≥2× ahead at n = 12.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use min_bench::{configure, BENCH_SEED};
 use min_core::classify::classify_subjects;
-use min_labels::{mask, scalar, BitMatrix, Label};
+use min_labels::{mask, BitMatrix, Label};
 use min_networks::ClassificationGrid;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
+
+// The suite below uses every kernel but `table`.
+#[allow(dead_code)]
+#[path = "../../labels/tests/support/scalar.rs"]
+mod scalar;
 
 /// Batch size for the kernel suite: enough work per iteration to dwarf the
 /// measurement overhead, small enough to stay cache-resident.

@@ -1,8 +1,9 @@
-//! E13 / ablation — the three independence checkers.
+//! E13 / ablation — the two independence checkers.
 //!
-//! Compares the definitional `O(N²)` check, the basis `O(N·n)` check and the
-//! affine-form extraction on the stages of the Omega network and on random
-//! proper independent connections.
+//! Compares the definitional `O(N²)` check (`naive`), the packed `O(N)`
+//! check (`basis`, the id of the retired basis-vector checker it replaced)
+//! and the affine-form extraction on the stages of the Omega network and on
+//! random proper independent connections.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use min_bench::{configure, BENCH_SEED, SMALL_STAGE_SWEEP, STAGE_SWEEP};

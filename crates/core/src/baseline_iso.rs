@@ -114,7 +114,7 @@ impl BaselineIsomorphism {
 pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, EquivalenceError> {
     let n = g.stages();
     let width = g.width();
-    if n < 1 || width != (1usize << (n - 1)) {
+    if crate::properties::baseline_width(n) != Some(width) {
         return Err(EquivalenceError::WrongWidth { stages: n, width });
     }
     if !g.is_proper() && n > 1 {
@@ -122,8 +122,8 @@ pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, Equiva
     }
     let width_bits = n - 1;
 
-    // ---- Suffix trie: high bits ------------------------------------------
-    // suffix.stage_ids[i][v] = component of node v of stage i inside (G)_{i,n}.
+    // suffix.stage_ids[i][v] = component of node v of stage i inside (G)_{i,n};
+    // its trie value is the i high bits of the node's label.
     let suffix = suffix_sweep(g);
     for (i, &count) in suffix.counts.iter().enumerate() {
         let expected = crate::properties::expected_components(width, i, n - 1);
@@ -135,72 +135,10 @@ pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, Equiva
             });
         }
     }
-    // comp_high[i][c] = high-bit value (i bits) of suffix component c at stage i.
-    let mut comp_high: Vec<Vec<u64>> = Vec::with_capacity(n);
-    {
-        // Stage 0: a single component (checked above), value 0 on 0 bits.
-        let count0 = component_count(&suffix.stage_ids[0]);
-        comp_high.push(vec![0; count0]);
-        for i in 1..n {
-            let prev_count = comp_high[i - 1].len();
-            let cur_count = component_count(&suffix.stage_ids[i]);
-            // Which suffix component of stage i-1 contains each suffix
-            // component of stage i? Walk the arcs (i-1) -> i.
-            let mut parent_of: Vec<Option<u32>> = vec![None; cur_count];
-            for v in 0..width as u32 {
-                let pc = suffix.stage_ids[i - 1][v as usize];
-                for &c in g.children(i - 1, v) {
-                    let cc = suffix.stage_ids[i][c as usize];
-                    match parent_of[cc as usize] {
-                        None => parent_of[cc as usize] = Some(pc),
-                        Some(existing) if existing != pc => {
-                            // A child component reachable from two distinct
-                            // parent components contradicts connectivity.
-                            return Err(EquivalenceError::ComponentTreeNotBinary {
-                                stage: i,
-                                suffix: true,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            // Assign the two children of every parent component the values
-            // 2h and 2h+1 (order: by child component id, which is
-            // deterministic).
-            let mut next_bit: Vec<u64> = vec![0; prev_count];
-            let mut values = vec![u64::MAX; cur_count];
-            for cc in 0..cur_count {
-                let pc = match parent_of[cc] {
-                    Some(p) => p as usize,
-                    None => {
-                        return Err(EquivalenceError::ComponentTreeNotBinary {
-                            stage: i,
-                            suffix: true,
-                        })
-                    }
-                };
-                if next_bit[pc] > 1 {
-                    return Err(EquivalenceError::ComponentTreeNotBinary {
-                        stage: i,
-                        suffix: true,
-                    });
-                }
-                values[cc] = (comp_high[i - 1][pc] << 1) | next_bit[pc];
-                next_bit[pc] += 1;
-            }
-            if values.contains(&u64::MAX) {
-                return Err(EquivalenceError::ComponentTreeNotBinary {
-                    stage: i,
-                    suffix: true,
-                });
-            }
-            comp_high.push(values);
-        }
-    }
+    let comp_high = component_trie(g, &suffix.stage_ids, true)?;
 
-    // ---- Prefix trie: low bits -------------------------------------------
-    // prefix.stage_ids[j][v] = component of node v of stage j inside (G)_{1,j}.
+    // prefix.stage_ids[j][v] = component of node v of stage j inside (G)_{1,j};
+    // its trie value is the width_bits - j low bits of the node's label.
     let prefix = prefix_sweep(g);
     for (j, &count) in prefix.counts.iter().enumerate() {
         let expected = crate::properties::expected_components(width, 0, j);
@@ -212,63 +150,7 @@ pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, Equiva
             });
         }
     }
-    // comp_low[j][c] = low-bit value (width_bits - j bits) of prefix component c at stage j.
-    let mut comp_low: Vec<Vec<u64>> = vec![Vec::new(); n];
-    {
-        let count_last = component_count(&prefix.stage_ids[n - 1]);
-        comp_low[n - 1] = vec![0; count_last];
-        for j in (0..n - 1).rev() {
-            let coarser_count = comp_low[j + 1].len();
-            let finer_count = component_count(&prefix.stage_ids[j]);
-            // Which prefix component of stage j+1 contains each prefix
-            // component of stage j? Walk the arcs j -> j+1.
-            let mut parent_of: Vec<Option<u32>> = vec![None; finer_count];
-            for v in 0..width as u32 {
-                let fc = prefix.stage_ids[j][v as usize];
-                for &c in g.children(j, v) {
-                    let cc = prefix.stage_ids[j + 1][c as usize];
-                    match parent_of[fc as usize] {
-                        None => parent_of[fc as usize] = Some(cc),
-                        Some(existing) if existing != cc => {
-                            return Err(EquivalenceError::ComponentTreeNotBinary {
-                                stage: j,
-                                suffix: false,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            let mut next_bit: Vec<u64> = vec![0; coarser_count];
-            let mut values = vec![u64::MAX; finer_count];
-            for fc in 0..finer_count {
-                let cc = match parent_of[fc] {
-                    Some(p) => p as usize,
-                    None => {
-                        return Err(EquivalenceError::ComponentTreeNotBinary {
-                            stage: j,
-                            suffix: false,
-                        })
-                    }
-                };
-                if next_bit[cc] > 1 {
-                    return Err(EquivalenceError::ComponentTreeNotBinary {
-                        stage: j,
-                        suffix: false,
-                    });
-                }
-                values[fc] = (comp_low[j + 1][cc] << 1) | next_bit[cc];
-                next_bit[cc] += 1;
-            }
-            if values.contains(&u64::MAX) {
-                return Err(EquivalenceError::ComponentTreeNotBinary {
-                    stage: j,
-                    suffix: false,
-                });
-            }
-            comp_low[j] = values;
-        }
-    }
+    let comp_low = component_trie(g, &prefix.stage_ids, false)?;
 
     // ---- Assemble labels ---------------------------------------------------
     let mut mapping: StageMapping = Vec::with_capacity(n);
@@ -296,6 +178,63 @@ pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, Equiva
         return Err(EquivalenceError::VerificationFailed);
     }
     Ok(BaselineIsomorphism { stages: n, mapping })
+}
+
+/// Numbers the nested components of a sweep as a binary trie:
+/// `values[s][c]` is the trie value of component `c` of stage `s`.
+///
+/// The suffix trie (`suffix = true`) grows from stage 0 to the last stage,
+/// the prefix trie the other way. The arcs `s → s+1` nest every component
+/// of the finer stage inside one component of the coarser stage: the tail
+/// side is the parent in the suffix trie, the head side in the prefix trie.
+/// The two children of a parent with value `h` get `2h` and `2h+1` in
+/// ascending child-id order; any other split is
+/// [`EquivalenceError::ComponentTreeNotBinary`] at the child's stage.
+fn component_trie(
+    g: &MiDigraph,
+    stage_ids: &[Vec<u32>],
+    suffix: bool,
+) -> Result<Vec<Vec<u64>>, EquivalenceError> {
+    let n = stage_ids.len();
+    let root = if suffix { 0 } else { n - 1 };
+    let mut values: Vec<Vec<u64>> = vec![Vec::new(); n];
+    values[root] = vec![0; component_count(&stage_ids[root])];
+    for step in 0..n - 1 {
+        let s = if suffix { step } else { n - 2 - step };
+        let (parent, child) = if suffix { (s, s + 1) } else { (s + 1, s) };
+        let not_binary = || EquivalenceError::ComponentTreeNotBinary {
+            stage: child,
+            suffix,
+        };
+        // Which parent component contains each child component?
+        let mut parent_of: Vec<Option<u32>> = vec![None; component_count(&stage_ids[child])];
+        let head_ids = &stage_ids[s + 1];
+        for (v, &tail) in stage_ids[s].iter().enumerate() {
+            for &c in g.children(s, v as u32) {
+                let head = head_ids[c as usize];
+                let (pc, cc) = if suffix { (tail, head) } else { (head, tail) };
+                match parent_of[cc as usize] {
+                    None => parent_of[cc as usize] = Some(pc),
+                    // A child component reachable from two distinct parent
+                    // components contradicts connectivity.
+                    Some(existing) if existing != pc => return Err(not_binary()),
+                    _ => {}
+                }
+            }
+        }
+        let mut next_bit: Vec<u64> = vec![0; values[parent].len()];
+        let mut child_values = Vec::with_capacity(parent_of.len());
+        for pc in parent_of {
+            let pc = pc.ok_or_else(not_binary)? as usize;
+            if next_bit[pc] > 1 {
+                return Err(not_binary());
+            }
+            child_values.push((values[parent][pc] << 1) | next_bit[pc]);
+            next_bit[pc] += 1;
+        }
+        values[child] = child_values;
+    }
+    Ok(values)
 }
 
 fn component_count(ids: &[u32]) -> usize {
@@ -422,6 +361,20 @@ mod tests {
             Err(EquivalenceError::WrongWidth {
                 stages: 3,
                 width: 5
+            })
+        );
+    }
+
+    #[test]
+    fn a_width_past_the_label_range_is_rejected_not_shifted() {
+        // 2^64 nodes per stage does not fit a usize: the width check must
+        // refuse it instead of overflowing the shift.
+        let g = MiDigraph::new(65, 1);
+        assert_eq!(
+            baseline_isomorphism(&g),
+            Err(EquivalenceError::WrongWidth {
+                stages: 65,
+                width: 1
             })
         );
     }

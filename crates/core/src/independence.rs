@@ -8,84 +8,21 @@
 //!
 //! * [`is_independent_naive`] applies the definition verbatim — every `α`,
 //!   every `x` — in `O(N²)`. It exists as the ground truth against which the
-//!   fast checkers are property-tested.
+//!   fast checker is property-tested.
 //! * [`is_independent`] runs the packed affine characterization
 //!   ([`crate::affine_form()`]): `(f, g)` is independent iff `f` is affine
 //!   over GF(2) and `g = f ⊕ c`. The candidate affine extension is built by
 //!   the Gray-code evaluator and compared slice-to-slice, so the decision is
 //!   `O(N)` — one XOR and one compare per table entry.
-//! * [`independence_certificate`] exploits the closure of the defining
-//!   property under `⊕` of the `α`'s: if `α₁` and `α₂` admit translation
-//!   vectors `β₁` and `β₂`, then `α₁ ⊕ α₂` admits `β₁ ⊕ β₂`. Checking the
-//!   `n-1` canonical basis vectors therefore suffices, giving `O(N·n)` with
-//!   an explicit certificate (or violation witness): the β-vector of every
-//!   basis direction — equivalently, the linear part of `f`, exposed as a
-//!   packed [`LinearMap`] by [`IndependenceCertificate::linear_part`].
+//!
+//! The certificate of an independent connection is its [`AffineForm`]: the
+//! β of a translation `α` is `M α`, the linear part of `f` applied to `α`,
+//! so the β-vectors of the basis directions are the columns of `M`.
+//!
+//! [`AffineForm`]: crate::AffineForm
 
 use crate::connection::Connection;
-use min_labels::{all_labels, Label, LinearMap};
-
-/// The per-basis-direction translation vectors proving independence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndependenceCertificate {
-    /// Cell-label width.
-    pub width: usize,
-    /// `beta[j]` is the β associated with the basis vector `e_j = 2^j`.
-    /// The β of an arbitrary `α` is the XOR of the `beta[j]` over the set
-    /// bits of `α`.
-    pub beta: Vec<Label>,
-}
-
-impl IndependenceCertificate {
-    /// The β-vectors as a packed GF(2) linear map `α ↦ β(α)` — by the
-    /// affine characterization this is exactly the linear part of `f` (and
-    /// of `g`), ready for the elimination kernels (rank, kernel, inverse).
-    pub fn linear_part(&self) -> LinearMap {
-        LinearMap::from_columns(self.width, self.width, self.beta.clone())
-    }
-
-    /// Reconstructs the β associated with an arbitrary `α`.
-    pub fn beta_for(&self, alpha: Label) -> Label {
-        let mut acc = 0u64;
-        let mut rest = alpha;
-        while rest != 0 {
-            let j = rest.trailing_zeros() as usize;
-            acc ^= self.beta[j];
-            rest &= rest - 1;
-        }
-        acc
-    }
-
-    /// Verifies the certificate against a connection (both `f` and `g`, every
-    /// `α`, every `x`). Quadratic; intended for tests and audits.
-    pub fn verify(&self, conn: &Connection) -> bool {
-        if conn.width() != self.width {
-            return false;
-        }
-        for alpha in all_labels(self.width) {
-            let beta = self.beta_for(alpha);
-            for x in all_labels(self.width) {
-                if conn.f(x ^ alpha) != beta ^ conn.f(x) || conn.g(x ^ alpha) != beta ^ conn.g(x) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-/// A concrete violation of the independence definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndependenceViolation {
-    /// The offending translation `α`.
-    pub alpha: Label,
-    /// The β that was forced by evaluating the definition at `x = 0`.
-    pub beta: Label,
-    /// A point where the definition fails for that `(α, β)`.
-    pub x: Label,
-    /// `true` when the failure is on `g` (otherwise on `f`).
-    pub on_g: bool,
-}
+use min_labels::all_labels;
 
 /// Literal `O(N²)` implementation of the definition.
 pub fn is_independent_naive(conn: &Connection) -> bool {
@@ -103,57 +40,17 @@ pub fn is_independent_naive(conn: &Connection) -> bool {
     true
 }
 
-/// Fast `O(N)` independence check via the packed affine characterization.
-///
-/// Equivalent to `independence_certificate(conn).is_ok()` (the equivalence
-/// is the affine characterization proven in [`crate::affine_form()`], and the
-/// property tests below pin all three checkers against each other), but one
-/// factor `n` cheaper: no per-basis-direction rescan of the tables.
+/// Fast `O(N)` independence check via the packed affine characterization:
+/// `true` exactly when [`crate::affine_form()`] finds a certificate. The
+/// property tests below pin it against [`is_independent_naive`].
 pub fn is_independent(conn: &Connection) -> bool {
     crate::affine_form::affine_form(conn).is_some()
-}
-
-/// Fast `O(N·n)` independence check returning either a certificate or a
-/// violation witness.
-///
-/// The check verifies the definition for the `width` canonical basis vectors
-/// only; by closure under `⊕` (see the module documentation) this is
-/// equivalent to the full definition, and the returned certificate can be
-/// audited exhaustively with [`IndependenceCertificate::verify`].
-pub fn independence_certificate(
-    conn: &Connection,
-) -> Result<IndependenceCertificate, IndependenceViolation> {
-    let width = conn.width();
-    let mut beta = Vec::with_capacity(width);
-    for j in 0..width {
-        let alpha = 1u64 << j;
-        let b = conn.f(alpha) ^ conn.f(0);
-        for x in all_labels(width) {
-            if conn.f(x ^ alpha) != b ^ conn.f(x) {
-                return Err(IndependenceViolation {
-                    alpha,
-                    beta: b,
-                    x,
-                    on_g: false,
-                });
-            }
-            if conn.g(x ^ alpha) != b ^ conn.g(x) {
-                return Err(IndependenceViolation {
-                    alpha,
-                    beta: b,
-                    x,
-                    on_g: true,
-                });
-            }
-        }
-        beta.push(b);
-    }
-    Ok(IndependenceCertificate { width, beta })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::affine_form::affine_form;
     use min_labels::{AffineMap, IndexPermutation, LinearMap, Permutation};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -169,8 +66,8 @@ mod tests {
             let conn = baseline_stage0(width);
             assert!(is_independent_naive(&conn));
             assert!(is_independent(&conn));
-            let cert = independence_certificate(&conn).unwrap();
-            assert!(cert.verify(&conn));
+            let form = affine_form(&conn).unwrap();
+            assert_eq!(form.to_connection(), conn);
         }
     }
 
@@ -179,8 +76,8 @@ mod tests {
         let sigma = IndexPermutation::perfect_shuffle(4);
         let conn = Connection::from_link_permutation(&Permutation::from_index_perm(&sigma));
         assert!(is_independent_naive(&conn));
-        let cert = independence_certificate(&conn).unwrap();
-        assert!(cert.verify(&conn));
+        let form = affine_form(&conn).unwrap();
+        assert_eq!(form.to_connection(), conn);
     }
 
     #[test]
@@ -216,19 +113,15 @@ mod tests {
         );
         assert!(!is_independent_naive(&conn));
         assert!(!is_independent(&conn));
-        let violation = independence_certificate(&conn).unwrap_err();
-        // The witness must indeed violate the definition.
-        let lhs = if violation.on_g {
-            conn.g(violation.x ^ violation.alpha)
-        } else {
-            conn.f(violation.x ^ violation.alpha)
-        };
-        let rhs = if violation.on_g {
-            violation.beta ^ conn.g(violation.x)
-        } else {
-            violation.beta ^ conn.f(violation.x)
-        };
-        assert_ne!(lhs, rhs);
+        assert!(affine_form(&conn).is_none());
+        // A witness of the violation: a basis direction α and a point x
+        // where f(x ⊕ α) ≠ β ⊕ f(x) for the β forced at x = 0.
+        let witness = (0..3).find_map(|j| {
+            let alpha = 1u64 << j;
+            let beta = conn.f(alpha) ^ conn.f(0);
+            all_labels(3).find(|&x| conn.f(x ^ alpha) != beta ^ conn.f(x))
+        });
+        assert!(witness.is_some());
     }
 
     #[test]
@@ -257,11 +150,6 @@ mod tests {
             let a = is_independent_naive(&conn);
             let b = is_independent(&conn);
             assert_eq!(a, b, "checkers disagree on connection {i}");
-            assert_eq!(
-                independence_certificate(&conn).is_ok(),
-                b,
-                "certificate checker disagrees on connection {i}"
-            );
             if a {
                 independents += 1;
             }
@@ -277,26 +165,28 @@ mod tests {
         let m = LinearMap::from_columns(4, 4, vec![0b0011, 0b0110, 0b1100, 0b1001]);
         let aff = AffineMap::new(m.clone(), 0b0101);
         let conn = Connection::from_affine(&aff, 0b1111);
-        let cert = independence_certificate(&conn).unwrap();
+        let form = affine_form(&conn).unwrap();
         for alpha in all_labels(4) {
             // β(α) must equal f(α) ⊕ f(0).
-            assert_eq!(cert.beta_for(alpha), conn.f(alpha) ^ conn.f(0));
+            assert_eq!(form.f.linear().apply(alpha), conn.f(alpha) ^ conn.f(0));
         }
         // The packed linear part *is* the linear part of f.
-        assert_eq!(cert.linear_part(), m);
-        assert_eq!(cert.linear_part().rank(), m.rank());
+        assert_eq!(form.f.linear(), &m);
+        assert_eq!(form.rank(), m.rank());
     }
 
     #[test]
     fn certificate_verify_rejects_foreign_connections() {
         let conn_a = baseline_stage0(3);
-        let cert_a = independence_certificate(&conn_a).unwrap();
+        let form_a = affine_form(&conn_a).unwrap();
         let sigma = IndexPermutation::perfect_shuffle(4);
         let conn_b = Connection::from_link_permutation(&Permutation::from_index_perm(&sigma));
-        // Same width, different connection: the certificate must not verify
-        // unless the betas coincide (they do not here).
-        assert!(!cert_a.verify(&conn_b) || cert_a == independence_certificate(&conn_b).unwrap());
+        // Same width, different connection: the certificate rebuilds only
+        // its own connection.
+        assert_ne!(conn_a, conn_b);
+        assert_ne!(form_a.to_connection(), conn_b);
+        assert_ne!(Some(form_a), affine_form(&conn_b));
         let narrow = baseline_stage0(2);
-        assert!(!cert_a.verify(&narrow), "width mismatch must fail");
+        assert_ne!(affine_form(&conn_a), affine_form(&narrow), "width mismatch");
     }
 }

@@ -22,9 +22,9 @@
 //!
 //! * an **affine characterization** of independent connections
 //!   ([`affine_form()`]): `(f,g)` is independent iff `f` is affine over GF(2)
-//!   and `g = f ⊕ c`. This yields an `O(N·n)` checker with an explicit
-//!   certificate and a generator of random independent connections used
-//!   throughout the test and benchmark suites;
+//!   and `g = f ⊕ c`. This yields an `O(N)` checker whose certificate is
+//!   the `(M, t, c)` form itself, and a generator of random independent
+//!   connections used throughout the test and benchmark suites;
 //! * a **certified constructive Baseline isomorphism**
 //!   ([`baseline_iso`]): the nested component structure promised by
 //!   `P(1,*)`/`P(*,n)` is turned into an explicit node relabelling onto the
@@ -66,10 +66,7 @@ pub use connection::Connection;
 pub use delta::{is_bidelta, is_delta, DeltaReport};
 pub use equivalence::{are_equivalent, compose_baseline_certificates, equivalence_mapping};
 pub use error::{EquivalenceError, ReverseError};
-pub use independence::{
-    independence_certificate, is_independent, is_independent_naive, IndependenceCertificate,
-    IndependenceViolation,
-};
+pub use independence::{is_independent, is_independent_naive};
 pub use network::ConnectionNetwork;
 pub use pipid::{connection_from_pipid, PipidStage};
 pub use properties::{

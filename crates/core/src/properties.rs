@@ -30,6 +30,13 @@ pub fn expected_components(width: usize, lo: usize, hi: usize) -> usize {
     width >> span
 }
 
+/// The `2^{stages-1}` cells per stage of a `stages`-stage Baseline-shaped
+/// MI-digraph, or `None` when that count does not fit a `usize`.
+pub(crate) fn baseline_width(stages: usize) -> Option<usize> {
+    let bits = u32::try_from(stages.checked_sub(1)?).ok()?;
+    1usize.checked_shl(bits)
+}
+
 /// `P(lo, hi)` for 0-based stage indices.
 pub fn p_property(g: &MiDigraph, lo: usize, hi: usize) -> bool {
     component_count_range(g, lo, hi) == expected_components(g.width(), lo, hi)
@@ -94,7 +101,7 @@ impl CharacterizationReport {
 
 /// Evaluates every hypothesis of the characterization theorem.
 pub fn characterization_report(g: &MiDigraph) -> CharacterizationReport {
-    let width_ok = g.stages() >= 1 && g.width() == (1usize << (g.stages() - 1)) && g.is_proper();
+    let width_ok = baseline_width(g.stages()) == Some(g.width()) && g.is_proper();
     let banyan = is_banyan(g);
     let prefix = prefix_sweep(g);
     let suffix = suffix_sweep(g);
@@ -245,5 +252,13 @@ mod tests {
         assert_eq!(report.prefix_components.len(), 3);
         assert_eq!(report.suffix_components.len(), 3);
         assert_eq!(report.prefix_components[1], (2, 8));
+    }
+
+    #[test]
+    fn a_width_past_the_label_range_is_not_proper_shape() {
+        // 65 stages would need 2^64 cells per stage; the shape check must
+        // say no instead of overflowing the shift.
+        let g = min_graph::serialize::from_text("mi-digraph v1 stages=65 width=1").unwrap();
+        assert!(!characterization_report(&g).proper_shape);
     }
 }

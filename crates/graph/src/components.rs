@@ -121,32 +121,19 @@ pub type StageComponentIds = Vec<Vec<u32>>;
 /// component count and the component ids of stage-`j` nodes can be read off.
 /// Total cost is `O(E α(V))` for **all** prefixes together.
 pub fn prefix_sweep(g: &MiDigraph) -> SweepResult {
-    let w = g.width();
-    let n = g.stages();
-    let mut uf = UnionFind::new(n * w);
-    let idx = |s: usize, v: u32| (s * w + v as usize) as u32;
-    let mut counts = Vec::with_capacity(n);
-    let mut stage_ids = Vec::with_capacity(n);
-    let mut merges = 0usize;
-    for j in 0..n {
-        if j > 0 {
-            for v in 0..w as u32 {
-                for &c in g.children(j - 1, v) {
-                    if uf.union(idx(j - 1, v), idx(j, c)) {
-                        merges += 1;
-                    }
-                }
-            }
-        }
-        let active_nodes = (j + 1) * w;
-        counts.push(active_nodes - merges);
-        stage_ids.push(compact_stage_ids(&mut uf, j, w, idx));
-    }
-    SweepResult { counts, stage_ids }
+    sweep(g, false)
 }
 
-/// Incremental components of every suffix `(G)_{i..=last}`.
+/// Incremental components of every suffix `(G)_{i..=last}`: the same pass
+/// as [`prefix_sweep`], absorbing the stages from the last one down.
 pub fn suffix_sweep(g: &MiDigraph) -> SweepResult {
+    sweep(g, true)
+}
+
+/// The union-find pass behind both sweeps. Each newly absorbed stage `s` is
+/// joined to the previously absorbed one through the arcs between them,
+/// united tail first, in tail-node order.
+fn sweep(g: &MiDigraph, from_last: bool) -> SweepResult {
     let w = g.width();
     let n = g.stages();
     let mut uf = UnionFind::new(n * w);
@@ -154,19 +141,21 @@ pub fn suffix_sweep(g: &MiDigraph) -> SweepResult {
     let mut counts = vec![0usize; n];
     let mut stage_ids = vec![Vec::new(); n];
     let mut merges = 0usize;
-    for i in (0..n).rev() {
-        if i + 1 < n {
+    // `k` stages have been absorbed before stage `s`.
+    for k in 0..n {
+        let s = if from_last { n - 1 - k } else { k };
+        if k > 0 {
+            let tail = if from_last { s } else { s - 1 };
             for v in 0..w as u32 {
-                for &c in g.children(i, v) {
-                    if uf.union(idx(i, v), idx(i + 1, c)) {
+                for &c in g.children(tail, v) {
+                    if uf.union(idx(tail, v), idx(tail + 1, c)) {
                         merges += 1;
                     }
                 }
             }
         }
-        let active_nodes = (n - i) * w;
-        counts[i] = active_nodes - merges;
-        stage_ids[i] = compact_stage_ids(&mut uf, i, w, idx);
+        counts[s] = (k + 1) * w - merges;
+        stage_ids[s] = compact_stage_ids(&mut uf, s, w, idx);
     }
     SweepResult { counts, stage_ids }
 }

@@ -24,7 +24,7 @@
 //!   [`BitMatrix::combination_inverse`].
 //!
 //! The pre-refactor digit-at-a-time implementations are retained verbatim in
-//! [`crate::scalar`] as the reference oracle; the property tests in
+//! `tests/support/scalar.rs` as the reference oracle; the property tests in
 //! `tests/packed_oracle.rs` pin the two against each other, and the
 //! `classification` benchmark measures the packed-vs-scalar gap.
 

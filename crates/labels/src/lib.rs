@@ -23,8 +23,8 @@
 //! * [`bitmat::BitMatrix`] — word-packed GF(2) matrices: XOR-row
 //!   elimination, rank, kernel/image bases, solving and inversion, one `u64`
 //!   word per row. These are the hot kernels behind the shim types above;
-//!   the pre-packing digit-at-a-time implementations are retained in
-//!   [`scalar`] as the reference oracle and benchmark baseline.
+//!   the pre-packing digit-at-a-time implementations live in the crate's
+//!   tests (`tests/support/scalar.rs`) as the reference oracle.
 //! * [`index_perm::IndexPermutation`] — a permutation θ of the digit
 //!   positions, i.e. a PIPID generator: perfect shuffle, sub-shuffles,
 //!   butterflies, bit reversal, and arbitrary θ.
@@ -43,7 +43,6 @@ pub mod gf2;
 pub mod index_perm;
 pub mod linear;
 pub mod perm;
-pub mod scalar;
 pub mod subspace;
 
 pub use affine::AffineMap;

@@ -15,8 +15,8 @@
 //! word-packed elimination kernels of [`crate::bitmat`] (the column list is
 //! handed to [`BitMatrix`] as the rows of the transpose), and full-domain
 //! evaluation uses the Gray-code table builder. The historical
-//! digit-at-a-time implementations are retained in [`crate::scalar`] as the
-//! reference oracle and benchmark baseline.
+//! digit-at-a-time implementations are retained in the crate's
+//! `tests/support/scalar.rs` as the reference oracle and benchmark baseline.
 
 use crate::bitmat::{gray_code_table, BitMatrix};
 use crate::gf2::{mask, Label, Width};

@@ -3,11 +3,14 @@
 //! The bitset-packing refactor moved rank / kernel / solve / inverse /
 //! composition onto the word-packed elimination kernels of
 //! `min_labels::bitmat`; the pre-refactor digit-at-a-time implementations
-//! are retained in `min_labels::scalar`. These proptests pin the two against
+//! are retained in `support/scalar.rs`. These proptests pin the two against
 //! each other on random GF(2) matrices up to 16×16, so any semantic drift in
 //! the packed kernels is caught against the historical behaviour.
 
-use min_labels::{all_labels, mask, scalar, BitMatrix, Label, LinearMap, Subspace};
+#[path = "support/scalar.rs"]
+mod scalar;
+
+use min_labels::{all_labels, mask, BitMatrix, Label, LinearMap, Subspace};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -127,5 +130,60 @@ proptest! {
         for x in all_labels(w_in) {
             prop_assert_eq!(map.table()[x as usize], map.apply(x));
         }
+    }
+}
+
+// Sanity checks of the oracle itself.
+
+#[test]
+fn apply_and_table_agree() {
+    let columns = vec![0b011, 0b101, 0b110];
+    let t = scalar::table(3, &columns, 0b001);
+    for x in 0..8u64 {
+        assert_eq!(t[x as usize], scalar::apply(&columns, x) ^ 0b001);
+    }
+}
+
+#[test]
+fn rank_counts_independent_columns() {
+    assert_eq!(scalar::rank(3, &[0b001, 0b010, 0b011]), 2);
+    assert_eq!(scalar::rank(3, &[0b001, 0b010, 0b100]), 3);
+    assert_eq!(scalar::rank(3, &[0, 0, 0]), 0);
+}
+
+#[test]
+fn kernel_generators_map_to_zero() {
+    let columns = vec![0b0011, 0b0101, 0b0110, 0b0000];
+    for k in scalar::kernel(4, &columns) {
+        assert_eq!(scalar::apply(&columns, k), 0);
+    }
+    assert_eq!(
+        scalar::rank(4, &columns) + scalar::kernel(4, &columns).len(),
+        4
+    );
+}
+
+#[test]
+fn inverse_and_solve_agree() {
+    let columns = vec![0b011, 0b110, 0b100];
+    let inv = scalar::inverse(3, &columns).expect("invertible");
+    for y in 0..8u64 {
+        let x = scalar::solve(3, &columns, y).expect("full rank");
+        assert_eq!(scalar::apply(&columns, x), y);
+        assert_eq!(scalar::apply(&inv, y), x);
+    }
+    assert!(scalar::inverse(3, &[0b001, 0b001, 0b100]).is_none());
+}
+
+#[test]
+fn compose_is_pointwise_composition() {
+    let a = vec![0b01, 0b11];
+    let b = vec![0b10, 0b01];
+    let ab = scalar::compose(&a, &b);
+    for x in 0..4u64 {
+        assert_eq!(
+            scalar::apply(&ab, x),
+            scalar::apply(&a, scalar::apply(&b, x))
+        );
     }
 }

@@ -1,18 +1,20 @@
 //! Retained digit-at-a-time GF(2) reference kernels.
 //!
 //! These are the pre-packing implementations that `LinearMap` and `Subspace`
-//! used before the [`crate::bitmat`] rewrite, kept verbatim (modulo being
+//! used before the `min_labels::bitmat` rewrite, kept verbatim (modulo being
 //! free functions over explicit column lists) for two purposes:
 //!
 //! * they are the **reference oracle** the scalar-vs-packed property tests
 //!   (`tests/packed_oracle.rs`) pin the packed kernels against;
-//! * they are the **baseline** the `classification` benchmark measures the
-//!   packed speedup against (`classification_kernels/{packed,scalar}`).
+//! * they are the **baseline** the `classification` benchmark of `min-bench`
+//!   measures the packed speedup against
+//!   (`classification_kernels/{packed,scalar}`).
 //!
+//! Both include this file with `#[path]`; it is not part of the library.
 //! A map is given as its column list (`columns[j] = L(e_j)`), exactly like
-//! [`crate::LinearMap`]. None of this is called on hot paths.
+//! `min_labels::LinearMap`.
 
-use crate::gf2::{bit, mask, Label, Width};
+use min_labels::{bit, mask, Label, Width};
 
 /// Applies the map digit by digit: XOR of the columns selected by `x`.
 pub fn apply(columns: &[Label], x: Label) -> Label {
@@ -167,56 +169,4 @@ pub fn solve(width_out: Width, columns: &[Label], y: Label) -> Option<Label> {
 /// the historical `LinearMap::compose` body.
 pub fn compose(outer: &[Label], inner: &[Label]) -> Vec<Label> {
     inner.iter().map(|&c| apply(outer, c)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn apply_and_table_agree() {
-        let columns = vec![0b011, 0b101, 0b110];
-        let t = table(3, &columns, 0b001);
-        for x in 0..8u64 {
-            assert_eq!(t[x as usize], apply(&columns, x) ^ 0b001);
-        }
-    }
-
-    #[test]
-    fn rank_counts_independent_columns() {
-        assert_eq!(rank(3, &[0b001, 0b010, 0b011]), 2);
-        assert_eq!(rank(3, &[0b001, 0b010, 0b100]), 3);
-        assert_eq!(rank(3, &[0, 0, 0]), 0);
-    }
-
-    #[test]
-    fn kernel_generators_map_to_zero() {
-        let columns = vec![0b0011, 0b0101, 0b0110, 0b0000];
-        for k in kernel(4, &columns) {
-            assert_eq!(apply(&columns, k), 0);
-        }
-        assert_eq!(rank(4, &columns) + kernel(4, &columns).len(), 4);
-    }
-
-    #[test]
-    fn inverse_and_solve_agree() {
-        let columns = vec![0b011, 0b110, 0b100];
-        let inv = inverse(3, &columns).expect("invertible");
-        for y in 0..8u64 {
-            let x = solve(3, &columns, y).expect("full rank");
-            assert_eq!(apply(&columns, x), y);
-            assert_eq!(apply(&inv, y), x);
-        }
-        assert!(inverse(3, &[0b001, 0b001, 0b100]).is_none());
-    }
-
-    #[test]
-    fn compose_is_pointwise_composition() {
-        let a = vec![0b01, 0b11];
-        let b = vec![0b10, 0b01];
-        let ab = compose(&a, &b);
-        for x in 0..4u64 {
-            assert_eq!(apply(&ab, x), apply(&a, apply(&b, x)));
-        }
-    }
 }

@@ -356,23 +356,13 @@ pub fn route_around(
     dst: u64,
     digest: &FaultDigest,
 ) -> FaultRoute {
-    let last = net.stages() - 1;
     let cells = net.cells_per_stage() as u64;
-    if src >= cells || dst >= cells {
+    if src >= cells || dst >= cells || digest.cell_dead(net.stages() - 1, dst as u32) {
         return FaultRoute::Unroutable;
     }
-    if digest.cell_dead(0, src as u32) || digest.cell_dead(last, dst as u32) {
-        return FaultRoute::Unroutable;
-    }
-    for path in disjoint_paths(net, src, dst) {
-        if digest.path_ok(&path) {
-            return FaultRoute::Routed(path);
-        }
-    }
-    match surviving_path(net, src, dst, digest) {
-        Some(path) => FaultRoute::Routed(path),
-        None => FaultRoute::Unroutable,
-    }
+    let reach_free = reaches_dst(net, dst, None);
+    let reach_fault = reaches_dst(net, dst, Some(digest));
+    route_source(net, src, dst, &reach_free, &reach_fault, digest)
 }
 
 /// [`route_around`] for every source at once: one entry per first-stage
@@ -390,22 +380,29 @@ pub fn route_all_to(net: &ConnectionNetwork, dst: u64, digest: &FaultDigest) -> 
     let reach_free = reaches_dst(net, dst, None);
     let reach_fault = reaches_dst(net, dst, Some(digest));
     (0..cells as u64)
-        .map(|src| {
-            if digest.cell_dead(0, src as u32) {
-                return FaultRoute::Unroutable;
-            }
-            let candidates = greedy_disjoint(net, all_paths_with_reach(net, src, dst, &reach_free));
-            for path in candidates {
-                if digest.path_ok(&path) {
-                    return FaultRoute::Routed(path);
-                }
-            }
-            match forward_walk(net, src, &reach_fault, digest) {
-                Some(path) => FaultRoute::Routed(path),
-                None => FaultRoute::Unroutable,
-            }
-        })
+        .map(|src| route_source(net, src, dst, &reach_free, &reach_fault, digest))
         .collect()
+}
+
+/// The per-source body of [`route_around`] and [`route_all_to`], given the
+/// fault-free and fault-aware reachability tables of a live, in-range `dst`:
+/// the first surviving link-disjoint path, else the fault-aware walk.
+fn route_source(
+    net: &ConnectionNetwork,
+    src: u64,
+    dst: u64,
+    reach_free: &[Vec<bool>],
+    reach_fault: &[Vec<bool>],
+    digest: &FaultDigest,
+) -> FaultRoute {
+    if digest.cell_dead(0, src as u32) {
+        return FaultRoute::Unroutable;
+    }
+    greedy_disjoint(net, all_paths_with_reach(net, src, dst, reach_free))
+        .into_iter()
+        .find(|path| digest.path_ok(path))
+        .or_else(|| forward_walk(net, src, reach_fault, digest))
+        .map_or(FaultRoute::Unroutable, FaultRoute::Routed)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! ```
 
 use baseline_equivalence::prelude::*;
-use min_core::independence::independence_certificate;
+use min_core::affine_form::affine_form;
 use min_core::properties::characterization_report;
 
 fn main() {
@@ -23,12 +23,15 @@ fn main() {
     // --- Section 3: every stage is an independent connection -------------
     println!("Section 3 — independent connections:");
     for (i, conn) in omega.connections().iter().enumerate() {
-        match independence_certificate(conn) {
-            Ok(cert) => println!(
-                "  stage {i}: independent (β for basis digits = {:?})",
-                cert.beta
+        match affine_form(conn) {
+            Some(form) => println!(
+                "  stage {i}: independent, f(x) = Mx ⊕ {:#b}, g = f ⊕ {:#b} \
+                 (β for basis digits = columns of M = {:?})",
+                form.f.offset(),
+                form.difference,
+                form.f.linear().columns()
             ),
-            Err(v) => println!("  stage {i}: NOT independent, violated at α={:#b}", v.alpha),
+            None => println!("  stage {i}: NOT independent (f is not affine or g ⊕ f varies)"),
         }
     }
 

@@ -9,8 +9,7 @@
 //! depend on a single crate:
 //!
 //! * [`labels`] (`min-labels`) — GF(2) label algebra (word-packed
-//!   elimination kernels plus a retained scalar oracle) and PIPID
-//!   permutations;
+//!   elimination kernels) and PIPID permutations;
 //! * [`graph`] (`min-graph`) — the MI-digraph engine;
 //! * [`core`] (`min-core`) — independent connections, the `P(i,j)`
 //!   properties, the certified constructive Baseline isomorphism, buddy and
