@@ -35,9 +35,11 @@
 //! ([`derive_seed`]), workers pull indices from an atomic cursor
 //! ([`run_indexed`]), and results are slotted by index — never by
 //! completion order. Class identifiers are assigned in order of first
-//! appearance. The [`ClassificationReport`] and its JSON are therefore
-//! **byte-identical at any worker-thread count**, which is what lets CI
-//! diff the partition across runs.
+//! appearance. Cross-verification runs its (class, member) pairs through
+//! the same pool and folds the verdicts in pair order. The
+//! [`ClassificationReport`] and its JSON are therefore **byte-identical at
+//! any worker-thread count**, which is what lets CI diff the partition
+//! across runs.
 //!
 //! ```
 //! use min_core::classify::{classify_subjects, Subject};
@@ -62,9 +64,11 @@ use crate::baseline_iso::{baseline_isomorphism, BaselineIsomorphism};
 use crate::equivalence::compose_baseline_certificates;
 use crate::network::ConnectionNetwork;
 use min_graph::iso::verify_stage_mapping;
+use min_graph::MiDigraph;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 /// Derives a per-subject seed from the campaign seed and the subject index.
@@ -125,9 +129,12 @@ pub fn run_indexed<T: Send>(
 /// One network to classify: descriptive metadata plus a deterministic
 /// builder.
 ///
-/// The builder is invoked lazily inside a worker thread (and again during
-/// class cross-verification), so a campaign over the full catalog at
-/// `n = 2..=16` never holds every network in memory at once.
+/// The builder is invoked lazily inside a worker thread, so a campaign over
+/// the full catalog at `n = 2..=16` never holds every network in memory at
+/// once. Cross-verification calls it again, from any worker: once for a
+/// member of an equivalent class whose certificate composes with the
+/// representative's, and once per class for the representative, when some
+/// member needs it.
 pub struct Subject {
     family: String,
     stages: usize,
@@ -423,8 +430,9 @@ fn classify_one(subject: &Subject) -> Outcome {
 /// worker per available core).
 ///
 /// Subjects are decided in parallel by [`run_indexed`], so outcomes land in
-/// index order and the report is independent of the thread count; the
-/// class-assembly and cross-verification passes are sequential.
+/// index order and the report is independent of the thread count. Classes
+/// are then assembled sequentially, and the cross-verification pairs run
+/// through [`run_indexed`] too, their verdicts folded in pair order.
 pub fn classify_subjects(
     subjects: &[Subject],
     threads: usize,
@@ -469,32 +477,35 @@ pub fn classify_subjects(
     }
 
     // Cross-verify every equivalent class: compose each member's
-    // certificate with the representative's and check the mapping.
-    for class in &mut classes {
-        if !class.equivalent || class.members.len() < 2 {
-            continue;
-        }
-        let rep = class.members[0];
-        let rep_digraph = subjects[rep].build().to_digraph();
-        let rep_cert = outcomes[rep]
-            .certificate
-            .as_ref()
-            .expect("equivalent subjects carry a certificate");
-        for &member in &class.members[1..] {
-            let member_cert = outcomes[member]
+    // certificate with the representative's and check the mapping. The
+    // (class, member) pairs run in parallel; each representative's digraph
+    // is built once, by whichever pair of its class needs it first.
+    let pairs: Vec<(usize, usize)> = classes
+        .iter()
+        .filter(|class| class.equivalent)
+        .flat_map(|class| class.members[1..].iter().map(|&m| (class.id, m)))
+        .collect();
+    let rep_digraphs: Vec<OnceLock<MiDigraph>> = classes.iter().map(|_| OnceLock::new()).collect();
+    let verdicts = run_indexed(pairs.len(), threads, |i| {
+        let (class, member) = pairs[i];
+        let rep = classes[class].members[0];
+        let certificate = |s: usize| {
+            outcomes[s]
                 .certificate
                 .as_ref()
-                .expect("equivalent subjects carry a certificate");
-            let verified = compose_baseline_certificates(member_cert, rep_cert)
-                .map(|mapping| {
-                    let member_digraph = subjects[member].build().to_digraph();
-                    verify_stage_mapping(&member_digraph, &rep_digraph, &mapping)
-                })
-                .unwrap_or(false);
-            if !verified {
-                class.cross_verified = false;
-            }
-        }
+                .expect("equivalent subjects carry a certificate")
+        };
+        compose_baseline_certificates(certificate(member), certificate(rep))
+            .map(|mapping| {
+                let rep_digraph =
+                    rep_digraphs[class].get_or_init(|| subjects[rep].build().to_digraph());
+                let member_digraph = subjects[member].build().to_digraph();
+                verify_stage_mapping(&member_digraph, rep_digraph, &mapping)
+            })
+            .unwrap_or(false)
+    });
+    for (&(class, _), verified) in pairs.iter().zip(verdicts) {
+        classes[class].cross_verified &= verified;
     }
 
     let equivalent_subjects = results.iter().filter(|r| r.equivalent).count();
@@ -514,11 +525,15 @@ mod tests {
     use crate::connection::Connection;
     use min_labels::{IndexPermutation, Permutation};
 
+    /// Every stage connects by the link permutation of `sigma`.
+    fn uniform_network(n: usize, sigma: &IndexPermutation) -> ConnectionNetwork {
+        let conn = Connection::from_link_permutation(&Permutation::from_index_perm(sigma));
+        ConnectionNetwork::new(n - 1, vec![conn; n - 1])
+    }
+
     fn omega_subject(n: usize, replication: u32) -> Subject {
         Subject::new("Omega", n, replication, 0, move || {
-            let sigma = IndexPermutation::perfect_shuffle(n);
-            let conn = Connection::from_link_permutation(&Permutation::from_index_perm(&sigma));
-            ConnectionNetwork::new(n - 1, vec![conn; n - 1])
+            uniform_network(n, &IndexPermutation::perfect_shuffle(n))
         })
     }
 
@@ -608,6 +623,33 @@ mod tests {
         assert_eq!(one.to_json(), auto.to_json());
         let back = ClassificationReport::from_json(&one.to_json()).unwrap();
         assert_eq!(back, one);
+    }
+
+    #[test]
+    fn cross_verify_catches_a_builder_that_changes_its_network() {
+        // Omega on the first call, Flip on every later one: the member is
+        // decided (and certified) as Omega, but cross-verification rebuilds
+        // it as Flip, whose arcs the composed mapping does not preserve.
+        let campaign = |threads| {
+            let calls = AtomicUsize::new(0);
+            let fickle = Subject::new("fickle", 4, 0, 0, move || {
+                let sigma = if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    IndexPermutation::perfect_shuffle(4)
+                } else {
+                    IndexPermutation::inverse_shuffle(4)
+                };
+                uniform_network(4, &sigma)
+            });
+            classify_subjects(&[baseline_subject(4), fickle], threads).unwrap()
+        };
+        let one = campaign(1);
+        assert_eq!(one.class_count, 1);
+        assert!(one.classes[0].equivalent);
+        assert_eq!(one.classes[0].members, vec![0, 1]);
+        assert!(!one.classes[0].cross_verified);
+        for threads in [2, 5] {
+            assert_eq!(campaign(threads).to_json(), one.to_json(), "{threads}");
+        }
     }
 
     #[test]

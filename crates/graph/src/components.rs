@@ -137,6 +137,7 @@ fn sweep(g: &MiDigraph, from_last: bool) -> SweepResult {
     let w = g.width();
     let n = g.stages();
     let mut uf = UnionFind::new(n * w);
+    let mut root_ids = vec![u32::MAX; n * w];
     let idx = |s: usize, v: u32| (s * w + v as usize) as u32;
     let mut counts = vec![0usize; n];
     let mut stage_ids = vec![Vec::new(); n];
@@ -155,30 +156,9 @@ fn sweep(g: &MiDigraph, from_last: bool) -> SweepResult {
             }
         }
         counts[s] = (k + 1) * w - merges;
-        stage_ids[s] = compact_stage_ids(&mut uf, s, w, idx);
+        stage_ids[s] = uf.compact_ids(idx(s, 0)..idx(s + 1, 0), &mut root_ids);
     }
     SweepResult { counts, stage_ids }
-}
-
-fn compact_stage_ids<F: Fn(usize, u32) -> u32>(
-    uf: &mut UnionFind,
-    stage: usize,
-    width: usize,
-    idx: F,
-) -> Vec<u32> {
-    let mut map = std::collections::HashMap::new();
-    let mut next = 0u32;
-    let mut out = Vec::with_capacity(width);
-    for v in 0..width as u32 {
-        let root = uf.find(idx(stage, v));
-        let id = *map.entry(root).or_insert_with(|| {
-            let id = next;
-            next += 1;
-            id
-        });
-        out.push(id);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The MI-digraph data structure.
 
-use serde::{Deserialize, Serialize};
+use serde::{map_get, Deserialize, Error, Serialize, Value};
 
 /// Identifies a node by its stage and its index within that stage.
 ///
@@ -29,16 +29,110 @@ impl NodeId {
 /// (they arise from the degenerate PIPID stages of Fig. 5) and degrees are
 /// not constrained by the data structure — the paper's regularity
 /// requirements are checked by [`MiDigraph::is_proper`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Layout: each stage keeps its forward (children) and backward (parents)
+/// lists in one flat buffer of `width × stride` slots plus a per-node
+/// length, so a digraph makes two allocations per stage and direction
+/// rather than one per node. The stride starts at 2, the degree of the
+/// paper's networks; when some node outgrows it, the stride doubles and
+/// that stage alone is re-laid out. Lists keep insertion order, and `==`
+/// compares them in that order, never the layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiDigraph {
     stages: usize,
     width: usize,
-    /// `fwd[s][v]` = children (stage `s+1` indices) of node `v` of stage `s`;
+    /// `fwd[s]` = children (stage `s+1` indices) of the nodes of stage `s`;
     /// `fwd.len() == stages - 1`.
-    fwd: Vec<Vec<Vec<u32>>>,
-    /// `bwd[s][v]` = parents (stage `s-1` indices) of node `v` of stage `s`;
-    /// `bwd[0]` is always a vector of empty lists.
-    bwd: Vec<Vec<Vec<u32>>>,
+    fwd: Vec<Lists>,
+    /// `bwd[s]` = parents (stage `s-1` indices) of the nodes of stage `s`;
+    /// the lists of `bwd[0]` are always empty.
+    bwd: Vec<Lists>,
+}
+
+/// The adjacency lists of one stage: node `v`'s list is the first `len[v]`
+/// of the `stride` slots starting at `v * stride`.
+#[derive(Clone)]
+struct Lists {
+    stride: usize,
+    len: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl Lists {
+    fn new(width: usize) -> Self {
+        Lists {
+            stride: 2,
+            len: vec![0; width],
+            slots: vec![0; width * 2],
+        }
+    }
+
+    fn get(&self, v: usize) -> &[u32] {
+        let start = v * self.stride;
+        &self.slots[start..start + self.len[v] as usize]
+    }
+
+    fn get_mut(&mut self, v: usize) -> &mut [u32] {
+        let start = v * self.stride;
+        &mut self.slots[start..start + self.len[v] as usize]
+    }
+
+    fn push(&mut self, v: usize, x: u32) {
+        let len = self.len[v] as usize;
+        if len == self.stride {
+            self.grow();
+        }
+        self.slots[v * self.stride + len] = x;
+        self.len[v] += 1;
+    }
+
+    /// Doubles the stride, moving every list of the stage to its new slot.
+    #[cold]
+    fn grow(&mut self) {
+        let stride = self.stride * 2;
+        let mut slots = vec![0; self.len.len() * stride];
+        for (v, dst) in slots.chunks_exact_mut(stride).enumerate() {
+            let list = self.get(v);
+            dst[..list.len()].copy_from_slice(list);
+        }
+        self.slots = slots;
+        self.stride = stride;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len.len()).map(move |v| self.get(v))
+    }
+
+    fn arc_count(&self) -> usize {
+        self.len.iter().map(|&l| l as usize).sum()
+    }
+}
+
+/// One list per node, so the JSON keeps the nested-list shape.
+impl Serialize for Lists {
+    fn to_value(&self) -> Value {
+        Value::Seq(
+            self.iter()
+                .map(|list| Value::Seq(list.iter().map(Serialize::to_value).collect()))
+                .collect(),
+        )
+    }
+}
+
+/// Compares the lists only, not the slots and stride behind them.
+impl PartialEq for Lists {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Lists {}
+
+/// Prints the lists as nested sequences, hiding the unused slots.
+impl std::fmt::Debug for Lists {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl MiDigraph {
@@ -47,15 +141,11 @@ impl MiDigraph {
     pub fn new(stages: usize, width: usize) -> Self {
         assert!(stages >= 1, "an MI-digraph needs at least one stage");
         assert!(width >= 1, "each stage needs at least one node");
-        let fwd = (0..stages.saturating_sub(1))
-            .map(|_| vec![Vec::new(); width])
-            .collect();
-        let bwd = (0..stages).map(|_| vec![Vec::new(); width]).collect();
         MiDigraph {
             stages,
             width,
-            fwd,
-            bwd,
+            fwd: (1..stages).map(|_| Lists::new(width)).collect(),
+            bwd: (0..stages).map(|_| Lists::new(width)).collect(),
         }
     }
 
@@ -76,14 +166,12 @@ impl MiDigraph {
 
     /// Total number of arcs.
     pub fn arc_count(&self) -> usize {
-        self.fwd
-            .iter()
-            .map(|stage| stage.iter().map(Vec::len).sum::<usize>())
-            .sum()
+        self.fwd.iter().map(Lists::arc_count).sum()
     }
 
     /// Adds an arc from node `from` of stage `stage` to node `to` of stage
     /// `stage + 1`. Parallel arcs are permitted.
+    #[inline]
     pub fn add_arc(&mut self, stage: usize, from: u32, to: u32) {
         assert!(
             stage + 1 < self.stages,
@@ -91,22 +179,24 @@ impl MiDigraph {
         );
         assert!((from as usize) < self.width, "source index out of range");
         assert!((to as usize) < self.width, "target index out of range");
-        self.fwd[stage][from as usize].push(to);
-        self.bwd[stage + 1][to as usize].push(from);
+        self.fwd[stage].push(from as usize, to);
+        self.bwd[stage + 1].push(to as usize, from);
     }
 
     /// Children of node `v` of stage `stage` (empty for the last stage).
+    #[inline]
     pub fn children(&self, stage: usize, v: u32) -> &[u32] {
         if stage + 1 >= self.stages {
             &[]
         } else {
-            &self.fwd[stage][v as usize]
+            self.fwd[stage].get(v as usize)
         }
     }
 
     /// Parents of node `v` of stage `stage` (empty for the first stage).
+    #[inline]
     pub fn parents(&self, stage: usize, v: u32) -> &[u32] {
-        &self.bwd[stage][v as usize]
+        self.bwd[stage].get(v as usize)
     }
 
     /// Out-degree of a node.
@@ -159,9 +249,8 @@ impl MiDigraph {
     /// Returns `true` if some node has two parallel arcs to the same child —
     /// the degenerate situation of Fig. 5 (a PIPID stage with θ⁻¹(0) = 0).
     pub fn has_parallel_arcs(&self) -> bool {
-        for s in 0..self.stages.saturating_sub(1) {
-            for v in 0..self.width {
-                let kids = &self.fwd[s][v];
+        for stage in &self.fwd {
+            for kids in stage.iter() {
                 for i in 0..kids.len() {
                     for j in (i + 1)..kids.len() {
                         if kids[i] == kids[j] {
@@ -231,14 +320,9 @@ impl MiDigraph {
     /// contain the same arcs compare equal with `==` regardless of insertion
     /// order.
     pub fn normalize(&mut self) {
-        for stage in &mut self.fwd {
-            for kids in stage {
-                kids.sort_unstable();
-            }
-        }
-        for stage in &mut self.bwd {
-            for parents in stage {
-                parents.sort_unstable();
+        for stage in self.fwd.iter_mut().chain(&mut self.bwd) {
+            for v in 0..self.width {
+                stage.get_mut(v).sort_unstable();
             }
         }
     }
@@ -255,6 +339,81 @@ impl MiDigraph {
         self.stages == other.stages
             && self.width == other.width
             && self.normalized() == other.normalized()
+    }
+}
+
+/// The JSON shape is `{"stages", "width", "fwd", "bwd"}` with `fwd[s][v]`
+/// the children of node `v` of stage `s` and `bwd[s][v]` its parents, both
+/// as nested lists in insertion order.
+impl Serialize for MiDigraph {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("stages".to_string(), self.stages.to_value()),
+            ("width".to_string(), self.width.to_value()),
+            ("fwd".to_string(), self.fwd.to_value()),
+            ("bwd".to_string(), self.bwd.to_value()),
+        ])
+    }
+}
+
+/// Rebuilds the digraph from `fwd` by checked arc insertion, then requires
+/// `bwd` to hold the same parents (keeping its order, so a round trip
+/// preserves `==`). Inconsistent input is an [`Error`], never a panic.
+impl Deserialize for MiDigraph {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let entries = v
+            .as_map()
+            .ok_or_else(|| Error::custom("expected an MI-digraph map"))?;
+        let stages = usize::from_value(map_get(entries, "stages")?)?;
+        let width = usize::from_value(map_get(entries, "width")?)?;
+        let fwd = Vec::<Vec<Vec<u32>>>::from_value(map_get(entries, "fwd")?)?;
+        let bwd = Vec::<Vec<Vec<u32>>>::from_value(map_get(entries, "bwd")?)?;
+        if stages == 0 || width == 0 {
+            return Err(Error::custom(
+                "an MI-digraph needs at least one stage and one node per stage",
+            ));
+        }
+        if fwd.len() != stages - 1 || bwd.len() != stages {
+            return Err(Error::custom(format!(
+                "{stages} stages need {} fwd and {stages} bwd stage lists, got {} and {}",
+                stages - 1,
+                fwd.len(),
+                bwd.len()
+            )));
+        }
+        if fwd.iter().chain(&bwd).any(|stage| stage.len() != width) {
+            return Err(Error::custom(format!(
+                "every stage list needs one entry per node ({width})"
+            )));
+        }
+        let mut g = MiDigraph::new(stages, width);
+        for (s, stage) in fwd.iter().enumerate() {
+            for (from, kids) in stage.iter().enumerate() {
+                for &to in kids {
+                    if to as usize >= width {
+                        return Err(Error::custom(format!(
+                            "child {to} of node {from} of stage {s} is out of range (width {width})"
+                        )));
+                    }
+                    g.add_arc(s, from as u32, to);
+                }
+            }
+        }
+        for (s, stage) in bwd.iter().enumerate() {
+            for (v, parents) in stage.iter().enumerate() {
+                let mut given = parents.clone();
+                given.sort_unstable();
+                let mut rebuilt = g.parents(s, v as u32).to_vec();
+                rebuilt.sort_unstable();
+                if given != rebuilt {
+                    return Err(Error::custom(format!(
+                        "bwd disagrees with fwd at node {v} of stage {s}"
+                    )));
+                }
+                g.bwd[s].get_mut(v).copy_from_slice(parents);
+            }
+        }
+        Ok(g)
     }
 }
 
@@ -383,6 +542,62 @@ mod tests {
         let g = sample();
         assert_eq!(g.nodes().count(), 12);
         assert_eq!(g.nodes().next(), Some(NodeId::new(0, 0)));
+    }
+
+    #[test]
+    fn lists_outgrow_the_initial_stride_in_order() {
+        let mut g = MiDigraph::new(2, 3);
+        for c in [2, 0, 1, 1, 2] {
+            g.add_arc(0, 1, c);
+        }
+        g.add_arc(0, 0, 2);
+        assert_eq!(g.children(0, 1), &[2, 0, 1, 1, 2]);
+        assert_eq!(g.children(0, 0), &[2]);
+        assert_eq!(g.parents(1, 2), &[1, 1, 0]);
+        assert_eq!(g.out_degree(0, 2), 0);
+        assert_eq!(g.arc_count(), 6);
+        assert!(g.has_parallel_arcs());
+        let back: MiDigraph = serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
+        assert_eq!(back, g);
+    }
+
+    #[test]
+    fn json_keeps_the_nested_list_shape() {
+        let mut g = MiDigraph::new(2, 2);
+        g.add_arc(0, 1, 0);
+        g.add_arc(0, 0, 0);
+        let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(
+            json,
+            r#"{"stages":2,"width":2,"fwd":[[[0],[0]]],"bwd":[[[],[]],[[1,0],[]]]}"#
+        );
+        let back: MiDigraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, g, "bwd order survives the round trip");
+    }
+
+    #[test]
+    fn hostile_json_is_an_error_not_a_panic() {
+        let hostile = [
+            // Lists missing for every stage.
+            r#"{"stages":3,"width":4,"fwd":[],"bwd":[]}"#,
+            // A child beyond the width.
+            r#"{"stages":2,"width":2,"fwd":[[[7],[]]],"bwd":[[[],[]],[[],[]]]}"#,
+            // No stages, no nodes.
+            r#"{"stages":0,"width":2,"fwd":[],"bwd":[]}"#,
+            r#"{"stages":1,"width":0,"fwd":[],"bwd":[[]]}"#,
+            // One node list short.
+            r#"{"stages":2,"width":2,"fwd":[[[0]]],"bwd":[[[],[]],[[0],[]]]}"#,
+            // bwd names a parent fwd does not have, or misses one.
+            r#"{"stages":2,"width":2,"fwd":[[[0],[]]],"bwd":[[[],[]],[[1],[]]]}"#,
+            r#"{"stages":2,"width":2,"fwd":[[[0],[0]]],"bwd":[[[],[]],[[0],[]]]}"#,
+            r#"{"stages":2,"width":2,"fwd":[[[],[]]],"bwd":[[[1],[]],[[],[]]]}"#,
+        ];
+        for json in hostile {
+            assert!(
+                serde_json::from_str::<MiDigraph>(json).is_err(),
+                "accepted {json}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Compact text serialization of MI-digraphs.
 //!
-//! [`MiDigraph`] also derives `serde::{Serialize, Deserialize}` for JSON and
-//! friends; the format here is a minimal, human-readable line format that is
+//! [`MiDigraph`] also implements `serde::{Serialize, Deserialize}` for JSON
+//! and friends (rejecting inconsistent input with a `serde::Error`); the
+//! format here is a minimal, human-readable line format that is
 //! convenient for golden-file tests and for pasting networks into issue
 //! reports:
 //!

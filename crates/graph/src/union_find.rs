@@ -4,6 +4,8 @@
 //! connected components of the undirected underlying graph of `(G)_{i,j}`;
 //! all component computations in this workspace are built on this structure.
 
+use std::ops::Range;
+
 /// A disjoint-set forest over the elements `0 .. len`.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
@@ -76,17 +78,28 @@ impl UnionFind {
     /// Returns, for every element, a compact component id in
     /// `0 .. component_count()`, numbered in order of first appearance.
     pub fn component_ids(&mut self) -> Vec<u32> {
-        let mut ids = vec![u32::MAX; self.len()];
-        let mut next = 0u32;
-        let mut root_to_id = std::collections::HashMap::new();
-        for x in 0..self.len() as u32 {
-            let r = self.find(x);
-            let id = *root_to_id.entry(r).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            ids[x as usize] = id;
+        let mut root_ids = vec![u32::MAX; self.len()];
+        self.compact_ids(0..self.len() as u32, &mut root_ids)
+    }
+
+    /// Compact ids for the elements of `range`, numbered by first appearance
+    /// of their set. `root_ids` is a dense table indexed by root, `len()`
+    /// entries of `u32::MAX`; only the entries touched are written, and they
+    /// are reset before returning.
+    pub(crate) fn compact_ids(&mut self, range: Range<u32>, root_ids: &mut [u32]) -> Vec<u32> {
+        let mut roots = Vec::new();
+        let ids = range
+            .map(|x| {
+                let root = self.find(x) as usize;
+                if root_ids[root] == u32::MAX {
+                    root_ids[root] = roots.len() as u32;
+                    roots.push(root);
+                }
+                root_ids[root]
+            })
+            .collect();
+        for root in roots {
+            root_ids[root] = u32::MAX;
         }
         ids
     }
