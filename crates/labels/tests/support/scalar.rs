@@ -2,15 +2,10 @@
 //!
 //! These are the pre-packing implementations that `LinearMap` and `Subspace`
 //! used before the `min_labels::bitmat` rewrite, kept verbatim (modulo being
-//! free functions over explicit column lists) for two purposes:
-//!
-//! * they are the **reference oracle** the scalar-vs-packed property tests
-//!   (`tests/packed_oracle.rs`) pin the packed kernels against;
-//! * they are the **baseline** the `classification` benchmark of `min-bench`
-//!   measures the packed speedup against
-//!   (`classification_kernels/{packed,scalar}`).
-//!
-//! Both include this file with `#[path]`; it is not part of the library.
+//! free functions over explicit column lists) as the **reference oracle**
+//! the scalar-vs-packed property tests (`tests/packed_oracle.rs`) pin the
+//! packed kernels against. That test includes this file with `#[path]`; it
+//! is not part of the library.
 //! A map is given as its column list (`columns[j] = L(e_j)`), exactly like
 //! `min_labels::LinearMap`.
 

@@ -20,9 +20,8 @@
 //!   is severed;
 //! * [`looping`] — the looping algorithm: conflict-free switch settings for
 //!   any full permutation on rearrangeable (Benes-structured) fabrics;
-//! * [`router`] — the [`router::Router`] trait unifying delta, multi-path,
-//!   fault-avoiding and permutation-configured routing behind one
-//!   per-scenario interface;
+//! * [`router`] — the [`router::Router`] trait unifying delta, multi-path
+//!   and permutation-configured routing behind one per-scenario interface;
 //! * [`analysis`] — aggregate admissibility statistics (exhaustive for small
 //!   `N`, Monte-Carlo beyond) used to demonstrate that topologically
 //!   equivalent networks have identical admissibility *profiles* up to

@@ -13,9 +13,9 @@
 //!   depends only on the destination. Exists iff the network is delta.
 //! * [`MultiPathRouter`] — per-pair link-disjoint path tags (the PR 5
 //!   machinery); the two terminals of a cell spread across the disjoint
-//!   paths. Works on any proper network, including the full Benes, and
-//!   [`MultiPathRouter::avoiding`] builds the same table around a
-//!   [`FaultDigest`] via [`crate::surviving_path`].
+//!   paths. Works on any proper network, including the full Benes. Under
+//!   faults the simulator routes from per-epoch tables built with
+//!   [`crate::route_all_to`] instead.
 //! * [`LoopingRouter`] — a conflict-free setting for one full permutation,
 //!   computed by [`crate::looping::loop_setup`].
 //!
@@ -28,7 +28,7 @@
 //! do the matching. The tag encoding is unchanged (bit `s` = out-port at
 //! connection `s`), so existing switch cores consume the result as-is.
 
-use crate::disjoint::{disjoint_paths, path_tag, route_all_to, FaultDigest};
+use crate::disjoint::{disjoint_paths, path_tag};
 use crate::looping::{loop_setup, LoopingError, LoopingSetting};
 use crate::tag::{destination_tags, SelfRoutingTable};
 use min_core::ConnectionNetwork;
@@ -91,7 +91,6 @@ pub struct MultiPathRouter {
     cells: usize,
     /// `tags[source * cells + destination]` = the disjoint path tags.
     tags: Vec<Vec<u32>>,
-    label: &'static str,
 }
 
 impl MultiPathRouter {
@@ -106,32 +105,7 @@ impl MultiPathRouter {
                 tags.push(disjoint_paths(net, src, dst).iter().map(path_tag).collect());
             }
         }
-        MultiPathRouter {
-            cells,
-            tags,
-            label: "multi-path",
-        }
-    }
-
-    /// Builds the table around a fault digest: each pair keeps the tag of
-    /// its surviving path (via [`crate::route_all_to`]), or no tag at all
-    /// when the pair is severed — the router-level face of `route_around` /
-    /// `surviving_path`.
-    pub fn avoiding(net: &ConnectionNetwork, digest: &FaultDigest) -> Self {
-        let cells = net.cells_per_stage();
-        let mut tags = vec![Vec::new(); cells * cells];
-        for dst in 0..cells as u64 {
-            for (src, route) in route_all_to(net, dst, digest).iter().enumerate() {
-                if let Some(path) = route.path() {
-                    tags[src * cells + dst as usize].push(path_tag(path));
-                }
-            }
-        }
-        MultiPathRouter {
-            cells,
-            tags,
-            label: "multi-path-avoiding",
-        }
+        MultiPathRouter { cells, tags }
     }
 
     /// Number of stored paths for a pair.
@@ -151,7 +125,7 @@ impl Router for MultiPathRouter {
     }
 
     fn label(&self) -> &'static str {
-        self.label
+        "multi-path"
     }
 }
 
@@ -202,10 +176,9 @@ impl Router for LoopingRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route_around;
     use min_core::delta::route_by_tag;
+    use min_networks::omega;
     use min_networks::rearrangeable::benes;
-    use min_networks::{baseline, omega};
 
     #[test]
     fn delta_router_reproduces_destination_tags() {
@@ -242,27 +215,6 @@ mod tests {
                 assert_ne!(router.tag(src, 0, dst), router.tag(src, 1, dst));
             }
         }
-    }
-
-    #[test]
-    fn avoiding_router_agrees_with_route_around() {
-        let net = baseline(4);
-        let mut digest = FaultDigest::new(net.stages(), net.cells_per_stage());
-        digest.kill_link(1, 0, 0);
-        digest.kill_cell(2, 3);
-        let router = MultiPathRouter::avoiding(&net, &digest);
-        let cells = net.cells_per_stage() as u64;
-        for src in 0..cells {
-            for dst in 0..cells {
-                let expected = route_around(&net, src, dst, &digest);
-                match (expected.path(), router.tag(src, 0, dst)) {
-                    (Some(path), Some(tag)) => assert_eq!(tag, path_tag(path)),
-                    (None, None) => {}
-                    other => panic!("{src}->{dst}: {other:?}"),
-                }
-            }
-        }
-        assert_eq!(router.label(), "multi-path-avoiding");
     }
 
     #[test]

@@ -74,6 +74,12 @@ use min_networks::{catalog_grid, ClassicalNetwork, NetworkSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
+/// The most scenarios one campaign may expand to: 2¹⁸, far above the
+/// largest shipped grid (`saturation_curve`, 7680 scenarios). The master
+/// expands a submitted grid inside its single-threaded handler, so a grid
+/// with no cap could exhaust its memory with one `Submit`.
+pub const MAX_SCENARIOS: usize = 1 << 18;
+
 /// Declarative description of a simulation campaign.
 ///
 /// The grid axes are `cells × traffic × loads × buffer_modes ×
@@ -211,13 +217,13 @@ impl CampaignConfig {
         .try_fold(self.cells.len(), usize::checked_mul)
     }
 
-    /// Checks the grid for structural problems (a scenario count that
-    /// overflows, empty axes, unbuildable stage counts, out-of-range loads,
-    /// invalid buffer parameters, a zero-cycle run).
+    /// Checks the grid for structural problems (more than
+    /// [`MAX_SCENARIOS`] scenarios, empty axes, unbuildable stage counts,
+    /// out-of-range loads, invalid buffer parameters, a zero-cycle run).
     pub fn validate(&self) -> Result<(), CampaignError> {
-        // First, so an unaddressable grid is refused before any per-axis
-        // work or allocation.
-        if self.checked_scenario_count().is_none() {
+        // First, so an oversized grid is refused before any per-axis work
+        // or allocation.
+        if !matches!(self.checked_scenario_count(), Some(n) if n <= MAX_SCENARIOS) {
             return Err(CampaignError::TooManyScenarios);
         }
         if self.cells.is_empty() {
@@ -825,7 +831,8 @@ impl CampaignReport {
 pub enum CampaignError {
     /// One of the grid axes is empty.
     EmptyAxis(&'static str),
-    /// The product of the grid's axis lengths overflows `usize`.
+    /// The grid expands to more than [`MAX_SCENARIOS`] scenarios (its axis
+    /// lengths multiply past the cap, or past `usize`).
     TooManyScenarios,
     /// A grid cell's stage count is outside the buildable range `2..=32`.
     InvalidStages(usize),
@@ -889,7 +896,7 @@ impl std::fmt::Display for CampaignError {
         match self {
             CampaignError::EmptyAxis(axis) => write!(f, "campaign grid axis `{axis}` is empty"),
             CampaignError::TooManyScenarios => {
-                write!(f, "the grid's scenario count overflows usize")
+                write!(f, "the grid expands to more than {MAX_SCENARIOS} scenarios")
             }
             CampaignError::InvalidStages(n) => {
                 write!(f, "stage count {n} is outside the buildable range 2..=32")
@@ -1531,6 +1538,24 @@ mod tests {
             cfg.plan_chunked(4).unwrap_err(),
             CampaignError::TooManyScenarios
         );
+    }
+
+    #[test]
+    fn grids_past_the_scenario_cap_are_rejected_before_expansion() {
+        // One grid point × u32::MAX replications fits in usize, but its
+        // expansion would need ~618 GB.
+        let cfg = tiny()
+            .with_cells(vec![NetworkSpec::catalog(ClassicalNetwork::Omega, 3)])
+            .with_traffic(vec![TrafficPattern::Uniform])
+            .with_loads(vec![0.5])
+            .with_buffer_modes(vec![BufferMode::Unbuffered])
+            .with_fault_plans(vec![FaultPlan::none()])
+            .with_replications(u32::MAX);
+        assert_eq!(cfg.validate(), Err(CampaignError::TooManyScenarios));
+        let at_cap = cfg.clone().with_replications(MAX_SCENARIOS as u32);
+        assert_eq!(at_cap.validate(), Ok(()));
+        let past_cap = cfg.with_replications(MAX_SCENARIOS as u32 + 1);
+        assert_eq!(past_cap.validate(), Err(CampaignError::TooManyScenarios));
     }
 
     #[test]

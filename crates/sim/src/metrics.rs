@@ -258,8 +258,6 @@ impl Metrics {
     /// still in flight.
     pub fn conserved(&self) -> bool {
         self.injected == self.delivered + self.dropped() + self.in_flight_at_end
-            || // unbuffered drops are counted against injection in the same cycle
-            self.injected + self.dropped() >= self.delivered
     }
 }
 
@@ -291,6 +289,24 @@ mod tests {
         assert!((m.acceptance_rate() - 0.95).abs() < 1e-12);
         assert!((m.mean_latency() - 4.0).abs() < 1e-12);
         assert!(m.conserved());
+    }
+
+    #[test]
+    fn conservation_fails_when_a_packet_is_unaccounted_for() {
+        let lost = Metrics {
+            injected: 10,
+            delivered: 3,
+            ..Metrics::default()
+        };
+        assert!(!lost.conserved());
+        let invented = Metrics {
+            injected: 3,
+            delivered: 2,
+            dropped_fault: 1,
+            in_flight_at_end: 1,
+            ..Metrics::default()
+        };
+        assert!(!invented.conserved());
     }
 
     #[test]

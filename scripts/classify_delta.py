@@ -12,7 +12,7 @@ class partition keyed by ``"n=<stages> <verdict>"``.
 The script writes a GitHub-flavoured markdown summary to stdout (pipe it
 into ``$GITHUB_STEP_SUMMARY``) and emits ``::warning`` annotations when the
 partition changed — classes appearing or disappearing, or members moving
-between classes. Like ``bench_delta.py`` it is advisory: it never exits
+between classes. Like ``stability_delta.py`` it is advisory: it never exits
 nonzero and never fails the job, because a partition change may be an
 intentional grid change rather than a regression.
 """
