@@ -25,44 +25,76 @@
 //! never backtracks. Any failure (component count off, trie not binary,
 //! label collision, verification mismatch) is reported as a specific
 //! [`EquivalenceError`], which doubles as a non-equivalence diagnosis.
+//!
+//! Everything reads the network through [`MiView`], so a
+//! [`crate::ConnectionNetwork`] is certified on its own `f`/`g` tables and
+//! no [`MiDigraph`] is built. The other side of the verification is
+//! [`BaselineView`], the Baseline's arc formula evaluated on demand;
+//! [`baseline_digraph`] only materializes that same view, so the formula
+//! has one home.
 
 use crate::error::EquivalenceError;
 use min_graph::components::{prefix_sweep, suffix_sweep};
 use min_graph::iso::{verify_stage_mapping, StageMapping};
-use min_graph::MiDigraph;
+use min_graph::{MiDigraph, MiView};
 
-/// The canonical left-recursive Baseline MI-digraph with `stages` stages
-/// (paper, §2 and Fig. 1).
+/// The canonical left-recursive Baseline MI-digraph in closed form (paper,
+/// §2 and Fig. 1): every arc is computed from its formula, nothing is
+/// stored.
 ///
 /// Stage `s` (0-based) connects cell `x` to the two cells obtained by
 /// shifting the low `n-1-s` bits of `x` right by one position and setting
 /// the vacated bit (position `n-2-s`) to 0 (`f`) or 1 (`g`); the high `s`
 /// bits are left untouched. This is precisely the "nodes `2i` and `2i+1` of
 /// stage 1 are connected to the `i`-th nodes of the two subnetworks"
-/// recursion, applied within ever smaller halves.
-pub fn baseline_digraph(stages: usize) -> MiDigraph {
-    assert!(stages >= 1, "a network needs at least one stage");
-    assert!(
-        stages <= 33,
-        "2^{} cells per stage would not fit in memory",
-        stages - 1
-    );
-    let width_bits = stages - 1;
-    let cells = 1usize << width_bits;
-    let mut g = MiDigraph::new(stages, cells);
-    for s in 0..stages - 1 {
-        let low_bits = width_bits - s; // number of bits still being consumed
-        let low_mask = (1u64 << low_bits) - 1;
-        let high_mask = !low_mask & ((1u64 << width_bits) - 1);
-        let new_bit = 1u64 << (low_bits - 1);
-        for x in 0..cells as u64 {
-            let f = (x & high_mask) | ((x & low_mask) >> 1);
-            let g_child = f | new_bit;
-            g.add_arc(s, x as u32, f as u32);
-            g.add_arc(s, x as u32, g_child as u32);
-        }
+/// recursion, applied within ever smaller halves. Each stage is a linear
+/// bit-shift map, the same maps as the fundamental arrangements of
+/// arXiv:1012.5597.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaselineView {
+    stages: usize,
+}
+
+impl BaselineView {
+    /// The `stages`-stage Baseline.
+    pub fn new(stages: usize) -> Self {
+        assert!(stages >= 1, "a network needs at least one stage");
+        assert!(
+            stages <= 33,
+            "2^{} cells per stage would not fit in memory",
+            stages - 1
+        );
+        BaselineView { stages }
     }
-    g
+}
+
+impl MiView for BaselineView {
+    fn stage_count(&self) -> usize {
+        self.stages
+    }
+
+    fn nodes_per_stage(&self) -> usize {
+        1 << (self.stages - 1)
+    }
+
+    #[inline]
+    fn children_of(&self, stage: usize, x: u32) -> impl AsRef<[u32]> {
+        let low_bits = self.stages - 1 - stage; // bits still being consumed
+        let new_bit = 1u32 << (low_bits - 1);
+        let low_mask = (new_bit << 1).wrapping_sub(1);
+        let f = (x & !low_mask) | ((x & low_mask) >> 1);
+        [f, f | new_bit]
+    }
+
+    fn is_proper(&self) -> bool {
+        true
+    }
+}
+
+/// The canonical Baseline MI-digraph with `stages` stages: [`BaselineView`]
+/// materialized, for callers that need the digraph itself.
+pub fn baseline_digraph(stages: usize) -> MiDigraph {
+    MiDigraph::from_view(&BaselineView::new(stages))
 }
 
 /// A verified isomorphism certificate onto the Baseline MI-digraph.
@@ -81,9 +113,11 @@ impl BaselineIsomorphism {
         baseline_digraph(self.stages)
     }
 
-    /// Re-verifies the certificate against `g` (O(E)).
-    pub fn verify(&self, g: &MiDigraph) -> bool {
-        g.stages() == self.stages && verify_stage_mapping(g, &self.baseline(), &self.mapping)
+    /// Re-verifies the certificate against `g` (O(E)), checking every arc
+    /// against the closed-form [`BaselineView`].
+    pub fn verify<G: MiView>(&self, g: &G) -> bool {
+        g.stage_count() == self.stages
+            && verify_stage_mapping(g, &BaselineView::new(self.stages), &self.mapping)
     }
 
     /// FNV-1a fingerprint of the full relabelling, stage by stage.
@@ -111,9 +145,13 @@ impl BaselineIsomorphism {
 
 /// Computes the certified constructive isomorphism of `g` onto the Baseline
 /// MI-digraph, or explains why none exists.
-pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, EquivalenceError> {
-    let n = g.stages();
-    let width = g.width();
+///
+/// `g` is any [`MiView`]: an [`MiDigraph`], or a
+/// [`crate::ConnectionNetwork`] read through its own tables. Both give the
+/// same certificate or the same error.
+pub fn baseline_isomorphism<G: MiView>(g: &G) -> Result<BaselineIsomorphism, EquivalenceError> {
+    let n = g.stage_count();
+    let width = g.nodes_per_stage();
     if crate::properties::baseline_width(n) != Some(width) {
         return Err(EquivalenceError::WrongWidth { stages: n, width });
     }
@@ -173,11 +211,11 @@ pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, Equiva
     }
 
     // ---- Verify -------------------------------------------------------------
-    let baseline = baseline_digraph(n);
-    if !verify_stage_mapping(g, &baseline, &mapping) {
+    let certificate = BaselineIsomorphism { stages: n, mapping };
+    if !certificate.verify(g) {
         return Err(EquivalenceError::VerificationFailed);
     }
-    Ok(BaselineIsomorphism { stages: n, mapping })
+    Ok(certificate)
 }
 
 /// Numbers the nested components of a sweep as a binary trie:
@@ -190,8 +228,8 @@ pub fn baseline_isomorphism(g: &MiDigraph) -> Result<BaselineIsomorphism, Equiva
 /// The two children of a parent with value `h` get `2h` and `2h+1` in
 /// ascending child-id order; any other split is
 /// [`EquivalenceError::ComponentTreeNotBinary`] at the child's stage.
-fn component_trie(
-    g: &MiDigraph,
+fn component_trie<G: MiView>(
+    g: &G,
     stage_ids: &[Vec<u32>],
     suffix: bool,
 ) -> Result<Vec<Vec<u64>>, EquivalenceError> {
@@ -210,7 +248,7 @@ fn component_trie(
         let mut parent_of: Vec<Option<u32>> = vec![None; component_count(&stage_ids[child])];
         let head_ids = &stage_ids[s + 1];
         for (v, &tail) in stage_ids[s].iter().enumerate() {
-            for &c in g.children(s, v as u32) {
+            for &c in g.children_of(s, v as u32).as_ref() {
                 let head = head_ids[c as usize];
                 let (pc, cc) = if suffix { (tail, head) } else { (head, tail) };
                 match parent_of[cc as usize] {

@@ -27,6 +27,16 @@
 //! (for equivalent networks with some non-independent stage), or the
 //! violated condition.
 //!
+//! No [`min_graph::MiDigraph`] is built anywhere in a campaign. A
+//! [`ConnectionNetwork`] is itself a [`min_graph::MiView`] of its `f`/`g`
+//! tables, so the decision runs [`baseline_isomorphism`] on the network and
+//! checks the certificate against the closed-form Baseline
+//! ([`crate::baseline_iso::BaselineView`]), and the cross-verification
+//! checks each composed mapping between the member's and the
+//! representative's tables. Every check — properness, component counts,
+//! tries, label collisions, bijectivity, arc multiplicities and per-stage
+//! arc counts — still runs for every subject and every class member.
+//!
 //! ## Determinism
 //!
 //! The design mirrors `min-sim`'s scenario campaigns: subjects carry their
@@ -64,7 +74,6 @@ use crate::baseline_iso::{baseline_isomorphism, BaselineIsomorphism};
 use crate::equivalence::compose_baseline_certificates;
 use crate::network::ConnectionNetwork;
 use min_graph::iso::verify_stage_mapping;
-use min_graph::MiDigraph;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -317,8 +326,54 @@ impl ClassificationReport {
 
     /// Parses a report back from its [`ClassificationReport::to_json`]
     /// rendering.
+    ///
+    /// The text is untrusted: a report whose counts, indices or partition
+    /// contradict each other is an error, so every accepted report can be
+    /// summarized and indexed without panicking.
     pub fn from_json(text: &str) -> Result<Self, serde::Error> {
-        serde_json::from_str(text)
+        let report: Self = serde_json::from_str(text)?;
+        report.check_consistency().map_err(serde::Error::custom)?;
+        Ok(report)
+    }
+
+    /// The invariants [`classify_subjects`] establishes: subjects and
+    /// classes are numbered by position, the counts match the lists, and
+    /// the classes partition the subjects, each subject listed (ascending)
+    /// in exactly the class it names.
+    fn check_consistency(&self) -> Result<(), &'static str> {
+        if self.subject_count != self.subjects.len()
+            || self.subjects.iter().enumerate().any(|(i, r)| r.index != i)
+        {
+            return Err("subject_count or a subject index disagrees with the subject list");
+        }
+        if self.class_count != self.classes.len()
+            || self.classes.iter().enumerate().any(|(k, c)| c.id != k)
+        {
+            return Err("class_count or a class id disagrees with the class list");
+        }
+        let mut owner: Vec<Option<usize>> = vec![None; self.subject_count];
+        for class in &self.classes {
+            if class.members.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err("class members are not ascending");
+            }
+            for &m in &class.members {
+                match owner.get_mut(m) {
+                    Some(slot @ None) => *slot = Some(class.id),
+                    _ => return Err("a class lists an unknown or already listed subject"),
+                }
+            }
+        }
+        if self
+            .subjects
+            .iter()
+            .any(|r| owner[r.index] != Some(r.class))
+        {
+            return Err("a subject is not listed in the class it names");
+        }
+        if self.equivalent_subjects != self.subjects.iter().filter(|r| r.equivalent).count() {
+            return Err("equivalent_subjects disagrees with the subjects");
+        }
+        Ok(())
     }
 
     /// A plain-text summary, one row per class.
@@ -396,8 +451,7 @@ struct Outcome {
 fn classify_one(subject: &Subject) -> Outcome {
     let net = subject.build();
     let forms: Option<Vec<_>> = net.connections().iter().map(affine_form).collect();
-    let digraph = net.to_digraph();
-    match baseline_isomorphism(&digraph) {
+    match baseline_isomorphism(&net) {
         Ok(certificate) => {
             let mapping_checksum = certificate.checksum();
             let witness = match forms {
@@ -477,15 +531,16 @@ pub fn classify_subjects(
     }
 
     // Cross-verify every equivalent class: compose each member's
-    // certificate with the representative's and check the mapping. The
-    // (class, member) pairs run in parallel; each representative's digraph
-    // is built once, by whichever pair of its class needs it first.
+    // certificate with the representative's and check the mapping arc by
+    // arc on the two networks' own tables. The (class, member) pairs run in
+    // parallel; each representative is built once, by whichever pair of its
+    // class needs it first.
     let pairs: Vec<(usize, usize)> = classes
         .iter()
         .filter(|class| class.equivalent)
         .flat_map(|class| class.members[1..].iter().map(|&m| (class.id, m)))
         .collect();
-    let rep_digraphs: Vec<OnceLock<MiDigraph>> = classes.iter().map(|_| OnceLock::new()).collect();
+    let reps: Vec<OnceLock<ConnectionNetwork>> = classes.iter().map(|_| OnceLock::new()).collect();
     let verdicts = run_indexed(pairs.len(), threads, |i| {
         let (class, member) = pairs[i];
         let rep = classes[class].members[0];
@@ -497,10 +552,8 @@ pub fn classify_subjects(
         };
         compose_baseline_certificates(certificate(member), certificate(rep))
             .map(|mapping| {
-                let rep_digraph =
-                    rep_digraphs[class].get_or_init(|| subjects[rep].build().to_digraph());
-                let member_digraph = subjects[member].build().to_digraph();
-                verify_stage_mapping(&member_digraph, rep_digraph, &mapping)
+                let rep_net = reps[class].get_or_init(|| subjects[rep].build());
+                verify_stage_mapping(&subjects[member].build(), rep_net, &mapping)
             })
             .unwrap_or(false)
     });
@@ -623,6 +676,49 @@ mod tests {
         assert_eq!(one.to_json(), auto.to_json());
         let back = ClassificationReport::from_json(&one.to_json()).unwrap();
         assert_eq!(back, one);
+    }
+
+    #[test]
+    fn inconsistent_reports_are_parse_errors_not_panics() {
+        // Parsed `Ok` and then panicked in `summary_table` before the
+        // consistency check: the one class names a subject that is not there.
+        let dangling = r#"{"subject_count":0,"class_count":1,"equivalent_subjects":0,"subjects":[],"classes":[{"id":0,"stages":3,"equivalent":true,"key":"k","members":[999],"cross_verified":true}]}"#;
+        assert!(ClassificationReport::from_json(dangling).is_err());
+
+        let subjects = vec![
+            omega_subject(3, 0),
+            degenerate_subject(3),
+            omega_subject(3, 1),
+        ];
+        let good = classify_subjects(&subjects, 1).unwrap();
+        assert_eq!(good.classes[0].members, vec![0, 2]);
+        let back = ClassificationReport::from_json(&good.to_json()).unwrap();
+        assert_eq!(back, good);
+        back.summary_table();
+
+        let corruptions: [fn(&mut ClassificationReport); 10] = [
+            |r| r.subject_count += 1,
+            |r| r.class_count -= 1,
+            |r| r.equivalent_subjects += 1,
+            |r| r.subjects[1].index = 0,
+            |r| r.classes[1].id = 0,
+            |r| r.classes[0].members.reverse(),
+            |r| r.classes[0].members.push(3),
+            |r| r.classes[1].members.push(2),
+            |r| r.subjects[2].class = 1,
+            |r| {
+                r.classes[0].members.pop();
+                r.classes[1].members.push(2);
+            },
+        ];
+        for (k, corrupt) in corruptions.iter().enumerate() {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert!(
+                ClassificationReport::from_json(&bad.to_json()).is_err(),
+                "corruption {k} accepted"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@
 
 use crate::baseline_iso::{baseline_isomorphism, BaselineIsomorphism};
 use crate::error::EquivalenceError;
-use min_graph::iso::{compose_mappings, invert_mapping, verify_stage_mapping, StageMapping};
-use min_graph::MiDigraph;
+use min_graph::iso::{
+    compose_mappings, invert_mapping, is_stage_bijection, verify_stage_mapping, StageMapping,
+};
+use min_graph::MiView;
 
 /// Composes two Baseline certificates into the explicit `g → h` mapping
 /// without recomputing either isomorphism: `g --cg--> Baseline --ch⁻¹--> h`.
@@ -20,24 +22,38 @@ use min_graph::MiDigraph;
 /// unconditional certificate pass it through
 /// [`min_graph::iso::verify_stage_mapping`] (as [`equivalence_mapping`]
 /// does).
+///
+/// A certificate's fields are public, so neither is trusted: unless both
+/// have one stage map per stage and every map is a bijection of the same
+/// `0..width`, the result is [`EquivalenceError::ShapeMismatch`].
 pub fn compose_baseline_certificates(
     cg: &BaselineIsomorphism,
     ch: &BaselineIsomorphism,
 ) -> Result<StageMapping, EquivalenceError> {
-    if cg.stages != ch.stages {
+    let width = cg.mapping.first().map_or(0, Vec::len);
+    let well_formed = |c: &BaselineIsomorphism| {
+        c.stages == cg.stages
+            && c.mapping.len() == c.stages
+            && c.mapping.iter().all(|m| is_stage_bijection(m, width))
+    };
+    if !(well_formed(cg) && well_formed(ch)) {
         return Err(EquivalenceError::ShapeMismatch);
     }
     Ok(compose_mappings(&cg.mapping, &invert_mapping(&ch.mapping)))
 }
 
 /// Computes an explicit stage-respecting isomorphism `g → h` by composing
-/// the Baseline certificates of both digraphs.
+/// the Baseline certificates of both networks, each read through its
+/// [`MiView`] (a digraph or a connection network).
 ///
-/// Fails with the diagnosis of whichever digraph is not Baseline-equivalent
+/// Fails with the diagnosis of whichever network is not Baseline-equivalent
 /// (or with [`EquivalenceError::ShapeMismatch`] when the sizes differ). The
 /// returned mapping is verified before being returned.
-pub fn equivalence_mapping(g: &MiDigraph, h: &MiDigraph) -> Result<StageMapping, EquivalenceError> {
-    if g.stages() != h.stages() || g.width() != h.width() {
+pub fn equivalence_mapping<G: MiView, H: MiView>(
+    g: &G,
+    h: &H,
+) -> Result<StageMapping, EquivalenceError> {
+    if g.stage_count() != h.stage_count() || g.nodes_per_stage() != h.nodes_per_stage() {
         return Err(EquivalenceError::ShapeMismatch);
     }
     let cg = baseline_isomorphism(g)?;
@@ -49,13 +65,13 @@ pub fn equivalence_mapping(g: &MiDigraph, h: &MiDigraph) -> Result<StageMapping,
     Ok(mapping)
 }
 
-/// `true` when the two digraphs are topologically equivalent (both are
+/// `true` when the two networks are topologically equivalent (both are
 /// Baseline-equivalent and of the same size).
 ///
 /// Note: this is *not* a general isomorphism test — two non-Baseline
 /// digraphs may be isomorphic to each other; use
 /// [`min_graph::iso::find_isomorphism`] for the general (exponential) search.
-pub fn are_equivalent(g: &MiDigraph, h: &MiDigraph) -> bool {
+pub fn are_equivalent<G: MiView, H: MiView>(g: &G, h: &H) -> bool {
     equivalence_mapping(g, h).is_ok()
 }
 
@@ -65,6 +81,7 @@ mod tests {
     use crate::baseline_iso::baseline_digraph;
     use crate::connection::Connection;
     use crate::network::ConnectionNetwork;
+    use min_graph::MiDigraph;
     use min_labels::{IndexPermutation, Permutation};
 
     fn omega(n: usize) -> MiDigraph {
@@ -107,6 +124,29 @@ mod tests {
         assert!(are_equivalent(&g, &g));
         assert!(are_equivalent(&g, &h));
         assert!(are_equivalent(&h, &g));
+    }
+
+    #[test]
+    fn malformed_certificates_do_not_compose() {
+        let good = baseline_isomorphism(&omega(3)).unwrap();
+        assert!(compose_baseline_certificates(&good, &good).is_ok());
+        let mut out_of_range = good.clone();
+        out_of_range.mapping[1] = vec![7, 1, 2, 3];
+        let mut repeated = good.clone();
+        repeated.mapping[0] = vec![0, 0, 2, 3];
+        let mut short = good.clone();
+        short.mapping[2].pop();
+        let mut missing_stage = good.clone();
+        missing_stage.mapping.pop();
+        for bad in [out_of_range, repeated, short, missing_stage] {
+            for (cg, ch) in [(&bad, &good), (&good, &bad)] {
+                assert_eq!(
+                    compose_baseline_certificates(cg, ch),
+                    Err(EquivalenceError::ShapeMismatch),
+                    "{bad:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! the ordered list of connections; it converts to and from the plain
 //! [`MiDigraph`] of `min-graph` (the conversion *to* a digraph is always
 //! possible, the conversion *from* one requires every interior node to have
-//! out-degree exactly 2 so that an `(f, g)` decomposition exists).
+//! out-degree exactly 2 so that an `(f, g)` decomposition exists). It is
+//! also an [`MiView`] of its own tables, which is all the characterization
+//! reads, so certifying a network never converts it.
 
 use crate::connection::Connection;
-use min_graph::MiDigraph;
+use min_graph::{MiDigraph, MiView};
 use min_labels::Width;
 use serde::{Deserialize, Serialize};
 
@@ -80,17 +82,13 @@ impl ConnectionNetwork {
         self.connections.iter().any(Connection::has_parallel_links)
     }
 
-    /// Expands the network into an [`MiDigraph`].
+    /// Expands the network into an [`MiDigraph`]: cell `x` of stage `s`
+    /// gets the arcs to `f(x)` and `g(x)`, in that order.
+    ///
+    /// The characterization does not need this: the network is itself an
+    /// [`MiView`], so the sweeps and the verification read its tables.
     pub fn to_digraph(&self) -> MiDigraph {
-        let cells = self.cells_per_stage();
-        let mut g = MiDigraph::new(self.stages(), cells);
-        for (s, conn) in self.connections.iter().enumerate() {
-            for x in 0..cells as u64 {
-                g.add_arc(s, x as u32, conn.f(x) as u32);
-                g.add_arc(s, x as u32, conn.g(x) as u32);
-            }
-        }
-        g
+        MiDigraph::from_view(self)
     }
 
     /// Recovers a connection network from a digraph whose interior nodes all
@@ -141,6 +139,29 @@ impl ConnectionNetwork {
             width: self.width,
             connections: rev_connections,
         })
+    }
+}
+
+/// The network's own `f`/`g` tables as an MI-digraph: the children of cell
+/// `v` of stage `s` are `[f(v), g(v)]`, the order [`ConnectionNetwork::to_digraph`]
+/// inserts them in.
+impl MiView for ConnectionNetwork {
+    fn stage_count(&self) -> usize {
+        self.stages()
+    }
+
+    fn nodes_per_stage(&self) -> usize {
+        self.cells_per_stage()
+    }
+
+    #[inline]
+    fn children_of(&self, stage: usize, v: u32) -> impl AsRef<[u32]> {
+        let conn = &self.connections[stage];
+        [conn.f_table()[v as usize], conn.g_table()[v as usize]]
+    }
+
+    fn is_proper(&self) -> bool {
+        ConnectionNetwork::is_proper(self)
     }
 }
 

@@ -10,12 +10,14 @@
 //! * [`prefix_sweep`] / [`suffix_sweep`] — *incremental* computations of all
 //!   prefixes `(G)_{1,j}` (resp. suffixes `(G)_{i,n}`) in a single pass,
 //!   which is what the `P(1,*)`/`P(*,n)` checkers and the constructive
-//!   Baseline isomorphism use.
+//!   Baseline isomorphism use. They take any [`MiView`], so a network's
+//!   connection tables are swept directly.
 //!
 //! All stage indices here are 0-based.
 
 use crate::digraph::MiDigraph;
 use crate::union_find::UnionFind;
+use crate::view::MiView;
 
 /// Components of one stage interval.
 #[derive(Debug, Clone)]
@@ -120,22 +122,22 @@ pub type StageComponentIds = Vec<Vec<u32>>;
 /// the structure is exactly the undirected `(G)_{0..=j}`, so both the global
 /// component count and the component ids of stage-`j` nodes can be read off.
 /// Total cost is `O(E α(V))` for **all** prefixes together.
-pub fn prefix_sweep(g: &MiDigraph) -> SweepResult {
+pub fn prefix_sweep<G: MiView>(g: &G) -> SweepResult {
     sweep(g, false)
 }
 
 /// Incremental components of every suffix `(G)_{i..=last}`: the same pass
 /// as [`prefix_sweep`], absorbing the stages from the last one down.
-pub fn suffix_sweep(g: &MiDigraph) -> SweepResult {
+pub fn suffix_sweep<G: MiView>(g: &G) -> SweepResult {
     sweep(g, true)
 }
 
 /// The union-find pass behind both sweeps. Each newly absorbed stage `s` is
 /// joined to the previously absorbed one through the arcs between them,
 /// united tail first, in tail-node order.
-fn sweep(g: &MiDigraph, from_last: bool) -> SweepResult {
-    let w = g.width();
-    let n = g.stages();
+fn sweep<G: MiView>(g: &G, from_last: bool) -> SweepResult {
+    let w = g.nodes_per_stage();
+    let n = g.stage_count();
     let mut uf = UnionFind::new(n * w);
     let mut root_ids = vec![u32::MAX; n * w];
     let idx = |s: usize, v: u32| (s * w + v as usize) as u32;
@@ -148,7 +150,7 @@ fn sweep(g: &MiDigraph, from_last: bool) -> SweepResult {
         if k > 0 {
             let tail = if from_last { s } else { s - 1 };
             for v in 0..w as u32 {
-                for &c in g.children(tail, v) {
+                for &c in g.children_of(tail, v).as_ref() {
                     if uf.union(idx(tail, v), idx(tail + 1, c)) {
                         merges += 1;
                     }

@@ -1,5 +1,7 @@
 //! The MI-digraph data structure.
 
+use crate::iso::is_stage_bijection;
+use crate::view::MiView;
 use serde::{map_get, Deserialize, Error, Serialize, Value};
 
 /// Identifies a node by its stage and its index within that stage.
@@ -67,6 +69,7 @@ impl Lists {
         }
     }
 
+    #[inline]
     fn get(&self, v: usize) -> &[u32] {
         let start = v * self.stride;
         &self.slots[start..start + self.len[v] as usize]
@@ -147,6 +150,20 @@ impl MiDigraph {
             fwd: (1..stages).map(|_| Lists::new(width)).collect(),
             bwd: (0..stages).map(|_| Lists::new(width)).collect(),
         }
+    }
+
+    /// Materializes any [`MiView`]: the arcs of every non-final stage, in
+    /// node order and, per node, in the view's child order.
+    pub fn from_view<V: MiView>(view: &V) -> Self {
+        let mut g = MiDigraph::new(view.stage_count(), view.nodes_per_stage());
+        for s in 0..g.stages - 1 {
+            for v in 0..g.width as u32 {
+                for &c in view.children_of(s, v).as_ref() {
+                    g.add_arc(s, v, c);
+                }
+            }
+        }
+        g
     }
 
     /// Number of stages (`n` in the paper).
@@ -300,14 +317,7 @@ impl MiDigraph {
         assert_eq!(mapping.len(), self.stages, "one map per stage required");
         for m in mapping {
             assert_eq!(m.len(), self.width, "each map must cover the stage");
-            let mut seen = vec![false; self.width];
-            for &t in m {
-                assert!(
-                    (t as usize) < self.width && !seen[t as usize],
-                    "not a bijection"
-                );
-                seen[t as usize] = true;
-            }
+            assert!(is_stage_bijection(m, self.width), "not a bijection");
         }
         let mut out = MiDigraph::new(self.stages, self.width);
         for (s, from, to) in self.arcs() {

@@ -20,6 +20,7 @@
 
 use crate::digraph::MiDigraph;
 use crate::refine::{color_refinement, refinement_compatible};
+use crate::view::MiView;
 
 /// A stage-respecting node bijection: `mapping[stage][v]` is the image in
 /// the second digraph of node `v` of `stage` in the first digraph.
@@ -51,52 +52,56 @@ impl IsoSearchOutcome {
     }
 }
 
-/// Number of arcs from `a` to `b` in stage `s -> s+1` (parallel arcs count).
-fn arc_multiplicity(g: &MiDigraph, s: usize, a: u32, b: u32) -> usize {
-    g.children(s, a).iter().filter(|&&c| c == b).count()
+/// Number of arcs into `b` among a node's `children` (parallel arcs count).
+fn multiplicity(children: &[u32], b: u32) -> usize {
+    children.iter().filter(|&&c| c == b).count()
+}
+
+/// `true` when `map` is a bijection of `0..width` onto itself.
+pub fn is_stage_bijection(map: &[u32], width: usize) -> bool {
+    if map.len() != width {
+        return false;
+    }
+    let mut seen = vec![false; width];
+    map.iter()
+        .all(|&t| (t as usize) < width && !std::mem::replace(&mut seen[t as usize], true))
 }
 
 /// Verifies that `mapping` is a stage-respecting isomorphism `g -> h`.
 ///
-/// Checks shape, per-stage bijectivity and exact arc multiplicities in both
-/// directions.
-pub fn verify_stage_mapping(g: &MiDigraph, h: &MiDigraph, mapping: &StageMapping) -> bool {
-    if g.stages() != h.stages() || g.width() != h.width() {
+/// Checks shape, per-stage bijectivity, exact arc multiplicities and equal
+/// per-stage arc counts. Either side may be any [`MiView`]: a digraph, a
+/// network's connection tables or a closed-form formula.
+pub fn verify_stage_mapping<G: MiView, H: MiView>(g: &G, h: &H, mapping: &StageMapping) -> bool {
+    let (stages, w) = (g.stage_count(), g.nodes_per_stage());
+    if stages != h.stage_count()
+        || w != h.nodes_per_stage()
+        || mapping.len() != stages
+        || !mapping
+            .iter()
+            .all(|stage_map| is_stage_bijection(stage_map, w))
+    {
         return false;
     }
-    if mapping.len() != g.stages() {
-        return false;
-    }
-    let w = g.width();
-    for stage_map in mapping {
-        if stage_map.len() != w {
-            return false;
-        }
-        let mut seen = vec![false; w];
-        for &t in stage_map {
-            if (t as usize) >= w || seen[t as usize] {
-                return false;
-            }
-            seen[t as usize] = true;
-        }
-    }
-    // Arc multiplicities must be preserved exactly (this also covers the
-    // reverse direction because both graphs have finitely many arcs and the
-    // map is a bijection: equality of multiplicities for all pairs implies
-    // equality of arc counts).
-    for s in 0..g.stages().saturating_sub(1) {
+    // Arc multiplicities must be preserved exactly. The stage map is a
+    // bijection, so the images of the stage's nodes are all of `h`'s nodes
+    // and summing their out-degrees counts `h`'s arcs of the stage: equal
+    // counts mean `h` has no arc that no arc of `g` maps onto.
+    for s in 0..stages.saturating_sub(1) {
+        let (mut g_arcs, mut h_arcs) = (0, 0);
         for v in 0..w as u32 {
-            for &c in g.children(s, v) {
-                let gm = arc_multiplicity(g, s, v, c);
-                let hm = arc_multiplicity(h, s, mapping[s][v as usize], mapping[s + 1][c as usize]);
-                if gm != hm {
+            let kids = g.children_of(s, v);
+            let kids = kids.as_ref();
+            let image_kids = h.children_of(s, mapping[s][v as usize]);
+            let image_kids = image_kids.as_ref();
+            for &c in kids {
+                if multiplicity(kids, c) != multiplicity(image_kids, mapping[s + 1][c as usize]) {
                     return false;
                 }
             }
+            g_arcs += kids.len();
+            h_arcs += image_kids.len();
         }
-        // Also ensure h has no extra arcs in this stage.
-        let g_arcs: usize = (0..w as u32).map(|v| g.children(s, v).len()).sum();
-        let h_arcs: usize = (0..w as u32).map(|v| h.children(s, v).len()).sum();
         if g_arcs != h_arcs {
             return false;
         }
@@ -208,7 +213,8 @@ pub fn find_isomorphism(g: &MiDigraph, h: &MiDigraph, node_budget: u64) -> IsoSe
             if s > 0 {
                 let ok = g.parents(s, v).iter().all(|&p| {
                     let p_img = mapping[s - 1][p as usize];
-                    arc_multiplicity(g, s - 1, p, v) == arc_multiplicity(h, s - 1, p_img, x)
+                    multiplicity(g.children(s - 1, p), v)
+                        == multiplicity(h.children(s - 1, p_img), x)
                 });
                 if !ok {
                     continue;

@@ -16,6 +16,11 @@
 //!   degenerate objects the paper discusses — the Fig. 5 parallel-link
 //!   stage, non-Banyan graphs, counterexamples — can be represented and
 //!   *rejected by checkers* rather than being unrepresentable.
+//! * [`view`] — [`MiView`], the four read-only questions (stages, nodes
+//!   per stage, children, properness) the characterization asks of a
+//!   network. The sweeps and the mapping verification are generic over it,
+//!   so they also run on a network's connection tables or on a closed-form
+//!   formula without building an [`MiDigraph`].
 //! * [`components`] — connected components of the undirected underlying
 //!   graph restricted to a stage interval `(G)_{i,j}`, including the
 //!   incremental prefix/suffix sweeps used by the `P(1,*)` / `P(*,n)`
@@ -42,6 +47,7 @@ pub mod paths;
 pub mod refine;
 pub mod serialize;
 pub mod union_find;
+pub mod view;
 
 pub use components::{
     component_count_range, component_ids_range, prefix_sweep, suffix_sweep, RangeComponents,
@@ -51,3 +57,4 @@ pub use digraph::{MiDigraph, NodeId};
 pub use iso::{find_isomorphism, verify_stage_mapping, IsoSearchOutcome, StageMapping};
 pub use paths::{is_banyan, path_counts_from, reachable_per_stage};
 pub use union_find::UnionFind;
+pub use view::MiView;

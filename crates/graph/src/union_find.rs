@@ -41,6 +41,7 @@ impl UnionFind {
     }
 
     /// Finds the representative of `x`'s set (with path halving).
+    #[inline]
     pub fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grandparent = self.parent[self.parent[x as usize] as usize];
@@ -51,6 +52,7 @@ impl UnionFind {
     }
 
     /// Merges the sets of `a` and `b`; returns `true` if they were distinct.
+    #[inline]
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let ra = self.find(a);
         let rb = self.find(b);

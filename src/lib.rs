@@ -34,10 +34,11 @@
 //! use baseline_equivalence::prelude::*;
 //!
 //! // Build the 16-terminal Omega network and certify its equivalence to the
-//! // Baseline network with an explicit, verified node mapping.
+//! // Baseline network with an explicit, verified node mapping, read straight
+//! // off the network's connection tables (no digraph is built).
 //! let omega = networks::omega(4);
-//! let cert = core::baseline_isomorphism(&omega.to_digraph()).unwrap();
-//! assert!(cert.verify(&omega.to_digraph()));
+//! let cert = core::baseline_isomorphism(&omega).unwrap();
+//! assert!(cert.verify(&omega));
 //!
 //! // Every stage of the Omega network is an independent connection (§3)…
 //! assert!(omega.connections().iter().all(core::is_independent));

@@ -102,6 +102,16 @@ fn random_link_permutations_violate_and_catalog_passes() {
     }
 }
 
+/// The committed artifact passes `from_json`'s consistency checks and
+/// renders back to the same bytes.
+#[test]
+fn the_committed_report_round_trips() {
+    let text = include_str!("../classification.json");
+    let report = ClassificationReport::from_json(text).expect("committed report parses");
+    assert_eq!(report.to_json(), text);
+    assert!(report.summary_table().contains("classes"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 

@@ -13,8 +13,8 @@ use baseline_equivalence::prelude::*;
 #[test]
 fn the_quickstart_example_works_as_documented() {
     let omega = networks::omega(4);
-    let cert = core::baseline_isomorphism(&omega.to_digraph()).unwrap();
-    assert!(cert.verify(&omega.to_digraph()));
+    let cert = core::baseline_isomorphism(&omega).unwrap();
+    assert!(cert.verify(&omega));
     assert!(omega.connections().iter().all(core::is_independent));
     assert!(core::is_delta(&omega));
 }
