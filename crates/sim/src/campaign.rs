@@ -11,19 +11,22 @@
 //!    block of whole grid points (runs of consecutive scenario indices that
 //!    differ only in their derived seed).
 //! 2. **[`execute_shard`]** is pure — shard in, slotted [`ScenarioResult`]s
-//!    out. It hands each grid point to [`crate::batch::run_replications`],
-//!    which builds the fabric tables, switch arenas and fault machinery
-//!    once per grid point and — for unbuffered scenarios with enough
-//!    replications — runs up to 64 replications per machine word through
-//!    the bit-parallel [`crate::lane::LaneEngine`]. Because every scenario
-//!    carries its own derived seed, a shard produces the same bytes no
-//!    matter which process, machine or retry executes it.
+//!    out. It hands each curve — the shard's scenarios that differ only in
+//!    offered load and seed — to [`crate::batch::run_replications`] as one
+//!    batch of `(seed, load)` lanes, which builds the fabric tables, switch
+//!    arenas and fault machinery once per batch and — for unbuffered
+//!    curves with enough lanes — runs up to 64 lanes per machine word
+//!    through the bit-parallel [`crate::lane::LaneEngine`], whatever their
+//!    loads. Because every scenario carries its own derived seed, a shard
+//!    produces the same bytes no matter which process, machine or retry
+//!    executes it.
 //! 3. **[`assemble`]** slots results back by canonical scenario index into
 //!    a [`CampaignReport`], rejecting duplicate or missing slots with a
 //!    typed [`MergeError`].
 //!
 //! [`run_campaign`] is the thin compatibility wrapper chaining the three
-//! phases across scoped worker threads on one box; the `min-serve`
+//! phases across scoped worker threads on one box (regrouping the plan's
+//! lane-eligible curves into word-sized work units first); the `min-serve`
 //! master/worker service is a second executor of the very same plan, with
 //! the byte-identity of the two reports as its integration oracle.
 //!
@@ -63,14 +66,17 @@
 //! assert_eq!(sequential.to_json(), parallel.to_json());
 //! ```
 
+use crate::batch::{packed_eligible, run_replications, LANE_THRESHOLD};
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::SimError;
 use crate::fabric::FabricError;
 use crate::fault::{FaultError, FaultPlan};
+use crate::lane::{LaneError, LANE_WIDTH};
 use crate::metrics::Metrics;
 use crate::traffic::{TrafficError, TrafficPattern};
 use min_core::classify::run_indexed;
 use min_networks::{catalog_grid, ClassicalNetwork, NetworkSpec};
+use min_routing::destination_tags;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -869,6 +875,14 @@ pub enum CampaignError {
         /// The underlying configuration error.
         error: ConfigError,
     },
+    /// A scenario reached the word-packed engine, which does not model it
+    /// (the batch layer checks eligibility first; kept for exhaustiveness).
+    Lane {
+        /// Index of the failing scenario.
+        scenario: usize,
+        /// Why the packed engine refused it.
+        error: LaneError,
+    },
     /// A fault plan on the grid axis names a site outside one of the grid
     /// cells' fabrics.
     InvalidFaultPlan {
@@ -926,6 +940,9 @@ impl std::fmt::Display for CampaignError {
                     f,
                     "scenario {scenario} has an invalid configuration: {error}"
                 )
+            }
+            CampaignError::Lane { scenario, error } => {
+                write!(f, "scenario {scenario} is not a packed workload: {error}")
             }
             CampaignError::InvalidFaultPlan {
                 plan,
@@ -1039,6 +1056,10 @@ fn map_sim_error(campaign: &CampaignConfig, scenario: &Scenario, error: SimError
             scenario: scenario.index,
             error,
         },
+        SimError::Lane(error) => CampaignError::Lane {
+            scenario: scenario.index,
+            error,
+        },
         // Plans are validated against every grid cell up front, so this is
         // unreachable in practice; map it faithfully anyway, recovering the
         // plan's axis index from the scenario.
@@ -1085,30 +1106,63 @@ fn scenario_result(
     }
 }
 
-/// Runs one grid point — all replications of one `(cell, traffic, load,
-/// buffer mode, fault plan)` tuple — through the batched replication layer.
-/// Every scenario in `group` shares its configuration except for the
-/// derived seed, so the fabric, arenas and fault machinery are built once.
-fn run_grid_point(
+/// Whether two scenarios lie on one curve: the same `(cell, traffic,
+/// buffer mode, fault plan)`, so they differ at most in offered load and
+/// seed.
+fn same_curve(a: &Scenario, b: &Scenario) -> bool {
+    a.network == b.network
+        && a.traffic == b.traffic
+        && a.buffer_mode == b.buffer_mode
+        && a.fault_plan == b.fault_plan
+}
+
+/// Runs a set of scenarios — whole grid points or parts of them, in any
+/// order — and returns their results in the same order.
+///
+/// Scenarios are grouped into curves ([`same_curve`]), and each curve's
+/// `(seed, offered load)` lanes go to [`run_replications`] together. So the
+/// fabric, arenas and fault machinery are built once per curve, and a
+/// lane-eligible curve packs 64 lanes per word across its loads instead of
+/// leaving each grid point's words part-filled.
+fn run_points(
     campaign: &CampaignConfig,
-    group: &[Scenario],
+    scenarios: &[Scenario],
     diversity: &DiversityMap,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let first = &group[0];
-    let net = first.network.build();
-    let path_diversity = if first.fault_plan.is_empty() {
-        Vec::new()
-    } else {
-        diversity.get(&first.network).cloned().unwrap_or_default()
-    };
-    let config = first.sim_config(campaign);
-    let seeds: Vec<u64> = group.iter().map(|s| s.seed).collect();
-    let metrics = crate::batch::run_replications(&net, &config, &seeds)
-        .map_err(|error| map_sim_error(campaign, first, error))?;
-    Ok(group
-        .iter()
-        .zip(&metrics)
-        .map(|(scenario, m)| scenario_result(scenario, m, path_diversity.clone()))
+    // Each curve lists its scenarios' positions, in order of first
+    // appearance.
+    let mut curves: Vec<Vec<usize>> = Vec::new();
+    for (i, scenario) in scenarios.iter().enumerate() {
+        match curves
+            .iter_mut()
+            .find(|curve| same_curve(&scenarios[curve[0]], scenario))
+        {
+            Some(curve) => curve.push(i),
+            None => curves.push(vec![i]),
+        }
+    }
+    let mut out: Vec<Option<ScenarioResult>> = vec![None; scenarios.len()];
+    for curve in &curves {
+        let first = &scenarios[curve[0]];
+        let net = first.network.build();
+        let path_diversity = if first.fault_plan.is_empty() {
+            Vec::new()
+        } else {
+            diversity.get(&first.network).cloned().unwrap_or_default()
+        };
+        let lanes: Vec<(u64, f64)> = curve
+            .iter()
+            .map(|&i| (scenarios[i].seed, scenarios[i].offered_load))
+            .collect();
+        let metrics = run_replications(&net, &first.sim_config(campaign), &lanes)
+            .map_err(|error| map_sim_error(campaign, first, error))?;
+        for (&i, m) in curve.iter().zip(&metrics) {
+            out[i] = Some(scenario_result(&scenarios[i], m, path_diversity.clone()));
+        }
+    }
+    Ok(out
+        .into_iter()
+        .map(|r| r.expect("every curve ran"))
         .collect())
 }
 
@@ -1118,50 +1172,18 @@ fn run_grid_point(
 /// Pure in the sense that matters for distribution: the output depends only
 /// on `(config, shard)` — every scenario carries its own derived seed, so
 /// the same shard produces byte-identical results on any thread, process,
-/// machine or retry. Consecutive scenarios that differ only in their
-/// replication seed are batched through [`crate::batch::run_replications`]
-/// (and, when eligible, the bit-parallel [`crate::lane::LaneEngine`]), so
-/// hand-built shards need no particular alignment to stay fast.
+/// machine or retry. Scenarios on one curve — differing only in offered
+/// load and seed — are batched through [`crate::batch::run_replications`]
+/// (and, when the curve's lanes are eligible, the bit-parallel
+/// [`crate::lane::LaneEngine`]), so hand-built shards need no particular
+/// order or alignment to stay fast.
 pub fn execute_shard(
     config: &CampaignConfig,
     shard: &Shard,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
     let faulty = shard.scenarios.iter().filter(|s| !s.fault_plan.is_empty());
-    execute_shard_with(config, shard, &diversity_map(faulty.map(|s| &s.network)))
-}
-
-/// [`execute_shard`] with the disjoint-path diversity histograms of (at
-/// least) the shard's faulty cells precomputed: the in-process runner
-/// builds one map for the whole grid and shares it across every shard. The
-/// histogram is a pure function of the topology, so both produce identical
-/// bytes.
-fn execute_shard_with(
-    config: &CampaignConfig,
-    shard: &Shard,
-    diversity: &DiversityMap,
-) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let mut out = Vec::with_capacity(shard.scenarios.len());
-    let mut start = 0;
-    while start < shard.scenarios.len() {
-        // A grid point is a maximal run of scenarios identical up to the
-        // replication number and derived seed.
-        let first = &shard.scenarios[start];
-        let end = start
-            + shard.scenarios[start..]
-                .iter()
-                .take_while(|s| {
-                    s.network == first.network
-                        && s.traffic == first.traffic
-                        && s.offered_load == first.offered_load
-                        && s.buffer_mode == first.buffer_mode
-                        && s.fault_plan == first.fault_plan
-                })
-                .count();
-        let group = &shard.scenarios[start..end];
-        out.extend(run_grid_point(config, group, diversity)?);
-        start = end;
-    }
-    Ok(out)
+    let diversity = diversity_map(faulty.map(|s| &s.network));
+    run_points(config, &shard.scenarios, &diversity)
 }
 
 /// **Phase 3 of 3** — slots executed results by canonical scenario index
@@ -1193,23 +1215,24 @@ pub fn assemble(
 }
 
 /// The in-process executor: the thin compatibility wrapper chaining
-/// [`CampaignConfig::plan`] → [`execute_shard`] → [`assemble`] across
-/// `threads` scoped worker threads (`0` = one worker per available core).
+/// [`CampaignConfig::plan`] → execution → [`assemble`] across `threads`
+/// scoped worker threads (`0` = one worker per available core).
 ///
-/// Workers of [`run_indexed`] pull whole shards — grid points of
-/// `replications` consecutive scenarios that differ only in their derived
-/// seed — from a shared atomic cursor; the batch layer builds the fabric
-/// tables, switch arenas and fault machinery once per grid point (and
-/// eligible unbuffered blocks go through the bit-parallel
-/// [`crate::lane::LaneEngine`]). Results are slotted by canonical index
-/// regardless of which worker ran them, keeping the report independent of
-/// the thread count — and byte-identical to any other executor of the same
-/// plan, including the `min-serve` master/worker service.
+/// The plan's grid points are regrouped into work units: every
+/// lane-eligible curve is gathered and cut into one unit per word, so its
+/// `(seed, load)` lanes fill whole words of the bit-parallel
+/// [`crate::lane::LaneEngine`] across the load axis, and every other grid
+/// point stays its own unit. Workers of [`run_indexed`] pull units from a
+/// shared atomic cursor and run them like any shard.
+/// Results are slotted by canonical index regardless of which worker ran
+/// them, keeping the report independent of the thread count — and
+/// byte-identical to any other executor of the same plan, including the
+/// `min-serve` master/worker service.
 pub fn run_campaign(
     config: &CampaignConfig,
     threads: usize,
 ) -> Result<CampaignReport, CampaignError> {
-    let plan = config.plan()?;
+    let units = work_units(config, config.plan()?);
     // Only faulty scenarios report path diversity.
     let cells: &[NetworkSpec] = if config.fault_plans.iter().all(FaultPlan::is_empty) {
         &[]
@@ -1217,9 +1240,56 @@ pub fn run_campaign(
         &config.cells
     };
     let diversity = diversity_map(cells);
-    run_plan(config, &plan, threads, |shard| {
-        execute_shard_with(config, shard, &diversity)
+    run_plan(config, &units, threads, |unit| {
+        run_points(config, &unit.scenarios, &diversity)
     })
+}
+
+/// Regroups a plan's shards into the in-process work units. The grid
+/// points of a lane-eligible curve — all `loads × replications` lanes of
+/// one `(cell, traffic, buffer mode, fault plan)` — are gathered even when
+/// they are not contiguous (a stability grid puts the buffer modes between
+/// its loads), then split into one unit per word: the words are exactly
+/// those the whole curve would fill, and word-sized units balance the
+/// workers better than whole curves. Every other grid point stays its own
+/// unit.
+fn work_units(config: &CampaignConfig, plan: CampaignPlan) -> CampaignPlan {
+    let curve_lanes = config.loads.len() * config.replications as usize;
+    // Each unit's scenarios, and whether it gathers a lane-eligible curve.
+    let mut units: Vec<(Vec<Scenario>, bool)> = Vec::with_capacity(plan.shards.len());
+    for shard in plan.shards {
+        let first = &shard.scenarios[0];
+        let curve = units
+            .iter_mut()
+            .find(|(unit, packed)| *packed && same_curve(&unit[0], first));
+        if let Some((unit, _)) = curve {
+            unit.extend(shard.scenarios);
+            continue;
+        }
+        // The packed engine is destination-tag only, as `run_replications`
+        // checks too.
+        let packed = packed_eligible(&first.sim_config(config), first.stages, curve_lanes)
+            && destination_tags(&first.network.build()).is_some();
+        units.push((shard.scenarios, packed));
+    }
+    let mut shards = Vec::with_capacity(units.len());
+    for (mut rest, packed) in units {
+        // The last word keeps any remainder too short to pack on its own.
+        while packed && rest.len() >= LANE_WIDTH + LANE_THRESHOLD {
+            let tail = rest.split_off(LANE_WIDTH);
+            shards.push(rest);
+            rest = tail;
+        }
+        shards.push(rest);
+    }
+    CampaignPlan {
+        config: plan.config,
+        shards: shards
+            .into_iter()
+            .enumerate()
+            .map(|(id, scenarios)| Shard { id, scenarios })
+            .collect(),
+    }
 }
 
 /// Runs `execute` on every shard of `plan` across `threads` workers and

@@ -24,6 +24,7 @@
 use crate::config::{ConfigError, SimConfig};
 use crate::fabric::{Fabric, FabricError};
 use crate::fault::{FaultError, FaultRuntime, FaultView};
+use crate::lane::LaneError;
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::switch::{build_core, SwitchCore};
@@ -41,6 +42,8 @@ pub enum SimError {
     Fabric(FabricError),
     /// The fault plan names a site outside the fabric.
     Fault(FaultError),
+    /// The word-packed [`crate::LaneEngine`] does not model the workload.
+    Lane(LaneError),
 }
 
 impl std::fmt::Display for SimError {
@@ -49,6 +52,7 @@ impl std::fmt::Display for SimError {
             SimError::Config(e) => write!(f, "invalid simulation config: {e}"),
             SimError::Fabric(e) => write!(f, "unsimulatable network: {e}"),
             SimError::Fault(e) => write!(f, "invalid fault plan: {e}"),
+            SimError::Lane(e) => write!(f, "not a packed workload: {e}"),
         }
     }
 }
@@ -70,6 +74,12 @@ impl From<FabricError> for SimError {
 impl From<FaultError> for SimError {
     fn from(e: FaultError) -> Self {
         SimError::Fault(e)
+    }
+}
+
+impl From<LaneError> for SimError {
+    fn from(e: LaneError) -> Self {
+        SimError::Lane(e)
     }
 }
 

@@ -1,44 +1,52 @@
-//! Word-packed simulation of up to 64 unbuffered replications at once.
+//! Word-packed simulation of up to 64 unbuffered lanes at once.
 //!
 //! The [`LaneEngine`] follows the `BitMatrix` precedent of the GF(2)
 //! kernels: instead of simulating replications one after another, it packs
-//! one replication per bit of a `u64` and runs the whole batch through a
-//! single cycle loop. Queue occupancy, out-port requests, conflict and drop
-//! sets all become bitwise operations over entire replication words, and
-//! per-replication event counts (deliveries, arbitration losses, occupied
-//! slots) accumulate in bit-sliced `VerticalCounter`s — carry-save adders
-//! over replication words — so the hot phases never iterate over set bits.
-//! Only the genuinely per-replication work — RNG draws and the rare
-//! fault-loss bookkeeping — walks individual bits.
+//! one `(seed, offered load)` lane per bit of a `u64` and runs the whole
+//! batch through a single cycle loop. A lane is one replication of the
+//! scenario at its own load, so one word can carry a whole load curve's
+//! replications. Queue occupancy, out-port requests, conflict and drop sets
+//! all become bitwise operations over entire lane words, and per-lane event
+//! counts (deliveries, arbitration losses, occupied slots) accumulate in
+//! bit-sliced `VerticalCounter`s — carry-save adders over lane words — so
+//! the hot phases never iterate over set bits. Only the genuinely per-lane
+//! work — RNG draws and the rare fault-loss bookkeeping — walks individual
+//! bits.
 //!
 //! # Why this is exact, not approximate
 //!
-//! Three structural facts of the unbuffered model make the packed engine
-//! bit-identical to running [`crate::Simulator`] once per replication:
+//! Four structural facts of the unbuffered model make the packed engine
+//! bit-identical to running [`crate::Simulator`] once per lane:
 //!
 //! * **Lockstep transit.** An unbuffered packet never waits: it is injected
 //!   at stage 0 and crosses exactly one stage per cycle until it is
-//!   delivered or dropped. Every replication therefore has the *same*
+//!   delivered or dropped. Every lane therefore has the *same*
 //!   queue-occupancy schedule shape — a packet delivered at cycle `c` was
 //!   injected at `c - stages` with latency exactly `stages` — so per-slot
 //!   injection times need not be stored at all, and the whole latency
 //!   statistic (total, maximum, histogram) collapses to one measured
-//!   delivery count per replication. The same argument removes the
-//!   destination planes: destination-tag routing delivers to the tag's
-//!   destination by construction, so the scalar engine's misroute audit is
-//!   a constant zero, and the packed engine pins that equality through the
+//!   delivery count per lane. The same argument removes the destination
+//!   planes: destination-tag routing delivers to the tag's destination by
+//!   construction, so the scalar engine's misroute audit is a constant
+//!   zero, and the packed engine pins that equality through the
 //!   scalar-oracle tests instead of re-auditing per packet.
-//! * **Per-replication RNG streams.** Each replication owns its own
-//!   ChaCha8 stream, and within one replication the engine draws in the
-//!   same order as the scalar engine: switch coins in (stage descending,
-//!   cell ascending) order, then injection draws in (cell ascending,
-//!   terminal) order. Draws happen only for bits that would draw in the
-//!   scalar engine (a coin only where that replication has a same-port
-//!   conflict), so the streams stay aligned.
+//! * **Per-lane RNG streams.** Each lane owns its own ChaCha8 stream, and
+//!   within one lane the engine draws in the same order as the scalar
+//!   engine: switch coins in (stage descending, cell ascending) order, then
+//!   injection draws in (cell ascending, terminal) order. Draws happen only
+//!   for bits that would draw in the scalar engine (a coin only where that
+//!   lane has a same-port conflict), so the streams stay aligned.
+//! * **Per-lane injection thresholds.** The offered load enters the model
+//!   only through the injection coin, one `next_u64` compared against a
+//!   threshold. Each lane holds its own [`Bernoulli`] coin, built once from
+//!   its load, which makes exactly the draw and the comparison the scalar
+//!   engine's `gen_bool(load)` makes. Lanes at different loads therefore
+//!   consume their streams identically to scalar runs at those loads, and
+//!   nothing else in a word depends on the load.
 //! * **Structural sharing.** The fabric tables and the fault schedule are
-//!   replication-independent, so dead-cell and link-status checks apply
-//!   uniformly to whole words, and one `FaultRuntime` (with its cached
-//!   reroute epochs) serves the entire batch.
+//!   lane-independent, so dead-cell and link-status checks apply uniformly
+//!   to whole words, and one `FaultRuntime` (with its cached reroute
+//!   epochs) serves the entire batch.
 //!
 //! Metric updates within a cycle are commutative (sums, max, histogram
 //! increments), so per-bit accumulation order does not affect the result.
@@ -53,14 +61,54 @@ use crate::engine::SimError;
 use crate::fabric::Fabric;
 use crate::fault::{FaultRuntime, FaultView, LinkStatus};
 use crate::metrics::Metrics;
-use crate::traffic::{DestSampler, TrafficPattern};
+use crate::traffic::{DestSampler, TrafficPattern, UniformCell};
 use min_core::ConnectionNetwork;
+use rand::distributions::{Bernoulli, Distribution};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Replications simulated per machine word.
+/// Lanes simulated per machine word.
 pub const LANE_WIDTH: usize = 64;
+
+/// Why the word-packed engine refuses a workload. The batching layer
+/// ([`crate::batch::packed_eligible`]) routes every such workload to the
+/// scalar engine instead, so only a direct caller of [`LaneEngine`] sees
+/// one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LaneError {
+    /// The packed engine models only the unbuffered core.
+    Buffered(BufferMode),
+    /// ON/OFF chains and trace schedules carry per-source state the packed
+    /// engine does not model ([`TrafficPattern::is_stateful`]).
+    StatefulTraffic,
+    /// A word holds `1..=LANE_WIDTH` lanes.
+    LaneCount(usize),
+    /// The fabric is deeper than [`LANE_MAX_STAGES`].
+    TooManyStages(usize),
+}
+
+impl std::fmt::Display for LaneError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LaneError::Buffered(mode) => {
+                write!(f, "only the unbuffered core is packed, not {mode:?}")
+            }
+            LaneError::StatefulTraffic => {
+                write!(f, "stateful traffic patterns run on the scalar engine")
+            }
+            LaneError::LaneCount(n) => {
+                write!(f, "a word holds 1..={LANE_WIDTH} lanes, got {n}")
+            }
+            LaneError::TooManyStages(n) => write!(
+                f,
+                "the packed engine holds at most {LANE_MAX_STAGES} stages, got {n}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LaneError {}
 
 /// A bit-sliced counter: plane `i` holds bit `i` of every replication's
 /// running count, so adding a replication-mask of simultaneous events is a
@@ -103,8 +151,8 @@ impl VerticalCounter {
 /// injection loop ([`InjectCtx::run`]).
 struct InjectCtx<'a> {
     cells: usize,
-    lanes: usize,
-    load: f64,
+    /// One injection coin per lane, at that lane's offered load.
+    coins: &'a [Bernoulli],
     conn_bits: usize,
     occ: &'a mut [u64],
     tag: &'a mut [u64],
@@ -115,17 +163,17 @@ struct InjectCtx<'a> {
 }
 
 impl InjectCtx<'_> {
-    /// Cell-major, replication-minor injection: each replication still draws
-    /// in the scalar (cell ascending, terminal) order on its own stream,
-    /// while one cell's two slot words and tag planes stay hot across all
-    /// replications instead of re-walking the whole stage-0 region once per
-    /// replication. `dest_tag` resolves one accepted offer to its routing
-    /// tag (`None` when the fault plan leaves the pair unroutable).
+    /// Cell-major, lane-minor injection: each lane still draws in the
+    /// scalar (cell ascending, terminal) order on its own stream, flipping
+    /// its own precomputed injection coin, while one cell's two slot words
+    /// and tag planes stay hot across all lanes instead of re-walking the
+    /// whole stage-0 region once per lane. `dest_tag` resolves one accepted
+    /// offer to its routing tag (`None` when the fault plan leaves the pair
+    /// unroutable).
     fn run<F: FnMut(u32, &mut ChaCha8Rng) -> Option<u32>>(self, mut dest_tag: F) {
         let InjectCtx {
             cells,
-            lanes,
-            load,
+            coins,
             conn_bits,
             occ,
             tag,
@@ -144,10 +192,10 @@ impl InjectCtx<'_> {
             // per-packet deposit never round-trips through memory.
             let mut slot_occ = [0u64; 2];
             let mut slot_tags = [[0u64; LANE_MAX_STAGES]; 2];
-            for (r, rng) in rngs.iter_mut().enumerate().take(lanes) {
+            for (r, (rng, coin)) in rngs.iter_mut().zip(coins).enumerate() {
                 let bit = 1u64 << r;
                 for _terminal in 0..2 {
-                    if !rng.gen_bool(load) {
+                    if !coin.sample(rng) {
                         continue;
                     }
                     new_offered[r] += 1;
@@ -175,7 +223,7 @@ impl InjectCtx<'_> {
             tag[(base + 1) * conn_bits..(base + 2) * conn_bits]
                 .copy_from_slice(&slot_tags[1][..conn_bits]);
         }
-        for r in 0..lanes {
+        for r in 0..coins.len() {
             offered[r] += new_offered[r];
             injected[r] += new_injected[r];
             unroutable[r] += new_unroutable[r];
@@ -184,25 +232,30 @@ impl InjectCtx<'_> {
 }
 
 /// A word-packed engine running up to [`LANE_WIDTH`] independent unbuffered
-/// replications of one scenario in lockstep.
+/// lanes of one scenario in lockstep, each lane a `(seed, offered load)`
+/// replication.
 ///
-/// Construct with one seed per replication ([`LaneEngine::new`]), then
-/// [`LaneEngine::run`] the configured cycle budget; the returned metrics
-/// are bit-identical to running [`crate::Simulator`] once per seed.
+/// Construct with one seed per lane at the configured load
+/// ([`LaneEngine::new`]) or with per-lane loads ([`LaneEngine::with_lanes`]),
+/// then [`LaneEngine::run`] the configured cycle budget; the returned
+/// metrics are bit-identical to running [`crate::Simulator`] once per lane
+/// at that lane's seed and load.
 #[derive(Debug)]
 pub struct LaneEngine {
     fabric: Fabric,
     config: SimConfig,
-    /// One independent ChaCha8 stream per replication, seeded exactly like
-    /// the scalar engine.
+    /// One independent ChaCha8 stream per lane, seeded exactly like the
+    /// scalar engine.
     rngs: Vec<ChaCha8Rng>,
+    /// One injection coin per lane, built once from the lane's load.
+    coins: Vec<Bernoulli>,
     /// Cold per-replication accumulators: the fault-loss counters and the
     /// per-stage exposure vectors land here directly; everything else is
     /// folded in from the vertical counters when the run finishes.
     metrics: Vec<Metrics>,
     faults: Option<FaultRuntime>,
     cycle: u64,
-    /// Active replications (bits `0..lanes` of every word are meaningful).
+    /// Active lanes (bits `0..lanes` of every word are meaningful).
     lanes: usize,
     stages: usize,
     cells: usize,
@@ -244,31 +297,48 @@ pub struct LaneEngine {
 
 impl LaneEngine {
     /// Builds a packed engine for `seeds.len()` replications of the given
-    /// unbuffered scenario (one seed per replication, in output order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.buffer_mode` is not [`BufferMode::Unbuffered`],
-    /// the traffic pattern is stateful ([`TrafficPattern::is_stateful`] —
-    /// ON/OFF chains and trace schedules run on the scalar engine), `seeds`
-    /// is empty or longer than [`LANE_WIDTH`], or the fabric is deeper than
-    /// [`LANE_MAX_STAGES`] — the batching layer gates eligibility before
-    /// constructing one.
+    /// unbuffered scenario at its configured load (one seed per lane, in
+    /// output order) — [`LaneEngine::with_lanes`] with a uniform load.
     pub fn new(net: ConnectionNetwork, config: SimConfig, seeds: &[u64]) -> Result<Self, SimError> {
-        assert_eq!(
-            config.buffer_mode,
-            BufferMode::Unbuffered,
-            "the packed engine models only the unbuffered core"
-        );
-        assert!(
-            !config.traffic.is_stateful(),
-            "stateful traffic patterns run on the scalar engine"
-        );
-        assert!(
-            !seeds.is_empty() && seeds.len() <= LANE_WIDTH,
-            "1..={LANE_WIDTH} replications per word, got {}",
-            seeds.len()
-        );
+        let load = config.offered_load;
+        let lanes: Vec<(u64, f64)> = seeds.iter().map(|&seed| (seed, load)).collect();
+        Self::with_lanes(net, config, &lanes)
+    }
+
+    /// Builds a packed engine for `lanes.len()` `(seed, offered load)` lanes
+    /// of the given unbuffered scenario, in output order. The lanes' loads
+    /// replace `config.offered_load`.
+    ///
+    /// A workload the packed engine does not model is a
+    /// [`SimError::Lane`]: a buffered mode, stateful traffic
+    /// ([`TrafficPattern::is_stateful`] — ON/OFF chains and trace schedules
+    /// run on the scalar engine), no lanes or more than [`LANE_WIDTH`], or a
+    /// fabric deeper than [`LANE_MAX_STAGES`]. A lane load that is NaN or
+    /// outside `[0, 1]` is [`ConfigError::InvalidLoad`].
+    pub fn with_lanes(
+        net: ConnectionNetwork,
+        mut config: SimConfig,
+        lanes: &[(u64, f64)],
+    ) -> Result<Self, SimError> {
+        if config.buffer_mode != BufferMode::Unbuffered {
+            return Err(LaneError::Buffered(config.buffer_mode).into());
+        }
+        if config.traffic.is_stateful() {
+            return Err(LaneError::StatefulTraffic.into());
+        }
+        if lanes.is_empty() || lanes.len() > LANE_WIDTH {
+            return Err(LaneError::LaneCount(lanes.len()).into());
+        }
+        if net.stages() > LANE_MAX_STAGES {
+            return Err(LaneError::TooManyStages(net.stages()).into());
+        }
+        let coins = lanes
+            .iter()
+            .map(|&(_, load)| Bernoulli::new(load).map_err(|_| ConfigError::InvalidLoad(load)))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Every lane load is checked; the config's own load is replaced so
+        // validation judges only the shared parameters.
+        config.offered_load = lanes[0].1;
         config.validate()?;
         let fabric = Fabric::new(net)?;
         config
@@ -288,10 +358,6 @@ impl LaneEngine {
             ))
         };
         let stages = fabric.stages();
-        assert!(
-            stages <= LANE_MAX_STAGES,
-            "the packed engine holds at most {LANE_MAX_STAGES} stages, got {stages}"
-        );
         let cells = fabric.cells();
         let conn_bits = stages - 1;
         let sampler = config
@@ -307,14 +373,15 @@ impl LaneEngine {
             }
         }
         Ok(LaneEngine {
-            rngs: seeds
+            rngs: lanes
                 .iter()
-                .map(|&s| ChaCha8Rng::seed_from_u64(s))
+                .map(|&(seed, _)| ChaCha8Rng::seed_from_u64(seed))
                 .collect(),
-            metrics: vec![Metrics::default(); seeds.len()],
+            coins,
+            metrics: vec![Metrics::default(); lanes.len()],
             faults,
             cycle: 0,
-            lanes: seeds.len(),
+            lanes: lanes.len(),
             stages,
             cells,
             conn_bits,
@@ -322,10 +389,10 @@ impl LaneEngine {
             occ: vec![0; slots],
             tag: vec![0; slots * conn_bits],
             next,
-            offered: vec![0; seeds.len()],
-            injected: vec![0; seeds.len()],
-            unroutable: vec![0; seeds.len()],
-            occ_fault: vec![0; seeds.len()],
+            offered: vec![0; lanes.len()],
+            injected: vec![0; lanes.len()],
+            unroutable: vec![0; lanes.len()],
+            occ_fault: vec![0; lanes.len()],
             vc_delivered: VerticalCounter::default(),
             vc_measured: VerticalCounter::default(),
             vc_despite: VerticalCounter::default(),
@@ -522,8 +589,8 @@ impl LaneEngine {
         }
     }
 
-    /// Phase 3 — injection: per replication, the exact scalar draw order
-    /// over (cell ascending, terminal 0..2).
+    /// Phase 3 — injection: per lane, the exact scalar draw order over
+    /// (cell ascending, terminal 0..2).
     ///
     /// The switching pass always drains stage 0 (an unbuffered packet moves
     /// or drops every cycle), so injection starts from empty source queues:
@@ -532,18 +599,21 @@ impl LaneEngine {
     /// words and tag planes are rebuilt from scratch (so the flush
     /// overwrites last cycle's stage-0 state with no separate clearing
     /// pass). The destination-to-tag resolution is monomorphized per
-    /// traffic pattern and fault state, so the per-packet path carries no
+    /// traffic pattern and fault state, and the fault-free paths index the
+    /// fabric's tag table directly, so the per-packet path carries no
     /// dispatch.
     fn inject(&mut self, faults: Option<&FaultRuntime>) {
-        let load = self.config.offered_load;
-        let cells = self.cells as u32;
         debug_assert!(self.occ[..self.cells * 2].iter().all(|&w| w == 0));
-        let fabric = &self.fabric;
+        // `Fabric::new` refused every non-delta network at construction.
+        let tags = &self
+            .fabric
+            .delta_routing()
+            .expect("the packed engine runs delta fabrics")
+            .tag_of_destination;
         let sampler = &self.sampler;
         let ctx = InjectCtx {
             cells: self.cells,
-            lanes: self.lanes,
-            load,
+            coins: &self.coins,
             conn_bits: self.conn_bits,
             occ: &mut self.occ,
             tag: &mut self.tag,
@@ -554,9 +624,10 @@ impl LaneEngine {
         };
         match (&self.config.traffic, faults) {
             (TrafficPattern::Uniform, None) => {
-                ctx.run(|_cell, rng| Some(fabric.tag_for(rng.gen_range(0..cells))))
+                let uniform = UniformCell::new(self.cells as u32);
+                ctx.run(|_cell, rng| Some(tags[uniform.draw(rng) as usize]))
             }
-            (_, None) => ctx.run(|cell, rng| Some(fabric.tag_for(sampler.draw(cell, rng)))),
+            (_, None) => ctx.run(|cell, rng| Some(tags[sampler.draw(cell, rng) as usize])),
             (_, Some(rt)) => ctx.run(|cell, rng| {
                 let destination = sampler.draw(cell, rng);
                 rt.pair_tag(cell as usize, destination as usize)
@@ -586,8 +657,8 @@ impl LaneEngine {
     }
 
     /// Runs the configured cycle budget and returns one [`Metrics`] per
-    /// seed, in the order the seeds were given: the vertical counters are
-    /// materialized into per-replication [`Metrics`], with the latency
+    /// lane, in the order the lanes were given: the vertical counters are
+    /// materialized into per-lane [`Metrics`], with the latency
     /// statistics reconstructed from the constant unbuffered latency.
     pub fn run(mut self) -> Vec<Metrics> {
         for _ in 0..self.config.cycles {
@@ -784,20 +855,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unbuffered")]
     fn buffered_modes_are_rejected() {
         let config = SimConfig::default().with_buffer(BufferMode::Fifo(4));
-        let _ = LaneEngine::new(omega(3), config, &[1]);
+        assert_eq!(
+            LaneEngine::new(omega(3), config, &[1]).unwrap_err(),
+            SimError::Lane(LaneError::Buffered(BufferMode::Fifo(4)))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "stateful")]
     fn stateful_traffic_is_rejected() {
         let config = SimConfig::default().with_traffic(TrafficPattern::OnOff {
             on_dwell: 8.0,
             off_dwell: 8.0,
             on_rate: 1.0,
         });
-        let _ = LaneEngine::new(omega(3), config, &[1]);
+        assert_eq!(
+            LaneEngine::new(omega(3), config, &[1]).unwrap_err(),
+            SimError::Lane(LaneError::StatefulTraffic)
+        );
+    }
+
+    #[test]
+    fn lane_counts_outside_one_word_are_rejected() {
+        let seeds: Vec<u64> = (0..=LANE_WIDTH as u64).collect();
+        for n in [0, LANE_WIDTH + 1] {
+            assert_eq!(
+                LaneEngine::new(omega(3), SimConfig::default(), &seeds[..n]).unwrap_err(),
+                SimError::Lane(LaneError::LaneCount(n))
+            );
+        }
+    }
+
+    #[test]
+    fn fabrics_deeper_than_the_plane_budget_are_rejected() {
+        let stages = LANE_MAX_STAGES + 1;
+        assert_eq!(
+            LaneEngine::new(omega(stages), SimConfig::default(), &[1]).unwrap_err(),
+            SimError::Lane(LaneError::TooManyStages(stages))
+        );
+    }
+
+    #[test]
+    fn bad_lane_loads_are_typed_errors() {
+        let config = SimConfig::default();
+        for load in [-0.25, 1.5, f64::INFINITY] {
+            assert_eq!(
+                LaneEngine::with_lanes(omega(3), config.clone(), &[(1, 0.5), (2, load)])
+                    .unwrap_err(),
+                SimError::Config(ConfigError::InvalidLoad(load))
+            );
+        }
+        let nan = LaneEngine::with_lanes(omega(3), config.clone(), &[(1, f64::NAN)]);
+        assert!(matches!(
+            nan,
+            Err(SimError::Config(ConfigError::InvalidLoad(l))) if l.is_nan()
+        ));
+        // The uniform-load constructor checks the configured load the same
+        // way.
+        assert_eq!(
+            LaneEngine::new(omega(3), config.with_load(2.0), &[1]).unwrap_err(),
+            SimError::Config(ConfigError::InvalidLoad(2.0))
+        );
     }
 }

@@ -78,7 +78,7 @@ pub use campaign::{
 pub use config::{BufferMode, ConfigError, SimConfig};
 pub use engine::{simulate, SimError, Simulator};
 pub use fault::{Fault, FaultError, FaultKind, FaultPlan, FaultView, LinkStatus};
-pub use lane::{LaneEngine, LANE_WIDTH};
+pub use lane::{LaneEngine, LaneError, LANE_WIDTH};
 pub use metrics::Metrics;
 pub use packet::Packet;
 pub use switch::{FifoCore, RingArena, SwitchCore, UnbufferedCore, WormholeCore};

@@ -32,6 +32,7 @@
 //! hot-spot fraction or a mismatched permutation is a typed
 //! [`TrafficError`] at configuration time, never a panic in the hot path.
 
+use rand::distributions::{Bernoulli, Distribution};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -392,14 +393,17 @@ impl TrafficPattern {
     ///
     /// The pattern must be valid for the fabric
     /// ([`TrafficPattern::validate_for`]); the engines guarantee this by
-    /// validating at construction.
+    /// validating at construction. A hot-spot fraction outside `[0, 1]`
+    /// panics here, when its coin is built.
     pub fn sampler(&self, cells: u32, width_bits: usize) -> DestSampler {
         DestSampler(match self {
-            TrafficPattern::Uniform | TrafficPattern::OnOff { .. } => DestDraw::Uniform(cells),
+            TrafficPattern::Uniform | TrafficPattern::OnOff { .. } => {
+                DestDraw::Uniform(UniformCell::new(cells))
+            }
             &TrafficPattern::Hotspot { fraction, target } => DestDraw::Hotspot {
-                fraction,
+                hot: Bernoulli::new(fraction).expect("validated hot-spot fraction"),
                 target,
-                cells,
+                uniform: UniformCell::new(cells),
             },
             TrafficPattern::Permutation(dest) => DestDraw::Table(dest.clone()),
             // The shift is 32 only for the one-cell fabric, whose single
@@ -469,6 +473,37 @@ impl ZipfCdf {
     }
 }
 
+/// A uniform draw over the cells `0..cells`, with the power-of-two mask
+/// precomputed.
+///
+/// For a power-of-two `cells > 1` the draw is `next_u64() & (cells - 1)` —
+/// exactly the word and the value `gen_range(0..cells)` produces, without
+/// its 128-bit span arithmetic. Any other count keeps `gen_range` (which
+/// draws nothing at all for a single cell).
+#[derive(Debug, Clone, Copy)]
+pub struct UniformCell {
+    cells: u32,
+    /// `cells - 1` when `cells` is a power of two above one.
+    mask: Option<u64>,
+}
+
+impl UniformCell {
+    /// The uniform draw over `0..cells`; `cells` must be positive.
+    pub fn new(cells: u32) -> Self {
+        let mask = (cells > 1 && cells.is_power_of_two()).then(|| u64::from(cells - 1));
+        UniformCell { cells, mask }
+    }
+
+    /// Draws one cell, consuming the same words as `gen_range(0..cells)`.
+    #[inline]
+    pub fn draw<R: Rng>(&self, rng: &mut R) -> u32 {
+        match self.mask {
+            Some(mask) => (rng.next_u64() & mask) as u32,
+            None => rng.gen_range(0..self.cells),
+        }
+    }
+}
+
 /// The destination draw of a traffic pattern, built once per simulator by
 /// [`TrafficPattern::sampler`].
 ///
@@ -481,12 +516,13 @@ pub struct DestSampler(DestDraw);
 #[derive(Debug, Clone)]
 enum DestDraw {
     /// Uniform over `0..cells` (also the destinations of ON/OFF bursts).
-    Uniform(u32),
-    /// `target` with probability `fraction`, otherwise uniform.
+    Uniform(UniformCell),
+    /// `target` when the `hot` coin (probability `fraction`) lands,
+    /// otherwise uniform.
     Hotspot {
-        fraction: f64,
+        hot: Bernoulli,
         target: u32,
-        cells: u32,
+        uniform: UniformCell,
     },
     /// A fixed destination per source cell (permutation, bit-reversal).
     Table(Vec<u32>),
@@ -506,19 +542,16 @@ impl DestSampler {
     #[inline]
     pub fn draw<R: Rng>(&self, source: u32, rng: &mut R) -> u32 {
         match &self.0 {
-            &DestDraw::Uniform(cells) => rng.gen_range(0..cells),
-            // `fraction` is validated finite and in [0, 1] up front, so no
-            // clamp runs here (a clamp would silently launder a NaN into
-            // the RNG's range assertion).
-            &DestDraw::Hotspot {
-                fraction,
+            DestDraw::Uniform(uniform) => uniform.draw(rng),
+            DestDraw::Hotspot {
+                hot,
                 target,
-                cells,
+                uniform,
             } => {
-                if rng.gen_bool(fraction) {
-                    target
+                if hot.sample(rng) {
+                    *target
                 } else {
-                    rng.gen_range(0..cells)
+                    uniform.draw(rng)
                 }
             }
             DestDraw::Table(dest) => dest[source as usize],
@@ -788,13 +821,15 @@ enum SourceKind {
     /// Stateless patterns: one Bernoulli coin per slot per cycle.
     Bernoulli,
     /// Markov-modulated ON/OFF: per-terminal chain state plus the
-    /// precomputed exit probabilities.
+    /// precomputed exit coins.
     OnOff {
         /// Chain state per terminal (`2 × cells`, terminal `t` of cell `c`
         /// at index `2c + t`); everyone starts ON.
         on: Vec<bool>,
-        exit_on: f64,
-        exit_off: f64,
+        /// Leaves ON with probability `1 / on_dwell`.
+        exit_on: Bernoulli,
+        /// Leaves OFF with probability `1 / off_dwell`.
+        exit_off: Bernoulli,
         on_rate: f64,
     },
     /// Trace replay: the records expanded into a per-cycle schedule,
@@ -809,7 +844,13 @@ enum SourceKind {
 impl TrafficSources {
     /// Builds the injection state for a validated pattern on a fabric of
     /// `cells` cells per stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an ON/OFF dwell is below one cycle (or NaN), which
+    /// [`TrafficPattern::validate`] rejects.
     pub fn new(pattern: &TrafficPattern, cells: usize) -> Self {
+        let exit = |dwell: f64| Bernoulli::new(1.0 / dwell).expect("validated dwell");
         let kind = match pattern {
             TrafficPattern::OnOff {
                 on_dwell,
@@ -817,8 +858,8 @@ impl TrafficSources {
                 on_rate,
             } => SourceKind::OnOff {
                 on: vec![true; cells * 2],
-                exit_on: 1.0 / on_dwell,
-                exit_off: 1.0 / off_dwell,
+                exit_on: exit(*on_dwell),
+                exit_off: exit(*off_dwell),
                 on_rate: *on_rate,
             },
             TrafficPattern::Trace(trace) => {
@@ -878,10 +919,10 @@ impl TrafficSources {
             } => {
                 let state = &mut on[cell as usize * 2 + terminal];
                 if *state {
-                    if rng.gen_bool(*exit_on) {
+                    if exit_on.sample(rng) {
                         *state = false;
                     }
-                } else if rng.gen_bool(*exit_off) {
+                } else if exit_off.sample(rng) {
                     *state = true;
                 }
                 if *state && rng.gen_bool(load * *on_rate) {
@@ -1314,6 +1355,33 @@ mod tests {
             dup.validate(),
             Err(TrafficError::TraceUnsorted { record: 1 })
         ));
+    }
+
+    #[test]
+    fn uniform_cell_draws_are_gen_range_draws() {
+        // The masked path takes the power-of-two counts above one; a single
+        // cell and a non-power-of-two count keep `gen_range`, which draws
+        // nothing for one cell.
+        for (cells, masked) in [
+            (1, false),
+            (2, true),
+            (16, true),
+            (1 << 15, true),
+            (12, false),
+        ] {
+            let uniform = UniformCell::new(cells);
+            assert_eq!(uniform.mask.is_some(), masked, "cells={cells}");
+            let mut a = ChaCha8Rng::seed_from_u64(271);
+            let mut b = ChaCha8Rng::seed_from_u64(271);
+            for _ in 0..2_000 {
+                assert_eq!(uniform.draw(&mut a), b.gen_range(0..cells), "cells={cells}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "cells={cells} stream alignment");
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(277);
+        let mut fresh = ChaCha8Rng::seed_from_u64(277);
+        assert_eq!(UniformCell::new(1).draw(&mut rng), 0);
+        assert_eq!(rng.next_u64(), fresh.next_u64(), "one cell draws nothing");
     }
 
     #[test]
