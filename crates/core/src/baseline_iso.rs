@@ -21,10 +21,28 @@
 //!   land correctly, and the final verification makes the certificate
 //!   unconditional.
 //!
-//! The algorithm runs two union-find sweeps plus an `O(E)` verification and
-//! never backtracks. Any failure (component count off, trie not binary,
-//! label collision, verification mismatch) is reported as a specific
-//! [`EquivalenceError`], which doubles as a non-equivalence diagnosis.
+//! Two paths compute that certificate.
+//!
+//! * [`baseline_isomorphism`] reads any [`MiView`]. It finds the components
+//!   with two union-find sweeps, builds both tries over the arcs and
+//!   checks for label collisions. It never backtracks. Any failure
+//!   (component count off, trie not binary, label collision, verification
+//!   mismatch) is reported as a specific [`EquivalenceError`], which doubles
+//!   as a non-equivalence diagnosis. It is the general path and the oracle.
+//! * [`affine_baseline_isomorphism`] is Theorem 3's construction, for a
+//!   network whose every stage is an independent connection
+//!   `f(x) = Mx ⊕ t`, `g = f ⊕ c`. There the stage-`j` nodes of one prefix
+//!   component are a coset of `P_j = M_{j-1}P_{j-1} + ⟨c_{j-1}⟩`, and those
+//!   of one suffix component a coset of `T_i = M_i⁻¹(T_{i+1} + ⟨c_i⟩)`. A
+//!   sweep numbers components in order of their smallest node, which is the
+//!   order of the reduced coset representatives, and a trie orders two
+//!   sibling cosets by the top bit of their difference. So every trie value
+//!   is an affine function of the node label, every stage of the
+//!   certificate is one affine map, and the tables are filled with one XOR
+//!   per node. The result is the sweep's certificate bit for bit. It is
+//!   still verified arc by arc. When the network is not proper, a count is
+//!   off or the verification fails, it declines and the caller runs the
+//!   sweep, which names the violated condition.
 //!
 //! Everything reads the network through [`MiView`], so a
 //! [`crate::ConnectionNetwork`] is certified on its own `f`/`g` tables and
@@ -33,10 +51,13 @@
 //! [`baseline_digraph`] only materializes that same view, so the formula
 //! has one home.
 
+use crate::affine_form::AffineForm;
 use crate::error::EquivalenceError;
+use crate::network::ConnectionNetwork;
 use min_graph::components::{prefix_sweep, suffix_sweep};
 use min_graph::iso::{verify_stage_mapping, StageMapping};
 use min_graph::{MiDigraph, MiView};
+use min_labels::{bit, leading_bit, AffineMap, Label, LinearMap, Subspace};
 
 /// The canonical left-recursive Baseline MI-digraph in closed form (paper,
 /// §2 and Fig. 1): every arc is computed from its formula, nothing is
@@ -216,6 +237,141 @@ pub fn baseline_isomorphism<G: MiView>(g: &G) -> Result<BaselineIsomorphism, Equ
         return Err(EquivalenceError::VerificationFailed);
     }
     Ok(certificate)
+}
+
+/// Theorem 3's construction: the certificate of a network whose every stage
+/// is an independent connection, computed from the stage affine forms
+/// (`forms[j]` is the [`crate::affine_form()`] of connection `j`).
+///
+/// Returns exactly the certificate [`baseline_isomorphism`] returns, without
+/// sweeping (see the module documentation). Returns `None` when the forms
+/// do not fit the network, the network is not proper, a component count is
+/// off or the certificate does not verify; [`baseline_isomorphism`] then
+/// gives the diagnosis.
+pub fn affine_baseline_isomorphism(
+    net: &ConnectionNetwork,
+    forms: &[AffineForm],
+) -> Option<BaselineIsomorphism> {
+    let w = net.width();
+    if net.stages() != w + 1 || forms.len() != w || !forms.iter().all(|f| is_proper_form(f, w)) {
+        return None;
+    }
+    let linear = |j: usize| forms[j].f.linear();
+
+    // suffix[j]: the stage-j nodes of one component of (G)_{j,n} form a
+    // coset of it. prefix[j]: the same for (G)_{1,j}.
+    let mut suffix = vec![Subspace::zero(w); w + 1];
+    for j in (0..w).rev() {
+        let onto = suffix[j + 1].sum(&Subspace::from_generators(w, [forms[j].difference]));
+        let columns = linear(j).columns().iter().map(|&col| onto.reduce(col));
+        suffix[j] = LinearMap::from_columns(w, w, columns.collect()).kernel();
+        if suffix[j].dim() != w - j {
+            return None;
+        }
+    }
+    let mut prefix = vec![Subspace::zero(w); w + 1];
+    for j in 0..w {
+        let images = prefix[j].basis().iter().map(|&b| linear(j).apply(b));
+        prefix[j + 1] = Subspace::from_generators(w, images.chain([forms[j].difference]));
+        if prefix[j + 1].dim() != j + 1 {
+            return None;
+        }
+    }
+
+    // high[s]: the suffix trie value of a stage-s node (s bits). The parent
+    // component of a stage-(j+1) node `y` is the one of any of its arc
+    // tails, so `parent(y) = high[j](x)` for a solution of `Mx ⊕ εc = y ⊕ t`.
+    let mut high = vec![AffineMap::new(LinearMap::zero(w, 0), 0)];
+    for j in 0..w {
+        let mut columns = linear(j).columns().to_vec();
+        columns.push(forms[j].difference);
+        let arcs = LinearMap::from_columns(w + 1, w, columns);
+        let tail_value = high[j].linear();
+        let parent_columns: Option<Vec<Label>> = (0..w)
+            .map(|k| arcs.solve(1 << k).map(|x| tail_value.apply(x)))
+            .collect();
+        let parent = LinearMap::from_columns(w, j, parent_columns?);
+        let offset = parent.apply(forms[j].f.offset()) ^ high[j].offset();
+        let parent = AffineMap::new(parent, offset);
+        high.push(descend(&parent, &suffix[j + 1], forms[j].difference)?);
+    }
+    // low[s]: the prefix trie value of a stage-s node (w - s bits). The
+    // parent of a stage-j node's component holds its arc heads; the two
+    // children differ by any `d` with `Md ∈ P_{j+1}` outside `P_j`.
+    let mut low = vec![AffineMap::new(LinearMap::zero(w, 0), 0); w + 1];
+    for j in (0..w).rev() {
+        let heads = linear(j)
+            .columns()
+            .iter()
+            .map(|&col| prefix[j + 1].reduce(col));
+        let siblings = LinearMap::from_columns(w, w, heads.collect()).kernel();
+        let d = *siblings.basis().iter().find(|&&d| !prefix[j].contains(d))?;
+        low[j] = descend(&low[j + 1].compose(&forms[j].f), &prefix[j], d)?;
+    }
+
+    let mapping = high
+        .iter()
+        .zip(&low)
+        .map(|(high, low)| {
+            let low_bits = low.width_out();
+            let columns: Vec<Label> = high
+                .linear()
+                .columns()
+                .iter()
+                .zip(low.linear().columns())
+                .map(|(&h, &l)| (h << low_bits) | l)
+                .collect();
+            affine_table(&columns, (high.offset() << low_bits) | low.offset())
+        })
+        .collect();
+    let certificate = BaselineIsomorphism {
+        stages: w + 1,
+        mapping,
+    };
+    certificate.verify(net).then_some(certificate)
+}
+
+/// `true` when `form` is a `w`-bit connection that is 2-regular: every
+/// target cell has two arcs in when `M` is invertible, or when `M` has rank
+/// `w - 1` and `g`'s image is the other coset of `f`'s.
+fn is_proper_form(form: &AffineForm, w: usize) -> bool {
+    let rank = form.rank();
+    form.f.width_in() == w
+        && (rank == w || (rank + 1 == w && !form.f.linear().image().contains(form.difference)))
+}
+
+/// One trie level down: `x ↦ (parent(x) << 1) | b(x)`, where `b(x)` tells
+/// which of the two cosets `x + space` and `x + sibling + space` holds `x`.
+/// The one whose smallest member is smaller gets 0. The two reduced
+/// representatives differ by `space.reduce(sibling)`, so `b` is that
+/// difference's top bit of `space.reduce(x)`. `None` when `sibling` is in
+/// `space`.
+fn descend(parent: &AffineMap, space: &Subspace, sibling: Label) -> Option<AffineMap> {
+    let order = leading_bit(space.reduce(sibling))?;
+    let columns = parent
+        .linear()
+        .columns()
+        .iter()
+        .enumerate()
+        .map(|(k, &col)| (col << 1) | bit(space.reduce(1 << k), order))
+        .collect();
+    let width_out = parent.width_out() + 1;
+    let linear = LinearMap::from_columns(parent.width_in(), width_out, columns);
+    Some(AffineMap::new(linear, parent.offset() << 1))
+}
+
+/// `table[x] = offset ⊕ (⊕ of columns[k] over the set bits k of x)`: each
+/// half is the other half XOR one column, one XOR per entry.
+fn affine_table(columns: &[Label], offset: Label) -> Vec<u32> {
+    let mut table = vec![0u32; 1 << columns.len()];
+    table[0] = offset as u32;
+    for (k, &col) in columns.iter().enumerate() {
+        let (done, next) = table[..2 << k].split_at_mut(1 << k);
+        for (to, &from) in next.iter_mut().zip(done.iter()) {
+            *to = from ^ col as u32;
+        }
+    }
+    table
 }
 
 /// Numbers the nested components of a sweep as a binary trie:
@@ -460,6 +616,38 @@ mod tests {
             }
         }
         assert!(rejections >= 8);
+    }
+
+    #[test]
+    fn the_affine_path_maps_the_baseline_to_itself_and_declines_foreign_forms() {
+        let forms_of = |net: &ConnectionNetwork| -> Vec<AffineForm> {
+            let forms = net.connections().iter().map(crate::affine_form);
+            forms
+                .collect::<Option<_>>()
+                .expect("Baseline stages are independent")
+        };
+        for n in 1..=7 {
+            let net = ConnectionNetwork::from_digraph(&baseline_digraph(n)).unwrap();
+            let cert = affine_baseline_isomorphism(&net, &forms_of(&net)).expect("Theorem 3");
+            assert_eq!(Ok(cert.clone()), baseline_isomorphism(&net), "n={n}");
+            for (s, stage_map) in cert.mapping.iter().enumerate() {
+                assert!(
+                    stage_map
+                        .iter()
+                        .enumerate()
+                        .all(|(v, &img)| img as usize == v),
+                    "{s}"
+                );
+            }
+        }
+        // Forms of another width, or too few of them, decline instead of
+        // panicking.
+        let net = ConnectionNetwork::from_digraph(&baseline_digraph(4)).unwrap();
+        let narrow = ConnectionNetwork::from_digraph(&baseline_digraph(3)).unwrap();
+        let mut foreign = forms_of(&narrow);
+        assert_eq!(affine_baseline_isomorphism(&net, &foreign), None);
+        foreign.push(foreign[0].clone());
+        assert_eq!(affine_baseline_isomorphism(&net, &foreign), None);
     }
 
     #[test]

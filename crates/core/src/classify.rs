@@ -27,15 +27,18 @@
 //! (for equivalent networks with some non-independent stage), or the
 //! violated condition.
 //!
-//! No [`min_graph::MiDigraph`] is built anywhere in a campaign. A
-//! [`ConnectionNetwork`] is itself a [`min_graph::MiView`] of its `f`/`g`
-//! tables, so the decision runs [`baseline_isomorphism`] on the network and
-//! checks the certificate against the closed-form Baseline
+//! No [`min_graph::MiDigraph`] is built anywhere in a campaign. When every
+//! stage is independent, the decision takes Theorem 3's construction
+//! ([`affine_baseline_isomorphism`]) from the stage affine forms; otherwise,
+//! or when that construction declines, it runs the sweep
+//! ([`baseline_isomorphism`]) on the network, which is itself a
+//! [`min_graph::MiView`] of its `f`/`g` tables. Both give the same
+//! certificate, and every `Violation` is the sweep's diagnosis. Every
+//! certificate is checked arc by arc against the closed-form Baseline
 //! ([`crate::baseline_iso::BaselineView`]), and the cross-verification
 //! checks each composed mapping between the member's and the
-//! representative's tables. Every check — properness, component counts,
-//! tries, label collisions, bijectivity, arc multiplicities and per-stage
-//! arc counts — still runs for every subject and every class member.
+//! representative's tables: bijectivity, arc multiplicities and per-stage
+//! arc counts run for every subject and every class member.
 //!
 //! ## Determinism
 //!
@@ -70,7 +73,7 @@
 //! ```
 
 use crate::affine_form::affine_form;
-use crate::baseline_iso::{baseline_isomorphism, BaselineIsomorphism};
+use crate::baseline_iso::{affine_baseline_isomorphism, baseline_isomorphism, BaselineIsomorphism};
 use crate::equivalence::compose_baseline_certificates;
 use crate::network::ConnectionNetwork;
 use min_graph::iso::verify_stage_mapping;
@@ -447,11 +450,17 @@ struct Outcome {
 }
 
 /// Decides one subject: packed affine forms for every stage, then the
-/// certified constructive Baseline isomorphism.
+/// certified constructive Baseline isomorphism. When every stage is
+/// independent, Theorem 3's construction gives the certificate; when it
+/// declines, or some stage is not independent, the sweep gives it or names
+/// the violated condition.
 fn classify_one(subject: &Subject) -> Outcome {
     let net = subject.build();
     let forms: Option<Vec<_>> = net.connections().iter().map(affine_form).collect();
-    match baseline_isomorphism(&net) {
+    let certified = forms
+        .as_deref()
+        .and_then(|forms| affine_baseline_isomorphism(&net, forms));
+    match certified.map_or_else(|| baseline_isomorphism(&net), Ok) {
         Ok(certificate) => {
             let mapping_checksum = certificate.checksum();
             let witness = match forms {

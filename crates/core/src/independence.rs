@@ -4,16 +4,12 @@
 //! > for every `α ≠ (0,…,0)` there exists `β` such that for every `x`,
 //! > `f(x ⊕ α) = β ⊕ f(x)` and `g(x ⊕ α) = β ⊕ g(x)`.
 //!
-//! Two checkers are provided:
-//!
-//! * [`is_independent_naive`] applies the definition verbatim — every `α`,
-//!   every `x` — in `O(N²)`. It exists as the ground truth against which the
-//!   fast checker is property-tested.
-//! * [`is_independent`] runs the packed affine characterization
-//!   ([`crate::affine_form()`]): `(f, g)` is independent iff `f` is affine
-//!   over GF(2) and `g = f ⊕ c`. The candidate affine extension is built by
-//!   the Gray-code evaluator and compared slice-to-slice, so the decision is
-//!   `O(N)` — one XOR and one compare per table entry.
+//! [`is_independent`] runs the packed affine characterization
+//! ([`crate::affine_form()`]): `(f, g)` is independent iff `f` is affine
+//! over GF(2) and `g = f ⊕ c`. The candidate affine extension is built by
+//! the Gray-code evaluator and compared slice-to-slice, so the decision is
+//! `O(N)` — one XOR and one compare per table entry. The literal `O(N²)`
+//! reading of the definition is a test oracle (`tests/theorem3.rs`).
 //!
 //! The certificate of an independent connection is its [`AffineForm`]: the
 //! β of a translation `α` is `M α`, the linear part of `f` applied to `α`,
@@ -22,27 +18,9 @@
 //! [`AffineForm`]: crate::AffineForm
 
 use crate::connection::Connection;
-use min_labels::all_labels;
-
-/// Literal `O(N²)` implementation of the definition.
-pub fn is_independent_naive(conn: &Connection) -> bool {
-    let width = conn.width();
-    for alpha in all_labels(width).skip(1) {
-        // If any β works, the one forced by x = 0 works: β = f(α) ⊕ f(0).
-        let beta = conn.f(alpha) ^ conn.f(0);
-        let ok = all_labels(width).all(|x| {
-            conn.f(x ^ alpha) == beta ^ conn.f(x) && conn.g(x ^ alpha) == beta ^ conn.g(x)
-        });
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
 
 /// Fast `O(N)` independence check via the packed affine characterization:
-/// `true` exactly when [`crate::affine_form()`] finds a certificate. The
-/// property tests below pin it against [`is_independent_naive`].
+/// `true` exactly when [`crate::affine_form()`] finds a certificate.
 pub fn is_independent(conn: &Connection) -> bool {
     crate::affine_form::affine_form(conn).is_some()
 }
@@ -51,7 +29,7 @@ pub fn is_independent(conn: &Connection) -> bool {
 mod tests {
     use super::*;
     use crate::affine_form::affine_form;
-    use min_labels::{AffineMap, IndexPermutation, LinearMap, Permutation};
+    use min_labels::{all_labels, AffineMap, IndexPermutation, LinearMap, Permutation};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -64,7 +42,6 @@ mod tests {
     fn baseline_stage_is_independent() {
         for width in 1..=6 {
             let conn = baseline_stage0(width);
-            assert!(is_independent_naive(&conn));
             assert!(is_independent(&conn));
             let form = affine_form(&conn).unwrap();
             assert_eq!(form.to_connection(), conn);
@@ -75,7 +52,7 @@ mod tests {
     fn omega_stage_is_independent() {
         let sigma = IndexPermutation::perfect_shuffle(4);
         let conn = Connection::from_link_permutation(&Permutation::from_index_perm(&sigma));
-        assert!(is_independent_naive(&conn));
+        assert!(is_independent(&conn));
         let form = affine_form(&conn).unwrap();
         assert_eq!(form.to_connection(), conn);
     }
@@ -87,7 +64,6 @@ mod tests {
             let aff = AffineMap::random(4, 4, &mut rng);
             let conn = Connection::from_affine(&aff, 0b0110);
             assert!(is_independent(&conn));
-            assert!(is_independent_naive(&conn));
         }
     }
 
@@ -111,7 +87,6 @@ mod tests {
             move |x| table[x as usize],
             move |x| table[x as usize] ^ 1,
         );
-        assert!(!is_independent_naive(&conn));
         assert!(!is_independent(&conn));
         assert!(affine_form(&conn).is_none());
         // A witness of the violation: a basis direction α and a point x
@@ -128,36 +103,7 @@ mod tests {
     fn mismatched_difference_breaks_independence() {
         // f affine but g differs from f by a *non-constant* amount.
         let conn = Connection::from_fn(3, |x| x, |x| if x < 4 { x ^ 1 } else { x ^ 2 });
-        assert!(!is_independent_naive(&conn));
         assert!(!is_independent(&conn));
-    }
-
-    #[test]
-    fn fast_and_naive_checkers_agree_on_random_connections() {
-        let mut rng = ChaCha8Rng::seed_from_u64(67);
-        let mut independents = 0usize;
-        for i in 0..60 {
-            let conn = if i % 3 == 0 {
-                // random affine pair: independent by construction
-                let aff = AffineMap::random(3, 3, &mut rng);
-                Connection::from_affine(&aff, rand::Rng::gen_range(&mut rng, 0..8))
-            } else {
-                // random tables: essentially never independent
-                let f = Permutation::random(3, &mut rng);
-                let g = Permutation::random(3, &mut rng);
-                Connection::from_fn(3, |x| f.apply(x), |x| g.apply(x))
-            };
-            let a = is_independent_naive(&conn);
-            let b = is_independent(&conn);
-            assert_eq!(a, b, "checkers disagree on connection {i}");
-            if a {
-                independents += 1;
-            }
-        }
-        assert!(
-            independents >= 10,
-            "the affine third must all be independent"
-        );
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub mod properties;
 pub mod reverse;
 
 pub use affine_form::{affine_form, AffineForm};
-pub use baseline_iso::{baseline_digraph, baseline_isomorphism, BaselineIsomorphism};
+pub use baseline_iso::{
+    affine_baseline_isomorphism, baseline_digraph, baseline_isomorphism, BaselineIsomorphism,
+};
 pub use buddy::{buddy_property, reverse_buddy_property, BuddyReport};
 pub use classify::{
     classify_subjects, ClassificationReport, ClassifyError, EquivalenceClass, Subject,
@@ -66,7 +68,7 @@ pub use connection::Connection;
 pub use delta::{is_bidelta, is_delta, DeltaReport};
 pub use equivalence::{are_equivalent, compose_baseline_certificates, equivalence_mapping};
 pub use error::{EquivalenceError, ReverseError};
-pub use independence::{is_independent, is_independent_naive};
+pub use independence::is_independent;
 pub use network::ConnectionNetwork;
 pub use pipid::{connection_from_pipid, PipidStage};
 pub use properties::{

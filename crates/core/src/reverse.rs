@@ -122,7 +122,7 @@ pub fn reverse_connection(conn: &Connection) -> Result<Connection, ReverseError>
 mod tests {
     use super::*;
     use crate::affine_form::{random_independent_connection, random_proper_independent_connection};
-    use crate::independence::{is_independent, is_independent_naive};
+    use crate::independence::is_independent;
     use min_labels::{IndexPermutation, Permutation};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -178,13 +178,13 @@ mod tests {
         let baseline = Connection::from_fn(3, |x| x >> 1, move |x| (x >> 1) | top);
         let rev = reverse_connection(&baseline).expect("case 2 reverses");
         check_is_reverse(&baseline, &rev);
-        assert!(is_independent_naive(&rev));
+        assert!(is_independent(&rev));
 
         let sigma = IndexPermutation::perfect_shuffle(4);
         let omega = Connection::from_link_permutation(&Permutation::from_index_perm(&sigma));
         let rev = reverse_connection(&omega).expect("omega stage reverses");
         check_is_reverse(&omega, &rev);
-        assert!(is_independent_naive(&rev));
+        assert!(is_independent(&rev));
     }
 
     #[test]
@@ -227,7 +227,7 @@ mod tests {
         // vertex 0 is (f,f), vertex 1 is (g,g), vertex 2 is (f,g): mixed.
         let conn = Connection::from_tables(2, vec![0, 0, 2, 3], vec![1, 1, 3, 2]);
         assert!(conn.is_two_regular());
-        assert!(!is_independent_naive(&conn));
+        assert!(!is_independent(&conn));
         assert_eq!(
             reverse_connection(&conn),
             Err(ReverseError::MixedVertexTypes)

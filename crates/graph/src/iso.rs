@@ -88,16 +88,26 @@ pub fn verify_stage_mapping<G: MiView, H: MiView>(g: &G, h: &H, mapping: &StageM
     // and summing their out-degrees counts `h`'s arcs of the stage: equal
     // counts mean `h` has no arc that no arc of `g` maps onto.
     for s in 0..stages.saturating_sub(1) {
+        let (map, next) = (&mapping[s], &mapping[s + 1]);
         let (mut g_arcs, mut h_arcs) = (0, 0);
         for v in 0..w as u32 {
             let kids = g.children_of(s, v);
             let kids = kids.as_ref();
-            let image_kids = h.children_of(s, mapping[s][v as usize]);
+            let image_kids = h.children_of(s, map[v as usize]);
             let image_kids = image_kids.as_ref();
-            for &c in kids {
-                if multiplicity(kids, c) != multiplicity(image_kids, mapping[s + 1][c as usize]) {
-                    return false;
+            let preserved = match (kids, image_kids) {
+                // Two arcs each: the multiplicities agree exactly when the
+                // images are the image node's children as a multiset.
+                (&[a, b], &[p, q]) => {
+                    let (ma, mb) = (next[a as usize], next[b as usize]);
+                    (ma == p && mb == q) || (ma == q && mb == p)
                 }
+                _ => kids
+                    .iter()
+                    .all(|&c| multiplicity(kids, c) == multiplicity(image_kids, next[c as usize])),
+            };
+            if !preserved {
+                return false;
             }
             g_arcs += kids.len();
             h_arcs += image_kids.len();

@@ -154,14 +154,6 @@ pub fn unique_path(g: &MiDigraph, src: u32, dst: u32) -> Option<Vec<u32>> {
     Some(path)
 }
 
-/// Total number of (first-stage, last-stage) ordered pairs joined by at
-/// least one path. For a Banyan graph this is `width²`.
-pub fn connected_pairs(g: &MiDigraph) -> usize {
-    (0..g.width() as u32)
-        .map(|src| path_counts_from(g, src).iter().filter(|&&c| c > 0).count())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +196,6 @@ mod tests {
             assert_eq!(path_counts_from(&g, src), vec![1, 1, 1, 1]);
             assert_eq!(reachable_per_stage(&g, src), vec![1, 2, 4]);
         }
-        assert_eq!(connected_pairs(&g), 16);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! `golden/certificates.json`, together with one hand-built digraph that
 //! reaches the prefix-trie error. Reversal swaps prefixes and suffixes, so
 //! the prefix trie of every network is also built as the suffix trie of its
-//! reverse.
+//! reverse. A second test runs every network of the corpus whose stages are
+//! all independent through Theorem 3's affine construction against the same
+//! golden file.
 
-use min_core::baseline_isomorphism;
+use min_core::{affine_baseline_isomorphism, affine_form, baseline_isomorphism, ConnectionNetwork};
 use min_graph::MiDigraph;
 use min_networks::counterexample::{
     banyan_not_baseline_equivalent, buddy_not_baseline_equivalent, fig5_network,
@@ -81,15 +83,29 @@ fn outcome(g: &MiDigraph) -> String {
     }
 }
 
+/// The golden outcomes, in corpus order: each network, then its reverse.
+fn golden() -> Vec<(String, String)> {
+    serde_json::from_str(include_str!("golden/certificates.json")).expect("golden parses")
+}
+
+/// The corpus in golden order: each network, then its reverse.
+fn corpus_with_reverses() -> Vec<(String, MiDigraph)> {
+    corpus()
+        .into_iter()
+        .flat_map(|(name, g)| {
+            let reverse = (format!("reverse/{name}"), g.reverse());
+            [(name, g), reverse]
+        })
+        .collect()
+}
+
 #[test]
 fn baseline_isomorphism_reproduces_its_golden_corpus() {
-    let golden: Vec<(String, String)> =
-        serde_json::from_str(include_str!("golden/certificates.json")).expect("golden parses");
-    let mut actual = Vec::new();
-    for (name, g) in corpus() {
-        actual.push((name.clone(), outcome(&g)));
-        actual.push((format!("reverse/{name}"), outcome(&g.reverse())));
-    }
+    let golden = golden();
+    let actual: Vec<(String, String)> = corpus_with_reverses()
+        .into_iter()
+        .map(|(name, g)| (name, outcome(&g)))
+        .collect();
     assert_eq!(actual.len(), golden.len(), "corpus size");
     for (got, want) in actual.iter().zip(&golden) {
         assert_eq!(got, want);
@@ -102,4 +118,36 @@ fn baseline_isomorphism_reproduces_its_golden_corpus() {
             "no {trie}-trie error in the corpus"
         );
     }
+}
+
+/// Theorem 3's construction certifies every equivalent network of the
+/// corpus whose stages are all independent with the golden checksum, and
+/// declines every such network the golden file records an error for.
+#[test]
+fn theorem3_path_reproduces_the_golden_independent_corpus() {
+    let (mut certified, mut declined) = (0, 0);
+    for ((name, g), (golden_name, want)) in corpus_with_reverses().into_iter().zip(golden()) {
+        assert_eq!(name, golden_name);
+        let Some(net) = ConnectionNetwork::from_digraph(&g) else {
+            continue;
+        };
+        let forms: Option<Vec<_>> = net.connections().iter().map(affine_form).collect();
+        let Some(forms) = forms else {
+            continue;
+        };
+        match affine_baseline_isomorphism(&net, &forms) {
+            Some(cert) => {
+                assert_eq!(format!("ok {:016x}", cert.checksum()), want, "{name}");
+                certified += 1;
+            }
+            None => {
+                assert!(want.starts_with("err "), "{name} declined, golden {want}");
+                declined += 1;
+            }
+        }
+    }
+    assert!(
+        certified >= 100 && declined >= 30,
+        "{certified} certified, {declined} declined"
+    );
 }

@@ -1,15 +1,98 @@
 //! Experiments E3, E7, E8 — Lemma 2, Proposition 1 and Theorem 3 on random
 //! instances (property-based).
+//!
+//! This file is also the home of the definitional independence check
+//! ([`is_independent_naive`]), the oracle the packed affine check is pinned
+//! against, and of the oracle test of Theorem 3's construction: on every
+//! independent network, [`affine_baseline_isomorphism`] gives the sweep's
+//! certificate or declines exactly when the sweep fails.
 
 use baseline_equivalence::prelude::*;
-use min_core::affine_form::{affine_form, random_proper_independent_connection};
-use min_core::independence::{is_independent, is_independent_naive};
+use min_core::affine_form::{
+    affine_form, random_independent_connection, random_proper_independent_connection,
+};
+use min_core::independence::is_independent;
+use min_core::pipid::connection_from_pipid;
 use min_core::reverse::reverse_connection;
+use min_core::{affine_baseline_isomorphism, AffineForm};
 use min_graph::components::component_ids_range;
 use min_graph::paths::is_banyan;
+use min_labels::{all_labels, AffineMap, Permutation};
+use min_networks::random::{random_independent_banyan, random_pipid_network};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// The paper's definition of independence, verbatim: for every `α ≠ 0`
+/// some `β` has `f(x ⊕ α) = β ⊕ f(x)` and `g(x ⊕ α) = β ⊕ g(x)` for every
+/// `x`. `O(N²)`.
+fn is_independent_naive(conn: &Connection) -> bool {
+    let width = conn.width();
+    all_labels(width).skip(1).all(|alpha| {
+        // If any β works, the one forced by x = 0 works: β = f(α) ⊕ f(0).
+        let beta = conn.f(alpha) ^ conn.f(0);
+        all_labels(width)
+            .all(|x| conn.f(x ^ alpha) == beta ^ conn.f(x) && conn.g(x ^ alpha) == beta ^ conn.g(x))
+    })
+}
+
+/// An `n`-stage network (`n ≤ 10`) whose every stage is independent:
+/// random stages of both Proposition 1 shapes (Banyan or not), an
+/// independent Banyan network, a random PIPID network, stages that are not
+/// 2-regular, proper stages with one parallel-link stage, or a catalog
+/// network with every stage relabelled by a random affine bijection (always
+/// equivalent, at every size).
+fn independent_network() -> impl Strategy<Value = ConnectionNetwork> {
+    (0..6u8, 2..=10usize, any::<u64>()).prop_map(|(family, n, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let width = n - 1;
+        let proper = |rng: &mut ChaCha8Rng| {
+            let connections = (0..width)
+                .map(|_| random_proper_independent_connection(width, rng.gen(), rng))
+                .collect();
+            ConnectionNetwork::new(width, connections)
+        };
+        match family {
+            0 => proper(&mut rng),
+            // Banyan rejection sampling costs a path count per attempt.
+            1 => random_independent_banyan(n.min(8), 20, &mut rng)
+                .unwrap_or_else(|| random_pipid_network(n, &mut rng)),
+            2 => random_pipid_network(n, &mut rng),
+            3 => {
+                let connections = (0..width)
+                    .map(|_| random_independent_connection(width, &mut rng))
+                    .collect();
+                ConnectionNetwork::new(width, connections)
+            }
+            4 => {
+                let mut connections = proper(&mut rng).connections().to_vec();
+                let parallel = AffineMap::random_invertible(width, &mut rng);
+                connections[rng.gen_range(0..width)] = Connection::from_affine(&parallel, 0);
+                ConnectionNetwork::new(width, connections)
+            }
+            _ => {
+                let kind = ClassicalNetwork::ALL[rng.gen_range(0..ClassicalNetwork::ALL.len())];
+                let relabel: Vec<AffineMap> = (0..n)
+                    .map(|_| AffineMap::random_invertible(width, &mut rng))
+                    .collect();
+                let catalog = kind.build(n);
+                let connections = catalog
+                    .connections()
+                    .iter()
+                    .enumerate()
+                    .map(|(j, conn)| {
+                        let form = affine_form(conn).expect("catalog stages are independent");
+                        let back = relabel[j].inverse().expect("invertible");
+                        let f = relabel[j + 1].compose(&form.f).compose(&back);
+                        let c = relabel[j + 1].linear().apply(form.difference);
+                        Connection::from_affine(&f, c)
+                    })
+                    .collect();
+                ConnectionNetwork::new(width, connections)
+            }
+        }
+    })
+}
 
 /// Strategy: a proper independent connection on `width` bits, described by a
 /// seed so shrinking stays meaningful.
@@ -79,6 +162,39 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Theorem 3's construction gives the sweep's certificate bit for bit,
+    /// or declines exactly when the sweep fails; a campaign then records
+    /// the sweep's own diagnosis.
+    #[test]
+    fn theorem3_path_agrees_with_the_sweep(net in independent_network()) {
+        let forms: Vec<AffineForm> = net
+            .connections()
+            .iter()
+            .map(|conn| affine_form(conn).expect("every stage is independent"))
+            .collect();
+        let sweep = baseline_isomorphism(&net);
+        match affine_baseline_isomorphism(&net, &forms) {
+            Some(certificate) => prop_assert_eq!(Ok(certificate), sweep.clone()),
+            None => prop_assert!(sweep.is_err(), "declined an equivalent network"),
+        }
+        let stages = net.stages();
+        let subject = Subject::new("independent", stages, 0, 0, move || net.clone());
+        let report = classify_subjects(&[subject], 1).unwrap();
+        match (&report.subjects[0].witness, &sweep) {
+            (Witness::IndependentConnections { mapping_checksum, .. }, Ok(certificate)) => {
+                prop_assert_eq!(*mapping_checksum, certificate.checksum())
+            }
+            (Witness::Violation { condition }, Err(error)) => {
+                prop_assert_eq!(condition, &error.to_string())
+            }
+            (witness, _) => prop_assert!(false, "{:?} against {:?}", witness, sweep),
+        }
+    }
+}
+
 #[test]
 fn lemma2_component_structure_on_independent_banyan_networks() {
     // Lemma 2's induction invariant, checked directly: in a Banyan network
@@ -127,4 +243,57 @@ fn constant_difference_observation_from_lemma2() {
             }
         }
     }
+}
+
+#[test]
+fn fast_and_naive_checkers_agree_on_random_connections() {
+    let mut rng = ChaCha8Rng::seed_from_u64(67);
+    let mut independents = 0usize;
+    for i in 0..60 {
+        let conn = if i % 3 == 0 {
+            // random affine pair: independent by construction
+            let aff = AffineMap::random(3, 3, &mut rng);
+            Connection::from_affine(&aff, rng.gen_range(0..8))
+        } else {
+            // random tables: essentially never independent
+            let f = Permutation::random(3, &mut rng);
+            let g = Permutation::random(3, &mut rng);
+            Connection::from_fn(3, |x| f.apply(x), |x| g.apply(x))
+        };
+        let a = is_independent_naive(&conn);
+        let b = is_independent(&conn);
+        assert_eq!(a, b, "checkers disagree on connection {i}");
+        if a {
+            independents += 1;
+        }
+    }
+    assert!(
+        independents >= 10,
+        "the affine third must all be independent"
+    );
+}
+
+#[test]
+fn the_definition_holds_on_the_paper_stages_and_their_reverses() {
+    // §3 and §4: Baseline, Omega and PIPID stages are independent, and so
+    // are their Proposition 1 reverses.
+    let top = 0b100u64;
+    let baseline = Connection::from_fn(3, |x| x >> 1, move |x| (x >> 1) | top);
+    let shuffle = IndexPermutation::perfect_shuffle(4);
+    let omega = Connection::from_link_permutation(&Permutation::from_index_perm(&shuffle));
+    let mut rng = ChaCha8Rng::seed_from_u64(137);
+    let pipids = (0..10).map(|_| connection_from_pipid(&IndexPermutation::random(5, &mut rng)));
+    for conn in [baseline, omega]
+        .into_iter()
+        .chain(pipids.map(|s| s.connection))
+    {
+        assert!(is_independent_naive(&conn));
+        let rev = reverse_connection(&conn).expect("proper independent stages reverse");
+        assert!(is_independent_naive(&rev));
+    }
+    // Two-regular, but f and g do not differ by a constant.
+    let mixed = Connection::from_tables(2, vec![0, 0, 2, 3], vec![1, 1, 3, 2]);
+    assert!(!is_independent_naive(&mixed));
+    let shifted = Connection::from_fn(3, |x| x, |x| if x < 4 { x ^ 1 } else { x ^ 2 });
+    assert!(!is_independent_naive(&shifted));
 }
