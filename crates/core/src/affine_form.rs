@@ -57,26 +57,35 @@ impl AffineForm {
 ///
 /// The certificate is validated against the full tables before being
 /// returned, so `Some(form)` always satisfies
-/// `form.to_connection() == *conn`. Validation is `O(N)`: the candidate
-/// affine extension is materialized by the packed Gray-code evaluator
-/// ([`AffineMap::table`]) and compared to the stored table slice-to-slice,
-/// instead of re-applying the map digit by digit at every point.
+/// `form.to_connection() == *conn`. Validation is one `O(N)` pass over the
+/// stored tables, by doubling: the map interpolated from `f(0)` and
+/// `f(e_i)` agrees with `f` on `0..2^(i+1)` exactly when it agrees on
+/// `0..2^i` and `f(x | 2^i) = f(x) ⊕ M e_i` for every `x < 2^i`; the same
+/// pass checks `g(x) = f(x) ⊕ c` at every point of the new half.
 pub fn affine_form(conn: &Connection) -> Option<AffineForm> {
     let width = conn.width();
+    let (f, g) = (conn.f_table(), conn.g_table());
     let f_aff = AffineMap::interpolate(width, width, |x| conn.f(x));
-    let candidate = f_aff.table();
-    if candidate
-        .iter()
-        .zip(conn.f_table())
-        .any(|(&a, &b)| a != u64::from(b))
-    {
-        return None;
+    let c = f[0] ^ g[0];
+    for (i, &column) in f_aff.linear().columns().iter().enumerate() {
+        let half = 1usize << i;
+        let (low, high) = f[..2 * half].split_at(half);
+        // Labels fit the `u32` tables, so the column does too.
+        let column = column as u32;
+        let mismatch = low
+            .iter()
+            .zip(high)
+            .zip(&g[half..2 * half])
+            .fold(0, |acc, ((&lo, &hi), &gh)| {
+                acc | (lo ^ column ^ hi) | (hi ^ c ^ gh)
+            });
+        if mismatch != 0 {
+            return None;
+        }
     }
-    let c = conn.constant_difference()?;
-    // g must equal f ⊕ c everywhere; constant_difference already checked it.
     Some(AffineForm {
         f: f_aff,
-        difference: c,
+        difference: Label::from(c),
     })
 }
 
@@ -180,6 +189,22 @@ mod tests {
                 is_independent(&conn),
                 "affine characterization must coincide with the definition (case {i})"
             );
+        }
+    }
+
+    #[test]
+    fn a_single_wrong_point_of_f_or_g_is_rejected() {
+        let mut rng = ChaCha8Rng::seed_from_u64(97);
+        let conn = random_independent_connection(5, &mut rng);
+        assert!(affine_form(&conn).is_some());
+        for x in 0..conn.cells() {
+            for flip_g in [false, true] {
+                let (mut f, mut g) = (conn.f_table().to_vec(), conn.g_table().to_vec());
+                let table = if flip_g { &mut g } else { &mut f };
+                table[x] ^= 1 << (x % 5);
+                let broken = Connection::from_tables(5, f, g);
+                assert!(affine_form(&broken).is_none(), "x = {x}, g: {flip_g}");
+            }
         }
     }
 

@@ -74,13 +74,13 @@
 
 use crate::affine_form::affine_form;
 use crate::baseline_iso::{affine_baseline_isomorphism, baseline_isomorphism, BaselineIsomorphism};
-use crate::equivalence::compose_baseline_certificates;
+use crate::equivalence::BaselineInverse;
 use crate::network::ConnectionNetwork;
 use min_graph::iso::verify_stage_mapping;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// Derives a per-subject seed from the campaign seed and the subject index.
@@ -542,29 +542,42 @@ pub fn classify_subjects(
     // Cross-verify every equivalent class: compose each member's
     // certificate with the representative's and check the mapping arc by
     // arc on the two networks' own tables. The (class, member) pairs run in
-    // parallel; each representative is built once, by whichever pair of its
-    // class needs it first.
+    // parallel; each representative is built, and its certificate checked
+    // and inverted, once, by whichever pair of its class needs it first.
+    // Every certificate is used once more — a member's by its pair, a
+    // representative's for the inverse — and is dropped after that use.
     let pairs: Vec<(usize, usize)> = classes
         .iter()
         .filter(|class| class.equivalent)
         .flat_map(|class| class.members[1..].iter().map(|&m| (class.id, m)))
         .collect();
-    let reps: Vec<OnceLock<ConnectionNetwork>> = classes.iter().map(|_| OnceLock::new()).collect();
+    let certificates: Vec<Mutex<Option<BaselineIsomorphism>>> = outcomes
+        .into_iter()
+        .map(|outcome| Mutex::new(outcome.certificate))
+        .collect();
+    let take = |s: usize| {
+        certificates[s]
+            .lock()
+            .expect("no thread panics while holding a certificate")
+            .take()
+            .expect("equivalent subjects carry a certificate, used once")
+    };
+    let reps: Vec<OnceLock<Option<(ConnectionNetwork, BaselineInverse)>>> =
+        classes.iter().map(|_| OnceLock::new()).collect();
     let verdicts = run_indexed(pairs.len(), threads, |i| {
         let (class, member) = pairs[i];
-        let rep = classes[class].members[0];
-        let certificate = |s: usize| {
-            outcomes[s]
-                .certificate
-                .as_ref()
-                .expect("equivalent subjects carry a certificate")
+        let rep = reps[class].get_or_init(|| {
+            let rep = classes[class].members[0];
+            BaselineInverse::new(&take(rep))
+                .ok()
+                .map(|inverse| (subjects[rep].build(), inverse))
+        });
+        let Some((rep_net, inverse)) = rep else {
+            return false;
         };
-        compose_baseline_certificates(certificate(member), certificate(rep))
-            .map(|mapping| {
-                let rep_net = reps[class].get_or_init(|| subjects[rep].build());
-                verify_stage_mapping(&subjects[member].build(), rep_net, &mapping)
-            })
-            .unwrap_or(false)
+        let mapping = inverse.compose(&take(member));
+        mapping
+            .is_ok_and(|mapping| verify_stage_mapping(&subjects[member].build(), rep_net, &mapping))
     });
     for (&(class, _), verified) in pairs.iter().zip(verdicts) {
         classes[class].cross_verified &= verified;

@@ -15,13 +15,13 @@ use min_graph::MiView;
 /// Composes two Baseline certificates into the explicit `g → h` mapping
 /// without recomputing either isomorphism: `g --cg--> Baseline --ch⁻¹--> h`.
 ///
-/// Classification campaigns hold one certificate per network and call this
-/// for every (member, representative) pair of an equivalence class, so the
-/// per-pair cost is two mapping passes rather than two fresh sweeps. The
-/// returned mapping is *not* verified here — callers that need an
-/// unconditional certificate pass it through
-/// [`min_graph::iso::verify_stage_mapping`] (as [`equivalence_mapping`]
-/// does).
+/// The per-pair cost is two mapping passes rather than two fresh sweeps.
+/// Classification campaigns, which compose every member of an equivalence
+/// class with one representative, check and invert the representative's
+/// certificate once per class instead. The returned mapping is *not*
+/// verified here — callers that need an unconditional certificate pass it
+/// through [`min_graph::iso::verify_stage_mapping`] (as
+/// [`equivalence_mapping`] does).
 ///
 /// A certificate's fields are public, so neither is trusted: unless both
 /// have one stage map per stage and every map is a bijection of the same
@@ -30,16 +30,48 @@ pub fn compose_baseline_certificates(
     cg: &BaselineIsomorphism,
     ch: &BaselineIsomorphism,
 ) -> Result<StageMapping, EquivalenceError> {
-    let width = cg.mapping.first().map_or(0, Vec::len);
-    let well_formed = |c: &BaselineIsomorphism| {
-        c.stages == cg.stages
-            && c.mapping.len() == c.stages
-            && c.mapping.iter().all(|m| is_stage_bijection(m, width))
-    };
-    if !(well_formed(cg) && well_formed(ch)) {
-        return Err(EquivalenceError::ShapeMismatch);
+    BaselineInverse::new(ch)?.compose(cg)
+}
+
+/// The inverse `Baseline → h` of a certificate `h → Baseline`, checked and
+/// inverted once so that many certificates can be composed with it.
+pub(crate) struct BaselineInverse {
+    /// One bijection of `0..width` per stage.
+    mapping: StageMapping,
+}
+
+impl BaselineInverse {
+    /// Inverts `ch`, or [`EquivalenceError::ShapeMismatch`] unless it has
+    /// one stage map per stage, each a bijection of one `0..width`.
+    pub(crate) fn new(ch: &BaselineIsomorphism) -> Result<Self, EquivalenceError> {
+        let width = ch.mapping.first().map_or(0, Vec::len);
+        if !has_shape(ch, ch.stages, width) {
+            return Err(EquivalenceError::ShapeMismatch);
+        }
+        Ok(BaselineInverse {
+            mapping: invert_mapping(&ch.mapping),
+        })
     }
-    Ok(compose_mappings(&cg.mapping, &invert_mapping(&ch.mapping)))
+
+    /// The mapping `g → h` from `cg`, or [`EquivalenceError::ShapeMismatch`]
+    /// unless `cg` has this inverse's stage count and width.
+    pub(crate) fn compose(
+        &self,
+        cg: &BaselineIsomorphism,
+    ) -> Result<StageMapping, EquivalenceError> {
+        let width = self.mapping.first().map_or(0, Vec::len);
+        if !has_shape(cg, self.mapping.len(), width) {
+            return Err(EquivalenceError::ShapeMismatch);
+        }
+        Ok(compose_mappings(&cg.mapping, &self.mapping))
+    }
+}
+
+/// `true` when `c` has `stages` stage maps, each a bijection of `0..width`.
+fn has_shape(c: &BaselineIsomorphism, stages: usize, width: usize) -> bool {
+    c.stages == stages
+        && c.mapping.len() == stages
+        && c.mapping.iter().all(|m| is_stage_bijection(m, width))
 }
 
 /// Computes an explicit stage-respecting isomorphism `g → h` by composing
