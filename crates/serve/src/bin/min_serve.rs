@@ -15,6 +15,8 @@
 //! min_serve gen-config [--preset smoke] [--output grid.json]
 //! ```
 //!
+//! A lane-eligible curve ships as one 64-lane word per shard;
+//! `--points-per-shard` sizes only the shards of the other grid points.
 //! `run-local` executes the same campaign in process (the single-machine
 //! baseline the distributed report must match byte-for-byte) and
 //! `gen-config` writes a canonical campaign JSON, so the CI determinism
@@ -282,8 +284,8 @@ fn preset_config(preset: &str) -> Result<CampaignConfig, String> {
     match preset {
         // Small enough to finish in seconds, rich enough to cross every
         // distributed code path: several shards per worker, a fault axis
-        // (so path-diversity histograms flow through the wire), and two
-        // replications per grid point.
+        // (so path-diversity histograms flow through the wire), and 2 loads
+        // × 4 replications, so every curve ships as one packed word.
         "smoke" => Ok(CampaignConfig::over_catalog(3..=3)
             .with_traffic(vec![TrafficPattern::Uniform, TrafficPattern::BitReversal])
             .with_loads(vec![0.35, 0.85])
@@ -291,7 +293,7 @@ fn preset_config(preset: &str) -> Result<CampaignConfig, String> {
                 FaultPlan::none(),
                 FaultPlan::none().with_dead_link(1, 0, 1, 0),
             ])
-            .with_replications(2)
+            .with_replications(4)
             .with_cycles(150, 20)),
         // The default catalog sweep, unchanged.
         "catalog" => Ok(CampaignConfig::default()),

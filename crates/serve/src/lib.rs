@@ -18,9 +18,9 @@
 //! any worker, any retry, any machine produces byte-identical results for
 //! the same shard. Consequences the design leans on:
 //!
-//! * **slot-addressed results store** — the master folds pushed results
-//!   into a `CampaignReport` by canonical scenario index
-//!   (`CampaignReport::merge`); arrival order is irrelevant;
+//! * **slot-addressed results** — the master files each push under its
+//!   shard and, once the last shard lands, `assemble()` slots every result
+//!   by canonical scenario index; arrival order is irrelevant;
 //! * **idempotent failover** — when a worker misses its heartbeat deadline
 //!   its running shards are simply requeued; if the "dead" worker pushes
 //!   after all, the duplicate is discarded, because a re-executed shard

@@ -1,11 +1,14 @@
 //! The campaign master: job state, shard leasing and heartbeat failover.
 //!
-//! The master owns one job at a time: a planned campaign whose shards move
-//! through `Pending → Running → Done`. Workers lease pending shards,
-//! execute them with `min_sim::campaign::execute_shard`, and push results
-//! back; a monitor requeues the shards of any worker that misses its
-//! heartbeat deadline. Because shards are index-addressed and scenario
-//! seeds are derived per index, a requeued shard re-executes to
+//! The master owns one job at a time: a campaign planned by
+//! `CampaignConfig::plan_chunked` (the planner `run_campaign` uses, so a
+//! lane-eligible curve ships as one 64-lane word per shard and
+//! `points_per_shard` sizes only the other shards), whose shards move
+//! through `Pending → Running → Done`. Workers lease pending shards (lowest
+//! id first), execute them with `min_sim::campaign::execute_shard`, and
+//! push results back; a monitor requeues the shards of any worker that
+//! misses its heartbeat deadline. Because shards are index-addressed and
+//! scenario seeds are derived per index, a requeued shard re-executes to
 //! byte-identical results on any other worker — pushes are therefore
 //! idempotent: the first one fills the slot, later duplicates are
 //! acknowledged and discarded. A push is checked against the plan first:
@@ -19,15 +22,15 @@
 //! observable through a request (a lease, `Status`, `Results`), so
 //! requeueing then is exactly as fresh as any timer could make it.
 //! Campaign execution happens in the workers, so the master's work per
-//! exchange is a lease table update or a report merge — never a
-//! simulation.
+//! exchange is an O(log shards) lease or filing one pushed shard — never a
+//! simulation; the report is assembled once, when the last shard lands.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use min_sim::campaign::{CampaignConfig, CampaignReport, Shard};
+use min_sim::campaign::{assemble, CampaignConfig, ScenarioResult, Shard};
 
 use crate::protocol::{read_frame, write_frame, Reply, Request, StatusReport};
 
@@ -81,15 +84,20 @@ enum Slot {
     Done,
 }
 
-/// The active job: a planned campaign plus its slot table and the
-/// accumulating results store.
+/// The active job: a planned campaign plus its slot table and the results
+/// pushed so far.
 struct Job {
     config: CampaignConfig,
     shards: Vec<Shard>,
     slots: Vec<Slot>,
-    store: CampaignReport,
+    /// The ids of the `Pending` slots; the lowest is leased first.
+    pending: BTreeSet<usize>,
     done: usize,
     requeues: u64,
+    /// Every pushed shard's results, in arrival order.
+    results: Vec<ScenarioResult>,
+    /// The canonical report JSON, assembled when the last slot lands.
+    report: Option<String>,
 }
 
 impl Job {
@@ -195,14 +203,14 @@ impl Master {
             Request::Status => Reply::Status {
                 status: self.status(),
             },
-            Request::Results => match &self.job {
-                Some(job) if job.complete() && job.store.is_complete_for(&job.config) => {
+            Request::Results => match self.job.as_ref().map(|job| &job.report) {
+                Some(Some(report_json)) => {
                     self.served_results = true;
                     Reply::Results {
-                        report_json: job.store.to_json(),
+                        report_json: report_json.clone(),
                     }
                 }
-                Some(_) => Reply::NotReady,
+                Some(None) => Reply::NotReady,
                 None => Reply::Error {
                     message: "no job submitted".to_string(),
                 },
@@ -225,7 +233,7 @@ impl Master {
             // the next submission instead.
             return if once { Reply::Exit } else { Reply::Wait };
         }
-        match job.slots.iter().position(|s| matches!(s, Slot::Pending)) {
+        match job.pending.pop_first() {
             Some(id) => {
                 job.slots[id] = Slot::Running {
                     worker: worker.to_string(),
@@ -241,7 +249,7 @@ impl Master {
         }
     }
 
-    fn push(&mut self, shard: usize, results: Vec<min_sim::campaign::ScenarioResult>) -> Reply {
+    fn push(&mut self, shard: usize, results: Vec<ScenarioResult>) -> Reply {
         let Some(job) = self.job.as_mut() else {
             return Reply::Error {
                 message: "no job submitted".to_string(),
@@ -264,28 +272,29 @@ impl Master {
                 ),
             };
         }
-        if matches!(job.slots[shard], Slot::Done) {
+        if let Slot::Done = std::mem::replace(&mut job.slots[shard], Slot::Done) {
             // A worker declared dead can still come back with the results
             // of a shard that was requeued and re-executed elsewhere.
             // Execution is deterministic, so the bytes are the same either
             // way: first push wins, duplicates are discarded.
             return Reply::Ack;
         }
-        let partial = match CampaignReport::partial(&job.config, results) {
-            Ok(partial) => partial,
-            Err(e) => {
-                return Reply::Error {
-                    message: format!("rejected results for shard {shard}: {e}"),
+        // The shard may have been requeued before its late push landed.
+        job.pending.remove(&shard);
+        job.results.extend(results);
+        job.done += 1;
+        if job.complete() {
+            // `assemble` slots the results by canonical index, so the bytes
+            // do not depend on the order the shards landed in.
+            match assemble(&job.config, std::mem::take(&mut job.results)) {
+                Ok(report) => job.report = Some(report.to_json()),
+                Err(e) => {
+                    return Reply::Error {
+                        message: format!("the pushed results do not assemble: {e}"),
+                    }
                 }
             }
-        };
-        if let Err(e) = job.store.merge(&partial) {
-            return Reply::Error {
-                message: format!("rejected results for shard {shard}: {e}"),
-            };
         }
-        job.slots[shard] = Slot::Done;
-        job.done += 1;
         Reply::Ack
     }
 
@@ -305,15 +314,16 @@ impl Master {
         };
         let shards = plan.shards;
         let scenarios = shards.iter().map(Shard::len).sum();
-        let store = CampaignReport::empty(&config);
         self.served_results = false;
         self.job = Some(Job {
             config,
             slots: vec![Slot::Pending; shards.len()],
-            shards,
-            store,
+            pending: (0..shards.len()).collect(),
             done: 0,
             requeues: 0,
+            results: Vec::new(),
+            report: None,
+            shards,
         });
         Reply::Submitted {
             shards: self.job.as_ref().expect("just set").shards.len(),
@@ -322,29 +332,18 @@ impl Master {
     }
 
     fn status(&self) -> StatusReport {
-        let mut status = StatusReport {
-            has_job: self.job.is_some(),
-            shards: 0,
-            pending: 0,
-            running: 0,
-            done: 0,
-            complete: false,
+        let job = self.job.as_ref();
+        let count = |f: fn(&Job) -> usize| job.map_or(0, f);
+        StatusReport {
+            has_job: job.is_some(),
+            shards: count(|job| job.slots.len()),
+            pending: count(|job| job.pending.len()),
+            running: count(|job| job.slots.len() - job.pending.len() - job.done),
+            done: count(|job| job.done),
+            complete: job.is_some_and(Job::complete),
             workers: self.workers.len(),
-            requeues: 0,
-        };
-        if let Some(job) = &self.job {
-            status.shards = job.slots.len();
-            for slot in &job.slots {
-                match slot {
-                    Slot::Pending => status.pending += 1,
-                    Slot::Running { .. } => status.running += 1,
-                    Slot::Done => status.done += 1,
-                }
-            }
-            status.complete = job.complete();
-            status.requeues = job.requeues;
+            requeues: job.map_or(0, |job| job.requeues),
         }
-        status
     }
 
     /// The failover monitor: drops workers that have missed their
@@ -365,9 +364,10 @@ impl Master {
             self.workers.remove(name);
         }
         if let Some(job) = self.job.as_mut() {
-            for slot in job.slots.iter_mut() {
+            for (id, slot) in job.slots.iter_mut().enumerate() {
                 if matches!(slot, Slot::Running { worker } if dead.contains(worker)) {
                     *slot = Slot::Pending;
+                    job.pending.insert(id);
                     job.requeues += 1;
                 }
             }

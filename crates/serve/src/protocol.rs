@@ -95,7 +95,8 @@ pub enum Request {
     Submit {
         /// The campaign to run.
         config: CampaignConfig,
-        /// Grid points per shard (see `CampaignConfig::plan_chunked`).
+        /// Grid points per shard outside lane-eligible curves, which ship
+        /// as one 64-lane word per shard (`CampaignConfig::plan_chunked`).
         points_per_shard: usize,
     },
     /// A client asks for the job's progress.

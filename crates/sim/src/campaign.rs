@@ -6,10 +6,10 @@
 //! plan × replication — plus the simulation parameters shared by every
 //! cell. Campaign execution is split into three separable phases:
 //!
-//! 1. **[`CampaignConfig::plan`]** expands the grid into a
-//!    [`CampaignPlan`]: an ordered list of [`Shard`]s, each a contiguous
-//!    block of whole grid points (runs of consecutive scenario indices that
-//!    differ only in their derived seed).
+//! 1. **[`CampaignConfig::plan_chunked`]** expands the grid into a
+//!    [`CampaignPlan`]: an ordered list of [`Shard`]s, each one 64-lane
+//!    word of a lane-eligible curve or `points_per_shard` other whole grid
+//!    points ([`CampaignConfig::plan`]: one grid point per shard).
 //! 2. **[`execute_shard`]** is pure — shard in, slotted [`ScenarioResult`]s
 //!    out. It hands each curve — the shard's scenarios that differ only in
 //!    offered load and seed — to [`crate::batch::run_replications`] as one
@@ -25,8 +25,7 @@
 //!    typed [`MergeError`].
 //!
 //! [`run_campaign`] is the thin compatibility wrapper chaining the three
-//! phases across scoped worker threads on one box (regrouping the plan's
-//! lane-eligible curves into word-sized work units first); the `min-serve`
+//! phases across scoped worker threads on one box; the `min-serve`
 //! master/worker service is a second executor of the very same plan, with
 //! the byte-identity of the two reports as its integration oracle.
 //!
@@ -76,7 +75,6 @@ use crate::metrics::Metrics;
 use crate::traffic::{TrafficError, TrafficPattern};
 use min_core::classify::run_indexed;
 use min_networks::{catalog_grid, ClassicalNetwork, NetworkSpec};
-use min_routing::destination_tags;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -351,25 +349,12 @@ impl CampaignConfig {
     /// [`Shard`] per grid point, the finest shardable granularity (every
     /// shard still hands whole replication blocks to the batch layer).
     pub fn plan(&self) -> Result<CampaignPlan, CampaignError> {
-        self.plan_chunked(1)
-    }
-
-    /// Like [`CampaignConfig::plan`], but packs `points_per_shard`
-    /// consecutive grid points into each shard — fewer, larger work units
-    /// for executors whose per-shard overhead (e.g. a network round trip)
-    /// dwarfs a single grid point.
-    pub fn plan_chunked(&self, points_per_shard: usize) -> Result<CampaignPlan, CampaignError> {
-        if points_per_shard == 0 {
-            return Err(CampaignError::ZeroShardSize);
-        }
-        let scenarios = self.scenarios()?;
         let reps = self.replications as usize;
-        let shards = scenarios
-            .chunks(reps * points_per_shard)
-            .enumerate()
-            .map(|(id, chunk)| Shard {
+        let mut scenarios = self.scenarios()?.into_iter();
+        let shards = (0..scenarios.len() / reps)
+            .map(|id| Shard {
                 id,
-                scenarios: chunk.to_vec(),
+                scenarios: scenarios.by_ref().take(reps).collect(),
             })
             .collect();
         Ok(CampaignPlan {
@@ -377,11 +362,83 @@ impl CampaignConfig {
             shards,
         })
     }
+
+    /// The plan both executors run ([`run_campaign`] at one grid point per
+    /// shard): each lane-eligible curve — all `loads × replications` lanes
+    /// of one `(cell, traffic, buffer mode, fault plan)` that
+    /// [`packed_eligible`] admits — is gathered, even where its points are
+    /// not contiguous, and cut into shards of one 64-lane word each (the
+    /// last word keeps a remainder too short to pack on its own). Every
+    /// other grid point joins a shard of `points_per_shard` such points.
+    ///
+    /// One pass moves each scenario into its shard, finding its curve by
+    /// index arithmetic; eligibility is decided once per curve, and no
+    /// fabric is built (a non-delta fabric takes [`run_replications`]'
+    /// scalar fallback).
+    pub fn plan_chunked(&self, points_per_shard: usize) -> Result<CampaignPlan, CampaignError> {
+        if points_per_shard == 0 {
+            return Err(CampaignError::ZeroShardSize);
+        }
+        let scenarios = self.scenarios()?;
+        let reps = self.replications as usize;
+        let points = scenarios.len() / reps;
+        // A curve has one point per load, `step` grid points apart.
+        let loads = self.loads.len();
+        let step = self.buffer_modes.len() * self.fault_plans.len();
+        // A packed curve's words are full but for the last, which keeps a
+        // remainder too short to pack on its own.
+        let lanes = loads * reps;
+        let words = (lanes + LANE_WIDTH - LANE_THRESHOLD) / LANE_WIDTH;
+        let mut shards: Vec<Vec<Scenario>> = Vec::with_capacity(points);
+        // Per curve, once seen: the shard of its first word, if it packs.
+        let mut curves: Vec<Option<Option<usize>>> = vec![None; points / loads];
+        // The shard taking unpacked grid points, and how many it holds.
+        let mut open = (0, points_per_shard);
+        // The current grid point's shard, or its curve's first word and the
+        // point's first lane.
+        let mut place = (0, None);
+        for scenario in scenarios {
+            if scenario.replication == 0 {
+                let point = scenario.index / reps;
+                let curve = point / (loads * step) * step + point % step;
+                let packed = *curves[curve].get_or_insert_with(|| {
+                    let config = scenario.sim_config(self);
+                    packed_eligible(&config, scenario.stages, lanes).then(|| {
+                        let size = lanes.min(LANE_WIDTH + LANE_THRESHOLD - 1);
+                        shards.extend((0..words).map(|_| Vec::with_capacity(size)));
+                        shards.len() - words
+                    })
+                });
+                place = match packed {
+                    Some(first) => (first, Some(point / step % loads * reps)),
+                    None => {
+                        if open.1 == points_per_shard {
+                            shards.push(Vec::with_capacity(reps * points_per_shard.min(points)));
+                            open = (shards.len() - 1, 0);
+                        }
+                        open.1 += 1;
+                        (open.0, None)
+                    }
+                };
+            }
+            let lane = place.1.map(|lane| lane + scenario.replication as usize);
+            let word = lane.map_or(0, |lane| (lane / LANE_WIDTH).min(words - 1));
+            shards[place.0 + word].push(scenario);
+        }
+        Ok(CampaignPlan {
+            config: self.clone(),
+            shards: shards
+                .into_iter()
+                .enumerate()
+                .map(|(id, scenarios)| Shard { id, scenarios })
+                .collect(),
+        })
+    }
 }
 
-/// A contiguous block of whole grid points: the unit of work an executor —
-/// a scoped thread or a remote worker — claims, runs through
-/// [`execute_shard`], and reports back. Shards are index-addressed, so
+/// A block of whole grid points, or one word of a lane-eligible curve: the
+/// unit of work an executor — a scoped thread or a remote worker — claims,
+/// runs through [`execute_shard`], and reports back. Shards are index-addressed, so
 /// re-executing one (after a worker death, say) is idempotent: the retry
 /// reproduces byte-identical results for the same slots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -402,11 +459,6 @@ impl Shard {
     pub fn is_empty(&self) -> bool {
         self.scenarios.is_empty()
     }
-
-    /// Canonical index of the shard's first scenario.
-    pub fn first_index(&self) -> Option<usize> {
-        self.scenarios.first().map(|s| s.index)
-    }
 }
 
 /// The expanded form of a campaign: the configuration echo plus the ordered
@@ -416,8 +468,9 @@ impl Shard {
 pub struct CampaignPlan {
     /// The campaign the plan was expanded from.
     pub config: CampaignConfig,
-    /// The shards, in canonical order; concatenating their scenario lists
-    /// reproduces [`CampaignConfig::scenarios`] exactly.
+    /// The shards; together they hold every scenario of
+    /// [`CampaignConfig::scenarios`] exactly once (in canonical order for
+    /// [`CampaignConfig::plan`]).
     pub shards: Vec<Shard>,
 }
 
@@ -755,16 +808,6 @@ impl CampaignReport {
         self.aggregate = aggregate(&merged);
         self.scenarios = merged;
         Ok(())
-    }
-
-    /// Whether this report fills every slot of `config`'s grid.
-    pub fn is_complete_for(&self, config: &CampaignConfig) -> bool {
-        self.scenario_count == config.scenario_count()
-            && self
-                .scenarios
-                .iter()
-                .enumerate()
-                .all(|(slot, r)| r.scenario.index == slot)
     }
 
     /// Serializes the report to JSON. The rendering is deterministic (field
@@ -1215,24 +1258,22 @@ pub fn assemble(
 }
 
 /// The in-process executor: the thin compatibility wrapper chaining
-/// [`CampaignConfig::plan`] → execution → [`assemble`] across `threads`
-/// scoped worker threads (`0` = one worker per available core).
+/// [`CampaignConfig::plan_chunked`]`(1)` → execution → [`assemble`] across
+/// `threads` scoped worker threads (`0` = one worker per available core).
 ///
-/// The plan's grid points are regrouped into work units: every
-/// lane-eligible curve is gathered and cut into one unit per word, so its
+/// Every lane-eligible curve arrives as one shard per word, so its
 /// `(seed, load)` lanes fill whole words of the bit-parallel
-/// [`crate::lane::LaneEngine`] across the load axis, and every other grid
-/// point stays its own unit. Workers of [`run_indexed`] pull units from a
-/// shared atomic cursor and run them like any shard.
-/// Results are slotted by canonical index regardless of which worker ran
-/// them, keeping the report independent of the thread count — and
-/// byte-identical to any other executor of the same plan, including the
-/// `min-serve` master/worker service.
+/// [`crate::lane::LaneEngine`] across the load axis; every other grid
+/// point is its own shard. Workers of [`run_indexed`] pull shards from a
+/// shared atomic cursor. Results are slotted by canonical index regardless
+/// of which worker ran them, keeping the report independent of the thread
+/// count — and byte-identical to any other executor of the same plan,
+/// including the `min-serve` master/worker service.
 pub fn run_campaign(
     config: &CampaignConfig,
     threads: usize,
 ) -> Result<CampaignReport, CampaignError> {
-    let units = work_units(config, config.plan()?);
+    let plan = config.plan_chunked(1)?;
     // Only faulty scenarios report path diversity.
     let cells: &[NetworkSpec] = if config.fault_plans.iter().all(FaultPlan::is_empty) {
         &[]
@@ -1240,56 +1281,9 @@ pub fn run_campaign(
         &config.cells
     };
     let diversity = diversity_map(cells);
-    run_plan(config, &units, threads, |unit| {
-        run_points(config, &unit.scenarios, &diversity)
+    run_plan(config, &plan, threads, |shard| {
+        run_points(config, &shard.scenarios, &diversity)
     })
-}
-
-/// Regroups a plan's shards into the in-process work units. The grid
-/// points of a lane-eligible curve — all `loads × replications` lanes of
-/// one `(cell, traffic, buffer mode, fault plan)` — are gathered even when
-/// they are not contiguous (a stability grid puts the buffer modes between
-/// its loads), then split into one unit per word: the words are exactly
-/// those the whole curve would fill, and word-sized units balance the
-/// workers better than whole curves. Every other grid point stays its own
-/// unit.
-fn work_units(config: &CampaignConfig, plan: CampaignPlan) -> CampaignPlan {
-    let curve_lanes = config.loads.len() * config.replications as usize;
-    // Each unit's scenarios, and whether it gathers a lane-eligible curve.
-    let mut units: Vec<(Vec<Scenario>, bool)> = Vec::with_capacity(plan.shards.len());
-    for shard in plan.shards {
-        let first = &shard.scenarios[0];
-        let curve = units
-            .iter_mut()
-            .find(|(unit, packed)| *packed && same_curve(&unit[0], first));
-        if let Some((unit, _)) = curve {
-            unit.extend(shard.scenarios);
-            continue;
-        }
-        // The packed engine is destination-tag only, as `run_replications`
-        // checks too.
-        let packed = packed_eligible(&first.sim_config(config), first.stages, curve_lanes)
-            && destination_tags(&first.network.build()).is_some();
-        units.push((shard.scenarios, packed));
-    }
-    let mut shards = Vec::with_capacity(units.len());
-    for (mut rest, packed) in units {
-        // The last word keeps any remainder too short to pack on its own.
-        while packed && rest.len() >= LANE_WIDTH + LANE_THRESHOLD {
-            let tail = rest.split_off(LANE_WIDTH);
-            shards.push(rest);
-            rest = tail;
-        }
-        shards.push(rest);
-    }
-    CampaignPlan {
-        config: plan.config,
-        shards: shards
-            .into_iter()
-            .enumerate()
-            .map(|(id, scenarios)| Shard { id, scenarios })
-            .collect(),
-    }
 }
 
 /// Runs `execute` on every shard of `plan` across `threads` workers and
@@ -1636,7 +1630,7 @@ mod tests {
         let plan = cfg.plan().unwrap();
         let failing = |shard: &Shard| match shard.id {
             3 | 6 => Err(CampaignError::Fabric {
-                scenario: shard.first_index().unwrap(),
+                scenario: shard.scenarios[0].index,
                 error: FabricError::NotDelta,
             }),
             _ => execute_shard(&cfg, shard),
@@ -1645,7 +1639,7 @@ mod tests {
             assert_eq!(
                 run_plan(&cfg, &plan, threads, failing).unwrap_err(),
                 CampaignError::Fabric {
-                    scenario: plan.shards[3].first_index().unwrap(),
+                    scenario: plan.shards[3].scenarios[0].index,
                     error: FabricError::NotDelta,
                 },
                 "{threads} threads"
@@ -1846,7 +1840,7 @@ mod tests {
             assert_eq!(shard.id, id);
             // One grid point per shard: all three replications, nothing else.
             assert_eq!(shard.len(), 3);
-            assert_eq!(shard.first_index(), Some(next));
+            assert_eq!(shard.scenarios[0].index, next);
             for s in &shard.scenarios {
                 assert_eq!(s.index, next);
                 next += 1;
@@ -1938,13 +1932,11 @@ mod tests {
         let reference = run_campaign(&cfg, 1).unwrap();
         let plan = cfg.plan_chunked(2).unwrap();
         let mut merged = CampaignReport::empty(&cfg);
-        assert!(!merged.is_complete_for(&cfg));
         // Merge shard-sized partial reports in reverse order.
         for shard in plan.shards.iter().rev() {
             let part = CampaignReport::partial(&cfg, execute_shard(&cfg, shard).unwrap()).unwrap();
             merged.merge(&part).unwrap();
         }
-        assert!(merged.is_complete_for(&cfg));
         assert_eq!(merged.to_json(), reference.to_json());
     }
 
@@ -1955,7 +1947,7 @@ mod tests {
         let a =
             CampaignReport::partial(&cfg, execute_shard(&cfg, &plan.shards[0]).unwrap()).unwrap();
         let mut target = a.clone();
-        let overlap_slot = plan.shards[0].first_index().unwrap();
+        let overlap_slot = plan.shards[0].scenarios[0].index;
         assert_eq!(
             target.merge(&a).unwrap_err(),
             MergeError::DuplicateSlot { slot: overlap_slot }
@@ -1990,5 +1982,115 @@ mod tests {
                 field: "campaign_seed"
             }
         );
+    }
+
+    /// Small grids of n = 3 catalog cells: stateless and stateful traffic,
+    /// unbuffered and FIFO cells, one or two fault plans, and curves of
+    /// `loads × replications` lanes below the packing threshold, above it,
+    /// in one word with a short remainder (4 × 17 = 68), and past one word
+    /// plus the threshold (from 2 × 37 = 74).
+    fn grid_strategy() -> impl proptest::prelude::Strategy<Value = CampaignConfig> {
+        use proptest::prelude::*;
+        (
+            (1usize..=2, 0usize..ClassicalNetwork::ALL.len()),
+            (0usize..3, 0usize..3),
+            1usize..=2,
+            (1usize..=4, 0usize..4),
+            any::<u64>(),
+        )
+            .prop_map(
+                |((cells, family), (traffic, modes), faults, (loads, reps), seed)| {
+                    let cells = (0..cells)
+                        .map(|c| NetworkSpec::catalog(ClassicalNetwork::ALL[(family + c) % 6], 3))
+                        .collect();
+                    let on_off = TrafficPattern::OnOff {
+                        on_dwell: 4.0,
+                        off_dwell: 2.0,
+                        on_rate: 0.8,
+                    };
+                    let traffic = [
+                        vec![TrafficPattern::Uniform],
+                        vec![on_off.clone()],
+                        vec![on_off, TrafficPattern::Uniform],
+                    ][traffic]
+                        .clone();
+                    let modes = [
+                        vec![BufferMode::Unbuffered],
+                        vec![BufferMode::Fifo(2)],
+                        vec![BufferMode::Fifo(2), BufferMode::Unbuffered],
+                    ][modes]
+                        .clone();
+                    let plans = [
+                        FaultPlan::none(),
+                        FaultPlan::none().with_dead_link(1, 0, 1, 0),
+                    ][..faults]
+                        .to_vec();
+                    CampaignConfig::over_catalog(3..=3)
+                        .with_seed(seed)
+                        .with_cells(cells)
+                        .with_traffic(traffic)
+                        .with_loads((1..=loads).map(|l| l as f64 / 4.0).collect())
+                        .with_buffer_modes(modes)
+                        .with_fault_plans(plans)
+                        .with_replications([1, 3, 17, 37][reps])
+                        .with_cycles(30, 5)
+                },
+            )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn plan_chunked_packs_curves_in_words_and_chunks_whole_points(
+            config in grid_strategy(),
+            points_per_shard in 1usize..=4,
+        ) {
+            use proptest::prelude::*;
+            let plan = config.plan_chunked(points_per_shard).unwrap();
+            let reps = config.replications as usize;
+            let lanes = config.loads.len() * reps;
+            let mut seen = vec![false; config.scenario_count()];
+            for (id, shard) in plan.shards.iter().enumerate() {
+                prop_assert_eq!(shard.id, id);
+                for s in &shard.scenarios {
+                    prop_assert!(!seen[s.index], "slot {} planned twice", s.index);
+                    seen[s.index] = true;
+                }
+                let first = &shard.scenarios[0];
+                let packed = first.buffer_mode == BufferMode::Unbuffered
+                    && first.traffic == TrafficPattern::Uniform
+                    && lanes >= LANE_THRESHOLD;
+                if packed {
+                    prop_assert!(shard.scenarios.iter().all(|s| same_curve(s, first)));
+                    prop_assert!(
+                        (LANE_THRESHOLD..LANE_WIDTH + LANE_THRESHOLD).contains(&shard.len()),
+                        "a packed unit of {} lanes",
+                        shard.len()
+                    );
+                } else {
+                    // Whole grid points only, at most `points_per_shard`.
+                    prop_assert_eq!(shard.len() % reps, 0);
+                    prop_assert!(shard.len() / reps <= points_per_shard);
+                    for point in shard.scenarios.chunks(reps) {
+                        prop_assert!(point
+                            .iter()
+                            .enumerate()
+                            .all(|(r, s)| s.index == point[0].index + r
+                                && s.replication as usize == r));
+                    }
+                }
+            }
+            prop_assert!(seen.iter().all(|&s| s), "a slot was never planned");
+
+            let mut results = Vec::new();
+            for shard in plan.shards.iter().rev() {
+                results.extend(execute_shard(&config, shard).unwrap());
+            }
+            prop_assert_eq!(
+                assemble(&config, results).unwrap().to_json(),
+                run_campaign(&config, 1).unwrap().to_json()
+            );
+        }
     }
 }
