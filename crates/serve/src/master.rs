@@ -378,6 +378,28 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use min_sim::BufferMode;
+
+    #[test]
+    fn an_oversized_buffer_mode_gets_an_error_reply_not_a_crash() {
+        let mut master = Master::bind("127.0.0.1:0", MasterConfig::default()).unwrap();
+        let config = CampaignConfig::over_catalog(3..=3)
+            .with_cycles(80, 10)
+            .with_buffer(BufferMode::Wormhole {
+                lanes: 1 << 40,
+                lane_depth: 4,
+                flits_per_packet: 4,
+            });
+        let reply = master.handle(Request::Submit {
+            config,
+            points_per_shard: 1,
+        });
+        let Reply::Error { message } = reply else {
+            panic!("expected an error reply, got {reply:?}");
+        };
+        assert!(message.contains("wormhole lanes exceed"), "{message}");
+        assert!(master.job.is_none(), "nothing was queued");
+    }
 
     #[test]
     fn io_timeout_tracks_the_heartbeat_timeout() {

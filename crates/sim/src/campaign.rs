@@ -1568,6 +1568,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_buffer_modes_are_refused_before_any_core_is_built() {
+        // Both used to validate and then take the process down while a
+        // worker built the switching core: a panic in the FIFO ring arena
+        // and an aborted 633 TB lane allocation.
+        let cases = [
+            (BufferMode::Fifo(1 << 31), ConfigError::FifoTooDeep(1 << 31)),
+            (
+                BufferMode::Wormhole {
+                    lanes: 1 << 40,
+                    lane_depth: 4,
+                    flits_per_packet: 4,
+                },
+                ConfigError::TooManyLanes(1 << 40),
+            ),
+        ];
+        for (mode, error) in cases {
+            let config = tiny().with_buffer(mode);
+            assert_eq!(config.validate(), Err(CampaignError::InvalidBuffer(error)));
+            // The same grid arriving as campaign JSON.
+            let json = serde_json::to_string(&config).unwrap();
+            let decoded: CampaignConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(
+                decoded.plan_chunked(1).unwrap_err(),
+                CampaignError::InvalidBuffer(error)
+            );
+        }
+    }
+
+    #[test]
     fn degenerate_benes_cells_are_refused_as_invalid_stages() {
         let huge = usize::MAX / 2 + 1;
         for (n, stages) in [(0, 0), (huge, usize::MAX - 1)] {

@@ -4,6 +4,15 @@ use crate::fault::FaultPlan;
 use crate::traffic::{TrafficError, TrafficPattern};
 use serde::{Deserialize, Serialize};
 
+/// Most virtual-channel lanes a wormhole cell may have: the wormhole core
+/// keeps each cell's active lanes in one `u64` mask.
+pub const MAX_WORMHOLE_LANES: usize = 64;
+
+/// Deepest per-input FIFO a cell may have. A cell's queue holds
+/// `2 · depth` packets in a ring with `u32` cursors; this bound keeps every
+/// ring far inside them.
+pub const MAX_FIFO_DEPTH: usize = 1 << 16;
+
 /// Buffering discipline of the 2×2 cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BufferMode {
@@ -43,14 +52,17 @@ impl BufferMode {
         }
     }
 
-    /// Checks the mode's parameters (every lane/depth/flit count must be
-    /// nonzero).
+    /// Checks the mode's parameters: every lane/depth/flit count must be
+    /// nonzero, a FIFO at most [`MAX_FIFO_DEPTH`] deep and a wormhole cell
+    /// at most [`MAX_WORMHOLE_LANES`] lanes wide.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match *self {
             BufferMode::Unbuffered => Ok(()),
             BufferMode::Fifo(depth) => {
                 if depth == 0 {
                     Err(ConfigError::ZeroParameter("fifo depth"))
+                } else if depth > MAX_FIFO_DEPTH {
+                    Err(ConfigError::FifoTooDeep(depth))
                 } else {
                     Ok(())
                 }
@@ -62,6 +74,8 @@ impl BufferMode {
             } => {
                 if lanes == 0 {
                     Err(ConfigError::ZeroParameter("wormhole lanes"))
+                } else if lanes > MAX_WORMHOLE_LANES {
+                    Err(ConfigError::TooManyLanes(lanes))
                 } else if lane_depth == 0 {
                     Err(ConfigError::ZeroParameter("wormhole lane depth"))
                 } else if flits_per_packet == 0 {
@@ -89,6 +103,10 @@ pub enum ConfigError {
     },
     /// A buffer-mode parameter that must be nonzero is zero.
     ZeroParameter(&'static str),
+    /// A FIFO depth above [`MAX_FIFO_DEPTH`].
+    FifoTooDeep(usize),
+    /// A wormhole lane count above [`MAX_WORMHOLE_LANES`].
+    TooManyLanes(usize),
     /// The traffic pattern is invalid (non-finite hot-spot fraction,
     /// malformed permutation or trace, …) — rejected here instead of
     /// asserting at draw time in the injection hot path.
@@ -106,6 +124,13 @@ impl std::fmt::Display for ConfigError {
                 "warm-up of {warmup} cycles consumes the whole {cycles}-cycle budget"
             ),
             ConfigError::ZeroParameter(what) => write!(f, "{what} must be nonzero"),
+            ConfigError::FifoTooDeep(depth) => {
+                write!(f, "fifo depth {depth} exceeds the maximum {MAX_FIFO_DEPTH}")
+            }
+            ConfigError::TooManyLanes(lanes) => write!(
+                f,
+                "{lanes} wormhole lanes exceed the maximum {MAX_WORMHOLE_LANES}"
+            ),
             ConfigError::Traffic(e) => write!(f, "invalid traffic pattern: {e}"),
         }
     }
@@ -160,8 +185,9 @@ impl SimConfig {
     /// Checks the configuration for typed errors instead of panicking or
     /// silently misbehaving mid-run: the offered load must be a probability,
     /// the warm-up must leave a measurement window, every buffer-mode
-    /// parameter must be nonzero, and the traffic pattern's parameters must
-    /// be in range ([`TrafficPattern::validate`] — fabric-dependent checks
+    /// parameter must be in range ([`BufferMode::validate`]), and the
+    /// traffic pattern's parameters must be in range
+    /// ([`TrafficPattern::validate`] — fabric-dependent checks
     /// like hot-spot targets run at simulator construction via
     /// [`TrafficPattern::validate_for`]). [`crate::Simulator::new`] calls
     /// this, so invalid configurations are rejected at construction.
@@ -303,6 +329,37 @@ mod tests {
             }
             .validate(),
             Ok(())
+        );
+    }
+
+    #[test]
+    fn oversized_buffer_parameters_are_rejected_before_any_allocation() {
+        let worm = |lanes| BufferMode::Wormhole {
+            lanes,
+            lane_depth: 2,
+            flits_per_packet: 4,
+        };
+        assert_eq!(worm(MAX_WORMHOLE_LANES).validate(), Ok(()));
+        assert_eq!(
+            worm(MAX_WORMHOLE_LANES + 1).validate(),
+            Err(ConfigError::TooManyLanes(MAX_WORMHOLE_LANES + 1))
+        );
+        assert_eq!(BufferMode::Fifo(MAX_FIFO_DEPTH).validate(), Ok(()));
+        assert_eq!(
+            BufferMode::Fifo(MAX_FIFO_DEPTH + 1).validate(),
+            Err(ConfigError::FifoTooDeep(MAX_FIFO_DEPTH + 1))
+        );
+        // The two modes that used to pass validation and then take the
+        // process down while building the core.
+        assert_eq!(
+            SimConfig::default()
+                .with_buffer(BufferMode::Fifo(1 << 31))
+                .validate(),
+            Err(ConfigError::FifoTooDeep(1 << 31))
+        );
+        assert_eq!(
+            SimConfig::default().with_buffer(worm(1 << 40)).validate(),
+            Err(ConfigError::TooManyLanes(1 << 40))
         );
     }
 

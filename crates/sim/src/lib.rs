@@ -75,7 +75,7 @@ pub use campaign::{
     assemble, execute_shard, run_campaign, CampaignConfig, CampaignPlan, CampaignReport,
     MergeError, Scenario, ScenarioResult, Shard,
 };
-pub use config::{BufferMode, ConfigError, SimConfig};
+pub use config::{BufferMode, ConfigError, SimConfig, MAX_FIFO_DEPTH, MAX_WORMHOLE_LANES};
 pub use engine::{simulate, SimError, Simulator};
 pub use fault::{Fault, FaultError, FaultKind, FaultPlan, FaultView, LinkStatus};
 pub use lane::{LaneEngine, LaneError, LANE_WIDTH};

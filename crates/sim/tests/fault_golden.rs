@@ -1,11 +1,14 @@
 //! Golden metrics for the buffered switching cores under faults.
 //!
-//! No differential oracle covers `WormholeCore` (or `FifoCore`) on a faulty
-//! fabric: the packed engine is unbuffered-only, the `VecDeque` reference
-//! is fault-free, and the committed `stability.json` runs healthy fabrics.
-//! This test pins the complete `Metrics` record of a fixed faulty run per
-//! core to `golden/fault_cores.json`, so any rework of the cores' storage
-//! must reproduce every counter, the per-stage fault exposure and the full
+//! No differential oracle covers `FifoCore` on a faulty fabric: the packed
+//! engine is unbuffered-only, the `VecDeque` reference is fault-free, and
+//! the committed `stability.json` runs healthy fabrics. `WormholeCore` has
+//! one below the engine: a unit proptest in `switch.rs` steps it in
+//! lockstep with its pre-lane-mask implementation, kept there as a test
+//! oracle, under random fault plans. This test pins the complete `Metrics`
+//! record of a fixed faulty run per core, through the whole engine, to
+//! `golden/fault_cores.json`, so any rework of the cores' storage must
+//! reproduce every counter, the per-stage fault exposure and the full
 //! latency histogram exactly.
 
 use min_networks::ClassicalNetwork;
