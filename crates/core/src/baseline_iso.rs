@@ -441,7 +441,7 @@ mod tests {
     use crate::affine_form::random_proper_independent_connection;
     use crate::connection::Connection;
     use crate::network::ConnectionNetwork;
-    use min_graph::iso::find_isomorphism;
+    use iso_search::find_isomorphism;
     use min_graph::paths::is_banyan;
     use min_labels::{IndexPermutation, Permutation};
     use rand::{Rng, SeedableRng};

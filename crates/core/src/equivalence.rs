@@ -101,8 +101,8 @@ pub fn equivalence_mapping<G: MiView, H: MiView>(
 /// Baseline-equivalent and of the same size).
 ///
 /// Note: this is *not* a general isomorphism test — two non-Baseline
-/// digraphs may be isomorphic to each other; use
-/// [`min_graph::iso::find_isomorphism`] for the general (exponential) search.
+/// digraphs may be isomorphic to each other. The library has no general
+/// (exponential) search; the tests keep one as an independent oracle.
 pub fn are_equivalent<G: MiView, H: MiView>(g: &G, h: &H) -> bool {
     equivalence_mapping(g, h).is_ok()
 }

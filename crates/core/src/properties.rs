@@ -13,10 +13,13 @@
 //!
 //! Stage indices in this module are 0-based: the paper's `P(i, j)` is
 //! `p_property(g, i-1, j-1)`.
+//!
+//! Every check reads the network through [`MiView`], so a
+//! `ConnectionNetwork` is checked on its own tables.
 
 use min_graph::components::{component_count_range, prefix_sweep, suffix_sweep};
 use min_graph::paths::is_banyan;
-use min_graph::MiDigraph;
+use min_graph::MiView;
 
 /// Expected component count of `(G)_{lo,hi}` for a Baseline-equivalent
 /// MI-digraph: `width / 2^{hi-lo}`.
@@ -38,31 +41,31 @@ pub(crate) fn baseline_width(stages: usize) -> Option<usize> {
 }
 
 /// `P(lo, hi)` for 0-based stage indices.
-pub fn p_property(g: &MiDigraph, lo: usize, hi: usize) -> bool {
-    component_count_range(g, lo, hi) == expected_components(g.width(), lo, hi)
+pub fn p_property<G: MiView>(g: &G, lo: usize, hi: usize) -> bool {
+    component_count_range(g, lo, hi) == expected_components(g.nodes_per_stage(), lo, hi)
 }
 
 /// `P(1, *)`: every prefix `(G)_{1,j}` has the required number of
 /// components. Computed with one incremental union-find sweep.
-pub fn p_one_star(g: &MiDigraph) -> bool {
+pub fn p_one_star<G: MiView>(g: &G) -> bool {
     let sweep = prefix_sweep(g);
     sweep
         .counts
         .iter()
         .enumerate()
-        .all(|(j, &count)| count == expected_components(g.width(), 0, j))
+        .all(|(j, &count)| count == expected_components(g.nodes_per_stage(), 0, j))
 }
 
 /// `P(*, n)`: every suffix `(G)_{i,n}` has the required number of
 /// components.
-pub fn p_star_n(g: &MiDigraph) -> bool {
+pub fn p_star_n<G: MiView>(g: &G) -> bool {
     let sweep = suffix_sweep(g);
-    let last = g.stages() - 1;
+    let last = g.stage_count() - 1;
     sweep
         .counts
         .iter()
         .enumerate()
-        .all(|(i, &count)| count == expected_components(g.width(), i, last))
+        .all(|(i, &count)| count == expected_components(g.nodes_per_stage(), i, last))
 }
 
 /// Full evaluation of the characterization hypotheses with per-stage detail.
@@ -100,12 +103,13 @@ impl CharacterizationReport {
 }
 
 /// Evaluates every hypothesis of the characterization theorem.
-pub fn characterization_report(g: &MiDigraph) -> CharacterizationReport {
-    let width_ok = baseline_width(g.stages()) == Some(g.width()) && g.is_proper();
+pub fn characterization_report<G: MiView>(g: &G) -> CharacterizationReport {
+    let (stages, width) = (g.stage_count(), g.nodes_per_stage());
+    let width_ok = baseline_width(stages) == Some(width) && g.is_proper();
     let banyan = is_banyan(g);
     let prefix = prefix_sweep(g);
     let suffix = suffix_sweep(g);
-    let last = g.stages() - 1;
+    let last = stages - 1;
     CharacterizationReport {
         proper_shape: width_ok,
         banyan,
@@ -113,13 +117,13 @@ pub fn characterization_report(g: &MiDigraph) -> CharacterizationReport {
             .counts
             .iter()
             .enumerate()
-            .map(|(j, &c)| (expected_components(g.width(), 0, j), c))
+            .map(|(j, &c)| (expected_components(width, 0, j), c))
             .collect(),
         suffix_components: suffix
             .counts
             .iter()
             .enumerate()
-            .map(|(i, &c)| (expected_components(g.width(), i, last), c))
+            .map(|(i, &c)| (expected_components(width, i, last), c))
             .collect(),
     }
 }
@@ -128,7 +132,7 @@ pub fn characterization_report(g: &MiDigraph) -> CharacterizationReport {
 /// `P(*,n)` (and is a proper 2×2-cell MI-digraph) — i.e. exactly the
 /// hypotheses under which the Section 2 theorem asserts Baseline
 /// equivalence.
-pub fn satisfies_characterization(g: &MiDigraph) -> bool {
+pub fn satisfies_characterization<G: MiView>(g: &G) -> bool {
     characterization_report(g).satisfied()
 }
 
@@ -137,6 +141,7 @@ mod tests {
     use super::*;
     use crate::connection::Connection;
     use crate::network::ConnectionNetwork;
+    use min_graph::MiDigraph;
     use min_labels::{IndexPermutation, Permutation};
 
     fn baseline(n: usize) -> MiDigraph {

@@ -10,12 +10,13 @@
 //! * [`prefix_sweep`] / [`suffix_sweep`] — *incremental* computations of all
 //!   prefixes `(G)_{1,j}` (resp. suffixes `(G)_{i,n}`) in a single pass,
 //!   which is what the `P(1,*)`/`P(*,n)` checkers and the constructive
-//!   Baseline isomorphism use. They take any [`MiView`], so a network's
-//!   connection tables are swept directly.
+//!   Baseline isomorphism use.
+//!
+//! Every function takes any [`MiView`], so a network's connection tables
+//! are read directly.
 //!
 //! All stage indices here are 0-based.
 
-use crate::digraph::MiDigraph;
 use crate::union_find::UnionFind;
 use crate::view::MiView;
 
@@ -68,20 +69,20 @@ impl RangeComponents {
 }
 
 /// Number of connected components of `(G)_{lo,hi}` (undirected).
-pub fn component_count_range(g: &MiDigraph, lo: usize, hi: usize) -> usize {
+pub fn component_count_range<G: MiView>(g: &G, lo: usize, hi: usize) -> usize {
     component_ids_range(g, lo, hi).count
 }
 
 /// Connected components of `(G)_{lo,hi}` (undirected), with per-node ids.
-pub fn component_ids_range(g: &MiDigraph, lo: usize, hi: usize) -> RangeComponents {
-    assert!(lo <= hi && hi < g.stages(), "invalid stage interval");
-    let w = g.width();
+pub fn component_ids_range<G: MiView>(g: &G, lo: usize, hi: usize) -> RangeComponents {
+    assert!(lo <= hi && hi < g.stage_count(), "invalid stage interval");
+    let w = g.nodes_per_stage();
     let span = hi - lo + 1;
     let mut uf = UnionFind::new(span * w);
     let idx = |s: usize, v: u32| ((s - lo) * w + v as usize) as u32;
     for s in lo..hi {
         for v in 0..w as u32 {
-            for &c in g.children(s, v) {
+            for &c in g.children_of(s, v).as_ref() {
                 uf.union(idx(s, v), idx(s + 1, c));
             }
         }
@@ -166,6 +167,7 @@ fn sweep<G: MiView>(g: &G, from_last: bool) -> SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MiDigraph;
 
     /// The 3-stage, width-4 Baseline MI-digraph built by hand:
     /// stage 0 -> 1: v -> { v>>1, (v>>1) | 2 } ; stage 1 -> 2 within halves.

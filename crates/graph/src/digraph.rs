@@ -32,110 +32,21 @@ impl NodeId {
 /// not constrained by the data structure — the paper's regularity
 /// requirements are checked by [`MiDigraph::is_proper`].
 ///
-/// Layout: each stage keeps its forward (children) and backward (parents)
-/// lists in one flat buffer of `width × stride` slots plus a per-node
-/// length, so a digraph makes two allocations per stage and direction
-/// rather than one per node. The stride starts at 2, the degree of the
-/// paper's networks; when some node outgrows it, the stride doubles and
-/// that stage alone is re-laid out. Lists keep insertion order, and `==`
-/// compares them in that order, never the layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Each node keeps its children and its parents in insertion order, and
+/// `==` compares them in that order.
+///
+/// The JSON shape is `{"stages", "width", "fwd", "bwd"}`, the fields below
+/// in order.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MiDigraph {
     stages: usize,
     width: usize,
-    /// `fwd[s]` = children (stage `s+1` indices) of the nodes of stage `s`;
-    /// `fwd.len() == stages - 1`.
-    fwd: Vec<Lists>,
-    /// `bwd[s]` = parents (stage `s-1` indices) of the nodes of stage `s`;
+    /// `fwd[s][v]` = children (stage `s+1` indices) of node `v` of stage
+    /// `s`; `fwd.len() == stages - 1`.
+    fwd: Vec<Vec<Vec<u32>>>,
+    /// `bwd[s][v]` = parents (stage `s-1` indices) of node `v` of stage `s`;
     /// the lists of `bwd[0]` are always empty.
-    bwd: Vec<Lists>,
-}
-
-/// The adjacency lists of one stage: node `v`'s list is the first `len[v]`
-/// of the `stride` slots starting at `v * stride`.
-#[derive(Clone)]
-struct Lists {
-    stride: usize,
-    len: Vec<u32>,
-    slots: Vec<u32>,
-}
-
-impl Lists {
-    fn new(width: usize) -> Self {
-        Lists {
-            stride: 2,
-            len: vec![0; width],
-            slots: vec![0; width * 2],
-        }
-    }
-
-    #[inline]
-    fn get(&self, v: usize) -> &[u32] {
-        let start = v * self.stride;
-        &self.slots[start..start + self.len[v] as usize]
-    }
-
-    fn get_mut(&mut self, v: usize) -> &mut [u32] {
-        let start = v * self.stride;
-        &mut self.slots[start..start + self.len[v] as usize]
-    }
-
-    fn push(&mut self, v: usize, x: u32) {
-        let len = self.len[v] as usize;
-        if len == self.stride {
-            self.grow();
-        }
-        self.slots[v * self.stride + len] = x;
-        self.len[v] += 1;
-    }
-
-    /// Doubles the stride, moving every list of the stage to its new slot.
-    #[cold]
-    fn grow(&mut self) {
-        let stride = self.stride * 2;
-        let mut slots = vec![0; self.len.len() * stride];
-        for (v, dst) in slots.chunks_exact_mut(stride).enumerate() {
-            let list = self.get(v);
-            dst[..list.len()].copy_from_slice(list);
-        }
-        self.slots = slots;
-        self.stride = stride;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len.len()).map(move |v| self.get(v))
-    }
-
-    fn arc_count(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
-    }
-}
-
-/// One list per node, so the JSON keeps the nested-list shape.
-impl Serialize for Lists {
-    fn to_value(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|list| Value::Seq(list.iter().map(Serialize::to_value).collect()))
-                .collect(),
-        )
-    }
-}
-
-/// Compares the lists only, not the slots and stride behind them.
-impl PartialEq for Lists {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for Lists {}
-
-/// Prints the lists as nested sequences, hiding the unused slots.
-impl std::fmt::Debug for Lists {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
+    bwd: Vec<Vec<Vec<u32>>>,
 }
 
 impl MiDigraph {
@@ -147,8 +58,8 @@ impl MiDigraph {
         MiDigraph {
             stages,
             width,
-            fwd: (1..stages).map(|_| Lists::new(width)).collect(),
-            bwd: (0..stages).map(|_| Lists::new(width)).collect(),
+            fwd: vec![vec![Vec::new(); width]; stages - 1],
+            bwd: vec![vec![Vec::new(); width]; stages],
         }
     }
 
@@ -183,7 +94,7 @@ impl MiDigraph {
 
     /// Total number of arcs.
     pub fn arc_count(&self) -> usize {
-        self.fwd.iter().map(Lists::arc_count).sum()
+        self.fwd.iter().flatten().map(Vec::len).sum()
     }
 
     /// Adds an arc from node `from` of stage `stage` to node `to` of stage
@@ -196,8 +107,8 @@ impl MiDigraph {
         );
         assert!((from as usize) < self.width, "source index out of range");
         assert!((to as usize) < self.width, "target index out of range");
-        self.fwd[stage].push(from as usize, to);
-        self.bwd[stage + 1].push(to as usize, from);
+        self.fwd[stage][from as usize].push(to);
+        self.bwd[stage + 1][to as usize].push(from);
     }
 
     /// Children of node `v` of stage `stage` (empty for the last stage).
@@ -206,14 +117,14 @@ impl MiDigraph {
         if stage + 1 >= self.stages {
             &[]
         } else {
-            self.fwd[stage].get(v as usize)
+            &self.fwd[stage][v as usize]
         }
     }
 
     /// Parents of node `v` of stage `stage` (empty for the first stage).
     #[inline]
     pub fn parents(&self, stage: usize, v: u32) -> &[u32] {
-        self.bwd[stage].get(v as usize)
+        &self.bwd[stage][v as usize]
     }
 
     /// Out-degree of a node.
@@ -266,13 +177,11 @@ impl MiDigraph {
     /// Returns `true` if some node has two parallel arcs to the same child —
     /// the degenerate situation of Fig. 5 (a PIPID stage with θ⁻¹(0) = 0).
     pub fn has_parallel_arcs(&self) -> bool {
-        for stage in &self.fwd {
-            for kids in stage.iter() {
-                for i in 0..kids.len() {
-                    for j in (i + 1)..kids.len() {
-                        if kids[i] == kids[j] {
-                            return true;
-                        }
+        for kids in self.fwd.iter().flatten() {
+            for i in 0..kids.len() {
+                for j in (i + 1)..kids.len() {
+                    if kids[i] == kids[j] {
+                        return true;
                     }
                 }
             }
@@ -330,10 +239,8 @@ impl MiDigraph {
     /// contain the same arcs compare equal with `==` regardless of insertion
     /// order.
     pub fn normalize(&mut self) {
-        for stage in self.fwd.iter_mut().chain(&mut self.bwd) {
-            for v in 0..self.width {
-                stage.get_mut(v).sort_unstable();
-            }
+        for list in self.fwd.iter_mut().chain(&mut self.bwd).flatten() {
+            list.sort_unstable();
         }
     }
 
@@ -349,20 +256,6 @@ impl MiDigraph {
         self.stages == other.stages
             && self.width == other.width
             && self.normalized() == other.normalized()
-    }
-}
-
-/// The JSON shape is `{"stages", "width", "fwd", "bwd"}` with `fwd[s][v]`
-/// the children of node `v` of stage `s` and `bwd[s][v]` its parents, both
-/// as nested lists in insertion order.
-impl Serialize for MiDigraph {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("stages".to_string(), self.stages.to_value()),
-            ("width".to_string(), self.width.to_value()),
-            ("fwd".to_string(), self.fwd.to_value()),
-            ("bwd".to_string(), self.bwd.to_value()),
-        ])
     }
 }
 
@@ -420,7 +313,7 @@ impl Deserialize for MiDigraph {
                         "bwd disagrees with fwd at node {v} of stage {s}"
                     )));
                 }
-                g.bwd[s].get_mut(v).copy_from_slice(parents);
+                g.bwd[s][v].copy_from_slice(parents);
             }
         }
         Ok(g)
@@ -554,6 +447,8 @@ mod tests {
         assert_eq!(g.nodes().next(), Some(NodeId::new(0, 0)));
     }
 
+    /// Degrees past the paper's 2 keep insertion order and survive a JSON
+    /// round trip.
     #[test]
     fn lists_outgrow_the_initial_stride_in_order() {
         let mut g = MiDigraph::new(2, 3);

@@ -9,27 +9,28 @@
 //!
 //! This crate is the graph substrate for the whole workspace:
 //!
-//! * [`MiDigraph`] — the staged digraph itself (forward and backward
-//!   adjacency, degree queries, regularity checks, reverse graph,
-//!   sub-range views). It is deliberately more permissive than the paper's
-//!   definition (arbitrary degrees, parallel arcs, any width) so that the
+//! * [`MiDigraph`] — the staged digraph itself, a plain container of
+//!   forward and backward adjacency lists (degree queries, regularity
+//!   checks, reverse graph, sub-range views) for the callers that need
+//!   parents, a reversal or a file: DOT export, serialization, fault
+//!   injection and the buddy property. It is deliberately more permissive
+//!   than the paper's definition (arbitrary degrees, parallel arcs, any width) so that the
 //!   degenerate objects the paper discusses — the Fig. 5 parallel-link
 //!   stage, non-Banyan graphs, counterexamples — can be represented and
 //!   *rejected by checkers* rather than being unrepresentable.
 //! * [`view`] — [`MiView`], the four read-only questions (stages, nodes
 //!   per stage, children, properness) the characterization asks of a
-//!   network. The sweeps and the mapping verification are generic over it,
-//!   so they also run on a network's connection tables or on a closed-form
-//!   formula without building an [`MiDigraph`].
+//!   network. Path counts, components, sweeps and the mapping verification
+//!   are generic over it, so they also run on a network's connection tables
+//!   or on a closed-form formula without building an [`MiDigraph`].
 //! * [`components`] — connected components of the undirected underlying
 //!   graph restricted to a stage interval `(G)_{i,j}`, including the
 //!   incremental prefix/suffix sweeps used by the `P(1,*)` / `P(*,n)`
 //!   property checkers and by the constructive Baseline isomorphism.
 //! * [`paths`] — path counting between stages (the Banyan property is a
 //!   statement about path counts).
-//! * [`iso`] — stage-respecting isomorphism: mapping verification, colour
-//!   refinement, and an exact backtracking search used to certify
-//!   *non*-equivalence of counterexamples.
+//! * [`iso`] — stage-respecting isomorphisms as per-stage bijections:
+//!   verification, composition and inversion of the certificates.
 //! * [`dot`] / [`serialize`] — DOT export for figure regeneration and a
 //!   compact serde-friendly exchange format.
 //!
@@ -44,7 +45,6 @@ pub mod digraph;
 pub mod dot;
 pub mod iso;
 pub mod paths;
-pub mod refine;
 pub mod serialize;
 pub mod union_find;
 pub mod view;
@@ -54,7 +54,7 @@ pub use components::{
     StageComponentIds, SweepResult,
 };
 pub use digraph::{MiDigraph, NodeId};
-pub use iso::{find_isomorphism, verify_stage_mapping, IsoSearchOutcome, StageMapping};
+pub use iso::{verify_stage_mapping, StageMapping};
 pub use paths::{is_banyan, path_counts_from, reachable_per_stage};
 pub use union_find::UnionFind;
 pub use view::MiView;

@@ -13,26 +13,29 @@
 //! "the forward-reachable set doubles at every stage". The functions below
 //! expose all three views because different callers (tests, benchmarks,
 //! counterexample search) want different granularity.
+//!
+//! Every function reads the arcs through [`MiView`], so it runs on an
+//! [`crate::MiDigraph`] or directly on a network's connection tables.
 
-use crate::digraph::MiDigraph;
+use crate::view::MiView;
 
 /// Number of distinct directed paths from node `src` of the first stage to
 /// each node of the last stage.
 ///
 /// Counts saturate at `u64::MAX` (irrelevant in practice: a proper
 /// MI-digraph has at most `2^{n-1}` paths from a node).
-pub fn path_counts_from(g: &MiDigraph, src: u32) -> Vec<u64> {
-    let w = g.width();
+pub fn path_counts_from<G: MiView>(g: &G, src: u32) -> Vec<u64> {
+    let w = g.nodes_per_stage();
     let mut counts = vec![0u64; w];
     counts[src as usize] = 1;
-    for s in 0..g.stages().saturating_sub(1) {
+    for s in 0..g.stage_count().saturating_sub(1) {
         let mut next = vec![0u64; w];
         for v in 0..w as u32 {
             let c = counts[v as usize];
             if c == 0 {
                 continue;
             }
-            for &child in g.children(s, v) {
+            for &child in g.children_of(s, v).as_ref() {
                 next[child as usize] = next[child as usize].saturating_add(c);
             }
         }
@@ -45,16 +48,16 @@ pub fn path_counts_from(g: &MiDigraph, src: u32) -> Vec<u64> {
 ///
 /// For a Banyan MI-digraph built from 2×2 cells these sizes are
 /// `1, 2, 4, …, 2^{n-1}`.
-pub fn reachable_per_stage(g: &MiDigraph, src: u32) -> Vec<usize> {
-    let w = g.width();
+pub fn reachable_per_stage<G: MiView>(g: &G, src: u32) -> Vec<usize> {
+    let w = g.nodes_per_stage();
     let mut reach = vec![false; w];
     reach[src as usize] = true;
     let mut sizes = vec![1usize];
-    for s in 0..g.stages().saturating_sub(1) {
+    for s in 0..g.stage_count().saturating_sub(1) {
         let mut next = vec![false; w];
         for v in 0..w as u32 {
             if reach[v as usize] {
-                for &child in g.children(s, v) {
+                for &child in g.children_of(s, v).as_ref() {
                     next[child as usize] = true;
                 }
             }
@@ -68,9 +71,10 @@ pub fn reachable_per_stage(g: &MiDigraph, src: u32) -> Vec<usize> {
 /// Exact Banyan-property test: every (first-stage, last-stage) pair is
 /// joined by exactly one directed path.
 ///
-/// Runs a per-source dynamic program with early exit as soon as two paths
-/// converge; `O(stages · width²)` in the worst case.
-pub fn is_banyan(g: &MiDigraph) -> bool {
+/// Runs [`path_counts_from`] from every source, stopping at the first
+/// source with a missing or repeated path; `O(stages · width²)` in the
+/// worst case.
+pub fn is_banyan<G: MiView>(g: &G) -> bool {
     banyan_violation(g).is_none()
 }
 
@@ -84,52 +88,40 @@ pub enum BanyanViolation {
     NoPath(u32, u32),
 }
 
-/// Finds a Banyan violation if one exists (see [`BanyanViolation`]).
-pub fn banyan_violation(g: &MiDigraph) -> Option<BanyanViolation> {
-    let w = g.width();
-    for src in 0..w as u32 {
-        let mut counts = vec![0u64; w];
-        counts[src as usize] = 1;
-        for s in 0..g.stages().saturating_sub(1) {
-            let mut next = vec![0u64; w];
-            for v in 0..w as u32 {
-                let c = counts[v as usize];
-                if c == 0 {
-                    continue;
-                }
-                for &child in g.children(s, v) {
-                    next[child as usize] = next[child as usize].saturating_add(c);
-                }
-            }
-            counts = next;
-        }
-        for (dst, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                return Some(BanyanViolation::NoPath(src, dst as u32));
-            }
-            if c > 1 {
-                return Some(BanyanViolation::MultiplePaths(src, dst as u32, c));
-            }
-        }
-    }
-    None
+/// Finds a Banyan violation if one exists (see [`BanyanViolation`]): the
+/// first sink, in node order, of the first source whose path counts are
+/// not all 1.
+pub fn banyan_violation<G: MiView>(g: &G) -> Option<BanyanViolation> {
+    (0..g.nodes_per_stage() as u32).find_map(|src| {
+        let counts = path_counts_from(g, src);
+        counts.iter().enumerate().find_map(|(dst, &c)| match c {
+            0 => Some(BanyanViolation::NoPath(src, dst as u32)),
+            1 => None,
+            _ => Some(BanyanViolation::MultiplePaths(src, dst as u32, c)),
+        })
+    })
 }
 
 /// The unique directed path from first-stage node `src` to last-stage node
 /// `dst` in a Banyan MI-digraph, as the sequence of node indices (one per
-/// stage). Returns `None` when no path exists.
+/// stage). Returns `None` when no path exists, including when `src` or
+/// `dst` is not a node of its stage.
 ///
 /// If the digraph is not Banyan the function still returns *some* path when
 /// one exists (the lexicographically first one in child order).
-pub fn unique_path(g: &MiDigraph, src: u32, dst: u32) -> Option<Vec<u32>> {
-    let w = g.width();
-    let n = g.stages();
+pub fn unique_path<G: MiView>(g: &G, src: u32, dst: u32) -> Option<Vec<u32>> {
+    let w = g.nodes_per_stage();
+    let n = g.stage_count();
+    if src as usize >= w || dst as usize >= w {
+        return None;
+    }
     // Backward reachability from dst so the forward walk can be greedy.
     let mut reaches_dst = vec![vec![false; w]; n];
     reaches_dst[n - 1][dst as usize] = true;
     for s in (0..n.saturating_sub(1)).rev() {
         for v in 0..w as u32 {
-            if g.children(s, v)
+            if g.children_of(s, v)
+                .as_ref()
                 .iter()
                 .any(|&c| reaches_dst[s + 1][c as usize])
             {
@@ -144,7 +136,8 @@ pub fn unique_path(g: &MiDigraph, src: u32, dst: u32) -> Option<Vec<u32>> {
     let mut cur = src;
     for s in 0..n - 1 {
         let next = g
-            .children(s, cur)
+            .children_of(s, cur)
+            .as_ref()
             .iter()
             .copied()
             .find(|&c| reaches_dst[s + 1][c as usize])?;
@@ -157,6 +150,7 @@ pub fn unique_path(g: &MiDigraph, src: u32, dst: u32) -> Option<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MiDigraph;
 
     fn baseline8() -> MiDigraph {
         let mut g = MiDigraph::new(3, 4);
@@ -245,6 +239,9 @@ mod tests {
         assert!(unique_path(&g, 0, 1).is_none());
         assert!(unique_path(&g, 1, 1).is_none());
         assert_eq!(unique_path(&g, 0, 0), Some(vec![0, 0]));
+        // Endpoints outside the stage have no path either.
+        assert!(unique_path(&g, 2, 0).is_none());
+        assert!(unique_path(&g, 0, 2).is_none());
     }
 
     #[test]

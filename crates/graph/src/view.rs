@@ -3,11 +3,15 @@
 //! The characterization asks a network only four things: how many stages
 //! it has, how many nodes each stage holds, which children a node has, and
 //! whether every degree is 2. [`MiView`] is exactly those four questions.
-//! The sweeps, the component tries and [`crate::iso::verify_stage_mapping`]
-//! are written against it, so they run unchanged on an [`MiDigraph`], on a
-//! network's own connection tables (`min-core`'s `ConnectionNetwork`) or on
-//! a closed-form formula (`min-core`'s `BaselineView`), and no digraph has
-//! to be materialized first.
+//! Every §2 algorithm that reads only children is written against it: the
+//! path counts and the Banyan test of [`crate::paths`], the components and
+//! sweeps of [`crate::components`], `min-core`'s `P(i,j)` properties,
+//! characterization report and component tries, and
+//! [`crate::iso::verify_stage_mapping`]. They run unchanged on an
+//! [`MiDigraph`], on a network's own connection tables (`min-core`'s
+//! `ConnectionNetwork`) or on a closed-form formula (`min-core`'s
+//! `BaselineView`), and no digraph has to be materialized first. Only
+//! what needs parents, a reversal or a file takes an [`MiDigraph`].
 
 use crate::digraph::MiDigraph;
 

@@ -1,10 +1,10 @@
-//! Model test for the flat `MiDigraph` layout.
+//! Model test for `MiDigraph`.
 //!
 //! Random `add_arc` sequences are applied both to `MiDigraph` and to the
 //! nested-`Vec` reference model below (one heap list per node and
 //! direction). The sequences repeat arcs, so parallel arcs occur, and push
-//! degrees up to 5, past the initial list stride of 2. Every query and
-//! derived graph must agree with the model.
+//! degrees up to 5, past the paper's degree of 2. Every query and derived
+//! graph must agree with the model.
 
 use min_graph::MiDigraph;
 use proptest::prelude::*;

@@ -55,8 +55,7 @@ pub fn find_banyan_not_equivalent<R: Rng>(
 ) -> Option<ConnectionNetwork> {
     for _ in 0..max_attempts {
         let net = random_link_permutation_network(n, rng);
-        let g = net.to_digraph();
-        if is_banyan(&g) && !satisfies_characterization(&g) {
+        if is_banyan(&net) && !satisfies_characterization(&net) {
             return Some(net);
         }
     }
@@ -73,12 +72,14 @@ pub fn find_buddy_not_equivalent<R: Rng>(
 ) -> Option<ConnectionNetwork> {
     for _ in 0..max_attempts {
         let net = random_buddy_network(n, rng);
-        let g = net.to_digraph();
-        if !is_banyan(&g) {
+        if !is_banyan(&net) {
             continue;
         }
-        debug_assert!(buddy_property(&g).holds && reverse_buddy_property(&g).holds);
-        if !satisfies_characterization(&g) {
+        debug_assert!({
+            let g = net.to_digraph();
+            buddy_property(&g).holds && reverse_buddy_property(&g).holds
+        });
+        if !satisfies_characterization(&net) {
             return Some(net);
         }
     }
@@ -113,8 +114,8 @@ pub fn buddy_not_baseline_equivalent() -> ConnectionNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iso_search::{find_isomorphism, IsoSearchOutcome};
     use min_core::baseline_iso::{baseline_digraph, baseline_isomorphism};
-    use min_graph::iso::find_isomorphism;
 
     #[test]
     fn fig5_networks_have_parallel_links_and_are_not_banyan() {
@@ -143,7 +144,7 @@ mod tests {
         let net = banyan_not_baseline_equivalent();
         let g = net.to_digraph();
         let outcome = find_isomorphism(&g, &baseline_digraph(3), 50_000_000);
-        assert_eq!(outcome, min_graph::iso::IsoSearchOutcome::NotIsomorphic);
+        assert_eq!(outcome, IsoSearchOutcome::NotIsomorphic);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   main corollary, and (once Banyan) must all be Baseline-equivalent;
 //! * [`random_independent_banyan`] — every stage is a random *proper
 //!   independent connection* (the wider class of Theorem 3), with rejection
-//!   sampling until the assembled digraph is Banyan;
+//!   sampling until the assembled network is Banyan;
 //! * [`random_link_permutation_network`] — every stage is an arbitrary link
 //!   permutation: the negative control, essentially never
 //!   Baseline-equivalent.
@@ -57,7 +57,7 @@ pub fn random_independent_banyan<R: Rng>(
             .map(|_| random_proper_independent_connection(width, rng.gen(), rng))
             .collect();
         let net = ConnectionNetwork::new(width, connections);
-        if is_banyan(&net.to_digraph()) {
+        if is_banyan(&net) {
             return Some(net);
         }
     }

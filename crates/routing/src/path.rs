@@ -33,25 +33,20 @@ pub struct TerminalRoute {
 }
 
 /// Computes the cell-level path from first-stage cell `src` to last-stage
-/// cell `dst`, if one exists.
+/// cell `dst`, if one exists. A cell at or beyond the cell count has no
+/// path.
 pub fn route_cells(net: &ConnectionNetwork, src: u64, dst: u64) -> Option<CellPath> {
-    let g = net.to_digraph();
-    let cells = unique_path(&g, src as u32, dst as u32)?;
-    let mut ports = Vec::with_capacity(cells.len().saturating_sub(1));
-    for (s, window) in cells.windows(2).enumerate() {
-        let conn = net.connection(s);
-        let (from, to) = (u64::from(window[0]), u64::from(window[1]));
-        // Prefer reporting port 0 when both functions reach the child
-        // (parallel links).
-        let port = if conn.f(from) == to {
-            0
-        } else if conn.g(from) == to {
-            1
-        } else {
-            return None;
-        };
-        ports.push(port);
-    }
+    let cells = unique_path(net, u32::try_from(src).ok()?, u32::try_from(dst).ok()?)?;
+    // Every hop is `f` or `g` of its cell; prefer reporting port 0 when
+    // both reach the child (parallel links).
+    let ports = cells
+        .windows(2)
+        .enumerate()
+        .map(|(s, hop)| {
+            let f = net.connection(s).f(u64::from(hop[0]));
+            u8::from(f != u64::from(hop[1]))
+        })
+        .collect();
     Some(CellPath { cells, ports })
 }
 
@@ -130,6 +125,14 @@ mod tests {
         let net = omega(3);
         assert!(route_terminals(&net, 99, 0).is_none());
         assert!(route_terminals(&net, 0, 99).is_none());
+    }
+
+    #[test]
+    fn out_of_range_cells_have_no_path() {
+        let net = omega(3);
+        for (src, dst) in [(4, 0), (0, 4), (1 << 32, 3), (3, (1 << 32) | 3)] {
+            assert_eq!(route_cells(&net, src, dst), None, "{src} -> {dst}");
+        }
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! defers the next lease until that shard is pushed; an `Exit` stops the
 //! leasing, but the shards in hand are still executed and pushed.
 //!
-//! One heartbeat thread runs from registration until the loop returns and
-//! sends [`Request::Heartbeat`] every [`WorkerConfig::heartbeat`], so the
-//! master's failover monitor can tell a shard that takes long from a
-//! worker that is gone.
+//! Every request refreshes the master's last-seen time for the worker. The
+//! I/O thread's only long wait is for the executor to finish a shard; it
+//! waits [`WorkerConfig::heartbeat`] at a time and sends a
+//! [`Request::Heartbeat`] after each, so the master's failover monitor can
+//! tell a shard that takes long from a worker that is gone.
 //!
 //! For failover testing, [`WorkerConfig::die_after_leases`] makes the
 //! worker abandon the loop right after its *n*-th lease — holding shards
@@ -44,8 +45,9 @@ pub struct WorkerConfig {
     pub master: String,
     /// The worker's name: its identity for leases and failover.
     pub name: String,
-    /// Interval between heartbeats, sent from registration until the loop
-    /// ends. Keep well under the master's heartbeat timeout.
+    /// Interval between heartbeats, sent while the worker waits for a
+    /// shard to finish executing. Keep well under the master's heartbeat
+    /// timeout.
     pub heartbeat: Duration,
     /// Sleep between lease attempts while the master has no work.
     pub poll: Duration,
@@ -136,9 +138,7 @@ pub fn run_worker(config: &WorkerConfig) -> io::Result<WorkerSummary> {
                 }
             }
         });
-        let beat = Heartbeat::start(config);
         let summary = lease_ahead(config, &mut failures, &hand, &finished);
-        drop(beat);
         // Hang up, so the executor stops once its current shard is done.
         drop(hand);
         if let Err(panic) = executor.join() {
@@ -149,8 +149,8 @@ pub fn run_worker(config: &WorkerConfig) -> io::Result<WorkerSummary> {
 }
 
 /// The I/O side of [`run_worker`]: leases while fewer than two shards are
-/// in hand, hands each leased shard to the executor, and pushes results as
-/// they come back.
+/// in hand, hands each leased shard to the executor, pushes results as
+/// they come back, and heartbeats while it waits for them.
 fn lease_ahead(
     config: &WorkerConfig,
     failures: &mut u32,
@@ -212,11 +212,27 @@ fn lease_ahead(
         if in_hand == 0 {
             return Ok(summary);
         }
-        // The executor hangs up without a result only when it panicked,
-        // which `run_worker` re-raises once it has joined it.
-        let (shard_id, results) = finished
-            .recv()
-            .map_err(|_| io::Error::other("the shard executor stopped"))??;
+        let (shard_id, results) = loop {
+            match finished.recv_timeout(config.heartbeat) {
+                Ok(executed) => break executed?,
+                // A missed heartbeat is the master's problem to notice,
+                // not ours to crash on.
+                Err(RecvTimeoutError::Timeout) => {
+                    let _ = request(
+                        &config.master,
+                        &Request::Heartbeat {
+                            worker: config.name.clone(),
+                        },
+                    );
+                }
+                // The executor hangs up without a result only when it
+                // panicked, which `run_worker` re-raises once it has
+                // joined it.
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(io::Error::other("the shard executor stopped"))
+                }
+            }
+        };
         in_hand -= 1;
         let pushed = retrying(config, failures, |c| {
             request(
@@ -264,104 +280,5 @@ fn retrying<T>(
                 std::thread::sleep(config.poll);
             }
         }
-    }
-}
-
-/// A heartbeat ticker: sends [`Request::Heartbeat`] every
-/// [`WorkerConfig::heartbeat`] until dropped. The first beat is due one
-/// interval after start, because the registration that precedes it has
-/// already refreshed the worker's last-seen time.
-struct Heartbeat {
-    stop: mpsc::Sender<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn start(config: &WorkerConfig) -> Heartbeat {
-        let (stop, stopped) = mpsc::channel();
-        let master = config.master.clone();
-        let name = config.name.clone();
-        let interval = config.heartbeat;
-        let handle = std::thread::spawn(move || {
-            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
-                // A missed heartbeat is the master's problem to notice,
-                // not ours to crash on.
-                let _ = request(
-                    &master,
-                    &Request::Heartbeat {
-                        worker: name.clone(),
-                    },
-                );
-            }
-        });
-        Heartbeat {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        let _ = self.stop.send(());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::net::TcpListener;
-
-    use super::*;
-    use crate::protocol::{read_frame, write_frame};
-
-    fn beating(listener: &TcpListener, interval: Duration) -> Heartbeat {
-        let mut config = WorkerConfig::new(listener.local_addr().unwrap().to_string(), "w");
-        config.heartbeat = interval;
-        Heartbeat::start(&config)
-    }
-
-    #[test]
-    fn dropping_a_heartbeat_returns_without_waiting_out_its_interval() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let beat = beating(&listener, Duration::from_secs(3600));
-        let (done, dropped) = mpsc::channel();
-        let dropper = std::thread::spawn(move || {
-            drop(beat);
-            done.send(()).unwrap();
-        });
-        dropped
-            .recv_timeout(Duration::from_secs(60))
-            .expect("dropping the heartbeat waited out its interval");
-        dropper.join().unwrap();
-        // Registration already counts as a sign of life: no beat was sent.
-        listener.set_nonblocking(true).unwrap();
-        assert_eq!(
-            listener.accept().unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-    }
-
-    #[test]
-    fn heartbeats_flow_once_an_interval_has_passed() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let beat = beating(&listener, Duration::from_millis(20));
-        for _ in 0..2 {
-            let (mut stream, _) = listener.accept().unwrap();
-            let request: Request = read_frame(&mut stream).unwrap();
-            assert_eq!(
-                request,
-                Request::Heartbeat {
-                    worker: "w".to_string()
-                }
-            );
-            write_frame(&mut stream, &Reply::Ack).unwrap();
-        }
-        // Close the port first, so a beat already on its way is refused
-        // rather than left waiting for a reply.
-        drop(listener);
-        drop(beat);
     }
 }

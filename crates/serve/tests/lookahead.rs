@@ -1,6 +1,7 @@
 //! The worker's lease-ahead loop against a scripted master: the exact
-//! order of its requests, the two-shard bound, draining on `Exit`, and a
-//! failed shard ending the worker without its queued neighbour.
+//! order of its requests, the two-shard bound, draining on `Exit`,
+//! heartbeats while a shard executes, and a failed shard ending the
+//! worker without its queued neighbour.
 
 use std::collections::VecDeque;
 use std::io;
@@ -15,6 +16,13 @@ use min_sim::campaign::{CampaignConfig, Shard};
 
 /// How long a worker may take to finish a scripted exchange.
 const DEADLINE: Duration = Duration::from_secs(60);
+
+/// A heartbeat interval no test outlives.
+const HOUR: Duration = Duration::from_secs(3600);
+
+/// Simulated cycles of a shard that runs for many 2 ms heartbeat
+/// intervals.
+const LONG_CYCLES: u64 = 5_000;
 
 /// One request as the scripted master saw it.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +77,11 @@ fn assignment(config: &CampaignConfig, shard: &Shard) -> Reply {
     }
 }
 
-/// Runs a worker against `addr` with no heartbeats inside the test's
-/// lifetime, and returns its result within [`DEADLINE`].
-fn run_scripted_worker(addr: SocketAddr) -> io::Result<WorkerSummary> {
+/// Runs a worker against `addr` that heartbeats every `heartbeat` while a
+/// shard executes, and returns its result within [`DEADLINE`].
+fn run_scripted_worker(addr: SocketAddr, heartbeat: Duration) -> io::Result<WorkerSummary> {
     let mut config = WorkerConfig::new(addr.to_string(), "w");
-    config.heartbeat = Duration::from_secs(3600);
+    config.heartbeat = heartbeat;
     config.poll = Duration::from_millis(10);
     let (done, result) = mpsc::channel();
     let worker = thread::spawn(move || done.send(run_worker(&config)).unwrap());
@@ -98,7 +106,10 @@ fn the_worker_leases_one_shard_ahead_and_drains_on_exit() {
         Reply::Exit,
     ];
     let (addr, master) = scripted_master(script);
-    let summary = run_scripted_worker(addr).unwrap();
+    // With an hour between heartbeats, none falls inside the test: the
+    // registration already counts as a sign of life, and the worker
+    // returns without waiting an interval out.
+    let summary = run_scripted_worker(addr, HOUR).unwrap();
     client::shutdown(addr).unwrap();
     let seen = master.join().unwrap();
 
@@ -129,6 +140,26 @@ fn the_worker_leases_one_shard_ahead_and_drains_on_exit() {
 }
 
 #[test]
+fn heartbeats_flow_while_a_long_shard_executes() {
+    // One shard that runs for many heartbeat intervals.
+    let config = CampaignConfig::over_catalog(6..=6).with_cycles(LONG_CYCLES, 10);
+    let shard = config.plan().unwrap().shards.swap_remove(0);
+    let (addr, master) = scripted_master(vec![assignment(&config, &shard), Reply::Exit]);
+    let summary = run_scripted_worker(addr, Duration::from_millis(2)).unwrap();
+    client::shutdown(addr).unwrap();
+    let seen = master.join().unwrap();
+
+    assert_eq!(seen[..3], [Seen::Register, Seen::Lease, Seen::Lease]);
+    assert_eq!(seen.last(), Some(&Seen::Push(shard.id)));
+    let between = &seen[3..seen.len() - 1];
+    assert!(
+        !between.is_empty() && between.iter().all(|s| *s == Seen::Heartbeat),
+        "expected heartbeats between the lease and the push: {seen:?}"
+    );
+    assert_eq!(summary.executed, 1);
+}
+
+#[test]
 fn a_failed_shard_ends_the_worker_without_pushing_the_queued_one() {
     let (config, shards) = plan();
     let mut failing = shards[0].clone();
@@ -138,7 +169,7 @@ fn a_failed_shard_ends_the_worker_without_pushing_the_queued_one() {
         assignment(&config, &shards[1]),
     ];
     let (addr, master) = scripted_master(script);
-    let error = run_scripted_worker(addr).unwrap_err();
+    let error = run_scripted_worker(addr, HOUR).unwrap_err();
     client::shutdown(addr).unwrap();
     let seen = master.join().unwrap();
 

@@ -12,7 +12,6 @@
 use baseline_equivalence::prelude::*;
 use min_core::buddy::{buddy_property, reverse_buddy_property};
 use min_core::properties::characterization_report;
-use min_graph::paths::is_banyan;
 use min_graph::serialize::to_text;
 use min_networks::counterexample::{find_banyan_not_equivalent, find_buddy_not_equivalent};
 use rand::SeedableRng;
@@ -27,14 +26,13 @@ fn main() {
     println!("== Hunting for counterexamples at n = {stages} ({attempts} attempts each) ==\n");
 
     println!("-- The deterministic textbook counterexample (N = 8) --");
-    describe(&min_networks::counterexample::banyan_not_baseline_equivalent().to_digraph());
+    describe(&min_networks::counterexample::banyan_not_baseline_equivalent());
 
     println!("\n-- Random Banyan-but-not-equivalent instance --");
     match find_banyan_not_equivalent(stages, attempts, &mut rng) {
         Some(net) => {
-            let g = net.to_digraph();
-            describe(&g);
-            println!("{}", to_text(&g));
+            describe(&net);
+            println!("{}", to_text(&net.to_digraph()));
         }
         None => {
             println!("none found within {attempts} attempts (Banyan wiring is rare at this size)")
@@ -44,8 +42,9 @@ fn main() {
     println!("-- Random buddy-but-not-equivalent instance (Agrawal's gap) --");
     match find_buddy_not_equivalent(stages, attempts, &mut rng) {
         Some(net) => {
+            describe(&net);
+            // The buddy checks compare parents, so they take the digraph.
             let g = net.to_digraph();
-            describe(&g);
             println!(
                 "  buddy property: forward = {}, reverse = {}",
                 buddy_property(&g).holds,
@@ -57,16 +56,16 @@ fn main() {
     }
 }
 
-fn describe(g: &MiDigraph) {
-    let report = characterization_report(g);
+fn describe(net: &ConnectionNetwork) {
+    let report = characterization_report(net);
     println!(
         "  Banyan = {}, P(1,*) = {}, P(*,n) = {}, Baseline-equivalent = {}",
-        is_banyan(g),
+        report.banyan,
         report.p_one_star(),
         report.p_star_n(),
         report.satisfied()
     );
-    if let Err(e) = baseline_isomorphism(g) {
+    if let Err(e) = baseline_isomorphism(net) {
         println!("  certificate refused: {e}");
     }
 }

@@ -26,7 +26,7 @@ fn main() {
     );
 
     let kinds = ClassicalNetwork::ALL;
-    let digraphs: Vec<_> = kinds.iter().map(|k| k.build(stages).to_digraph()).collect();
+    let nets: Vec<_> = kinds.iter().map(|k| k.build(stages)).collect();
 
     // Header
     print!("{:<28}", "");
@@ -40,12 +40,12 @@ fn main() {
     let matrix: Vec<Vec<&'static str>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..kinds.len())
             .map(|i| {
-                let digraphs = &digraphs;
+                let nets = &nets;
                 scope.spawn(move || {
                     (0..kinds.len())
-                        .map(|j| match equivalence_mapping(&digraphs[i], &digraphs[j]) {
+                        .map(|j| match equivalence_mapping(&nets[i], &nets[j]) {
                             Ok(mapping) => {
-                                assert!(verify_stage_mapping(&digraphs[i], &digraphs[j], &mapping));
+                                assert!(verify_stage_mapping(&nets[i], &nets[j], &mapping));
                                 "  ≅     "
                             }
                             Err(_) => "  ✗     ",
@@ -65,8 +65,8 @@ fn main() {
     }
 
     // One explicit mapping, spelled out.
-    let omega = &digraphs[2];
-    let baseline = &digraphs[0];
+    let omega = &nets[2];
+    let baseline = &nets[0];
     let mapping = equivalence_mapping(omega, baseline).expect("equivalent");
     println!("\nExplicit Omega → Baseline node mapping (first stage, first 8 cells):");
     let row: Vec<String> = mapping[0]
@@ -79,14 +79,14 @@ fn main() {
 
     // Negative controls.
     println!("\nNegative controls:");
-    let fig5 = counterexample::fig5_network(stages).to_digraph();
+    let fig5 = counterexample::fig5_network(stages);
     let report = characterization_report(&fig5);
     println!(
         "  Fig. 5 degenerate network : Banyan = {}, equivalent = {}",
         report.banyan,
         report.satisfied()
     );
-    let banyan_ce = counterexample::banyan_not_baseline_equivalent().to_digraph();
+    let banyan_ce = counterexample::banyan_not_baseline_equivalent();
     let report = characterization_report(&banyan_ce);
     println!(
         "  Banyan counterexample     : Banyan = {}, P(1,*) = {}, equivalent = {}",
@@ -94,12 +94,12 @@ fn main() {
         report.p_one_star(),
         report.satisfied()
     );
-    let buddy_ce = counterexample::buddy_not_baseline_equivalent().to_digraph();
+    let buddy_ce = counterexample::buddy_not_baseline_equivalent();
     let report = characterization_report(&buddy_ce);
     println!(
         "  Buddy counterexample      : Banyan = {}, buddy = {}, equivalent = {}",
         report.banyan,
-        min_core::buddy::buddy_property(&buddy_ce).holds,
+        min_core::buddy::buddy_property(&buddy_ce.to_digraph()).holds,
         report.satisfied()
     );
 }

@@ -58,7 +58,7 @@ fn main() -> std::io::Result<()> {
     // ----- Figure 3: the component structure of Lemma 2 -------------------
     println!("Fig. 3  components of (G)_(j,n) for the Baseline, n={n}:");
     for j in 0..n {
-        let rc = component_ids_range(&g, j, n - 1);
+        let rc = component_ids_range(&baseline, j, n - 1);
         let sizes = rc.stage_intersection_sizes(j);
         println!(
             "        j={}  components={}  each meets stage {} in {:?} nodes",
@@ -101,8 +101,8 @@ fn main() -> std::io::Result<()> {
     fs::write(out_dir.join("fig5_degenerate.dot"), &dot)?;
     println!(
         "Fig. 5  degenerate last stage: parallel links = {}, Banyan = {}",
-        g5.has_parallel_arcs(),
-        min_graph::paths::is_banyan(&g5)
+        fig5.has_parallel_links(),
+        min_graph::paths::is_banyan(&fig5)
     );
 
     println!("\nDOT files written to {}", out_dir.display());

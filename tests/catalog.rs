@@ -3,7 +3,8 @@
 //! cross-validated against the exhaustive isomorphism search at small sizes.
 
 use baseline_equivalence::prelude::*;
-use min_graph::iso::{find_isomorphism, verify_stage_mapping, IsoSearchOutcome};
+use iso_search::{find_isomorphism, IsoSearchOutcome};
+use min_graph::iso::verify_stage_mapping;
 
 #[test]
 fn all_pairs_are_equivalent_with_verified_mappings() {

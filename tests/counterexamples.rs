@@ -1,10 +1,10 @@
 //! Experiment E10 — what the weaker properties fail to capture.
 
 use baseline_equivalence::prelude::*;
+use iso_search::{find_isomorphism, IsoSearchOutcome};
 use min_core::buddy::{buddy_property, reverse_buddy_property};
 use min_core::error::EquivalenceError;
 use min_core::properties::characterization_report;
-use min_graph::iso::{find_isomorphism, IsoSearchOutcome};
 use min_graph::paths::is_banyan;
 use min_networks::counterexample::{
     banyan_not_baseline_equivalent, buddy_not_baseline_equivalent, fig5_network,

@@ -11,7 +11,7 @@
 //! preserve stages) and are repeatedly split by the multiset of child and
 //! parent colours until a fixed point.
 
-use crate::digraph::MiDigraph;
+use min_graph::MiDigraph;
 use std::collections::HashMap;
 
 /// Stable colouring of an MI-digraph. `colors[stage][node]` is a small

@@ -2,13 +2,20 @@
 //! algorithm runs on a `ConnectionNetwork`'s own `f`/`g` tables, on its
 //! materialized `MiDigraph`, and against the closed-form `BaselineView`.
 //! These tests pin that the views agree: the same certificate or the same
-//! error from either input, the same verification verdicts, and the same
-//! Baseline arcs from the formula as from the digraph built out of it.
+//! error from either input, the same §2 answers (path counts, Banyan
+//! witnesses, unique paths, components, `P(i,j)` and the characterization
+//! report), the same verification verdicts, and the same Baseline arcs
+//! from the formula as from the digraph built out of it.
 
 use baseline_equivalence::prelude::*;
 use min_core::baseline_iso::BaselineView;
 use min_core::compose_baseline_certificates;
+use min_core::properties::{characterization_report, p_one_star, p_property, p_star_n};
+use min_graph::components::{component_count_range, component_ids_range};
 use min_graph::iso::verify_stage_mapping;
+use min_graph::paths::{
+    banyan_violation, is_banyan, path_counts_from, reachable_per_stage, unique_path,
+};
 use min_graph::MiView;
 use min_networks::counterexample::{
     banyan_not_baseline_equivalent, buddy_not_baseline_equivalent, fig5_network,
@@ -73,6 +80,82 @@ fn tables_and_digraph_give_the_same_certificate_or_error() {
     }
     // The corpus exercises both outcomes.
     assert!(certified > 100 && refused > 20, "{certified} / {refused}");
+}
+
+#[test]
+fn tables_and_digraph_answer_section_2_alike() {
+    let (mut banyan, mut not_banyan) = (0, 0);
+    for (name, net) in corpus() {
+        let g = net.to_digraph();
+        let (stages, width) = (net.stages(), net.cells_per_stage() as u32);
+        let violation = banyan_violation(&net);
+        assert_eq!(violation, banyan_violation(&g), "{name}");
+        if violation.is_none() {
+            banyan += 1;
+        } else {
+            not_banyan += 1;
+        }
+        // Every source up to 64 cells per stage, the two extreme ones above.
+        let sources: Vec<u32> = if width <= 64 {
+            (0..width).collect()
+        } else {
+            vec![0, width - 1]
+        };
+        for &src in &sources {
+            assert_eq!(
+                path_counts_from(&net, src),
+                path_counts_from(&g, src),
+                "{name}"
+            );
+            assert_eq!(
+                reachable_per_stage(&net, src),
+                reachable_per_stage(&g, src),
+                "{name}"
+            );
+        }
+        // The thin wrappers over the Banyan test cost a full pass each;
+        // n = 9 and 10 check only the test itself and the report.
+        if stages <= 8 {
+            assert_eq!(is_banyan(&net), violation.is_none(), "{name}");
+            assert_eq!(is_banyan(&g), violation.is_none(), "{name}");
+            assert_eq!(
+                satisfies_characterization(&net),
+                satisfies_characterization(&g),
+                "{name}"
+            );
+        }
+        if stages <= 5 {
+            for src in 0..width {
+                for dst in 0..width {
+                    let path = unique_path(&net, src, dst);
+                    assert_eq!(path, unique_path(&g, src, dst), "{name}: {src} -> {dst}");
+                }
+            }
+        }
+        for lo in 0..stages {
+            for hi in lo..stages {
+                let (from_tables, from_digraph) = (
+                    component_ids_range(&net, lo, hi),
+                    component_ids_range(&g, lo, hi),
+                );
+                assert_eq!(from_tables.count, from_digraph.count, "{name}");
+                assert_eq!(from_tables.ids, from_digraph.ids, "{name}");
+                assert_eq!(
+                    component_count_range(&net, lo, hi),
+                    component_count_range(&g, lo, hi),
+                    "{name}"
+                );
+                assert_eq!(p_property(&net, lo, hi), p_property(&g, lo, hi), "{name}");
+            }
+        }
+        assert_eq!(p_one_star(&net), p_one_star(&g), "{name}");
+        assert_eq!(p_star_n(&net), p_star_n(&g), "{name}");
+        let report = characterization_report(&net);
+        assert_eq!(report, characterization_report(&g), "{name}");
+        assert_eq!(report.banyan, violation.is_none(), "{name}");
+    }
+    // The corpus exercises both answers.
+    assert!(banyan > 100 && not_banyan > 10, "{banyan} / {not_banyan}");
 }
 
 #[test]
