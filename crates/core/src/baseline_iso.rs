@@ -37,12 +37,12 @@
 //!   sweep numbers components in order of their smallest node, which is the
 //!   order of the reduced coset representatives, and a trie orders two
 //!   sibling cosets by the top bit of their difference. So every trie value
-//!   is an affine function of the node label, every stage of the
-//!   certificate is one affine map, and the tables are filled with one XOR
-//!   per node. The result is the sweep's certificate bit for bit. It is
-//!   still verified arc by arc. When the network is not proper, a count is
-//!   off or the verification fails, it declines and the caller runs the
-//!   sweep, which names the violated condition.
+//!   is an affine function of the node label and every stage of the
+//!   certificate is one affine map ([`AffineCertificate`]), whose table
+//!   costs one XOR per node. The result is the sweep's certificate bit for
+//!   bit. It is still verified arc by arc. When the network is not proper,
+//!   a count is off or the verification fails, it declines and the caller
+//!   runs the sweep, which names the violated condition.
 //!
 //! Everything reads the network through [`MiView`], so a
 //! [`crate::ConnectionNetwork`] is certified on its own `f`/`g` tables and
@@ -57,6 +57,7 @@ use crate::network::ConnectionNetwork;
 use min_graph::components::{prefix_sweep, suffix_sweep};
 use min_graph::iso::{verify_stage_mapping, StageMapping};
 use min_graph::{MiDigraph, MiView};
+use min_labels::bitmat::affine_cell_table;
 use min_labels::{bit, leading_bit, AffineMap, Label, LinearMap, Subspace};
 
 /// The canonical left-recursive Baseline MI-digraph in closed form (paper,
@@ -119,7 +120,7 @@ pub fn baseline_digraph(stages: usize) -> MiDigraph {
 }
 
 /// A verified isomorphism certificate onto the Baseline MI-digraph.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BaselineIsomorphism {
     /// Number of stages of the network.
     pub stages: usize,
@@ -129,11 +130,6 @@ pub struct BaselineIsomorphism {
 }
 
 impl BaselineIsomorphism {
-    /// The canonical Baseline digraph this certificate maps onto.
-    pub fn baseline(&self) -> MiDigraph {
-        baseline_digraph(self.stages)
-    }
-
     /// Re-verifies the certificate against `g` (O(E)), checking every arc
     /// against the closed-form [`BaselineView`].
     pub fn verify<G: MiView>(&self, g: &G) -> bool {
@@ -239,6 +235,44 @@ pub fn baseline_isomorphism<G: MiView>(g: &G) -> Result<BaselineIsomorphism, Equ
     Ok(certificate)
 }
 
+/// A Baseline certificate in the closed form Theorem 3 gives it: stage `s`
+/// relabels node `x` to `maps()[s].apply(x)`.
+///
+/// At `n` stages it holds `n` maps of `n - 1` columns each, about 2 KB at
+/// `n = 16`, where the tables take `n · 2^{n-1}` labels (2 MB).
+/// [`affine_certificate`] builds it unverified; [`AffineCertificate::expand`]
+/// gives the tables, which [`BaselineIsomorphism::verify`] checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AffineCertificate {
+    maps: Vec<AffineMap>,
+}
+
+impl AffineCertificate {
+    /// One affine map per stage, each on `n - 1` bits.
+    pub fn maps(&self) -> &[AffineMap] {
+        &self.maps
+    }
+
+    /// The certificate's tables: `mapping[s][x] = maps()[s].apply(x)`,
+    /// written by the `u32` table kernel, one XOR per node.
+    pub fn expand(&self) -> BaselineIsomorphism {
+        let mut tables = BaselineIsomorphism::default();
+        self.expand_into(&mut tables);
+        tables
+    }
+
+    /// [`AffineCertificate::expand`] into `tables`, reusing its stage
+    /// tables' allocations.
+    pub fn expand_into(&self, tables: &mut BaselineIsomorphism) {
+        tables.stages = self.maps.len();
+        tables.mapping.resize_with(self.maps.len(), Vec::new);
+        for (table, map) in tables.mapping.iter_mut().zip(&self.maps) {
+            let reused = std::mem::take(table);
+            *table = affine_cell_table(map.linear().columns(), map.offset(), reused);
+        }
+    }
+}
+
 /// Theorem 3's construction: the certificate of a network whose every stage
 /// is an independent connection, computed from the stage affine forms
 /// (`forms[j]` is the [`crate::affine_form()`] of connection `j`).
@@ -252,6 +286,20 @@ pub fn affine_baseline_isomorphism(
     net: &ConnectionNetwork,
     forms: &[AffineForm],
 ) -> Option<BaselineIsomorphism> {
+    let certificate = affine_certificate(net, forms)?.expand();
+    certificate.verify(net).then_some(certificate)
+}
+
+/// [`affine_baseline_isomorphism`] before expansion and verification: the
+/// per-stage affine maps, or `None` when the forms do not fit the network,
+/// the network is not proper or a component count is off.
+///
+/// The maps are not checked against the network here; expand them and
+/// [`BaselineIsomorphism::verify`] the tables before trusting them.
+pub fn affine_certificate(
+    net: &ConnectionNetwork,
+    forms: &[AffineForm],
+) -> Option<AffineCertificate> {
     let w = net.width();
     if net.stages() != w + 1 || forms.len() != w || !forms.iter().all(|f| is_proper_form(f, w)) {
         return None;
@@ -309,7 +357,7 @@ pub fn affine_baseline_isomorphism(
         low[j] = descend(&low[j + 1].compose(&forms[j].f), &prefix[j], d)?;
     }
 
-    let mapping = high
+    let maps = high
         .iter()
         .zip(&low)
         .map(|(high, low)| {
@@ -321,14 +369,11 @@ pub fn affine_baseline_isomorphism(
                 .zip(low.linear().columns())
                 .map(|(&h, &l)| (h << low_bits) | l)
                 .collect();
-            affine_table(&columns, (high.offset() << low_bits) | low.offset())
+            let offset = (high.offset() << low_bits) | low.offset();
+            AffineMap::new(LinearMap::from_columns(w, w, columns), offset)
         })
         .collect();
-    let certificate = BaselineIsomorphism {
-        stages: w + 1,
-        mapping,
-    };
-    certificate.verify(net).then_some(certificate)
+    Some(AffineCertificate { maps })
 }
 
 /// `true` when `form` is a `w`-bit connection that is 2-regular: every
@@ -358,20 +403,6 @@ fn descend(parent: &AffineMap, space: &Subspace, sibling: Label) -> Option<Affin
     let width_out = parent.width_out() + 1;
     let linear = LinearMap::from_columns(parent.width_in(), width_out, columns);
     Some(AffineMap::new(linear, parent.offset() << 1))
-}
-
-/// `table[x] = offset ⊕ (⊕ of columns[k] over the set bits k of x)`: each
-/// half is the other half XOR one column, one XOR per entry.
-fn affine_table(columns: &[Label], offset: Label) -> Vec<u32> {
-    let mut table = vec![0u32; 1 << columns.len()];
-    table[0] = offset as u32;
-    for (k, &col) in columns.iter().enumerate() {
-        let (done, next) = table[..2 << k].split_at_mut(1 << k);
-        for (to, &from) in next.iter_mut().zip(done.iter()) {
-            *to = from ^ col as u32;
-        }
-    }
-    table
 }
 
 /// Numbers the nested components of a sweep as a binary trie:

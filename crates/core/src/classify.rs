@@ -29,16 +29,28 @@
 //!
 //! No [`min_graph::MiDigraph`] is built anywhere in a campaign. When every
 //! stage is independent, the decision takes Theorem 3's construction
-//! ([`affine_baseline_isomorphism`]) from the stage affine forms; otherwise,
-//! or when that construction declines, it runs the sweep
-//! ([`baseline_isomorphism`]) on the network, which is itself a
-//! [`min_graph::MiView`] of its `f`/`g` tables. Both give the same
-//! certificate, and every `Violation` is the sweep's diagnosis. Every
-//! certificate is checked arc by arc against the closed-form Baseline
-//! ([`crate::baseline_iso::BaselineView`]), and the cross-verification
-//! checks each composed mapping between the member's and the
-//! representative's tables: bijectivity, arc multiplicities and per-stage
-//! arc counts run for every subject and every class member.
+//! ([`affine_certificate`]) from the stage affine forms; otherwise, or when
+//! that construction declines, it runs the sweep ([`baseline_isomorphism`])
+//! on the network, which is itself a [`min_graph::MiView`] of its `f`/`g`
+//! tables. Both give the same certificate, and every `Violation` is the
+//! sweep's diagnosis. Every certificate is expanded to its tables, checked
+//! arc by arc against the closed-form Baseline
+//! ([`crate::baseline_iso::BaselineView`]) and checksummed before the
+//! decision pass moves on.
+//!
+//! Between the decision pass and the cross-verification pass, a certificate
+//! from Theorem 3's construction is kept as its per-stage affine maps
+//! ([`AffineCertificate`], about 2 KB at `n = 16`). Only a certificate that
+//! the sweep alone found keeps its `n · 2^{n-1}`-entry tables. Each worker
+//! expands certificates into one set of tables that it reuses from network
+//! to network. A member's cross-verification pair expands the member's
+//! certificate there and composes the mapping over it. A class
+//! representative is rebuilt, and its certificate expanded and inverted,
+//! by the first pair of its class; that network and inverse are dropped
+//! once the class's last pair lands. Each composed mapping is checked
+//! between the member's and the representative's rebuilt tables:
+//! bijectivity, arc multiplicities and per-stage arc counts run for every
+//! class member.
 //!
 //! ## Determinism
 //!
@@ -73,14 +85,17 @@
 //! ```
 
 use crate::affine_form::affine_form;
-use crate::baseline_iso::{affine_baseline_isomorphism, baseline_isomorphism, BaselineIsomorphism};
+use crate::baseline_iso::{
+    affine_certificate, baseline_isomorphism, AffineCertificate, BaselineIsomorphism,
+};
 use crate::equivalence::BaselineInverse;
 use crate::network::ConnectionNetwork;
 use min_graph::iso::verify_stage_mapping;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// Derives a per-subject seed from the campaign seed and the subject index.
@@ -441,12 +456,38 @@ impl std::fmt::Display for ClassifyError {
 
 impl std::error::Error for ClassifyError {}
 
+/// A verified certificate, as a campaign keeps it until its
+/// cross-verification pair.
+enum Certificate {
+    /// Theorem 3's construction, kept as its per-stage affine maps.
+    Affine(AffineCertificate),
+    /// The sweep's certificate, kept as its tables.
+    Tables(BaselineIsomorphism),
+}
+
+impl Certificate {
+    /// Writes the certificate's tables into `tables`.
+    fn expand_into(self, tables: &mut BaselineIsomorphism) {
+        match self {
+            Certificate::Affine(certificate) => certificate.expand_into(tables),
+            Certificate::Tables(own) => *tables = own,
+        }
+    }
+}
+
+thread_local! {
+    /// The tables a worker expands certificates into. They are reused from
+    /// one subject or pair to the next, so a campaign does not hand them
+    /// back to the system and fault them in again for every network.
+    static TABLES: RefCell<BaselineIsomorphism> = RefCell::default();
+}
+
 /// What a worker produces for one subject.
 struct Outcome {
     equivalent: bool,
     key: String,
     witness: Witness,
-    certificate: Option<BaselineIsomorphism>,
+    certificate: Option<Certificate>,
 }
 
 /// Decides one subject: packed affine forms for every stage, then the
@@ -457,12 +498,27 @@ struct Outcome {
 fn classify_one(subject: &Subject) -> Outcome {
     let net = subject.build();
     let forms: Option<Vec<_>> = net.connections().iter().map(affine_form).collect();
-    let certified = forms
-        .as_deref()
-        .and_then(|forms| affine_baseline_isomorphism(&net, forms));
-    match certified.map_or_else(|| baseline_isomorphism(&net), Ok) {
-        Ok(certificate) => {
-            let mapping_checksum = certificate.checksum();
+    // Theorem 3's certificate is verified and checksummed on its tables,
+    // then kept in closed form.
+    let closed_form = forms.as_deref().and_then(|forms| {
+        let certificate = affine_certificate(&net, forms)?;
+        TABLES.with_borrow_mut(|tables| {
+            certificate.expand_into(tables);
+            let checksum = tables.checksum();
+            tables
+                .verify(&net)
+                .then_some((checksum, Certificate::Affine(certificate)))
+        })
+    });
+    let certified = closed_form.map_or_else(
+        || {
+            baseline_isomorphism(&net)
+                .map(|tables| (tables.checksum(), Certificate::Tables(tables)))
+        },
+        Ok,
+    );
+    match certified {
+        Ok((mapping_checksum, certificate)) => {
             let witness = match forms {
                 Some(forms) => Witness::IndependentConnections {
                     differences: forms.iter().map(|f| f.difference).collect(),
@@ -487,6 +543,18 @@ fn classify_one(subject: &Subject) -> Outcome {
             certificate: None,
         },
     }
+}
+
+/// A class representative's rebuilt network and certificate inverse, or
+/// `None` when the certificate does not invert.
+type Rebuilt = Arc<Option<(ConnectionNetwork, BaselineInverse)>>;
+
+/// A class representative as its cross-verification pairs share it.
+struct Representative {
+    /// Pairs of the class that have not landed yet.
+    pending: usize,
+    /// Built by the first pair that needs it, dropped by the last.
+    rebuilt: Option<Rebuilt>,
 }
 
 /// Runs the campaign across `threads` scoped worker threads (`0` = one
@@ -542,16 +610,16 @@ pub fn classify_subjects(
     // Cross-verify every equivalent class: compose each member's
     // certificate with the representative's and check the mapping arc by
     // arc on the two networks' own tables. The (class, member) pairs run in
-    // parallel; each representative is built, and its certificate checked
-    // and inverted, once, by whichever pair of its class needs it first.
-    // Every certificate is used once more — a member's by its pair, a
-    // representative's for the inverse — and is dropped after that use.
+    // parallel. Each certificate is expanded and used once more — a
+    // member's by its pair, a representative's for the inverse — and is
+    // dropped after that use; a representative's network and inverse go
+    // with its class's last pair.
     let pairs: Vec<(usize, usize)> = classes
         .iter()
         .filter(|class| class.equivalent)
         .flat_map(|class| class.members[1..].iter().map(|&m| (class.id, m)))
         .collect();
-    let certificates: Vec<Mutex<Option<BaselineIsomorphism>>> = outcomes
+    let certificates: Vec<Mutex<Option<Certificate>>> = outcomes
         .into_iter()
         .map(|outcome| Mutex::new(outcome.certificate))
         .collect();
@@ -562,22 +630,54 @@ pub fn classify_subjects(
             .take()
             .expect("equivalent subjects carry a certificate, used once")
     };
-    let reps: Vec<OnceLock<Option<(ConnectionNetwork, BaselineInverse)>>> =
-        classes.iter().map(|_| OnceLock::new()).collect();
+    let reps: Vec<Mutex<Representative>> = classes
+        .iter()
+        .map(|class| {
+            Mutex::new(Representative {
+                pending: if class.equivalent {
+                    class.members.len() - 1
+                } else {
+                    0
+                },
+                rebuilt: None,
+            })
+        })
+        .collect();
+    let lock = |class: usize| {
+        reps[class]
+            .lock()
+            .expect("no thread panics while holding a representative")
+    };
+    let rebuild = |class: usize| {
+        let rep = classes[class].members[0];
+        let mut tables = BaselineIsomorphism::default();
+        take(rep).expand_into(&mut tables);
+        let inverse = BaselineInverse::new(&tables).ok();
+        Arc::new(inverse.map(|inverse| (subjects[rep].build(), inverse)))
+    };
     let verdicts = run_indexed(pairs.len(), threads, |i| {
         let (class, member) = pairs[i];
-        let rep = reps[class].get_or_init(|| {
-            let rep = classes[class].members[0];
-            BaselineInverse::new(&take(rep))
-                .ok()
-                .map(|inverse| (subjects[rep].build(), inverse))
+        let rep = Arc::clone(lock(class).rebuilt.get_or_insert_with(|| rebuild(class)));
+        let verified = rep.as_ref().as_ref().is_some_and(|(rep_net, inverse)| {
+            // The member's network comes before its tables: when a worker's
+            // tables grow, they land above the network, and the next pair
+            // rebuilds its network in the memory this one frees. Built the
+            // other way round, the allocator hands that memory back and the
+            // default campaign faults in about 1.7 times as many pages.
+            let member_net = subjects[member].build();
+            TABLES.with_borrow_mut(|mapping| {
+                take(member).expand_into(mapping);
+                inverse.compose(mapping).is_ok()
+                    && verify_stage_mapping(&member_net, rep_net, &mapping.mapping)
+            })
         });
-        let Some((rep_net, inverse)) = rep else {
-            return false;
-        };
-        let mapping = inverse.compose(&take(member));
-        mapping
-            .is_ok_and(|mapping| verify_stage_mapping(&subjects[member].build(), rep_net, &mapping))
+        drop(rep);
+        let mut slot = lock(class);
+        slot.pending -= 1;
+        if slot.pending == 0 {
+            slot.rebuilt = None;
+        }
+        verified
     });
     for (&(class, _), verified) in pairs.iter().zip(verdicts) {
         classes[class].cross_verified &= verified;
@@ -743,31 +843,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cross_verify_catches_a_builder_that_changes_its_network() {
-        // Omega on the first call, Flip on every later one: the member is
-        // decided (and certified) as Omega, but cross-verification rebuilds
-        // it as Flip, whose arcs the composed mapping does not preserve.
-        let campaign = |threads| {
-            let calls = AtomicUsize::new(0);
-            let fickle = Subject::new("fickle", 4, 0, 0, move || {
-                let sigma = if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                    IndexPermutation::perfect_shuffle(4)
-                } else {
-                    IndexPermutation::inverse_shuffle(4)
-                };
-                uniform_network(4, &sigma)
-            });
-            classify_subjects(&[baseline_subject(4), fickle], threads).unwrap()
-        };
+    /// Omega on the first call, Flip on every later one: the subject is
+    /// decided (and certified) as Omega, but cross-verification rebuilds it
+    /// as Flip, whose arcs the composed mapping does not preserve.
+    fn fickle_subject() -> Subject {
+        let calls = AtomicUsize::new(0);
+        Subject::new("fickle", 4, 0, 0, move || {
+            let sigma = if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                IndexPermutation::perfect_shuffle(4)
+            } else {
+                IndexPermutation::inverse_shuffle(4)
+            };
+            uniform_network(4, &sigma)
+        })
+    }
+
+    /// Runs `campaign` at 1, 2 and 5 threads: one class of `members`, which
+    /// fails cross-verification, in the same report at every count.
+    fn assert_fickle_class_fails(
+        campaign: impl Fn(usize) -> ClassificationReport,
+        members: Vec<usize>,
+    ) {
         let one = campaign(1);
         assert_eq!(one.class_count, 1);
         assert!(one.classes[0].equivalent);
-        assert_eq!(one.classes[0].members, vec![0, 1]);
+        assert_eq!(one.classes[0].members, members);
         assert!(!one.classes[0].cross_verified);
         for threads in [2, 5] {
             assert_eq!(campaign(threads).to_json(), one.to_json(), "{threads}");
         }
+    }
+
+    #[test]
+    fn cross_verify_catches_a_builder_that_changes_its_network() {
+        assert_fickle_class_fails(
+            |threads| classify_subjects(&[baseline_subject(4), fickle_subject()], threads).unwrap(),
+            vec![0, 1],
+        );
+    }
+
+    #[test]
+    fn cross_verify_catches_a_representative_that_changes_its_network() {
+        // The representative is rebuilt once, by the first of its class's
+        // two pairs, and both pairs check against the rebuilt Flip.
+        assert_fickle_class_fails(
+            |threads| {
+                let subjects = [fickle_subject(), baseline_subject(4), omega_subject(4, 0)];
+                classify_subjects(&subjects, threads).unwrap()
+            },
+            vec![0, 1, 2],
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! arbitrary link permutations (the classical way of drawing a MIN stage,
 //! Fig. 4).
 
+use min_labels::bitmat::affine_cell_table;
 use min_labels::{all_labels, mask, AffineMap, Label, Permutation, Width};
 use serde::{Deserialize, Serialize};
 
@@ -82,9 +83,10 @@ impl Connection {
     /// the affine characterization (see [`crate::affine_form()`]) every such
     /// connection is independent.
     ///
-    /// The table is produced by the packed Gray-code evaluator
-    /// ([`AffineMap::table`]): one XOR per cell instead of one per label
-    /// digit.
+    /// Both tables are written by the `u32` table kernel
+    /// ([`min_labels::bitmat::affine_cell_table`]) from the columns of `f`,
+    /// `g`'s with the offset `t ⊕ difference`: one XOR per cell instead of
+    /// one per label digit.
     pub fn from_affine(f: &AffineMap, difference: Label) -> Self {
         assert_eq!(
             f.width_in(),
@@ -92,12 +94,12 @@ impl Connection {
             "a stage connection maps a stage onto an equal-sized stage"
         );
         let width = f.width_in();
-        let d = difference & mask(width);
-        let table = f.table();
+        let columns = f.linear().columns();
+        let g_offset = f.offset() ^ (difference & mask(width));
         Connection {
             width,
-            f: table.iter().map(|&y| y as u32).collect(),
-            g: table.iter().map(|&y| (y ^ d) as u32).collect(),
+            f: affine_cell_table(columns, f.offset(), Vec::new()),
+            g: affine_cell_table(columns, g_offset, Vec::new()),
         }
     }
 
@@ -224,6 +226,8 @@ impl Connection {
 mod tests {
     use super::*;
     use min_labels::IndexPermutation;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// The first Baseline stage at width 2: f(x) = x >> 1, g(x) = (x>>1)|2.
     fn baseline_stage0() -> Connection {
@@ -278,6 +282,18 @@ mod tests {
             assert_eq!(conn.g(x), x ^ 0b101);
         }
         assert!(conn.is_two_regular());
+    }
+
+    #[test]
+    fn from_affine_equals_the_pointwise_tables() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        for width in 0..=16 {
+            let f = AffineMap::random(width, width, &mut rng);
+            // Unmasked: both constructors keep only the label's bits.
+            let d: Label = rng.gen();
+            let pointwise = Connection::from_fn(width, |x| f.apply(x), |x| f.apply(x) ^ d);
+            assert_eq!(Connection::from_affine(&f, d), pointwise, "{width}");
+        }
     }
 
     #[test]

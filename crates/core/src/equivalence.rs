@@ -7,9 +7,7 @@
 
 use crate::baseline_iso::{baseline_isomorphism, BaselineIsomorphism};
 use crate::error::EquivalenceError;
-use min_graph::iso::{
-    compose_mappings, invert_mapping, is_stage_bijection, verify_stage_mapping, StageMapping,
-};
+use min_graph::iso::{invert_mapping, is_stage_bijection, verify_stage_mapping, StageMapping};
 use min_graph::MiView;
 
 /// Composes two Baseline certificates into the explicit `g → h` mapping
@@ -30,7 +28,9 @@ pub fn compose_baseline_certificates(
     cg: &BaselineIsomorphism,
     ch: &BaselineIsomorphism,
 ) -> Result<StageMapping, EquivalenceError> {
-    BaselineInverse::new(ch)?.compose(cg)
+    let mut mapping = cg.clone();
+    BaselineInverse::new(ch)?.compose(&mut mapping)?;
+    Ok(mapping.mapping)
 }
 
 /// The inverse `Baseline → h` of a certificate `h → Baseline`, checked and
@@ -53,17 +53,20 @@ impl BaselineInverse {
         })
     }
 
-    /// The mapping `g → h` from `cg`, or [`EquivalenceError::ShapeMismatch`]
-    /// unless `cg` has this inverse's stage count and width.
-    pub(crate) fn compose(
-        &self,
-        cg: &BaselineIsomorphism,
-    ) -> Result<StageMapping, EquivalenceError> {
+    /// The mapping `g → h` from `cg`, written over `cg`'s own tables, or
+    /// [`EquivalenceError::ShapeMismatch`] unless `cg` has this inverse's
+    /// stage count and width.
+    pub(crate) fn compose(&self, cg: &mut BaselineIsomorphism) -> Result<(), EquivalenceError> {
         let width = self.mapping.first().map_or(0, Vec::len);
         if !has_shape(cg, self.mapping.len(), width) {
             return Err(EquivalenceError::ShapeMismatch);
         }
-        Ok(compose_mappings(&cg.mapping, &self.mapping))
+        for (stage, inverse) in cg.mapping.iter_mut().zip(&self.mapping) {
+            for image in stage.iter_mut() {
+                *image = inverse[*image as usize];
+            }
+        }
+        Ok(())
     }
 }
 

@@ -6,9 +6,9 @@
 //!
 //! [`is_independent`] runs the packed affine characterization
 //! ([`crate::affine_form()`]): `(f, g)` is independent iff `f` is affine
-//! over GF(2) and `g = f ⊕ c`. The candidate affine extension is built by
-//! the Gray-code evaluator and compared slice-to-slice, so the decision is
-//! `O(N)` — one XOR and one compare per table entry. The literal `O(N²)`
+//! over GF(2) and `g = f ⊕ c`. The candidate affine extension is checked
+//! against the stored tables by doubling, half against half, so the
+//! decision is `O(N)` — one XOR and one compare per table entry. The literal `O(N²)`
 //! reading of the definition is a test oracle (`tests/theorem3.rs`).
 //!
 //! The certificate of an independent connection is its [`AffineForm`]: the

@@ -57,7 +57,8 @@ pub mod reverse;
 
 pub use affine_form::{affine_form, AffineForm};
 pub use baseline_iso::{
-    affine_baseline_isomorphism, baseline_digraph, baseline_isomorphism, BaselineIsomorphism,
+    affine_baseline_isomorphism, affine_certificate, baseline_digraph, baseline_isomorphism,
+    AffineCertificate, BaselineIsomorphism,
 };
 pub use buddy::{buddy_property, reverse_buddy_property, BuddyReport};
 pub use classify::{

@@ -74,7 +74,7 @@ fn pipid_child(theta: &IndexPermutation, x: Label, digit: u64) -> Label {
 /// `g = f ⊕ 2^{k-1}` for `k = θ⁻¹(0) ≥ 1` (`g = f` in the degenerate
 /// `k = 0` case of Fig. 5). The connection is therefore assembled directly
 /// from its packed affine certificate — `n-1` basis evaluations plus one
-/// Gray-code table pass — instead of materializing and translating the
+/// doubling table pass — instead of materializing and translating the
 /// `2^n`-entry link permutation.
 pub fn connection_from_pipid(theta: &IndexPermutation) -> PipidStage {
     assert!(theta.width() >= 1, "link labels need at least one digit");
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn affine_construction_matches_the_link_permutation_derivation() {
-        // The packed construction (affine certificate + Gray-code table)
+        // The packed construction (affine certificate + doubling table)
         // must reproduce the historical derivation through the explicit
         // 2^n-entry link permutation, bit for bit.
         let mut rng = ChaCha8Rng::seed_from_u64(127);

@@ -71,14 +71,12 @@ impl AffineMap {
         self.linear.apply(x) ^ self.offset
     }
 
-    /// Evaluates the map on **every** input of the domain in one Gray-code
-    /// pass: `table()[x] = f(x)`, one XOR per entry.
-    ///
-    /// This is the packed kernel behind building connection tables from
-    /// affine certificates (`min-core`'s `Connection::from_affine`) and
-    /// behind the `O(N)` affine-form check.
+    /// Evaluates the map on **every** input of the domain
+    /// ([`crate::bitmat::affine_table`]): `table()[x] = f(x)`, one XOR per
+    /// entry. Cell-label tables use the kernel's `u32` form,
+    /// [`crate::bitmat::affine_cell_table`], instead.
     pub fn table(&self) -> Vec<Label> {
-        crate::bitmat::gray_code_table(self.width_in(), self.linear.columns(), self.offset)
+        crate::bitmat::affine_table(self.linear.columns(), self.offset)
     }
 
     /// Checks that `func` agrees with this affine map on the whole domain.

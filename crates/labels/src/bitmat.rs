@@ -29,6 +29,7 @@
 //! `classification` benchmark measures the packed-vs-scalar gap.
 
 use crate::gf2::{mask, parity, Label};
+use std::ops::BitXor;
 
 /// A dense GF(2) matrix with up to 64 columns, one `u64` word per row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -338,25 +339,51 @@ impl BitMatrix {
     }
 }
 
-/// Evaluates the linear map given by `columns` on **every** input of
-/// `width_in` bits in one Gray-code pass: `out[x] = ⊕_{j ∈ x} columns[j]`.
+/// Evaluates the affine map `x ↦ offset ⊕ (⊕_{j ∈ x} columns[j])` on
+/// **every** input of `columns.len()` bits: `out[x]` is its image.
 ///
-/// One XOR per table entry instead of one per set input digit — this is the
-/// packed kernel behind [`crate::LinearMap::table`] and
-/// [`crate::AffineMap::table`], and through them behind building connection
-/// tables from affine certificates.
-pub fn gray_code_table(width_in: usize, columns: &[Label], offset: Label) -> Vec<Label> {
-    assert_eq!(columns.len(), width_in, "one column per input digit");
-    assert!(width_in < 48, "a 2^{width_in}-entry table would not fit");
-    let n = 1usize << width_in;
-    let mut out = vec![offset; n];
-    let mut acc = offset;
-    for i in 1..n {
-        acc ^= columns[i.trailing_zeros() as usize];
-        // gray(i) and gray(i-1) differ exactly in bit trailing_zeros(i).
-        out[i ^ (i >> 1)] = acc;
+/// The table is built by doubling: its first `2^k` entries cover the inputs
+/// of `k` bits, and the next `2^k` are the same entries XOR `columns[k]`,
+/// so each entry costs one XOR and the table is written in order. This is
+/// the one table kernel behind [`crate::LinearMap::table`],
+/// [`crate::AffineMap::table`] and [`crate::Subspace::elements`];
+/// [`affine_cell_table`] is its `u32` form.
+pub fn affine_table(columns: &[Label], offset: Label) -> Vec<Label> {
+    let mut table = Vec::new();
+    fill_doubling(&mut table, columns.iter().copied(), offset);
+    table
+}
+
+/// [`affine_table`] with `u32` entries, the form of cell-label tables,
+/// written into `table`'s allocation (resized to `2^columns.len()`
+/// entries). `min-core` builds connection tables
+/// (`Connection::from_affine`) and Baseline certificates with it, with no
+/// `u64` table in between.
+///
+/// # Panics
+///
+/// Panics when `offset` or a column does not fit in 32 bits.
+pub fn affine_cell_table(columns: &[Label], offset: Label, mut table: Vec<u32>) -> Vec<u32> {
+    let cell = |v: Label| u32::try_from(v).expect("cell labels fit in 32 bits");
+    fill_doubling(&mut table, columns.iter().map(|&c| cell(c)), cell(offset));
+    table
+}
+
+fn fill_doubling<T: Copy + Default + BitXor<Output = T>>(
+    table: &mut Vec<T>,
+    columns: impl ExactSizeIterator<Item = T>,
+    offset: T,
+) {
+    let width = columns.len();
+    assert!(width < 48, "a 2^{width}-entry table would not fit");
+    table.resize(1 << width, T::default());
+    table[0] = offset;
+    for (k, col) in columns.enumerate() {
+        let (done, next) = table[..2 << k].split_at_mut(1 << k);
+        for (to, &from) in next.iter_mut().zip(done.iter()) {
+            *to = from ^ col;
+        }
     }
-    out
 }
 
 #[cfg(test)]
@@ -505,13 +532,14 @@ mod tests {
     }
 
     #[test]
-    fn gray_code_table_matches_bitwise_evaluation() {
+    fn affine_table_matches_bitwise_evaluation() {
         let mut rng = ChaCha8Rng::seed_from_u64(2030);
         for _ in 0..20 {
             let width = 6;
             let columns: Vec<u64> = (0..width).map(|_| rng.gen::<u64>() & 0xFF).collect();
             let offset = rng.gen::<u64>() & 0xFF;
-            let table = gray_code_table(width, &columns, offset);
+            let table = affine_table(&columns, offset);
+            let cells = affine_cell_table(&columns, offset, Vec::new());
             for x in 0..(1u64 << width) {
                 let mut expect = offset;
                 for (j, &c) in columns.iter().enumerate() {
@@ -520,7 +548,15 @@ mod tests {
                     }
                 }
                 assert_eq!(table[x as usize], expect, "x = {x}");
+                assert_eq!(u64::from(cells[x as usize]), expect, "x = {x}");
             }
         }
+        assert_eq!(affine_table(&[], 5), vec![5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in 32 bits")]
+    fn cell_tables_refuse_labels_past_32_bits() {
+        let _ = affine_cell_table(&[1 << 32], 0, Vec::new());
     }
 }

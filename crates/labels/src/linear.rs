@@ -14,11 +14,11 @@
 //! kernel, inversion, solving and composition all delegate to the
 //! word-packed elimination kernels of [`crate::bitmat`] (the column list is
 //! handed to [`BitMatrix`] as the rows of the transpose), and full-domain
-//! evaluation uses the Gray-code table builder. The historical
+//! evaluation uses the doubling table kernel. The historical
 //! digit-at-a-time implementations are retained in the crate's
 //! `tests/support/scalar.rs` as the reference oracle and benchmark baseline.
 
-use crate::bitmat::{gray_code_table, BitMatrix};
+use crate::bitmat::{affine_table, BitMatrix};
 use crate::gf2::{mask, Label, Width};
 use crate::subspace::Subspace;
 
@@ -113,10 +113,11 @@ impl LinearMap {
         acc
     }
 
-    /// Evaluates the map on **every** input of the domain in one Gray-code
-    /// pass: `table()[x] = L(x)`, one XOR per entry.
+    /// Evaluates the map on **every** input of the domain
+    /// ([`crate::bitmat::affine_table`]): `table()[x] = L(x)`, one XOR per
+    /// entry.
     pub fn table(&self) -> Vec<Label> {
-        gray_code_table(self.width_in, &self.columns, 0)
+        affine_table(&self.columns, 0)
     }
 
     /// The packed transpose view: the columns of this map are the rows of

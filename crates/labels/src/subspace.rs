@@ -119,10 +119,11 @@ impl Subspace {
 
     /// Enumerates all `2^dim` elements of the subspace in increasing order.
     ///
-    /// The span is walked in Gray-code order (one XOR per element rather
-    /// than one per basis vector) and then sorted.
+    /// The span is tabulated by doubling (one XOR per element rather than
+    /// one per basis vector, [`crate::bitmat::affine_table`]) and then
+    /// sorted.
     pub fn elements(&self) -> Vec<Label> {
-        let mut out = crate::bitmat::gray_code_table(self.dim(), &self.basis, 0);
+        let mut out = crate::bitmat::affine_table(&self.basis, 0);
         out.sort_unstable();
         out
     }

@@ -5,12 +5,14 @@
 //! `min_labels::bitmat`; the pre-refactor digit-at-a-time implementations
 //! are retained in `support/scalar.rs`. These proptests pin the two against
 //! each other on random GF(2) matrices up to 16×16, so any semantic drift in
-//! the packed kernels is caught against the historical behaviour.
+//! the packed kernels is caught against the historical behaviour. The table
+//! kernel is also held to `AffineMap::apply` point by point.
 
 #[path = "support/scalar.rs"]
 mod scalar;
 
-use min_labels::{all_labels, mask, BitMatrix, Label, LinearMap, Subspace};
+use min_labels::bitmat::{affine_cell_table, affine_table};
+use min_labels::{all_labels, mask, AffineMap, BitMatrix, Label, LinearMap, Subspace};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -117,7 +119,7 @@ proptest! {
         prop_assert_eq!(composed.columns(), reference.as_slice());
     }
 
-    /// The Gray-code table equals the historical one-apply-per-entry table
+    /// The doubling table equals the historical one-apply-per-entry table
     /// (checked at small widths where the full domain is cheap).
     #[test]
     fn table_agrees(w_in in 1usize..=10, w_out in 1usize..=16, seed in any::<u64>()) {
@@ -130,6 +132,31 @@ proptest! {
         for x in all_labels(w_in) {
             prop_assert_eq!(map.table()[x as usize], map.apply(x));
         }
+    }
+
+    /// The doubling kernel's `u64` and `u32` tables equal
+    /// `AffineMap::apply` at every point, and a reused `u32` table of any
+    /// earlier length is resized to the same table.
+    #[test]
+    fn affine_tables_agree_with_apply(
+        w_in in 0usize..=16,
+        w_out in 0usize..=32,
+        seed in any::<u64>(),
+        stale_len in 0usize..=70_000,
+    ) {
+        let cols = random_columns(w_in, w_out, seed);
+        let offset = seed.rotate_left(29) & mask(w_out);
+        let map = AffineMap::new(LinearMap::from_columns(w_in, w_out, cols.clone()), offset);
+        let wide = affine_table(&cols, offset);
+        let cells = affine_cell_table(&cols, offset, Vec::new());
+        prop_assert_eq!(wide.len(), 1usize << w_in);
+        prop_assert_eq!(cells.len(), 1usize << w_in);
+        for x in all_labels(w_in) {
+            prop_assert_eq!(wide[x as usize], map.apply(x));
+            prop_assert_eq!(u64::from(cells[x as usize]), map.apply(x));
+        }
+        let reused = affine_cell_table(&cols, offset, vec![u32::MAX; stale_len]);
+        prop_assert_eq!(reused, cells);
     }
 }
 

@@ -1,26 +1,21 @@
-//! Faulty-cell and faulty-link variants of the catalog networks.
+//! Faulty-cell variants of the catalog networks.
 //!
 //! The stability literature anchored by the paper's networks (3-disjoint-path
 //! Omega MINs, wormhole fabrics under switch failures) studies topologies
 //! *after* a component dies. This module provides those damaged objects as
 //! first-class values so the analysis layers can be pointed at them:
 //!
-//! * [`dead_link_digraph`] / [`dead_switch_digraph`] — the MI-digraph of a
-//!   network with one arc, or one whole switch, removed (feeds
-//!   `min_graph::paths`: the Banyan property breaks with a `NoPath`
-//!   witness);
 //! * [`stuck_cell`] — a *connection network* whose cell is jammed in one
 //!   state: both out-ports collapse onto the same target, producing the
 //!   parallel-link redundancy the disjoint-path machinery of `min-routing`
 //!   falls back across;
 //! * [`link_sites`] — the canonical enumeration of every link of a network,
-//!   the site list fault-injection sweeps draw from;
-//! * catalog conveniences [`ClassicalNetwork::with_dead_link`] and
-//!   [`ClassicalNetwork::with_stuck_cell`].
+//!   the site list fault-injection sweeps draw from.
+//!
+//! Dead links and dead switches are simulated, not built: `min-sim`'s
+//! `FaultPlan` injects them into a running fabric.
 
-use crate::catalog::ClassicalNetwork;
 use min_core::{Connection, ConnectionNetwork};
-use min_graph::MiDigraph;
 
 /// Every link site of the network, in canonical order: stage-major, then
 /// cell, then port (0 = `f`, 1 = `g`). A link site is the arc leaving
@@ -32,76 +27,6 @@ pub fn link_sites(net: &ConnectionNetwork) -> Vec<(usize, u32, u8)> {
             (0..cells).flat_map(move |cell| (0..2u8).map(move |port| (stage, cell, port)))
         })
         .collect()
-}
-
-/// The MI-digraph of `net` with the single arc at `(stage, cell, port)`
-/// removed — a dead link.
-///
-/// The result is no longer 2-out-regular at the damaged cell, which is the
-/// point: path analysis (`min_graph::paths`) reports the pairs the dead
-/// link severs as `NoPath` Banyan violations.
-///
-/// # Panics
-///
-/// Panics when the site is out of range (`stage` must index a connection,
-/// `cell` a cell, `port` one of the two out-ports).
-pub fn dead_link_digraph(net: &ConnectionNetwork, stage: usize, cell: u32, port: u8) -> MiDigraph {
-    let cells = net.cells_per_stage();
-    assert!(stage + 1 < net.stages(), "link stage {stage} out of range");
-    assert!((cell as usize) < cells, "cell {cell} out of range");
-    assert!(port < 2, "port {port} out of range");
-    build_digraph_except(
-        net,
-        |s, v, p| (s, v, p) == (stage, cell, port),
-        |_, _| false,
-    )
-}
-
-/// The MI-digraph of `net` with the switch at `(stage, cell)` removed: every
-/// arc into and out of the dead switch is dropped.
-///
-/// # Panics
-///
-/// Panics when the site is out of range.
-pub fn dead_switch_digraph(net: &ConnectionNetwork, stage: usize, cell: u32) -> MiDigraph {
-    let cells = net.cells_per_stage();
-    assert!(stage < net.stages(), "switch stage {stage} out of range");
-    assert!((cell as usize) < cells, "cell {cell} out of range");
-    build_digraph_except(net, |_, _, _| false, |s, v| (s, v) == (stage, cell))
-}
-
-/// Builds the network's digraph, skipping arcs selected by `drop_link` and
-/// arcs touching switches selected by `drop_cell`.
-fn build_digraph_except(
-    net: &ConnectionNetwork,
-    drop_link: impl Fn(usize, u32, u8) -> bool,
-    drop_cell: impl Fn(usize, u32) -> bool,
-) -> MiDigraph {
-    let cells = net.cells_per_stage();
-    let mut g = MiDigraph::new(net.stages(), cells);
-    for s in 0..net.stages() - 1 {
-        let conn = net.connection(s);
-        for v in 0..cells as u32 {
-            if drop_cell(s, v) {
-                continue;
-            }
-            for port in 0..2u8 {
-                if drop_link(s, v, port) {
-                    continue;
-                }
-                let to = if port == 0 {
-                    conn.f(u64::from(v))
-                } else {
-                    conn.g(u64::from(v))
-                } as u32;
-                if drop_cell(s + 1, to) {
-                    continue;
-                }
-                g.add_arc(s, v, to);
-            }
-        }
-    }
-    g
 }
 
 /// A copy of `net` whose cell at `(stage, cell)` is stuck in one switching
@@ -145,24 +70,11 @@ pub fn stuck_cell(net: &ConnectionNetwork, stage: usize, cell: u32, port: u8) ->
     ConnectionNetwork::new(net.width(), connections)
 }
 
-impl ClassicalNetwork {
-    /// The `n`-stage instance with the link at `(stage, cell, port)` dead,
-    /// as an MI-digraph (see [`dead_link_digraph`]).
-    pub fn with_dead_link(self, n: usize, stage: usize, cell: u32, port: u8) -> MiDigraph {
-        dead_link_digraph(&self.build(n), stage, cell, port)
-    }
-
-    /// The `n`-stage instance with the cell at `(stage, cell)` stuck on the
-    /// `port` target (see [`stuck_cell`]).
-    pub fn with_stuck_cell(self, n: usize, stage: usize, cell: u32, port: u8) -> ConnectionNetwork {
-        stuck_cell(&self.build(n), stage, cell, port)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use min_graph::paths::{banyan_violation, is_banyan, path_counts_from, BanyanViolation};
+    use crate::catalog::ClassicalNetwork;
+    use min_graph::paths::path_counts_from;
 
     #[test]
     fn link_sites_enumerate_every_arc_once() {
@@ -173,32 +85,6 @@ mod tests {
         assert_eq!(sites[1], (0, 0, 1));
         let unique: std::collections::HashSet<_> = sites.iter().collect();
         assert_eq!(unique.len(), sites.len());
-    }
-
-    #[test]
-    fn a_dead_link_breaks_the_banyan_property_with_a_no_path_witness() {
-        for kind in ClassicalNetwork::ALL {
-            let healthy = kind.build(4).to_digraph();
-            assert!(is_banyan(&healthy), "{kind}");
-            let damaged = kind.with_dead_link(4, 1, 0, 1);
-            assert_eq!(damaged.arc_count(), healthy.arc_count() - 1);
-            match banyan_violation(&damaged) {
-                Some(BanyanViolation::NoPath(_, _)) => {}
-                other => panic!("{kind}: expected NoPath, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn a_dead_switch_removes_all_its_arcs() {
-        let net = ClassicalNetwork::Baseline.build(4);
-        let healthy = net.to_digraph();
-        let damaged = dead_switch_digraph(&net, 1, 3);
-        // An interior switch of a proper fabric has 2 in-arcs and 2 out-arcs.
-        assert_eq!(damaged.arc_count(), healthy.arc_count() - 4);
-        assert!(damaged.children(1, 3).is_empty());
-        assert!(damaged.parents(1, 3).is_empty());
-        assert!(!is_banyan(&damaged));
     }
 
     #[test]
@@ -220,6 +106,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_sites_panic() {
         let net = ClassicalNetwork::Omega.build(3);
-        let _ = dead_link_digraph(&net, 9, 0, 0);
+        let _ = stuck_cell(&net, 9, 0, 0);
     }
 }

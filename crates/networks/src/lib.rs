@@ -20,8 +20,8 @@
 //!   delimit the theory: Fig. 5 parallel-link stages, Banyan networks that
 //!   are *not* Baseline-equivalent, and buddy-property networks that are not
 //!   Baseline-equivalent (the point of reference \[10\]);
-//! * [`faulty`] — damaged variants of the catalog networks (dead links,
-//!   dead switches, stuck cells) feeding the fault-tolerance analysis of
+//! * [`faulty`] — damaged variants of the catalog networks (stuck cells)
+//!   and the link-site list, feeding the fault-tolerance analysis of
 //!   `min-routing` and the fault-injection campaigns of `min-sim`;
 //! * [`rearrangeable`] — the constructions *outside* the unique-path scope:
 //!   the Benes network, its 2024 shuffle-based variant, and
@@ -49,6 +49,6 @@ pub use classical::{
     baseline, flip, indirect_binary_cube, modified_data_manipulator, omega, reverse_baseline,
 };
 pub use classify_grid::{ClassificationGrid, RandomFamily};
-pub use faulty::{dead_link_digraph, dead_switch_digraph, link_sites, stuck_cell};
+pub use faulty::{link_sites, stuck_cell};
 pub use rearrangeable::{benes, benes_entry_half, benes_exit_half, benes_variant, Rewrite};
 pub use spec::NetworkSpec;

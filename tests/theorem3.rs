@@ -5,7 +5,8 @@
 //! ([`is_independent_naive`]), the oracle the packed affine check is pinned
 //! against, and of the oracle test of Theorem 3's construction: on every
 //! independent network, [`affine_baseline_isomorphism`] gives the sweep's
-//! certificate or declines exactly when the sweep fails.
+//! certificate or declines exactly when the sweep fails, and its closed
+//! form ([`affine_certificate`]) re-expands to those same tables.
 
 use baseline_equivalence::prelude::*;
 use min_core::affine_form::{
@@ -14,7 +15,7 @@ use min_core::affine_form::{
 use min_core::independence::is_independent;
 use min_core::pipid::connection_from_pipid;
 use min_core::reverse::reverse_connection;
-use min_core::{affine_baseline_isomorphism, AffineForm};
+use min_core::{affine_baseline_isomorphism, affine_certificate, AffineForm, BaselineIsomorphism};
 use min_graph::components::component_ids_range;
 use min_graph::paths::is_banyan;
 use min_labels::{all_labels, AffineMap, Permutation};
@@ -193,6 +194,84 @@ proptest! {
             (witness, _) => prop_assert!(false, "{:?} against {:?}", witness, sweep),
         }
     }
+}
+
+/// Checks the closed form a campaign keeps between its passes against
+/// Theorem 3's verified tables: the kept maps re-expand, fresh and into a
+/// reused certificate, to exactly those tables, which are the sweep's, with
+/// equal checksums. Returns that checksum, or `None` when the construction
+/// declines.
+fn closed_form_checksum(net: &ConnectionNetwork, reused: &mut BaselineIsomorphism) -> Option<u64> {
+    let forms: Vec<AffineForm> = net
+        .connections()
+        .iter()
+        .map(|conn| affine_form(conn).expect("every stage is independent"))
+        .collect();
+    let tables = affine_baseline_isomorphism(net, &forms)?;
+    let kept = affine_certificate(net, &forms).expect("the construction behind the tables");
+    assert_eq!(kept.maps().len(), net.stages());
+    let expanded = kept.expand();
+    assert_eq!(expanded, tables);
+    assert_eq!(expanded.checksum(), tables.checksum());
+    kept.expand_into(reused);
+    assert_eq!(*reused, tables);
+    let checksum = tables.checksum();
+    assert_eq!(baseline_isomorphism(net), Ok(tables));
+    Some(checksum)
+}
+
+#[test]
+fn closed_form_certificates_re_expand_to_the_verified_tables() {
+    // Families at n = 2..=12 in turn, so the reused certificate both grows
+    // and shrinks.
+    let mut reused = BaselineIsomorphism::default();
+    let mut subjects = Vec::new();
+    for kind in ClassicalNetwork::ALL {
+        for n in 2..=12 {
+            let checksum = closed_form_checksum(&kind.build(n), &mut reused)
+                .unwrap_or_else(|| panic!("Theorem 3 declined {kind} n={n}"));
+            subjects.push((
+                Subject::new(kind.to_string(), n, 0, 0, move || kind.build(n)),
+                checksum,
+            ));
+        }
+    }
+    // The campaign's witnesses fingerprint the same tables.
+    let (subjects, checksums): (Vec<Subject>, Vec<u64>) = subjects.into_iter().unzip();
+    let report = classify_subjects(&subjects, 2).unwrap();
+    for (result, checksum) in report.subjects.iter().zip(checksums) {
+        match &result.witness {
+            Witness::IndependentConnections {
+                mapping_checksum, ..
+            } => {
+                assert_eq!(*mapping_checksum, checksum, "{}", result.name())
+            }
+            other => panic!("{}: {other:?}", result.name()),
+        }
+    }
+    assert!(report.classes.iter().all(|class| class.cross_verified));
+
+    let mut rng = ChaCha8Rng::seed_from_u64(0x7e3);
+    let mut certified = 0;
+    for n in 2..=12 {
+        for _ in 0..4 {
+            let pipid = random_pipid_network(n, &mut rng);
+            certified += usize::from(closed_form_checksum(&pipid, &mut reused).is_some());
+            // Banyan rejection sampling costs a path count per attempt.
+            if let Some(banyan) = random_independent_banyan(n.min(8), 20, &mut rng) {
+                let checksum = closed_form_checksum(&banyan, &mut reused);
+                assert!(
+                    checksum.is_some(),
+                    "Theorem 3 declined a Banyan network, n={n}"
+                );
+                certified += 1;
+            }
+        }
+    }
+    assert!(
+        certified >= 40,
+        "only {certified} random networks certified"
+    );
 }
 
 #[test]
