@@ -493,7 +493,8 @@ mod tests {
             assert!(g.is_proper());
             if n >= 2 {
                 assert!(is_banyan(&g), "baseline n={n} must be Banyan");
-                assert!(!g.has_parallel_arcs());
+                let net = ConnectionNetwork::from_digraph(&g).unwrap();
+                assert!(!net.has_parallel_links());
             }
         }
     }

@@ -14,8 +14,13 @@
 //! of stage `i` are also both reached from exactly one other common cell of
 //! stage `i`. The paper's own Lemma 2 uses the same notion: "two nodes `y`
 //! and `y'` are buddy if they have the same father".
+//!
+//! Both checks read a network's connection tables and the parents of each
+//! cell, found in one pass over a connection; the reverse check runs on the
+//! reverse network without building it.
 
-use min_graph::MiDigraph;
+use crate::network::ConnectionNetwork;
+use min_labels::Label;
 
 /// Outcome of a buddy-property check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,46 +31,45 @@ pub struct BuddyReport {
     pub violation: Option<(usize, u32)>,
 }
 
-/// Checks the buddy property on the forward digraph.
-pub fn buddy_property(g: &MiDigraph) -> BuddyReport {
-    for s in 0..g.stages().saturating_sub(1) {
-        for v in 0..g.width() as u32 {
-            let kids = g.children(s, v);
-            if kids.len() != 2 {
-                return BuddyReport {
-                    holds: false,
-                    violation: Some((s, v)),
-                };
-            }
-            let (a, b) = (kids[0], kids[1]);
-            if a == b {
-                // Parallel links: the "two" children are not distinct.
-                return BuddyReport {
-                    holds: false,
-                    violation: Some((s, v)),
-                };
-            }
-            let mut pa: Vec<u32> = g.parents(s + 1, a).to_vec();
-            let mut pb: Vec<u32> = g.parents(s + 1, b).to_vec();
-            pa.sort_unstable();
-            pb.sort_unstable();
-            if pa != pb || pa.len() != 2 {
-                return BuddyReport {
-                    holds: false,
-                    violation: Some((s, v)),
-                };
-            }
-        }
-    }
-    BuddyReport {
-        holds: true,
-        violation: None,
-    }
+/// Checks the buddy property on the network: the children of every cell are
+/// two distinct cells with the same two parents.
+pub fn buddy_property(net: &ConnectionNetwork) -> BuddyReport {
+    first_violation(net.connections().iter().map(|conn| {
+        let arcs = conn.in_arcs();
+        (0..conn.cells() as Label).position(|x| {
+            let [a, b] = conn.children(x).map(|y| arcs[y as usize].parents());
+            a.is_none() || a != b || conn.f(x) == conn.g(x)
+        })
+    }))
 }
 
-/// Checks the buddy property on the reverse digraph (`G⁻¹`).
-pub fn reverse_buddy_property(g: &MiDigraph) -> BuddyReport {
-    buddy_property(&g.reverse())
+/// Checks the buddy property on the reverse network (`G⁻¹`): the parents of
+/// every cell are two distinct cells with the same two children. Stage `s`
+/// of `G⁻¹` is the target stage of connection `stages - 2 - s`.
+pub fn reverse_buddy_property(net: &ConnectionNetwork) -> BuddyReport {
+    first_violation(net.connections().iter().rev().map(|conn| {
+        let children = |x: Label| {
+            let [a, b] = conn.children(x);
+            (a.min(b), a.max(b))
+        };
+        let arcs = conn.in_arcs();
+        arcs.iter().position(|a| match a.parents() {
+            Some([p, q]) => p == q || children(p.into()) != children(q.into()),
+            None => true,
+        })
+    }))
+}
+
+/// The report of the first stage with a violating cell; later stages are
+/// not checked.
+fn first_violation(stages: impl Iterator<Item = Option<usize>>) -> BuddyReport {
+    let violation = stages
+        .enumerate()
+        .find_map(|(s, cell)| Some((s, cell? as u32)));
+    BuddyReport {
+        holds: violation.is_none(),
+        violation,
+    }
 }
 
 #[cfg(test)]
@@ -73,19 +77,18 @@ mod tests {
     use super::*;
     use crate::baseline_iso::baseline_digraph;
     use crate::connection::Connection;
-    use crate::network::ConnectionNetwork;
     use min_labels::{IndexPermutation, Permutation};
 
-    fn omega(n: usize) -> MiDigraph {
+    fn omega(n: usize) -> ConnectionNetwork {
         let sigma = IndexPermutation::perfect_shuffle(n);
         let conn = Connection::from_link_permutation(&Permutation::from_index_perm(&sigma));
-        ConnectionNetwork::new(n - 1, vec![conn; n - 1]).to_digraph()
+        ConnectionNetwork::new(n - 1, vec![conn; n - 1])
     }
 
     #[test]
     fn classical_networks_satisfy_both_buddy_properties() {
         for n in 2..=6 {
-            let b = baseline_digraph(n);
+            let b = ConnectionNetwork::from_digraph(&baseline_digraph(n)).unwrap();
             assert!(buddy_property(&b).holds, "baseline forward n={n}");
             assert!(reverse_buddy_property(&b).holds, "baseline reverse n={n}");
             let o = omega(n);
@@ -98,8 +101,8 @@ mod tests {
     fn parallel_links_violate_the_buddy_property() {
         let degenerate = Connection::from_fn(2, |x| x, |x| x);
         let c0 = Connection::from_fn(2, |x| x >> 1, |x| (x >> 1) | 0b10);
-        let g = ConnectionNetwork::new(2, vec![c0, degenerate]).to_digraph();
-        let report = buddy_property(&g);
+        let net = ConnectionNetwork::new(2, vec![c0, degenerate]);
+        let report = buddy_property(&net);
         assert!(!report.holds);
         assert_eq!(
             report.violation.unwrap().0,
@@ -114,8 +117,8 @@ mod tests {
         // sets are shifted, not equal.
         let shifted = Connection::from_fn(2, |x| x, |x| (x + 1) & 0b11);
         let c1 = Connection::from_fn(2, |x| x & 0b10, |x| (x & 0b10) | 1);
-        let g = ConnectionNetwork::new(2, vec![shifted, c1]).to_digraph();
-        let report = buddy_property(&g);
+        let net = ConnectionNetwork::new(2, vec![shifted, c1]);
+        let report = buddy_property(&net);
         assert!(!report.holds);
         assert!(report.violation.is_some());
     }
@@ -123,8 +126,8 @@ mod tests {
     #[test]
     fn buddy_violation_reports_a_real_parent() {
         let shifted = Connection::from_fn(2, |x| x, |x| (x + 1) & 0b11);
-        let g = ConnectionNetwork::new(2, vec![shifted]).to_digraph();
-        let report = buddy_property(&g);
+        let net = ConnectionNetwork::new(2, vec![shifted]);
+        let report = buddy_property(&net);
         let (s, v) = report.violation.unwrap();
         assert_eq!(s, 0);
         assert!(v < 4);
@@ -137,9 +140,9 @@ mod tests {
         // with non-trivial sibling structure.
         let c0 = Connection::from_fn(2, |x| x & 0b10, |x| (x & 0b10) | 1);
         let skew = Connection::from_fn(2, |x| x, |x| x ^ 0b11);
-        let g = ConnectionNetwork::new(2, vec![c0, skew]).to_digraph();
-        let fwd = buddy_property(&g);
-        let rev = reverse_buddy_property(&g);
+        let net = ConnectionNetwork::new(2, vec![c0, skew]);
+        let fwd = buddy_property(&net);
+        let rev = reverse_buddy_property(&net);
         // `skew` sends x to {x, x^3}: children x and x^3 have parent sets
         // {x, x^3} — equal, so forward holds; reverse of stage `skew` also
         // pairs the same way. The point of this test is simply that forward

@@ -68,14 +68,16 @@
 //!
 //! ```
 //! use min_core::classify::{classify_subjects, Subject};
-//! use min_core::{baseline_digraph, ConnectionNetwork};
+//! use min_core::{Connection, ConnectionNetwork};
 //!
+//! // The 3-stage Baseline, straight from its connection tables.
+//! let baseline = || {
+//!     let c0 = Connection::from_fn(2, |x| x >> 1, |x| (x >> 1) | 0b10);
+//!     let c1 = Connection::from_fn(2, |x| x & 0b10, |x| (x & 0b10) | 1);
+//!     ConnectionNetwork::new(2, vec![c0, c1])
+//! };
 //! let subjects: Vec<Subject> = (0..2)
-//!     .map(|rep| {
-//!         Subject::new("baseline", 3, rep, 0, || {
-//!             ConnectionNetwork::from_digraph(&baseline_digraph(3)).unwrap()
-//!         })
-//!     })
+//!     .map(|rep| Subject::new("baseline", 3, rep, 0, baseline))
 //!     .collect();
 //! let one = classify_subjects(&subjects, 1).unwrap();
 //! let many = classify_subjects(&subjects, 4).unwrap();

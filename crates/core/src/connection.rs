@@ -8,11 +8,11 @@
 //! [`Connection`] stores the two function tables explicitly. Constructors
 //! exist for closures, for affine pairs, for PIPID stages (§4) and for
 //! arbitrary link permutations (the classical way of drawing a MIN stage,
-//! Fig. 4).
+//! Fig. 4). `Connection::in_arcs` is the one pass that inverts them: the
+//! reverse network, the buddy property and Proposition 1 all read it.
 
 use min_labels::bitmat::affine_cell_table;
 use min_labels::{all_labels, mask, AffineMap, Label, Permutation, Width};
-use serde::{Deserialize, Serialize};
 
 /// A connection `(f, g)` on cell labels of `width` bits.
 ///
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// `g(x)` are the two children of cell `x`. `f(x) = g(x)` is allowed — that
 /// is the degenerate parallel-link situation of the paper's Fig. 5 — and is
 /// reported by [`Connection::has_parallel_links`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connection {
     width: Width,
     f: Vec<u32>,
@@ -148,20 +148,27 @@ impl Connection {
         self.f.iter().zip(self.g.iter()).any(|(a, b)| a == b)
     }
 
-    /// In-degree histogram of the target stage: `indegree[y]` counts how many
-    /// arcs enter cell `y`.
-    pub fn indegrees(&self) -> Vec<usize> {
-        let mut d = vec![0usize; self.cells()];
-        for &y in self.f.iter().chain(self.g.iter()) {
-            d[y as usize] += 1;
+    /// The arcs entering every cell of the target stage, in one pass over
+    /// the tables. Arcs are taken in arc order — source `x` ascending, `f`
+    /// before `g` — which is the order the reverse digraph lists a cell's
+    /// children in.
+    pub(crate) fn in_arcs(&self) -> Vec<InArcs> {
+        let mut arcs = vec![InArcs::default(); self.cells()];
+        let links = self.f.iter().zip(&self.g).flat_map(|(&a, &b)| [a, b]);
+        for (link, y) in links.enumerate() {
+            let cell = &mut arcs[y as usize];
+            if cell.degree < 2 {
+                cell.links[cell.degree as usize] = link as u32;
+            }
+            cell.degree += 1;
         }
-        d
+        arcs
     }
 
     /// `true` when every target cell has in-degree exactly 2 (the regularity
     /// demanded of interior MI-digraph stages).
     pub fn is_two_regular(&self) -> bool {
-        self.indegrees().iter().all(|&d| d == 2)
+        self.in_arcs().iter().all(|a| a.degree == 2)
     }
 
     /// The constant difference `f ⊕ g` if it is constant, `None` otherwise.
@@ -219,6 +226,26 @@ impl Connection {
                 .map(|&y| sigma.apply(y as u64) as u32)
                 .collect(),
         }
+    }
+}
+
+/// The arcs entering one target cell, as [`Connection::in_arcs`] finds
+/// them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct InArcs {
+    /// Number of arcs entering the cell; parallel arcs count twice.
+    pub(crate) degree: u32,
+    /// The first two in-arcs in arc order, as the §4 out-link labels
+    /// `2x + b` of their source: parent `x`, with `b = 0` for its `f`-arc
+    /// and `b = 1` for its `g`-arc. Slots past `degree` are 0.
+    pub(crate) links: [u32; 2],
+}
+
+impl InArcs {
+    /// The two parents in arc order, so ascending; `None` unless the
+    /// in-degree is 2.
+    pub(crate) fn parents(&self) -> Option<[u32; 2]> {
+        (self.degree == 2).then(|| self.links.map(|link| link >> 1))
     }
 }
 
@@ -309,11 +336,17 @@ mod tests {
     #[test]
     fn indegree_accounting() {
         let conn = baseline_stage0();
-        assert_eq!(conn.indegrees(), vec![2, 2, 2, 2]);
+        let degrees = |c: &Connection| c.in_arcs().iter().map(|a| a.degree).collect::<Vec<_>>();
+        assert_eq!(degrees(&conn), vec![2, 2, 2, 2]);
         assert!(conn.is_two_regular());
+        // Cell 1 is entered by the f-arc of 2 and the f-arc of 3.
+        assert_eq!(conn.in_arcs()[1].links, [4, 6]);
         let skew = Connection::from_fn(2, |_| 0, |x| x);
-        assert_eq!(skew.indegrees(), vec![5, 1, 1, 1]);
+        assert_eq!(degrees(&skew), vec![5, 1, 1, 1]);
         assert!(!skew.is_two_regular());
+        // Cell 0 keeps its first two in-arcs: both arcs of cell 0.
+        assert_eq!(skew.in_arcs()[0].links, [0, 1]);
+        assert_eq!(skew.in_arcs()[3].links, [7, 0]);
     }
 
     #[test]

@@ -81,8 +81,9 @@ pub fn is_delta(net: &ConnectionNetwork) -> bool {
 /// `true` when both the network and its reverse are delta networks.
 ///
 /// The reverse decomposition is obtained by Proposition 1 when every stage
-/// is a proper independent connection, and by the generic digraph
-/// decomposition otherwise.
+/// is a proper independent connection, and by
+/// [`ConnectionNetwork::reverse`] (each cell's parents in arc order)
+/// otherwise.
 pub fn is_bidelta(net: &ConnectionNetwork) -> bool {
     if !is_delta(net) {
         return false;

@@ -3,21 +3,22 @@
 //! An `n`-stage MIN on `N = 2^n` terminals is, in the paper's model, an
 //! MI-digraph whose stages are joined by `n-1` connections. A
 //! [`ConnectionNetwork`] is exactly that: the common cell-label width plus
-//! the ordered list of connections; it converts to and from the plain
-//! [`MiDigraph`] of `min-graph` (the conversion *to* a digraph is always
-//! possible, the conversion *from* one requires every interior node to have
-//! out-degree exactly 2 so that an `(f, g)` decomposition exists). It is
-//! also an [`MiView`] of its own tables, which is all the characterization
-//! reads, so certifying a network never converts it.
+//! the ordered list of connections. It is an [`MiView`] of its own tables,
+//! which is all the characterization reads, and it reverses itself on its
+//! tables too. The plain [`MiDigraph`] of `min-graph` is only for input and
+//! output: [`ConnectionNetwork::to_digraph`] writes one (always possible),
+//! and [`ConnectionNetwork::from_digraph`] reads one back when every
+//! interior node has out-degree exactly 2, so that an `(f, g)`
+//! decomposition exists.
 
-use crate::connection::Connection;
+use crate::connection::{Connection, InArcs};
+use crate::reverse::reverse_connection;
 use min_graph::{MiDigraph, MiView};
 use min_labels::Width;
-use serde::{Deserialize, Serialize};
 
 /// A multistage interconnection network given by its inter-stage
 /// connections.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionNetwork {
     width: Width,
     connections: Vec<Connection>,
@@ -118,27 +119,36 @@ impl ConnectionNetwork {
         Some(ConnectionNetwork { width, connections })
     }
 
-    /// The reverse network: the connections of `G⁻¹` obtained stage by stage
-    /// from the digraph (not via Proposition 1 — use
-    /// [`crate::reverse::reverse_connection`] on each stage when an
-    /// independence-preserving decomposition is wanted).
+    /// The reverse network `G⁻¹`, last stage first, read off each stage's
+    /// in-arcs: the two parents of a cell in arc order (source ascending,
+    /// `f` before `g`) become its `f` and `g` children, the decomposition
+    /// [`ConnectionNetwork::from_digraph`] gives the reversed digraph.
+    /// `None` when some in-degree is not 2.
     pub fn reverse(&self) -> Option<ConnectionNetwork> {
-        ConnectionNetwork::from_digraph(&self.to_digraph().reverse())
+        let stages = self.connections.iter().rev();
+        let connections: Option<Vec<_>> = stages
+            .map(|conn| {
+                let parents: Vec<[u32; 2]> = conn
+                    .in_arcs()
+                    .iter()
+                    .map(InArcs::parents)
+                    .collect::<Option<_>>()?;
+                let table = |i: usize| parents.iter().map(|p| p[i]).collect();
+                Some(Connection::from_tables(self.width, table(0), table(1)))
+            })
+            .collect();
+        Some(ConnectionNetwork::new(self.width, connections?))
     }
 
     /// The reverse network with every stage decomposed by Proposition 1
-    /// (requires every stage to be a proper independent connection).
+    /// (requires every stage to be a proper independent connection). Its
+    /// `f`/`g` choice can differ from [`ConnectionNetwork::reverse`]'s.
     pub fn reverse_via_proposition1(
         &self,
     ) -> Result<ConnectionNetwork, crate::error::ReverseError> {
-        let mut rev_connections = Vec::with_capacity(self.connections.len());
-        for conn in self.connections.iter().rev() {
-            rev_connections.push(crate::reverse::reverse_connection(conn)?);
-        }
-        Ok(ConnectionNetwork {
-            width: self.width,
-            connections: rev_connections,
-        })
+        let stages = self.connections.iter().rev();
+        let connections: Result<Vec<_>, _> = stages.map(reverse_connection).collect();
+        Ok(ConnectionNetwork::new(self.width, connections?))
     }
 }
 
@@ -169,6 +179,7 @@ impl MiView for ConnectionNetwork {
 mod tests {
     use super::*;
     use crate::independence::is_independent;
+    use iso_search::digraph::{reverse, same_arcs};
 
     /// The canonical 3-stage Baseline as a connection network.
     fn baseline3() -> ConnectionNetwork {
@@ -207,7 +218,7 @@ mod tests {
         let net = baseline3();
         let g = net.to_digraph();
         let back = ConnectionNetwork::from_digraph(&g).expect("2-regular digraph decomposes");
-        assert!(back.to_digraph().same_arcs(&g));
+        assert!(same_arcs(&back.to_digraph(), &g));
         assert_eq!(back.stages(), net.stages());
     }
 
@@ -227,14 +238,14 @@ mod tests {
     fn reverse_reverses_the_digraph() {
         let net = baseline3();
         let rev = net.reverse().expect("proper network reverses");
-        assert!(rev.to_digraph().same_arcs(&net.to_digraph().reverse()));
+        assert!(same_arcs(&rev.to_digraph(), &reverse(&net.to_digraph())));
     }
 
     #[test]
     fn reverse_via_proposition1_matches_the_digraph_reverse() {
         let net = baseline3();
         let rev = net.reverse_via_proposition1().expect("independent stages");
-        assert!(rev.to_digraph().same_arcs(&net.to_digraph().reverse()));
+        assert!(same_arcs(&rev.to_digraph(), &reverse(&net.to_digraph())));
         for conn in rev.connections() {
             assert!(is_independent(conn), "Proposition 1 preserves independence");
         }

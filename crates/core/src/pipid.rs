@@ -25,15 +25,13 @@
 
 use crate::connection::Connection;
 use min_labels::{bit, AffineMap, IndexPermutation, Label, LinearMap};
-use serde::{Deserialize, Serialize};
 
 /// A PIPID stage: the digit permutation, the induced connection, and the
 /// §4 diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipidStage {
     /// The digit permutation θ on the `n` link-label digits.
-    #[serde(skip)]
-    theta: Option<IndexPermutation>,
+    theta: IndexPermutation,
     /// Critical digit `k = θ⁻¹(0)`.
     pub critical_digit: usize,
     /// `true` when `k = 0`: the stage has parallel links (Fig. 5) and cannot
@@ -46,9 +44,7 @@ pub struct PipidStage {
 impl PipidStage {
     /// The digit permutation θ this stage was built from.
     pub fn theta(&self) -> &IndexPermutation {
-        self.theta
-            .as_ref()
-            .expect("constructed via connection_from_pipid")
+        &self.theta
     }
 }
 
@@ -90,7 +86,7 @@ pub fn connection_from_pipid(theta: &IndexPermutation) -> PipidStage {
     };
     let connection = Connection::from_affine(&AffineMap::new(linear, 0), difference);
     PipidStage {
-        theta: Some(theta.clone()),
+        theta: theta.clone(),
         critical_digit,
         degenerate: critical_digit == 0,
         connection,

@@ -21,9 +21,9 @@
 //! independent connection; if the input is not independent the construction
 //! detects the inconsistency and reports a [`ReverseError`].
 
-use crate::connection::Connection;
+use crate::connection::{Connection, InArcs};
 use crate::error::ReverseError;
-use min_labels::{all_labels, Subspace};
+use min_labels::{all_labels, Label, Subspace};
 
 /// Builds the reverse connection `(φ, ψ)` of Proposition 1.
 ///
@@ -32,51 +32,28 @@ use min_labels::{all_labels, Subspace};
 /// under the original `(f, g)`.
 pub fn reverse_connection(conn: &Connection) -> Result<Connection, ReverseError> {
     let width = conn.width();
-    let cells = conn.cells();
-
-    // Incoming arcs of every target vertex, tagged by which function
-    // produced them.
-    let mut incoming_f: Vec<Vec<u64>> = vec![Vec::new(); cells];
-    let mut incoming_g: Vec<Vec<u64>> = vec![Vec::new(); cells];
-    for x in all_labels(width) {
-        incoming_f[conn.f(x) as usize].push(x);
-        incoming_g[conn.g(x) as usize].push(x);
-    }
-    for y in 0..cells {
-        let indegree = incoming_f[y].len() + incoming_g[y].len();
-        if indegree != 2 {
-            return Err(ReverseError::NotTwoRegular {
-                node: y as u64,
-                indegree,
-            });
-        }
+    let arcs = conn.in_arcs();
+    if let Some((y, a)) = arcs.iter().enumerate().find(|(_, a)| a.degree != 2) {
+        return Err(ReverseError::NotTwoRegular {
+            node: y as u64,
+            indegree: a.degree as usize,
+        });
     }
 
-    // Classify vertex types.
-    let mut count_fg = 0usize;
-    let mut count_ff = 0usize;
-    let mut count_gg = 0usize;
-    for y in 0..cells {
-        match (incoming_f[y].len(), incoming_g[y].len()) {
-            (1, 1) => count_fg += 1,
-            (2, 0) => count_ff += 1,
-            (0, 2) => count_gg += 1,
-            _ => unreachable!("indegree 2 enforced above"),
-        }
+    // Classify vertex types by the `g`-arcs among the two in-arcs (the low
+    // bit of an in-link): one is type (f, g), none (f, f), two (g, g).
+    let g_arcs = |a: &InArcs| (a.links[0] & 1) + (a.links[1] & 1);
+    if arcs.iter().all(|a| g_arcs(a) == 1) {
+        // Case 1: f and g are bijections; (φ, ψ) = (f⁻¹, g⁻¹), the sources
+        // of each cell's in-arcs on port 0 and on port 1.
+        let inverse = |port: u32| {
+            // The in-link on `port` is the first one iff their ports agree.
+            let on_port = |a: &InArcs| a.links[((a.links[0] ^ port) & 1) as usize];
+            arcs.iter().map(|a| on_port(a) >> 1).collect()
+        };
+        return Ok(Connection::from_tables(width, inverse(0), inverse(1)));
     }
-
-    if count_fg == cells {
-        // Case 1: f and g are bijections; (φ, ψ) = (f⁻¹, g⁻¹).
-        let mut phi = vec![0u32; cells];
-        let mut psi = vec![0u32; cells];
-        for y in 0..cells {
-            phi[y] = incoming_f[y][0] as u32;
-            psi[y] = incoming_g[y][0] as u32;
-        }
-        return Ok(Connection::from_tables(width, phi, psi));
-    }
-
-    if count_ff + count_gg != cells || count_fg != 0 {
+    if arcs.iter().any(|a| g_arcs(a) == 1) {
         return Err(ReverseError::MixedVertexTypes);
     }
 
@@ -94,26 +71,17 @@ pub fn reverse_connection(conn: &Connection) -> Result<Connection, ReverseError>
     let a = Subspace::from_generators(width, rest);
     debug_assert!(!a.contains(alpha1));
 
-    let mut phi = vec![u32::MAX; cells];
-    let mut psi = vec![u32::MAX; cells];
-    for y in 0..cells {
-        let parents: Vec<u64> = incoming_f[y]
-            .iter()
-            .chain(incoming_g[y].iter())
-            .copied()
-            .collect();
-        debug_assert_eq!(parents.len(), 2);
-        let in_a: Vec<u64> = parents.iter().copied().filter(|&p| a.contains(p)).collect();
-        let in_b: Vec<u64> = parents
-            .iter()
-            .copied()
-            .filter(|&p| !a.contains(p))
-            .collect();
-        if in_a.len() != 1 || in_b.len() != 1 {
-            return Err(ReverseError::UnbalancedCosets { node: y as u64 });
-        }
-        phi[y] = in_a[0] as u32;
-        psi[y] = in_b[0] as u32;
+    let mut phi = Vec::with_capacity(arcs.len());
+    let mut psi = Vec::with_capacity(arcs.len());
+    for (y, cell) in arcs.iter().enumerate() {
+        let [p, q] = cell.links.map(|link| Label::from(link >> 1));
+        let (in_a, in_b) = match (a.contains(p), a.contains(q)) {
+            (true, false) => (p, q),
+            (false, true) => (q, p),
+            _ => return Err(ReverseError::UnbalancedCosets { node: y as u64 }),
+        };
+        phi.push(in_a as u32);
+        psi.push(in_b as u32);
     }
     Ok(Connection::from_tables(width, phi, psi))
 }

@@ -1,28 +1,13 @@
-//! The MI-digraph data structure.
+//! The MI-digraph data structure: construction, degree queries, the
+//! regularity check, and the DOT, text and JSON forms.
+//!
+//! The characterization and the network algebra run on a network's
+//! connection tables through [`MiView`]; an [`MiDigraph`] is what a network
+//! is written to and read from, and what a hand-built or file-loaded graph
+//! is given as.
 
-use crate::iso::is_stage_bijection;
 use crate::view::MiView;
 use serde::{map_get, Deserialize, Error, Serialize, Value};
-
-/// Identifies a node by its stage and its index within that stage.
-///
-/// The paper labels the nodes of stage `i` with the binary `(n-1)`-tuples
-/// `(x_{n-1}, …, x_1)`; [`NodeId::index`] is the integer value of that tuple
-/// and [`NodeId::stage`] is the 0-based stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct NodeId {
-    /// 0-based stage (the paper's stage `i` is `stage = i - 1`).
-    pub stage: usize,
-    /// Index of the node within its stage (`0 ..= width-1`).
-    pub index: u32,
-}
-
-impl NodeId {
-    /// Convenience constructor.
-    pub fn new(stage: usize, index: u32) -> Self {
-        NodeId { stage, index }
-    }
-}
 
 /// A multistage interconnection digraph.
 ///
@@ -147,11 +132,6 @@ impl MiDigraph {
         })
     }
 
-    /// Iterates over all node identifiers.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.stages).flat_map(move |s| (0..self.width as u32).map(move |v| NodeId::new(s, v)))
-    }
-
     /// Checks the regularity requirements of the paper's MI-digraph
     /// definition: every node of a non-final stage has out-degree 2, every
     /// node of a non-initial stage has in-degree 2, and arcs only join
@@ -172,90 +152,6 @@ impl MiDigraph {
             }
         }
         true
-    }
-
-    /// Returns `true` if some node has two parallel arcs to the same child —
-    /// the degenerate situation of Fig. 5 (a PIPID stage with θ⁻¹(0) = 0).
-    pub fn has_parallel_arcs(&self) -> bool {
-        for kids in self.fwd.iter().flatten() {
-            for i in 0..kids.len() {
-                for j in (i + 1)..kids.len() {
-                    if kids[i] == kids[j] {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// The reverse MI-digraph `G⁻¹`: stages in reverse order and every arc
-    /// flipped (the paper's "reverse network", §3).
-    pub fn reverse(&self) -> MiDigraph {
-        let mut rev = MiDigraph::new(self.stages, self.width);
-        for (s, from, to) in self.arcs() {
-            // Arc (s, from) -> (s+1, to) becomes, in the reversed stage
-            // order, an arc from stage (stages-2-s) node `to` to stage
-            // (stages-1-s) node `from`.
-            let new_stage = self.stages - 2 - s;
-            rev.add_arc(new_stage, to, from);
-        }
-        rev
-    }
-
-    /// Extracts the sub-digraph induced by the stage interval
-    /// `lo ..= hi` (the paper's `(G)_{i,j}`) as a standalone MI-digraph with
-    /// `hi - lo + 1` stages.
-    pub fn slice(&self, lo: usize, hi: usize) -> MiDigraph {
-        assert!(lo <= hi && hi < self.stages, "invalid stage interval");
-        let mut out = MiDigraph::new(hi - lo + 1, self.width);
-        for s in lo..hi {
-            for v in 0..self.width as u32 {
-                for &c in self.children(s, v) {
-                    out.add_arc(s - lo, v, c);
-                }
-            }
-        }
-        out
-    }
-
-    /// Relabels the nodes of every stage according to `mapping`
-    /// (`mapping[stage][old_index] = new_index`) and returns the relabelled
-    /// digraph. Panics unless each per-stage map is a bijection.
-    pub fn relabel(&self, mapping: &[Vec<u32>]) -> MiDigraph {
-        assert_eq!(mapping.len(), self.stages, "one map per stage required");
-        for m in mapping {
-            assert_eq!(m.len(), self.width, "each map must cover the stage");
-            assert!(is_stage_bijection(m, self.width), "not a bijection");
-        }
-        let mut out = MiDigraph::new(self.stages, self.width);
-        for (s, from, to) in self.arcs() {
-            out.add_arc(s, mapping[s][from as usize], mapping[s + 1][to as usize]);
-        }
-        out
-    }
-
-    /// Sorts every adjacency list; after normalization, two digraphs that
-    /// contain the same arcs compare equal with `==` regardless of insertion
-    /// order.
-    pub fn normalize(&mut self) {
-        for list in self.fwd.iter_mut().chain(&mut self.bwd).flatten() {
-            list.sort_unstable();
-        }
-    }
-
-    /// Returns a normalized copy (see [`MiDigraph::normalize`]).
-    pub fn normalized(&self) -> MiDigraph {
-        let mut c = self.clone();
-        c.normalize();
-        c
-    }
-
-    /// Structural equality up to arc order.
-    pub fn same_arcs(&self, other: &MiDigraph) -> bool {
-        self.stages == other.stages
-            && self.width == other.width
-            && self.normalized() == other.normalized()
     }
 }
 
@@ -376,75 +272,9 @@ mod tests {
         g.add_arc(0, 0, 1);
         g.add_arc(0, 1, 0);
         g.add_arc(0, 1, 0);
-        assert!(g.has_parallel_arcs());
+        assert_eq!(g.children(0, 0), &[1, 1]);
+        assert_eq!(g.parents(1, 0), &[1, 1]);
         assert!(g.is_proper(), "degree-wise the graph is still 2-regular");
-        assert!(!sample().has_parallel_arcs());
-    }
-
-    #[test]
-    fn reverse_flips_arcs_and_stage_order() {
-        let g = sample();
-        let r = g.reverse();
-        assert_eq!(r.stages(), 3);
-        assert_eq!(r.arc_count(), g.arc_count());
-        // Arc (0, v) -> (1, v^2) becomes (1, v^2) -> (2, v) in the reverse.
-        for v in 0..4u32 {
-            assert!(r.children(1, v ^ 2).contains(&v));
-        }
-        // Double reversal returns the original graph.
-        assert!(g.same_arcs(&r.reverse()));
-    }
-
-    #[test]
-    fn slice_extracts_the_requested_interval() {
-        let g = sample();
-        let s = g.slice(1, 2);
-        assert_eq!(s.stages(), 2);
-        assert_eq!(s.arc_count(), 8);
-        assert_eq!(s.children(0, 2), &[2, 3]);
-        let single = g.slice(0, 0);
-        assert_eq!(single.stages(), 1);
-        assert_eq!(single.arc_count(), 0);
-    }
-
-    #[test]
-    fn relabel_preserves_structure() {
-        let g = sample();
-        // Swap nodes 0 and 1 in stage 1 only.
-        let mapping = vec![vec![0, 1, 2, 3], vec![1, 0, 2, 3], vec![0, 1, 2, 3]];
-        let h = g.relabel(&mapping);
-        assert_eq!(h.arc_count(), g.arc_count());
-        // The arc (0,0) -> (1,0) must now point at (1,1).
-        assert!(h.children(0, 0).contains(&1));
-        // Relabelling back with the same (involutive) mapping restores g.
-        assert!(h.relabel(&mapping).same_arcs(&g));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a bijection")]
-    fn relabel_rejects_non_bijections() {
-        let g = sample();
-        let bad = vec![vec![0, 0, 2, 3], vec![0, 1, 2, 3], vec![0, 1, 2, 3]];
-        let _ = g.relabel(&bad);
-    }
-
-    #[test]
-    fn same_arcs_ignores_insertion_order() {
-        let mut a = MiDigraph::new(2, 2);
-        a.add_arc(0, 0, 0);
-        a.add_arc(0, 0, 1);
-        let mut b = MiDigraph::new(2, 2);
-        b.add_arc(0, 0, 1);
-        b.add_arc(0, 0, 0);
-        assert!(a.same_arcs(&b));
-        assert_ne!(a, b, "raw equality is order-sensitive by design");
-    }
-
-    #[test]
-    fn nodes_iterator_covers_every_node() {
-        let g = sample();
-        assert_eq!(g.nodes().count(), 12);
-        assert_eq!(g.nodes().next(), Some(NodeId::new(0, 0)));
     }
 
     /// Degrees past the paper's 2 keep insertion order and survive a JSON
@@ -461,7 +291,6 @@ mod tests {
         assert_eq!(g.parents(1, 2), &[1, 1, 0]);
         assert_eq!(g.out_degree(0, 2), 0);
         assert_eq!(g.arc_count(), 6);
-        assert!(g.has_parallel_arcs());
         let back: MiDigraph = serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
         assert_eq!(back, g);
     }

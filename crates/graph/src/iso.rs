@@ -89,18 +89,6 @@ pub fn verify_stage_mapping<G: MiView, H: MiView>(g: &G, h: &H, mapping: &StageM
     true
 }
 
-/// Composes two stage mappings: `second ∘ first` (apply `first`, then
-/// `second`). Used to turn two "to-Baseline" certificates into a direct
-/// network-to-network isomorphism.
-pub fn compose_mappings(first: &StageMapping, second: &StageMapping) -> StageMapping {
-    assert_eq!(first.len(), second.len(), "stage counts must match");
-    first
-        .iter()
-        .zip(second.iter())
-        .map(|(f, s)| f.iter().map(|&v| s[v as usize]).collect())
-        .collect()
-}
-
 /// Inverts a stage mapping.
 pub fn invert_mapping(mapping: &StageMapping) -> StageMapping {
     mapping
@@ -148,18 +136,5 @@ mod tests {
         assert!(!verify_stage_mapping(&g, &h, &vec![vec![0, 1, 2, 3]; 2]));
         assert!(!verify_stage_mapping(&g, &h, &vec![vec![0, 1, 2]; 3]));
         assert!(!verify_stage_mapping(&g, &h, &vec![vec![0, 0, 2, 3]; 3]));
-    }
-
-    #[test]
-    fn compose_and_invert_mappings() {
-        let g = baseline8();
-        let m1 = vec![vec![1, 0, 3, 2], vec![2, 3, 0, 1], vec![0, 1, 2, 3]];
-        let h = g.relabel(&m1);
-        let m2 = vec![vec![0, 2, 1, 3], vec![3, 1, 2, 0], vec![1, 0, 3, 2]];
-        let k = h.relabel(&m2);
-        let composed = compose_mappings(&m1, &m2);
-        assert!(verify_stage_mapping(&g, &k, &composed));
-        let inv = invert_mapping(&composed);
-        assert!(verify_stage_mapping(&k, &g, &inv));
     }
 }

@@ -10,14 +10,14 @@
 //! This crate is the graph substrate for the whole workspace:
 //!
 //! * [`MiDigraph`] — the staged digraph itself, a plain container of
-//!   forward and backward adjacency lists (degree queries, regularity
-//!   checks, reverse graph, sub-range views) for the callers that need
-//!   parents, a reversal or a file: DOT export, serialization, fault
-//!   injection and the buddy property. It is deliberately more permissive
-//!   than the paper's definition (arbitrary degrees, parallel arcs, any width) so that the
-//!   degenerate objects the paper discusses — the Fig. 5 parallel-link
-//!   stage, non-Banyan graphs, counterexamples — can be represented and
-//!   *rejected by checkers* rather than being unrepresentable.
+//!   forward and backward adjacency lists with degree queries and the
+//!   regularity check. It is the input and output form of a network: DOT
+//!   export, the text and JSON formats, and hand-built graphs. It is
+//!   deliberately more permissive than the paper's definition (arbitrary
+//!   degrees, parallel arcs, any width) so that the degenerate objects the
+//!   paper discusses — the Fig. 5 parallel-link stage, non-Banyan graphs,
+//!   counterexamples — can be represented and *rejected by checkers* rather
+//!   than being unrepresentable.
 //! * [`view`] — [`MiView`], the four read-only questions (stages, nodes
 //!   per stage, children, properness) the characterization asks of a
 //!   network. Path counts, components, sweeps and the mapping verification
@@ -30,7 +30,7 @@
 //! * [`paths`] — path counting between stages (the Banyan property is a
 //!   statement about path counts).
 //! * [`iso`] — stage-respecting isomorphisms as per-stage bijections:
-//!   verification, composition and inversion of the certificates.
+//!   verification and inversion of the certificates.
 //! * [`dot`] / [`serialize`] — DOT export for figure regeneration and a
 //!   compact serde-friendly exchange format.
 //!
@@ -53,7 +53,7 @@ pub use components::{
     component_count_range, component_ids_range, prefix_sweep, suffix_sweep, RangeComponents,
     StageComponentIds, SweepResult,
 };
-pub use digraph::{MiDigraph, NodeId};
+pub use digraph::MiDigraph;
 pub use iso::{verify_stage_mapping, StageMapping};
 pub use paths::{is_banyan, path_counts_from, reachable_per_stage};
 pub use union_find::UnionFind;

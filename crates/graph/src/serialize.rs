@@ -147,7 +147,7 @@ mod tests {
         let g = baseline8();
         let text = to_text(&g);
         let back = from_text(&text).expect("round trip parses");
-        assert!(g.same_arcs(&back));
+        assert_eq!(back, g, "arcs come back in their order");
     }
 
     #[test]

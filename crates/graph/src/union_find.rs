@@ -72,11 +72,6 @@ impl UnionFind {
         true
     }
 
-    /// `true` when `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Returns, for every element, a compact component id in
     /// `0 .. component_count()`, numbered in order of first appearance.
     pub fn component_ids(&mut self) -> Vec<u32> {
@@ -115,7 +110,7 @@ mod tests {
     fn singletons_start_disconnected() {
         let mut uf = UnionFind::new(5);
         assert_eq!(uf.component_count(), 5);
-        assert!(!uf.connected(0, 1));
+        assert_ne!(uf.find(0), uf.find(1));
         assert_eq!(uf.len(), 5);
         assert!(!uf.is_empty());
     }
@@ -129,8 +124,8 @@ mod tests {
         assert_eq!(uf.component_count(), 4);
         assert!(uf.union(1, 2));
         assert_eq!(uf.component_count(), 3);
-        assert!(uf.connected(0, 3));
-        assert!(!uf.connected(0, 4));
+        assert_eq!(uf.find(0), uf.find(3));
+        assert_ne!(uf.find(0), uf.find(4));
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
             uf.union(i, i + 1);
         }
         assert_eq!(uf.component_count(), 1);
-        assert!(uf.connected(0, n as u32 - 1));
+        assert_eq!(uf.find(0), uf.find(n as u32 - 1));
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! Random `add_arc` sequences are applied both to `MiDigraph` and to the
 //! nested-`Vec` reference model below (one heap list per node and
 //! direction). The sequences repeat arcs, so parallel arcs occur, and push
-//! degrees up to 5, past the paper's degree of 2. Every query and derived
-//! graph must agree with the model.
+//! degrees up to 5, past the paper's degree of 2. Every query and the JSON
+//! round trip must agree with the model.
 
 use min_graph::MiDigraph;
 use proptest::prelude::*;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -61,53 +60,6 @@ impl Model {
                 .flatten()
                 .all(|parents| parents.len() == 2)
     }
-
-    fn has_parallel_arcs(&self) -> bool {
-        self.fwd.iter().flatten().any(|kids| {
-            let mut sorted = kids.clone();
-            sorted.sort_unstable();
-            sorted.windows(2).any(|w| w[0] == w[1])
-        })
-    }
-
-    fn reverse(&self) -> Model {
-        let mut rev = Model::new(self.stages, self.width);
-        for (s, from, to) in self.arcs() {
-            rev.add_arc(self.stages - 2 - s, to, from);
-        }
-        rev
-    }
-
-    fn slice(&self, lo: usize, hi: usize) -> Model {
-        let mut out = Model::new(hi - lo + 1, self.width);
-        for (s, from, to) in self.arcs() {
-            if (lo..hi).contains(&s) {
-                out.add_arc(s - lo, from, to);
-            }
-        }
-        out
-    }
-
-    fn relabel(&self, mapping: &[Vec<u32>]) -> Model {
-        let mut out = Model::new(self.stages, self.width);
-        for (s, from, to) in self.arcs() {
-            out.add_arc(s, mapping[s][from as usize], mapping[s + 1][to as usize]);
-        }
-        out
-    }
-
-    fn normalize(&mut self) {
-        for list in self.fwd.iter_mut().chain(&mut self.bwd).flatten() {
-            list.sort_unstable();
-        }
-    }
-
-    fn same_arcs(&self, other: &Model) -> bool {
-        let (mut a, mut b) = (self.clone(), other.clone());
-        a.normalize();
-        b.normalize();
-        a == b
-    }
 }
 
 /// Builds the digraph and the model from one arc sequence.
@@ -155,7 +107,6 @@ fn agree(g: &MiDigraph, m: &Model) -> Result<(), String> {
     prop_assert_eq!(g.width(), m.width);
     prop_assert_eq!(g.arc_count(), m.arc_count());
     prop_assert_eq!(g.is_proper(), m.is_proper());
-    prop_assert_eq!(g.has_parallel_arcs(), m.has_parallel_arcs());
     prop_assert_eq!(g.arcs().collect::<Vec<_>>(), m.arcs());
     for s in 0..m.stages {
         for v in 0..m.width {
@@ -177,53 +128,6 @@ proptest! {
         let arcs = random_arcs(&mut rng, stages, width);
         let (g, m) = build(stages, width, &arcs);
         agree(&g, &m)?;
-    }
-
-    /// `reverse`, `slice` and `relabel` build the model's graphs.
-    #[test]
-    fn derived_graphs_agree(stages in 1usize..=5, width in 1usize..=6, seed in any::<u64>()) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let arcs = random_arcs(&mut rng, stages, width);
-        let (g, m) = build(stages, width, &arcs);
-        if stages > 1 {
-            agree(&g.reverse(), &m.reverse())?;
-        }
-        let lo = rng.gen_range(0..stages);
-        let hi = rng.gen_range(lo..stages);
-        agree(&g.slice(lo, hi), &m.slice(lo, hi))?;
-        let mapping: Vec<Vec<u32>> = (0..stages)
-            .map(|_| {
-                let mut perm: Vec<u32> = (0..width as u32).collect();
-                perm.shuffle(&mut rng);
-                perm
-            })
-            .collect();
-        agree(&g.relabel(&mapping), &m.relabel(&mapping))?;
-    }
-
-    /// `normalize`, `same_arcs` and the order-sensitive `==`.
-    #[test]
-    fn equality_agrees(stages in 2usize..=5, width in 1usize..=6, seed in any::<u64>()) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let arcs = random_arcs(&mut rng, stages, width);
-        let (g, m) = build(stages, width, &arcs);
-        // The same arcs in another order; then one arc dropped.
-        let mut shuffled = arcs.clone();
-        shuffled.shuffle(&mut rng);
-        let (h, mh) = build(stages, width, &shuffled);
-        prop_assert_eq!(g == h, m == mh);
-        prop_assert_eq!(g.same_arcs(&h), m.same_arcs(&mh));
-        prop_assert!(g.same_arcs(&h));
-        let (fewer, m_fewer) = build(stages, width, &shuffled[shuffled.len().min(1)..]);
-        prop_assert_eq!(g == fewer, m == m_fewer);
-        prop_assert_eq!(g.same_arcs(&fewer), m.same_arcs(&m_fewer));
-        let mut normalized = g.clone();
-        let mut m_normalized = m.clone();
-        normalized.normalize();
-        m_normalized.normalize();
-        agree(&normalized, &m_normalized)?;
-        agree(&h.normalized(), &m_normalized)?;
-        prop_assert_eq!(normalized == g, m_normalized == m);
     }
 
     /// JSON round trips keep every list and its order.

@@ -75,10 +75,7 @@ pub fn find_buddy_not_equivalent<R: Rng>(
         if !is_banyan(&net) {
             continue;
         }
-        debug_assert!({
-            let g = net.to_digraph();
-            buddy_property(&g).holds && reverse_buddy_property(&g).holds
-        });
+        debug_assert!(buddy_property(&net).holds && reverse_buddy_property(&net).holds);
         if !satisfies_characterization(&net) {
             return Some(net);
         }
@@ -152,8 +149,8 @@ mod tests {
         let net = buddy_not_baseline_equivalent();
         let g = net.to_digraph();
         assert!(is_banyan(&g));
-        assert!(buddy_property(&g).holds);
-        assert!(reverse_buddy_property(&g).holds);
+        assert!(buddy_property(&net).holds);
+        assert!(reverse_buddy_property(&net).holds);
         assert!(!satisfies_characterization(&g));
         assert!(baseline_isomorphism(&g).is_err());
     }
@@ -169,7 +166,7 @@ mod tests {
         if let Some(net) = find_buddy_not_equivalent(4, 2_000, &mut rng) {
             let g = net.to_digraph();
             assert!(is_banyan(&g));
-            assert!(buddy_property(&g).holds);
+            assert!(buddy_property(&net).holds);
             assert!(!satisfies_characterization(&g));
         }
     }

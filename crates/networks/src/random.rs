@@ -189,9 +189,8 @@ mod tests {
         for _ in 0..10 {
             let net = random_buddy_network(4, &mut rng);
             assert!(net.is_proper());
-            let g = net.to_digraph();
-            assert!(buddy_property(&g).holds);
-            assert!(reverse_buddy_property(&g).holds);
+            assert!(buddy_property(&net).holds);
+            assert!(reverse_buddy_property(&net).holds);
         }
     }
 

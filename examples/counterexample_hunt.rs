@@ -43,14 +43,12 @@ fn main() {
     match find_buddy_not_equivalent(stages, attempts, &mut rng) {
         Some(net) => {
             describe(&net);
-            // The buddy checks compare parents, so they take the digraph.
-            let g = net.to_digraph();
             println!(
                 "  buddy property: forward = {}, reverse = {}",
-                buddy_property(&g).holds,
-                reverse_buddy_property(&g).holds
+                buddy_property(&net).holds,
+                reverse_buddy_property(&net).holds
             );
-            println!("{}", to_text(&g));
+            println!("{}", to_text(&net.to_digraph()));
         }
         None => println!("none found within {attempts} attempts"),
     }

@@ -99,7 +99,7 @@ fn main() {
     println!(
         "  Buddy counterexample      : Banyan = {}, buddy = {}, equivalent = {}",
         report.banyan,
-        min_core::buddy::buddy_property(&buddy_ce.to_digraph()).holds,
+        min_core::buddy::buddy_property(&buddy_ce).holds,
         report.satisfied()
     );
 }

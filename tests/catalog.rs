@@ -3,6 +3,7 @@
 //! cross-validated against the exhaustive isomorphism search at small sizes.
 
 use baseline_equivalence::prelude::*;
+use iso_search::iso::compose_mappings;
 use iso_search::{find_isomorphism, IsoSearchOutcome};
 use min_graph::iso::verify_stage_mapping;
 
@@ -69,7 +70,7 @@ fn equivalence_certificates_compose_transitively() {
     let flip = networks::flip(n).to_digraph();
     let a = equivalence_mapping(&omega, &baseline).unwrap();
     let b = equivalence_mapping(&baseline, &flip).unwrap();
-    let composed = min_graph::iso::compose_mappings(&a, &b);
+    let composed = compose_mappings(&a, &b);
     assert!(verify_stage_mapping(&omega, &flip, &composed));
 }
 

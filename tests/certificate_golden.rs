@@ -12,6 +12,7 @@
 //! all independent through Theorem 3's affine construction against the same
 //! golden file.
 
+use iso_search::digraph::reverse;
 use min_core::{affine_baseline_isomorphism, affine_form, baseline_isomorphism, ConnectionNetwork};
 use min_graph::MiDigraph;
 use min_networks::counterexample::{
@@ -93,8 +94,8 @@ fn corpus_with_reverses() -> Vec<(String, MiDigraph)> {
     corpus()
         .into_iter()
         .flat_map(|(name, g)| {
-            let reverse = (format!("reverse/{name}"), g.reverse());
-            [(name, g), reverse]
+            let reversed = (format!("reverse/{name}"), reverse(&g));
+            [(name, g), reversed]
         })
         .collect()
 }

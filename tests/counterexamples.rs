@@ -42,8 +42,8 @@ fn buddy_plus_banyan_does_not_imply_equivalence() {
     let net = buddy_not_baseline_equivalent();
     let g = net.to_digraph();
     assert!(is_banyan(&g));
-    assert!(buddy_property(&g).holds);
-    assert!(reverse_buddy_property(&g).holds);
+    assert!(buddy_property(&net).holds);
+    assert!(reverse_buddy_property(&net).holds);
     assert!(baseline_isomorphism(&g).is_err());
     let report = characterization_report(&g);
     assert!(!report.p_one_star() || !report.p_star_n());
@@ -54,9 +54,9 @@ fn all_classical_networks_nevertheless_satisfy_the_buddy_property() {
     // Buddy is necessary, just not sufficient.
     for n in 2..=6 {
         for kind in ClassicalNetwork::ALL {
-            let g = kind.build(n).to_digraph();
-            assert!(buddy_property(&g).holds, "{kind} n={n}");
-            assert!(reverse_buddy_property(&g).holds, "{kind} n={n}");
+            let net = kind.build(n);
+            assert!(buddy_property(&net).holds, "{kind} n={n}");
+            assert!(reverse_buddy_property(&net).holds, "{kind} n={n}");
         }
     }
 }
@@ -64,8 +64,9 @@ fn all_classical_networks_nevertheless_satisfy_the_buddy_property() {
 #[test]
 fn the_fig5_degeneracy_is_detected_at_every_size() {
     for n in 2..=6 {
-        let g = fig5_network(n).to_digraph();
-        assert!(g.has_parallel_arcs(), "n={n}");
+        let net = fig5_network(n);
+        let g = net.to_digraph();
+        assert!(net.has_parallel_links(), "n={n}");
         assert!(!is_banyan(&g), "n={n}");
         assert!(baseline_isomorphism(&g).is_err(), "n={n}");
     }

@@ -1,6 +1,7 @@
 //! Experiments E1–E3 — structural regeneration of the paper's Figures 1–3.
 
 use baseline_equivalence::prelude::*;
+use iso_search::digraph::slice;
 use min_graph::components::component_ids_range;
 use min_graph::dot::{to_dot, DotOptions};
 use min_labels::gf2::format_tuple;
@@ -25,7 +26,7 @@ fn figure1_the_four_stage_baseline_has_the_drawn_structure() {
     // Baseline networks.
     let rc = component_ids_range(&g, 1, 3);
     assert_eq!(rc.count, 2);
-    let top = g.slice(1, 3);
+    let top = slice(&g, 1, 3);
     assert!(min_core::satisfies_characterization(&top) || top.stages() == 3);
 }
 

@@ -157,9 +157,22 @@ pub fn find_isomorphism(g: &MiDigraph, h: &MiDigraph, node_budget: u64) -> IsoSe
     }
 }
 
+/// Composes two stage mappings: `second ∘ first` (apply `first`, then
+/// `second`).
+pub fn compose_mappings(first: &StageMapping, second: &StageMapping) -> StageMapping {
+    assert_eq!(first.len(), second.len(), "stage counts must match");
+    first
+        .iter()
+        .zip(second.iter())
+        .map(|(f, s)| f.iter().map(|&v| s[v as usize]).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::relabel;
+    use min_graph::iso::invert_mapping;
 
     fn baseline8() -> MiDigraph {
         let mut g = MiDigraph::new(3, 4);
@@ -200,7 +213,7 @@ mod tests {
     fn relabelled_copy_is_found_isomorphic() {
         let g = baseline8();
         let mapping = vec![vec![3, 1, 0, 2], vec![0, 2, 1, 3], vec![2, 3, 0, 1]];
-        let h = g.relabel(&mapping);
+        let h = relabel(&g, &mapping);
         assert!(verify_stage_mapping(&g, &h, &mapping));
         let outcome = find_isomorphism(&g, &h, 1_000_000);
         assert!(outcome.is_isomorphic());
@@ -245,7 +258,20 @@ mod tests {
     fn tiny_budget_aborts() {
         let g = baseline8();
         let mapping = vec![vec![3, 1, 0, 2], vec![0, 2, 1, 3], vec![2, 3, 0, 1]];
-        let h = g.relabel(&mapping);
+        let h = relabel(&g, &mapping);
         assert_eq!(find_isomorphism(&g, &h, 1), IsoSearchOutcome::Aborted);
+    }
+
+    #[test]
+    fn compose_and_invert_mappings() {
+        let g = baseline8();
+        let m1 = vec![vec![1, 0, 3, 2], vec![2, 3, 0, 1], vec![0, 1, 2, 3]];
+        let h = relabel(&g, &m1);
+        let m2 = vec![vec![0, 2, 1, 3], vec![3, 1, 2, 0], vec![1, 0, 3, 2]];
+        let k = relabel(&h, &m2);
+        let composed = compose_mappings(&m1, &m2);
+        assert!(verify_stage_mapping(&g, &k, &composed));
+        let inv = invert_mapping(&composed);
+        assert!(verify_stage_mapping(&k, &g, &inv));
     }
 }

@@ -8,11 +8,15 @@
 //! arbitrary [`min_graph::MiDigraph`]s ([`iso::find_isomorphism`]),
 //! pruned by 1-dimensional Weisfeiler–Leman colour refinement
 //! ([`refine`]). It is exponential in the worst case and meant for small
-//! instances. No shipped crate depends on it.
+//! instances. Beside it, [`digraph`] holds the derived digraphs only tests
+//! build — reverse, slice, relabelled copy, equality up to arc order — and
+//! [`iso::compose_mappings`] composes two search results. No shipped crate
+//! depends on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digraph;
 pub mod iso;
 pub mod refine;
 

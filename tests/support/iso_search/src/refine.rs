@@ -171,6 +171,7 @@ pub fn refinement_compatible(g: &MiDigraph, h: &MiDigraph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::relabel;
 
     fn baseline8() -> MiDigraph {
         let mut g = MiDigraph::new(3, 4);
@@ -223,7 +224,7 @@ mod tests {
         let g = baseline8();
         // A relabelled copy is certainly compatible.
         let mapping = vec![vec![1, 0, 3, 2], vec![2, 3, 0, 1], vec![0, 1, 2, 3]];
-        let h = g.relabel(&mapping);
+        let h = relabel(&g, &mapping);
         assert!(refinement_compatible(&g, &h));
     }
 

@@ -5,10 +5,14 @@
 //! error from either input, the same §2 answers (path counts, Banyan
 //! witnesses, unique paths, components, `P(i,j)` and the characterization
 //! report), the same verification verdicts, and the same Baseline arcs
-//! from the formula as from the digraph built out of it.
+//! from the formula as from the digraph built out of it. The reverse
+//! network and both buddy checks, which read the tables' in-arcs, are
+//! pinned against the reversed digraph and the digraph buddy check.
 
 use baseline_equivalence::prelude::*;
+use iso_search::digraph::{reverse, same_arcs};
 use min_core::baseline_iso::BaselineView;
+use min_core::buddy::{buddy_property, reverse_buddy_property, BuddyReport};
 use min_core::compose_baseline_certificates;
 use min_core::properties::{characterization_report, p_one_star, p_property, p_star_n};
 use min_graph::components::{component_count_range, component_ids_range};
@@ -20,6 +24,8 @@ use min_graph::MiView;
 use min_networks::counterexample::{
     banyan_not_baseline_equivalent, buddy_not_baseline_equivalent, fig5_network,
 };
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Every network the agreement is checked on, by name.
 fn corpus() -> Vec<(String, ConnectionNetwork)> {
@@ -57,7 +63,95 @@ fn corpus() -> Vec<(String, ConnectionNetwork)> {
         "buddy-not-equivalent".into(),
         buddy_not_baseline_equivalent(),
     ));
+    // Stages that are not 2-regular, which no family above builds: random
+    // tables (in-degree 0 or 3 and parallel links anywhere), and classical
+    // networks with one arc moved in one stage, regular up to that stage.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x1988);
+    for n in 2..=6 {
+        let (width, cells) = (n - 1, 1u32 << (n - 1));
+        for k in 0..4 {
+            let mut table = || (0..cells).map(|_| rng.gen_range(0..cells)).collect();
+            let connections = (0..n - 1)
+                .map(|_| Connection::from_tables(width, table(), table()))
+                .collect();
+            out.push((
+                format!("random-tables/n={n}/{k}"),
+                ConnectionNetwork::new(width, connections),
+            ));
+        }
+        for family in ClassicalNetwork::ALL {
+            let mut connections = family.build(n).connections().to_vec();
+            let s = rng.gen_range(0..n - 1);
+            let mut g = connections[s].g_table().to_vec();
+            g[rng.gen_range(0..cells) as usize] = rng.gen_range(0..cells);
+            connections[s] = Connection::from_tables(width, connections[s].f_table().to_vec(), g);
+            out.push((
+                format!("{}/n={n}/moved-arc", family.name()),
+                ConnectionNetwork::new(width, connections),
+            ));
+        }
+    }
     out
+}
+
+/// Agrawal's buddy check on a digraph's parent lists: the two children of
+/// every cell are distinct and have the same two parents. The oracle for
+/// `buddy_property`, and, on the reversed digraph, for
+/// `reverse_buddy_property`.
+fn digraph_buddy(g: &MiDigraph) -> BuddyReport {
+    for s in 0..g.stages().saturating_sub(1) {
+        for v in 0..g.width() as u32 {
+            let kids = g.children(s, v);
+            let holds = kids.len() == 2 && kids[0] != kids[1] && {
+                let mut pa = g.parents(s + 1, kids[0]).to_vec();
+                let mut pb = g.parents(s + 1, kids[1]).to_vec();
+                pa.sort_unstable();
+                pb.sort_unstable();
+                pa == pb && pa.len() == 2
+            };
+            if !holds {
+                return BuddyReport {
+                    holds: false,
+                    violation: Some((s, v)),
+                };
+            }
+        }
+    }
+    BuddyReport {
+        holds: true,
+        violation: None,
+    }
+}
+
+#[test]
+fn tables_reverse_and_check_buddies_as_the_digraph_does() {
+    let (mut irreversible, mut holds, mut late) = (0, 0, 0);
+    for (name, net) in corpus() {
+        let g = net.to_digraph();
+        let reversed = reverse(&g);
+        let rev = net.reverse();
+        assert_eq!(rev, ConnectionNetwork::from_digraph(&reversed), "{name}");
+        assert_eq!(rev.is_some(), net.is_proper(), "{name}");
+        if let Ok(prop1) = net.reverse_via_proposition1() {
+            assert!(same_arcs(&prop1.to_digraph(), &reversed), "{name}");
+        }
+        let reports = [buddy_property(&net), reverse_buddy_property(&net)];
+        assert_eq!(reports[0], digraph_buddy(&g), "{name}");
+        assert_eq!(reports[1], digraph_buddy(&reversed), "{name}");
+        irreversible += usize::from(rev.is_none());
+        for report in reports {
+            match report.violation {
+                None => holds += 1,
+                Some((stage, _)) => late += usize::from(stage > 0),
+            }
+        }
+    }
+    // The corpus reaches the missing reverse, clean checks, and violations
+    // past the first stage.
+    assert!(
+        irreversible > 20 && holds > 100 && late > 20,
+        "{irreversible} / {holds} / {late}"
+    );
 }
 
 #[test]
