@@ -167,12 +167,6 @@ fn greedy_disjoint(net: &ConnectionNetwork, candidates: Vec<CellPath>) -> Vec<Ce
     kept
 }
 
-/// Number of pairwise link-disjoint `src → dst` paths (the pair's fault
-/// tolerance: it survives any `count - 1` link failures).
-pub fn disjoint_path_count(net: &ConnectionNetwork, src: u64, dst: u64) -> usize {
-    disjoint_paths(net, src, dst).len()
-}
-
 /// Histogram of the per-pair disjoint-path counts over every (first-stage,
 /// last-stage) cell pair: `hist[k]` is the number of pairs joined by exactly
 /// `k` pairwise link-disjoint paths (`hist[0]` counts disconnected pairs).
@@ -182,7 +176,7 @@ pub fn path_diversity_histogram(net: &ConnectionNetwork) -> Vec<u64> {
     let mut hist = vec![0u64; 2];
     for src in 0..cells {
         for dst in 0..cells {
-            let k = disjoint_path_count(net, src, dst);
+            let k = disjoint_paths(net, src, dst).len();
             if k >= hist.len() {
                 hist.resize(k + 1, 0);
             }
@@ -297,24 +291,9 @@ impl FaultRoute {
     }
 }
 
-/// The lexicographically first `src → dst` path that survives the digest,
-/// computed exactly (backward reachability restricted to live cells and
-/// links, then a greedy forward walk) — `None` when the pair is severed.
-pub fn surviving_path(
-    net: &ConnectionNetwork,
-    src: u64,
-    dst: u64,
-    digest: &FaultDigest,
-) -> Option<CellPath> {
-    let cells = net.cells_per_stage() as u64;
-    if src >= cells || dst >= cells || digest.cell_dead(0, src as u32) {
-        return None;
-    }
-    forward_walk(net, src, &reaches_dst(net, dst, Some(digest)), digest)
-}
-
-/// The greedy forward walk behind [`surviving_path`], against a precomputed
-/// fault-aware reachability table for the destination.
+/// The greedy forward walk behind [`route_around`]'s fallback: the
+/// lexicographically first path through the precomputed fault-aware
+/// reachability table of the destination.
 fn forward_walk(
     net: &ConnectionNetwork,
     src: u64,
@@ -444,7 +423,6 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_ne!(paths[0].ports, paths[1].ports);
         assert_eq!(paths[0].cells, paths[1].cells, "cells shared, links not");
-        assert_eq!(disjoint_path_count(&net, 0, 0), 2);
     }
 
     #[test]
@@ -553,6 +531,6 @@ mod tests {
         let digest = FaultDigest::new(net.stages(), net.cells_per_stage());
         assert!(all_paths(&net, 99, 0).is_empty());
         assert_eq!(route_around(&net, 0, 99, &digest), FaultRoute::Unroutable);
-        assert!(surviving_path(&net, 99, 0, &digest).is_none());
+        assert_eq!(route_around(&net, 99, 0, &digest), FaultRoute::Unroutable);
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * [`path`] — the unique source→destination path of a Banyan network, at
 //!   cell and at terminal granularity;
-//! * [`tag`] — destination-tag routing for delta networks: computing the tag
-//!   that reaches a given output, routing by tag, verifying self-routability;
+//! * [`tag`] — destination-tag routing for delta networks: the table of
+//!   tags that reach each output and the check that routing by them is
+//!   self-routing (routing by a tag is `min_core::delta::route_by_tag`);
 //! * [`permutation_routing`] — conflict analysis when all `N` inputs send
 //!   simultaneously according to a permutation: admissibility, conflict
 //!   counting, the blocking structure;
@@ -20,12 +21,16 @@
 //!   is severed;
 //! * [`looping`] — the looping algorithm: conflict-free switch settings for
 //!   any full permutation on rearrangeable (Benes-structured) fabrics;
-//! * [`router`] — the [`router::Router`] trait unifying delta, multi-path
-//!   and permutation-configured routing behind one per-scenario interface;
 //! * [`analysis`] — aggregate admissibility statistics (exhaustive for small
 //!   `N`, Monte-Carlo beyond) used to demonstrate that topologically
 //!   equivalent networks have identical admissibility *profiles* up to
 //!   relabelling (experiment E12).
+//!
+//! The simulator (`min-sim`) routes a fabric with three of these: the
+//! destination-tag table of a delta network, the per-pair disjoint path
+//! tags ([`path_tag`]) of any other, or a [`LoopingSetting`] for one full
+//! permutation, and it reroutes by [`route_all_to`] once a link or switch
+//! dies. The choice lives in its `Fabric`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,16 +40,14 @@ pub mod disjoint;
 pub mod looping;
 pub mod path;
 pub mod permutation_routing;
-pub mod router;
 pub mod tag;
 
 pub use looping::{loop_setup, LoopingError, LoopingSetting};
-pub use router::{DeltaRouter, LoopingRouter, MultiPathRouter, Router};
 
 pub use disjoint::{
-    all_paths, disjoint_path_count, disjoint_paths, path_diversity_histogram, path_tag,
-    route_all_to, route_around, surviving_path, FaultDigest, FaultRoute,
+    all_paths, disjoint_paths, path_diversity_histogram, path_tag, route_all_to, route_around,
+    FaultDigest, FaultRoute,
 };
 pub use path::{route_terminals, CellPath, TerminalRoute};
 pub use permutation_routing::{permutation_conflicts, ConflictReport};
-pub use tag::{destination_tags, route_with_tag, tag_for_destination, SelfRoutingTable};
+pub use tag::{destination_tags, SelfRoutingTable};

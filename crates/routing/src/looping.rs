@@ -20,8 +20,8 @@
 //!
 //! The result is a per-source-terminal routing tag (bit `s` = out-port at
 //! connection `s`, the same encoding as [`crate::path_tag`]), which plugs
-//! directly into the simulator's tag-driven switch cores via
-//! [`crate::router::LoopingRouter`].
+//! directly into the simulator's tag-driven switch cores (`min-sim`'s
+//! fabric keeps the setting as its looping routing).
 
 use min_core::ConnectionNetwork;
 use serde::{Deserialize, Serialize};

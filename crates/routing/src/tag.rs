@@ -8,7 +8,6 @@
 
 use min_core::delta::{delta_report, route_by_tag};
 use min_core::ConnectionNetwork;
-use min_labels::Label;
 use serde::{Deserialize, Serialize};
 
 /// The self-routing table of a delta network: the bijection between routing
@@ -56,22 +55,6 @@ pub fn destination_tags(net: &ConnectionNetwork) -> Option<SelfRoutingTable> {
     })
 }
 
-/// The routing tag that reaches last-stage cell `destination` (delta
-/// networks only).
-pub fn tag_for_destination(net: &ConnectionNetwork, destination: Label) -> Option<Label> {
-    let table = destination_tags(net)?;
-    table
-        .tag_of_destination
-        .get(destination as usize)
-        .map(|&t| u64::from(t))
-}
-
-/// Routes from `source` using `tag` (one bit per connection, bit `k`
-/// consumed at connection `k`); re-exported from `min-core` for convenience.
-pub fn route_with_tag(net: &ConnectionNetwork, source: Label, tag: Label) -> Label {
-    route_by_tag(net, source, tag)
-}
-
 /// Verifies that the network is self-routing: for every source and every
 /// destination, routing with the destination's tag really ends at that
 /// destination.
@@ -83,7 +66,7 @@ pub fn verify_self_routing(net: &ConnectionNetwork) -> bool {
     for dst in 0..cells {
         let tag = u64::from(table.tag_of_destination[dst as usize]);
         for src in 0..cells {
-            if route_with_tag(net, src, tag) != dst {
+            if route_by_tag(net, src, tag) != dst {
                 return false;
             }
         }
@@ -142,12 +125,13 @@ mod tests {
     }
 
     #[test]
-    fn tag_for_destination_is_consistent_with_the_table() {
+    fn table_tags_route_any_source_to_their_destination() {
         let net = baseline(4);
+        let table = destination_tags(&net).unwrap();
         for dst in 0..8u64 {
-            let tag = tag_for_destination(&net, dst).unwrap();
-            assert_eq!(route_with_tag(&net, 3, tag), dst);
-            assert_eq!(route_with_tag(&net, 6, tag), dst);
+            let tag = u64::from(table.tag_of_destination[dst as usize]);
+            assert_eq!(route_by_tag(&net, 3, tag), dst);
+            assert_eq!(route_by_tag(&net, 6, tag), dst);
         }
     }
 
@@ -164,7 +148,6 @@ mod tests {
         let net = min_core::ConnectionNetwork::new(2, vec![weird, second]);
         assert!(destination_tags(&net).is_none());
         assert!(!verify_self_routing(&net));
-        assert!(tag_for_destination(&net, 0).is_none());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn run_replications(
 ) -> Result<Vec<Metrics>, SimError> {
     let mut out = Vec::with_capacity(lanes.len());
     // The packed engine is destination-tag only; a non-delta fabric (e.g.
-    // Benes under permutation traffic) takes the scalar router path.
+    // Benes under permutation traffic) takes the scalar engine.
     if packed_eligible(config, net.stages(), lanes.len()) && destination_tags(net).is_some() {
         for word in lanes.chunks(LANE_WIDTH) {
             out.extend(LaneEngine::with_lanes(net.clone(), config.clone(), word)?.run());

@@ -115,28 +115,10 @@ impl Simulator {
     pub fn new(net: ConnectionNetwork, config: SimConfig) -> Result<Self, SimError> {
         config.validate()?;
         let fabric = Fabric::for_traffic(net, &config.traffic)?;
-        config
-            .traffic
-            .validate_for(fabric.cells() as u32)
-            .map_err(ConfigError::from)?;
-        let sampler = config
-            .traffic
-            .sampler(fabric.cells() as u32, fabric.network().width());
+        let (sampler, faults) = prepare(&fabric, &config)?;
         let sources = TrafficSources::new(&config.traffic, fabric.cells());
         let core = build_core(config.buffer_mode, fabric.stages(), fabric.cells());
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let faults = if config.fault_plan.is_empty() {
-            None
-        } else {
-            config
-                .fault_plan
-                .validate(fabric.stages(), fabric.cells())?;
-            Some(FaultRuntime::new(
-                &config.fault_plan,
-                fabric.stages(),
-                fabric.cells(),
-            ))
-        };
         Ok(Simulator {
             fabric,
             config,
@@ -206,6 +188,12 @@ impl Simulator {
         // Injection is open-loop: `offered` counts every offer the sources
         // make, whether or not the core can accept it, so offered_rate vs
         // normalized_throughput divergence locates the saturation point.
+        // While a dead link or switch is active the tag comes from the
+        // pair's surviving path (destination-tag reroute); otherwise the
+        // fabric's routing picks it per (source, terminal). Either way an
+        // unreachable destination refuses the packet at the source instead
+        // of losing it inside.
+        let reroute = self.faults.as_ref().and_then(FaultRuntime::rerouting);
         let cells = self.fabric.cells();
         for cell in 0..cells {
             for terminal in 0..2 {
@@ -228,26 +216,13 @@ impl Simulator {
                     Offer::PacketTo(dest) => dest,
                     _ => self.sampler.draw(cell as u32, &mut self.rng),
                 };
-                // Under faults the tag comes from the pair's surviving path
-                // (destination-tag reroute); otherwise the fabric's router
-                // picks it per (source, terminal). Either way an unreachable
-                // destination refuses the packet at the source instead of
-                // losing it inside.
-                let tag = match self.faults.as_ref() {
-                    Some(rt) => match rt.pair_tag(cell, destination as usize) {
-                        Some(tag) => tag,
-                        None => {
-                            self.metrics.unroutable_drops += 1;
-                            continue;
-                        }
-                    },
-                    None => match self.fabric.route(cell as u32, terminal, destination) {
-                        Some(tag) => tag,
-                        None => {
-                            self.metrics.unroutable_drops += 1;
-                            continue;
-                        }
-                    },
+                let tag = match reroute {
+                    Some(table) => table.tag(cell, destination as usize),
+                    None => self.fabric.route(cell as u32, terminal, destination),
+                };
+                let Some(tag) = tag else {
+                    self.metrics.unroutable_drops += 1;
+                    continue;
                 };
                 let packet = Packet {
                     id: self.next_packet_id,
@@ -296,6 +271,34 @@ impl Simulator {
         self.next_packet_id = 0;
         self.metrics = Metrics::default();
     }
+}
+
+/// The setup both engines share once their fabric is built: the traffic
+/// pattern checked against the fabric, its destination sampler, and the
+/// fault runtime of a non-empty plan (whose sites are checked first).
+pub(crate) fn prepare(
+    fabric: &Fabric,
+    config: &SimConfig,
+) -> Result<(DestSampler, Option<FaultRuntime>), SimError> {
+    let cells = fabric.cells();
+    config
+        .traffic
+        .validate_for(cells as u32)
+        .map_err(ConfigError::from)?;
+    let sampler = config
+        .traffic
+        .sampler(cells as u32, fabric.network().width());
+    let faults = if config.fault_plan.is_empty() {
+        None
+    } else {
+        config.fault_plan.validate(fabric.stages(), cells)?;
+        Some(FaultRuntime::new(
+            &config.fault_plan,
+            fabric.stages(),
+            cells,
+        ))
+    };
+    Ok((sampler, faults))
 }
 
 /// Convenience wrapper: build a simulator, run it, return the metrics.

@@ -1,12 +1,12 @@
-//! The switching fabric: a connection network plus the router that steers
+//! The switching fabric: a connection network plus the routing that steers
 //! its packets.
 //!
-//! The fabric holds a [`min_routing::router::Router`] trait object, so the
-//! engine asks one uniform question — *which tag does the packet at
-//! `(source, terminal)` use for `destination`?* — whatever the topology.
-//! One private constructor checks 2-regularity and gives every delta
-//! network its destination-tag table; the two public entry points differ
-//! only in what a non-delta network gets:
+//! The fabric holds its routing as one [`Routing`] enum, and
+//! [`Fabric::route`] answers the engine's one question — *which tag does
+//! the packet at `(source, terminal)` use for `destination`?* — whatever
+//! the topology. One private constructor checks 2-regularity and gives
+//! every delta network its destination-tag table; the two public entry
+//! points differ only in what a non-delta network gets:
 //!
 //! * [`Fabric::new`] refuses it with [`FabricError::NotDelta`] (the
 //!   bit-parallel lane engine needs destination tags);
@@ -15,23 +15,38 @@
 //!   fabric (a structural failure is the typed
 //!   [`FabricError::NotRearrangeable`]), and per-pair multi-path routing
 //!   otherwise.
+//!
+//! While a dead link or switch is active, the engines take their tags from
+//! the fault runtime's reroute table instead (see [`crate::fault`]).
 
 use crate::traffic::TrafficPattern;
 use min_core::ConnectionNetwork;
-use min_routing::looping::LoopingError;
-use min_routing::router::{DeltaRouter, LoopingRouter, MultiPathRouter, Router};
+use min_routing::disjoint::{disjoint_paths, path_tag};
+use min_routing::looping::{loop_setup, LoopingError, LoopingSetting};
 use min_routing::tag::{destination_tags, SelfRoutingTable};
-use std::sync::Arc;
 
-/// A simulatable fabric: the network topology together with the router the
+/// How a fabric picks the routing tag of a packet.
+#[derive(Debug, Clone)]
+pub enum Routing {
+    /// The bit-directed routing of the paper's §4: the tag depends on the
+    /// destination alone. Exactly the delta networks have it.
+    Delta(SelfRoutingTable),
+    /// A conflict-free setting for one full permutation, computed by the
+    /// looping algorithm and keyed by source terminal: any destination other
+    /// than the configured one is refused.
+    Looping(LoopingSetting),
+    /// Per-pair link-disjoint path tags, indexed
+    /// `source * cells + destination`; the two terminals of a source cell
+    /// spread across the pair's paths.
+    MultiPath(Vec<Vec<u32>>),
+}
+
+/// A simulatable fabric: the network topology together with the routing the
 /// cells use to steer packets.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Fabric {
     net: ConnectionNetwork,
-    /// The destination-tag table, present exactly when the network is delta
-    /// (kept alongside the router for the lane engine's word-packed path).
-    routing: Option<SelfRoutingTable>,
-    router: Arc<dyn Router>,
+    routing: Routing,
 }
 
 impl Fabric {
@@ -41,7 +56,7 @@ impl Fabric {
         Self::build(net, |_| Err(FabricError::NotDelta))
     }
 
-    /// Builds a fabric with the router selected for `traffic`:
+    /// Builds a fabric with the routing selected for `traffic`:
     ///
     /// * a delta network gets its destination-tag table (bit-identical to
     ///   [`Fabric::new`]);
@@ -65,35 +80,38 @@ impl Fabric {
                     let permutation: Vec<u32> = (0..2 * cells as u32)
                         .map(|t| 2 * dest[(t >> 1) as usize] + (t & 1))
                         .collect();
-                    Arc::new(
-                        LoopingRouter::new(net, &permutation)
-                            .map_err(FabricError::NotRearrangeable)?,
+                    Routing::Looping(
+                        loop_setup(net, &permutation).map_err(FabricError::NotRearrangeable)?,
                     )
                 }
-                _ => Arc::new(MultiPathRouter::new(net)),
+                // Quadratic in the cell count, with a path sweep per pair —
+                // sized for the moderate fabrics the campaigns drive.
+                _ => Routing::MultiPath(
+                    (0..cells as u64)
+                        .flat_map(|src| (0..cells as u64).map(move |dst| (src, dst)))
+                        .map(|(src, dst)| {
+                            disjoint_paths(net, src, dst).iter().map(path_tag).collect()
+                        })
+                        .collect(),
+                ),
             })
         })
     }
 
     /// Checks 2-regularity, routes a delta network by its destination-tag
-    /// table, and asks `non_delta` for the router of any other network.
+    /// table, and asks `non_delta` for the routing of any other network.
     fn build(
         net: ConnectionNetwork,
-        non_delta: impl FnOnce(&ConnectionNetwork) -> Result<Arc<dyn Router>, FabricError>,
+        non_delta: impl FnOnce(&ConnectionNetwork) -> Result<Routing, FabricError>,
     ) -> Result<Self, FabricError> {
         if !net.is_proper() {
             return Err(FabricError::NotTwoRegular);
         }
-        let routing = destination_tags(&net);
-        let router: Arc<dyn Router> = match &routing {
-            Some(table) => Arc::new(DeltaRouter::from_table(table.clone())),
+        let routing = match destination_tags(&net) {
+            Some(table) => Routing::Delta(table),
             None => non_delta(&net)?,
         };
-        Ok(Fabric {
-            net,
-            routing,
-            router,
-        })
+        Ok(Fabric { net, routing })
     }
 
     /// The underlying network.
@@ -101,14 +119,9 @@ impl Fabric {
         &self.net
     }
 
-    /// The destination-tag table when the network is delta.
-    pub fn delta_routing(&self) -> Option<&SelfRoutingTable> {
-        self.routing.as_ref()
-    }
-
-    /// The router steering this fabric's packets.
-    pub fn router(&self) -> &dyn Router {
-        self.router.as_ref()
+    /// The routing steering this fabric's packets.
+    pub fn routing(&self) -> &Routing {
+        &self.routing
     }
 
     /// Cells per stage.
@@ -122,21 +135,22 @@ impl Fabric {
     }
 
     /// Routing tag for a packet entering at `(source, terminal)` bound for
-    /// `destination`, or `None` when the router cannot reach it (counted as
+    /// `destination`, or `None` when the routing cannot reach it (counted as
     /// an unroutable drop by the engine).
+    #[inline]
     pub fn route(&self, source: u32, terminal: usize, destination: u32) -> Option<u32> {
-        self.router
-            .tag(u64::from(source), terminal, u64::from(destination))
-    }
-
-    /// Routing tag for a destination cell. Panics for a non-delta fabric —
-    /// the source-aware entry point is [`Fabric::route`].
-    pub fn tag_for(&self, destination: u32) -> u32 {
-        let table = self
-            .routing
-            .as_ref()
-            .expect("tag_for requires a delta fabric");
-        table.tag_of_destination[destination as usize]
+        match &self.routing {
+            Routing::Delta(table) => table.tag_of_destination.get(destination as usize).copied(),
+            Routing::MultiPath(tags) => {
+                let list = &tags[source as usize * self.cells() + destination as usize];
+                (!list.is_empty()).then(|| list[terminal % list.len()])
+            }
+            Routing::Looping(setting) => {
+                let t = 2 * source as usize + (terminal & 1);
+                (t < setting.terminals() && setting.destinations[t] >> 1 == destination)
+                    .then(|| setting.tags[t])
+            }
+        }
     }
 
     /// Next-stage cell reached from `cell` through out-port `port` of
@@ -149,16 +163,6 @@ impl Fabric {
         } else {
             conn.g(u64::from(cell)) as u32
         }
-    }
-}
-
-impl std::fmt::Debug for Fabric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fabric")
-            .field("stages", &self.stages())
-            .field("cells", &self.cells())
-            .field("router", &self.router.label())
-            .finish()
     }
 }
 
@@ -210,6 +214,7 @@ impl std::error::Error for FabricError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use min_core::delta::route_by_tag;
     use min_networks::rearrangeable::benes;
     use min_networks::{baseline, omega};
 
@@ -219,7 +224,7 @@ mod tests {
             let fabric = Fabric::new(omega(n)).expect("omega is delta");
             assert_eq!(fabric.stages(), n);
             assert_eq!(fabric.cells(), 1 << (n - 1));
-            assert_eq!(fabric.router().label(), "delta");
+            assert!(matches!(fabric.routing(), Routing::Delta(_)));
             let fabric = Fabric::new(baseline(n)).expect("baseline is delta");
             assert_eq!(fabric.cells(), 1 << (n - 1));
         }
@@ -229,19 +234,94 @@ mod tests {
     fn tags_route_to_their_destination() {
         let fabric = Fabric::new(omega(4)).unwrap();
         for dst in 0..8u32 {
-            let tag = fabric.tag_for(dst);
+            let tag = fabric.route(0, 0, dst).unwrap();
             for src in 0..8u32 {
                 let mut cell = src;
                 for s in 0..3 {
                     cell = fabric.next_cell(s, cell, ((tag >> s) & 1) as u8);
                 }
                 assert_eq!(cell, dst);
-                // The router interface agrees with the table.
+                // Every source and terminal gets the destination's tag.
                 for terminal in 0..2 {
                     assert_eq!(fabric.route(src, terminal, dst), Some(tag));
                 }
             }
         }
+    }
+
+    #[test]
+    fn delta_routing_reproduces_destination_tags() {
+        let net = omega(4);
+        let table = destination_tags(&net).unwrap();
+        let fabric = Fabric::new(net).expect("omega is delta");
+        assert!(matches!(fabric.routing(), Routing::Delta(_)));
+        for dst in 0..fabric.cells() as u32 {
+            for src in [0u32, 3, 7] {
+                for terminal in 0..2 {
+                    assert_eq!(
+                        fabric.route(src, terminal, dst),
+                        Some(table.tag_of_destination[dst as usize])
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn benes_is_not_delta_but_is_multi_path_routable() {
+        let net = benes(3);
+        assert!(destination_tags(&net).is_none());
+        assert_eq!(Fabric::new(net.clone()).unwrap_err(), FabricError::NotDelta);
+        let fabric = Fabric::for_traffic(net.clone(), &TrafficPattern::Uniform).unwrap();
+        let Routing::MultiPath(tags) = fabric.routing() else {
+            panic!("uniform traffic on Benes routes multi-path");
+        };
+        let cells = fabric.cells() as u32;
+        for src in 0..cells {
+            for dst in 0..cells {
+                let paths = tags[(src * cells + dst) as usize].len();
+                assert!(paths >= 2, "{src}->{dst}");
+                for terminal in 0..2 {
+                    let tag = fabric.route(src, terminal, dst).unwrap();
+                    assert_eq!(
+                        route_by_tag(&net, u64::from(src), u64::from(tag)),
+                        u64::from(dst)
+                    );
+                }
+                // The two terminals ride different disjoint paths.
+                assert_ne!(fabric.route(src, 0, dst), fabric.route(src, 1, dst));
+            }
+        }
+    }
+
+    #[test]
+    fn looping_routing_serves_exactly_the_configured_permutation() {
+        // A terminal permutation that is no lifted cell permutation (the two
+        // terminals of a cell go to different cells), so the routing must
+        // key by terminal, not by cell.
+        let net = benes(3);
+        let cells = net.cells_per_stage() as u32;
+        let perm: Vec<u32> = (0..2 * cells).map(|t| t ^ 5).collect();
+        let fabric = Fabric {
+            routing: Routing::Looping(loop_setup(&net, &perm).unwrap()),
+            net: net.clone(),
+        };
+        for t in 0..2 * cells {
+            let (src, terminal) = (t >> 1, (t & 1) as usize);
+            let configured = perm[t as usize] >> 1;
+            let tag = fabric
+                .route(src, terminal, configured)
+                .expect("configured pair routes");
+            assert_eq!(
+                route_by_tag(&net, u64::from(src), u64::from(tag)),
+                u64::from(configured)
+            );
+            // Any other destination is refused.
+            let other = (configured + 1) % cells;
+            assert_eq!(fabric.route(src, terminal, other), None);
+        }
+        // A source past the last terminal is refused too.
+        assert_eq!(fabric.route(cells, 0, perm[0] >> 1), None);
     }
 
     #[test]
@@ -276,11 +356,10 @@ mod tests {
     fn for_traffic_matches_new_on_delta_networks() {
         let a = Fabric::new(omega(4)).unwrap();
         let b = Fabric::for_traffic(omega(4), &TrafficPattern::Uniform).unwrap();
-        assert_eq!(
-            a.delta_routing().unwrap().tag_of_destination,
-            b.delta_routing().unwrap().tag_of_destination
-        );
-        assert_eq!(b.router().label(), "delta");
+        let (Routing::Delta(a), Routing::Delta(b)) = (a.routing(), b.routing()) else {
+            panic!("omega is delta");
+        };
+        assert_eq!(a.tag_of_destination, b.tag_of_destination);
     }
 
     #[test]
@@ -289,8 +368,7 @@ mod tests {
         let cells = net.cells_per_stage() as u32;
         let perm: Vec<u32> = (0..cells).map(|c| (c + 1) % cells).collect();
         let fabric = Fabric::for_traffic(net, &TrafficPattern::Permutation(perm.clone())).unwrap();
-        assert_eq!(fabric.router().label(), "looping");
-        assert!(fabric.delta_routing().is_none());
+        assert!(matches!(fabric.routing(), Routing::Looping(_)));
         for src in 0..cells {
             for terminal in 0..2 {
                 assert!(fabric.route(src, terminal, perm[src as usize]).is_some());
@@ -307,7 +385,10 @@ mod tests {
             TrafficPattern::Permutation(vec![0, 0, 1, 2]),
         ] {
             let fabric = Fabric::for_traffic(benes(3), &traffic).unwrap();
-            assert_eq!(fabric.router().label(), "multi-path", "{traffic:?}");
+            assert!(
+                matches!(fabric.routing(), Routing::MultiPath(_)),
+                "{traffic:?}"
+            );
         }
     }
 
@@ -318,7 +399,7 @@ mod tests {
         // cannot pair its connections — the typed error says which.
         let full = benes(3);
         let net = min_core::ConnectionNetwork::new(full.width(), full.connections()[..3].to_vec());
-        assert!(min_routing::tag::destination_tags(&net).is_none());
+        assert!(destination_tags(&net).is_none());
         let cells = net.cells_per_stage() as u32;
         let perm: Vec<u32> = (0..cells).map(|c| c ^ 1).collect();
         match Fabric::for_traffic(net, &TrafficPattern::Permutation(perm)) {

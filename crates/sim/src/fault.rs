@@ -9,10 +9,13 @@
 //! campaign layer put a fault axis on its grid.
 //!
 //! The runtime half (the compiled fault state behind the [`FaultView`]
-//! handed to the switching cores, and the pair-routing table of
+//! handed to the switching cores, and the reroute tables of
 //! `FaultRuntime`) turns the plan into O(1) per-link queries and
-//! per-(source, destination) routing decisions recomputed only when an
-//! onset boundary is crossed. An empty
+//! per-(source, destination) reroute decisions. A reroute table is computed
+//! when a run first crosses the onset of a dead link or switch, and only
+//! then does it take over the packets' tags: before that onset, and for a
+//! plan of degraded links alone, nothing is severed and every packet keeps
+//! the fabric's own routing ([`crate::fabric::Fabric::route`]). An empty
 //! plan short-circuits everything: the engine then runs the exact
 //! pre-fault-subsystem code path, byte for byte.
 
@@ -340,7 +343,7 @@ pub(crate) struct FaultState {
     /// Earliest onset of any fault (for `any_active`).
     first_onset: u64,
     /// Sorted distinct onsets of *severing* faults (dead links/switches) —
-    /// the router's recomputation epochs.
+    /// the onsets at which a new reroute table is computed.
     severing_onsets: Vec<u64>,
 }
 
@@ -461,10 +464,11 @@ impl<'a> FaultView<'a> {
     }
 }
 
-/// One cached routing epoch: the pair table and severed count computed from
-/// the fault digest active between two severing onsets.
+/// The reroute table of one faulty epoch: the pair tags and severed count
+/// computed from the fault digest active between two severing onsets.
 #[derive(Debug, Clone)]
-struct EpochTable {
+pub(crate) struct RerouteTable {
+    cells: usize,
     /// `pair_tags[src*cells + dst]`: the routing tag of the chosen surviving
     /// path, or `None` when the pair is severed.
     pair_tags: Vec<Option<u32>>,
@@ -472,58 +476,57 @@ struct EpochTable {
     severed_pairs: u64,
 }
 
-/// The engine-side fault machinery: the compiled [`FaultState`] plus the
-/// per-(source, destination) routing tables, computed lazily once per
-/// severing epoch and cached for the runtime's lifetime — a replication
-/// rerun through [`FaultRuntime::rewind`] replays the onset schedule while
-/// reusing every table the disjoint-path router already produced.
+impl RerouteTable {
+    /// Routing tag for `(src, dst)` under this epoch's faults; `None` when
+    /// the pair is severed.
+    #[inline]
+    pub(crate) fn tag(&self, src: usize, dst: usize) -> Option<u32> {
+        self.pair_tags[src * self.cells + dst]
+    }
+}
+
+/// The engine-side fault machinery: the compiled [`FaultState`] plus one
+/// reroute table per severing onset, computed lazily when a run first
+/// crosses that onset and cached for the runtime's lifetime — a
+/// replication rerun through [`FaultRuntime::rewind`] replays the onset
+/// schedule while reusing every table the disjoint-path router already
+/// produced. Before the first severing onset there is no table: nothing is
+/// severed, so the fabric's own routing stays in charge.
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
     pub(crate) state: FaultState,
     stages: usize,
     cells: usize,
-    /// One slot per epoch: before the first severing onset plus one per
-    /// boundary in `state.severing_onsets`. Filled on first entry.
-    epochs: Vec<Option<EpochTable>>,
-    /// Epoch the simulation currently sits in (valid once `initialized`).
-    current: usize,
-    /// Index into `state.severing_onsets` of the next epoch boundary.
-    next_epoch: usize,
-    initialized: bool,
+    /// `tables[k]`: the epoch that begins at `state.severing_onsets[k]`.
+    tables: Vec<Option<RerouteTable>>,
+    /// Number of severing onsets crossed so far (0 while no dead link or
+    /// switch is active).
+    crossed: usize,
 }
 
 impl FaultRuntime {
     pub(crate) fn new(plan: &FaultPlan, stages: usize, cells: usize) -> Self {
         let state = FaultState::new(plan, stages, cells);
-        let epochs = vec![None; state.severing_onsets.len() + 1];
+        let tables = vec![None; state.severing_onsets.len()];
         FaultRuntime {
             state,
             stages,
             cells,
-            epochs,
-            current: 0,
-            next_epoch: 0,
-            initialized: false,
+            tables,
+            crossed: 0,
         }
     }
 
-    /// Enters the epoch containing `cycle`, computing its pair table if this
-    /// is the first time any run has entered it. Cheap no-op when no
-    /// severing onset was crossed.
+    /// Crosses every severing onset up to `cycle`, computing the reroute
+    /// table of the epoch entered if this is the first time any run has
+    /// entered it. Cheap no-op when no severing onset was crossed.
     pub(crate) fn advance(&mut self, net: &ConnectionNetwork, cycle: u64) {
-        let mut dirty = !self.initialized;
-        while self.next_epoch < self.state.severing_onsets.len()
-            && self.state.severing_onsets[self.next_epoch] <= cycle
-        {
-            self.next_epoch += 1;
-            dirty = true;
+        let before = self.crossed;
+        let onsets = &self.state.severing_onsets;
+        while self.crossed < onsets.len() && onsets[self.crossed] <= cycle {
+            self.crossed += 1;
         }
-        if !dirty {
-            return;
-        }
-        self.initialized = true;
-        self.current = self.next_epoch;
-        if self.epochs[self.current].is_some() {
+        if self.crossed == before || self.tables[self.crossed - 1].is_some() {
             return;
         }
         let digest = self.state.digest_at(self.stages, cycle);
@@ -541,39 +544,34 @@ impl FaultRuntime {
                 }
             }
         }
-        self.epochs[self.current] = Some(EpochTable {
+        self.tables[self.crossed - 1] = Some(RerouteTable {
+            cells: self.cells,
             pair_tags,
             severed_pairs,
         });
     }
 
-    /// Routing tag for `(src, dst)` under the current epoch's faults;
-    /// `None` when the pair is severed.
+    /// The reroute table while a dead link or switch is active; `None`
+    /// before the first severing onset, when the engines route by the
+    /// fabric.
     #[inline]
-    pub(crate) fn pair_tag(&self, src: usize, dst: usize) -> Option<u32> {
-        let epoch = self.epochs[self.current]
-            .as_ref()
-            .expect("advance enters an epoch before any pair query");
-        epoch.pair_tags[src * self.cells + dst]
+    pub(crate) fn rerouting(&self) -> Option<&RerouteTable> {
+        let epoch = self.crossed.checked_sub(1)?;
+        let table = self.tables[epoch].as_ref();
+        debug_assert!(table.is_some(), "advance fills the epoch it enters");
+        table
     }
 
     /// Number of severed pairs in the current epoch.
     pub(crate) fn severed_pairs(&self) -> u64 {
-        if !self.initialized {
-            return 0;
-        }
-        self.epochs[self.current]
-            .as_ref()
-            .map_or(0, |e| e.severed_pairs)
+        self.rerouting().map_or(0, |table| table.severed_pairs)
     }
 
     /// Rewinds to the pre-run state so the next [`FaultRuntime::advance`]
-    /// replays the onset schedule from cycle 0 — reusing every cached epoch
-    /// table instead of re-running the disjoint-path router.
+    /// replays the onset schedule from cycle 0 — reusing every cached
+    /// reroute table instead of re-running the disjoint-path router.
     pub(crate) fn rewind(&mut self) {
-        self.current = 0;
-        self.next_epoch = 0;
-        self.initialized = false;
+        self.crossed = 0;
     }
 }
 
@@ -671,6 +669,14 @@ mod tests {
         assert!(!healthy.cell_dead(0, 1));
     }
 
+    /// Every pair's reroute tag in the current epoch, `src`-major.
+    fn pair_tags(rt: &FaultRuntime, cells: usize) -> Vec<Option<u32>> {
+        let table = rt.rerouting().expect("a severing fault is active");
+        (0..cells)
+            .flat_map(|s| (0..cells).map(move |d| table.tag(s, d)))
+            .collect()
+    }
+
     #[test]
     fn runtime_reroutes_at_epoch_boundaries() {
         let net = omega(4);
@@ -679,19 +685,14 @@ mod tests {
         let mut rt = FaultRuntime::new(&plan, net.stages(), cells);
         rt.advance(&net, 0);
         assert_eq!(rt.severed_pairs(), 0);
-        for src in 0..cells {
-            for dst in 0..cells {
-                assert!(rt.pair_tag(src, dst).is_some());
-            }
-        }
+        // Before the onset the fabric keeps routing: no table exists.
+        assert!(rt.rerouting().is_none());
+        assert!(rt.tables.iter().all(Option::is_none));
         // Crossing the onset severs exactly cells/2 pairs (one link of a
         // Banyan fabric always carries cells/2 pairs).
         rt.advance(&net, 50);
         assert_eq!(rt.severed_pairs(), cells as u64 / 2);
-        let severed = (0..cells)
-            .flat_map(|s| (0..cells).map(move |d| (s, d)))
-            .filter(|&(s, d)| rt.pair_tag(s, d).is_none())
-            .count() as u64;
+        let severed = pair_tags(&rt, cells).iter().filter(|t| t.is_none()).count() as u64;
         assert_eq!(severed, rt.severed_pairs());
     }
 
@@ -705,22 +706,19 @@ mod tests {
         rt.advance(&net, 50);
         let severed = rt.severed_pairs();
         assert_eq!(severed, cells as u64 / 2);
-        let tags_after: Vec<_> = (0..cells)
-            .flat_map(|s| (0..cells).map(move |d| (s, d)))
-            .map(|(s, d)| rt.pair_tag(s, d))
-            .collect();
+        let tags_after = pair_tags(&rt, cells);
         rt.rewind();
         assert_eq!(rt.severed_pairs(), 0, "pre-run state severs nothing");
         rt.advance(&net, 0);
         assert_eq!(rt.severed_pairs(), 0);
-        assert!((0..cells).all(|s| (0..cells).all(|d| rt.pair_tag(s, d).is_some())));
+        assert!(rt.rerouting().is_none(), "no reroute before the onset");
         rt.advance(&net, 50);
         assert_eq!(rt.severed_pairs(), severed);
-        let replayed: Vec<_> = (0..cells)
-            .flat_map(|s| (0..cells).map(move |d| (s, d)))
-            .map(|(s, d)| rt.pair_tag(s, d))
-            .collect();
-        assert_eq!(replayed, tags_after, "cached epochs replay identically");
+        assert_eq!(
+            pair_tags(&rt, cells),
+            tags_after,
+            "cached epochs replay identically"
+        );
     }
 
     #[test]
@@ -730,11 +728,12 @@ mod tests {
         let plan = FaultPlan::none().with_dead_switch(0, 1, 0);
         let mut rt = FaultRuntime::new(&plan, net.stages(), cells);
         rt.advance(&net, 0);
+        let table = rt.rerouting().expect("the switch is dead from cycle 0");
         for dst in 0..cells {
-            assert!(rt.pair_tag(1, dst).is_none(), "dead source cell");
+            assert!(table.tag(1, dst).is_none(), "dead source cell");
         }
         for dst in 0..cells {
-            assert!(rt.pair_tag(0, dst).is_some(), "healthy source survives");
+            assert!(table.tag(0, dst).is_some(), "healthy source survives");
         }
         assert_eq!(rt.severed_pairs(), cells as u64);
     }

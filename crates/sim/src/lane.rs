@@ -57,8 +57,8 @@
 
 use crate::batch::LANE_MAX_STAGES;
 use crate::config::{BufferMode, ConfigError, SimConfig};
-use crate::engine::SimError;
-use crate::fabric::Fabric;
+use crate::engine::{prepare, SimError};
+use crate::fabric::{Fabric, Routing};
 use crate::fault::{FaultRuntime, FaultView, LinkStatus};
 use crate::metrics::Metrics;
 use crate::traffic::{DestSampler, TrafficPattern, UniformCell};
@@ -341,28 +341,10 @@ impl LaneEngine {
         config.offered_load = lanes[0].1;
         config.validate()?;
         let fabric = Fabric::new(net)?;
-        config
-            .traffic
-            .validate_for(fabric.cells() as u32)
-            .map_err(ConfigError::from)?;
-        let faults = if config.fault_plan.is_empty() {
-            None
-        } else {
-            config
-                .fault_plan
-                .validate(fabric.stages(), fabric.cells())?;
-            Some(FaultRuntime::new(
-                &config.fault_plan,
-                fabric.stages(),
-                fabric.cells(),
-            ))
-        };
+        let (sampler, faults) = prepare(&fabric, &config)?;
         let stages = fabric.stages();
         let cells = fabric.cells();
         let conn_bits = stages - 1;
-        let sampler = config
-            .traffic
-            .sampler(cells as u32, fabric.network().width());
         let slots = stages * cells * 2;
         let mut next = Vec::with_capacity((stages - 1) * cells * 2);
         for stage in 0..stages - 1 {
@@ -599,17 +581,16 @@ impl LaneEngine {
     /// words and tag planes are rebuilt from scratch (so the flush
     /// overwrites last cycle's stage-0 state with no separate clearing
     /// pass). The destination-to-tag resolution is monomorphized per
-    /// traffic pattern and fault state, and the fault-free paths index the
-    /// fabric's tag table directly, so the per-packet path carries no
-    /// dispatch.
+    /// traffic pattern and fault state, and while no dead link or switch is
+    /// active it indexes the fabric's tag table directly, so the per-packet
+    /// path carries no dispatch.
     fn inject(&mut self, faults: Option<&FaultRuntime>) {
         debug_assert!(self.occ[..self.cells * 2].iter().all(|&w| w == 0));
         // `Fabric::new` refused every non-delta network at construction.
-        let tags = &self
-            .fabric
-            .delta_routing()
-            .expect("the packed engine runs delta fabrics")
-            .tag_of_destination;
+        let Routing::Delta(table) = self.fabric.routing() else {
+            unreachable!("the packed engine runs delta fabrics");
+        };
+        let tags = &table.tag_of_destination;
         let sampler = &self.sampler;
         let ctx = InjectCtx {
             cells: self.cells,
@@ -622,15 +603,18 @@ impl LaneEngine {
             injected: &mut self.injected,
             unroutable: &mut self.unroutable,
         };
-        match (&self.config.traffic, faults) {
+        match (
+            &self.config.traffic,
+            faults.and_then(FaultRuntime::rerouting),
+        ) {
             (TrafficPattern::Uniform, None) => {
                 let uniform = UniformCell::new(self.cells as u32);
                 ctx.run(|_cell, rng| Some(tags[uniform.draw(rng) as usize]))
             }
             (_, None) => ctx.run(|cell, rng| Some(tags[sampler.draw(cell, rng) as usize])),
-            (_, Some(rt)) => ctx.run(|cell, rng| {
+            (_, Some(table)) => ctx.run(|cell, rng| {
                 let destination = sampler.draw(cell, rng);
-                rt.pair_tag(cell as usize, destination as usize)
+                table.tag(cell as usize, destination as usize)
             }),
         }
     }

@@ -145,7 +145,10 @@ impl ReferenceSimulator {
                     id: self.next_packet_id,
                     source: cell as u32,
                     destination,
-                    tag: self.fabric.tag_for(destination),
+                    tag: self
+                        .fabric
+                        .route(cell as u32, 0, destination)
+                        .expect("delta tags reach every cell"),
                     injected_at: self.cycle,
                 };
                 self.next_packet_id += 1;

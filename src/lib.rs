@@ -72,7 +72,7 @@ pub mod prelude {
         RandomFamily, Rewrite,
     };
     pub use min_routing::disjoint::{disjoint_paths, route_around, FaultDigest, FaultRoute};
-    pub use min_routing::{loop_setup, LoopingSetting, Router};
+    pub use min_routing::{loop_setup, LoopingSetting};
     pub use min_serve::{Master, MasterConfig, WorkerConfig};
     pub use min_sim::{
         assemble, curves, execute_shard, run_campaign, simulate, BufferMode, CampaignConfig,

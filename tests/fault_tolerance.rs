@@ -91,24 +91,43 @@ fn digest_of(plan: &FaultPlan, stages: usize, cells: usize) -> FaultDigest {
 
 #[test]
 fn dormant_fault_plans_reproduce_the_engine_bit_for_bit_across_the_catalog() {
-    // The dormant plan (every onset beyond the run) builds the runtime, the
-    // pair-routing table and the per-cycle views — and must change nothing.
+    // The dormant plan (every onset beyond the run) builds the fault
+    // runtime and the per-cycle views — and must change nothing. The catalog
+    // runs uniform traffic on destination tags; the two Benes fabrics are
+    // not delta, so they add the multi-path routing (uniform) and the
+    // looping setting (a full cell permutation), which a plan that never
+    // strikes must leave in charge.
+    let mut subjects: Vec<(String, ConnectionNetwork, TrafficPattern)> = Vec::new();
     for n in 3..=5usize {
+        for kind in ClassicalNetwork::ALL {
+            subjects.push((
+                format!("{kind} n={n}"),
+                kind.build(n),
+                TrafficPattern::Uniform,
+            ));
+        }
+    }
+    for (name, net) in [("benes", benes(3)), ("benes_variant", benes_variant(3))] {
+        for traffic in [
+            TrafficPattern::Uniform,
+            TrafficPattern::Permutation(vec![2, 0, 3, 1]),
+        ] {
+            let label = format!("{name}(3) {}", traffic.label());
+            subjects.push((label, net.clone(), traffic));
+        }
+    }
+    for (label, net, traffic) in subjects {
         let dormant = FaultPlan::none()
             .with_dead_link(1, 0, 1, 1_000_000)
-            .with_dead_switch(n - 1, 0, 1_000_000)
+            .with_dead_switch(net.stages() - 1, 0, 1_000_000)
             .with_degraded_link(0, 1, 0, 1_000_000);
-        for kind in ClassicalNetwork::ALL {
-            for mode in modes() {
-                let cfg = base_config(mode);
-                let clean = simulate(kind.build(n), cfg.clone()).unwrap();
-                let pinned =
-                    simulate(kind.build(n), cfg.clone().with_faults(FaultPlan::none())).unwrap();
-                let dormant_run =
-                    simulate(kind.build(n), cfg.with_faults(dormant.clone())).unwrap();
-                assert_eq!(clean, pinned, "{kind} n={n} {mode:?}: empty plan");
-                assert_eq!(clean, dormant_run, "{kind} n={n} {mode:?}: dormant plan");
-            }
+        for mode in modes() {
+            let cfg = base_config(mode).with_traffic(traffic.clone());
+            let clean = simulate(net.clone(), cfg.clone()).unwrap();
+            let pinned = simulate(net.clone(), cfg.clone().with_faults(FaultPlan::none())).unwrap();
+            let dormant_run = simulate(net.clone(), cfg.with_faults(dormant.clone())).unwrap();
+            assert_eq!(clean, pinned, "{label} {mode:?}: empty plan");
+            assert_eq!(clean, dormant_run, "{label} {mode:?}: dormant plan");
         }
     }
 }
