@@ -266,13 +266,6 @@ pub enum Witness {
     },
 }
 
-impl Witness {
-    /// `true` for the two equivalent variants.
-    pub fn is_equivalent(&self) -> bool {
-        !matches!(self, Witness::Violation { .. })
-    }
-}
-
 /// The outcome for one subject, in canonical grid order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubjectResult {

@@ -138,11 +138,6 @@ impl NetworkSpec {
         }
     }
 
-    /// `true` for specs expressible in the pre-redesign tuple API.
-    pub fn is_catalog(&self) -> bool {
-        matches!(self, NetworkSpec::Catalog { .. })
-    }
-
     /// Builds the described network.
     pub fn build(&self) -> ConnectionNetwork {
         match *self {

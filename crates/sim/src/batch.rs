@@ -1,34 +1,33 @@
-//! Batched replications: all runs of one scenario through shared engines.
+//! Batched replications: the one way into the simulation engines for many
+//! runs of one scenario.
 //!
 //! The campaign layer replicates every grid point several times under
-//! derived seeds, and sweeps the offered load along a curve. Building a
-//! fresh [`Simulator`] per replication rebuilds the fabric's routing
-//! tables, the switch-core arenas and the fault machinery each time; this
-//! module builds them **once** per batch and reruns them.
-//!
-//! A batch is a list of `(seed, offered load)` lanes of one scenario — one
-//! grid point's replications, or a whole load curve's. [`run_replications`]
-//! is the auto-router. Eligibility counts every lane of the batch: an
-//! unbuffered, stateless workload with at least [`LANE_THRESHOLD`] lanes on
-//! a delta fabric of at most [`LANE_MAX_STAGES`] stages goes through the
-//! word-packed [`LaneEngine`], 64 lanes per `u64` whatever their loads.
-//! Everything else runs the scalar [`Simulator`], one per run of equal
-//! loads, reseeded between lanes so arenas and cached fault-reroute epochs
+//! derived seeds, and sweeps the offered load along a curve. A batch is a
+//! list of `(seed, offered load)` lanes of one scenario — one grid point's
+//! replications, or a whole load curve's. [`run_replications`] does the
+//! setup once per batch: it checks every lane load and the config, builds
+//! the fabric, and prepares the destination sampler and the fault runtime.
+//! Then it picks the engine from what it holds. An unbuffered, stateless
+//! workload with at least [`LANE_THRESHOLD`] lanes on a destination-tag
+//! routed fabric of at most [`LANE_MAX_STAGES`] stages runs word-packed,
+//! 64 lanes per `u64` whatever their loads. Everything else — a non-delta
+//! fabric such as Benes included — runs one scalar [`Simulator`], rewound
+//! to each lane's seed and load so arenas and cached fault-reroute epochs
 //! are reused.
 //!
 //! Both paths are bit-identical to building a fresh scalar simulator per
 //! lane — pinned by the packed-oracle proptests and the campaign layer's
 //! byte-for-byte report determinism gate.
 
-use crate::config::{BufferMode, SimConfig};
-use crate::engine::{SimError, Simulator};
+use crate::config::{BufferMode, ConfigError, SimConfig};
+use crate::engine::{prepare, SimError, Simulator};
+use crate::fabric::{Fabric, Routing};
 use crate::lane::{LaneEngine, LANE_WIDTH};
 use crate::metrics::Metrics;
 use min_core::ConnectionNetwork;
-use min_routing::destination_tags;
 
 /// Minimum lane count at which the word-packed engine pays for its plane
-/// setup (below it, the scalar engine's reseed loop is already fast).
+/// setup (below it, the scalar engine's rewind loop is already fast).
 pub const LANE_THRESHOLD: usize = 8;
 
 /// Largest fabric (in stages) the packed engine accepts: bit-plane storage
@@ -37,8 +36,8 @@ pub const LANE_THRESHOLD: usize = 8;
 pub const LANE_MAX_STAGES: usize = 12;
 
 /// Whether a batch of `replications` lanes of this workload is eligible
-/// for the word-packed [`LaneEngine`] (on a delta fabric — the one further
-/// condition [`run_replications`] checks). Stateful traffic patterns
+/// for the word-packed engine on a destination-tag routed fabric — the one
+/// further condition [`run_replications`] checks. Stateful traffic patterns
 /// (ON/OFF chains, trace replay — [`crate::TrafficPattern::is_stateful`])
 /// carry per-source state the packed engine does not model, so they always
 /// take the scalar path.
@@ -51,43 +50,51 @@ pub fn packed_eligible(config: &SimConfig, stages: usize, replications: usize) -
 
 /// Runs one scenario once per `(seed, offered load)` lane, returning the
 /// metrics in lane order — bit-identical to a fresh [`Simulator`] per lane
-/// at that seed and load, but with the fabric tables, arenas and fault
+/// at that seed and load, but with the fabric, sampler, arenas and fault
 /// machinery built once and shared. The lanes replace `config`'s own seed
 /// and offered load.
+///
+/// Errors come in a fixed order: a lane load that is NaN or outside
+/// `[0, 1]` ([`ConfigError::InvalidLoad`]), then the rest of the config,
+/// then the fabric, then the traffic's fit and the fault plan's sites. An
+/// empty batch runs nothing and checks nothing.
 pub fn run_replications(
     net: &ConnectionNetwork,
     config: &SimConfig,
     lanes: &[(u64, f64)],
 ) -> Result<Vec<Metrics>, SimError> {
-    let mut out = Vec::with_capacity(lanes.len());
-    // The packed engine is destination-tag only; a non-delta fabric (e.g.
-    // Benes under permutation traffic) takes the scalar engine.
-    if packed_eligible(config, net.stages(), lanes.len()) && destination_tags(net).is_some() {
+    if let Some(&(_, load)) = lanes.iter().find(|(_, load)| !(0.0..=1.0).contains(load)) {
+        return Err(ConfigError::InvalidLoad(load).into());
+    }
+    let Some(&(seed, offered_load)) = lanes.first() else {
+        return Ok(Vec::new());
+    };
+    let config = SimConfig {
+        seed,
+        offered_load,
+        ..config.clone()
+    };
+    config.validate()?;
+    let fabric = Fabric::for_traffic(net.clone(), &config.traffic)?;
+    let (sampler, mut faults) = prepare(&fabric, &config)?;
+    if packed_eligible(&config, fabric.stages(), lanes.len())
+        && matches!(fabric.routing(), Routing::Delta(_))
+    {
+        let mut out = Vec::with_capacity(lanes.len());
         for word in lanes.chunks(LANE_WIDTH) {
-            out.extend(LaneEngine::with_lanes(net.clone(), config.clone(), word)?.run());
+            let engine = LaneEngine::with_lanes(&fabric, &config, &sampler, faults.as_mut(), word);
+            out.extend(engine.run());
         }
         return Ok(out);
     }
-    // One reseeded scalar simulator per run of equal loads.
-    let mut rest = lanes;
-    while let Some(&(seed, offered_load)) = rest.first() {
-        let run = 1 + rest[1..]
-            .iter()
-            .take_while(|lane| lane.1 == offered_load)
-            .count();
-        let config = SimConfig {
-            offered_load,
-            seed,
-            ..config.clone()
-        };
-        let mut sim = Simulator::new(net.clone(), config)?;
-        for &(seed, _) in &rest[..run] {
-            sim.reseed(seed);
-            out.push(sim.run());
-        }
-        rest = &rest[run..];
-    }
-    Ok(out)
+    let mut sim = Simulator::prepared(fabric, config, sampler, faults);
+    Ok(lanes
+        .iter()
+        .map(|&(seed, load)| {
+            sim.rewind(seed, load);
+            sim.run()
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -138,7 +145,7 @@ mod tests {
     fn both_routes_match_fresh_scalar_simulators() {
         let net = omega(4);
         // 10 seeds: packed-eligible for the unbuffered config, scalar
-        // (reseed loop) for the FIFO config — both must be bit-identical
+        // (rewind loop) for the FIFO config — both must be bit-identical
         // to fresh per-seed simulators.
         let seeds: Vec<u64> = (0..10).map(|k| 0xC0FFEE ^ (k * 7919)).collect();
         for mode in [BufferMode::Unbuffered, BufferMode::Fifo(4)] {
@@ -159,7 +166,7 @@ mod tests {
         use crate::traffic::TrafficPattern;
         let net = omega(4);
         // 10 seeds: Zipf goes through the packed engine, ON/OFF through the
-        // scalar reseed loop — both must be bit-identical to fresh per-seed
+        // scalar rewind loop — both must be bit-identical to fresh per-seed
         // simulators.
         let seeds: Vec<u64> = (0..10).map(|k| 0xFACE ^ (k * 6151)).collect();
         for traffic in [
@@ -203,8 +210,8 @@ mod tests {
     fn mixed_load_lanes_match_fresh_scalar_simulators_on_both_routes() {
         let net = omega(4);
         // Twelve lanes over three loads, the runs of equal loads split up:
-        // packed for the unbuffered config, one reseeded scalar simulator
-        // per run of equal loads for the FIFO config.
+        // packed for the unbuffered config, one scalar simulator rewound to
+        // each lane's seed and load for the FIFO config.
         let loads = [
             0.0, 0.35, 0.35, 1.0, 0.35, 0.0, 1.0, 1.0, 0.35, 0.0, 0.6, 0.6,
         ];
@@ -221,6 +228,71 @@ mod tests {
                 let config = config.clone().with_load(load);
                 assert_eq!(*m, fresh(&net, &config, seed), "mode {mode:?} load {load}");
             }
+        }
+    }
+
+    #[test]
+    fn non_delta_fabrics_match_fresh_scalar_simulators() {
+        use crate::traffic::TrafficPattern;
+        use min_networks::rearrangeable::{benes, benes_variant};
+        // Benes and its variant pass the eligibility gate but have no
+        // destination-tag table, so their lanes run on the scalar engine:
+        // multi-path routed under uniform traffic, looping circuits under
+        // a full cell permutation.
+        let loads = [0.0, 0.5, 1.0, 0.5, 0.25, 1.0, 0.0, 0.75, 0.5, 0.9];
+        assert!(loads.len() >= LANE_THRESHOLD);
+        let lanes: Vec<(u64, f64)> = loads
+            .iter()
+            .enumerate()
+            .map(|(k, &load)| (0xB5E5 ^ (k as u64 * 7723), load))
+            .collect();
+        for net in [benes(3), benes_variant(3)] {
+            for traffic in [
+                TrafficPattern::Uniform,
+                TrafficPattern::Permutation(vec![3, 2, 0, 1]),
+            ] {
+                let config = SimConfig::default()
+                    .with_cycles(150, 15)
+                    .with_traffic(traffic.clone());
+                assert!(packed_eligible(&config, net.stages(), lanes.len()));
+                let batched = run_replications(&net, &config, &lanes).unwrap();
+                assert_eq!(batched.len(), lanes.len());
+                for (m, &(seed, load)) in batched.iter().zip(&lanes) {
+                    let config = config.clone().with_load(load);
+                    assert_eq!(*m, fresh(&net, &config, seed), "{traffic:?} load {load}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_lane_loads_are_typed_errors() {
+        // Both routes check every lane load before anything else, so a bad
+        // load wins over a bad warm-up; NaN is refused too.
+        let net = omega(3);
+        for mode in [BufferMode::Unbuffered, BufferMode::Fifo(2)] {
+            let config = SimConfig::default().with_buffer(mode);
+            let mut lanes: Vec<(u64, f64)> = (0..LANE_THRESHOLD as u64).map(|s| (s, 0.5)).collect();
+            assert!(packed_eligible(&config, 3, lanes.len()) == (mode == BufferMode::Unbuffered));
+            for load in [-0.25, 1.5, f64::INFINITY] {
+                lanes[3].1 = load;
+                assert_eq!(
+                    run_replications(&net, &config, &lanes).unwrap_err(),
+                    SimError::Config(ConfigError::InvalidLoad(load)),
+                    "{mode:?}"
+                );
+                let all_warmup = config.clone().with_cycles(10, 10);
+                assert_eq!(
+                    run_replications(&net, &all_warmup, &lanes).unwrap_err(),
+                    SimError::Config(ConfigError::InvalidLoad(load)),
+                    "{mode:?}"
+                );
+            }
+            lanes[3].1 = f64::NAN;
+            assert!(matches!(
+                run_replications(&net, &config, &lanes),
+                Err(SimError::Config(ConfigError::InvalidLoad(l))) if l.is_nan()
+            ));
         }
     }
 

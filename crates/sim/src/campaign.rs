@@ -15,11 +15,11 @@
 //!    offered load and seed — to [`crate::batch::run_replications`] as one
 //!    batch of `(seed, load)` lanes, which builds the fabric tables, switch
 //!    arenas and fault machinery once per batch and — for unbuffered
-//!    curves with enough lanes — runs up to 64 lanes per machine word
-//!    through the bit-parallel [`crate::lane::LaneEngine`], whatever their
-//!    loads. Because every scenario carries its own derived seed, a shard
-//!    produces the same bytes no matter which process, machine or retry
-//!    executes it.
+//!    curves with enough lanes on a delta fabric — runs up to 64 lanes per
+//!    machine word through the bit-parallel engine, whatever their loads.
+//!    A failing batch is one [`CampaignError::Scenario`]. Because every
+//!    scenario carries its own derived seed, a shard produces the same
+//!    bytes no matter which process, machine or retry executes it.
 //! 3. **[`assemble`]** slots results back by canonical scenario index into
 //!    a [`CampaignReport`], rejecting duplicate or missing slots with a
 //!    typed [`MergeError`].
@@ -68,9 +68,8 @@
 use crate::batch::{packed_eligible, run_replications, LANE_THRESHOLD};
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::SimError;
-use crate::fabric::FabricError;
 use crate::fault::{FaultError, FaultPlan};
-use crate::lane::{LaneError, LANE_WIDTH};
+use crate::lane::LANE_WIDTH;
 use crate::metrics::Metrics;
 use crate::traffic::{TrafficError, TrafficPattern};
 use min_core::classify::run_indexed;
@@ -903,28 +902,13 @@ pub enum CampaignError {
         /// Configured total cycles.
         cycles: u64,
     },
-    /// A scenario's network could not be simulated.
-    Fabric {
+    /// A scenario could not be simulated: the first scenario of the
+    /// failing batch, and why [`run_replications`] refused it.
+    Scenario {
         /// Index of the failing scenario.
         scenario: usize,
-        /// The underlying fabric error.
-        error: FabricError,
-    },
-    /// A scenario's simulator configuration was rejected (should be caught
-    /// by [`CampaignConfig::validate`]; kept for exhaustiveness).
-    Config {
-        /// Index of the failing scenario.
-        scenario: usize,
-        /// The underlying configuration error.
-        error: ConfigError,
-    },
-    /// A scenario reached the word-packed engine, which does not model it
-    /// (the batch layer checks eligibility first; kept for exhaustiveness).
-    Lane {
-        /// Index of the failing scenario.
-        scenario: usize,
-        /// Why the packed engine refused it.
-        error: LaneError,
+        /// The underlying simulation error.
+        error: SimError,
     },
     /// A fault plan on the grid axis names a site outside one of the grid
     /// cells' fabrics.
@@ -975,17 +959,8 @@ impl std::fmt::Display for CampaignError {
                 f,
                 "warm-up of {warmup} cycles consumes the whole {cycles}-cycle budget"
             ),
-            CampaignError::Fabric { scenario, error } => {
+            CampaignError::Scenario { scenario, error } => {
                 write!(f, "scenario {scenario} cannot be simulated: {error}")
-            }
-            CampaignError::Config { scenario, error } => {
-                write!(
-                    f,
-                    "scenario {scenario} has an invalid configuration: {error}"
-                )
-            }
-            CampaignError::Lane { scenario, error } => {
-                write!(f, "scenario {scenario} is not a packed workload: {error}")
             }
             CampaignError::InvalidFaultPlan {
                 plan,
@@ -1089,35 +1064,6 @@ fn diversity_map<'a>(cells: impl IntoIterator<Item = &'a NetworkSpec>) -> Divers
     map
 }
 
-fn map_sim_error(campaign: &CampaignConfig, scenario: &Scenario, error: SimError) -> CampaignError {
-    match error {
-        SimError::Fabric(error) => CampaignError::Fabric {
-            scenario: scenario.index,
-            error,
-        },
-        SimError::Config(error) => CampaignError::Config {
-            scenario: scenario.index,
-            error,
-        },
-        SimError::Lane(error) => CampaignError::Lane {
-            scenario: scenario.index,
-            error,
-        },
-        // Plans are validated against every grid cell up front, so this is
-        // unreachable in practice; map it faithfully anyway, recovering the
-        // plan's axis index from the scenario.
-        SimError::Fault(error) => CampaignError::InvalidFaultPlan {
-            plan: campaign
-                .fault_plans
-                .iter()
-                .position(|p| *p == scenario.fault_plan)
-                .unwrap_or(usize::MAX),
-            stages: scenario.stages,
-            error,
-        },
-    }
-}
-
 fn scenario_result(
     scenario: &Scenario,
     metrics: &Metrics,
@@ -1197,8 +1143,13 @@ fn run_points(
             .iter()
             .map(|&i| (scenarios[i].seed, scenarios[i].offered_load))
             .collect();
-        let metrics = run_replications(&net, &first.sim_config(campaign), &lanes)
-            .map_err(|error| map_sim_error(campaign, first, error))?;
+        let metrics =
+            run_replications(&net, &first.sim_config(campaign), &lanes).map_err(|error| {
+                CampaignError::Scenario {
+                    scenario: first.index,
+                    error,
+                }
+            })?;
         for (&i, m) in curve.iter().zip(&metrics) {
             out[i] = Some(scenario_result(&scenarios[i], m, path_diversity.clone()));
         }
@@ -1217,9 +1168,8 @@ fn run_points(
 /// the same shard produces byte-identical results on any thread, process,
 /// machine or retry. Scenarios on one curve — differing only in offered
 /// load and seed — are batched through [`crate::batch::run_replications`]
-/// (and, when the curve's lanes are eligible, the bit-parallel
-/// [`crate::lane::LaneEngine`]), so hand-built shards need no particular
-/// order or alignment to stay fast.
+/// (and, when the curve's lanes are eligible, the bit-parallel engine), so
+/// hand-built shards need no particular order or alignment to stay fast.
 pub fn execute_shard(
     config: &CampaignConfig,
     shard: &Shard,
@@ -1262,13 +1212,13 @@ pub fn assemble(
 /// `threads` scoped worker threads (`0` = one worker per available core).
 ///
 /// Every lane-eligible curve arrives as one shard per word, so its
-/// `(seed, load)` lanes fill whole words of the bit-parallel
-/// [`crate::lane::LaneEngine`] across the load axis; every other grid
-/// point is its own shard. Workers of [`run_indexed`] pull shards from a
-/// shared atomic cursor. Results are slotted by canonical index regardless
-/// of which worker ran them, keeping the report independent of the thread
-/// count — and byte-identical to any other executor of the same plan,
-/// including the `min-serve` master/worker service.
+/// `(seed, load)` lanes fill whole words of the bit-parallel engine across
+/// the load axis; every other grid point is its own shard. Workers of
+/// [`run_indexed`] pull shards from a shared atomic cursor. Results are
+/// slotted by canonical index regardless of which worker ran them, keeping
+/// the report independent of the thread count — and byte-identical to any
+/// other executor of the same plan, including the `min-serve`
+/// master/worker service.
 pub fn run_campaign(
     config: &CampaignConfig,
     threads: usize,
@@ -1340,6 +1290,7 @@ fn aggregate(results: &[ScenarioResult]) -> CampaignAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricError;
 
     fn tiny() -> CampaignConfig {
         CampaignConfig::over_catalog(3..=3)
@@ -1658,18 +1609,18 @@ mod tests {
         let cfg = tiny();
         let plan = cfg.plan().unwrap();
         let failing = |shard: &Shard| match shard.id {
-            3 | 6 => Err(CampaignError::Fabric {
+            3 | 6 => Err(CampaignError::Scenario {
                 scenario: shard.scenarios[0].index,
-                error: FabricError::NotDelta,
+                error: SimError::Fabric(FabricError::NotTwoRegular),
             }),
             _ => execute_shard(&cfg, shard),
         };
         for threads in [1, 2, 8] {
             assert_eq!(
                 run_plan(&cfg, &plan, threads, failing).unwrap_err(),
-                CampaignError::Fabric {
+                CampaignError::Scenario {
                     scenario: plan.shards[3].scenarios[0].index,
-                    error: FabricError::NotDelta,
+                    error: SimError::Fabric(FabricError::NotTwoRegular),
                 },
                 "{threads} threads"
             );
@@ -1690,8 +1641,8 @@ mod tests {
     #[test]
     fn batched_replications_match_fresh_per_scenario_simulators() {
         // 12 replications exceed the packed-engine threshold, so the
-        // unbuffered scenarios run 12-wide through the LaneEngine and the
-        // FIFO scenarios through the reseeded scalar engine — every result
+        // unbuffered scenarios run 12-wide through the packed engine and
+        // the FIFO scenarios through the rewound scalar engine — every result
         // must still be identical to a fresh simulator per scenario, and
         // the report must stay thread-invariant.
         let cfg = tiny()

@@ -20,11 +20,17 @@
 //! store their state in flat, preallocated arenas.
 //!
 //! The engine is deterministic for a given [`SimConfig::seed`].
+//!
+//! [`Simulator::new`] is the single-run API: it validates the config,
+//! builds the fabric and `prepare`s the sampler and fault runtime. Many
+//! runs of one scenario go through [`crate::batch::run_replications`]
+//! instead, which does that setup once per batch and then either packs the
+//! lanes into machine words or runs them all on one simulator, rewound to
+//! each lane's seed and load.
 
 use crate::config::{ConfigError, SimConfig};
 use crate::fabric::{Fabric, FabricError};
 use crate::fault::{FaultError, FaultRuntime, FaultView};
-use crate::lane::LaneError;
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::switch::{build_core, SwitchCore};
@@ -42,8 +48,6 @@ pub enum SimError {
     Fabric(FabricError),
     /// The fault plan names a site outside the fabric.
     Fault(FaultError),
-    /// The word-packed [`crate::LaneEngine`] does not model the workload.
-    Lane(LaneError),
 }
 
 impl std::fmt::Display for SimError {
@@ -52,7 +56,6 @@ impl std::fmt::Display for SimError {
             SimError::Config(e) => write!(f, "invalid simulation config: {e}"),
             SimError::Fabric(e) => write!(f, "unsimulatable network: {e}"),
             SimError::Fault(e) => write!(f, "invalid fault plan: {e}"),
-            SimError::Lane(e) => write!(f, "not a packed workload: {e}"),
         }
     }
 }
@@ -74,12 +77,6 @@ impl From<FabricError> for SimError {
 impl From<FaultError> for SimError {
     fn from(e: FaultError) -> Self {
         SimError::Fault(e)
-    }
-}
-
-impl From<LaneError> for SimError {
-    fn from(e: LaneError) -> Self {
-        SimError::Lane(e)
     }
 }
 
@@ -116,10 +113,21 @@ impl Simulator {
         config.validate()?;
         let fabric = Fabric::for_traffic(net, &config.traffic)?;
         let (sampler, faults) = prepare(&fabric, &config)?;
+        Ok(Self::prepared(fabric, config, sampler, faults))
+    }
+
+    /// Builds a simulator from a validated `config` and the fabric,
+    /// sampler and fault runtime [`prepare`]d for it.
+    pub(crate) fn prepared(
+        fabric: Fabric,
+        config: SimConfig,
+        sampler: DestSampler,
+        faults: Option<FaultRuntime>,
+    ) -> Self {
         let sources = TrafficSources::new(&config.traffic, fabric.cells());
         let core = build_core(config.buffer_mode, fabric.stages(), fabric.cells());
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
-        Ok(Simulator {
+        Simulator {
             fabric,
             config,
             rng,
@@ -130,7 +138,7 @@ impl Simulator {
             cycle: 0,
             next_packet_id: 0,
             metrics: Metrics::default(),
-        })
+        }
     }
 
     /// The fabric being simulated.
@@ -253,14 +261,17 @@ impl Simulator {
         self.metrics.clone()
     }
 
-    /// Rewinds the simulator to cycle 0 under a new seed, reusing the
-    /// fabric tables, the switch core's arenas and the fault machinery
-    /// (cached reroute epochs included). The next [`Simulator::run`] is
-    /// bit-identical to a freshly built simulator with the same
-    /// configuration and `seed` — this is what lets the batching layer run
-    /// every replication of a scenario through one engine instance.
-    pub fn reseed(&mut self, seed: u64) {
+    /// Rewinds the simulator to cycle 0 under a new seed and offered load,
+    /// reusing the fabric tables, the switch core's arenas and the fault
+    /// machinery (cached reroute epochs included). The next
+    /// [`Simulator::run`] is bit-identical to a freshly built simulator with
+    /// the same configuration, `seed` and `offered_load` — this is what
+    /// lets the batching layer run every lane of a scenario through one
+    /// engine instance. The caller has checked that the load lies in
+    /// `[0, 1]`.
+    pub(crate) fn rewind(&mut self, seed: u64, offered_load: f64) {
         self.config.seed = seed;
+        self.config.offered_load = offered_load;
         self.rng = ChaCha8Rng::seed_from_u64(seed);
         self.core.reset();
         if let Some(rt) = self.faults.as_mut() {
@@ -515,10 +526,14 @@ mod tests {
                     .with_buffer(mode)
                     .with_faults(plan.clone());
                 let mut reused = Simulator::new(omega(4), cfg.clone()).unwrap();
-                for seed in [42u64, 7, 42] {
-                    reused.reseed(seed);
-                    let fresh = simulate(omega(4), cfg.clone().with_seed(seed)).unwrap();
-                    assert_eq!(reused.run(), fresh, "mode {mode:?} seed {seed}");
+                for (seed, load) in [(42u64, 0.9), (7, 0.3), (42, 0.9), (7, 1.0)] {
+                    reused.rewind(seed, load);
+                    let fresh = simulate(omega(4), cfg.clone().with_seed(seed).with_load(load));
+                    assert_eq!(
+                        reused.run(),
+                        fresh.unwrap(),
+                        "mode {mode:?} seed {seed} load {load}"
+                    );
                 }
             }
         }
@@ -953,7 +968,7 @@ mod tests {
                     .with_traffic(traffic.clone());
                 let mut reused = Simulator::new(omega(4), cfg.clone()).unwrap();
                 for seed in [42u64, 7, 42] {
-                    reused.reseed(seed);
+                    reused.rewind(seed, cfg.offered_load);
                     let fresh = simulate(omega(4), cfg.clone().with_seed(seed)).unwrap();
                     assert_eq!(reused.run(), fresh, "{traffic:?} mode {mode:?} seed {seed}");
                 }

@@ -4,17 +4,14 @@
 //! The fabric holds its routing as one [`Routing`] enum, and
 //! [`Fabric::route`] answers the engine's one question — *which tag does
 //! the packet at `(source, terminal)` use for `destination`?* — whatever
-//! the topology. One private constructor checks 2-regularity and gives
-//! every delta network its destination-tag table; the two public entry
-//! points differ only in what a non-delta network gets:
-//!
-//! * [`Fabric::new`] refuses it with [`FabricError::NotDelta`] (the
-//!   bit-parallel lane engine needs destination tags);
-//! * [`Fabric::for_traffic`] routes it for the scenario — the looping
-//!   algorithm for a full-permutation traffic pattern on a rearrangeable
-//!   fabric (a structural failure is the typed
-//!   [`FabricError::NotRearrangeable`]), and per-pair multi-path routing
-//!   otherwise.
+//! the topology. [`Fabric::for_traffic`], the one constructor, checks
+//! 2-regularity and picks the routing for the scenario: a delta network
+//! gets its destination-tag table; any other network gets the looping
+//! algorithm for a full-permutation traffic pattern on a rearrangeable
+//! fabric (a structural failure is the typed
+//! [`FabricError::NotRearrangeable`]), and per-pair multi-path routing
+//! otherwise. Only the destination-tag arm can run word-packed
+//! ([`crate::batch::run_replications`] checks it).
 //!
 //! While a dead link or switch is active, the engines take their tags from
 //! the fault runtime's reroute table instead (see [`crate::fault`]).
@@ -50,16 +47,10 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds a destination-tag-routed fabric, refusing a network that is
-    /// not delta.
-    pub fn new(net: ConnectionNetwork) -> Result<Self, FabricError> {
-        Self::build(net, |_| Err(FabricError::NotDelta))
-    }
-
     /// Builds a fabric with the routing selected for `traffic`:
     ///
-    /// * a delta network gets its destination-tag table (bit-identical to
-    ///   [`Fabric::new`]);
+    /// * a delta network gets its destination-tag table, whatever the
+    ///   traffic;
     /// * a non-delta network under [`TrafficPattern::Permutation`] traffic
     ///   that is a full cell permutation is configured by the looping
     ///   algorithm — every packet follows its conflict-free circuit;
@@ -69,47 +60,36 @@ impl Fabric {
         net: ConnectionNetwork,
         traffic: &TrafficPattern,
     ) -> Result<Self, FabricError> {
-        Self::build(net, |net| {
-            let cells = net.cells_per_stage();
-            Ok(match traffic {
-                TrafficPattern::Permutation(dest) if is_cell_permutation(dest, cells) => {
-                    // Lift the cell permutation to terminals: terminal
-                    // `2c + k` goes to terminal `2·perm[c] + k`, which keeps
-                    // the two packets of a source cell on link-disjoint
-                    // circuits.
-                    let permutation: Vec<u32> = (0..2 * cells as u32)
-                        .map(|t| 2 * dest[(t >> 1) as usize] + (t & 1))
-                        .collect();
-                    Routing::Looping(
-                        loop_setup(net, &permutation).map_err(FabricError::NotRearrangeable)?,
-                    )
-                }
-                // Quadratic in the cell count, with a path sweep per pair —
-                // sized for the moderate fabrics the campaigns drive.
-                _ => Routing::MultiPath(
-                    (0..cells as u64)
-                        .flat_map(|src| (0..cells as u64).map(move |dst| (src, dst)))
-                        .map(|(src, dst)| {
-                            disjoint_paths(net, src, dst).iter().map(path_tag).collect()
-                        })
-                        .collect(),
-                ),
-            })
-        })
-    }
-
-    /// Checks 2-regularity, routes a delta network by its destination-tag
-    /// table, and asks `non_delta` for the routing of any other network.
-    fn build(
-        net: ConnectionNetwork,
-        non_delta: impl FnOnce(&ConnectionNetwork) -> Result<Routing, FabricError>,
-    ) -> Result<Self, FabricError> {
         if !net.is_proper() {
             return Err(FabricError::NotTwoRegular);
         }
-        let routing = match destination_tags(&net) {
-            Some(table) => Routing::Delta(table),
-            None => non_delta(&net)?,
+        let cells = net.cells_per_stage();
+        let routing = match (destination_tags(&net), traffic) {
+            (Some(table), _) => Routing::Delta(table),
+            (None, TrafficPattern::Permutation(dest)) if is_cell_permutation(dest, cells) => {
+                // Lift the cell permutation to terminals: terminal `2c + k`
+                // goes to terminal `2·perm[c] + k`, which keeps the two
+                // packets of a source cell on link-disjoint circuits.
+                let permutation: Vec<u32> = (0..2 * cells as u32)
+                    .map(|t| 2 * dest[(t >> 1) as usize] + (t & 1))
+                    .collect();
+                Routing::Looping(
+                    loop_setup(&net, &permutation).map_err(FabricError::NotRearrangeable)?,
+                )
+            }
+            // Quadratic in the cell count, with a path sweep per pair —
+            // sized for the moderate fabrics the campaigns drive.
+            (None, _) => Routing::MultiPath(
+                (0..cells as u64)
+                    .flat_map(|src| (0..cells as u64).map(move |dst| (src, dst)))
+                    .map(|(src, dst)| {
+                        disjoint_paths(&net, src, dst)
+                            .iter()
+                            .map(path_tag)
+                            .collect()
+                    })
+                    .collect(),
+            ),
         };
         Ok(Fabric { net, routing })
     }
@@ -188,8 +168,6 @@ fn is_cell_permutation(dest: &[u32], cells: usize) -> bool {
 pub enum FabricError {
     /// Some stage is not 2-regular.
     NotTwoRegular,
-    /// The network is not destination-tag routable.
-    NotDelta,
     /// The looping algorithm could not configure the requested permutation
     /// (the network is not Benes-structured, or the pattern is malformed).
     NotRearrangeable(LoopingError),
@@ -199,9 +177,6 @@ impl std::fmt::Display for FabricError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FabricError::NotTwoRegular => write!(f, "the network is not 2-in/2-out regular"),
-            FabricError::NotDelta => {
-                write!(f, "the network is not destination-tag routable (not delta)")
-            }
             FabricError::NotRearrangeable(e) => {
                 write!(f, "the looping algorithm cannot configure the fabric: {e}")
             }
@@ -218,21 +193,25 @@ mod tests {
     use min_networks::rearrangeable::benes;
     use min_networks::{baseline, omega};
 
+    fn uniform(net: ConnectionNetwork) -> Result<Fabric, FabricError> {
+        Fabric::for_traffic(net, &TrafficPattern::Uniform)
+    }
+
     #[test]
     fn classical_networks_build_fabrics() {
         for n in 2..=6 {
-            let fabric = Fabric::new(omega(n)).expect("omega is delta");
+            let fabric = uniform(omega(n)).expect("omega is delta");
             assert_eq!(fabric.stages(), n);
             assert_eq!(fabric.cells(), 1 << (n - 1));
             assert!(matches!(fabric.routing(), Routing::Delta(_)));
-            let fabric = Fabric::new(baseline(n)).expect("baseline is delta");
+            let fabric = uniform(baseline(n)).expect("baseline is delta");
             assert_eq!(fabric.cells(), 1 << (n - 1));
         }
     }
 
     #[test]
     fn tags_route_to_their_destination() {
-        let fabric = Fabric::new(omega(4)).unwrap();
+        let fabric = uniform(omega(4)).unwrap();
         for dst in 0..8u32 {
             let tag = fabric.route(0, 0, dst).unwrap();
             for src in 0..8u32 {
@@ -253,7 +232,7 @@ mod tests {
     fn delta_routing_reproduces_destination_tags() {
         let net = omega(4);
         let table = destination_tags(&net).unwrap();
-        let fabric = Fabric::new(net).expect("omega is delta");
+        let fabric = uniform(net).expect("omega is delta");
         assert!(matches!(fabric.routing(), Routing::Delta(_)));
         for dst in 0..fabric.cells() as u32 {
             for src in [0u32, 3, 7] {
@@ -271,8 +250,7 @@ mod tests {
     fn benes_is_not_delta_but_is_multi_path_routable() {
         let net = benes(3);
         assert!(destination_tags(&net).is_none());
-        assert_eq!(Fabric::new(net.clone()).unwrap_err(), FabricError::NotDelta);
-        let fabric = Fabric::for_traffic(net.clone(), &TrafficPattern::Uniform).unwrap();
+        let fabric = uniform(net.clone()).unwrap();
         let Routing::MultiPath(tags) = fabric.routing() else {
             panic!("uniform traffic on Benes routes multi-path");
         };
@@ -326,6 +304,9 @@ mod tests {
 
     #[test]
     fn non_delta_networks_are_rejected() {
+        // A proper 2-stage network with no destination-tag table: it is
+        // refused the delta arm (so the batch layer never packs it) and
+        // routes multi-path, each tag reaching its destination.
         let table: [u64; 4] = [0, 1, 3, 2];
         let weird = min_core::Connection::from_fn(
             2,
@@ -334,7 +315,18 @@ mod tests {
         );
         let second = min_core::Connection::from_fn(2, |x| x >> 1, |x| (x >> 1) | 2);
         let net = min_core::ConnectionNetwork::new(2, vec![weird, second]);
-        assert_eq!(Fabric::new(net).unwrap_err(), FabricError::NotDelta);
+        assert!(destination_tags(&net).is_none());
+        let fabric = uniform(net.clone()).unwrap();
+        assert!(matches!(fabric.routing(), Routing::MultiPath(_)));
+        for src in 0..fabric.cells() as u32 {
+            for dst in 0..fabric.cells() as u32 {
+                let tag = fabric.route(src, 0, dst).expect("every pair has a path");
+                assert_eq!(
+                    route_by_tag(&net, u64::from(src), u64::from(tag)),
+                    u64::from(dst)
+                );
+            }
+        }
     }
 
     #[test]
@@ -342,24 +334,28 @@ mod tests {
         let skew = min_core::Connection::from_fn(2, |_| 0, |x| x);
         let second = min_core::Connection::from_fn(2, |x| x, |x| x ^ 1);
         let net = min_core::ConnectionNetwork::new(2, vec![skew, second]);
-        assert_eq!(
-            Fabric::new(net.clone()).unwrap_err(),
-            FabricError::NotTwoRegular
-        );
-        assert_eq!(
-            Fabric::for_traffic(net, &TrafficPattern::Uniform).unwrap_err(),
-            FabricError::NotTwoRegular
-        );
+        assert_eq!(uniform(net).unwrap_err(), FabricError::NotTwoRegular);
     }
 
     #[test]
-    fn for_traffic_matches_new_on_delta_networks() {
-        let a = Fabric::new(omega(4)).unwrap();
-        let b = Fabric::for_traffic(omega(4), &TrafficPattern::Uniform).unwrap();
-        let (Routing::Delta(a), Routing::Delta(b)) = (a.routing(), b.routing()) else {
-            panic!("omega is delta");
-        };
-        assert_eq!(a.tag_of_destination, b.tag_of_destination);
+    fn delta_networks_route_by_tag_under_any_traffic() {
+        // The traffic picks the routing of a non-delta fabric only: a delta
+        // fabric gets its destination-tag table even under a full cell
+        // permutation.
+        let net = omega(4);
+        let table = destination_tags(&net).unwrap();
+        let cells = net.cells_per_stage() as u32;
+        for traffic in [
+            TrafficPattern::Uniform,
+            TrafficPattern::BitReversal,
+            TrafficPattern::Permutation((0..cells).rev().collect()),
+        ] {
+            let fabric = Fabric::for_traffic(net.clone(), &traffic).unwrap();
+            let Routing::Delta(routed) = fabric.routing() else {
+                panic!("omega is delta under {traffic:?}");
+            };
+            assert_eq!(routed.tag_of_destination, table.tag_of_destination);
+        }
     }
 
     #[test]

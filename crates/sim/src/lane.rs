@@ -51,18 +51,20 @@
 //! Metric updates within a cycle are commutative (sums, max, histogram
 //! increments), so per-bit accumulation order does not affect the result.
 //!
-//! The scalar engine remains the reference oracle; the batching layer
-//! ([`crate::batch`]) routes eligible workloads here and the proptest
-//! oracle pins the two paths byte-identical.
+//! The engine is crate-private: [`crate::batch::run_replications`] is its
+//! one caller. The batch validates the config and every lane load, builds
+//! the fabric, sampler and fault runtime once, and hands a word here only
+//! when [`crate::batch::packed_eligible`] holds and the fabric routes by
+//! destination tag; the engine repeats none of those checks. The scalar
+//! engine remains the reference oracle, and the oracle tests pin the two
+//! paths byte-identical.
 
 use crate::batch::LANE_MAX_STAGES;
-use crate::config::{BufferMode, ConfigError, SimConfig};
-use crate::engine::{prepare, SimError};
+use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
 use crate::fault::{FaultRuntime, FaultView, LinkStatus};
 use crate::metrics::Metrics;
 use crate::traffic::{DestSampler, TrafficPattern, UniformCell};
-use min_core::ConnectionNetwork;
 use rand::distributions::{Bernoulli, Distribution};
 use rand::Rng;
 use rand::SeedableRng;
@@ -70,45 +72,6 @@ use rand_chacha::ChaCha8Rng;
 
 /// Lanes simulated per machine word.
 pub const LANE_WIDTH: usize = 64;
-
-/// Why the word-packed engine refuses a workload. The batching layer
-/// ([`crate::batch::packed_eligible`]) routes every such workload to the
-/// scalar engine instead, so only a direct caller of [`LaneEngine`] sees
-/// one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LaneError {
-    /// The packed engine models only the unbuffered core.
-    Buffered(BufferMode),
-    /// ON/OFF chains and trace schedules carry per-source state the packed
-    /// engine does not model ([`TrafficPattern::is_stateful`]).
-    StatefulTraffic,
-    /// A word holds `1..=LANE_WIDTH` lanes.
-    LaneCount(usize),
-    /// The fabric is deeper than [`LANE_MAX_STAGES`].
-    TooManyStages(usize),
-}
-
-impl std::fmt::Display for LaneError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LaneError::Buffered(mode) => {
-                write!(f, "only the unbuffered core is packed, not {mode:?}")
-            }
-            LaneError::StatefulTraffic => {
-                write!(f, "stateful traffic patterns run on the scalar engine")
-            }
-            LaneError::LaneCount(n) => {
-                write!(f, "a word holds 1..={LANE_WIDTH} lanes, got {n}")
-            }
-            LaneError::TooManyStages(n) => write!(
-                f,
-                "the packed engine holds at most {LANE_MAX_STAGES} stages, got {n}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LaneError {}
 
 /// A bit-sliced counter: plane `i` holds bit `i` of every replication's
 /// running count, so adding a replication-mask of simultaneous events is a
@@ -233,17 +196,15 @@ impl InjectCtx<'_> {
 
 /// A word-packed engine running up to [`LANE_WIDTH`] independent unbuffered
 /// lanes of one scenario in lockstep, each lane a `(seed, offered load)`
-/// replication.
-///
-/// Construct with one seed per lane at the configured load
-/// ([`LaneEngine::new`]) or with per-lane loads ([`LaneEngine::with_lanes`]),
-/// then [`LaneEngine::run`] the configured cycle budget; the returned
-/// metrics are bit-identical to running [`crate::Simulator`] once per lane
-/// at that lane's seed and load.
+/// replication, over the fabric, sampler and fault runtime its batch built.
+/// [`LaneEngine::run`] returns metrics bit-identical to running
+/// [`crate::Simulator`] once per lane at that lane's seed and load.
 #[derive(Debug)]
-pub struct LaneEngine {
-    fabric: Fabric,
-    config: SimConfig,
+pub(crate) struct LaneEngine<'a> {
+    fabric: &'a Fabric,
+    config: &'a SimConfig,
+    /// The fabric's destination-tag table.
+    tags: &'a [u32],
     /// One independent ChaCha8 stream per lane, seeded exactly like the
     /// scalar engine.
     rngs: Vec<ChaCha8Rng>,
@@ -253,7 +214,7 @@ pub struct LaneEngine {
     /// per-stage exposure vectors land here directly; everything else is
     /// folded in from the vertical counters when the run finishes.
     metrics: Vec<Metrics>,
-    faults: Option<FaultRuntime>,
+    faults: Option<&'a mut FaultRuntime>,
     cycle: u64,
     /// Active lanes (bits `0..lanes` of every word are meaningful).
     lanes: usize,
@@ -263,7 +224,7 @@ pub struct LaneEngine {
     conn_bits: usize,
     /// Destination sampler of the traffic pattern, shared with the scalar
     /// engine's draw path so both stay bit-identical.
-    sampler: DestSampler,
+    sampler: &'a DestSampler,
     /// Queue occupancy, one word per slot: slot `(stage*cells + cell)*2 + q`
     /// holds position `q` (0 = front) of that cell's two-packet queue; bit
     /// `r` is set when replication `r` has a packet there.
@@ -295,53 +256,40 @@ pub struct LaneEngine {
     vc_arb: Vec<VerticalCounter>,
 }
 
-impl LaneEngine {
-    /// Builds a packed engine for `seeds.len()` replications of the given
-    /// unbuffered scenario at its configured load (one seed per lane, in
-    /// output order) — [`LaneEngine::with_lanes`] with a uniform load.
-    pub fn new(net: ConnectionNetwork, config: SimConfig, seeds: &[u64]) -> Result<Self, SimError> {
-        let load = config.offered_load;
-        let lanes: Vec<(u64, f64)> = seeds.iter().map(|&seed| (seed, load)).collect();
-        Self::with_lanes(net, config, &lanes)
-    }
-
+impl<'a> LaneEngine<'a> {
     /// Builds a packed engine for `lanes.len()` `(seed, offered load)` lanes
-    /// of the given unbuffered scenario, in output order. The lanes' loads
-    /// replace `config.offered_load`.
+    /// of one scenario, in output order, and rewinds the batch's fault
+    /// runtime to cycle 0. The lanes' loads replace `config.offered_load`.
     ///
-    /// A workload the packed engine does not model is a
-    /// [`SimError::Lane`]: a buffered mode, stateful traffic
-    /// ([`TrafficPattern::is_stateful`] — ON/OFF chains and trace schedules
-    /// run on the scalar engine), no lanes or more than [`LANE_WIDTH`], or a
-    /// fabric deeper than [`LANE_MAX_STAGES`]. A lane load that is NaN or
-    /// outside `[0, 1]` is [`ConfigError::InvalidLoad`].
-    pub fn with_lanes(
-        net: ConnectionNetwork,
-        mut config: SimConfig,
+    /// The batch layer has checked everything: `config` is valid and
+    /// [`crate::batch::packed_eligible`], the word holds `1..=LANE_WIDTH`
+    /// lanes at loads in `[0, 1]`, the fabric routes by destination tag,
+    /// and `sampler` and `faults` were prepared for this fabric and config.
+    pub(crate) fn with_lanes(
+        fabric: &'a Fabric,
+        config: &'a SimConfig,
+        sampler: &'a DestSampler,
+        mut faults: Option<&'a mut FaultRuntime>,
         lanes: &[(u64, f64)],
-    ) -> Result<Self, SimError> {
-        if config.buffer_mode != BufferMode::Unbuffered {
-            return Err(LaneError::Buffered(config.buffer_mode).into());
-        }
-        if config.traffic.is_stateful() {
-            return Err(LaneError::StatefulTraffic.into());
-        }
-        if lanes.is_empty() || lanes.len() > LANE_WIDTH {
-            return Err(LaneError::LaneCount(lanes.len()).into());
-        }
-        if net.stages() > LANE_MAX_STAGES {
-            return Err(LaneError::TooManyStages(net.stages()).into());
-        }
+    ) -> Self {
+        debug_assert!(
+            config.buffer_mode == BufferMode::Unbuffered
+                && !config.traffic.is_stateful()
+                && (1..=LANE_WIDTH).contains(&lanes.len())
+                && (2..=LANE_MAX_STAGES).contains(&fabric.stages())
+                && lanes.iter().all(|&(_, load)| (0.0..=1.0).contains(&load)),
+            "the batch layer packs only eligible words"
+        );
+        let Routing::Delta(table) = fabric.routing() else {
+            unreachable!("the batch layer packs only delta fabrics");
+        };
         let coins = lanes
             .iter()
-            .map(|&(_, load)| Bernoulli::new(load).map_err(|_| ConfigError::InvalidLoad(load)))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Every lane load is checked; the config's own load is replaced so
-        // validation judges only the shared parameters.
-        config.offered_load = lanes[0].1;
-        config.validate()?;
-        let fabric = Fabric::new(net)?;
-        let (sampler, faults) = prepare(&fabric, &config)?;
+            .map(|&(_, load)| Bernoulli::new(load).expect("the batch checked every lane load"))
+            .collect();
+        if let Some(rt) = faults.as_deref_mut() {
+            rt.rewind();
+        }
         let stages = fabric.stages();
         let cells = fabric.cells();
         let conn_bits = stages - 1;
@@ -354,7 +302,7 @@ impl LaneEngine {
                 }
             }
         }
-        Ok(LaneEngine {
+        LaneEngine {
             rngs: lanes
                 .iter()
                 .map(|&(seed, _)| ChaCha8Rng::seed_from_u64(seed))
@@ -381,9 +329,10 @@ impl LaneEngine {
             vc_arb: (0..stages - 1)
                 .map(|_| VerticalCounter::default())
                 .collect(),
+            tags: &table.tag_of_destination,
             fabric,
             config,
-        })
+        }
     }
 
     #[inline]
@@ -586,12 +535,8 @@ impl LaneEngine {
     /// path carries no dispatch.
     fn inject(&mut self, faults: Option<&FaultRuntime>) {
         debug_assert!(self.occ[..self.cells * 2].iter().all(|&w| w == 0));
-        // `Fabric::new` refused every non-delta network at construction.
-        let Routing::Delta(table) = self.fabric.routing() else {
-            unreachable!("the packed engine runs delta fabrics");
-        };
-        let tags = &table.tag_of_destination;
-        let sampler = &self.sampler;
+        let tags = self.tags;
+        let sampler = self.sampler;
         let ctx = InjectCtx {
             cells: self.cells,
             coins: &self.coins,
@@ -624,17 +569,17 @@ impl LaneEngine {
         // Phase 0: cross any fault-onset boundary (shared by every
         // replication — the schedule is seed-independent).
         let mut rt = self.faults.take();
-        if let Some(rt) = rt.as_mut() {
+        if let Some(rt) = rt.as_deref_mut() {
             rt.advance(self.fabric.network(), self.cycle);
         }
-        let view = match rt.as_ref() {
+        let view = match rt.as_deref() {
             Some(rt) => FaultView::at(&rt.state, self.cycle),
             None => FaultView::healthy(self.cycle),
         };
 
         self.deliver(&view);
         self.switch(&view);
-        self.inject(rt.as_ref());
+        self.inject(rt.as_deref());
         self.faults = rt;
 
         self.cycle += 1;
@@ -644,7 +589,7 @@ impl LaneEngine {
     /// lane, in the order the lanes were given: the vertical counters are
     /// materialized into per-lane [`Metrics`], with the latency
     /// statistics reconstructed from the constant unbuffered latency.
-    pub fn run(mut self) -> Vec<Metrics> {
+    pub(crate) fn run(mut self) -> Vec<Metrics> {
         for _ in 0..self.config.cycles {
             self.step();
         }
@@ -709,15 +654,35 @@ impl LaneEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
+    use crate::engine::{prepare, Simulator};
     use crate::fault::FaultPlan;
     use crate::traffic::TrafficPattern;
-    use min_networks::{baseline, omega};
+    use min_core::ConnectionNetwork;
+    use min_networks::{baseline, omega, ClassicalNetwork};
+    use proptest::prelude::*;
 
     fn scalar(net: &ConnectionNetwork, config: &SimConfig, seed: u64) -> Metrics {
         Simulator::new(net.clone(), config.clone().with_seed(seed))
             .unwrap()
             .run()
+    }
+
+    /// One word of `(seed, load)` lanes straight through the engine, set up
+    /// the way the batch layer sets it up.
+    fn packed_lanes(
+        net: &ConnectionNetwork,
+        config: &SimConfig,
+        lanes: &[(u64, f64)],
+    ) -> Vec<Metrics> {
+        let fabric = Fabric::for_traffic(net.clone(), &config.traffic).unwrap();
+        let (sampler, mut faults) = prepare(&fabric, config).unwrap();
+        LaneEngine::with_lanes(&fabric, config, &sampler, faults.as_mut(), lanes).run()
+    }
+
+    /// One word of seeds at the configured load.
+    fn packed(net: &ConnectionNetwork, config: &SimConfig, seeds: &[u64]) -> Vec<Metrics> {
+        let lanes: Vec<(u64, f64)> = seeds.iter().map(|&s| (s, config.offered_load)).collect();
+        packed_lanes(net, config, &lanes)
     }
 
     #[test]
@@ -729,9 +694,7 @@ mod tests {
             for load in [0.15, 0.6, 1.0] {
                 let net = omega(n);
                 let config = SimConfig::default().with_cycles(300, 30).with_load(load);
-                let packed = LaneEngine::new(net.clone(), config.clone(), &seeds)
-                    .unwrap()
-                    .run();
+                let packed = packed(&net, &config, &seeds);
                 for (i, &seed) in seeds.iter().enumerate() {
                     assert_eq!(
                         packed[i],
@@ -763,9 +726,7 @@ mod tests {
                 .with_cycles(250, 25)
                 .with_load(0.8)
                 .with_traffic(pattern.clone());
-            let packed = LaneEngine::new(net.clone(), config.clone(), &seeds)
-                .unwrap()
-                .run();
+            let packed = packed(&net, &config, &seeds);
             for (i, &seed) in seeds.iter().enumerate() {
                 assert_eq!(
                     packed[i],
@@ -794,9 +755,7 @@ mod tests {
                 .with_cycles(300, 30)
                 .with_load(0.9)
                 .with_faults(plan.clone());
-            let packed = LaneEngine::new(net.clone(), config.clone(), &seeds)
-                .unwrap()
-                .run();
+            let packed = packed(&net, &config, &seeds);
             for (i, &seed) in seeds.iter().enumerate() {
                 assert_eq!(
                     packed[i],
@@ -815,9 +774,7 @@ mod tests {
             .collect();
         let net = omega(3);
         let config = SimConfig::default().with_cycles(150, 15).with_load(0.7);
-        let packed = LaneEngine::new(net.clone(), config.clone(), &seeds)
-            .unwrap()
-            .run();
+        let packed = packed(&net, &config, &seeds);
         assert_eq!(packed.len(), LANE_WIDTH);
         for (i, &seed) in seeds.iter().enumerate() {
             assert_eq!(packed[i], scalar(&net, &config, seed), "seed {seed}");
@@ -828,7 +785,7 @@ mod tests {
     fn packed_metrics_conserve_packets() {
         let seeds = [5u64, 6, 7, 8, 9];
         let config = SimConfig::default().with_cycles(200, 20).with_load(1.0);
-        for m in LaneEngine::new(omega(5), config, &seeds).unwrap().run() {
+        for m in packed(&omega(5), &config, &seeds) {
             assert_eq!(
                 m.injected,
                 m.delivered + m.dropped() + m.in_flight_at_end,
@@ -838,68 +795,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn buffered_modes_are_rejected() {
-        let config = SimConfig::default().with_buffer(BufferMode::Fifo(4));
-        assert_eq!(
-            LaneEngine::new(omega(3), config, &[1]).unwrap_err(),
-            SimError::Lane(LaneError::Buffered(BufferMode::Fifo(4)))
-        );
+    /// Fault-free, dormant (onset beyond the cycle budget) or active plans,
+    /// valid on every 3-stage-or-deeper catalog cell.
+    fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
+        (0usize..4).prop_map(|kind| match kind {
+            0 => FaultPlan::none(),
+            1 => FaultPlan::none().with_dead_switch(1, 0, 170),
+            2 => FaultPlan::none().with_dead_link(1, 0, 1, 0),
+            _ => FaultPlan::none()
+                .with_dead_link(0, 1, 0, 40)
+                .with_degraded_link(1, 1, 1, 0),
+        })
     }
 
-    #[test]
-    fn stateful_traffic_is_rejected() {
-        let config = SimConfig::default().with_traffic(TrafficPattern::OnOff {
-            on_dwell: 8.0,
-            off_dwell: 8.0,
-            on_rate: 1.0,
-        });
-        assert_eq!(
-            LaneEngine::new(omega(3), config, &[1]).unwrap_err(),
-            SimError::Lane(LaneError::StatefulTraffic)
-        );
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
 
-    #[test]
-    fn lane_counts_outside_one_word_are_rejected() {
-        let seeds: Vec<u64> = (0..=LANE_WIDTH as u64).collect();
-        for n in [0, LANE_WIDTH + 1] {
-            assert_eq!(
-                LaneEngine::new(omega(3), SimConfig::default(), &seeds[..n]).unwrap_err(),
-                SimError::Lane(LaneError::LaneCount(n))
-            );
+        /// One word of 1..=64 lanes at mixed loads — exactly 0 and 1 among
+        /// them, and word sizes below the batch layer's packing threshold
+        /// too — returns, lane by lane, the metrics of a fresh scalar
+        /// simulator at that lane's seed and load.
+        #[test]
+        fn mixed_load_words_match_fresh_scalar_simulators(
+            family_index in 0usize..ClassicalNetwork::ALL.len(),
+            stages in 3usize..=5,
+            count in 1usize..=LANE_WIDTH,
+            draws in proptest::collection::vec((0usize..4, 0.0f64..=1.0), LANE_WIDTH),
+            hotspot in 0.1f64..0.9,
+            traffic_kind in 0usize..4,
+            plan in plan_strategy(),
+            seed in any::<u64>(),
+        ) {
+            let family = ClassicalNetwork::ALL[family_index];
+            let traffic = match traffic_kind {
+                0 => TrafficPattern::Uniform,
+                1 => TrafficPattern::BitReversal,
+                2 => TrafficPattern::Hotspot { fraction: hotspot, target: 1 },
+                _ => TrafficPattern::Zipf { exponent: 2.0 * hotspot },
+            };
+            let config = SimConfig::default()
+                .with_traffic(traffic)
+                .with_faults(plan)
+                .with_cycles(120, 12);
+            let mut lanes: Vec<(u64, f64)> = draws[..count]
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, load))| {
+                    let load = match kind {
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => load,
+                    };
+                    (seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), load)
+                })
+                .collect();
+            lanes[0].1 = 0.0;
+            lanes[count - 1].1 = 1.0;
+            let net = family.build(stages);
+            let packed = packed_lanes(&net, &config, &lanes);
+            prop_assert_eq!(packed.len(), count);
+            for (metrics, &(seed, load)) in packed.iter().zip(&lanes) {
+                let config = config.clone().with_load(load);
+                prop_assert_eq!(metrics, &scalar(&net, &config, seed));
+            }
         }
-    }
-
-    #[test]
-    fn fabrics_deeper_than_the_plane_budget_are_rejected() {
-        let stages = LANE_MAX_STAGES + 1;
-        assert_eq!(
-            LaneEngine::new(omega(stages), SimConfig::default(), &[1]).unwrap_err(),
-            SimError::Lane(LaneError::TooManyStages(stages))
-        );
-    }
-
-    #[test]
-    fn bad_lane_loads_are_typed_errors() {
-        let config = SimConfig::default();
-        for load in [-0.25, 1.5, f64::INFINITY] {
-            assert_eq!(
-                LaneEngine::with_lanes(omega(3), config.clone(), &[(1, 0.5), (2, load)])
-                    .unwrap_err(),
-                SimError::Config(ConfigError::InvalidLoad(load))
-            );
-        }
-        let nan = LaneEngine::with_lanes(omega(3), config.clone(), &[(1, f64::NAN)]);
-        assert!(matches!(
-            nan,
-            Err(SimError::Config(ConfigError::InvalidLoad(l))) if l.is_nan()
-        ));
-        // The uniform-load constructor checks the configured load the same
-        // way.
-        assert_eq!(
-            LaneEngine::new(omega(3), config.with_load(2.0), &[1]).unwrap_err(),
-            SimError::Config(ConfigError::InvalidLoad(2.0))
-        );
     }
 }

@@ -15,15 +15,16 @@
 //!   **buffered** (per-cell FIFOs with backpressure) and **wormhole**
 //!   (multi-lane virtual channels: packets split into flits, lanes
 //!   allocated per worm and held across stages while blocked);
-//! * destination-tag routing using the self-routing tables of `min-routing`
-//!   (the simulator therefore requires a delta network, which every
-//!   PIPID-built network is);
+//! * routing owned by the fabric ([`fabric::Routing`]): the destination
+//!   tags of `min-routing`'s self-routing tables on a delta network (every
+//!   PIPID-built network is one), and looping circuits or link-disjoint
+//!   multi-path tags on a non-delta one such as Benes;
 //! * traffic generators ([`traffic`]) — Bernoulli uniform, hot-spot, fixed
 //!   permutation and bit-reversal, plus the production-shaped suite:
 //!   Zipf-skewed destinations (precomputed-CDF sampling), bursty
-//!   Markov-modulated ON/OFF sources, and trace replay from a compact
-//!   versioned on-disk format — all validated up front with typed errors
-//!   and deterministic under the per-scenario seeding;
+//!   Markov-modulated ON/OFF sources, and exact trace replay — all
+//!   validated up front with typed errors and deterministic under the
+//!   per-scenario seeding;
 //! * metrics ([`metrics`]) — offered/accepted/delivered counts, normalized
 //!   throughput, per-cause drop counters (arbitration loss vs. downstream
 //!   backpressure), flit-level stall and lane-occupancy accounting for
@@ -47,12 +48,14 @@
 //!   ([`curves::fold`], keyed by grid axis), the saturation knee
 //!   ([`curves::Curve::saturation_load`]) and the two artifact layouts
 //!   ([`curves::stability_json`], [`curves::saturation_json`]);
-//! * the bit-parallel fast path ([`lane`] and [`batch`]) — a word-packed
-//!   [`lane::LaneEngine`] simulating up to 64 independent unbuffered
-//!   replications per `u64` (occupancy, conflict and drop sets as bitwise
-//!   operations over replication words), routed in automatically by
-//!   [`batch::run_replications`] for eligible workloads and pinned
-//!   bit-identical to the scalar engine by the packed-oracle tests.
+//! * batched replications ([`batch`]) — [`batch::run_replications`] is the
+//!   one door into the engines for many `(seed, load)` lanes of a scenario:
+//!   it builds the fabric once and runs eligible unbuffered workloads on a
+//!   crate-private word-packed engine, up to 64 independent replications
+//!   per `u64` (occupancy, conflict and drop sets as bitwise operations
+//!   over replication words), and everything else on one rewound scalar
+//!   [`Simulator`]; the packed-oracle tests pin both bit-identical to a
+//!   fresh scalar simulator per lane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +67,7 @@ pub mod curves;
 pub mod engine;
 pub mod fabric;
 pub mod fault;
-pub mod lane;
+mod lane;
 pub mod metrics;
 pub mod packet;
 pub mod switch;
@@ -78,11 +81,11 @@ pub use campaign::{
 pub use config::{BufferMode, ConfigError, SimConfig, MAX_FIFO_DEPTH, MAX_WORMHOLE_LANES};
 pub use engine::{simulate, SimError, Simulator};
 pub use fault::{Fault, FaultError, FaultKind, FaultPlan, FaultView, LinkStatus};
-pub use lane::{LaneEngine, LaneError, LANE_WIDTH};
+pub use lane::LANE_WIDTH;
 pub use metrics::Metrics;
 pub use packet::Packet;
 pub use switch::{FifoCore, RingArena, SwitchCore, UnbufferedCore, WormholeCore};
 pub use traffic::{
-    DestSampler, Offer, TraceData, TraceError, TraceRecord, TrafficError, TrafficPattern,
-    TrafficSources, ZipfCdf,
+    DestSampler, Offer, TraceData, TraceRecord, TrafficError, TrafficPattern, TrafficSources,
+    ZipfCdf,
 };

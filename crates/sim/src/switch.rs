@@ -736,17 +736,14 @@ impl SwitchCore for WormholeCore {
         warmup: u64,
         metrics: &mut Metrics,
     ) {
-        // A last-stage cell has two output terminals, so it ejects at most
-        // two flits per cycle (one per ejection link, matching the
-        // one-flit-per-link discipline of the interior stages). Lanes take
-        // the ejection links round-robin — the scan starts at lane
-        // `cycle mod lanes` and wraps — and a worm is delivered when its
-        // tail flit leaves. Rotating a mask right by the start puts lanes
-        // `start..` on the low bits and lanes `..start` on the top bits, so
-        // walking its set bits upwards is that scan for any lane count.
+        // A last-stage cell has two in-links, and the switch pass forwards
+        // at most one flit per link per cycle. Every ready flit leaves here
+        // on the cycle after it arrives, so at most two lanes are ready,
+        // each holding one flit: the cell's two ejection links (one flit
+        // per link, as in the interior stages) take them all, in lane
+        // order. A worm is delivered when its tail flit leaves.
         let last = self.stages - 1;
         let degraded = faults.any_active();
-        let start = ((cycle as usize) % self.lanes_per_cell) as u32;
         for cell in 0..self.cells {
             let c = last * self.cells + cell;
             if self.cell[c].active == 0 {
@@ -756,13 +753,14 @@ impl SwitchCore for WormholeCore {
                 self.kill_worms_at(c, self.cell[c].active, last, metrics);
                 continue;
             }
-            let mut order = self.cell[c].ready.rotate_right(start);
-            for _ in 0..2 {
-                if order == 0 {
-                    break;
-                }
-                let l = (order.trailing_zeros() + start) as usize & 63;
-                order &= order - 1;
+            let mut ready = self.cell[c].ready;
+            debug_assert!(
+                ready.count_ones() <= 2,
+                "a last-stage cell has two in-links"
+            );
+            while ready != 0 {
+                let l = ready.trailing_zeros() as usize;
+                ready &= ready - 1;
                 metrics.flits_delivered += 1;
                 if !self.pop_flit(c, l) {
                     continue;
@@ -1276,6 +1274,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultState};
+    use crate::traffic::TrafficPattern;
     use min_networks::ClassicalNetwork;
     use proptest::prelude::*;
     use rand::{RngCore, SeedableRng};
@@ -1303,7 +1302,7 @@ mod tests {
             let lanes = if lanes == 0 { MAX_WORMHOLE_LANES } else { lanes };
             const CYCLES: u64 = 120;
             const WARMUP: u64 = 10;
-            let fabric = Fabric::new(ClassicalNetwork::ALL[family].build(stages))
+            let fabric = Fabric::for_traffic(ClassicalNetwork::ALL[family].build(stages), &TrafficPattern::Uniform)
                 .expect("catalog networks are simulable");
             let cells = fabric.cells();
             let plan = FaultPlan::random_mixed(seed, fault_count, stages, cells, CYCLES / 2);

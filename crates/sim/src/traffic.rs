@@ -12,8 +12,8 @@
 //!   and injects only while ON, so the instantaneous rate during a burst
 //!   far exceeds the long-run mean;
 //! * [`TrafficPattern::Trace`] — exact replay of a recorded
-//!   `(cycle, source, dest)` schedule ([`TraceData`]), with a compact
-//!   versioned on-disk format and a loader returning typed errors.
+//!   `(cycle, source, dest)` schedule ([`TraceData`]), carried as JSON like
+//!   every other pattern and checked by [`TraceData::validate`].
 //!
 //! Injection state lives in [`TrafficSources`], which the engine asks for
 //! an [`Offer`] per (cell, terminal) each cycle. Destinations have one draw
@@ -581,13 +581,10 @@ pub struct TraceRecord {
 ///
 /// Replay wraps around [`TraceData::period`], so a trace shorter than the
 /// simulated run repeats. Records must be strictly sorted by
-/// `(cycle, source)` — the canonical order produced by
-/// [`TraceData::to_bytes`] and enforced by [`TraceData::validate`].
+/// `(cycle, source)`, the order [`TraceData::validate`] enforces.
 ///
 /// The struct serializes through serde like every other pattern variant
-/// (campaign grids and the min-serve wire protocol carry it as JSON); the
-/// compact binary form ([`TraceData::to_bytes`] / [`TraceData::from_bytes`]
-/// and the file wrappers) is for on-disk trace libraries.
+/// (campaign grids and the min-serve wire protocol carry it as JSON).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceData {
     /// Cells per stage of the fabric the trace was recorded for.
@@ -598,77 +595,7 @@ pub struct TraceData {
     pub records: Vec<TraceRecord>,
 }
 
-/// Magic bytes opening the binary trace format.
-pub const TRACE_MAGIC: [u8; 4] = *b"MINT";
-/// Current (and only) binary trace format version.
-pub const TRACE_VERSION: u16 = 1;
-
-/// Why binary trace bytes could not be decoded.
-#[derive(Debug)]
-pub enum TraceError {
-    /// Reading or writing the file failed.
-    Io(std::io::Error),
-    /// The bytes do not start with [`TRACE_MAGIC`].
-    BadMagic([u8; 4]),
-    /// The header names a format version this loader does not speak.
-    UnsupportedVersion(u16),
-    /// The bytes end before the header or the declared records do.
-    Truncated {
-        /// Bytes the declared content needs.
-        needed: usize,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// Decodable bytes remain after the declared records.
-    TrailingBytes(usize),
-    /// The decoded trace fails semantic validation.
-    Invalid(TrafficError),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Io(e) => write!(f, "trace i/o failed: {e}"),
-            TraceError::BadMagic(m) => {
-                write!(f, "not a trace file (magic {m:?}, want {TRACE_MAGIC:?})")
-            }
-            TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace version {v} (loader speaks {TRACE_VERSION})"
-                )
-            }
-            TraceError::Truncated { needed, available } => {
-                write!(f, "trace truncated: need {needed} bytes, have {available}")
-            }
-            TraceError::TrailingBytes(n) => {
-                write!(f, "{n} trailing bytes after the declared records")
-            }
-            TraceError::Invalid(e) => write!(f, "trace is invalid: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<std::io::Error> for TraceError {
-    fn from(e: std::io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
-
-/// Reads a little-endian `u32` at `offset` (caller guarantees bounds).
-fn read_u32(bytes: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"))
-}
-
 impl TraceData {
-    /// Header size of the binary format: magic, version, reserved, cells,
-    /// period, record count.
-    const HEADER_LEN: usize = 4 + 2 + 2 + 4 + 4 + 4;
-    /// Bytes per record: three little-endian `u32`s.
-    const RECORD_LEN: usize = 12;
-
     /// Checks the trace's internal consistency: a nonzero period and cell
     /// count, every record inside the period and the terminal/cell ranges,
     /// and strict `(cycle, source)` ordering.
@@ -706,85 +633,6 @@ impl TraceData {
             prev = Some((r.cycle, r.source));
         }
         Ok(())
-    }
-
-    /// Encodes the trace in the compact binary format: a 20-byte header
-    /// (magic, version, cells, period, record count) followed by one
-    /// 12-byte little-endian record per injection.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.records.len() * Self::RECORD_LEN);
-        out.extend_from_slice(&TRACE_MAGIC);
-        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&self.cells.to_le_bytes());
-        out.extend_from_slice(&self.period.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for r in &self.records {
-            out.extend_from_slice(&r.cycle.to_le_bytes());
-            out.extend_from_slice(&r.source.to_le_bytes());
-            out.extend_from_slice(&r.dest.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes and validates a trace from the binary format, with typed
-    /// errors for a bad magic, an unknown version, truncation, trailing
-    /// garbage, and semantic problems.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < Self::HEADER_LEN {
-            return Err(TraceError::Truncated {
-                needed: Self::HEADER_LEN,
-                available: bytes.len(),
-            });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != TRACE_MAGIC {
-            return Err(TraceError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-        if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let cells = read_u32(bytes, 8);
-        let period = read_u32(bytes, 12);
-        let count = read_u32(bytes, 16) as usize;
-        let needed = Self::HEADER_LEN + count * Self::RECORD_LEN;
-        if bytes.len() < needed {
-            return Err(TraceError::Truncated {
-                needed,
-                available: bytes.len(),
-            });
-        }
-        if bytes.len() > needed {
-            return Err(TraceError::TrailingBytes(bytes.len() - needed));
-        }
-        let records = (0..count)
-            .map(|i| {
-                let at = Self::HEADER_LEN + i * Self::RECORD_LEN;
-                TraceRecord {
-                    cycle: read_u32(bytes, at),
-                    source: read_u32(bytes, at + 4),
-                    dest: read_u32(bytes, at + 8),
-                }
-            })
-            .collect();
-        let trace = TraceData {
-            cells,
-            period,
-            records,
-        };
-        trace.validate().map_err(TraceError::Invalid)?;
-        Ok(trace)
-    }
-
-    /// Writes the binary form to a file.
-    pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), TraceError> {
-        Ok(std::fs::write(path, self.to_bytes())?)
-    }
-
-    /// Reads and validates a trace file.
-    pub fn read_from(path: impl AsRef<std::path::Path>) -> Result<Self, TraceError> {
-        Self::from_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -880,7 +728,8 @@ impl TrafficSources {
     }
 
     /// Rewinds the injection state to cycle 0 (every ON/OFF chain back to
-    /// ON). [`crate::Simulator::reseed`] calls this so a reused engine is
+    /// ON). The batch layer's scalar path calls this through the
+    /// simulator's rewind between lanes, so a reused engine is
     /// bit-identical to a freshly built one.
     pub fn reset(&mut self) {
         if let SourceKind::OnOff { on, .. } = &mut self.kind {
@@ -1162,66 +1011,6 @@ mod tests {
         // The trace draws nothing: the RNG is untouched.
         let mut fresh = ChaCha8Rng::seed_from_u64(263);
         assert_eq!(rng.next_u64(), fresh.next_u64());
-    }
-
-    #[test]
-    fn trace_round_trips_through_the_binary_format() {
-        let trace = two_record_trace();
-        let bytes = trace.to_bytes();
-        assert_eq!(&bytes[0..4], &TRACE_MAGIC);
-        assert_eq!(TraceData::from_bytes(&bytes).unwrap(), trace);
-
-        let dir = std::env::temp_dir().join("min_sim_trace_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.mintrace");
-        trace.write_to(&path).unwrap();
-        assert_eq!(TraceData::read_from(&path).unwrap(), trace);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn trace_loader_rejects_corrupt_bytes() {
-        let good = two_record_trace().to_bytes();
-
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        assert!(matches!(
-            TraceData::from_bytes(&bad_magic),
-            Err(TraceError::BadMagic(_))
-        ));
-
-        let mut bad_version = good.clone();
-        bad_version[4] = 9;
-        assert!(matches!(
-            TraceData::from_bytes(&bad_version),
-            Err(TraceError::UnsupportedVersion(9))
-        ));
-
-        assert!(matches!(
-            TraceData::from_bytes(&good[..good.len() - 1]),
-            Err(TraceError::Truncated { .. })
-        ));
-        assert!(matches!(
-            TraceData::from_bytes(&good[..10]),
-            Err(TraceError::Truncated { .. })
-        ));
-
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(matches!(
-            TraceData::from_bytes(&trailing),
-            Err(TraceError::TrailingBytes(1))
-        ));
-
-        // Semantic problems surface through the same loader.
-        let mut unsorted = two_record_trace();
-        unsorted.records.swap(0, 1);
-        assert!(matches!(
-            TraceData::from_bytes(&unsorted.to_bytes()),
-            Err(TraceError::Invalid(TrafficError::TraceUnsorted {
-                record: 1
-            }))
-        ));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Scalar-vs-packed reference-oracle property tests for the bit-parallel
 //! replication engine.
 //!
-//! The batching layer routes eligible unbuffered workloads through the
-//! word-packed [`min_sim::lane::LaneEngine`] (64 `(seed, load)` lanes per
-//! `u64`) and everything else through a reseeded scalar
+//! The batching layer routes eligible unbuffered workloads on delta
+//! fabrics through the crate-private word-packed engine (64 `(seed, load)`
+//! lanes per `u64`) and everything else through one rewound scalar
 //! [`min_sim::Simulator`]; the scalar engine built fresh per seed is the
 //! historical behaviour. These proptests pin both routes — per-lane metrics
 //! and the merged aggregates — bit-identical to fresh scalar simulators
@@ -17,8 +17,8 @@ use min_networks::{ClassicalNetwork, NetworkSpec};
 use min_sim::batch::{packed_eligible, run_replications, LANE_THRESHOLD};
 use min_sim::campaign::{assemble, execute_shard, run_campaign, scenario_seed, Shard};
 use min_sim::{
-    BufferMode, CampaignConfig, FaultPlan, LaneEngine, Metrics, SimConfig, Simulator,
-    TrafficPattern, LANE_WIDTH,
+    BufferMode, CampaignConfig, FaultPlan, Metrics, SimConfig, Simulator, TrafficPattern,
+    LANE_WIDTH,
 };
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ fn traffic_strategy() -> impl Strategy<Value = TrafficPattern> {
 }
 
 /// Most lanes one mixed-load case draws: past one word, so a batch splits
-/// mid-curve.
+/// mid-curve (one word of 1..=64 lanes is `lane.rs`'s own proptest).
 const MAX_LANES: usize = LANE_WIDTH + 24;
 
 /// Fault-free, dormant (onset beyond the cycle budget) or active plans —
@@ -69,7 +69,7 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The packed LaneEngine route returns, replication by replication,
+    /// The packed route returns, replication by replication,
     /// exactly the metrics a fresh scalar simulator produces per seed.
     #[test]
     fn packed_replications_match_fresh_scalar_simulators(
@@ -166,15 +166,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Words mixing lanes at different loads — exactly 0 and 1 among them —
+    /// Batches longer than one word, mixing lanes at different loads —
+    /// exactly 0 and 1 among them — and split into words by the batch layer
     /// return, lane by lane, the metrics of a fresh scalar simulator at that
-    /// lane's seed and load: one word of 1..=64 lanes straight from the
-    /// engine, or a longer batch split into words by the batch layer.
+    /// lane's seed and load.
     #[test]
     fn mixed_load_lanes_match_fresh_scalar_simulators(
         family_index in 0usize..ClassicalNetwork::ALL.len(),
         stages in 3usize..=5,
-        count in 1usize..=MAX_LANES,
+        count in LANE_WIDTH + 1..=MAX_LANES,
         draws in proptest::collection::vec((0usize..4, 0.0f64..=1.0), MAX_LANES),
         traffic in traffic_strategy(),
         plan in plan_strategy(),
@@ -199,13 +199,8 @@ proptest! {
             .collect();
         lanes[0].1 = 0.0;
         lanes[count - 1].1 = 1.0;
-        let net = family.build(stages);
-        let packed = if count <= LANE_WIDTH {
-            LaneEngine::with_lanes(net, config.clone(), &lanes).unwrap().run()
-        } else {
-            prop_assert!(packed_eligible(&config, stages, count));
-            run_replications(&net, &config, &lanes).unwrap()
-        };
+        prop_assert!(packed_eligible(&config, stages, count));
+        let packed = run_replications(&family.build(stages), &config, &lanes).unwrap();
         prop_assert_eq!(packed.len(), count);
         for (metrics, &(seed, load)) in packed.iter().zip(&lanes) {
             let config = config.clone().with_load(load);
@@ -264,4 +259,54 @@ fn curve_packing_matches_per_point_execution() {
     let expected: Vec<usize> = shard.scenarios.iter().map(|s| s.index).collect();
     assert_eq!(order, expected, "results come back in shard order");
     assert_eq!(assemble(&config, results).unwrap().to_json(), reference);
+}
+
+/// A Benes curve passes [`packed_eligible`] but has no destination-tag
+/// table, so `plan_chunked` ships it as a word shard and the batch layer
+/// runs it on the scalar engine. The report must equal per-point execution,
+/// at any thread count, under multi-path (uniform) and looping (a full cell
+/// permutation) routing, with and without a dead link.
+#[test]
+fn benes_word_shards_match_per_point_execution() {
+    let loads = vec![0.0, 0.4, 0.8, 1.0];
+    let replications = 3;
+    assert!(loads.len() * replications >= LANE_THRESHOLD);
+    let config = CampaignConfig::over_catalog(3..=3)
+        .with_cells(vec![NetworkSpec::benes(3), NetworkSpec::benes_variant(3)])
+        .with_seed(0xBE9E5)
+        .with_traffic(vec![
+            TrafficPattern::Uniform,
+            TrafficPattern::Permutation(vec![2, 0, 3, 1]),
+        ])
+        .with_loads(loads.clone())
+        .with_buffer_modes(vec![BufferMode::Unbuffered])
+        .with_fault_plans(vec![
+            FaultPlan::none(),
+            FaultPlan::none().with_dead_link(1, 0, 1, 20),
+        ])
+        .with_replications(replications as u32)
+        .with_cycles(80, 8);
+    let lanes = loads.len() * replications;
+    let chunked = config.plan_chunked(1).unwrap();
+    assert!(
+        chunked
+            .shards
+            .iter()
+            .all(|shard| shard.scenarios.len() == lanes),
+        "every curve ships as one word shard"
+    );
+    let plan = config.plan().unwrap();
+    let per_point = plan
+        .shards
+        .iter()
+        .flat_map(|shard| execute_shard(&config, shard).unwrap())
+        .collect();
+    let reference = assemble(&config, per_point).unwrap().to_json();
+    for threads in [1, 4] {
+        assert_eq!(
+            run_campaign(&config, threads).unwrap().to_json(),
+            reference,
+            "{threads} threads"
+        );
+    }
 }

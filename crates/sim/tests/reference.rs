@@ -30,7 +30,8 @@ struct ReferenceSimulator {
 
 impl ReferenceSimulator {
     fn new(net: min_core::ConnectionNetwork, config: SimConfig) -> Self {
-        let fabric = min_sim::fabric::Fabric::new(net).expect("delta network");
+        let fabric =
+            min_sim::fabric::Fabric::for_traffic(net, &config.traffic).expect("2-regular network");
         let stages = fabric.stages();
         let cells = fabric.cells();
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
