@@ -184,49 +184,6 @@ impl Connection {
             None
         }
     }
-
-    /// Exchanges the roles of `f` and `g` (the induced digraph is unchanged).
-    pub fn swapped(&self) -> Connection {
-        Connection {
-            width: self.width,
-            f: self.g.clone(),
-            g: self.f.clone(),
-        }
-    }
-
-    /// Applies a relabelling `σ` to the *source* stage: the new connection is
-    /// `(f ∘ σ, g ∘ σ)`.
-    pub fn precompose(&self, sigma: &Permutation) -> Connection {
-        assert_eq!(sigma.width(), self.width, "widths must match");
-        Connection {
-            width: self.width,
-            f: all_labels(self.width)
-                .map(|x| self.f[sigma.apply(x) as usize])
-                .collect(),
-            g: all_labels(self.width)
-                .map(|x| self.g[sigma.apply(x) as usize])
-                .collect(),
-        }
-    }
-
-    /// Applies a relabelling `σ` to the *target* stage: the new connection is
-    /// `(σ ∘ f, σ ∘ g)`.
-    pub fn postcompose(&self, sigma: &Permutation) -> Connection {
-        assert_eq!(sigma.width(), self.width, "widths must match");
-        Connection {
-            width: self.width,
-            f: self
-                .f
-                .iter()
-                .map(|&y| sigma.apply(y as u64) as u32)
-                .collect(),
-            g: self
-                .g
-                .iter()
-                .map(|&y| sigma.apply(y as u64) as u32)
-                .collect(),
-        }
-    }
 }
 
 /// The arcs entering one target cell, as [`Connection::in_arcs`] finds
@@ -347,28 +304,6 @@ mod tests {
         // Cell 0 keeps its first two in-arcs: both arcs of cell 0.
         assert_eq!(skew.in_arcs()[0].links, [0, 1]);
         assert_eq!(skew.in_arcs()[3].links, [7, 0]);
-    }
-
-    #[test]
-    fn swapped_exchanges_roles() {
-        let conn = baseline_stage0();
-        let sw = conn.swapped();
-        for x in 0..4u64 {
-            assert_eq!(conn.f(x), sw.g(x));
-            assert_eq!(conn.g(x), sw.f(x));
-        }
-    }
-
-    #[test]
-    fn pre_and_post_composition_relabel_the_right_side() {
-        let conn = baseline_stage0();
-        let sigma = Permutation::from_fn(2, |x| x ^ 0b11);
-        let pre = conn.precompose(&sigma);
-        let post = conn.postcompose(&sigma);
-        for x in 0..4u64 {
-            assert_eq!(pre.f(x), conn.f(x ^ 0b11));
-            assert_eq!(post.f(x), conn.f(x) ^ 0b11);
-        }
     }
 
     #[test]

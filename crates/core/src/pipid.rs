@@ -93,12 +93,6 @@ pub fn connection_from_pipid(theta: &IndexPermutation) -> PipidStage {
     }
 }
 
-/// Convenience: the PIPID connections of a whole network given one θ per
-/// inter-stage link.
-pub fn connections_from_pipids(thetas: &[IndexPermutation]) -> Vec<PipidStage> {
-    thetas.iter().map(connection_from_pipid).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,18 +200,5 @@ mod tests {
         assert_eq!(stage.critical_digit, 1);
         assert!(!stage.degenerate);
         assert_eq!(stage.theta(), &IndexPermutation::perfect_shuffle(4));
-    }
-
-    #[test]
-    fn connections_from_pipids_builds_whole_networks() {
-        let n = 4;
-        let thetas = vec![IndexPermutation::perfect_shuffle(n); n - 1];
-        let stages = connections_from_pipids(&thetas);
-        assert_eq!(stages.len(), 3);
-        let net = ConnectionNetwork::new(n - 1, stages.into_iter().map(|s| s.connection).collect());
-        assert!(is_banyan(&net.to_digraph()));
-        assert!(crate::properties::satisfies_characterization(
-            &net.to_digraph()
-        ));
     }
 }

@@ -263,7 +263,7 @@ mod tests {
     fn a_width_past_the_label_range_is_not_proper_shape() {
         // 65 stages would need 2^64 cells per stage; the shape check must
         // say no instead of overflowing the shift.
-        let g = min_graph::serialize::from_text("mi-digraph v1 stages=65 width=1").unwrap();
+        let g = MiDigraph::new(65, 1);
         assert!(!characterization_report(&g).proper_shape);
     }
 }

@@ -12,7 +12,7 @@
 //! * [`MiDigraph`] — the staged digraph itself, a plain container of
 //!   forward and backward adjacency lists with degree queries and the
 //!   regularity check. It is the input and output form of a network: DOT
-//!   export, the text and JSON formats, and hand-built graphs. It is
+//!   export, the write-only text format, JSON, and hand-built graphs. It is
 //!   deliberately more permissive than the paper's definition (arbitrary
 //!   degrees, parallel arcs, any width) so that the degenerate objects the
 //!   paper discusses — the Fig. 5 parallel-link stage, non-Banyan graphs,
@@ -32,7 +32,8 @@
 //! * [`iso`] — stage-respecting isomorphisms as per-stage bijections:
 //!   verification and inversion of the certificates.
 //! * [`dot`] / [`serialize`] — DOT export for figure regeneration and a
-//!   compact serde-friendly exchange format.
+//!   compact write-only text rendering; [`MiDigraph`]'s checked serde
+//!   `Deserialize` is the one reader.
 //!
 //! Stage indices are 0-based throughout the code; the paper's stage `i`
 //! (1-based) is stage `i-1` here.

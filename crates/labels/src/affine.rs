@@ -3,8 +3,8 @@
 //! The fast independence checker in `min-core` proves that a connection
 //! `(f, g)` is independent exactly when `f` is affine and `g = f ⊕ c` for a
 //! constant `c`. [`AffineMap`] is the concrete certificate: the linear part
-//! `L`, the translation `t = f(0)`, and helpers to verify the certificate
-//! against an arbitrary function table.
+//! `L` and the translation `t = f(0)`; its [`AffineMap::table`] checks the
+//! certificate against a function table.
 
 use crate::gf2::{mask, Label, Width};
 use crate::linear::LinearMap;
@@ -28,17 +28,12 @@ impl AffineMap {
         AffineMap::new(LinearMap::identity(width), 0)
     }
 
-    /// A pure translation `x ↦ x ⊕ v`.
-    pub fn translation(width: Width, v: Label) -> Self {
-        AffineMap::new(LinearMap::identity(width), v)
-    }
-
     /// Interpolates the unique affine map agreeing with `func` at `0` and on
     /// the canonical basis vectors.
     ///
-    /// Whether `func` is actually affine must then be checked with
-    /// [`AffineMap::agrees_with`]; the pair of calls constitutes an exact
-    /// affinity test for a function given as a table or closure.
+    /// Whether `func` is actually affine must then be checked by comparing
+    /// [`AffineMap::table`] with `func` on the whole domain; the pair is an
+    /// exact affinity test for a function given as a table or closure.
     pub fn interpolate<F: Fn(Label) -> Label>(width_in: Width, width_out: Width, func: F) -> Self {
         let offset = func(0) & mask(width_out);
         let linear = LinearMap::interpolate(width_in, width_out, &func);
@@ -77,15 +72,6 @@ impl AffineMap {
     /// [`crate::bitmat::affine_cell_table`], instead.
     pub fn table(&self) -> Vec<Label> {
         crate::bitmat::affine_table(self.linear.columns(), self.offset)
-    }
-
-    /// Checks that `func` agrees with this affine map on the whole domain.
-    pub fn agrees_with<F: Fn(Label) -> Label>(&self, func: F) -> bool {
-        let m = mask(self.width_out());
-        self.table()
-            .iter()
-            .zip(crate::all_labels(self.width_in()))
-            .all(|(&img, x)| img == func(x) & m)
     }
 
     /// Composition `self ∘ other` (apply `other` first).
@@ -137,7 +123,7 @@ mod tests {
     #[test]
     fn identity_and_translation_apply_correctly() {
         let id = AffineMap::identity(4);
-        let tr = AffineMap::translation(4, 0b1010);
+        let tr = AffineMap::new(LinearMap::identity(4), 0b1010);
         for x in crate::all_labels(4) {
             assert_eq!(id.apply(x), x);
             assert_eq!(tr.apply(x), x ^ 0b1010);
@@ -148,7 +134,7 @@ mod tests {
     fn interpolate_recovers_affine_functions() {
         let f = |x: Label| (x >> 1) ^ 0b100;
         let a = AffineMap::interpolate(4, 3, f);
-        assert!(a.agrees_with(f));
+        assert_eq!(a.table(), crate::all_labels(4).map(f).collect::<Vec<_>>());
         assert_eq!(a.offset(), 0b100);
     }
 
@@ -156,7 +142,7 @@ mod tests {
     fn interpolate_rejects_non_affine_functions() {
         let f = |x: Label| if x == 3 { 0 } else { x };
         let a = AffineMap::interpolate(3, 3, f);
-        assert!(!a.agrees_with(f));
+        assert_ne!(a.table(), crate::all_labels(3).map(f).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,51 +1,31 @@
-//! Word-packed GF(2) matrices and the elimination kernels built on them.
+//! The GF(2) kernels: one word-packed eliminator and one doubling table.
 //!
-//! Every row of a [`BitMatrix`] is one `u64` word, so XOR-row elimination,
-//! rank, kernel/image bases, solving and inversion all run on whole rows at
-//! once instead of digit by digit. These are the hot kernels behind
-//! [`crate::LinearMap`], [`crate::Subspace`] and [`crate::AffineMap`], and —
-//! through them — behind the independence checkers and the
-//! equivalence-classification campaigns in `min-core`.
+//! The crate-private `Eliminator` is the only code in the crate that builds
+//! or extends a basis. Every vector is one `u64` word, so a reduction XORs
+//! whole words instead of scanning digits. [`crate::LinearMap`] feeds it its
+//! columns (rank, kernel, solve, inverse) and [`crate::Subspace`] its
+//! generators (the reduced basis, basis completion); through them it serves
+//! the independence checkers and the classification campaigns in
+//! `min-core`.
 //!
-//! ## Orientation
+//! [`affine_table`] and [`affine_cell_table`] evaluate an affine map on its
+//! whole domain, one XOR per entry.
 //!
-//! A [`BitMatrix`] is a plain `nrows × ncols` matrix over GF(2), row-major.
-//! [`crate::LinearMap`] stores a map by its *columns* (`columns[j] = L(e_j)`),
-//! which is exactly the row list of the **transpose**, so the bridge is
-//! `BitMatrix::from_rows(width_out, columns)`. All the shim code in
-//! `linear.rs` works in this transposed view:
-//!
-//! * `rank(L) = rank(Lᵀ)` — [`BitMatrix::rank`];
-//! * `ker L` = the linear relations among the columns —
-//!   [`BitMatrix::row_relations`];
-//! * `L x = y` ⇔ `y` is the XOR of the columns selected by `x` —
-//!   [`BitMatrix::solve_combination`];
-//! * columns of `L⁻¹` = the column combinations producing each `e_j` —
-//!   [`BitMatrix::combination_inverse`].
-//!
-//! The pre-refactor digit-at-a-time implementations are retained verbatim in
+//! The digit-at-a-time implementations the eliminator replaced are kept in
 //! `tests/support/scalar.rs` as the reference oracle; the property tests in
-//! `tests/packed_oracle.rs` pin the two against each other, and the
-//! `classification` benchmark measures the packed-vs-scalar gap.
+//! `tests/packed_oracle.rs` pin the two against each other.
 
-use crate::gf2::{mask, parity, Label};
+use crate::gf2::Label;
 use std::ops::BitXor;
 
-/// A dense GF(2) matrix with up to 64 columns, one `u64` word per row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitMatrix {
-    ncols: usize,
-    rows: Vec<u64>,
-}
-
-/// Incremental reduced-row-echelon eliminator with pivot rows indexed by
-/// their leading bit, so reduction never searches or sorts.
+/// Incremental row-echelon eliminator with pivot rows indexed by their
+/// leading bit, so reduction never searches or sorts.
 ///
-/// Each pivot carries a *combination* word remembering which original rows
+/// Each pivot carries a *combination* word remembering which fed vectors
 /// were XORed into it; relations, solutions and inverses all fall out of the
 /// same single elimination pass.
 #[derive(Debug, Clone)]
-struct Eliminator {
+pub(crate) struct Eliminator {
     values: [u64; 64],
     combos: [u64; 64],
     /// Bit `b` set ⇔ a pivot row with leading bit `b` exists.
@@ -53,7 +33,8 @@ struct Eliminator {
 }
 
 impl Eliminator {
-    fn new() -> Self {
+    /// An eliminator with no pivots.
+    pub(crate) fn new() -> Self {
         Eliminator {
             values: [0; 64],
             combos: [0; 64],
@@ -61,14 +42,26 @@ impl Eliminator {
         }
     }
 
+    /// An eliminator fed `rows` in order, row `i` carrying combination bit
+    /// `i`, with the relations among the rows: the combinations of the
+    /// dependent ones, in feeding order.
+    pub(crate) fn of_rows(rows: &[u64]) -> (Self, Vec<u64>) {
+        let mut e = Eliminator::new();
+        let relations = rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &row)| e.absorb(row, 1u64 << i))
+            .collect();
+        (e, relations)
+    }
+
     /// Fully reduces `(value, combo)` against the pivot rows: the residue
-    /// has no pivoted bit left (zero residue ⇔ `value` was in the row
-    /// space).
+    /// has no pivoted bit left (zero residue ⇔ `value` was in the span).
     ///
     /// The loop touches only *pivoted* bits of the running value
     /// (`value & occupied`), one word-AND per step, so a reduction costs one
     /// XOR per pivot actually hit — never a scan over every digit.
-    fn reduce(&self, mut value: u64, mut combo: u64) -> (u64, u64) {
+    pub(crate) fn reduce(&self, mut value: u64, mut combo: u64) -> (u64, u64) {
         loop {
             let hits = value & self.occupied;
             if hits == 0 {
@@ -82,33 +75,29 @@ impl Eliminator {
         }
     }
 
-    /// Inserts a fully reduced, non-zero row as a new pivot. The basis is
-    /// kept in *echelon* form only — [`Eliminator::reduce`] stays complete
-    /// without back-substitution, and the rank / relation / solve / inverse
-    /// paths never pay for it. [`Eliminator::rref_basis`] normalizes on
-    /// demand.
-    fn insert(&mut self, value: u64, combo: u64) {
-        debug_assert_ne!(value, 0, "only non-zero residues become pivots");
-        let b = 63 - value.leading_zeros() as usize;
-        debug_assert_eq!((self.occupied >> b) & 1, 0, "pivot slot must be free");
-        self.values[b] = value;
-        self.combos[b] = combo;
-        self.occupied |= 1u64 << b;
-    }
-
     /// Feeds `(value, combo)` through the eliminator; returns the relation
-    /// combo when the value was dependent, `None` when it became a pivot.
-    fn absorb(&mut self, value: u64, combo: u64) -> Option<u64> {
+    /// combo when the value was dependent, `None` when its residue became a
+    /// new pivot.
+    ///
+    /// The pivots are kept in *echelon* form only: [`Eliminator::reduce`]
+    /// stays complete without back-substitution, and the rank / relation /
+    /// solve / inverse paths never pay for it.
+    /// [`Eliminator::into_reduced_basis`] normalizes on demand.
+    pub(crate) fn absorb(&mut self, value: u64, combo: u64) -> Option<u64> {
         let (residue, combo) = self.reduce(value, combo);
         if residue == 0 {
-            Some(combo)
-        } else {
-            self.insert(residue, combo);
-            None
+            return Some(combo);
         }
+        let b = 63 - residue.leading_zeros() as usize;
+        debug_assert_eq!((self.occupied >> b) & 1, 0, "a residue has no pivoted bit");
+        self.values[b] = residue;
+        self.combos[b] = combo;
+        self.occupied |= 1u64 << b;
+        None
     }
 
-    fn rank(&self) -> usize {
+    /// Number of pivots: the dimension of the span fed so far.
+    pub(crate) fn rank(&self) -> usize {
         self.occupied.count_ones() as usize
     }
 
@@ -118,7 +107,7 @@ impl Eliminator {
     /// Pivot bits are processed in ascending order, so every pivot a row is
     /// reduced against is already normalized and each cross-pivot bit is
     /// cleared exactly once.
-    fn rref_basis(&mut self) -> Vec<u64> {
+    pub(crate) fn into_reduced_basis(mut self) -> Vec<u64> {
         let mut occ = self.occupied;
         while occ != 0 {
             let b = occ.trailing_zeros() as usize;
@@ -143,199 +132,6 @@ impl Eliminator {
             out.push(self.values[b]);
         }
         out
-    }
-}
-
-impl BitMatrix {
-    /// Builds a matrix from its rows (each masked to `ncols` bits).
-    pub fn from_rows(ncols: usize, rows: Vec<u64>) -> Self {
-        assert!(ncols <= 64, "a packed row holds at most 64 digits");
-        let m = mask(ncols);
-        BitMatrix {
-            ncols,
-            rows: rows.into_iter().map(|r| r & m).collect(),
-        }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        assert!(n <= 64, "a packed row holds at most 64 digits");
-        BitMatrix {
-            ncols: n,
-            rows: (0..n).map(|i| 1u64 << i).collect(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// The packed rows.
-    pub fn rows(&self) -> &[u64] {
-        &self.rows
-    }
-
-    /// Row `i` as a packed word.
-    pub fn row(&self, i: usize) -> u64 {
-        self.rows[i]
-    }
-
-    /// The transposed matrix (digit-level; used only off the hot paths).
-    pub fn transpose(&self) -> BitMatrix {
-        assert!(self.nrows() <= 64, "the transpose needs packable rows");
-        let rows = (0..self.ncols)
-            .map(|j| {
-                let mut r = 0u64;
-                for (i, &row) in self.rows.iter().enumerate() {
-                    r |= ((row >> j) & 1) << i;
-                }
-                r
-            })
-            .collect();
-        BitMatrix {
-            ncols: self.nrows(),
-            rows,
-        }
-    }
-
-    /// Applies the matrix to a column vector: `y_i = ⟨row_i, x⟩`.
-    pub fn apply(&self, x: u64) -> u64 {
-        let x = x & mask(self.ncols);
-        let mut y = 0u64;
-        for (i, &row) in self.rows.iter().enumerate() {
-            y |= parity(row & x) << i;
-        }
-        y
-    }
-
-    /// Matrix product `self · other` over GF(2): row `i` of the result is
-    /// the XOR of the rows of `other` selected by row `i` of `self`.
-    pub fn mul(&self, other: &BitMatrix) -> BitMatrix {
-        assert_eq!(
-            self.ncols,
-            other.nrows(),
-            "inner dimensions must agree for a product"
-        );
-        let rows = self
-            .rows
-            .iter()
-            .map(|&row| {
-                let mut acc = 0u64;
-                let mut rest = row;
-                while rest != 0 {
-                    let j = rest.trailing_zeros() as usize;
-                    acc ^= other.rows[j];
-                    rest &= rest - 1;
-                }
-                acc
-            })
-            .collect();
-        BitMatrix {
-            ncols: other.ncols,
-            rows,
-        }
-    }
-
-    /// Rank over GF(2) (word-packed elimination, no sorting, no transposes).
-    pub fn rank(&self) -> usize {
-        let mut e = Eliminator::new();
-        for &row in &self.rows {
-            let (residue, _) = e.reduce(row, 0);
-            if residue != 0 {
-                e.insert(residue, 0);
-            }
-        }
-        e.rank()
-    }
-
-    /// The unique reduced row-echelon basis of the row space, ordered by
-    /// decreasing leading bit.
-    pub fn row_space_basis(&self) -> Vec<u64> {
-        let mut e = Eliminator::new();
-        for &row in &self.rows {
-            let (residue, _) = e.reduce(row, 0);
-            if residue != 0 {
-                e.insert(residue, 0);
-            }
-        }
-        e.rref_basis()
-    }
-
-    /// A basis of the linear relations among the rows: each returned word
-    /// selects a set of rows whose XOR is zero.
-    ///
-    /// In the transposed [`crate::LinearMap`] view, where the rows are the
-    /// map's columns, this is exactly a kernel basis of the map.
-    pub fn row_relations(&self) -> Vec<u64> {
-        assert!(
-            self.nrows() <= 64,
-            "relation combinations are packed into one word"
-        );
-        let mut e = Eliminator::new();
-        let mut relations = Vec::new();
-        for (i, &row) in self.rows.iter().enumerate() {
-            if let Some(combo) = e.absorb(row, 1u64 << i) {
-                relations.push(combo);
-            }
-        }
-        relations
-    }
-
-    /// Finds a set of rows whose XOR equals `target`, as a packed selector
-    /// word, or `None` when `target` is outside the row space.
-    ///
-    /// In the transposed [`crate::LinearMap`] view this solves `L x = y`.
-    pub fn solve_combination(&self, target: u64) -> Option<u64> {
-        assert!(
-            self.nrows() <= 64,
-            "solution combinations are packed into one word"
-        );
-        let mut e = Eliminator::new();
-        for (i, &row) in self.rows.iter().enumerate() {
-            let (residue, combo) = e.reduce(row, 1u64 << i);
-            if residue != 0 {
-                e.insert(residue, combo);
-            }
-        }
-        let (residue, combo) = e.reduce(target & mask(self.ncols), 0);
-        (residue == 0).then_some(combo)
-    }
-
-    /// For a square full-rank matrix, returns for every unit vector `e_j`
-    /// the row combination producing it (`out[j]`); `None` when singular.
-    ///
-    /// In the transposed [`crate::LinearMap`] view, `out[j]` is column `j`
-    /// of the inverse map.
-    pub fn combination_inverse(&self) -> Option<Vec<u64>> {
-        assert_eq!(
-            self.nrows(),
-            self.ncols,
-            "only square matrices can be inverted"
-        );
-        let mut e = Eliminator::new();
-        for (i, &row) in self.rows.iter().enumerate() {
-            let (residue, combo) = e.reduce(row, 1u64 << i);
-            if residue != 0 {
-                e.insert(residue, combo);
-            }
-        }
-        if e.rank() < self.ncols {
-            return None;
-        }
-        let columns = (0..self.ncols)
-            .map(|j| {
-                let (residue, combo) = e.reduce(1u64 << j, 0);
-                debug_assert_eq!(residue, 0, "full rank spans every unit vector");
-                combo
-            })
-            .collect();
-        Some(columns)
     }
 }
 
@@ -389,29 +185,46 @@ fn fill_doubling<T: Copy + Default + BitXor<Output = T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gf2::mask;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn random_matrix(nrows: usize, ncols: usize, rng: &mut ChaCha8Rng) -> BitMatrix {
-        BitMatrix::from_rows(ncols, (0..nrows).map(|_| rng.gen::<u64>()).collect())
+    fn random_rows(nrows: usize, ncols: usize, rng: &mut ChaCha8Rng) -> Vec<u64> {
+        (0..nrows).map(|_| rng.gen::<u64>() & mask(ncols)).collect()
+    }
+
+    fn xor_selected(rows: &[u64], combo: u64) -> u64 {
+        let mut acc = 0u64;
+        let mut rest = combo;
+        while rest != 0 {
+            acc ^= rows[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
+        }
+        acc
     }
 
     #[test]
     fn identity_has_full_rank_and_fixed_points() {
-        let id = BitMatrix::identity(7);
-        assert_eq!(id.rank(), 7);
+        let rows: Vec<u64> = (0..7).map(|i| 1u64 << i).collect();
+        let (e, relations) = Eliminator::of_rows(&rows);
+        assert_eq!(e.rank(), 7);
+        assert!(relations.is_empty());
         for x in 0..128u64 {
-            assert_eq!(id.apply(x), x);
+            // The combination producing x from the unit rows is x itself.
+            assert_eq!(e.reduce(x, 0), (0, x));
         }
-        assert_eq!(id.combination_inverse().unwrap(), id.rows().to_vec());
+        assert_eq!(
+            e.into_reduced_basis(),
+            rows.into_iter().rev().collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn rank_plus_relations_is_the_row_count() {
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
         for _ in 0..50 {
-            let m = random_matrix(9, 6, &mut rng);
-            assert_eq!(m.rank() + m.row_relations().len(), m.nrows());
+            let (e, relations) = Eliminator::of_rows(&random_rows(9, 6, &mut rng));
+            assert_eq!(e.rank() + relations.len(), 9);
         }
     }
 
@@ -419,26 +232,22 @@ mod tests {
     fn relations_select_rows_that_cancel() {
         let mut rng = ChaCha8Rng::seed_from_u64(2025);
         for _ in 0..50 {
-            let m = random_matrix(10, 5, &mut rng);
-            for combo in m.row_relations() {
+            let rows = random_rows(10, 5, &mut rng);
+            for combo in Eliminator::of_rows(&rows).1 {
                 assert_ne!(combo, 0, "a relation involves at least one row");
-                let mut acc = 0u64;
-                let mut rest = combo;
-                while rest != 0 {
-                    let i = rest.trailing_zeros() as usize;
-                    acc ^= m.row(i);
-                    rest &= rest - 1;
-                }
-                assert_eq!(acc, 0);
+                assert_eq!(xor_selected(&rows, combo), 0);
             }
         }
     }
 
     #[test]
     fn row_space_basis_is_reduced_and_spans() {
-        let m = BitMatrix::from_rows(4, vec![0b0011, 0b0101, 0b0110, 0b1111]);
-        let basis = m.row_space_basis();
-        assert_eq!(basis.len(), m.rank());
+        let rows = [0b0011, 0b0101, 0b0110, 0b1111];
+        let (e, _) = Eliminator::of_rows(&rows);
+        let rank = e.rank();
+        let basis = e.clone().into_reduced_basis();
+        assert_eq!(basis.len(), rank);
+        assert!(rows.iter().all(|&r| e.reduce(r, 0).0 == 0));
         // Reduced: every leading bit appears in exactly one basis row.
         for (i, &b) in basis.iter().enumerate() {
             let lead = 63 - b.leading_zeros() as usize;
@@ -456,22 +265,13 @@ mod tests {
     fn solve_combination_finds_witnesses_exactly_on_the_row_space() {
         let mut rng = ChaCha8Rng::seed_from_u64(2026);
         for _ in 0..50 {
-            let m = random_matrix(5, 8, &mut rng);
-            let basis = m.row_space_basis();
-            let span = crate::Subspace::from_generators(8, basis.iter().copied());
+            let rows = random_rows(5, 8, &mut rng);
+            let (e, _) = Eliminator::of_rows(&rows);
+            let span = crate::Subspace::from_generators(8, rows.iter().copied());
             for target in 0..256u64 {
-                match m.solve_combination(target) {
-                    Some(combo) => {
-                        let mut acc = 0u64;
-                        let mut rest = combo;
-                        while rest != 0 {
-                            let i = rest.trailing_zeros() as usize;
-                            acc ^= m.row(i);
-                            rest &= rest - 1;
-                        }
-                        assert_eq!(acc, target);
-                    }
-                    None => assert!(!span.contains(target)),
+                match e.reduce(target, 0) {
+                    (0, combo) => assert_eq!(xor_selected(&rows, combo), target),
+                    _ => assert!(!span.contains(target)),
                 }
             }
         }
@@ -482,53 +282,19 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2027);
         let mut inverted = 0;
         for _ in 0..60 {
-            let m = random_matrix(6, 6, &mut rng);
-            let Some(inv) = m.combination_inverse() else {
-                assert!(m.rank() < 6);
+            let rows = random_rows(6, 6, &mut rng);
+            let (e, _) = Eliminator::of_rows(&rows);
+            if e.rank() < 6 {
                 continue;
-            };
+            }
             inverted += 1;
-            for (j, &combo) in inv.iter().enumerate() {
-                let mut acc = 0u64;
-                let mut rest = combo;
-                while rest != 0 {
-                    let i = rest.trailing_zeros() as usize;
-                    acc ^= m.row(i);
-                    rest &= rest - 1;
-                }
-                assert_eq!(acc, 1u64 << j);
+            for j in 0..6 {
+                let (residue, combo) = e.reduce(1u64 << j, 0);
+                assert_eq!(residue, 0, "full rank spans every unit vector");
+                assert_eq!(xor_selected(&rows, combo), 1u64 << j);
             }
         }
         assert!(inverted >= 10, "random 6x6 matrices are often invertible");
-    }
-
-    #[test]
-    fn mul_matches_composed_application() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2028);
-        for _ in 0..30 {
-            let a = random_matrix(5, 6, &mut rng);
-            let b = random_matrix(6, 4, &mut rng);
-            let ab = a.mul(&b);
-            assert_eq!(ab.nrows(), 5);
-            assert_eq!(ab.ncols(), 4);
-            // In the row-combination reading, row i of ab selects columns of
-            // b the way row i of a selects rows of b; check via transpose
-            // application: (a·b)ᵀ x = bᵀ (aᵀ x).
-            for x in 0..32u64 {
-                assert_eq!(
-                    ab.transpose().apply(x),
-                    b.transpose().apply(a.transpose().apply(x))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_is_an_involution() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2029);
-        let m = random_matrix(7, 5, &mut rng);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().rank(), m.rank());
     }
 
     #[test]

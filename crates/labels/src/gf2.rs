@@ -51,23 +51,9 @@ pub fn bit(x: Label, k: usize) -> u64 {
     (x >> k) & 1
 }
 
-/// Sets digit `k` of `x` to `value` (0 or 1) and returns the new label.
-#[inline]
-pub fn with_bit(x: Label, k: usize, value: u64) -> Label {
-    debug_assert!(value <= 1, "a binary digit must be 0 or 1");
-    (x & !(1u64 << k)) | (value << k)
-}
-
-/// Number of 1-digits of `x`.
-#[inline]
-pub fn popcount(x: Label) -> u32 {
-    x.count_ones()
-}
-
 /// Position of the highest set digit of `x`, or `None` for `x = 0`.
 ///
-/// The elimination kernels ([`crate::bitmat`]) and the subspace reduction
-/// key every pivot by this position.
+/// [`crate::Subspace::reduce`] keys each basis vector by this position.
 ///
 /// ```
 /// use min_labels::gf2::leading_bit;
@@ -84,15 +70,6 @@ pub fn leading_bit(x: Label) -> Option<usize> {
     }
 }
 
-/// Parity (sum over GF(2)) of the digits of `x`.
-///
-/// Used when evaluating a GF(2) linear form (a row of a matrix) against a
-/// label: `parity(row & x)` is the inner product `⟨row, x⟩` over GF(2).
-#[inline]
-pub fn parity(x: Label) -> u64 {
-    (x.count_ones() & 1) as u64
-}
-
 /// Iterator over all `2^width` labels of the given width, in natural order.
 ///
 /// ```
@@ -104,44 +81,6 @@ pub fn parity(x: Label) -> u64 {
 pub fn all_labels(width: Width) -> impl Iterator<Item = Label> {
     debug_assert!(width < 63, "enumerating 2^{width} labels would overflow");
     0..(1u64 << width)
-}
-
-/// Number of labels of a given width, `2^width`, as a `usize`.
-#[inline]
-pub fn domain_size(width: Width) -> usize {
-    crate::check_width(width);
-    1usize << width
-}
-
-/// Inserts a digit `value` at position `pos` of `x`, shifting the digits at
-/// positions `>= pos` one place up.
-///
-/// With `x = (x_{w-1}, …, x_0)` this returns the `(w+1)`-digit label
-/// `(x_{w-1}, …, x_pos, value, x_{pos-1}, …, x_0)`. Section 4 of the paper
-/// builds the children of a cell exactly this way: the θ-permuted cell label
-/// with a `0` (for `f`) or `1` (for `g`) inserted at position `k-1`.
-///
-/// ```
-/// use min_labels::gf2::insert_bit;
-/// // insert a 1 between digits 1 and 0 of 0b10 -> 0b1_1_0
-/// assert_eq!(insert_bit(0b10, 1, 1), 0b110);
-/// ```
-#[inline]
-pub fn insert_bit(x: Label, pos: usize, value: u64) -> Label {
-    debug_assert!(value <= 1);
-    let low = x & mask(pos);
-    let high = x >> pos;
-    (high << (pos + 1)) | (value << pos) | low
-}
-
-/// Removes the digit at position `pos` of `x`, shifting higher digits down.
-///
-/// Inverse of [`insert_bit`] (ignoring the removed digit's value).
-#[inline]
-pub fn remove_bit(x: Label, pos: usize) -> Label {
-    let low = x & mask(pos);
-    let high = x >> (pos + 1);
-    (high << pos) | low
 }
 
 /// The `v`-translated set of `set`: `{ a ⊕ v : a ∈ set }` (paper, §3).
@@ -185,29 +124,6 @@ pub fn is_translate_of(a: &[Label], b: &[Label]) -> bool {
     false
 }
 
-/// Finds the translation vector `v` such that `b = a ⊕ v`, if one exists.
-pub fn translation_vector(a: &[Label], b: &[Label]) -> Option<Label> {
-    let mut sa: Vec<Label> = a.to_vec();
-    let mut sb: Vec<Label> = b.to_vec();
-    sa.sort_unstable();
-    sa.dedup();
-    sb.sort_unstable();
-    sb.dedup();
-    if sa.len() != sb.len() {
-        return None;
-    }
-    if sa.is_empty() {
-        return Some(0);
-    }
-    for &candidate in &sb {
-        let v = sa[0] ^ candidate;
-        if translated_set(&sa, v) == sb {
-            return Some(v);
-        }
-    }
-    None
-}
-
 /// Formats a label as the paper's tuple notation `(x_{w-1}, …, x_0)`.
 ///
 /// ```
@@ -242,45 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn with_bit_sets_and_clears() {
-        assert_eq!(with_bit(0b1000, 1, 1), 0b1010);
-        assert_eq!(with_bit(0b1010, 3, 0), 0b0010);
-        assert_eq!(with_bit(0b1010, 1, 1), 0b1010);
-    }
-
-    #[test]
-    fn parity_matches_popcount_mod_two() {
-        for x in 0..256u64 {
-            assert_eq!(parity(x), u64::from(popcount(x) % 2));
-        }
-    }
-
-    #[test]
     fn all_labels_enumerates_the_full_domain() {
         assert_eq!(all_labels(0).collect::<Vec<_>>(), vec![0]);
         assert_eq!(all_labels(3).count(), 8);
-        assert_eq!(domain_size(10), 1024);
-    }
-
-    #[test]
-    fn insert_and_remove_bit_round_trip() {
-        for x in 0..64u64 {
-            for pos in 0..=6usize {
-                for v in 0..=1u64 {
-                    let inserted = insert_bit(x, pos, v);
-                    assert_eq!(bit(inserted, pos), v);
-                    assert_eq!(remove_bit(inserted, pos), x);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn insert_bit_matches_paper_example() {
-        // x = (x_2, x_1) = (1, 0); insert 1 at position 0 -> (1, 0, 1)
-        assert_eq!(insert_bit(0b10, 0, 1), 0b101);
-        // insert 0 at the top -> (0, 1, 0)
-        assert_eq!(insert_bit(0b10, 2, 0), 0b010);
     }
 
     #[test]
@@ -298,15 +178,12 @@ mod tests {
         let a = vec![1, 2, 4];
         let b = translated_set(&a, 5);
         assert!(is_translate_of(&a, &b));
-        assert_eq!(translation_vector(&a, &b), Some(5));
         // A set that happens to be globally symmetric under the shift is a
-        // translate of itself by 0 as well; the detector may return either
-        // witness, both of which are correct.
+        // translate of itself.
         let sym = vec![1u64, 2, 4, 7];
         let shifted = translated_set(&sym, 5);
         assert_eq!(shifted, sym, "this set is invariant under ⊕5");
-        let v = translation_vector(&sym, &shifted).expect("must find some witness");
-        assert_eq!(translated_set(&sym, v), shifted);
+        assert!(is_translate_of(&sym, &shifted));
     }
 
     #[test]
@@ -314,7 +191,6 @@ mod tests {
         let a = vec![0, 1, 2, 3];
         let b = vec![0, 1, 2, 4];
         assert!(!is_translate_of(&a, &b));
-        assert_eq!(translation_vector(&a, &b), None);
     }
 
     #[test]
@@ -322,7 +198,7 @@ mod tests {
         // A subspace is a translate of itself by any of its own elements.
         let a = vec![0b00, 0b01, 0b10, 0b11];
         assert!(is_translate_of(&a, &a));
-        assert_eq!(translation_vector(&a, &a), Some(0));
+        assert!(is_translate_of(&a, &translated_set(&a, 0b10)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! The classical generators of the six networks of Wu & Feng are provided as
 //! constructors: the perfect shuffle σ, the inverse shuffle σ⁻¹, the
-//! k-sub-shuffles, the k-butterflies β_k and the bit reversal ρ.
+//! k-sub-shuffles and the k-butterflies β_k.
 
 use crate::gf2::{bit, mask, Label, Width};
 
@@ -116,15 +116,6 @@ impl IndexPermutation {
         IndexPermutation { map }
     }
 
-    /// The bit reversal ρ: digit `i` of the result is digit `width-1-i` of
-    /// the source.
-    pub fn bit_reversal(width: Width) -> Self {
-        crate::check_width(width);
-        IndexPermutation {
-            map: (0..width).map(|i| width - 1 - i).collect(),
-        }
-    }
-
     /// A general transposition of digits `a` and `b`.
     pub fn transposition(width: Width, a: usize, b: usize) -> Self {
         crate::check_width(width);
@@ -219,30 +210,6 @@ impl IndexPermutation {
         }
         k
     }
-
-    /// Cycle decomposition of θ, each cycle listed starting from its
-    /// smallest element, cycles sorted by that element. Fixed points are
-    /// included as singleton cycles.
-    pub fn cycles(&self) -> Vec<Vec<usize>> {
-        let w = self.width();
-        let mut seen = vec![false; w];
-        let mut cycles = Vec::new();
-        for start in 0..w {
-            if seen[start] {
-                continue;
-            }
-            let mut cycle = vec![start];
-            seen[start] = true;
-            let mut cur = self.map[start];
-            while cur != start {
-                seen[cur] = true;
-                cycle.push(cur);
-                cur = self.map[cur];
-            }
-            cycles.push(cycle);
-        }
-        cycles
-    }
 }
 
 impl std::fmt::Display for IndexPermutation {
@@ -335,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_reversal_reverses() {
-        let r = IndexPermutation::bit_reversal(4);
-        assert_eq!(r.apply(0b0001), 0b1000);
-        assert_eq!(r.apply(0b0011), 0b1100);
-        assert_eq!(r.apply(0b1010), 0b0101);
-        assert_eq!(r.order(), 2);
-    }
-
-    #[test]
     fn theta_inv_is_the_inverse_table() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         let p = IndexPermutation::random(7, &mut rng);
@@ -387,15 +345,6 @@ mod tests {
         let p = IndexPermutation::random(8, &mut rng);
         assert!(p.compose(&p.inverse()).is_identity());
         assert!(p.inverse().compose(&p).is_identity());
-    }
-
-    #[test]
-    fn cycles_partition_the_digits() {
-        let p = IndexPermutation::perfect_shuffle(5);
-        let cycles = p.cycles();
-        let total: usize = cycles.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 5);
-        assert_eq!(cycles.len(), 1, "a width-5 circular shift is a 5-cycle");
     }
 
     #[test]

@@ -11,23 +11,24 @@
 //! workspace:
 //!
 //! * [`Label`] — a binary string of bounded width stored in a machine word,
-//!   together with all the bit-level helpers the paper uses (bitwise
-//!   addition, digit extraction/insertion, translated sets / cosets).
-//! * [`subspace::Subspace`] — GF(2) linear subspaces: bases obtained by
-//!   Gaussian elimination, membership, enumeration, basis extension. These
-//!   implement the `(α_2, …, α_{n-1})`-generated sets of Proposition 1.
+//!   together with the bit-level helpers the paper uses (bitwise addition,
+//!   digit extraction, translated sets / cosets).
+//! * [`subspace::Subspace`] — GF(2) linear subspaces: reduced bases,
+//!   membership, enumeration, basis extension. These implement the
+//!   `(α_2, …, α_{n-1})`-generated sets of Proposition 1.
 //! * [`linear::LinearMap`] and [`affine::AffineMap`] — linear / affine maps
 //!   over GF(2). Independent connections turn out to be exactly the affine
 //!   pairs `(f, f ⊕ c)` (see `min-core::affine_form`), so these types carry
 //!   the certificates produced by the independence checker.
-//! * [`bitmat::BitMatrix`] — word-packed GF(2) matrices: XOR-row
-//!   elimination, rank, kernel/image bases, solving and inversion, one `u64`
-//!   word per row. These are the hot kernels behind the shim types above;
-//!   the pre-packing digit-at-a-time implementations live in the crate's
-//!   tests (`tests/support/scalar.rs`) as the reference oracle.
+//! * [`bitmat`] — the kernels under those types: one word-packed GF(2)
+//!   eliminator, which [`LinearMap`] and [`Subspace`] call for rank,
+//!   kernel, solving, inversion and bases, and the doubling tables that
+//!   evaluate an affine map on its whole domain. The digit-at-a-time
+//!   implementations live in the crate's tests (`tests/support/scalar.rs`)
+//!   as the reference oracle.
 //! * [`index_perm::IndexPermutation`] — a permutation θ of the digit
 //!   positions, i.e. a PIPID generator: perfect shuffle, sub-shuffles,
-//!   butterflies, bit reversal, and arbitrary θ.
+//!   butterflies, and arbitrary θ.
 //! * [`perm::Permutation`] — an arbitrary permutation of `2^w` symbols, with
 //!   PIPID detection, composition, inversion and random sampling.
 //!
@@ -46,8 +47,7 @@ pub mod perm;
 pub mod subspace;
 
 pub use affine::AffineMap;
-pub use bitmat::BitMatrix;
-pub use gf2::{all_labels, bit, leading_bit, mask, parity, popcount, Label, Width};
+pub use gf2::{all_labels, bit, leading_bit, mask, Label, Width};
 pub use index_perm::IndexPermutation;
 pub use linear::LinearMap;
 pub use perm::Permutation;

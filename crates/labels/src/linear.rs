@@ -3,22 +3,20 @@
 //! A map `L : Z_2^{w_in} -> Z_2^{w_out}` is linear when
 //! `L(x ⊕ y) = L(x) ⊕ L(y)`. We store it by its images of the canonical
 //! basis vectors (`columns[j] = L(e_j)`), which makes application a handful
-//! of XORs and composition a matrix product over GF(2).
+//! of XORs and composition one application per column.
 //!
 //! Independent connections (paper, §3) are precisely the connections whose
 //! `f` is *affine* with linear part shared by `g` (see
 //! `min-core::affine_form`), so [`LinearMap`] is the certificate type
 //! produced by the fast independence checker.
 //!
-//! Since the bitset-packing refactor this type is a thin shim: rank,
-//! kernel, inversion, solving and composition all delegate to the
-//! word-packed elimination kernels of [`crate::bitmat`] (the column list is
-//! handed to [`BitMatrix`] as the rows of the transpose), and full-domain
-//! evaluation uses the doubling table kernel. The historical
-//! digit-at-a-time implementations are retained in the crate's
-//! `tests/support/scalar.rs` as the reference oracle and benchmark baseline.
+//! Rank, kernel, solving and inversion feed the columns straight into the
+//! crate's word-packed eliminator ([`crate::bitmat`]), column `j` carrying
+//! combination bit `j`; full-domain evaluation uses the doubling table
+//! kernel. The digit-at-a-time implementations are retained in the crate's
+//! `tests/support/scalar.rs` as the reference oracle.
 
-use crate::bitmat::{affine_table, BitMatrix};
+use crate::bitmat::{affine_table, Eliminator};
 use crate::gf2::{mask, Label, Width};
 use crate::subspace::Subspace;
 
@@ -71,8 +69,8 @@ impl LinearMap {
     }
 
     /// Builds the unique linear map agreeing with `func` on the canonical
-    /// basis. (Whether `func` itself is linear is a separate question —
-    /// see [`LinearMap::agrees_with`].)
+    /// basis. (Whether `func` itself is linear is a separate question:
+    /// compare [`LinearMap::table`] with `func` on the whole domain.)
     pub fn interpolate<F: Fn(Label) -> Label>(width_in: Width, width_out: Width, func: F) -> Self {
         let f0 = func(0);
         let columns = (0..width_in)
@@ -120,42 +118,23 @@ impl LinearMap {
         affine_table(&self.columns, 0)
     }
 
-    /// The packed transpose view: the columns of this map are the rows of
-    /// the returned [`BitMatrix`], which is how the elimination kernels
-    /// consume it (see the orientation note in [`crate::bitmat`]).
-    pub fn column_matrix(&self) -> BitMatrix {
-        BitMatrix::from_rows(self.width_out, self.columns.clone())
-    }
-
-    /// Checks whether `func` agrees with this linear map on **every** input
-    /// of the domain. Combined with [`LinearMap::interpolate`] this is an
-    /// exact linearity test for an arbitrary function table.
-    pub fn agrees_with<F: Fn(Label) -> Label>(&self, func: F) -> bool {
-        let m = mask(self.width_out);
-        self.table()
-            .iter()
-            .zip(crate::all_labels(self.width_in))
-            .all(|(&img, x)| img == func(x) & m)
-    }
-
-    /// Composition `self ∘ other` (apply `other` first), as a packed matrix
-    /// product: every column of the result is one row-combination pass.
+    /// Composition `self ∘ other` (apply `other` first): column `j` of the
+    /// result is `self` applied to column `j` of `other`.
     pub fn compose(&self, other: &LinearMap) -> LinearMap {
         assert_eq!(
             other.width_out, self.width_in,
             "composition requires matching intermediate widths"
         );
-        let product = other.column_matrix().mul(&self.column_matrix());
         LinearMap {
             width_in: other.width_in,
             width_out: self.width_out,
-            columns: product.rows().to_vec(),
+            columns: other.columns.iter().map(|&c| self.apply(c)).collect(),
         }
     }
 
-    /// Rank of the matrix over GF(2) (packed XOR-row elimination).
+    /// Rank of the matrix over GF(2).
     pub fn rank(&self) -> usize {
-        self.column_matrix().rank()
+        Eliminator::of_rows(&self.columns).0.rank()
     }
 
     /// Image of the map, as a subspace of the codomain.
@@ -163,15 +142,18 @@ impl LinearMap {
         Subspace::from_generators(self.width_out, self.columns.iter().copied())
     }
 
-    /// Kernel of the map, as a subspace of the domain: the packed
-    /// elimination collects the linear relations among the columns.
+    /// Kernel of the map, as a subspace of the domain: the span of the
+    /// linear relations among the columns.
     pub fn kernel(&self) -> Subspace {
-        Subspace::from_generators(self.width_in, self.column_matrix().row_relations())
+        Subspace::from_generators(self.width_in, Eliminator::of_rows(&self.columns).1)
     }
 
-    /// Solves `L x = y`, or `None` when `y` is outside the image.
+    /// Solves `L x = y`, or `None` when `y` is outside the image: `x`
+    /// selects the columns whose XOR is `y`.
     pub fn solve(&self, y: Label) -> Option<Label> {
-        self.column_matrix().solve_combination(y)
+        let (e, _) = Eliminator::of_rows(&self.columns);
+        let (residue, combo) = e.reduce(y & mask(self.width_out), 0);
+        (residue == 0).then_some(combo)
     }
 
     /// `true` when the map is a bijection of `Z_2^width` (square and full
@@ -180,17 +162,27 @@ impl LinearMap {
         self.width_in == self.width_out && self.rank() == self.width_in
     }
 
-    /// Inverse of an invertible square map (one packed Gauss–Jordan pass;
-    /// no digit-at-a-time row rebuilding).
+    /// Inverse of an invertible square map: column `j` of the inverse is
+    /// the combination of columns that produces `e_j`.
     pub fn inverse(&self) -> Option<LinearMap> {
         if self.width_in != self.width_out {
             return None;
         }
-        let inv_columns = self.column_matrix().combination_inverse()?;
+        let (e, _) = Eliminator::of_rows(&self.columns);
+        if e.rank() < self.width_in {
+            return None;
+        }
+        let columns = (0..self.width_in)
+            .map(|j| {
+                let (residue, combo) = e.reduce(1u64 << j, 0);
+                debug_assert_eq!(residue, 0, "full rank spans every unit vector");
+                combo
+            })
+            .collect();
         Some(LinearMap {
             width_in: self.width_in,
             width_out: self.width_out,
-            columns: inv_columns,
+            columns,
         })
     }
 
@@ -248,15 +240,15 @@ mod tests {
         // shift-right is linear
         let f = |x: Label| x >> 1;
         let m = LinearMap::interpolate(4, 3, f);
-        assert!(m.agrees_with(f));
+        assert_eq!(m.table(), crate::all_labels(4).map(f).collect::<Vec<_>>());
     }
 
     #[test]
-    fn interpolate_detects_nonlinearity_via_agrees_with() {
+    fn interpolate_detects_nonlinearity_via_the_table() {
         // x -> x*x (mod domain) is not linear over GF(2)
         let f = |x: Label| (x.wrapping_mul(x)) & 0b1111;
         let m = LinearMap::interpolate(4, 4, f);
-        assert!(!m.agrees_with(f));
+        assert_ne!(m.table(), crate::all_labels(4).map(f).collect::<Vec<_>>());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Permutation {
         self.table.len()
     }
 
-    /// `true` only for the (degenerate) width-0 permutation on one symbol.
+    /// Always `false`: even the width-0 permutation acts on one symbol.
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -167,53 +167,6 @@ impl Permutation {
         }
         Some(theta)
     }
-
-    /// `true` when the permutation is linear over GF(2) (fixes 0 and is
-    /// additive). Every PIPID is linear, but not conversely.
-    pub fn is_linear(&self) -> bool {
-        if self.apply(0) != 0 {
-            return false;
-        }
-        let lin = crate::linear::LinearMap::interpolate(self.width, self.width, |x| self.apply(x));
-        lin.agrees_with(|x| self.apply(x))
-    }
-
-    /// Number of fixed points.
-    pub fn fixed_points(&self) -> usize {
-        self.table
-            .iter()
-            .enumerate()
-            .filter(|&(x, &y)| x as u64 == y)
-            .count()
-    }
-
-    /// Cycle type: the multiset of cycle lengths, sorted descending.
-    pub fn cycle_type(&self) -> Vec<usize> {
-        let n = self.table.len();
-        let mut seen = vec![false; n];
-        let mut lens = Vec::new();
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut len = 0usize;
-            let mut cur = start;
-            while !seen[cur] {
-                seen[cur] = true;
-                len += 1;
-                cur = self.table[cur] as usize;
-            }
-            lens.push(len);
-        }
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        lens
-    }
-
-    /// Applies the permutation to a whole slice of labels, producing the
-    /// image multiset (used by routing admissibility analysis).
-    pub fn apply_all(&self, labels: &[Label]) -> Vec<Label> {
-        labels.iter().map(|&x| self.apply(x)).collect()
-    }
 }
 
 impl std::fmt::Display for Permutation {
@@ -232,7 +185,6 @@ impl std::fmt::Display for Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gf2::bit;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -240,8 +192,6 @@ mod tests {
     fn identity_behaves() {
         let id = Permutation::identity(4);
         assert!(id.is_identity());
-        assert_eq!(id.fixed_points(), 16);
-        assert_eq!(id.cycle_type(), vec![1; 16]);
         assert!(id.as_pipid().is_some());
     }
 
@@ -278,7 +228,8 @@ mod tests {
     fn shuffle_table_is_pipid_and_linear() {
         let sigma = IndexPermutation::perfect_shuffle(5);
         let p = Permutation::from_index_perm(&sigma);
-        assert!(p.is_linear());
+        let linear = crate::linear::LinearMap::interpolate(5, 5, |x| p.apply(x));
+        assert_eq!(linear.table(), p.table());
         assert_eq!(p.as_pipid(), Some(sigma));
     }
 
@@ -300,18 +251,10 @@ mod tests {
     fn linear_but_not_pipid_is_classified_correctly() {
         // x -> M x for an invertible non-permutation-matrix M is linear yet
         // not a PIPID.
-        let mut rng = ChaCha8Rng::seed_from_u64(53);
         let m = crate::linear::LinearMap::from_columns(3, 3, vec![0b011, 0b010, 0b100]);
         assert!(m.is_invertible());
         let p = Permutation::from_fn(3, |x| m.apply(x));
-        assert!(p.is_linear());
         assert!(p.as_pipid().is_none());
-        // and a random non-linear permutation is neither
-        let q = Permutation::random(3, &mut rng);
-        if !q.is_identity() && q.fixed_points() < 7 {
-            // overwhelmingly likely non-linear; just exercise the call
-            let _ = q.is_linear();
-        }
     }
 
     #[test]
@@ -323,31 +266,5 @@ mod tests {
         table.swap(3, 5); // entries for labels 3 and 5 (both non-basis)
         let p = Permutation::from_table(3, table);
         assert!(p.as_pipid().is_none());
-    }
-
-    #[test]
-    fn cycle_type_sums_to_domain_size() {
-        let mut rng = ChaCha8Rng::seed_from_u64(59);
-        let p = Permutation::random(6, &mut rng);
-        assert_eq!(p.cycle_type().iter().sum::<usize>(), 64);
-    }
-
-    #[test]
-    fn bit_reversal_table_matches_manual_reversal() {
-        let rho = IndexPermutation::bit_reversal(4);
-        let p = Permutation::from_index_perm(&rho);
-        for x in crate::all_labels(4) {
-            let mut rev = 0u64;
-            for k in 0..4 {
-                rev |= bit(x, k) << (3 - k);
-            }
-            assert_eq!(p.apply(x), rev);
-        }
-    }
-
-    #[test]
-    fn apply_all_maps_every_entry() {
-        let p = Permutation::from_fn(3, |x| x ^ 0b101);
-        assert_eq!(p.apply_all(&[0, 1, 2]), vec![5, 4, 7]);
     }
 }

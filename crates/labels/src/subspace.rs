@@ -3,12 +3,13 @@
 //! Proposition 1 of the paper manipulates bases `(α_1, …, α_{n-1})` of
 //! `Z_2^{n-1}` and the subspace `A` generated by `(α_2, …, α_{n-1})`, whose
 //! `α_1`-translate is `B = V_i \ A`. [`Subspace`] provides exactly these
-//! operations: building a row-reduced basis by Gaussian elimination,
-//! membership testing, enumerating all elements, extending an independent
-//! family to a full basis, and computing complements.
+//! operations: the reduced basis of a span, membership testing, enumerating
+//! all elements, and extending a basis to one of the full space. The basis
+//! is built and extended by the crate's one eliminator
+//! ([`crate::bitmat`]); [`Subspace::reduce`] only reads it.
 
-use crate::bitmat::BitMatrix;
-use crate::gf2::{bit, Label, Width};
+use crate::bitmat::Eliminator;
+use crate::gf2::{bit, mask, Label, Width};
 
 /// A linear subspace of `Z_2^w` represented by a row-reduced basis.
 ///
@@ -42,15 +43,18 @@ impl Subspace {
     /// Builds the subspace spanned by an arbitrary family of generators.
     ///
     /// Generators outside the width are truncated; zero and dependent
-    /// generators are discarded. One packed elimination pass
-    /// ([`BitMatrix::row_space_basis`]) produces the reduced basis directly,
-    /// already in decreasing leading-bit order — no per-generator re-sort.
+    /// generators are discarded. One elimination pass produces the reduced
+    /// basis directly, in decreasing leading-bit order, whatever the order
+    /// of the generators.
     pub fn from_generators<I: IntoIterator<Item = Label>>(width: Width, gens: I) -> Self {
         crate::check_width(width);
-        let rows: Vec<Label> = gens.into_iter().collect();
+        let mut e = Eliminator::new();
+        for g in gens {
+            e.absorb(g & mask(width), 0);
+        }
         Subspace {
             width,
-            basis: BitMatrix::from_rows(width, rows).row_space_basis(),
+            basis: e.into_reduced_basis(),
         }
     }
 
@@ -83,7 +87,7 @@ impl Subspace {
     ///
     /// The residue is zero iff `x` is a member of the subspace.
     pub fn reduce(&self, mut x: Label) -> Label {
-        x &= crate::mask(self.width);
+        x &= mask(self.width);
         for &b in &self.basis {
             let lead = crate::leading_bit(b).expect("basis vectors are non-zero");
             if bit(x, lead) == 1 {
@@ -96,25 +100,6 @@ impl Subspace {
     /// Membership test.
     pub fn contains(&self, x: Label) -> bool {
         self.reduce(x) == 0
-    }
-
-    /// Inserts a new generator, returning `true` if it enlarged the space.
-    pub fn insert(&mut self, x: Label) -> bool {
-        let r = self.reduce(x);
-        if r == 0 {
-            return false;
-        }
-        let lead = crate::leading_bit(r).expect("non-zero residue");
-        debug_assert!(lead < self.width, "generator exceeds ambient width");
-        // Reduce existing rows by the new one to maintain reduced form.
-        for b in &mut self.basis {
-            if bit(*b, lead) == 1 {
-                *b ^= r;
-            }
-        }
-        self.basis.push(r);
-        self.basis.sort_unstable_by(|a, b| b.cmp(a));
-        true
     }
 
     /// Enumerates all `2^dim` elements of the subspace in increasing order.
@@ -136,58 +121,25 @@ impl Subspace {
     }
 
     /// Extends the current basis to a basis of the full space and returns
-    /// the *added* vectors.
+    /// the *added* vectors: the unit vectors `e_k`, in increasing `k`, that
+    /// lie outside the span of the basis and of the earlier added ones.
     ///
     /// Proposition 1 extends `{α_1}` by `(α_2, …, α_{n-1})`; this is the
     /// general version of that step.
     pub fn complete_basis(&self) -> Vec<Label> {
-        let mut extended = self.clone();
-        let mut added = Vec::new();
-        for k in 0..self.width {
-            let e = 1u64 << k;
-            if extended.insert(e) {
-                added.push(e);
-            }
+        let mut e = Eliminator::new();
+        for &b in &self.basis {
+            e.absorb(b, 0);
         }
-        added
-    }
-
-    /// A complementary subspace: `self ⊕ complement = full space`,
-    /// `self ∩ complement = {0}`.
-    pub fn complement(&self) -> Subspace {
-        Subspace::from_generators(self.width, self.complete_basis())
-    }
-
-    /// Returns `true` if the given family of vectors is linearly
-    /// independent over GF(2).
-    pub fn is_independent_family(width: Width, family: &[Label]) -> bool {
-        let s = Subspace::from_generators(width, family.iter().copied());
-        s.dim() == family.len()
-    }
-
-    /// Intersection of two subspaces (computed by the Zassenhaus-style
-    /// double elimination; fine for the small widths used here).
-    pub fn intersection(&self, other: &Subspace) -> Subspace {
-        // Brute force over the smaller subspace: widths here are <= 32 but
-        // dimensions in practice are <= ~20; the intersection is only used
-        // in tests and diagnostics, never on hot paths.
-        let (small, big) = if self.dim() <= other.dim() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let members = small.elements().into_iter().filter(|&x| big.contains(x));
-        Subspace::from_generators(self.width, members)
+        (0..self.width)
+            .map(|k| 1u64 << k)
+            .filter(|&unit| e.absorb(unit, 0).is_none())
+            .collect()
     }
 
     /// Sum (join) of two subspaces.
     pub fn sum(&self, other: &Subspace) -> Subspace {
-        let gens = self
-            .basis
-            .iter()
-            .chain(other.basis.iter())
-            .copied()
-            .collect::<Vec<_>>();
+        let gens = self.basis.iter().chain(&other.basis).copied();
         Subspace::from_generators(self.width, gens)
     }
 }
@@ -241,17 +193,9 @@ mod tests {
         let s = Subspace::from_generators(5, [0b10101, 0b00111]);
         let added = s.complete_basis();
         assert_eq!(added.len(), 3);
-        let mut all = s.basis().to_vec();
-        all.extend(added);
-        assert!(Subspace::is_independent_family(5, &all));
-    }
-
-    #[test]
-    fn complement_intersects_trivially_and_sums_to_full() {
-        let s = Subspace::from_generators(4, [0b1001, 0b0110]);
-        let c = s.complement();
-        assert_eq!(s.intersection(&c).dim(), 0);
-        assert_eq!(s.sum(&c).dim(), 4);
+        assert!(added.iter().all(|&e| e.count_ones() == 1));
+        let all = s.basis().iter().chain(&added).copied();
+        assert_eq!(Subspace::from_generators(5, all).dim(), 5);
     }
 
     #[test]
@@ -274,18 +218,11 @@ mod tests {
 
     #[test]
     fn membership_after_insert_is_consistent() {
-        let mut s = Subspace::zero(6);
-        assert!(s.insert(0b100101));
-        assert!(s.insert(0b010011));
-        assert!(!s.insert(0b110110), "sum of the previous two");
-        assert!(s.contains(0b110110));
+        let join = |s: &Subspace, x: Label| s.sum(&Subspace::from_generators(6, [x]));
+        let s = join(&Subspace::zero(6), 0b100101);
+        let s = join(&s, 0b010011);
         assert_eq!(s.dim(), 2);
-    }
-
-    #[test]
-    fn is_independent_family_detects_dependence() {
-        assert!(Subspace::is_independent_family(3, &[0b001, 0b010, 0b100]));
-        assert!(!Subspace::is_independent_family(3, &[0b001, 0b010, 0b011]));
-        assert!(!Subspace::is_independent_family(3, &[0, 0b010]));
+        assert_eq!(join(&s, 0b110110), s, "sum of the previous two");
+        assert!(s.contains(0b110110));
     }
 }

@@ -1,18 +1,19 @@
 //! Scalar-vs-packed reference-oracle property tests.
 //!
-//! The bitset-packing refactor moved rank / kernel / solve / inverse /
-//! composition onto the word-packed elimination kernels of
-//! `min_labels::bitmat`; the pre-refactor digit-at-a-time implementations
-//! are retained in `support/scalar.rs`. These proptests pin the two against
-//! each other on random GF(2) matrices up to 16×16, so any semantic drift in
-//! the packed kernels is caught against the historical behaviour. The table
-//! kernel is also held to `AffineMap::apply` point by point.
+//! `LinearMap` and `Subspace` run rank / kernel / solve / inverse and their
+//! bases on the crate's word-packed eliminator (`min_labels::bitmat`);
+//! the digit-at-a-time implementations it replaced are retained in
+//! `support/scalar.rs`. These proptests pin the two against each other on
+//! random GF(2) matrices up to 16×16 and random generator families, so any
+//! semantic drift in the packed kernels is caught against the historical
+//! behaviour. The table kernel is also held to `AffineMap::apply` point by
+//! point.
 
 #[path = "support/scalar.rs"]
 mod scalar;
 
 use min_labels::bitmat::{affine_cell_table, affine_table};
-use min_labels::{all_labels, mask, AffineMap, BitMatrix, Label, LinearMap, Subspace};
+use min_labels::{all_labels, mask, AffineMap, Label, LinearMap, Subspace};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -43,27 +44,24 @@ proptest! {
     #[test]
     fn rank_agrees(w_in in 1usize..=16, w_out in 1usize..=16, seed in any::<u64>()) {
         let cols = random_columns(w_in, w_out, seed);
-        let packed = BitMatrix::from_rows(w_out, cols.clone()).rank();
+        let packed = LinearMap::from_columns(w_in, w_out, cols.clone()).rank();
         prop_assert_eq!(packed, scalar::rank(w_out, &cols));
-        prop_assert_eq!(packed, LinearMap::from_columns(w_in, w_out, cols).rank());
     }
 
-    /// Packed row relations span the same kernel as the historical
-    /// combination-tracking elimination, and every generator maps to zero.
+    /// The packed kernel spans the same space as the historical
+    /// combination-tracking elimination, and every basis vector maps to
+    /// zero.
     #[test]
     fn kernel_agrees(w_in in 1usize..=16, w_out in 1usize..=16, seed in any::<u64>()) {
         let cols = random_columns(w_in, w_out, seed);
-        let packed = BitMatrix::from_rows(w_out, cols.clone()).row_relations();
+        let map = LinearMap::from_columns(w_in, w_out, cols.clone());
+        let packed = map.kernel();
         let reference = scalar::kernel(w_in, &cols);
-        prop_assert_eq!(
-            Subspace::from_generators(w_in, packed.iter().copied()),
-            Subspace::from_generators(w_in, reference.iter().copied())
-        );
-        for &k in &packed {
+        prop_assert_eq!(&packed, &Subspace::from_generators(w_in, reference));
+        for &k in packed.basis() {
             prop_assert_eq!(scalar::apply(&cols, k), 0);
         }
-        let map = LinearMap::from_columns(w_in, w_out, cols);
-        prop_assert_eq!(map.kernel().dim() + map.rank(), w_in);
+        prop_assert_eq!(packed.dim() + map.rank(), w_in);
     }
 
     /// Packed solving agrees with the historical elimination: same
@@ -72,7 +70,7 @@ proptest! {
     fn solve_agrees(w in 1usize..=16, seed in any::<u64>(), y_raw in any::<u64>()) {
         let cols = random_columns(w, w, seed);
         let y = y_raw & mask(w);
-        let packed = BitMatrix::from_rows(w, cols.clone()).solve_combination(y);
+        let packed = LinearMap::from_columns(w, w, cols.clone()).solve(y);
         let reference = scalar::solve(w, &cols, y);
         prop_assert_eq!(packed.is_some(), reference.is_some());
         if let Some(x) = packed {
@@ -81,10 +79,6 @@ proptest! {
         if let Some(x) = reference {
             prop_assert_eq!(scalar::apply(&cols, x), y);
         }
-        prop_assert_eq!(
-            LinearMap::from_columns(w, w, cols).solve(y).is_some(),
-            packed.is_some()
-        );
     }
 
     /// Packed inversion agrees with the historical digit-at-a-time
@@ -92,9 +86,10 @@ proptest! {
     #[test]
     fn inverse_agrees(w in 1usize..=16, seed in any::<u64>()) {
         let cols = random_columns(w, w, seed);
-        let packed = BitMatrix::from_rows(w, cols.clone()).combination_inverse();
+        let packed = LinearMap::from_columns(w, w, cols.clone()).inverse();
+        let packed = packed.as_ref().map(LinearMap::columns);
         let reference = scalar::inverse(w, &cols);
-        prop_assert_eq!(&packed, &reference);
+        prop_assert_eq!(packed, reference.as_deref());
         if let Some(inv) = packed {
             for (j, &combo) in inv.iter().enumerate() {
                 prop_assert_eq!(xor_selected(&cols, combo), 1u64 << j);
@@ -157,6 +152,70 @@ proptest! {
         }
         let reused = affine_cell_table(&cols, offset, vec![u32::MAX; stale_len]);
         prop_assert_eq!(reused, cells);
+    }
+}
+
+/// A random generator family over `Z_2^w`: random words, zeros, repeats of
+/// earlier generators and XORs of two earlier ones, in any mix.
+fn generator_family() -> impl Strategy<Value = (usize, Vec<Label>, u64)> {
+    (1usize..=16, 0usize..=20, any::<u64>(), any::<u64>()).prop_map(|(w, n, seed, probe)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut gens: Vec<Label> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let g = match (gens.len(), rng.gen_range(0..4)) {
+                (_, 0) => 0,
+                (k, 1) if k > 0 => gens[rng.gen_range(0..k)],
+                (k, 2) if k > 1 => gens[rng.gen_range(0..k)] ^ gens[rng.gen_range(0..k)],
+                _ => rng.gen::<u64>() & mask(w),
+            };
+            gens.push(g);
+        }
+        (w, gens, probe)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Subspace::from_generators` builds the one reduced basis of the span,
+    /// whatever the order of the generators, and `contains`, `reduce` and
+    /// `complete_basis` read it consistently with the scalar oracle.
+    #[test]
+    fn subspace_basis_is_reduced_and_order_free((w, gens, probe) in generator_family()) {
+        let s = Subspace::from_generators(w, gens.iter().copied());
+        let reversed: Vec<Label> = gens.iter().rev().copied().collect();
+        prop_assert_eq!(&Subspace::from_generators(w, reversed), &s);
+        let mut shuffled = gens.clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(probe);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        prop_assert_eq!(&Subspace::from_generators(w, shuffled), &s);
+
+        let basis = s.basis();
+        prop_assert!(basis.windows(2).all(|p| p[0] > p[1]), "strictly decreasing");
+        for (i, &b) in basis.iter().enumerate() {
+            prop_assert!(b != 0 && b <= mask(w));
+            let lead = 63 - b.leading_zeros() as usize;
+            for (j, &other) in basis.iter().enumerate() {
+                prop_assert!(i == j || (other >> lead) & 1 == 0, "pivot bit {} leaks", lead);
+            }
+        }
+        prop_assert_eq!(s.dim(), scalar::rank(w, &gens));
+
+        for _ in 0..64 {
+            let x = rng.gen::<u64>() & mask(w);
+            prop_assert_eq!(s.contains(x), scalar::solve(w, &gens, x).is_some());
+            for &b in basis {
+                prop_assert_eq!(s.reduce(x), s.reduce(x ^ b));
+            }
+        }
+
+        let added = s.complete_basis();
+        prop_assert_eq!(added.len(), w - s.dim());
+        prop_assert!(added.iter().all(|&e| e.count_ones() == 1 && e <= mask(w)));
+        let all = basis.iter().chain(&added).copied();
+        prop_assert_eq!(Subspace::from_generators(w, all).dim(), w);
     }
 }
 

@@ -7,8 +7,6 @@
 //! six networks as first-class objects (with their PIPID stage sequences and
 //! literature references), together with:
 //!
-//! * [`builder`] — generic construction of a [`min_core::ConnectionNetwork`]
-//!   from digit permutations, link permutations or raw connections;
 //! * [`random`] — random generators used by tests and benchmarks: random
 //!   PIPID networks, random independent-connection Banyan networks
 //!   (the objects of Theorem 3), random arbitrary-wiring networks
@@ -33,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod catalog;
 pub mod classical;
 pub mod classify_grid;
@@ -43,7 +40,6 @@ pub mod random;
 pub mod rearrangeable;
 pub mod spec;
 
-pub use builder::NetworkBuilder;
 pub use catalog::{catalog_grid, ClassicalNetwork};
 pub use classical::{
     baseline, flip, indirect_binary_cube, modified_data_manipulator, omega, reverse_baseline,

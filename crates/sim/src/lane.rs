@@ -1,9 +1,9 @@
 //! Word-packed simulation of up to 64 unbuffered lanes at once.
 //!
-//! The [`LaneEngine`] follows the `BitMatrix` precedent of the GF(2)
-//! kernels: instead of simulating replications one after another, it packs
-//! one `(seed, offered load)` lane per bit of a `u64` and runs the whole
-//! batch through a single cycle loop. A lane is one replication of the
+//! The [`LaneEngine`] packs words the way the GF(2) eliminator of
+//! `min_labels::bitmat` does: instead of simulating replications one after
+//! another, it packs one `(seed, offered load)` lane per bit of a `u64` and
+//! runs the whole batch through a single cycle loop. A lane is one replication of the
 //! scenario at its own load, so one word can carry a whole load curve's
 //! replications. Queue occupancy, out-port requests, conflict and drop sets
 //! all become bitwise operations over entire lane words, and per-lane event

@@ -66,7 +66,7 @@ pub mod prelude {
         ConnectionNetwork, Subject, Witness,
     };
     pub use min_graph::MiDigraph;
-    pub use min_labels::{BitMatrix, IndexPermutation};
+    pub use min_labels::IndexPermutation;
     pub use min_networks::{
         benes, benes_variant, catalog_grid, ClassicalNetwork, ClassificationGrid, NetworkSpec,
         RandomFamily, Rewrite,
