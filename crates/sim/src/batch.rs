@@ -7,13 +7,16 @@
 //! replications, or a whole load curve's. [`run_replications`] does the
 //! setup once per batch: it checks every lane load and the config, builds
 //! the fabric, and prepares the destination sampler and the fault runtime.
-//! Then it picks the engine from what it holds. An unbuffered, stateless
-//! workload with at least [`LANE_THRESHOLD`] lanes on a destination-tag
-//! routed fabric of at most [`LANE_MAX_STAGES`] stages runs word-packed,
-//! 64 lanes per `u64` whatever their loads. Everything else — a non-delta
-//! fabric such as Benes included — runs one scalar [`Simulator`], rewound
-//! to each lane's seed and load so arenas and cached fault-reroute epochs
-//! are reused.
+//! Then it picks the engine from what it holds. A batch of at least
+//! [`LANE_THRESHOLD`] lanes on a destination-tag routed fabric of at most
+//! [`LANE_MAX_STAGES`] stages runs word-packed, 64 lanes per `u64` whatever
+//! their loads, when it is unbuffered with stateless traffic (the
+//! unbuffered engine in `lane.rs`) or healthy wormhole work of at least 16
+//! lanes with at most eight channels per cell and no trace replay (the
+//! wormhole engine in `worm.rs`). Everything else — FIFO, faulty or wide wormhole cells, and
+//! a non-delta fabric such as Benes — runs one scalar [`Simulator`],
+//! rewound to each lane's seed and load so arenas and cached fault-reroute
+//! epochs are reused.
 //!
 //! Both paths are bit-identical to building a fresh scalar simulator per
 //! lane — pinned by the packed-oracle proptests and the campaign layer's
@@ -24,6 +27,7 @@ use crate::engine::{prepare, SimError, Simulator};
 use crate::fabric::{Fabric, Routing};
 use crate::lane::{LaneEngine, LANE_WIDTH};
 use crate::metrics::Metrics;
+use crate::worm::{self, WORM_MAX_LANES, WORM_THRESHOLD};
 use min_core::ConnectionNetwork;
 
 /// Minimum lane count at which the word-packed engine pays for its plane
@@ -35,17 +39,40 @@ pub const LANE_THRESHOLD: usize = 8;
 /// fabrics are left to the scalar engine.
 pub const LANE_MAX_STAGES: usize = 12;
 
-/// Whether a batch of `replications` lanes of this workload is eligible
-/// for the word-packed engine on a destination-tag routed fabric — the one
-/// further condition [`run_replications`] checks. Stateful traffic patterns
-/// (ON/OFF chains, trace replay — [`crate::TrafficPattern::is_stateful`])
-/// carry per-source state the packed engine does not model, so they always
-/// take the scalar path.
+/// Whether a batch of `replications` lanes of this unbuffered workload is
+/// eligible for the word-packed unbuffered engine on a destination-tag
+/// routed fabric — the one further condition [`run_replications`] checks.
+/// Stateful traffic patterns (ON/OFF chains, trace replay —
+/// [`crate::TrafficPattern::is_stateful`]) carry per-source state that
+/// engine does not model, so they take the scalar path. Wormhole batches
+/// have their own, crate-private gate.
 pub fn packed_eligible(config: &SimConfig, stages: usize, replications: usize) -> bool {
     config.buffer_mode == BufferMode::Unbuffered
         && !config.traffic.is_stateful()
         && replications >= LANE_THRESHOLD
         && (2..=LANE_MAX_STAGES).contains(&stages)
+}
+
+/// Whether a batch of `replications` lanes of this workload runs
+/// word-packed on a destination-tag routed fabric: the unbuffered work
+/// [`packed_eligible`] admits, or healthy wormhole work — an empty fault
+/// plan, no trace replay (its schedule would be copied per lane), at most
+/// `WORM_MAX_LANES` channels per cell and at least `WORM_THRESHOLD` lanes —
+/// under the same depth bound. A pure function of the config, so the
+/// campaign planner gathers such curves into words without building a
+/// fabric.
+pub(crate) fn packs(config: &SimConfig, stages: usize, replications: usize) -> bool {
+    match config.buffer_mode {
+        BufferMode::Unbuffered => packed_eligible(config, stages, replications),
+        BufferMode::Wormhole { lanes, .. } => {
+            lanes <= WORM_MAX_LANES
+                && config.fault_plan.is_empty()
+                && !config.traffic.is_trace()
+                && replications >= WORM_THRESHOLD
+                && (2..=LANE_MAX_STAGES).contains(&stages)
+        }
+        BufferMode::Fifo(_) => false,
+    }
 }
 
 /// Runs one scenario once per `(seed, offered load)` lane, returning the
@@ -77,13 +104,16 @@ pub fn run_replications(
     config.validate()?;
     let fabric = Fabric::for_traffic(net.clone(), &config.traffic)?;
     let (sampler, mut faults) = prepare(&fabric, &config)?;
-    if packed_eligible(&config, fabric.stages(), lanes.len())
-        && matches!(fabric.routing(), Routing::Delta(_))
+    if packs(&config, fabric.stages(), lanes.len()) && matches!(fabric.routing(), Routing::Delta(_))
     {
         let mut out = Vec::with_capacity(lanes.len());
         for word in lanes.chunks(LANE_WIDTH) {
-            let engine = LaneEngine::with_lanes(&fabric, &config, &sampler, faults.as_mut(), word);
-            out.extend(engine.run());
+            out.extend(match config.buffer_mode {
+                BufferMode::Wormhole { .. } => worm::run_word(&fabric, &config, &sampler, word),
+                _ => {
+                    LaneEngine::with_lanes(&fabric, &config, &sampler, faults.as_mut(), word).run()
+                }
+            });
         }
         return Ok(out);
     }
@@ -101,6 +131,7 @@ pub fn run_replications(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::traffic::TrafficPattern;
     use min_networks::omega;
 
     fn fresh(net: &ConnectionNetwork, config: &SimConfig, seed: u64) -> Metrics {
@@ -114,6 +145,26 @@ mod tests {
         seeds.iter().map(|&s| (s, config.offered_load)).collect()
     }
 
+    fn wormhole(lanes: usize) -> BufferMode {
+        BufferMode::Wormhole {
+            lanes,
+            lane_depth: 3,
+            flits_per_packet: 4,
+        }
+    }
+
+    /// One mode per engine: unbuffered and wormhole batches pack, FIFO
+    /// batches run the scalar rewind loop.
+    const MODES: [BufferMode; 3] = [
+        BufferMode::Unbuffered,
+        BufferMode::Fifo(4),
+        BufferMode::Wormhole {
+            lanes: 2,
+            lane_depth: 3,
+            flits_per_packet: 4,
+        },
+    ];
+
     #[test]
     fn eligibility_gates_on_mode_replications_and_depth() {
         let unbuffered = SimConfig::default();
@@ -124,7 +175,7 @@ mod tests {
         assert!(!packed_eligible(&fifo, 4, 64));
         // Zipf is stateless and packed-supported; ON/OFF and trace replay
         // carry per-source state and must take the scalar path.
-        use crate::traffic::{TraceData, TrafficPattern};
+        use crate::traffic::TraceData;
         let zipf = SimConfig::default().with_traffic(TrafficPattern::Zipf { exponent: 1.0 });
         assert!(packed_eligible(&zipf, 4, 64));
         let on_off = SimConfig::default().with_traffic(TrafficPattern::OnOff {
@@ -139,16 +190,36 @@ mod tests {
             records: vec![],
         }));
         assert!(!packed_eligible(&trace, 4, 64));
+        // `packs` adds healthy wormhole work, ON/OFF included, up to the
+        // lane bound; `packed_eligible` keeps its unbuffered-only meaning.
+        let worm = SimConfig::default().with_buffer(wormhole(WORM_MAX_LANES));
+        assert!(packs(&worm, 4, WORM_THRESHOLD) && !packed_eligible(&worm, 4, 64));
+        assert!(!packs(&worm, 4, WORM_THRESHOLD - 1));
+        assert!(!packs(&worm, LANE_MAX_STAGES + 1, 64));
+        assert!(!packs(
+            &worm.clone().with_buffer(wormhole(WORM_MAX_LANES + 1)),
+            4,
+            64
+        ));
+        let faulty = worm
+            .clone()
+            .with_faults(FaultPlan::none().with_dead_link(1, 0, 1, 0));
+        assert!(!packs(&faulty, 4, 64));
+        assert!(packs(&worm.clone().with_traffic(on_off.traffic), 4, 64));
+        assert!(!packs(&worm.with_traffic(trace.traffic), 4, 64));
+        assert!(!packs(&fifo, 4, 64));
     }
 
     #[test]
     fn both_routes_match_fresh_scalar_simulators() {
         let net = omega(4);
-        // 10 seeds: packed-eligible for the unbuffered config, scalar
-        // (rewind loop) for the FIFO config — both must be bit-identical
-        // to fresh per-seed simulators.
-        let seeds: Vec<u64> = (0..10).map(|k| 0xC0FFEE ^ (k * 7919)).collect();
-        for mode in [BufferMode::Unbuffered, BufferMode::Fifo(4)] {
+        // 16 seeds: packed for the unbuffered and wormhole configs, scalar
+        // (rewind loop) for the FIFO config — all must be bit-identical to
+        // fresh per-seed simulators.
+        let seeds: Vec<u64> = (0..WORM_THRESHOLD as u64)
+            .map(|k| 0xC0FFEE ^ (k * 7919))
+            .collect();
+        for mode in MODES {
             let config = SimConfig::default()
                 .with_cycles(250, 25)
                 .with_load(0.85)
@@ -163,7 +234,6 @@ mod tests {
 
     #[test]
     fn new_patterns_route_and_match_fresh_scalar_simulators() {
-        use crate::traffic::TrafficPattern;
         let net = omega(4);
         // 10 seeds: Zipf goes through the packed engine, ON/OFF through the
         // scalar rewind loop — both must be bit-identical to fresh per-seed
@@ -209,18 +279,20 @@ mod tests {
     #[test]
     fn mixed_load_lanes_match_fresh_scalar_simulators_on_both_routes() {
         let net = omega(4);
-        // Twelve lanes over three loads, the runs of equal loads split up:
-        // packed for the unbuffered config, one scalar simulator rewound to
-        // each lane's seed and load for the FIFO config.
+        // Sixteen lanes over four loads, the runs of equal loads split up:
+        // packed for the unbuffered and wormhole configs, one scalar
+        // simulator rewound to each lane's seed and load for the FIFO
+        // config.
         let loads = [
-            0.0, 0.35, 0.35, 1.0, 0.35, 0.0, 1.0, 1.0, 0.35, 0.0, 0.6, 0.6,
+            0.0, 0.35, 0.35, 1.0, 0.35, 0.0, 1.0, 1.0, 0.35, 0.0, 0.6, 0.6, 0.8, 0.35, 0.8, 0.0,
         ];
+        assert!(loads.len() >= WORM_THRESHOLD);
         let lanes: Vec<(u64, f64)> = loads
             .iter()
             .enumerate()
             .map(|(k, &load)| (0xBEEF ^ (k as u64 * 4099), load))
             .collect();
-        for mode in [BufferMode::Unbuffered, BufferMode::Fifo(4)] {
+        for mode in MODES {
             let config = SimConfig::default().with_cycles(200, 20).with_buffer(mode);
             let batched = run_replications(&net, &config, &lanes).unwrap();
             assert_eq!(batched.len(), lanes.len());
@@ -233,7 +305,6 @@ mod tests {
 
     #[test]
     fn non_delta_fabrics_match_fresh_scalar_simulators() {
-        use crate::traffic::TrafficPattern;
         use min_networks::rearrangeable::{benes, benes_variant};
         // Benes and its variant pass the eligibility gate but have no
         // destination-tag table, so their lanes run on the scalar engine:
@@ -270,10 +341,10 @@ mod tests {
         // Both routes check every lane load before anything else, so a bad
         // load wins over a bad warm-up; NaN is refused too.
         let net = omega(3);
-        for mode in [BufferMode::Unbuffered, BufferMode::Fifo(2)] {
+        for mode in MODES {
             let config = SimConfig::default().with_buffer(mode);
-            let mut lanes: Vec<(u64, f64)> = (0..LANE_THRESHOLD as u64).map(|s| (s, 0.5)).collect();
-            assert!(packed_eligible(&config, 3, lanes.len()) == (mode == BufferMode::Unbuffered));
+            let mut lanes: Vec<(u64, f64)> = (0..WORM_THRESHOLD as u64).map(|s| (s, 0.5)).collect();
+            assert!(packs(&config, 3, lanes.len()) == (mode != BufferMode::Fifo(4)));
             for load in [-0.25, 1.5, f64::INFINITY] {
                 lanes[3].1 = load;
                 assert_eq!(
@@ -299,9 +370,47 @@ mod tests {
     #[test]
     fn empty_seed_lists_yield_no_metrics() {
         let net = omega(3);
-        let config = SimConfig::default();
-        assert!(run_replications(&net, &config, &[]).unwrap().is_empty());
-        let fifo = config.with_buffer(BufferMode::Fifo(2));
-        assert!(run_replications(&net, &fifo, &[]).unwrap().is_empty());
+        for mode in MODES {
+            let config = SimConfig::default().with_buffer(mode);
+            assert!(run_replications(&net, &config, &[]).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn wormhole_batches_that_stay_scalar_match_fresh_scalar_simulators() {
+        use min_networks::rearrangeable::benes;
+        // Each batch passes the lane-count gate but takes the scalar
+        // rewind loop: a fault plan, a fabric without destination tags,
+        // and more channels per cell than the packed engine takes.
+        let lanes: Vec<(u64, f64)> = (0..WORM_THRESHOLD as u64)
+            .map(|k| (0x3A7 ^ (k * 6007), (k % 5) as f64 / 4.0))
+            .collect();
+        let base = SimConfig::default().with_cycles(150, 15);
+        let faulty = base.clone().with_buffer(wormhole(2)).with_faults(
+            FaultPlan::none()
+                .with_dead_link(1, 0, 1, 0)
+                .with_dead_switch(1, 1, 70),
+        );
+        let wide = base.clone().with_buffer(wormhole(WORM_MAX_LANES + 2));
+        // Benes passes the config gate; its fabric sends it scalar.
+        let cases = [
+            (omega(4), faulty, false),
+            (benes(3), base.with_buffer(wormhole(2)), true),
+            (omega(4), wide, false),
+        ];
+        for (net, config, gate) in cases {
+            assert_eq!(packs(&config, net.stages(), lanes.len()), gate);
+            let batched = run_replications(&net, &config, &lanes).unwrap();
+            assert_eq!(batched.len(), lanes.len());
+            for (m, &(seed, load)) in batched.iter().zip(&lanes) {
+                let config = config.clone().with_load(load);
+                assert_eq!(
+                    *m,
+                    fresh(&net, &config, seed),
+                    "{:?} load {load}",
+                    config.buffer_mode
+                );
+            }
+        }
     }
 }

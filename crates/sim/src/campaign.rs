@@ -14,9 +14,10 @@
 //!    out. It hands each curve — the shard's scenarios that differ only in
 //!    offered load and seed — to [`crate::batch::run_replications`] as one
 //!    batch of `(seed, load)` lanes, which builds the fabric tables, switch
-//!    arenas and fault machinery once per batch and — for unbuffered
-//!    curves with enough lanes on a delta fabric — runs up to 64 lanes per
-//!    machine word through the bit-parallel engine, whatever their loads.
+//!    arenas and fault machinery once per batch and — for unbuffered or
+//!    healthy wormhole curves with enough lanes on a delta fabric — runs up
+//!    to 64 lanes per machine word through a bit-parallel engine, whatever
+//!    their loads.
 //!    A failing batch is one [`CampaignError::Scenario`]. Because every
 //!    scenario carries its own derived seed, a shard produces the same
 //!    bytes no matter which process, machine or retry executes it.
@@ -65,7 +66,7 @@
 //! assert_eq!(sequential.to_json(), parallel.to_json());
 //! ```
 
-use crate::batch::{packed_eligible, run_replications, LANE_THRESHOLD};
+use crate::batch::{packs, run_replications, LANE_THRESHOLD};
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::SimError;
 use crate::fault::{FaultError, FaultPlan};
@@ -364,11 +365,14 @@ impl CampaignConfig {
 
     /// The plan both executors run ([`run_campaign`] at one grid point per
     /// shard): each lane-eligible curve — all `loads × replications` lanes
-    /// of one `(cell, traffic, buffer mode, fault plan)` that
-    /// [`packed_eligible`] admits — is gathered, even where its points are
-    /// not contiguous, and cut into shards of one 64-lane word each (the
-    /// last word keeps a remainder too short to pack on its own). Every
-    /// other grid point joins a shard of `points_per_shard` such points.
+    /// of one `(cell, traffic, buffer mode, fault plan)` that a word engine
+    /// takes (unbuffered work [`crate::batch::packed_eligible`] admits, or
+    /// healthy wormhole work of at least 16 lanes with at most eight
+    /// channels per cell and no trace replay) — is gathered, even where its
+    /// points are not contiguous, and cut into shards of one 64-lane word
+    /// each (the last word keeps a remainder too short to pack on its own).
+    /// Every other grid point joins a shard of `points_per_shard` such
+    /// points.
     ///
     /// One pass moves each scenario into its shard, finding its curve by
     /// index arithmetic; eligibility is decided once per curve, and no
@@ -402,7 +406,7 @@ impl CampaignConfig {
                 let curve = point / (loads * step) * step + point % step;
                 let packed = *curves[curve].get_or_insert_with(|| {
                     let config = scenario.sim_config(self);
-                    packed_eligible(&config, scenario.stages, lanes).then(|| {
+                    packs(&config, scenario.stages, lanes).then(|| {
                         let size = lanes.min(LANE_WIDTH + LANE_THRESHOLD - 1);
                         shards.extend((0..words).map(|_| Vec::with_capacity(size)));
                         shards.len() - words

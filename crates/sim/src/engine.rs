@@ -25,8 +25,9 @@
 //! builds the fabric and `prepare`s the sampler and fault runtime. Many
 //! runs of one scenario go through [`crate::batch::run_replications`]
 //! instead, which does that setup once per batch and then either packs the
-//! lanes into machine words or runs them all on one simulator, rewound to
-//! each lane's seed and load.
+//! lanes into machine words (unbuffered and healthy wormhole work) or runs
+//! them all on one simulator, rewound to each lane's seed and load. This
+//! engine and its switching cores are the packed engines' oracle.
 
 use crate::config::{ConfigError, SimConfig};
 use crate::fabric::{Fabric, FabricError};
@@ -36,6 +37,7 @@ use crate::packet::Packet;
 use crate::switch::{build_core, SwitchCore};
 use crate::traffic::{DestSampler, Offer, TrafficSources};
 use min_core::ConnectionNetwork;
+use rand::distributions::Bernoulli;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -93,6 +95,8 @@ pub struct Simulator {
     /// Injection state of the traffic pattern (ON/OFF chains, trace
     /// schedules; stateless for the classic patterns).
     sources: TrafficSources,
+    /// The sources' injection coin at the configured load.
+    coin: Bernoulli,
     /// Destination sampler of the traffic pattern (precomputed CDF for
     /// Zipf, a delegate for everything else).
     sampler: DestSampler,
@@ -125,6 +129,7 @@ impl Simulator {
         faults: Option<FaultRuntime>,
     ) -> Self {
         let sources = TrafficSources::new(&config.traffic, fabric.cells());
+        let coin = sources.coin(config.offered_load);
         let core = build_core(config.buffer_mode, fabric.stages(), fabric.cells());
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         Simulator {
@@ -134,6 +139,7 @@ impl Simulator {
             core,
             faults,
             sources,
+            coin,
             sampler,
             cycle: 0,
             next_packet_id: 0,
@@ -205,11 +211,11 @@ impl Simulator {
         let cells = self.fabric.cells();
         for cell in 0..cells {
             for terminal in 0..2 {
-                let offer = self.sources.offer(
+                let offer = self.sources.offer_with(
                     self.cycle,
                     cell as u32,
                     terminal,
-                    self.config.offered_load,
+                    &self.coin,
                     &mut self.rng,
                 );
                 if offer == Offer::Idle {
@@ -278,6 +284,7 @@ impl Simulator {
             rt.rewind();
         }
         self.sources.reset();
+        self.coin = self.sources.coin(offered_load);
         self.cycle = 0;
         self.next_packet_id = 0;
         self.metrics = Metrics::default();
@@ -377,7 +384,7 @@ mod tests {
         // The last stage does not arbitrate today (it delivers everything
         // it holds), so an n-stage fabric tracks Patel's recurrence for n − 1
         // stages: ≈ 0.52 here, Patel(3), where Patel(4) ≈ 0.45. ROADMAP.md
-        // item 3 (model fidelity) adds the missing arbitration.
+        // item 1 (model fidelity) adds the missing arbitration.
         let tput = metrics.normalized_throughput(16);
         assert!(tput > 0.35 && tput < 0.75, "throughput {tput}");
     }

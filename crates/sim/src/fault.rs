@@ -219,43 +219,6 @@ impl FaultPlan {
         FaultPlan { faults }
     }
 
-    /// A seeded mixed plan of `count` faults: each is a dead link, a dead
-    /// switch or a degraded link (equal weight) at a random site, with a
-    /// random onset in `0..=max_onset`. Deterministic for a given seed.
-    pub fn random_mixed(
-        seed: u64,
-        count: usize,
-        stages: usize,
-        cells: usize,
-        max_onset: u64,
-    ) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let faults = (0..count)
-            .map(|_| {
-                let onset = rng.gen_range(0..=max_onset);
-                let cell = rng.gen_range(0..cells as u32);
-                let kind = match rng.gen_range(0..3u8) {
-                    0 => FaultKind::DeadSwitch {
-                        stage: rng.gen_range(0..stages),
-                        cell,
-                    },
-                    1 => FaultKind::DeadLink {
-                        stage: rng.gen_range(0..stages - 1),
-                        cell,
-                        port: rng.gen_range(0..2u8),
-                    },
-                    _ => FaultKind::DegradedLink {
-                        stage: rng.gen_range(0..stages - 1),
-                        cell,
-                        port: rng.gen_range(0..2u8),
-                    },
-                };
-                Fault { kind, onset }
-            })
-            .collect();
-        FaultPlan { faults }
-    }
-
     /// Checks every fault site against a `stages × cells` fabric.
     pub fn validate(&self, stages: usize, cells: usize) -> Result<(), FaultError> {
         for fault in &self.faults {
@@ -572,6 +535,47 @@ impl FaultRuntime {
     /// reroute table instead of re-running the disjoint-path router.
     pub(crate) fn rewind(&mut self) {
         self.crossed = 0;
+    }
+}
+
+#[cfg(test)]
+impl FaultPlan {
+    /// A seeded mixed plan of `count` faults: each is a dead link, a dead
+    /// switch or a degraded link (equal weight) at a random site, with a
+    /// random onset in `0..=max_onset`. Deterministic for a given seed.
+    /// Test-only: the fault and switching-core tests draw their plans here.
+    pub(crate) fn random_mixed(
+        seed: u64,
+        count: usize,
+        stages: usize,
+        cells: usize,
+        max_onset: u64,
+    ) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let faults = (0..count)
+            .map(|_| {
+                let onset = rng.gen_range(0..=max_onset);
+                let cell = rng.gen_range(0..cells as u32);
+                let kind = match rng.gen_range(0..3u8) {
+                    0 => FaultKind::DeadSwitch {
+                        stage: rng.gen_range(0..stages),
+                        cell,
+                    },
+                    1 => FaultKind::DeadLink {
+                        stage: rng.gen_range(0..stages - 1),
+                        cell,
+                        port: rng.gen_range(0..2u8),
+                    },
+                    _ => FaultKind::DegradedLink {
+                        stage: rng.gen_range(0..stages - 1),
+                        cell,
+                        port: rng.gen_range(0..2u8),
+                    },
+                };
+                Fault { kind, onset }
+            })
+            .collect();
+        FaultPlan { faults }
     }
 }
 

@@ -1,4 +1,7 @@
-//! Word-packed simulation of up to 64 unbuffered lanes at once.
+//! Word-packed simulation of up to 64 unbuffered lanes at once, and the
+//! pieces both word engines share: the bit-sliced [`VerticalCounter`], the
+//! per-lane streams and injection coins ([`lane_draws`]) and the metric
+//! read-out ([`LaneTally`]). The wormhole engine is `crate::worm`.
 //!
 //! The [`LaneEngine`] packs words the way the GF(2) eliminator of
 //! `min_labels::bitmat` does: instead of simulating replications one after
@@ -64,7 +67,7 @@ use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
 use crate::fault::{FaultRuntime, FaultView, LinkStatus};
 use crate::metrics::Metrics;
-use crate::traffic::{DestSampler, TrafficPattern, UniformCell};
+use crate::traffic::{DestSampler, TrafficPattern, TrafficSources, UniformCell};
 use rand::distributions::{Bernoulli, Distribution};
 use rand::Rng;
 use rand::SeedableRng;
@@ -78,14 +81,14 @@ pub const LANE_WIDTH: usize = 64;
 /// carry-save ripple over the planes — `O(log count)` word operations per
 /// add, independent of how many replications the mask covers.
 #[derive(Debug, Default)]
-struct VerticalCounter {
+pub(crate) struct VerticalCounter {
     planes: Vec<u64>,
 }
 
 impl VerticalCounter {
     /// Adds one event for every replication whose bit is set in `mask`.
     #[inline]
-    fn add(&mut self, mut mask: u64) {
+    pub(crate) fn add(&mut self, mut mask: u64) {
         if mask == 0 {
             return;
         }
@@ -100,13 +103,110 @@ impl VerticalCounter {
         self.planes.push(mask);
     }
 
+    /// Takes one event back for every replication whose bit is set in
+    /// `mask`; each such count must be nonzero.
+    #[inline]
+    pub(crate) fn remove(&mut self, mut mask: u64) {
+        for plane in self.planes.iter_mut() {
+            let borrow = !*plane & mask;
+            *plane ^= mask;
+            mask = borrow;
+            if mask == 0 {
+                return;
+            }
+        }
+        debug_assert_eq!(mask, 0, "a count went negative");
+    }
+
+    /// Adds a bit-sliced count (plane `i` holding bit `i` of every
+    /// replication's addend) to every replication's count: a ripple-carry
+    /// add over the planes.
+    pub(crate) fn add_sliced(&mut self, addend: &[u64]) {
+        let mut carry = 0u64;
+        for (i, &b) in addend.iter().enumerate() {
+            if i == self.planes.len() {
+                self.planes.push(0);
+            }
+            let a = self.planes[i];
+            self.planes[i] = a ^ b ^ carry;
+            carry = (a & b) | (carry & (a ^ b));
+        }
+        let mut i = addend.len();
+        while carry != 0 {
+            if i == self.planes.len() {
+                self.planes.push(0);
+            }
+            let a = self.planes[i];
+            self.planes[i] = a ^ carry;
+            carry &= a;
+            i += 1;
+        }
+    }
+
+    /// The bit planes of every replication's count.
+    pub(crate) fn planes(&self) -> &[u64] {
+        &self.planes
+    }
+
     /// The accumulated count for replication `r`.
-    fn count(&self, r: usize) -> u64 {
+    pub(crate) fn count(&self, r: usize) -> u64 {
         self.planes
             .iter()
             .enumerate()
             .map(|(i, plane)| ((plane >> r) & 1) << i)
             .sum()
+    }
+}
+
+/// The per-lane randomness of one word, built exactly like the scalar
+/// engine's: one ChaCha8 stream per `(seed, load)` lane, and the injection
+/// coin `sources` flips at the lane's load.
+pub(crate) fn lane_draws(
+    sources: &TrafficSources,
+    lanes: &[(u64, f64)],
+) -> (Vec<ChaCha8Rng>, Vec<Bernoulli>) {
+    lanes
+        .iter()
+        .map(|&(seed, load)| (ChaCha8Rng::seed_from_u64(seed), sources.coin(load)))
+        .unzip()
+}
+
+/// The per-lane counts both word engines keep, and their read-out.
+#[derive(Debug)]
+pub(crate) struct LaneTally {
+    /// Offered and injected packets per lane, counted inside the
+    /// (already per-lane) injection loop.
+    pub(crate) offered: Vec<u64>,
+    pub(crate) injected: Vec<u64>,
+    /// Delivered packets per lane.
+    pub(crate) delivered: VerticalCounter,
+    /// Per-lane metrics the per-bit paths (latencies, fault losses) write
+    /// into directly.
+    pub(crate) metrics: Vec<Metrics>,
+}
+
+impl LaneTally {
+    pub(crate) fn new(lanes: usize) -> Self {
+        LaneTally {
+            offered: vec![0; lanes],
+            injected: vec![0; lanes],
+            delivered: VerticalCounter::default(),
+            metrics: vec![Metrics::default(); lanes],
+        }
+    }
+
+    /// The per-lane metrics after `cycles` cycles over `slots` storage
+    /// units, with the counts every engine keeps filled in.
+    pub(crate) fn read_out(self, cycles: u64, slots: u64) -> Vec<Metrics> {
+        let mut metrics = self.metrics;
+        for (r, m) in metrics.iter_mut().enumerate() {
+            m.measured_cycles = cycles;
+            m.offered = self.offered[r];
+            m.injected = self.injected[r];
+            m.delivered = self.delivered.count(r);
+            m.lane_slot_cycles = cycles * slots;
+        }
+        metrics
     }
 }
 
@@ -210,10 +310,11 @@ pub(crate) struct LaneEngine<'a> {
     rngs: Vec<ChaCha8Rng>,
     /// One injection coin per lane, built once from the lane's load.
     coins: Vec<Bernoulli>,
-    /// Cold per-replication accumulators: the fault-loss counters and the
-    /// per-stage exposure vectors land here directly; everything else is
-    /// folded in from the vertical counters when the run finishes.
-    metrics: Vec<Metrics>,
+    /// Offered, injected and delivered counts, and the cold per-lane
+    /// metrics the fault-loss counters and per-stage exposure vectors land
+    /// in directly; everything else is folded in from the vertical
+    /// counters when the run finishes.
+    tally: LaneTally,
     faults: Option<&'a mut FaultRuntime>,
     cycle: u64,
     /// Active lanes (bits `0..lanes` of every word are meaningful).
@@ -236,16 +337,12 @@ pub(crate) struct LaneEngine<'a> {
     /// the switching pass never re-evaluates the connection permutations:
     /// entry `(stage * cells + cell) * 2 + port`.
     next: Vec<u32>,
-    /// Per-replication offered / injected / unroutable-refusal counts,
-    /// updated inside the (already per-replication) injection RNG loop.
-    offered: Vec<u64>,
-    injected: Vec<u64>,
+    /// Per-replication unroutable-refusal counts, updated inside the
+    /// (already per-replication) injection RNG loop.
     unroutable: Vec<u64>,
     /// Per-replication occupancy-cycles already accounted for dropped
     /// packets (fault losses record `stage + 1` at drop time).
     occ_fault: Vec<u64>,
-    /// Delivered packets per replication.
-    vc_delivered: VerticalCounter,
     /// Deliveries inside the measurement window (each with the constant
     /// latency `stages`).
     vc_measured: VerticalCounter,
@@ -283,10 +380,8 @@ impl<'a> LaneEngine<'a> {
         let Routing::Delta(table) = fabric.routing() else {
             unreachable!("the batch layer packs only delta fabrics");
         };
-        let coins = lanes
-            .iter()
-            .map(|&(_, load)| Bernoulli::new(load).expect("the batch checked every lane load"))
-            .collect();
+        let (rngs, coins) =
+            lane_draws(&TrafficSources::new(&config.traffic, fabric.cells()), lanes);
         if let Some(rt) = faults.as_deref_mut() {
             rt.rewind();
         }
@@ -303,12 +398,9 @@ impl<'a> LaneEngine<'a> {
             }
         }
         LaneEngine {
-            rngs: lanes
-                .iter()
-                .map(|&(seed, _)| ChaCha8Rng::seed_from_u64(seed))
-                .collect(),
+            rngs,
             coins,
-            metrics: vec![Metrics::default(); lanes.len()],
+            tally: LaneTally::new(lanes.len()),
             faults,
             cycle: 0,
             lanes: lanes.len(),
@@ -319,11 +411,8 @@ impl<'a> LaneEngine<'a> {
             occ: vec![0; slots],
             tag: vec![0; slots * conn_bits],
             next,
-            offered: vec![0; lanes.len()],
-            injected: vec![0; lanes.len()],
             unroutable: vec![0; lanes.len()],
             occ_fault: vec![0; lanes.len()],
-            vc_delivered: VerticalCounter::default(),
             vc_measured: VerticalCounter::default(),
             vc_despite: VerticalCounter::default(),
             vc_arb: (0..stages - 1)
@@ -346,7 +435,7 @@ impl<'a> LaneEngine<'a> {
     fn fault_drop(&mut self, mut mask: u64, stage: usize) {
         while mask != 0 {
             let r = mask.trailing_zeros() as usize;
-            self.metrics[r].record_fault_loss(stage);
+            self.tally.metrics[r].record_fault_loss(stage);
             // A packet removed at `stage` was counted by `stage + 1`
             // end-of-cycle occupancy snapshots (stages 0..=stage).
             self.occ_fault[r] += stage as u64 + 1;
@@ -380,7 +469,7 @@ impl<'a> LaneEngine<'a> {
                 if m == 0 {
                     continue;
                 }
-                self.vc_delivered.add(m);
+                self.tally.delivered.add(m);
                 if measured {
                     self.vc_measured.add(m);
                 }
@@ -544,8 +633,8 @@ impl<'a> LaneEngine<'a> {
             occ: &mut self.occ,
             tag: &mut self.tag,
             rngs: &mut self.rngs,
-            offered: &mut self.offered,
-            injected: &mut self.injected,
+            offered: &mut self.tally.offered,
+            injected: &mut self.tally.injected,
             unroutable: &mut self.unroutable,
         };
         match (
@@ -614,13 +703,9 @@ impl<'a> LaneEngine<'a> {
         }
         let slots = (self.stages * self.cells * 2) as u64;
         let latency = self.stages as u64;
-        for r in 0..self.lanes {
-            let metrics = &mut self.metrics[r];
-            metrics.measured_cycles = self.cycle;
-            metrics.offered = self.offered[r];
-            metrics.injected = self.injected[r];
+        let mut out = self.tally.read_out(self.cycle, slots);
+        for (r, metrics) in out.iter_mut().enumerate() {
             metrics.unroutable_drops = self.unroutable[r];
-            metrics.delivered = self.vc_delivered.count(r);
             metrics.delivered_despite_fault = self.vc_despite.count(r);
             let mut arb = 0u64;
             let mut arb_occupancy = 0u64;
@@ -639,7 +724,6 @@ impl<'a> LaneEngine<'a> {
             }
             metrics.lane_occupancy_sum =
                 metrics.delivered * latency + arb_occupancy + self.occ_fault[r] + occ_end[r];
-            metrics.lane_slot_cycles = self.cycle * slots;
             // Conservation (no backpressure in the unbuffered model): what
             // was injected but neither delivered nor dropped is in flight.
             metrics.in_flight_at_end = metrics.injected
@@ -647,7 +731,7 @@ impl<'a> LaneEngine<'a> {
                 - metrics.dropped_arbitration
                 - metrics.dropped_fault;
         }
-        self.metrics
+        out
     }
 }
 

@@ -50,12 +50,13 @@
 //!   ([`curves::stability_json`], [`curves::saturation_json`]);
 //! * batched replications ([`batch`]) — [`batch::run_replications`] is the
 //!   one door into the engines for many `(seed, load)` lanes of a scenario:
-//!   it builds the fabric once and runs eligible unbuffered workloads on a
-//!   crate-private word-packed engine, up to 64 independent replications
-//!   per `u64` (occupancy, conflict and drop sets as bitwise operations
-//!   over replication words), and everything else on one rewound scalar
-//!   [`Simulator`]; the packed-oracle tests pin both bit-identical to a
-//!   fresh scalar simulator per lane.
+//!   it builds the fabric once and runs eligible unbuffered and healthy
+//!   wormhole workloads on two crate-private word-packed engines, up to 64
+//!   independent replications per `u64` (occupancy, conflict, drop and
+//!   per-channel flit-counter sets as bitwise operations over replication
+//!   words), and everything else on one rewound scalar [`Simulator`]; the
+//!   packed- and wormhole-oracle tests pin both bit-identical to a fresh
+//!   scalar simulator per lane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,6 +73,7 @@ pub mod metrics;
 pub mod packet;
 pub mod switch;
 pub mod traffic;
+mod worm;
 
 pub use batch::run_replications;
 pub use campaign::{

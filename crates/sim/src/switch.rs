@@ -546,6 +546,11 @@ struct CellLanes {
 /// walks only set bits, in lane order. A lane's switching state is a
 /// 16-byte hot record; the worm's cold [`Packet`] header is copied once
 /// per hop and read only at delivery and when a fault kills the worm.
+///
+/// This core is the oracle of the word-packed wormhole engine
+/// (`crate::worm`), which runs healthy batches of up to 64 replications
+/// per word: the wormhole oracle tests hold every packed lane to this core
+/// driven by a fresh [`crate::Simulator`], field for field.
 #[derive(Debug)]
 pub struct WormholeCore {
     stages: usize,

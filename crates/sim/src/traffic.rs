@@ -268,10 +268,17 @@ impl TrafficPattern {
         }
     }
 
+    /// Whether the pattern replays a recorded trace.
+    pub(crate) fn is_trace(&self) -> bool {
+        matches!(self, TrafficPattern::Trace(_))
+    }
+
     /// Whether the pattern carries per-source injection state across cycles
-    /// (ON/OFF chains, trace schedules). Stateful patterns run on the
-    /// scalar engine only; the batching layer routes them away from the
-    /// word-packed path.
+    /// (ON/OFF chains, trace schedules). The unbuffered word engine keeps
+    /// no per-source state, so `batch::packed_eligible` sends stateful
+    /// patterns to the scalar engine; the wormhole word engine keeps one
+    /// [`TrafficSources`] per lane and packs ON/OFF chains, but not trace
+    /// replay.
     pub fn is_stateful(&self) -> bool {
         matches!(
             self,
@@ -752,9 +759,38 @@ impl TrafficSources {
         load: f64,
         rng: &mut R,
     ) -> Offer {
+        let coin = self.coin(load);
+        self.offer_with(cycle, cell, terminal, &coin, rng)
+    }
+
+    /// The injection coin [`TrafficSources::offer`] flips at `load`: one
+    /// [`Bernoulli`] at `load`, or at the in-burst rate `load × on_rate`
+    /// for ON/OFF chains. The engines build it once per run, since the load
+    /// is fixed for a run.
+    pub(crate) fn coin(&self, load: f64) -> Bernoulli {
+        let p = match self.kind {
+            SourceKind::Bernoulli => load,
+            SourceKind::OnOff { on_rate, .. } => load * on_rate,
+            // A trace never flips the coin.
+            SourceKind::Trace { .. } => 0.0,
+        };
+        Bernoulli::new(p).expect("validated load and on rate")
+    }
+
+    /// [`TrafficSources::offer`] with its injection coin built once by
+    /// [`TrafficSources::coin`]: the same draws, in the same order.
+    #[inline]
+    pub(crate) fn offer_with<R: Rng>(
+        &mut self,
+        cycle: u64,
+        cell: u32,
+        terminal: usize,
+        coin: &Bernoulli,
+        rng: &mut R,
+    ) -> Offer {
         match &mut self.kind {
             SourceKind::Bernoulli => {
-                if rng.gen_bool(load) {
+                if coin.sample(rng) {
                     Offer::Packet
                 } else {
                     Offer::Idle
@@ -764,7 +800,7 @@ impl TrafficSources {
                 on,
                 exit_on,
                 exit_off,
-                on_rate,
+                ..
             } => {
                 let state = &mut on[cell as usize * 2 + terminal];
                 if *state {
@@ -774,7 +810,7 @@ impl TrafficSources {
                 } else if exit_off.sample(rng) {
                     *state = true;
                 }
-                if *state && rng.gen_bool(load * *on_rate) {
+                if *state && coin.sample(rng) {
                     Offer::Packet
                 } else {
                     Offer::Idle

@@ -32,7 +32,7 @@ fn all_catalog_networks_have_statistically_equal_uniform_throughput() {
     // last stage does not arbitrate today, so an n-stage fabric tracks
     // Patel's recurrence for n − 1 stages (Patel(3) ≈ 0.52 at full load, not
     // Patel(4) ≈ 0.45; at 0.9 offered load the value sits slightly lower).
-    // ROADMAP.md item 3 (model fidelity) adds the missing arbitration.
+    // ROADMAP.md item 1 (model fidelity) adds the missing arbitration.
     assert!(min > 0.35 && max < 0.75, "{throughputs:?}");
 }
 
