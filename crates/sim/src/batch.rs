@@ -10,13 +10,20 @@
 //! Then it picks the engine from what it holds. A batch of at least
 //! [`LANE_THRESHOLD`] lanes on a destination-tag routed fabric of at most
 //! [`LANE_MAX_STAGES`] stages runs word-packed, 64 lanes per `u64` whatever
-//! their loads, when it is unbuffered with stateless traffic (the
-//! unbuffered engine in `lane.rs`) or healthy wormhole work of at least 16
-//! lanes with at most eight channels per cell and no trace replay (the
-//! wormhole engine in `worm.rs`). Everything else — FIFO, faulty or wide wormhole cells, and
-//! a non-delta fabric such as Benes — runs one scalar [`Simulator`],
-//! rewound to each lane's seed and load so arenas and cached fault-reroute
-//! epochs are reused.
+//! their loads, in one of three engines:
+//!
+//! * `lane.rs` — unbuffered work with stateless traffic, and ON/OFF work of
+//!   at least 16 lanes, fault plans included;
+//! * `fifo.rs` — healthy FIFO work of at least 16 lanes, no trace replay,
+//!   at most 4 packets per input port;
+//! * `worm.rs` — healthy wormhole work of at least 16 lanes, no trace
+//!   replay, at most eight channels per cell.
+//!
+//! Everything else — faulty FIFO or wormhole work, deeper FIFOs and wider
+//! wormhole cells, trace replay, batches below a bound, and a non-delta
+//! fabric such as Benes — runs one scalar [`Simulator`], rewound to each
+//! lane's seed and load so arenas and cached fault-reroute epochs are
+//! reused.
 //!
 //! Both paths are bit-identical to building a fresh scalar simulator per
 //! lane — pinned by the packed-oracle proptests and the campaign layer's
@@ -25,8 +32,10 @@
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::{prepare, SimError, Simulator};
 use crate::fabric::{Fabric, Routing};
-use crate::lane::{LaneEngine, LANE_WIDTH};
+use crate::fifo::{self, FIFO_MAX_DEPTH, FIFO_THRESHOLD};
+use crate::lane::{LaneEngine, LANE_WIDTH, ON_OFF_THRESHOLD};
 use crate::metrics::Metrics;
+use crate::traffic::TrafficPattern;
 use crate::worm::{self, WORM_MAX_LANES, WORM_THRESHOLD};
 use min_core::ConnectionNetwork;
 
@@ -39,13 +48,14 @@ pub const LANE_THRESHOLD: usize = 8;
 /// fabrics are left to the scalar engine.
 pub const LANE_MAX_STAGES: usize = 12;
 
-/// Whether a batch of `replications` lanes of this unbuffered workload is
-/// eligible for the word-packed unbuffered engine on a destination-tag
-/// routed fabric — the one further condition [`run_replications`] checks.
-/// Stateful traffic patterns (ON/OFF chains, trace replay —
-/// [`crate::TrafficPattern::is_stateful`]) carry per-source state that
-/// engine does not model, so they take the scalar path. Wormhole batches
-/// have their own, crate-private gate.
+/// Whether a batch of `replications` lanes of this unbuffered workload with
+/// stateless traffic is eligible for the word-packed unbuffered engine on
+/// a destination-tag routed fabric — the one further condition
+/// [`run_replications`] checks. Stateful traffic patterns (ON/OFF chains,
+/// trace replay — [`crate::TrafficPattern::is_stateful`]) are not admitted
+/// here: ON/OFF batches, and FIFO and wormhole batches, pack through a
+/// crate-private gate with bounds of its own, and trace replay stays
+/// scalar.
 pub fn packed_eligible(config: &SimConfig, stages: usize, replications: usize) -> bool {
     config.buffer_mode == BufferMode::Unbuffered
         && !config.traffic.is_stateful()
@@ -54,25 +64,32 @@ pub fn packed_eligible(config: &SimConfig, stages: usize, replications: usize) -
 }
 
 /// Whether a batch of `replications` lanes of this workload runs
-/// word-packed on a destination-tag routed fabric: the unbuffered work
-/// [`packed_eligible`] admits, or healthy wormhole work — an empty fault
-/// plan, no trace replay (its schedule would be copied per lane), at most
-/// `WORM_MAX_LANES` channels per cell and at least `WORM_THRESHOLD` lanes —
-/// under the same depth bound. A pure function of the config, so the
+/// word-packed on a destination-tag routed fabric of at most
+/// [`LANE_MAX_STAGES`] stages: the unbuffered work [`packed_eligible`]
+/// admits, unbuffered ON/OFF work of at least `ON_OFF_THRESHOLD` lanes
+/// (faults included), or healthy buffered work — an empty fault plan and no
+/// trace replay (its schedule would be copied per lane) — that is FIFO of
+/// at most `FIFO_MAX_DEPTH` packets per port and at least `FIFO_THRESHOLD`
+/// lanes, or wormhole of at most `WORM_MAX_LANES` channels per cell and at
+/// least `WORM_THRESHOLD` lanes. A pure function of the config, so the
 /// campaign planner gathers such curves into words without building a
 /// fabric.
 pub(crate) fn packs(config: &SimConfig, stages: usize, replications: usize) -> bool {
-    match config.buffer_mode {
-        BufferMode::Unbuffered => packed_eligible(config, stages, replications),
-        BufferMode::Wormhole { lanes, .. } => {
-            lanes <= WORM_MAX_LANES
-                && config.fault_plan.is_empty()
-                && !config.traffic.is_trace()
-                && replications >= WORM_THRESHOLD
-                && (2..=LANE_MAX_STAGES).contains(&stages)
+    let healthy = config.fault_plan.is_empty() && !config.traffic.is_trace();
+    (2..=LANE_MAX_STAGES).contains(&stages)
+        && match config.buffer_mode {
+            BufferMode::Unbuffered => {
+                packed_eligible(config, stages, replications)
+                    || matches!(config.traffic, TrafficPattern::OnOff { .. })
+                        && replications >= ON_OFF_THRESHOLD
+            }
+            BufferMode::Fifo(depth) => {
+                healthy && depth <= FIFO_MAX_DEPTH && replications >= FIFO_THRESHOLD
+            }
+            BufferMode::Wormhole { lanes, .. } => {
+                healthy && lanes <= WORM_MAX_LANES && replications >= WORM_THRESHOLD
+            }
         }
-        BufferMode::Fifo(_) => false,
-    }
 }
 
 /// Runs one scenario once per `(seed, offered load)` lane, returning the
@@ -109,10 +126,11 @@ pub fn run_replications(
         let mut out = Vec::with_capacity(lanes.len());
         for word in lanes.chunks(LANE_WIDTH) {
             out.extend(match config.buffer_mode {
-                BufferMode::Wormhole { .. } => worm::run_word(&fabric, &config, &sampler, word),
-                _ => {
+                BufferMode::Unbuffered => {
                     LaneEngine::with_lanes(&fabric, &config, &sampler, faults.as_mut(), word).run()
                 }
+                BufferMode::Fifo(_) => fifo::run_word(&fabric, &config, &sampler, word),
+                BufferMode::Wormhole { .. } => worm::run_word(&fabric, &config, &sampler, word),
             });
         }
         return Ok(out);
@@ -131,7 +149,6 @@ pub fn run_replications(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::traffic::TrafficPattern;
     use min_networks::omega;
 
     fn fresh(net: &ConnectionNetwork, config: &SimConfig, seed: u64) -> Metrics {
@@ -153,8 +170,8 @@ mod tests {
         }
     }
 
-    /// One mode per engine: unbuffered and wormhole batches pack, FIFO
-    /// batches run the scalar rewind loop.
+    /// One mode per word engine: healthy batches of at least 16 lanes pack
+    /// in all three.
     const MODES: [BufferMode; 3] = [
         BufferMode::Unbuffered,
         BufferMode::Fifo(4),
@@ -184,12 +201,50 @@ mod tests {
             on_rate: 1.0,
         });
         assert!(!packed_eligible(&on_off, 4, 64));
+        // `packs` adds unbuffered ON/OFF work from its own lane bound,
+        // faults included; trace replay stays scalar.
+        assert!(packs(&on_off, 4, ON_OFF_THRESHOLD) && !packs(&on_off, 4, ON_OFF_THRESHOLD - 1));
+        assert!(!packs(&on_off, LANE_MAX_STAGES + 1, 64));
+        let faulty_on_off = on_off
+            .clone()
+            .with_faults(FaultPlan::none().with_dead_link(1, 0, 1, 0));
+        assert!(packs(&faulty_on_off, 4, ON_OFF_THRESHOLD));
         let trace = SimConfig::default().with_traffic(TrafficPattern::Trace(TraceData {
             cells: 8,
             period: 1,
             records: vec![],
         }));
-        assert!(!packed_eligible(&trace, 4, 64));
+        assert!(!packed_eligible(&trace, 4, 64) && !packs(&trace, 4, 64));
+        // Healthy FIFO work packs up to the depth bound, ON/OFF included,
+        // from its own lane bound; `packed_eligible` does not admit it.
+        let deepest = SimConfig::default().with_buffer(BufferMode::Fifo(FIFO_MAX_DEPTH));
+        assert!(packs(&deepest, 4, FIFO_THRESHOLD) && !packs(&deepest, 4, FIFO_THRESHOLD - 1));
+        assert!(packs(&fifo, 4, 64) && !packed_eligible(&fifo, 4, 64));
+        assert!(!packs(&fifo, LANE_MAX_STAGES + 1, 64));
+        assert!(!packs(
+            &fifo
+                .clone()
+                .with_buffer(BufferMode::Fifo(FIFO_MAX_DEPTH + 1)),
+            4,
+            64
+        ));
+        assert!(!packs(
+            &fifo
+                .clone()
+                .with_faults(FaultPlan::none().with_dead_switch(1, 1, 0)),
+            4,
+            64
+        ));
+        assert!(packs(
+            &fifo.clone().with_traffic(on_off.traffic.clone()),
+            4,
+            64
+        ));
+        assert!(!packs(
+            &fifo.clone().with_traffic(trace.traffic.clone()),
+            4,
+            64
+        ));
         // `packs` adds healthy wormhole work, ON/OFF included, up to the
         // lane bound; `packed_eligible` keeps its unbuffered-only meaning.
         let worm = SimConfig::default().with_buffer(wormhole(WORM_MAX_LANES));
@@ -207,14 +262,12 @@ mod tests {
         assert!(!packs(&faulty, 4, 64));
         assert!(packs(&worm.clone().with_traffic(on_off.traffic), 4, 64));
         assert!(!packs(&worm.with_traffic(trace.traffic), 4, 64));
-        assert!(!packs(&fifo, 4, 64));
     }
 
     #[test]
     fn both_routes_match_fresh_scalar_simulators() {
         let net = omega(4);
-        // 16 seeds: packed for the unbuffered and wormhole configs, scalar
-        // (rewind loop) for the FIFO config — all must be bit-identical to
+        // 16 seeds, packed in every mode — all must be bit-identical to
         // fresh per-seed simulators.
         let seeds: Vec<u64> = (0..WORM_THRESHOLD as u64)
             .map(|k| 0xC0FFEE ^ (k * 7919))
@@ -235,9 +288,9 @@ mod tests {
     #[test]
     fn new_patterns_route_and_match_fresh_scalar_simulators() {
         let net = omega(4);
-        // 10 seeds: Zipf goes through the packed engine, ON/OFF through the
-        // scalar rewind loop — both must be bit-identical to fresh per-seed
-        // simulators.
+        // 10 seeds: Zipf goes through the packed engine, ON/OFF — below its
+        // 16-lane bound — through the scalar rewind loop; both must be
+        // bit-identical to fresh per-seed simulators.
         let seeds: Vec<u64> = (0..10).map(|k| 0xFACE ^ (k * 6151)).collect();
         for traffic in [
             TrafficPattern::Zipf { exponent: 1.2 },
@@ -279,14 +332,12 @@ mod tests {
     #[test]
     fn mixed_load_lanes_match_fresh_scalar_simulators_on_both_routes() {
         let net = omega(4);
-        // Sixteen lanes over four loads, the runs of equal loads split up:
-        // packed for the unbuffered and wormhole configs, one scalar
-        // simulator rewound to each lane's seed and load for the FIFO
-        // config.
+        // Sixteen lanes over four loads, the runs of equal loads split up,
+        // packed in every mode.
         let loads = [
             0.0, 0.35, 0.35, 1.0, 0.35, 0.0, 1.0, 1.0, 0.35, 0.0, 0.6, 0.6, 0.8, 0.35, 0.8, 0.0,
         ];
-        assert!(loads.len() >= WORM_THRESHOLD);
+        assert!(loads.len() >= WORM_THRESHOLD.max(FIFO_THRESHOLD));
         let lanes: Vec<(u64, f64)> = loads
             .iter()
             .enumerate()
@@ -343,8 +394,10 @@ mod tests {
         let net = omega(3);
         for mode in MODES {
             let config = SimConfig::default().with_buffer(mode);
-            let mut lanes: Vec<(u64, f64)> = (0..WORM_THRESHOLD as u64).map(|s| (s, 0.5)).collect();
-            assert!(packs(&config, 3, lanes.len()) == (mode != BufferMode::Fifo(4)));
+            let mut lanes: Vec<(u64, f64)> = (0..WORM_THRESHOLD.max(FIFO_THRESHOLD) as u64)
+                .map(|s| (s, 0.5))
+                .collect();
+            assert!(packs(&config, 3, lanes.len()));
             for load in [-0.25, 1.5, f64::INFINITY] {
                 lanes[3].1 = load;
                 assert_eq!(
@@ -409,6 +462,64 @@ mod tests {
                     fresh(&net, &config, seed),
                     "{:?} load {load}",
                     config.buffer_mode
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_batches_that_stay_scalar_match_fresh_scalar_simulators() {
+        use crate::traffic::{TraceData, TraceRecord};
+        use min_networks::rearrangeable::benes;
+        // Each batch takes the scalar rewind loop: a fault plan, a fabric
+        // without destination tags, trace replay, a FIFO deeper than the
+        // packed engine takes, and a batch below the lane bound.
+        let lanes: Vec<(u64, f64)> = (0..FIFO_THRESHOLD as u64)
+            .map(|k| (0xF1F0 ^ (k * 5231), (k % 5) as f64 / 4.0))
+            .collect();
+        let base = SimConfig::default()
+            .with_cycles(150, 15)
+            .with_buffer(BufferMode::Fifo(2));
+        let faulty = base.clone().with_faults(
+            FaultPlan::none()
+                .with_dead_link(1, 0, 1, 0)
+                .with_dead_switch(1, 1, 70),
+        );
+        let trace = base.clone().with_traffic(TrafficPattern::Trace(TraceData {
+            cells: 8,
+            period: 3,
+            records: (0..16)
+                .map(|t| TraceRecord {
+                    cycle: t / 6,
+                    source: t,
+                    dest: (t * 5) % 8,
+                })
+                .collect(),
+        }));
+        let deep = base
+            .clone()
+            .with_buffer(BufferMode::Fifo(FIFO_MAX_DEPTH + 1));
+        // Benes passes the config gate; its fabric sends it scalar.
+        let cases = [
+            (omega(4), faulty, lanes.len(), false),
+            (benes(3), base.clone(), lanes.len(), true),
+            (omega(4), trace, lanes.len(), false),
+            (omega(4), deep, lanes.len(), false),
+            (omega(4), base, FIFO_THRESHOLD - 1, false),
+        ];
+        for (net, config, count, gate) in cases {
+            let lanes = &lanes[..count];
+            assert_eq!(packs(&config, net.stages(), count), gate);
+            let batched = run_replications(&net, &config, lanes).unwrap();
+            assert_eq!(batched.len(), count);
+            for (m, &(seed, load)) in batched.iter().zip(lanes) {
+                let config = config.clone().with_load(load);
+                assert_eq!(
+                    *m,
+                    fresh(&net, &config, seed),
+                    "{:?} {} load {load}",
+                    config.buffer_mode,
+                    config.traffic.label()
                 );
             }
         }

@@ -14,10 +14,10 @@
 //!    out. It hands each curve — the shard's scenarios that differ only in
 //!    offered load and seed — to [`crate::batch::run_replications`] as one
 //!    batch of `(seed, load)` lanes, which builds the fabric tables, switch
-//!    arenas and fault machinery once per batch and — for unbuffered or
-//!    healthy wormhole curves with enough lanes on a delta fabric — runs up
-//!    to 64 lanes per machine word through a bit-parallel engine, whatever
-//!    their loads.
+//!    arenas and fault machinery once per batch and — for unbuffered, or
+//!    healthy FIFO and wormhole, curves with enough lanes on a delta
+//!    fabric — runs up to 64 lanes per machine word through a bit-parallel
+//!    engine, whatever their loads.
 //!    A failing batch is one [`CampaignError::Scenario`]. Because every
 //!    scenario carries its own derived seed, a shard produces the same
 //!    bytes no matter which process, machine or retry executes it.
@@ -366,11 +366,13 @@ impl CampaignConfig {
     /// The plan both executors run ([`run_campaign`] at one grid point per
     /// shard): each lane-eligible curve — all `loads × replications` lanes
     /// of one `(cell, traffic, buffer mode, fault plan)` that a word engine
-    /// takes (unbuffered work [`crate::batch::packed_eligible`] admits, or
-    /// healthy wormhole work of at least 16 lanes with at most eight
-    /// channels per cell and no trace replay) — is gathered, even where its
-    /// points are not contiguous, and cut into shards of one 64-lane word
-    /// each (the last word keeps a remainder too short to pack on its own).
+    /// takes (unbuffered work [`crate::batch::packed_eligible`] admits,
+    /// unbuffered ON/OFF work of at least 16 lanes, or healthy work of at
+    /// least 16 lanes with no trace replay: FIFO of at most 4 packets per
+    /// input port, wormhole of at most eight channels per cell) — is
+    /// gathered, even where its points are not contiguous, and cut into
+    /// shards of one 64-lane word each (the last word keeps a remainder too
+    /// short to pack on its own).
     /// Every other grid point joins a shard of `points_per_shard` such
     /// points.
     ///
@@ -1241,16 +1243,27 @@ pub fn run_campaign(
 }
 
 /// Runs `execute` on every shard of `plan` across `threads` workers and
-/// assembles the report. Errors surface in shard order, so a failing
-/// campaign reports the same (lowest-index) shard at any thread count.
+/// assembles the report. Workers claim the shards with the most simulated
+/// cells first (scenarios × stages × cells per stage), so a long word is not
+/// the last one left running while the other workers idle. Errors surface
+/// in shard order, so a failing campaign reports the same (lowest-index)
+/// shard at any thread count.
 fn run_plan(
     config: &CampaignConfig,
     plan: &CampaignPlan,
     threads: usize,
     execute: impl Fn(&Shard) -> Result<Vec<ScenarioResult>, CampaignError> + Sync,
 ) -> Result<CampaignReport, CampaignError> {
+    let work =
+        |shard: &Shard| -> usize { shard.scenarios.iter().map(|s| s.stages << s.stages).sum() };
+    let mut order: Vec<usize> = (0..plan.shards.len()).collect();
+    order.sort_by_key(|&g| std::cmp::Reverse(work(&plan.shards[g])));
+    let mut done = run_indexed(order.len(), threads, |i| {
+        (order[i], execute(&plan.shards[order[i]]))
+    });
+    done.sort_unstable_by_key(|&(g, _)| g);
     let mut results = Vec::with_capacity(plan.scenario_count());
-    for shard_results in run_indexed(plan.shards.len(), threads, |g| execute(&plan.shards[g])) {
+    for (_, shard_results) in done {
         results.extend(shard_results?);
     }
     Ok(assemble(config, results)?)
@@ -1295,6 +1308,8 @@ fn aggregate(results: &[ScenarioResult]) -> CampaignAggregate {
 mod tests {
     use super::*;
     use crate::fabric::FabricError;
+    use crate::fifo::FIFO_THRESHOLD;
+    use crate::lane::ON_OFF_THRESHOLD;
 
     fn tiny() -> CampaignConfig {
         CampaignConfig::over_catalog(3..=3)
@@ -2042,9 +2057,18 @@ mod tests {
                     seen[s.index] = true;
                 }
                 let first = &shard.scenarios[0];
-                let packed = first.buffer_mode == BufferMode::Unbuffered
-                    && first.traffic == TrafficPattern::Uniform
-                    && lanes >= LANE_THRESHOLD;
+                // Uniform unbuffered curves pack from 8 lanes, ON/OFF ones
+                // and healthy FIFO ones from 16.
+                let packed = match first.buffer_mode {
+                    BufferMode::Unbuffered if first.traffic == TrafficPattern::Uniform => {
+                        lanes >= LANE_THRESHOLD
+                    }
+                    BufferMode::Unbuffered => lanes >= ON_OFF_THRESHOLD,
+                    BufferMode::Fifo(_) => {
+                        first.fault_plan.is_empty() && lanes >= FIFO_THRESHOLD
+                    }
+                    BufferMode::Wormhole { .. } => false,
+                };
                 if packed {
                     prop_assert!(shard.scenarios.iter().all(|s| same_curve(s, first)));
                     prop_assert!(

@@ -25,9 +25,10 @@
 //! builds the fabric and `prepare`s the sampler and fault runtime. Many
 //! runs of one scenario go through [`crate::batch::run_replications`]
 //! instead, which does that setup once per batch and then either packs the
-//! lanes into machine words (unbuffered and healthy wormhole work) or runs
-//! them all on one simulator, rewound to each lane's seed and load. This
-//! engine and its switching cores are the packed engines' oracle.
+//! lanes into machine words (unbuffered, and healthy FIFO and wormhole
+//! work) or runs them all on one simulator, rewound to each lane's seed and
+//! load. This engine and its switching cores are the packed engines'
+//! oracle.
 
 use crate::config::{ConfigError, SimConfig};
 use crate::fabric::{Fabric, FabricError};

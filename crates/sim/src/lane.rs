@@ -1,7 +1,9 @@
 //! Word-packed simulation of up to 64 unbuffered lanes at once, and the
-//! pieces both word engines share: the bit-sliced [`VerticalCounter`], the
-//! per-lane streams and injection coins ([`lane_draws`]) and the metric
-//! read-out ([`LaneTally`]). The wormhole engine is `crate::worm`.
+//! pieces all three word engines share: the bit-sliced
+//! [`VerticalCounter`], the per-lane streams, traffic sources and
+//! injection coins ([`LaneStreams`]) with the one lane-major injection loop
+//! ([`LaneStreams::inject`]), and the metric read-out ([`LaneTally`]). The
+//! FIFO and wormhole engines are `crate::fifo` and `crate::worm`.
 //!
 //! The [`LaneEngine`] packs words the way the GF(2) eliminator of
 //! `min_labels::bitmat` does: instead of simulating replications one after
@@ -38,7 +40,10 @@
 //!   engine: switch coins in (stage descending, cell ascending) order, then
 //!   injection draws in (cell ascending, terminal) order. Draws happen only
 //!   for bits that would draw in the scalar engine (a coin only where that
-//!   lane has a same-port conflict), so the streams stay aligned.
+//!   lane has a same-port conflict), so the streams stay aligned. ON/OFF
+//!   traffic keeps per-terminal chains, so each lane also owns its
+//!   [`TrafficSources`], and its offers go through the shared lane-major
+//!   loop instead of the stateless patterns' cell-major one.
 //! * **Per-lane injection thresholds.** The offered load enters the model
 //!   only through the injection coin, one `next_u64` compared against a
 //!   threshold. Each lane holds its own [`Bernoulli`] coin, built once from
@@ -57,8 +62,9 @@
 //! The engine is crate-private: [`crate::batch::run_replications`] is its
 //! one caller. The batch validates the config and every lane load, builds
 //! the fabric, sampler and fault runtime once, and hands a word here only
-//! when [`crate::batch::packed_eligible`] holds and the fabric routes by
-//! destination tag; the engine repeats none of those checks. The scalar
+//! when [`crate::batch::packed_eligible`] holds, or the traffic is ON/OFF
+//! and the batch has at least [`ON_OFF_THRESHOLD`] lanes, and the fabric
+//! routes by destination tag; the engine repeats none of those checks. The scalar
 //! engine remains the reference oracle, and the oracle tests pin the two
 //! paths byte-identical.
 
@@ -67,14 +73,22 @@ use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
 use crate::fault::{FaultRuntime, FaultView, LinkStatus};
 use crate::metrics::Metrics;
-use crate::traffic::{DestSampler, TrafficPattern, TrafficSources, UniformCell};
+use crate::switch::fair_coin;
+use crate::traffic::{DestSampler, Offer, TrafficPattern, TrafficSources, UniformCell};
 use rand::distributions::{Bernoulli, Distribution};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Lanes simulated per machine word.
 pub const LANE_WIDTH: usize = 64;
+
+/// Fewest lanes an unbuffered ON/OFF batch packs at. On Omega(5), 600
+/// cycles, the packed engine ran 1.4× the scalar one at 8 lanes, 1.8× at
+/// 16 and 2.6× at 64, so the bound is not set by speed: it stays above the
+/// 8-lane grid points a per-point plan ships, which keep the scalar path
+/// perfbench's traced pass times as `engine.unbuffered`, and matches the
+/// FIFO and wormhole engines' bound.
+pub(crate) const ON_OFF_THRESHOLD: usize = 16;
 
 /// A bit-sliced counter: plane `i` holds bit `i` of every replication's
 /// running count, so adding a replication-mask of simultaneous events is a
@@ -158,26 +172,96 @@ impl VerticalCounter {
     }
 }
 
-/// The per-lane randomness of one word, built exactly like the scalar
-/// engine's: one ChaCha8 stream per `(seed, load)` lane, and the injection
-/// coin `sources` flips at the lane's load.
-pub(crate) fn lane_draws(
-    sources: &TrafficSources,
-    lanes: &[(u64, f64)],
-) -> (Vec<ChaCha8Rng>, Vec<Bernoulli>) {
-    lanes
-        .iter()
-        .map(|&(seed, load)| (ChaCha8Rng::seed_from_u64(seed), sources.coin(load)))
-        .unzip()
+/// The per-lane randomness and traffic state of one word, built exactly
+/// like the scalar engine's: one ChaCha8 stream per `(seed, load)` lane,
+/// one [`TrafficSources`] per lane (ON/OFF chains carry per-terminal
+/// state), and the injection coin each lane's sources flip at its load.
+#[derive(Debug)]
+pub(crate) struct LaneStreams {
+    pub(crate) rngs: Vec<ChaCha8Rng>,
+    pub(crate) sources: Vec<TrafficSources>,
+    pub(crate) coins: Vec<Bernoulli>,
 }
 
-/// The per-lane counts both word engines keep, and their read-out.
+/// Where [`LaneStreams::inject`] puts a word engine's accepted packets.
+pub(crate) trait Admit {
+    /// How many packets lane `r`'s first-stage cell `cell` accepts this
+    /// cycle; only 0, 1 and "2 or more" are told apart.
+    fn room(&mut self, cell: usize, r: usize) -> u32;
+    /// Takes lane `r`'s `j`-th accepted packet at `cell` this cycle,
+    /// carrying routing tag `tag`.
+    fn admit(&mut self, cell: usize, r: usize, j: u32, tag: u32);
+}
+
+impl LaneStreams {
+    pub(crate) fn new(traffic: &TrafficPattern, cells: usize, lanes: &[(u64, f64)]) -> Self {
+        let sources = TrafficSources::new(traffic, cells);
+        let (rngs, coins) = lanes
+            .iter()
+            .map(|&(seed, load)| (ChaCha8Rng::seed_from_u64(seed), sources.coin(load)))
+            .unzip();
+        LaneStreams {
+            rngs,
+            sources: vec![sources; lanes.len()],
+            coins,
+        }
+    }
+
+    /// The injection phase of a word engine, one draw path for every
+    /// pattern but trace replay: per lane, the exact scalar order over
+    /// (cell ascending, terminal 0..2) — offer, count it, capacity test,
+    /// destination draw and tag (`dest_tag`, `None` when the fault plan
+    /// leaves the pair unroutable), then the hand-off to `admit`.
+    /// Lane-major, so each lane's stream and sources stay hot through its
+    /// offers.
+    pub(crate) fn inject<A: Admit, F: FnMut(u32, &mut ChaCha8Rng) -> Option<u32>>(
+        &mut self,
+        cycle: u64,
+        cells: usize,
+        tally: &mut LaneTally,
+        mut dest_tag: F,
+        admit: &mut A,
+    ) {
+        let lanes = self.rngs.iter_mut().zip(&mut self.sources).zip(&self.coins);
+        for (r, ((rng, source), coin)) in lanes.enumerate() {
+            let (mut offered, mut injected, mut unroutable) = (0, 0, 0);
+            for cell in 0..cells {
+                let room = admit.room(cell, r);
+                let mut accepted = 0;
+                for terminal in 0..2 {
+                    let offer = source.offer_with(cycle, cell as u32, terminal, coin, rng);
+                    debug_assert!(!matches!(offer, Offer::PacketTo(_)), "no trace replay");
+                    if offer == Offer::Idle {
+                        continue;
+                    }
+                    offered += 1;
+                    if accepted == room {
+                        continue;
+                    }
+                    let Some(tag) = dest_tag(cell as u32, rng) else {
+                        unroutable += 1;
+                        continue;
+                    };
+                    admit.admit(cell, r, accepted, tag);
+                    accepted += 1;
+                }
+                injected += u64::from(accepted);
+            }
+            tally.offered[r] += offered;
+            tally.injected[r] += injected;
+            tally.unroutable[r] += unroutable;
+        }
+    }
+}
+
+/// The per-lane counts every word engine keeps, and their read-out.
 #[derive(Debug)]
 pub(crate) struct LaneTally {
-    /// Offered and injected packets per lane, counted inside the
-    /// (already per-lane) injection loop.
+    /// Offered, injected and unroutable packets per lane, counted inside
+    /// the (already per-lane) injection loop.
     pub(crate) offered: Vec<u64>,
     pub(crate) injected: Vec<u64>,
+    pub(crate) unroutable: Vec<u64>,
     /// Delivered packets per lane.
     pub(crate) delivered: VerticalCounter,
     /// Per-lane metrics the per-bit paths (latencies, fault losses) write
@@ -190,6 +274,7 @@ impl LaneTally {
         LaneTally {
             offered: vec![0; lanes],
             injected: vec![0; lanes],
+            unroutable: vec![0; lanes],
             delivered: VerticalCounter::default(),
             metrics: vec![Metrics::default(); lanes],
         }
@@ -203,6 +288,7 @@ impl LaneTally {
             m.measured_cycles = cycles;
             m.offered = self.offered[r];
             m.injected = self.injected[r];
+            m.unroutable_drops = self.unroutable[r];
             m.delivered = self.delivered.count(r);
             m.lane_slot_cycles = cycles * slots;
         }
@@ -294,6 +380,30 @@ impl InjectCtx<'_> {
     }
 }
 
+/// The unbuffered engine's stage-0 slots as [`LaneStreams::inject`]'s
+/// target: the switching pass drained them, so a lane's `j`-th packet of a
+/// cycle takes slot `j` of its cell, and its tag planes are written whole.
+struct SlotAdmit<'a> {
+    occ: &'a mut [u64],
+    tag: &'a mut [u64],
+    conn_bits: usize,
+}
+
+impl Admit for SlotAdmit<'_> {
+    fn room(&mut self, _cell: usize, _r: usize) -> u32 {
+        2
+    }
+
+    fn admit(&mut self, cell: usize, r: usize, j: u32, packet_tag: u32) {
+        let slot = cell * 2 + j as usize;
+        self.occ[slot] |= 1 << r;
+        let planes = &mut self.tag[slot * self.conn_bits..(slot + 1) * self.conn_bits];
+        for (b, plane) in planes.iter_mut().enumerate() {
+            *plane = (*plane & !(1 << r)) | (u64::from(packet_tag >> b & 1) << r);
+        }
+    }
+}
+
 /// A word-packed engine running up to [`LANE_WIDTH`] independent unbuffered
 /// lanes of one scenario in lockstep, each lane a `(seed, offered load)`
 /// replication, over the fabric, sampler and fault runtime its batch built.
@@ -306,11 +416,9 @@ pub(crate) struct LaneEngine<'a> {
     /// The fabric's destination-tag table.
     tags: &'a [u32],
     /// One independent ChaCha8 stream per lane, seeded exactly like the
-    /// scalar engine.
-    rngs: Vec<ChaCha8Rng>,
-    /// One injection coin per lane, built once from the lane's load.
-    coins: Vec<Bernoulli>,
-    /// Offered, injected and delivered counts, and the cold per-lane
+    /// scalar engine, with the lane's traffic sources and injection coin.
+    streams: LaneStreams,
+    /// Offered, injected, unroutable and delivered counts, and the cold per-lane
     /// metrics the fault-loss counters and per-stage exposure vectors land
     /// in directly; everything else is folded in from the vertical
     /// counters when the run finishes.
@@ -337,9 +445,6 @@ pub(crate) struct LaneEngine<'a> {
     /// the switching pass never re-evaluates the connection permutations:
     /// entry `(stage * cells + cell) * 2 + port`.
     next: Vec<u32>,
-    /// Per-replication unroutable-refusal counts, updated inside the
-    /// (already per-replication) injection RNG loop.
-    unroutable: Vec<u64>,
     /// Per-replication occupancy-cycles already accounted for dropped
     /// packets (fault losses record `stage + 1` at drop time).
     occ_fault: Vec<u64>,
@@ -371,7 +476,7 @@ impl<'a> LaneEngine<'a> {
     ) -> Self {
         debug_assert!(
             config.buffer_mode == BufferMode::Unbuffered
-                && !config.traffic.is_stateful()
+                && !config.traffic.is_trace()
                 && (1..=LANE_WIDTH).contains(&lanes.len())
                 && (2..=LANE_MAX_STAGES).contains(&fabric.stages())
                 && lanes.iter().all(|&(_, load)| (0.0..=1.0).contains(&load)),
@@ -380,8 +485,7 @@ impl<'a> LaneEngine<'a> {
         let Routing::Delta(table) = fabric.routing() else {
             unreachable!("the batch layer packs only delta fabrics");
         };
-        let (rngs, coins) =
-            lane_draws(&TrafficSources::new(&config.traffic, fabric.cells()), lanes);
+        let streams = LaneStreams::new(&config.traffic, fabric.cells(), lanes);
         if let Some(rt) = faults.as_deref_mut() {
             rt.rewind();
         }
@@ -398,8 +502,7 @@ impl<'a> LaneEngine<'a> {
             }
         }
         LaneEngine {
-            rngs,
-            coins,
+            streams,
             tally: LaneTally::new(lanes.len()),
             faults,
             cycle: 0,
@@ -411,7 +514,6 @@ impl<'a> LaneEngine<'a> {
             occ: vec![0; slots],
             tag: vec![0; slots * conn_bits],
             next,
-            unroutable: vec![0; lanes.len()],
             occ_fault: vec![0; lanes.len()],
             vc_measured: VerticalCounter::default(),
             vc_despite: VerticalCounter::default(),
@@ -567,7 +669,7 @@ impl<'a> LaneEngine<'a> {
                 let mut w = conflict;
                 while w != 0 {
                     let r = w.trailing_zeros() as usize;
-                    if self.rngs[r].gen_bool(0.5) {
+                    if fair_coin(&mut self.streams.rngs[r]) {
                         swap |= 1 << r;
                     }
                     w &= w - 1;
@@ -622,25 +724,46 @@ impl<'a> LaneEngine<'a> {
     /// traffic pattern and fault state, and while no dead link or switch is
     /// active it indexes the fabric's tag table directly, so the per-packet
     /// path carries no dispatch.
+    ///
+    /// ON/OFF chains keep per-terminal state in each lane's sources, so
+    /// they take the word engines' shared lane-major loop
+    /// ([`LaneStreams::inject`]) instead, writing each accepted packet
+    /// straight into its stage-0 slot.
     fn inject(&mut self, faults: Option<&FaultRuntime>) {
         debug_assert!(self.occ[..self.cells * 2].iter().all(|&w| w == 0));
         let tags = self.tags;
         let sampler = self.sampler;
+        let reroute = faults.and_then(FaultRuntime::rerouting);
+        if self.config.traffic.is_stateful() {
+            let mut slots = SlotAdmit {
+                occ: &mut self.occ,
+                tag: &mut self.tag,
+                conn_bits: self.conn_bits,
+            };
+            let dest_tag = |cell, rng: &mut ChaCha8Rng| {
+                let destination = sampler.draw(cell, rng);
+                match reroute {
+                    Some(table) => table.tag(cell as usize, destination as usize),
+                    None => Some(tags[destination as usize]),
+                }
+            };
+            let (cycle, cells) = (self.cycle, self.cells);
+            self.streams
+                .inject(cycle, cells, &mut self.tally, dest_tag, &mut slots);
+            return;
+        }
         let ctx = InjectCtx {
             cells: self.cells,
-            coins: &self.coins,
+            coins: &self.streams.coins,
             conn_bits: self.conn_bits,
             occ: &mut self.occ,
             tag: &mut self.tag,
-            rngs: &mut self.rngs,
+            rngs: &mut self.streams.rngs,
             offered: &mut self.tally.offered,
             injected: &mut self.tally.injected,
-            unroutable: &mut self.unroutable,
+            unroutable: &mut self.tally.unroutable,
         };
-        match (
-            &self.config.traffic,
-            faults.and_then(FaultRuntime::rerouting),
-        ) {
+        match (&self.config.traffic, reroute) {
             (TrafficPattern::Uniform, None) => {
                 let uniform = UniformCell::new(self.cells as u32);
                 ctx.run(|_cell, rng| Some(tags[uniform.draw(rng) as usize]))
@@ -705,7 +828,6 @@ impl<'a> LaneEngine<'a> {
         let latency = self.stages as u64;
         let mut out = self.tally.read_out(self.cycle, slots);
         for (r, metrics) in out.iter_mut().enumerate() {
-            metrics.unroutable_drops = self.unroutable[r];
             metrics.delivered_despite_fault = self.vc_despite.count(r);
             let mut arb = 0u64;
             let mut arb_occupancy = 0u64;
@@ -804,6 +926,11 @@ mod tests {
             TrafficPattern::Permutation((0..cells).rev().collect()),
             TrafficPattern::BitReversal,
             TrafficPattern::Zipf { exponent: 1.1 },
+            TrafficPattern::OnOff {
+                on_dwell: 12.0,
+                off_dwell: 5.0,
+                on_rate: 0.9,
+            },
         ];
         for pattern in patterns {
             let config = SimConfig::default()
@@ -906,7 +1033,7 @@ mod tests {
             count in 1usize..=LANE_WIDTH,
             draws in proptest::collection::vec((0usize..4, 0.0f64..=1.0), LANE_WIDTH),
             hotspot in 0.1f64..0.9,
-            traffic_kind in 0usize..4,
+            traffic_kind in 0usize..5,
             plan in plan_strategy(),
             seed in any::<u64>(),
         ) {
@@ -915,7 +1042,12 @@ mod tests {
                 0 => TrafficPattern::Uniform,
                 1 => TrafficPattern::BitReversal,
                 2 => TrafficPattern::Hotspot { fraction: hotspot, target: 1 },
-                _ => TrafficPattern::Zipf { exponent: 2.0 * hotspot },
+                3 => TrafficPattern::Zipf { exponent: 2.0 * hotspot },
+                _ => TrafficPattern::OnOff {
+                    on_dwell: 1.0 + 20.0 * hotspot,
+                    off_dwell: 1.0 + 10.0 * (1.0 - hotspot),
+                    on_rate: hotspot,
+                },
             };
             let config = SimConfig::default()
                 .with_traffic(traffic)

@@ -50,13 +50,14 @@
 //!   ([`curves::stability_json`], [`curves::saturation_json`]);
 //! * batched replications ([`batch`]) — [`batch::run_replications`] is the
 //!   one door into the engines for many `(seed, load)` lanes of a scenario:
-//!   it builds the fabric once and runs eligible unbuffered and healthy
-//!   wormhole workloads on two crate-private word-packed engines, up to 64
-//!   independent replications per `u64` (occupancy, conflict, drop and
-//!   per-channel flit-counter sets as bitwise operations over replication
-//!   words), and everything else on one rewound scalar [`Simulator`]; the
-//!   packed- and wormhole-oracle tests pin both bit-identical to a fresh
-//!   scalar simulator per lane.
+//!   it builds the fabric once and runs eligible unbuffered, and healthy
+//!   FIFO and wormhole, workloads on three crate-private word-packed
+//!   engines, up to 64 independent replications per `u64` (occupancy,
+//!   conflict, drop, queue-position and per-channel flit-counter sets as
+//!   bitwise operations over replication words), and everything else on
+//!   one rewound scalar [`Simulator`]; the packed-, FIFO- and
+//!   wormhole-oracle tests pin them bit-identical to a fresh scalar
+//!   simulator per lane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,6 +69,7 @@ pub mod curves;
 pub mod engine;
 pub mod fabric;
 pub mod fault;
+mod fifo;
 mod lane;
 pub mod metrics;
 pub mod packet;

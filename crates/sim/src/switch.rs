@@ -38,7 +38,7 @@ use crate::fabric::Fabric;
 use crate::fault::{FaultView, LinkStatus};
 use crate::metrics::Metrics;
 use crate::packet::Packet;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 
 /// The storage-and-switching half of the simulation engine.
@@ -249,6 +249,16 @@ impl<T: Copy + Default> RingArena<T> {
     }
 }
 
+/// The fair coin that settles a same-port conflict between a packet
+/// cell's two head packets: exactly the draw and the outcome of
+/// `rng.gen_bool(0.5)` — one `next_u64`, `true` when its top bit is clear
+/// (`(v >> 11) < 2^52`) — without building a `Bernoulli` per conflict. The
+/// scalar cores and the word engines all flip this one.
+#[inline]
+pub(crate) fn fair_coin(rng: &mut ChaCha8Rng) -> bool {
+    rng.next_u64() >> 63 == 0
+}
+
 /// One packet waiting in a packet-atomic core's queue: the header fields
 /// the metrics can observe. The `id`/`source` fields of [`Packet`] are never
 /// observable, so they are not stored.
@@ -278,6 +288,11 @@ pub type UnbufferedCore = PacketCore<true>;
 
 /// Per-cell FIFOs with backpressure over a flat arena: blocked packets stay
 /// queued, and injection is refused when the first-stage queue is full.
+///
+/// This core is the oracle of the word-packed FIFO engine (`crate::fifo`),
+/// which runs healthy batches of up to 64 replications per word: the FIFO
+/// oracle tests hold every packed lane to this core driven by a fresh
+/// [`crate::Simulator`], field for field.
 pub type FifoCore = PacketCore<false>;
 
 impl PacketCore<true> {
@@ -388,7 +403,7 @@ impl<const UNBUFFERED: bool> SwitchCore for PacketCore<UNBUFFERED> {
                     }
                 }
                 // Resolve same-port contention with a fair coin.
-                if count == 2 && ((cand[0].tag ^ cand[1].tag) >> s) & 1 == 0 && rng.gen_bool(0.5) {
+                if count == 2 && ((cand[0].tag ^ cand[1].tag) >> s) & 1 == 0 && fair_coin(rng) {
                     cand.swap(0, 1);
                 }
                 let mut retained = [Queued::default(); 2];
@@ -1360,6 +1375,23 @@ mod tests {
                 core.reset();
                 oracle.reset();
             }
+        }
+    }
+
+    #[test]
+    fn fair_coin_draws_what_gen_bool_half_draws() {
+        use rand::Rng;
+        for seed in [0, 7, u64::MAX] {
+            let mut fast = ChaCha8Rng::seed_from_u64(seed);
+            let mut reference = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..100_000 {
+                assert_eq!(fair_coin(&mut fast), reference.gen_bool(0.5));
+            }
+            assert_eq!(
+                fast.next_u64(),
+                reference.next_u64(),
+                "streams stay aligned"
+            );
         }
     }
 

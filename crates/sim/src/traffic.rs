@@ -274,11 +274,11 @@ impl TrafficPattern {
     }
 
     /// Whether the pattern carries per-source injection state across cycles
-    /// (ON/OFF chains, trace schedules). The unbuffered word engine keeps
-    /// no per-source state, so `batch::packed_eligible` sends stateful
-    /// patterns to the scalar engine; the wormhole word engine keeps one
-    /// [`TrafficSources`] per lane and packs ON/OFF chains, but not trace
-    /// replay.
+    /// (ON/OFF chains, trace schedules). `batch::packed_eligible` admits
+    /// only stateless patterns; the word engines keep one
+    /// [`TrafficSources`] per lane, so all three pack ON/OFF chains through
+    /// their own gate, and trace replay (whose schedule would be copied per
+    /// lane) runs on the scalar engine.
     pub fn is_stateful(&self) -> bool {
         matches!(
             self,

@@ -36,12 +36,14 @@
 //!
 //! # Why this is exact
 //!
-//! Every lane owns its ChaCha8 stream and its [`TrafficSources`], and draws
+//! Every lane owns its ChaCha8 stream and its traffic sources, and draws
 //! what the scalar engine draws, in the scalar order: an arbitration draw
 //! `gen_range(0..count)` in (stage descending, cell ascending, port 0
 //! before port 1) order, only where that lane has two or more candidates
 //! for the port; then the injection offers and destination draws in (cell
-//! ascending, terminal) order. Nothing else depends on the seed or the
+//! ascending, terminal) order, through the loop all word engines share
+//! ([`LaneStreams::inject`]), which hands each accepted packet to the first
+//! free channel of its cell. Nothing else depends on the seed or the
 //! load, so the shared fabric tables serve every lane. Within one cycle the
 //! metric updates are sums and histogram increments, so the order in which
 //! bits are visited does not matter.
@@ -57,10 +59,9 @@
 use crate::batch::LANE_MAX_STAGES;
 use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
-use crate::lane::{lane_draws, LaneTally, VerticalCounter, LANE_WIDTH};
+use crate::lane::{Admit, LaneStreams, LaneTally, VerticalCounter, LANE_WIDTH};
 use crate::metrics::Metrics;
-use crate::traffic::{DestSampler, Offer, TrafficSources};
-use rand::distributions::Bernoulli;
+use crate::traffic::DestSampler;
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
@@ -203,6 +204,43 @@ fn pick<const SPAN: u64>(rng: &mut ChaCha8Rng) -> usize {
     }
 }
 
+/// The first-stage channels as [`LaneStreams::inject`]'s target: a lane's
+/// accepted packet claims the first channel of its cell that neither an
+/// older worm nor an earlier packet of this cycle holds.
+struct FreeChannels<'a, const L: usize> {
+    slots: &'a [u64],
+    stride: usize,
+    conn_bits: usize,
+    cycle: u64,
+    claims: &'a mut [u64],
+    new_tags: &'a mut [u64],
+    born: &'a mut [u64],
+    /// The channels of the cell being offered to that the lane finds taken.
+    taken: u64,
+}
+
+impl<const L: usize> Admit for FreeChannels<'_, L> {
+    fn room(&mut self, cell: usize, r: usize) -> u32 {
+        self.taken = 0;
+        for l in 0..L {
+            self.taken |= (self.slots[(cell * L + l) * self.stride + ACTIVE] >> r & 1) << l;
+        }
+        L as u32 - self.taken.count_ones()
+    }
+
+    fn admit(&mut self, cell: usize, r: usize, _j: u32, packet_tag: u32) {
+        let l = (!self.taken).trailing_zeros() as usize;
+        self.taken |= 1 << l;
+        let k = cell * L + l;
+        self.claims[k] |= 1 << r;
+        let planes = &mut self.new_tags[k * self.conn_bits..(k + 1) * self.conn_bits];
+        for (b, plane) in planes.iter_mut().enumerate() {
+            *plane |= u64::from(packet_tag >> b & 1) << r;
+        }
+        self.born[k * LANE_WIDTH + r] = self.cycle;
+    }
+}
+
 /// A word-packed engine running up to [`LANE_WIDTH`] wormhole lanes of one
 /// scenario in lockstep, with its cells' channels padded to `L`.
 #[derive(Debug)]
@@ -214,12 +252,8 @@ struct WormEngine<'a, const L: usize> {
     /// Downstream cell reached from `(stage, cell, port)`, entry
     /// `(stage * cells + cell) * 2 + port`.
     next: Vec<u32>,
-    rngs: Vec<ChaCha8Rng>,
-    /// One injection state per lane (ON/OFF chains carry per-terminal
-    /// state), asked in the scalar order.
-    sources: Vec<TrafficSources>,
-    /// Each lane's injection coin, at its load.
-    coins: Vec<Bernoulli>,
+    /// Each lane's stream, traffic sources and injection coin.
+    streams: LaneStreams,
     /// Offered and injected packets, delivered worms and the per-lane
     /// metrics that latencies are recorded into.
     tally: LaneTally,
@@ -300,8 +334,6 @@ impl<'a, const L: usize> WormEngine<'a, L> {
                 }
             }
         }
-        let sources = TrafficSources::new(&config.traffic, cells);
-        let (rngs, coins) = lane_draws(&sources, lanes);
         let mut records = vec![0; slots * stride];
         // Padding channels are busy for every lane, forever.
         for (k, record) in records.chunks_exact_mut(stride).enumerate() {
@@ -314,9 +346,7 @@ impl<'a, const L: usize> WormEngine<'a, L> {
             sampler,
             tags: &table.tag_of_destination,
             next,
-            rngs,
-            sources: vec![sources; lanes.len()],
-            coins,
+            streams: LaneStreams::new(&config.traffic, cells, lanes),
             tally: LaneTally::new(lanes.len()),
             cycle: 0,
             stages,
@@ -520,7 +550,7 @@ impl<'a, const L: usize> WormEngine<'a, L> {
         while group != 0 {
             let r = group.trailing_zeros() as usize;
             group &= group - 1;
-            let k = pick::<SPAN>(&mut self.rngs[r]);
+            let k = pick::<SPAN>(&mut self.streams.rngs[r]);
             // With every channel a candidate, the `k`-th is channel `k`.
             let l = if SPAN as usize == self.channels {
                 k
@@ -625,54 +655,34 @@ impl<'a, const L: usize> WormEngine<'a, L> {
         self.vc_active.remove(released);
     }
 
-    /// Phase 3 — injection: per lane, the exact scalar order over (cell
-    /// ascending, terminal 0..2). An accepted packet becomes a worm whose
-    /// head flit sits in the first free channel of its source cell.
+    /// Phase 3 — injection through the word engines' shared loop
+    /// ([`LaneStreams::inject`]): an accepted packet becomes a worm whose
+    /// head flit sits in the first free channel of its source cell. The
+    /// claims of all lanes gather in per-slot words and land in the slot
+    /// records once per cycle.
     fn inject(&mut self) {
         let conn_bits = self.stages - 1;
         let stride = self.stride;
         self.claims.fill(0);
         self.new_tags.fill(0);
-        // Lane-major, so each lane's stream stays hot through its offers;
-        // the claims of all lanes gather in per-slot words.
-        for r in 0..self.rngs.len() {
-            let (rng, source, coin) = (&mut self.rngs[r], &mut self.sources[r], &self.coins[r]);
-            let (mut offered, mut injected) = (0, 0);
-            for cell in 0..self.cells {
-                let base = cell * L;
-                let mut taken = 0u64;
-                for l in 0..L {
-                    taken |= (self.slots[(base + l) * stride + ACTIVE] >> r & 1) << l;
-                }
-                for terminal in 0..2 {
-                    let offer = source.offer_with(self.cycle, cell as u32, terminal, coin, rng);
-                    debug_assert!(!matches!(offer, Offer::PacketTo(_)), "no trace replay");
-                    if offer == Offer::Idle {
-                        continue;
-                    }
-                    offered += 1;
-                    if taken == u64::MAX >> (64 - L) {
-                        continue;
-                    }
-                    let destination = self.sampler.draw(cell as u32, rng);
-                    let packet_tag = self.tags[destination as usize];
-                    injected += 1;
-                    let l = (!taken).trailing_zeros() as usize;
-                    taken |= 1 << l;
-                    let k = base + l;
-                    self.claims[k] |= 1 << r;
-                    for (b, plane) in self.new_tags[k * conn_bits..(k + 1) * conn_bits]
-                        .iter_mut()
-                        .enumerate()
-                    {
-                        *plane |= u64::from(packet_tag >> b & 1) << r;
-                    }
-                    self.born[k * LANE_WIDTH + r] = self.cycle;
-                }
-            }
-            self.tally.offered[r] += offered;
-            self.tally.injected[r] += injected;
-        }
+        let mut channels = FreeChannels::<L> {
+            slots: &self.slots,
+            stride,
+            conn_bits,
+            cycle: self.cycle,
+            claims: &mut self.claims,
+            new_tags: &mut self.new_tags,
+            born: &mut self.born,
+            taken: 0,
+        };
+        let (sampler, tags) = (self.sampler, self.tags);
+        self.streams.inject(
+            self.cycle,
+            self.cells,
+            &mut self.tally,
+            |cell, rng| Some(tags[sampler.draw(cell, rng) as usize]),
+            &mut channels,
+        );
         let (receive, tag, flits) = (self.receive, self.tag, self.flits);
         for k in 0..self.cells * L {
             let c = self.claims[k];

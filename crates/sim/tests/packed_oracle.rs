@@ -209,6 +209,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Unbuffered ON/OFF batches of at least 16 lanes pack too, each lane
+    /// walking its own chains through the shared injection loop: with no
+    /// fault plan, a dormant one or an active one (whose reroutes refuse
+    /// unroutable pairs), every lane returns the metrics of a fresh scalar
+    /// simulator at its seed and load.
+    #[test]
+    fn on_off_lanes_match_fresh_scalar_simulators(
+        family_index in 0usize..ClassicalNetwork::ALL.len(),
+        stages in 3usize..=5,
+        count in 2 * LANE_THRESHOLD..=MAX_LANES,
+        draws in proptest::collection::vec((0usize..4, 0.0f64..=1.0), MAX_LANES),
+        dwell in 1.0f64..30.0,
+        on_rate in 0.05f64..=1.0,
+        plan in plan_strategy(),
+        campaign_seed in any::<u64>(),
+    ) {
+        let family = ClassicalNetwork::ALL[family_index];
+        let config = SimConfig::default()
+            .with_traffic(TrafficPattern::OnOff {
+                on_dwell: dwell,
+                off_dwell: 31.0 - dwell,
+                on_rate,
+            })
+            .with_faults(plan)
+            .with_cycles(CYCLES, WARMUP);
+        let lanes: Vec<(u64, f64)> = draws[..count]
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, load))| {
+                let load = match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => load,
+                };
+                (scenario_seed(campaign_seed, i), load)
+            })
+            .collect();
+        prop_assert!(!packed_eligible(&config, stages, count));
+        let packed = run_replications(&family.build(stages), &config, &lanes).unwrap();
+        prop_assert_eq!(packed.len(), count);
+        for (metrics, &(seed, load)) in packed.iter().zip(&lanes) {
+            let config = config.clone().with_load(load);
+            prop_assert_eq!(metrics, &fresh_scalar(family, stages, &config, seed));
+        }
+    }
+}
+
 /// A campaign whose curves pack across loads reports exactly what per-point
 /// execution reports. Five replications keep every grid point below the
 /// packing threshold on its own, so the per-point reference runs the scalar
