@@ -1,9 +1,10 @@
 //! Word-packed simulation of up to 64 unbuffered lanes at once, and the
 //! pieces all three word engines share: the bit-sliced
-//! [`VerticalCounter`], the per-lane streams, traffic sources and
-//! injection coins ([`LaneStreams`]) with the one lane-major injection loop
-//! ([`LaneStreams::inject`]), and the metric read-out ([`LaneTally`]). The
-//! FIFO and wormhole engines are `crate::fifo` and `crate::worm`.
+//! [`VerticalCounter`], the per-lane keystreams ([`LaneRng`]), traffic
+//! sources and injection coins ([`LaneStreams`]) with the one lane-major
+//! injection loop ([`LaneStreams::inject`]), and the metric read-out
+//! ([`LaneTally`]). The FIFO and wormhole engines are `crate::fifo` and
+//! `crate::worm`.
 //!
 //! The [`LaneEngine`] packs words the way the GF(2) eliminator of
 //! `min_labels::bitmat` does: instead of simulating replications one after
@@ -35,15 +36,21 @@
 //!   construction, so the scalar engine's misroute audit is a constant
 //!   zero, and the packed engine pins that equality through the
 //!   scalar-oracle tests instead of re-auditing per packet.
-//! * **Per-lane RNG streams.** Each lane owns its own ChaCha8 stream, and
-//!   within one lane the engine draws in the same order as the scalar
+//! * **Per-lane RNG streams.** Each lane owns its own ChaCha8 stream (a
+//!   [`LaneRng`]: the block core and its results buffer), and within one
+//!   lane the engine reads the same words in the same order as the scalar
 //!   engine: switch coins in (stage descending, cell ascending) order, then
 //!   injection draws in (cell ascending, terminal) order. Draws happen only
 //!   for bits that would draw in the scalar engine (a coin only where that
-//!   lane has a same-port conflict), so the streams stay aligned. ON/OFF
-//!   traffic keeps per-terminal chains, so each lane also owns its
+//!   lane has a same-port conflict), so the streams stay aligned. The
+//!   stateless patterns' cell-major injection decides a cell's two
+//!   terminals on peeked words without a branch and then takes exactly the
+//!   words the scalar draws read ([`CellDraw::one_word`]); hot-spot
+//!   traffic, fault reroutes and the few cells that straddle a buffer end
+//!   draw word by word instead ([`CellDraw::general`]). ON/OFF traffic
+//!   keeps per-terminal chains, so each lane also owns its
 //!   [`TrafficSources`], and its offers go through the shared lane-major
-//!   loop instead of the stateless patterns' cell-major one.
+//!   loop instead.
 //! * **Per-lane injection thresholds.** The offered load enters the model
 //!   only through the injection coin, one `next_u64` compared against a
 //!   threshold. Each lane holds its own [`Bernoulli`] coin, built once from
@@ -76,8 +83,9 @@ use crate::metrics::Metrics;
 use crate::switch::fair_coin;
 use crate::traffic::{DestSampler, Offer, TrafficPattern, TrafficSources, UniformCell};
 use rand::distributions::{Bernoulli, Distribution};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::rand_core::block::BlockRngCore;
+use rand_chacha::ChaCha8Core;
 
 /// Lanes simulated per machine word.
 pub const LANE_WIDTH: usize = 64;
@@ -172,13 +180,116 @@ impl VerticalCounter {
     }
 }
 
+/// One lane's ChaCha8 stream, read straight out of its block buffer: the
+/// words of `ChaCha8Rng::seed_from_u64(seed)`, in order, whether they are
+/// drawn through [`RngCore`] or looked at [`PEEK_WORDS`] at a time with
+/// [`LaneRng::peek`] and then consumed by count with [`LaneRng::take`].
+#[derive(Clone, Debug)]
+pub(crate) struct LaneRng {
+    core: ChaCha8Core,
+    results: <ChaCha8Core as BlockRngCore>::Results,
+    /// Next unread word of `results`; its length means exhausted.
+    index: usize,
+}
+
+/// The most keystream words one cell's two terminals read on the one-word
+/// injection path: two coins and two one-word destination draws.
+const PEEK_WORDS: usize = 8;
+
+impl LaneRng {
+    fn len(&self) -> usize {
+        self.results.as_ref().len()
+    }
+
+    fn refill(&mut self) {
+        self.core.generate(&mut self.results);
+        self.index = 0;
+    }
+
+    /// The next [`PEEK_WORDS`] words, unconsumed, or `None` when fewer than
+    /// that remain before the buffer ends (the caller then draws through
+    /// [`RngCore`], which refills across the end). An exhausted buffer is
+    /// refilled first, which skips no word.
+    #[inline]
+    pub(crate) fn peek(&mut self) -> Option<[u32; PEEK_WORDS]> {
+        if self.index == self.len() {
+            self.refill();
+        }
+        let window = self
+            .results
+            .as_ref()
+            .get(self.index..self.index + PEEK_WORDS)?;
+        window.try_into().ok()
+    }
+
+    /// Consumes the first `words` words of the last [`LaneRng::peek`].
+    #[inline]
+    pub(crate) fn take(&mut self, words: usize) {
+        debug_assert!(words <= PEEK_WORDS && self.index + words <= self.len());
+        self.index += words;
+    }
+}
+
+impl SeedableRng for LaneRng {
+    type Seed = <ChaCha8Core as SeedableRng>::Seed;
+
+    fn from_seed(seed: Self::Seed) -> Self {
+        let results = <ChaCha8Core as BlockRngCore>::Results::default();
+        LaneRng {
+            core: ChaCha8Core::from_seed(seed),
+            index: results.as_ref().len(),
+            results,
+        }
+    }
+}
+
+impl RngCore for LaneRng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        if self.index >= self.len() {
+            self.refill();
+        }
+        let word = self.results.as_ref()[self.index];
+        self.index += 1;
+        word
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        if let Some(&[lo, hi]) = self.results.as_ref().get(self.index..self.index + 2) {
+            self.index += 2;
+            return u64::from(hi) << 32 | u64::from(lo);
+        }
+        let lo = u64::from(self.next_u32());
+        u64::from(self.next_u32()) << 32 | lo
+    }
+}
+
+/// One peeked `u64`, handed as a generator to a draw that reads exactly
+/// one word — an injection coin, a power-of-two uniform or a Zipf
+/// destination — so the draw runs its own code on a word not yet taken.
+/// Which draws read one word is [`DestSampler::fixed_words`]'s to say; the
+/// oracle tests pin the word count against the scalar stream.
+struct OneWord(u64);
+
+impl RngCore for OneWord {
+    fn next_u32(&mut self) -> u32 {
+        unreachable!("one-word draws read whole u64 words")
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
 /// The per-lane randomness and traffic state of one word, built exactly
 /// like the scalar engine's: one ChaCha8 stream per `(seed, load)` lane,
 /// one [`TrafficSources`] per lane (ON/OFF chains carry per-terminal
 /// state), and the injection coin each lane's sources flip at its load.
 #[derive(Debug)]
 pub(crate) struct LaneStreams {
-    pub(crate) rngs: Vec<ChaCha8Rng>,
+    pub(crate) rngs: Vec<LaneRng>,
     pub(crate) sources: Vec<TrafficSources>,
     pub(crate) coins: Vec<Bernoulli>,
 }
@@ -198,7 +309,7 @@ impl LaneStreams {
         let sources = TrafficSources::new(traffic, cells);
         let (rngs, coins) = lanes
             .iter()
-            .map(|&(seed, load)| (ChaCha8Rng::seed_from_u64(seed), sources.coin(load)))
+            .map(|&(seed, load)| (LaneRng::seed_from_u64(seed), sources.coin(load)))
             .unzip();
         LaneStreams {
             rngs,
@@ -214,7 +325,7 @@ impl LaneStreams {
     /// leaves the pair unroutable), then the hand-off to `admit`.
     /// Lane-major, so each lane's stream and sources stay hot through its
     /// offers.
-    pub(crate) fn inject<A: Admit, F: FnMut(u32, &mut ChaCha8Rng) -> Option<u32>>(
+    pub(crate) fn inject<A: Admit, F: FnMut(u32, &mut LaneRng) -> Option<u32>>(
         &mut self,
         cycle: u64,
         cells: usize,
@@ -296,6 +407,136 @@ impl LaneTally {
     }
 }
 
+/// What one lane's two terminals put into a first-stage cell in one cycle.
+/// Every offer is either accepted or unroutable: the switching pass left
+/// both slots free.
+#[derive(Clone, Copy, Debug, Default)]
+struct CellDraw {
+    /// Accepted packets: the first takes the front slot, the second the
+    /// back one.
+    packets: u32,
+    unroutable: u32,
+    /// The front and back slot's routing tags; an empty slot's entry is
+    /// arbitrary, since the occupancy word masks the planes.
+    tags: [u32; 2],
+}
+
+impl CellDraw {
+    /// The general draw, in the scalar order: each terminal flips the coin,
+    /// and an offer resolves its destination tag through `dest_tag`
+    /// (`None` when the fault plan leaves the pair unroutable).
+    #[inline]
+    fn general<F: FnMut(u32, &mut LaneRng) -> Option<u32>>(
+        cell: u32,
+        coin: &Bernoulli,
+        rng: &mut LaneRng,
+        dest_tag: &mut F,
+    ) -> Self {
+        let mut draw = CellDraw::default();
+        for _terminal in 0..2 {
+            if !coin.sample(rng) {
+                continue;
+            }
+            match dest_tag(cell, rng) {
+                Some(tag) => {
+                    draw.tags[draw.packets as usize] = tag;
+                    draw.packets += 1;
+                }
+                None => draw.unroutable += 1,
+            }
+        }
+        draw
+    }
+
+    /// [`CellDraw::general`] for a destination that always routes and reads
+    /// exactly `W` words, zero or one, where a peek comes back short; out
+    /// of line, so the hot loop keeps its registers.
+    #[cold]
+    #[inline(never)]
+    fn window_end<const W: usize, T: Fn(u32, u64) -> u32>(
+        cell: u32,
+        coin: &Bernoulli,
+        rng: &mut LaneRng,
+        tag_of: &T,
+    ) -> Self {
+        let mut dest_tag = |cell, rng: &mut LaneRng| {
+            let word = if W == 1 { rng.next_u64() } else { 0 };
+            Some(tag_of(cell, word))
+        };
+        Self::general(cell, coin, rng, &mut dest_tag)
+    }
+
+    /// The same draws for a destination that always routes and reads
+    /// exactly `W` words, zero or one, decided without a branch: both coins
+    /// and both candidate destinations are evaluated on peeked words, then
+    /// exactly the words the general draw would read are taken. `tag_of`
+    /// maps a source cell and a destination word to the routing tag. Near
+    /// the end of the buffer, where a peek comes back short, the general
+    /// draw runs instead ([`CellDraw::window_end`]).
+    #[inline]
+    fn one_word<const W: usize, T: Fn(u32, u64) -> u32>(
+        cell: u32,
+        coin: &Bernoulli,
+        rng: &mut LaneRng,
+        tag_of: &T,
+    ) -> Self {
+        let Some(w) = rng.peek() else {
+            return Self::window_end::<W, T>(cell, coin, rng, tag_of);
+        };
+        let x: [u64; PEEK_WORDS / 2] =
+            std::array::from_fn(|i| u64::from(w[2 * i + 1]) << 32 | u64::from(w[2 * i]));
+        let c0 = coin.sample(&mut OneWord(x[0]));
+        // Terminal 1's coin comes after terminal 0's coin and, when that
+        // landed, its destination word.
+        let i1 = 1 + W * usize::from(c0);
+        let c1 = coin.sample(&mut OneWord(x[i1]));
+        let t0 = tag_of(cell, x[1]);
+        let t1 = tag_of(cell, x[i1 + W]);
+        let packets = u32::from(c0) + u32::from(c1);
+        rng.take(2 * (2 + W * packets as usize));
+        CellDraw {
+            packets,
+            unroutable: 0,
+            tags: [if c0 { t0 } else { t1 }, t1],
+        }
+    }
+}
+
+/// Transposes the 8×8 bit matrix held in `x`, row `i` in byte `i` and
+/// column `j` at bit `j` of each byte (Hacker's Delight, §7-3).
+#[inline(always)]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x
+}
+
+/// Writes one slot's tag planes from its lanes' tag bytes (`bytes[h][r]`
+/// is byte `h` of lane `r`'s tag): plane `b` holds bit `b` of every
+/// occupied lane's tag. Each run of eight lanes and eight bits is one 8×8
+/// bit-matrix transpose. Out of line, so its constants stay out of the
+/// injection loop's registers.
+#[inline(never)]
+fn write_planes(bytes: &[[u8; LANE_WIDTH]; 2], occupied: u64, planes: &mut [u64]) {
+    for (half, planes) in planes.chunks_mut(8).enumerate() {
+        let rows: [u64; LANE_WIDTH / 8] = std::array::from_fn(|g| {
+            let lanes = &bytes[half][8 * g..8 * (g + 1)];
+            transpose8(u64::from_le_bytes(lanes.try_into().expect("eight lanes")))
+        });
+        for (b, plane) in planes.iter_mut().enumerate() {
+            let bits = rows
+                .iter()
+                .enumerate()
+                .fold(0, |p, (g, &row)| p | (row >> (8 * b) & 0xFF) << (8 * g));
+            *plane = bits & occupied;
+        }
+    }
+}
+
 /// Split mutable borrows of the engine state handed to the monomorphized
 /// injection loop ([`InjectCtx::run`]).
 struct InjectCtx<'a> {
@@ -305,7 +546,7 @@ struct InjectCtx<'a> {
     conn_bits: usize,
     occ: &'a mut [u64],
     tag: &'a mut [u64],
-    rngs: &'a mut [ChaCha8Rng],
+    rngs: &'a mut [LaneRng],
     offered: &'a mut [u64],
     injected: &'a mut [u64],
     unroutable: &'a mut [u64],
@@ -316,10 +557,14 @@ impl InjectCtx<'_> {
     /// scalar (cell ascending, terminal) order on its own stream, flipping
     /// its own precomputed injection coin, while one cell's two slot words
     /// and tag planes stay hot across all lanes instead of re-walking the
-    /// whole stage-0 region once per lane. `dest_tag` resolves one accepted
-    /// offer to its routing tag (`None` when the fault plan leaves the pair
-    /// unroutable).
-    fn run<F: FnMut(u32, &mut ChaCha8Rng) -> Option<u32>>(self, mut dest_tag: F) {
+    /// whole stage-0 region once per lane. `draw` decides one lane's two
+    /// terminals at one cell ([`CellDraw::one_word`] or
+    /// [`CellDraw::general`]); the lanes' tags gather byte by byte in
+    /// per-slot arrays, and each slot's tag planes are written once per
+    /// cell from them ([`write_planes`]), masked by its occupancy word.
+    /// Offered packets are the accepted plus the unroutable ones, since
+    /// both slots are free.
+    fn run<F: FnMut(u32, &Bernoulli, &mut LaneRng) -> CellDraw>(self, mut draw: F) {
         let InjectCtx {
             cells,
             coins,
@@ -331,49 +576,41 @@ impl InjectCtx<'_> {
             injected,
             unroutable,
         } = self;
-        let mut new_offered = [0u64; LANE_WIDTH];
         let mut new_injected = [0u64; LANE_WIDTH];
         let mut new_unroutable = [0u64; LANE_WIDTH];
+        // `tag_bytes[q][h][r]`: byte `h` of lane `r`'s tag in slot `q`.
+        // Every lane rewrites its entries at every cell; the entries past
+        // the word's last lane stay 0.
+        let mut tag_bytes = [[[0u8; LANE_WIDTH]; 2]; 2];
         for cell in 0..cells {
-            let base = cell * 2;
-            // One cell's two slots accumulate in stack-local planes across
-            // all replications and flush to the arena once per cell, so the
-            // per-packet deposit never round-trips through memory.
             let mut slot_occ = [0u64; 2];
-            let mut slot_tags = [[0u64; LANE_MAX_STAGES]; 2];
             for (r, (rng, coin)) in rngs.iter_mut().zip(coins).enumerate() {
-                let bit = 1u64 << r;
-                for _terminal in 0..2 {
-                    if !coin.sample(rng) {
-                        continue;
-                    }
-                    new_offered[r] += 1;
-                    let Some(packet_tag) = dest_tag(cell as u32, rng) else {
-                        new_unroutable[r] += 1;
-                        continue;
-                    };
-                    new_injected[r] += 1;
-                    // Front slot first, back slot for this cycle's second
-                    // packet — branchless off the front-slot occupancy bit.
-                    let sel = ((slot_occ[0] >> r) & 1) as usize;
-                    for (b, plane) in slot_tags[sel][..conn_bits].iter_mut().enumerate() {
-                        *plane |= (u64::from(packet_tag >> b) & 1) << r;
-                    }
-                    slot_occ[sel] |= bit;
-                }
+                let d = draw(cell as u32, coin, rng);
+                new_injected[r] += u64::from(d.packets);
+                new_unroutable[r] += u64::from(d.unroutable);
+                slot_occ[0] |= u64::from(d.packets > 0) << r;
+                slot_occ[1] |= u64::from(d.packets > 1) << r;
+                let [front, back] = d.tags;
+                tag_bytes[0][0][r] = front as u8;
+                tag_bytes[0][1][r] = (front >> 8) as u8;
+                tag_bytes[1][0][r] = back as u8;
+                tag_bytes[1][1][r] = (back >> 8) as u8;
             }
             // The switching pass drained stage 0, so the flush is a plain
             // store — including the zero planes, which replaces a wholesale
             // clear of the stage-0 tag region.
-            occ[base] = slot_occ[0];
-            occ[base + 1] = slot_occ[1];
-            tag[base * conn_bits..(base + 1) * conn_bits]
-                .copy_from_slice(&slot_tags[0][..conn_bits]);
-            tag[(base + 1) * conn_bits..(base + 2) * conn_bits]
-                .copy_from_slice(&slot_tags[1][..conn_bits]);
+            for (q, (bytes, occupied)) in tag_bytes.iter().zip(slot_occ).enumerate() {
+                let slot = cell * 2 + q;
+                occ[slot] = occupied;
+                write_planes(
+                    bytes,
+                    occupied,
+                    &mut tag[slot * conn_bits..(slot + 1) * conn_bits],
+                );
+            }
         }
         for r in 0..coins.len() {
-            offered[r] += new_offered[r];
+            offered[r] += new_injected[r] + new_unroutable[r];
             injected[r] += new_injected[r];
             unroutable[r] += new_unroutable[r];
         }
@@ -721,9 +958,12 @@ impl<'a> LaneEngine<'a> {
     /// words and tag planes are rebuilt from scratch (so the flush
     /// overwrites last cycle's stage-0 state with no separate clearing
     /// pass). The destination-to-tag resolution is monomorphized per
-    /// traffic pattern and fault state, and while no dead link or switch is
-    /// active it indexes the fabric's tag table directly, so the per-packet
-    /// path carries no dispatch.
+    /// traffic pattern and fault state. While no dead link or switch is
+    /// active it indexes the fabric's tag table directly, and the patterns
+    /// whose destination reads a fixed number of words
+    /// ([`DestSampler::fixed_words`]: uniform and Zipf one, a table none)
+    /// take the branch-free [`CellDraw::one_word`] path; hot-spot traffic
+    /// and fault reroutes take [`CellDraw::general`].
     ///
     /// ON/OFF chains keep per-terminal state in each lane's sources, so
     /// they take the word engines' shared lane-major loop
@@ -740,7 +980,7 @@ impl<'a> LaneEngine<'a> {
                 tag: &mut self.tag,
                 conn_bits: self.conn_bits,
             };
-            let dest_tag = |cell, rng: &mut ChaCha8Rng| {
+            let dest_tag = |cell, rng: &mut LaneRng| {
                 let destination = sampler.draw(cell, rng);
                 match reroute {
                     Some(table) => table.tag(cell as usize, destination as usize),
@@ -763,16 +1003,32 @@ impl<'a> LaneEngine<'a> {
             injected: &mut self.tally.injected,
             unroutable: &mut self.tally.unroutable,
         };
-        match (&self.config.traffic, reroute) {
-            (TrafficPattern::Uniform, None) => {
+        match (&self.config.traffic, reroute, sampler.fixed_words()) {
+            (TrafficPattern::Uniform, None, Some(1)) => {
                 let uniform = UniformCell::new(self.cells as u32);
-                ctx.run(|_cell, rng| Some(tags[uniform.draw(rng) as usize]))
+                let tag_of = |_, x| tags[uniform.draw(&mut OneWord(x)) as usize];
+                ctx.run(|cell, coin, rng| CellDraw::one_word::<1, _>(cell, coin, rng, &tag_of))
             }
-            (_, None) => ctx.run(|cell, rng| Some(tags[sampler.draw(cell, rng) as usize])),
-            (_, Some(table)) => ctx.run(|cell, rng| {
-                let destination = sampler.draw(cell, rng);
-                table.tag(cell as usize, destination as usize)
-            }),
+            (_, None, Some(0)) => {
+                let tag_of = |cell, _| tags[sampler.draw(cell, &mut OneWord(0)) as usize];
+                ctx.run(|cell, coin, rng| CellDraw::one_word::<0, _>(cell, coin, rng, &tag_of))
+            }
+            (_, None, Some(1)) => {
+                let tag_of = |cell, x| tags[sampler.draw(cell, &mut OneWord(x)) as usize];
+                ctx.run(|cell, coin, rng| CellDraw::one_word::<1, _>(cell, coin, rng, &tag_of))
+            }
+            (_, None, _) => {
+                let mut dest_tag =
+                    |cell, rng: &mut LaneRng| Some(tags[sampler.draw(cell, rng) as usize]);
+                ctx.run(|cell, coin, rng| CellDraw::general(cell, coin, rng, &mut dest_tag))
+            }
+            (_, Some(table), _) => {
+                let mut dest_tag = |cell, rng: &mut LaneRng| {
+                    let destination = sampler.draw(cell, rng);
+                    table.tag(cell as usize, destination as usize)
+                };
+                ctx.run(|cell, coin, rng| CellDraw::general(cell, coin, rng, &mut dest_tag))
+            }
         }
     }
 
@@ -866,6 +1122,7 @@ mod tests {
     use min_core::ConnectionNetwork;
     use min_networks::{baseline, omega, ClassicalNetwork};
     use proptest::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     fn scalar(net: &ConnectionNetwork, config: &SimConfig, seed: u64) -> Metrics {
         Simulator::new(net.clone(), config.clone().with_seed(seed))
@@ -1006,6 +1263,46 @@ mod tests {
         }
     }
 
+    /// The deepest fabric the engine packs, `LANE_MAX_STAGES` stages with
+    /// eleven tag planes (two tag bytes per lane), under the one-word, table
+    /// and general destination draws, at loads of exactly 0 and 1 among
+    /// others. Building a fabric that deep is the cost here, so the fresh
+    /// scalar simulators share one build; a fault plan is left out, since
+    /// its reroute table at this size takes seconds even in release.
+    #[test]
+    fn deepest_words_match_fresh_scalar_simulators() {
+        let stages = LANE_MAX_STAGES;
+        let fabric = Fabric::for_traffic(omega(stages), &TrafficPattern::Uniform).unwrap();
+        let cells = fabric.cells() as u32;
+        let patterns = [
+            TrafficPattern::Uniform,
+            TrafficPattern::Zipf { exponent: 1.2 },
+            TrafficPattern::Permutation((0..cells).rev().collect()),
+            TrafficPattern::Hotspot {
+                fraction: 0.3,
+                target: cells - 1,
+            },
+        ];
+        let lanes: Vec<(u64, f64)> = [1.0, 0.0, 0.55, 0.85, 1.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &load)| (0xDEE9 + i as u64, load))
+            .collect();
+        for traffic in patterns {
+            let config = SimConfig::default()
+                .with_traffic(traffic.clone())
+                .with_cycles(2 * stages as u64, 2);
+            let (sampler, _) = prepare(&fabric, &config).unwrap();
+            let packed = LaneEngine::with_lanes(&fabric, &config, &sampler, None, &lanes).run();
+            for (metrics, &(seed, load)) in packed.iter().zip(&lanes) {
+                let config = config.clone().with_seed(seed).with_load(load);
+                let fresh =
+                    Simulator::prepared(fabric.clone(), config, sampler.clone(), None).run();
+                assert_eq!(metrics, &fresh, "{} load {load}", traffic.label());
+            }
+        }
+    }
+
     /// Fault-free, dormant (onset beyond the cycle budget) or active plans,
     /// valid on every 3-stage-or-deeper catalog cell.
     fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
@@ -1074,6 +1371,42 @@ mod tests {
                 let config = config.clone().with_load(load);
                 prop_assert_eq!(metrics, &scalar(&net, &config, seed));
             }
+        }
+    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Peeks and takes mixed with `next_u32` and `next_u64` draws read,
+        /// word for word, the stream of a fresh `ChaCha8Rng` at the same
+        /// seed, across several buffer ends; a peek consumes nothing, and
+        /// comes back short only within [`PEEK_WORDS`] of a buffer end.
+        #[test]
+        fn lane_rng_reads_the_chacha8_stream(
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0usize..4, 0usize..=PEEK_WORDS), 600),
+        ) {
+            let mut lane = LaneRng::seed_from_u64(seed);
+            let mut reference = ChaCha8Rng::seed_from_u64(seed);
+            for (op, words) in ops {
+                match op {
+                    0 => prop_assert_eq!(lane.next_u32(), reference.next_u32()),
+                    1 => prop_assert_eq!(lane.next_u64(), reference.next_u64()),
+                    _ => match lane.peek() {
+                        Some(window) => {
+                            prop_assert_eq!(lane.peek(), Some(window));
+                            for &word in &window[..words] {
+                                prop_assert_eq!(word, reference.next_u32());
+                            }
+                            lane.take(words);
+                        }
+                        None => {
+                            prop_assert!(lane.index + PEEK_WORDS > lane.len());
+                            prop_assert_eq!(lane.next_u64(), reference.next_u64());
+                        }
+                    },
+                }
+            }
+            prop_assert_eq!(lane.next_u64(), reference.next_u64());
         }
     }
 }

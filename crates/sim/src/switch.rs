@@ -255,7 +255,7 @@ impl<T: Copy + Default> RingArena<T> {
 /// (`(v >> 11) < 2^52`) — without building a `Bernoulli` per conflict. The
 /// scalar cores and the word engines all flip this one.
 #[inline]
-pub(crate) fn fair_coin(rng: &mut ChaCha8Rng) -> bool {
+pub(crate) fn fair_coin<R: RngCore>(rng: &mut R) -> bool {
     rng.next_u64() >> 63 == 0
 }
 

@@ -506,8 +506,17 @@ impl UniformCell {
     pub fn draw<R: Rng>(&self, rng: &mut R) -> u32 {
         match self.mask {
             Some(mask) => (rng.next_u64() & mask) as u32,
-            None => rng.gen_range(0..self.cells),
+            None => self.rejection(rng),
         }
+    }
+
+    /// The `gen_range` draw of a count that is not a power of two above
+    /// one, out of line: no fabric of two or more stages has such a count,
+    /// and keeping it out of the callers' loops keeps their registers free.
+    #[cold]
+    #[inline(never)]
+    fn rejection<R: Rng>(&self, rng: &mut R) -> u32 {
+        rng.gen_range(0..self.cells)
     }
 }
 
@@ -539,6 +548,22 @@ enum DestDraw {
 }
 
 impl DestSampler {
+    /// The `u64` words every [`DestSampler::draw`] reads, when that count
+    /// does not depend on the stream: one for a power-of-two uniform or a
+    /// Zipf draw, none for a table or a one-cell uniform draw; `None` for a
+    /// hot-spot or a rejection-sampled uniform draw, and for a trace, which
+    /// never draws.
+    pub(crate) fn fixed_words(&self) -> Option<usize> {
+        match &self.0 {
+            DestDraw::Uniform(UniformCell { mask: Some(_), .. }) => Some(1),
+            DestDraw::Uniform(UniformCell { cells: 1, .. }) => Some(0),
+            DestDraw::Uniform(_) => None,
+            DestDraw::Table(_) => Some(0),
+            DestDraw::Zipf(_) => Some(1),
+            DestDraw::Hotspot { .. } | DestDraw::Replayed => None,
+        }
+    }
+
     /// Draws a destination for a packet injected at source cell `source`.
     ///
     /// # Panics

@@ -63,7 +63,6 @@ use crate::lane::{Admit, LaneStreams, LaneTally, VerticalCounter, LANE_WIDTH};
 use crate::metrics::Metrics;
 use crate::traffic::DestSampler;
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
 
 /// Most virtual channels per cell the packed wormhole engine accepts, the
 /// widest build. Set by measurement: a cell's word work grows with the
@@ -189,7 +188,7 @@ const SELECT: [[u8; WORM_MAX_LANES]; 1 << WORM_MAX_LANES] = {
 /// zone above `2^128 − 1 − (2^128 mod SPAN)`), and returns `v mod SPAN`,
 /// which is `((hi mod SPAN) · r + lo mod SPAN) mod SPAN`.
 #[inline]
-fn pick<const SPAN: u64>(rng: &mut ChaCha8Rng) -> usize {
+fn pick<const SPAN: u64>(rng: &mut impl RngCore) -> usize {
     if SPAN.is_power_of_two() {
         return (rng.next_u64() & (SPAN - 1)) as usize;
     }
@@ -737,6 +736,7 @@ mod tests {
     use crate::traffic::TrafficPattern;
     use min_core::ConnectionNetwork;
     use min_networks::{baseline, omega};
+    use rand_chacha::ChaCha8Rng;
 
     fn wormhole(lanes: usize, lane_depth: usize, flits_per_packet: usize) -> BufferMode {
         BufferMode::Wormhole {

@@ -66,6 +66,61 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     })
 }
 
+/// The edges the random cases do not reach, each against fresh scalar
+/// simulators: the shallowest fabric (2 stages, one tag plane); words of
+/// 64, 1 and 17 lanes (batches of 65 and 81 lanes end in a one- and a
+/// 17-lane word); loads of exactly 0 and exactly 1 in every word; the
+/// one-word destination draws (uniform, Zipf), the table draw (a
+/// permutation) and the general one (hot-spot); with and without an active
+/// fault plan, whose reroutes take the general draw. The deepest fabric
+/// the engine packs is `lane.rs`'s `deepest_words_match_fresh_scalar_simulators`,
+/// which shares one fabric build across its scalar lanes.
+#[test]
+fn packed_words_match_fresh_scalar_simulators_at_the_edges() {
+    let stages = 2;
+    let family = ClassicalNetwork::Omega;
+    let cells = family.build(stages).cells_per_stage() as u32;
+    let load = |i: usize| [1.0, 0.0, 0.55, 0.85][i % 4];
+    let patterns = [
+        TrafficPattern::Uniform,
+        TrafficPattern::Zipf { exponent: 1.2 },
+        TrafficPattern::Permutation((0..cells).rev().collect()),
+        TrafficPattern::Hotspot {
+            fraction: 0.3,
+            target: cells - 1,
+        },
+    ];
+    let plans = [
+        FaultPlan::none(),
+        FaultPlan::none().with_dead_link(0, 1, 0, CYCLES / 4),
+    ];
+    for traffic in &patterns {
+        for plan in &plans {
+            let config = SimConfig::default()
+                .with_traffic(traffic.clone())
+                .with_faults(plan.clone())
+                .with_cycles(CYCLES, WARMUP);
+            for count in [LANE_WIDTH + 1, LANE_WIDTH + 17] {
+                assert!(packed_eligible(&config, stages, count));
+                let lanes: Vec<(u64, f64)> = (0..count)
+                    .map(|i| (scenario_seed(0xED6E, i), load(i)))
+                    .collect();
+                let batched = run_replications(&family.build(stages), &config, &lanes).unwrap();
+                assert_eq!(batched.len(), count);
+                for (metrics, &(seed, load)) in batched.iter().zip(&lanes) {
+                    assert_eq!(
+                        metrics,
+                        &fresh_scalar(family, stages, &config.clone().with_load(load), seed),
+                        "{count} lanes, {}, plan {}, load {load}",
+                        traffic.label(),
+                        plan.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
