@@ -15,7 +15,9 @@
 //! min_serve gen-config [--preset smoke] [--output grid.json]
 //! ```
 //!
-//! A lane-eligible curve ships as one 64-lane word per shard;
+//! A lane-eligible bundle (an unbuffered curve, or a FIFO or wormhole
+//! cell's curves across traffic patterns) ships as one 64-lane word per
+//! shard;
 //! `--points-per-shard` sizes only the shards of the other grid points.
 //! `run-local` executes the same campaign in process (the single-machine
 //! baseline the distributed report must match byte-for-byte) and

@@ -2,7 +2,9 @@
 //!
 //! The master owns one job at a time: a campaign planned by
 //! `CampaignConfig::plan_chunked` (the planner `run_campaign` uses, so a
-//! lane-eligible curve ships as one 64-lane word per shard and
+//! lane-eligible bundle — an unbuffered curve, or a FIFO or wormhole
+//! cell's curves across traffic patterns — ships as one 64-lane word per
+//! shard and
 //! `points_per_shard` sizes only the other shards), whose shards move
 //! through `Pending → Running → Done`. Workers lease pending shards (lowest
 //! id first), execute them with `min_sim::campaign::execute_shard`, and

@@ -95,7 +95,7 @@ pub enum Request {
     Submit {
         /// The campaign to run.
         config: CampaignConfig,
-        /// Grid points per shard outside lane-eligible curves, which ship
+        /// Grid points per shard outside lane-eligible bundles, which ship
         /// as one 64-lane word per shard (`CampaignConfig::plan_chunked`).
         points_per_shard: usize,
     },

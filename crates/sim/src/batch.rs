@@ -4,13 +4,17 @@
 //! The campaign layer replicates every grid point several times under
 //! derived seeds, and sweeps the offered load along a curve. A batch is a
 //! list of `(seed, offered load)` lanes of one scenario — one grid point's
-//! replications, or a whole load curve's. [`run_replications`] does the
-//! setup once per batch: it checks every lane load and the config, builds
-//! the fabric, and prepares the destination sampler and the fault runtime.
-//! Then it picks the engine from what it holds. A batch of at least
+//! replications, or a whole load curve's — and a bundle is several such
+//! curves that differ only in traffic pattern. [`run_replications`] runs a
+//! batch as a bundle of one curve through [`run_bundle`], which does the
+//! setup once: it checks every lane load and each curve's config, builds
+//! the fabric (once, for a delta network), and prepares each traffic's
+//! destination sampler and the fault runtime. Then it picks the engine
+//! from what it holds. A batch of at least
 //! [`LANE_THRESHOLD`] lanes on a destination-tag routed fabric of at most
 //! [`LANE_MAX_STAGES`] stages runs word-packed, 64 lanes per `u64` whatever
-//! their loads, in one of three engines:
+//! their loads and, in a bundle, their traffic patterns, in one of three
+//! engines:
 //!
 //! * `lane.rs` — unbuffered work with stateless traffic, and ON/OFF work of
 //!   at least 16 lanes, fault plans included;
@@ -32,10 +36,11 @@
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::{prepare, SimError, Simulator};
 use crate::fabric::{Fabric, Routing};
+use crate::fault::FaultRuntime;
 use crate::fifo::{self, FIFO_MAX_DEPTH, FIFO_THRESHOLD};
-use crate::lane::{LaneEngine, LANE_WIDTH, ON_OFF_THRESHOLD};
+use crate::lane::{LaneEngine, LaneGroup, LANE_WIDTH, ON_OFF_THRESHOLD};
 use crate::metrics::Metrics;
-use crate::traffic::TrafficPattern;
+use crate::traffic::{DestSampler, TrafficPattern};
 use crate::worm::{self, WORM_MAX_LANES, WORM_THRESHOLD};
 use min_core::ConnectionNetwork;
 
@@ -107,42 +112,140 @@ pub fn run_replications(
     config: &SimConfig,
     lanes: &[(u64, f64)],
 ) -> Result<Vec<Metrics>, SimError> {
-    if let Some(&(_, load)) = lanes.iter().find(|(_, load)| !(0.0..=1.0).contains(load)) {
-        return Err(ConfigError::InvalidLoad(load).into());
+    run_bundle(net, config, &[(&config.traffic, lanes)]).map_err(|(_, error)| error)
+}
+
+/// One curve of a bundle, set up: its lanes, its config (the curve's
+/// traffic, its first lane's seed and load), sampler and fault runtime, and
+/// its own fabric unless it shares the bundle's delta fabric.
+struct Curve<'l> {
+    lanes: &'l [(u64, f64)],
+    config: SimConfig,
+    sampler: DestSampler,
+    faults: Option<FaultRuntime>,
+    fabric: Option<Fabric>,
+}
+
+/// Runs several curves of one scenario that differ only in traffic — a
+/// bundle, each `(traffic, lanes)` pair replacing `config`'s traffic — and
+/// returns every lane's metrics, curve by curve in lane order, each
+/// bit-identical to a fresh [`Simulator`] at that traffic, seed and load.
+///
+/// Each curve is checked as [`run_replications`] checks a batch, in curve
+/// order; the first error comes back with its curve's position. A delta
+/// fabric routes every traffic alike, so it is built once. When every
+/// curve packs at the bundle's lane count on a delta fabric, the lanes are
+/// cut into 64-lane words in curve order, so one word may carry several
+/// patterns as contiguous groups; otherwise each curve runs on its own
+/// scalar [`Simulator`], rewound per lane.
+pub fn run_bundle(
+    net: &ConnectionNetwork,
+    config: &SimConfig,
+    curves: &[(&TrafficPattern, &[(u64, f64)])],
+) -> Result<Vec<Metrics>, (usize, SimError)> {
+    let mut shared: Option<Fabric> = None;
+    let mut set_up = Vec::with_capacity(curves.len());
+    for (i, &(traffic, lanes)) in curves.iter().enumerate() {
+        let curve = set_up_curve(net, config, traffic, lanes, &mut shared);
+        set_up.extend(curve.map_err(|error| (i, error))?);
     }
-    let Some(&(seed, offered_load)) = lanes.first() else {
-        return Ok(Vec::new());
+    let total: usize = curves.iter().map(|(_, lanes)| lanes.len()).sum();
+    let mut out = Vec::with_capacity(total);
+    let packed = |fabric: &&Fabric| {
+        let stages = fabric.stages();
+        set_up.iter().all(|c| packs(&c.config, stages, total))
     };
-    let config = SimConfig {
-        seed,
-        offered_load,
-        ..config.clone()
-    };
-    config.validate()?;
-    let fabric = Fabric::for_traffic(net.clone(), &config.traffic)?;
-    let (sampler, mut faults) = prepare(&fabric, &config)?;
-    if packs(&config, fabric.stages(), lanes.len()) && matches!(fabric.routing(), Routing::Delta(_))
-    {
-        let mut out = Vec::with_capacity(lanes.len());
-        for word in lanes.chunks(LANE_WIDTH) {
+    if let Some(fabric) = shared.as_ref().filter(packed) {
+        // The fault runtime depends on the plan alone: one serves the word.
+        let mut faults = set_up[0].faults.take();
+        let config = &set_up[0].config;
+        for start in (0..total).step_by(LANE_WIDTH) {
+            let groups = word_groups(&set_up, start..total.min(start + LANE_WIDTH));
             out.extend(match config.buffer_mode {
                 BufferMode::Unbuffered => {
-                    LaneEngine::with_lanes(&fabric, &config, &sampler, faults.as_mut(), word).run()
+                    LaneEngine::with_groups(fabric, config, faults.as_mut(), &groups).run()
                 }
-                BufferMode::Fifo(_) => fifo::run_word(&fabric, &config, &sampler, word),
-                BufferMode::Wormhole { .. } => worm::run_word(&fabric, &config, &sampler, word),
+                BufferMode::Fifo(_) => fifo::run_word(fabric, config, &groups),
+                BufferMode::Wormhole { .. } => worm::run_word(fabric, config, &groups),
             });
         }
         return Ok(out);
     }
-    let mut sim = Simulator::prepared(fabric, config, sampler, faults);
-    Ok(lanes
-        .iter()
-        .map(|&(seed, load)| {
+    for curve in set_up {
+        let fabric = curve.fabric.or_else(|| shared.clone()).expect("a fabric");
+        let mut sim = Simulator::prepared(fabric, curve.config, curve.sampler, curve.faults);
+        out.extend(curve.lanes.iter().map(|&(seed, load)| {
             sim.rewind(seed, load);
             sim.run()
-        })
-        .collect())
+        }));
+    }
+    Ok(out)
+}
+
+/// Checks and sets up one curve of a bundle in [`run_replications`]' error
+/// order, building its fabric unless the delta fabric in `shared` serves
+/// it; an empty curve checks nothing and sets up nothing.
+fn set_up_curve<'l>(
+    net: &ConnectionNetwork,
+    config: &SimConfig,
+    traffic: &TrafficPattern,
+    lanes: &'l [(u64, f64)],
+    shared: &mut Option<Fabric>,
+) -> Result<Option<Curve<'l>>, SimError> {
+    if let Some(&(_, load)) = lanes.iter().find(|(_, load)| !(0.0..=1.0).contains(load)) {
+        return Err(ConfigError::InvalidLoad(load).into());
+    }
+    let Some(&(seed, offered_load)) = lanes.first() else {
+        return Ok(None);
+    };
+    let config = SimConfig {
+        seed,
+        offered_load,
+        traffic: traffic.clone(),
+        ..config.clone()
+    };
+    config.validate()?;
+    let mut fabric = match shared {
+        Some(_) => None,
+        None => Some(Fabric::for_traffic(net.clone(), traffic)?),
+    };
+    let (sampler, faults) = prepare(
+        fabric.as_ref().or(shared.as_ref()).expect("a fabric"),
+        &config,
+    )?;
+    if fabric
+        .as_ref()
+        .is_some_and(|f| matches!(f.routing(), Routing::Delta(_)))
+    {
+        *shared = fabric.take();
+    }
+    Ok(Some(Curve {
+        lanes,
+        config,
+        sampler,
+        faults,
+        fabric,
+    }))
+}
+
+/// The traffic groups of the word holding lanes `word` of the curves'
+/// concatenated lanes.
+fn word_groups<'a>(curves: &'a [Curve], word: std::ops::Range<usize>) -> Vec<LaneGroup<'a>> {
+    let mut groups = Vec::new();
+    let mut start = 0;
+    for curve in curves {
+        let end = start + curve.lanes.len();
+        let (from, to) = (word.start.max(start), word.end.min(end));
+        if from < to {
+            groups.push(LaneGroup {
+                traffic: &curve.config.traffic,
+                sampler: &curve.sampler,
+                lanes: &curve.lanes[from - start..to - start],
+            });
+        }
+        start = end;
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -385,6 +488,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bundles_fall_back_per_curve_and_name_the_failing_curve() {
+        use min_networks::rearrangeable::benes;
+        let lanes: Vec<(u64, f64)> = (0..12u64)
+            .map(|k| (0xB0D ^ (k * 811), k as f64 / 11.0))
+            .collect();
+        let (uniform, permutation) = (
+            TrafficPattern::Uniform,
+            TrafficPattern::Permutation(vec![3, 2, 0, 1]),
+        );
+        // Benes has no destination-tag table, so each curve builds its own
+        // fabric (looping circuits for the permutation) and runs scalar;
+        // an empty curve runs nothing.
+        let config = SimConfig::default().with_cycles(120, 12);
+        let curves = [
+            (&uniform, &lanes[..5]),
+            (&uniform, &lanes[..0]),
+            (&permutation, &lanes[5..]),
+        ];
+        let net = benes(3);
+        let bundled = run_bundle(&net, &config, &curves).unwrap();
+        let expected: Vec<Metrics> = curves
+            .iter()
+            .flat_map(|&(traffic, lanes)| lanes.iter().map(move |&lane| (traffic, lane)))
+            .map(|(traffic, (seed, load))| {
+                let config = config.clone().with_traffic(traffic.clone()).with_load(load);
+                fresh(&net, &config, seed)
+            })
+            .collect();
+        assert_eq!(bundled, expected);
+        // Errors name the first failing curve.
+        let mut bad = lanes.clone();
+        bad[7].1 = 2.0;
+        let curves = [(&uniform, &bad[..5]), (&permutation, &bad[5..])];
+        assert_eq!(
+            run_bundle(&omega(3), &config, &curves).unwrap_err(),
+            (1, SimError::Config(ConfigError::InvalidLoad(2.0)))
+        );
     }
 
     #[test]

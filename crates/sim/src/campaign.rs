@@ -8,17 +8,20 @@
 //!
 //! 1. **[`CampaignConfig::plan_chunked`]** expands the grid into a
 //!    [`CampaignPlan`]: an ordered list of [`Shard`]s, each one 64-lane
-//!    word of a lane-eligible curve or `points_per_shard` other whole grid
-//!    points ([`CampaignConfig::plan`]: one grid point per shard).
+//!    word of a lane-eligible bundle — an unbuffered curve, or a FIFO or
+//!    wormhole cell's curves across its traffic patterns — or
+//!    `points_per_shard` other whole grid points
+//!    ([`CampaignConfig::plan`]: one grid point per shard).
 //! 2. **[`execute_shard`]** is pure — shard in, slotted [`ScenarioResult`]s
-//!    out. It hands each curve — the shard's scenarios that differ only in
-//!    offered load and seed — to [`crate::batch::run_replications`] as one
-//!    batch of `(seed, load)` lanes, which builds the fabric tables, switch
-//!    arenas and fault machinery once per batch and — for unbuffered, or
-//!    healthy FIFO and wormhole, curves with enough lanes on a delta
-//!    fabric — runs up to 64 lanes per machine word through a bit-parallel
-//!    engine, whatever their loads.
-//!    A failing batch is one [`CampaignError::Scenario`]. Because every
+//!    out. It hands each bundle — the shard's scenarios that differ only in
+//!    offered load and seed, and for FIFO and wormhole work in traffic
+//!    pattern too — to [`crate::batch::run_bundle`] as `(seed, load)`
+//!    lanes per curve, which builds the fabric tables, switch arenas and
+//!    fault machinery once per bundle and — for unbuffered, or healthy FIFO
+//!    and wormhole, bundles with enough lanes on a delta fabric — runs up
+//!    to 64 lanes per machine word through a bit-parallel engine, whatever
+//!    their loads and patterns.
+//!    A failing curve is one [`CampaignError::Scenario`]. Because every
 //!    scenario carries its own derived seed, a shard produces the same
 //!    bytes no matter which process, machine or retry executes it.
 //! 3. **[`assemble`]** slots results back by canonical scenario index into
@@ -66,7 +69,7 @@
 //! assert_eq!(sequential.to_json(), parallel.to_json());
 //! ```
 
-use crate::batch::{packs, run_replications, LANE_THRESHOLD};
+use crate::batch::{packs, run_bundle, LANE_THRESHOLD};
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::SimError;
 use crate::fault::{FaultError, FaultPlan};
@@ -364,21 +367,26 @@ impl CampaignConfig {
     }
 
     /// The plan both executors run ([`run_campaign`] at one grid point per
-    /// shard): each lane-eligible curve — all `loads × replications` lanes
-    /// of one `(cell, traffic, buffer mode, fault plan)` that a word engine
-    /// takes (unbuffered work [`crate::batch::packed_eligible`] admits,
-    /// unbuffered ON/OFF work of at least 16 lanes, or healthy work of at
-    /// least 16 lanes with no trace replay: FIFO of at most 4 packets per
-    /// input port, wormhole of at most eight channels per cell) — is
-    /// gathered, even where its points are not contiguous, and cut into
-    /// shards of one 64-lane word each (the last word keeps a remainder too
-    /// short to pack on its own).
-    /// Every other grid point joins a shard of `points_per_shard` such
-    /// points.
+    /// shard). Lanes that a word engine takes are gathered into bundles,
+    /// even where their points are not contiguous, and each bundle is cut
+    /// into shards of one 64-lane word each (the last word keeps a
+    /// remainder too short to pack on its own):
     ///
-    /// One pass moves each scenario into its shard, finding its curve by
-    /// index arithmetic; eligibility is decided once per curve, and no
-    /// fabric is built (a non-delta fabric takes [`run_replications`]'
+    /// * a FIFO or wormhole bundle is every grid point of one `(cell,
+    ///   buffer mode, fault plan)` across all traffic patterns but trace
+    ///   replay, in canonical index order;
+    /// * an unbuffered bundle is one curve, the `loads × replications`
+    ///   lanes of one `(cell, traffic, buffer mode, fault plan)`.
+    ///
+    /// A bundle packs when its lanes do ([`crate::batch::packed_eligible`]'s
+    /// unbuffered work, unbuffered ON/OFF work of at least 16 lanes, or
+    /// healthy work of at least 16 lanes: FIFO of at most 4 packets per
+    /// input port, wormhole of at most eight channels per cell). Every
+    /// other grid point joins a shard of `points_per_shard` such points.
+    ///
+    /// One pass moves each scenario into its shard, finding its bundle by
+    /// index arithmetic; eligibility is decided once per bundle, and no
+    /// fabric is built (a non-delta fabric takes [`crate::batch::run_replications`]'
     /// scalar fallback).
     pub fn plan_chunked(&self, points_per_shard: usize) -> Result<CampaignPlan, CampaignError> {
         if points_per_shard == 0 {
@@ -387,26 +395,59 @@ impl CampaignConfig {
         let scenarios = self.scenarios()?;
         let reps = self.replications as usize;
         let points = scenarios.len() / reps;
-        // A curve has one point per load, `step` grid points apart.
-        let loads = self.loads.len();
-        let step = self.buffer_modes.len() * self.fault_plans.len();
-        // A packed curve's words are full but for the last, which keeps a
+        let (patterns, loads) = (self.traffic.len(), self.loads.len());
+        // A point's `(buffer mode, fault plan)` column, `step` columns per
+        // load.
+        let plans = self.fault_plans.len();
+        let step = self.buffer_modes.len() * plans;
+        let bundles_traffic: Vec<bool> = (0..step)
+            .map(|column| bundles_traffic(self.buffer_modes[column / plans]))
+            .collect();
+        // Each pattern's position among the patterns a buffered bundle
+        // gathers (all but trace replay).
+        let mut gathered = 0;
+        let rank: Vec<Option<usize>> = self
+            .traffic
+            .iter()
+            .map(|t| {
+                (!t.is_trace()).then(|| {
+                    gathered += 1;
+                    gathered - 1
+                })
+            })
+            .collect();
+        // A packed bundle's words are full but for the last, which keeps a
         // remainder too short to pack on its own.
-        let lanes = loads * reps;
-        let words = (lanes + LANE_WIDTH - LANE_THRESHOLD) / LANE_WIDTH;
+        let words = |lanes: usize| (lanes + LANE_WIDTH - LANE_THRESHOLD) / LANE_WIDTH;
         let mut shards: Vec<Vec<Scenario>> = Vec::with_capacity(points);
-        // Per curve, once seen: the shard of its first word, if it packs.
-        let mut curves: Vec<Option<Option<usize>>> = vec![None; points / loads];
+        // Per bundle, once seen: the shard of its first word, if it packs.
+        // Bundle `(cell · (patterns + 1) + t) · step + column` is a curve
+        // for `t < patterns` and a buffered bundle for `t = patterns`.
+        let mut bundles: Vec<Option<Option<usize>>> =
+            vec![None; points / (patterns * loads) * (patterns + 1) * step];
         // The shard taking unpacked grid points, and how many it holds.
         let mut open = (0, points_per_shard);
-        // The current grid point's shard, or its curve's first word and the
-        // point's first lane.
-        let mut place = (0, None);
+        // The current grid point's shard, or its bundle's first word, the
+        // point's first lane and the bundle's word count.
+        let mut place = (0, None, 1);
         for scenario in scenarios {
             if scenario.replication == 0 {
                 let point = scenario.index / reps;
-                let curve = point / (loads * step) * step + point % step;
-                let packed = *curves[curve].get_or_insert_with(|| {
+                let column = point % step;
+                let load = point / step % loads;
+                let traffic = point / (step * loads) % patterns;
+                let cell = point / (step * loads * patterns);
+                let (t, lanes, lane) = match rank[traffic] {
+                    Some(rank) if bundles_traffic[column] => (
+                        patterns,
+                        gathered * loads * reps,
+                        (rank * loads + load) * reps,
+                    ),
+                    _ => (traffic, loads * reps, load * reps),
+                };
+                let bundle = (cell * (patterns + 1) + t) * step + column;
+                let words = words(lanes);
+                let packed = *bundles[bundle].get_or_insert_with(|| {
                     let config = scenario.sim_config(self);
                     packs(&config, scenario.stages, lanes).then(|| {
                         let size = lanes.min(LANE_WIDTH + LANE_THRESHOLD - 1);
@@ -415,19 +456,19 @@ impl CampaignConfig {
                     })
                 });
                 place = match packed {
-                    Some(first) => (first, Some(point / step % loads * reps)),
+                    Some(first) => (first, Some(lane), words),
                     None => {
                         if open.1 == points_per_shard {
                             shards.push(Vec::with_capacity(reps * points_per_shard.min(points)));
                             open = (shards.len() - 1, 0);
                         }
                         open.1 += 1;
-                        (open.0, None)
+                        (open.0, None, 1)
                     }
                 };
             }
             let lane = place.1.map(|lane| lane + scenario.replication as usize);
-            let word = lane.map_or(0, |lane| (lane / LANE_WIDTH).min(words - 1));
+            let word = lane.map_or(0, |lane| (lane / LANE_WIDTH).min(place.2 - 1));
             shards[place.0 + word].push(scenario);
         }
         Ok(CampaignPlan {
@@ -441,7 +482,17 @@ impl CampaignConfig {
     }
 }
 
-/// A block of whole grid points, or one word of a lane-eligible curve: the
+/// Whether a buffer mode's curves gather into one bundle per `(cell,
+/// buffer mode, fault plan)` across their traffic patterns. A FIFO or
+/// wormhole word costs much the same channel work whatever its width, so
+/// their curves fill words together. An unbuffered word's fixed cost is
+/// small, so its curves stay apart: bundling them saves little and
+/// coarsens the shards a service spreads across its workers.
+fn bundles_traffic(mode: BufferMode) -> bool {
+    !matches!(mode, BufferMode::Unbuffered)
+}
+
+/// A block of whole grid points, or one word of a lane-eligible bundle: the
 /// unit of work an executor — a scoped thread or a remote worker — claims,
 /// runs through [`execute_shard`], and reports back. Shards are index-addressed, so
 /// re-executing one (after a worker death, say) is idempotent: the retry
@@ -909,7 +960,7 @@ pub enum CampaignError {
         cycles: u64,
     },
     /// A scenario could not be simulated: the first scenario of the
-    /// failing batch, and why [`run_replications`] refused it.
+    /// failing curve, and why [`run_bundle`] refused it.
     Scenario {
         /// Index of the failing scenario.
         scenario: usize,
@@ -1101,68 +1152,85 @@ fn scenario_result(
     }
 }
 
-/// Whether two scenarios lie on one curve: the same `(cell, traffic,
-/// buffer mode, fault plan)`, so they differ at most in offered load and
-/// seed.
-fn same_curve(a: &Scenario, b: &Scenario) -> bool {
+/// Whether two scenarios run in one bundle: the same `(cell, buffer mode,
+/// fault plan)`, and the same traffic unless the mode gathers its patterns
+/// ([`bundles_traffic`]) and neither replays a trace.
+fn same_bundle(a: &Scenario, b: &Scenario) -> bool {
+    let gathered = |s: &Scenario| bundles_traffic(s.buffer_mode) && !s.traffic.is_trace();
     a.network == b.network
-        && a.traffic == b.traffic
         && a.buffer_mode == b.buffer_mode
         && a.fault_plan == b.fault_plan
+        && (a.traffic == b.traffic || gathered(a) && gathered(b))
 }
 
 /// Runs a set of scenarios — whole grid points or parts of them, in any
 /// order — and returns their results in the same order.
 ///
-/// Scenarios are grouped into curves ([`same_curve`]), and each curve's
-/// `(seed, offered load)` lanes go to [`run_replications`] together. So the
-/// fabric, arenas and fault machinery are built once per curve, and a
-/// lane-eligible curve packs 64 lanes per word across its loads instead of
-/// leaving each grid point's words part-filled.
+/// Scenarios are grouped into bundles ([`same_bundle`]) and each bundle's
+/// into curves by traffic; every bundle's `(seed, offered load)` lanes go
+/// to [`run_bundle`] together. So the fabric, arenas and fault machinery
+/// are built once per bundle, and a packing bundle fills 64 lanes per word
+/// across its loads, and for FIFO and wormhole work across its traffic
+/// patterns too, instead of leaving each grid point's words part-filled.
 fn run_points(
     campaign: &CampaignConfig,
     scenarios: &[Scenario],
     diversity: &DiversityMap,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
-    // Each curve lists its scenarios' positions, in order of first
-    // appearance.
-    let mut curves: Vec<Vec<usize>> = Vec::new();
+    // Each bundle lists its curves, each curve its scenarios' positions,
+    // in order of first appearance.
+    let mut bundles: Vec<Vec<Vec<usize>>> = Vec::new();
     for (i, scenario) in scenarios.iter().enumerate() {
-        match curves
+        let bundle = bundles
             .iter_mut()
-            .find(|curve| same_curve(&scenarios[curve[0]], scenario))
+            .find(|bundle| same_bundle(&scenarios[bundle[0][0]], scenario));
+        let Some(bundle) = bundle else {
+            bundles.push(vec![vec![i]]);
+            continue;
+        };
+        match bundle
+            .iter_mut()
+            .find(|curve| scenarios[curve[0]].traffic == scenario.traffic)
         {
             Some(curve) => curve.push(i),
-            None => curves.push(vec![i]),
+            None => bundle.push(vec![i]),
         }
     }
     let mut out: Vec<Option<ScenarioResult>> = vec![None; scenarios.len()];
-    for curve in &curves {
-        let first = &scenarios[curve[0]];
+    for bundle in &bundles {
+        let first = &scenarios[bundle[0][0]];
         let net = first.network.build();
         let path_diversity = if first.fault_plan.is_empty() {
             Vec::new()
         } else {
             diversity.get(&first.network).cloned().unwrap_or_default()
         };
-        let lanes: Vec<(u64, f64)> = curve
+        let lanes: Vec<Vec<(u64, f64)>> = bundle
             .iter()
-            .map(|&i| (scenarios[i].seed, scenarios[i].offered_load))
+            .map(|curve| {
+                let lane = |&i: &usize| (scenarios[i].seed, scenarios[i].offered_load);
+                curve.iter().map(lane).collect()
+            })
+            .collect();
+        let curves: Vec<(&TrafficPattern, &[(u64, f64)])> = bundle
+            .iter()
+            .zip(&lanes)
+            .map(|(curve, lanes)| (&scenarios[curve[0]].traffic, lanes.as_slice()))
             .collect();
         let metrics =
-            run_replications(&net, &first.sim_config(campaign), &lanes).map_err(|error| {
+            run_bundle(&net, &first.sim_config(campaign), &curves).map_err(|(curve, error)| {
                 CampaignError::Scenario {
-                    scenario: first.index,
+                    scenario: scenarios[bundle[curve][0]].index,
                     error,
                 }
             })?;
-        for (&i, m) in curve.iter().zip(&metrics) {
+        for (&i, m) in bundle.iter().flatten().zip(&metrics) {
             out[i] = Some(scenario_result(&scenarios[i], m, path_diversity.clone()));
         }
     }
     Ok(out
         .into_iter()
-        .map(|r| r.expect("every curve ran"))
+        .map(|r| r.expect("every bundle ran"))
         .collect())
 }
 
@@ -1172,10 +1240,11 @@ fn run_points(
 /// Pure in the sense that matters for distribution: the output depends only
 /// on `(config, shard)` — every scenario carries its own derived seed, so
 /// the same shard produces byte-identical results on any thread, process,
-/// machine or retry. Scenarios on one curve — differing only in offered
-/// load and seed — are batched through [`crate::batch::run_replications`]
-/// (and, when the curve's lanes are eligible, the bit-parallel engine), so
-/// hand-built shards need no particular order or alignment to stay fast.
+/// machine or retry. Scenarios of one bundle — differing only in offered
+/// load and seed, and for FIFO and wormhole work in traffic pattern too —
+/// are batched through [`crate::batch::run_bundle`] (and, when the
+/// bundle's lanes are eligible, the bit-parallel engines), so hand-built
+/// shards need no particular order or alignment to stay fast.
 pub fn execute_shard(
     config: &CampaignConfig,
     shard: &Shard,
@@ -1217,9 +1286,10 @@ pub fn assemble(
 /// [`CampaignConfig::plan_chunked`]`(1)` → execution → [`assemble`] across
 /// `threads` scoped worker threads (`0` = one worker per available core).
 ///
-/// Every lane-eligible curve arrives as one shard per word, so its
-/// `(seed, load)` lanes fill whole words of the bit-parallel engine across
-/// the load axis; every other grid point is its own shard. Workers of
+/// Every lane-eligible bundle arrives as one shard per word, so its
+/// `(seed, load)` lanes fill whole words of the bit-parallel engines
+/// across the load axis, and for FIFO and wormhole work across the traffic
+/// patterns too; every other grid point is its own shard. Workers of
 /// [`run_indexed`] pull shards from a shared atomic cursor. Results are
 /// slotted by canonical index regardless of which worker ran them, keeping
 /// the report independent of the thread count — and byte-identical to any
@@ -1992,7 +2062,7 @@ mod tests {
         use proptest::prelude::*;
         (
             (1usize..=2, 0usize..ClassicalNetwork::ALL.len()),
-            (0usize..3, 0usize..3),
+            (0usize..4, 0usize..4),
             1usize..=2,
             (1usize..=4, 0usize..4),
             any::<u64>(),
@@ -2007,16 +2077,19 @@ mod tests {
                         off_dwell: 2.0,
                         on_rate: 0.8,
                     };
+                    let zipf = TrafficPattern::Zipf { exponent: 1.0 };
                     let traffic = [
                         vec![TrafficPattern::Uniform],
                         vec![on_off.clone()],
-                        vec![on_off, TrafficPattern::Uniform],
+                        vec![on_off.clone(), TrafficPattern::Uniform],
+                        vec![TrafficPattern::Uniform, on_off, zipf],
                     ][traffic]
                         .clone();
                     let modes = [
                         vec![BufferMode::Unbuffered],
                         vec![BufferMode::Fifo(2)],
                         vec![BufferMode::Fifo(2), BufferMode::Unbuffered],
+                        vec![worm(), BufferMode::Unbuffered, BufferMode::Fifo(2)],
                     ][modes]
                         .clone();
                     let plans = [
@@ -2040,6 +2113,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
+        /// Every scenario is planned exactly once; a packed shard is one
+        /// word of its bundle — a FIFO or wormhole bundle gathering every
+        /// traffic pattern of its `(cell, buffer mode, fault plan)`, an
+        /// unbuffered one a single curve — cut from the bundle's lanes in
+        /// canonical order; every other shard holds whole grid points; and
+        /// executing the shards reproduces `run_campaign` byte for byte.
         #[test]
         fn plan_chunked_packs_curves_in_words_and_chunks_whole_points(
             config in grid_strategy(),
@@ -2047,8 +2126,9 @@ mod tests {
         ) {
             use proptest::prelude::*;
             let plan = config.plan_chunked(points_per_shard).unwrap();
+            let scenarios = config.scenarios().unwrap();
             let reps = config.replications as usize;
-            let lanes = config.loads.len() * reps;
+            let curve = config.loads.len() * reps;
             let mut seen = vec![false; config.scenario_count()];
             for (id, shard) in plan.shards.iter().enumerate() {
                 prop_assert_eq!(shard.id, id);
@@ -2057,22 +2137,34 @@ mod tests {
                     seen[s.index] = true;
                 }
                 let first = &shard.scenarios[0];
-                // Uniform unbuffered curves pack from 8 lanes, ON/OFF ones
-                // and healthy FIFO ones from 16.
+                // The bundle's lanes in canonical order.
+                let bundle: Vec<&Scenario> =
+                    scenarios.iter().filter(|s| same_bundle(s, first)).collect();
+                // Uniform and Zipf unbuffered curves pack from 8 lanes,
+                // ON/OFF ones and healthy buffered bundles from 16.
                 let packed = match first.buffer_mode {
-                    BufferMode::Unbuffered if first.traffic == TrafficPattern::Uniform => {
-                        lanes >= LANE_THRESHOLD
+                    BufferMode::Unbuffered if !first.traffic.is_stateful() => {
+                        curve >= LANE_THRESHOLD
                     }
-                    BufferMode::Unbuffered => lanes >= ON_OFF_THRESHOLD,
-                    BufferMode::Fifo(_) => {
-                        first.fault_plan.is_empty() && lanes >= FIFO_THRESHOLD
+                    BufferMode::Unbuffered => curve >= ON_OFF_THRESHOLD,
+                    BufferMode::Fifo(_) | BufferMode::Wormhole { .. } => {
+                        prop_assert_eq!(bundle.len(), config.traffic.len() * curve);
+                        first.fault_plan.is_empty() && bundle.len() >= FIFO_THRESHOLD
                     }
-                    BufferMode::Wormhole { .. } => false,
                 };
                 if packed {
-                    prop_assert!(shard.scenarios.iter().all(|s| same_curve(s, first)));
+                    let at = bundle.iter().position(|s| s.index == first.index).unwrap();
+                    let word = &bundle[at..(at + shard.len()).min(bundle.len())];
+                    prop_assert!(at % LANE_WIDTH == 0, "a word starting at lane {}", at);
                     prop_assert!(
-                        (LANE_THRESHOLD..LANE_WIDTH + LANE_THRESHOLD).contains(&shard.len()),
+                        word.iter().map(|s| s.index).eq(shard.scenarios.iter().map(|s| s.index)),
+                        "a word is not a run of its bundle's lanes"
+                    );
+                    prop_assert!(
+                        shard.len() == LANE_WIDTH
+                            || at + shard.len() == bundle.len()
+                                && (LANE_THRESHOLD..LANE_WIDTH + LANE_THRESHOLD)
+                                    .contains(&shard.len()),
                         "a packed unit of {} lanes",
                         shard.len()
                     );

@@ -3,9 +3,10 @@
 //! [`run_word`] is the FIFO sibling of [`crate::lane::LaneEngine`] and
 //! `crate::worm`: one `(seed, offered load)` lane per bit of a `u64`, every
 //! lane a replication of one healthy, destination-tag-routed
-//! [`BufferMode::Fifo`] scenario, all of them stepped through a single
-//! cycle loop. It reproduces [`crate::switch::FifoCore`] driven by
-//! [`crate::Simulator`], bit for bit and lane by lane.
+//! [`BufferMode::Fifo`] scenario under its group's traffic pattern, all of
+//! them stepped through a single cycle loop. It reproduces
+//! [`crate::switch::FifoCore`] driven by [`crate::Simulator`], bit for bit
+//! and lane by lane.
 //!
 //! # State as position planes
 //!
@@ -33,12 +34,15 @@
 //!
 //! # Why this is exact
 //!
-//! Every lane owns its ChaCha8 stream and its traffic sources, and draws
+//! Every lane owns its ChaCha8 stream and its traffic state, and draws
 //! what the scalar engine draws, in the scalar order: a [`fair_coin`] per
 //! same-port conflict in (stage descending, cell ascending) order, only
 //! where that lane's two heads want the same out-port; then the injection
 //! offers and destination draws in (cell ascending, terminal) order through
-//! the word engines' shared loop. Stages run descending and cells
+//! the word engines' one cell-major loop
+//! ([`crate::lane::LaneStreams::inject_cell`]), which reads each cell's
+//! room for a first and a second packet off the queue's two last
+//! occupancy planes. Stages run descending and cells
 //! ascending, so a downstream queue that an earlier cell of the pass
 //! filled, or that its own stage's pass drained, looks to each lane exactly
 //! as it does to the scalar core. A delta fabric's cell sends its two
@@ -46,10 +50,11 @@
 //! destination), so each downstream queue takes at most one packet per lane
 //! from a cell.
 //!
-//! The engine is crate-private: [`crate::batch::run_replications`] hands it
-//! a word only for a batch of at least [`FIFO_THRESHOLD`] lanes of a FIFO
+//! The engine is crate-private: [`crate::batch::run_bundle`] hands it a
+//! word only for a batch of at least [`FIFO_THRESHOLD`] lanes of a FIFO
 //! config with an empty fault plan, no trace replay and a depth of at most
-//! [`FIFO_MAX_DEPTH`], on a fabric that routes by destination tag. Such a
+//! [`FIFO_MAX_DEPTH`], on a fabric that routes by destination tag; the
+//! batch's lanes may span several traffic patterns. Such a
 //! fabric delivers every packet to its tag's destination, so the scalar
 //! misroute audit is the constant zero here, and with no fault plan nothing
 //! is ever dropped.
@@ -57,10 +62,9 @@
 use crate::batch::LANE_MAX_STAGES;
 use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
-use crate::lane::{Admit, LaneStreams, LaneTally, VerticalCounter, LANE_WIDTH};
+use crate::lane::{Landing, LaneGroup, LaneStreams, LaneTally, VerticalCounter, LANE_WIDTH};
 use crate::metrics::Metrics;
 use crate::switch::fair_coin;
-use crate::traffic::DestSampler;
 
 /// Fewest lanes a FIFO batch packs at. Set by measurement on Omega(5) at
 /// depth 4, 600 cycles: a word costs the same queue work whatever its
@@ -84,21 +88,18 @@ const PAD: usize = 2;
 /// connection and one per bit of its injection cycle.
 const MAX_PLANES: usize = LANE_MAX_STAGES - 1 + u64::BITS as usize;
 
-/// Runs one word of `(seed, offered load)` lanes of a FIFO scenario and
-/// returns one [`Metrics`] per lane, in the order the lanes were given.
+/// Runs one word of `(seed, offered load)` lanes of a FIFO scenario, in
+/// traffic groups, and returns one [`Metrics`] per lane, in the order the
+/// lanes were given.
 ///
-/// The batch layer has checked everything: `config` is valid, in FIFO mode
-/// with a depth of at most [`FIFO_MAX_DEPTH`], an empty fault plan and no
-/// trace replay; the word holds `1..=LANE_WIDTH` lanes at loads in
-/// `[0, 1]`; the fabric routes by destination tag and `sampler` was
-/// prepared for it.
-pub(crate) fn run_word(
-    fabric: &Fabric,
-    config: &SimConfig,
-    sampler: &DestSampler,
-    lanes: &[(u64, f64)],
-) -> Vec<Metrics> {
-    FifoEngine::new(fabric, config, sampler, lanes).run()
+/// The batch layer has checked everything: `config` is valid for every
+/// group's traffic, in FIFO mode with a depth of at most
+/// [`FIFO_MAX_DEPTH`] and an empty fault plan, and no group replays a
+/// trace; the word holds `1..=LANE_WIDTH` lanes at loads in `[0, 1]`; the
+/// fabric routes by destination tag and each group's sampler was prepared
+/// for it.
+pub(crate) fn run_word(fabric: &Fabric, config: &SimConfig, groups: &[LaneGroup]) -> Vec<Metrics> {
+    FifoEngine::new(fabric, config, groups).run()
 }
 
 /// Appends the packets of the lanes in `mask` at the tail of one queue —
@@ -130,14 +131,11 @@ fn append(occ: &mut [u64], data: &mut [u64], planes: usize, mask: u64, from: usi
 #[derive(Debug)]
 struct FifoEngine<'a> {
     config: &'a SimConfig,
-    sampler: &'a DestSampler,
-    /// The fabric's destination-tag table.
-    tags: &'a [u32],
     /// Downstream cell reached from `(stage, cell, port)`, entry
     /// `(stage * cells + cell) * 2 + port`.
     next: Vec<u32>,
-    /// Each lane's stream, traffic sources and injection coin.
-    streams: LaneStreams,
+    /// Each lane's stream, injection coin and ON/OFF chains.
+    streams: LaneStreams<'a>,
     /// Offered, injected and delivered packets, and the per-lane metrics
     /// that latencies are recorded into.
     tally: LaneTally,
@@ -160,30 +158,21 @@ struct FifoEngine<'a> {
     /// Position planes: word `(queue * positions + k) * planes + p` holds
     /// plane `p` of the packet at position `k` of the queue.
     data: Vec<u64>,
-    /// Injection scratch: the lanes whose `j`-th packet of the cycle enters
-    /// first-stage cell `cell`, word `cell * 2 + j`, and its tag planes.
-    claims: Vec<u64>,
-    new_tags: Vec<u64>,
     /// Packets queued right now, and their sum over every finished cycle.
     vc_queued: VerticalCounter,
     vc_occupancy: VerticalCounter,
 }
 
 impl<'a> FifoEngine<'a> {
-    fn new(
-        fabric: &'a Fabric,
-        config: &'a SimConfig,
-        sampler: &'a DestSampler,
-        lanes: &[(u64, f64)],
-    ) -> Self {
+    fn new(fabric: &'a Fabric, config: &'a SimConfig, groups: &[LaneGroup<'a>]) -> Self {
         let BufferMode::Fifo(depth) = config.buffer_mode else {
             unreachable!("the batch layer packs only FIFO words here");
         };
+        let lanes: usize = groups.iter().map(|g| g.lanes.len()).sum();
         debug_assert!(
             config.fault_plan.is_empty()
-                && !config.traffic.is_trace()
                 && (1..=FIFO_MAX_DEPTH).contains(&depth)
-                && (1..=LANE_WIDTH).contains(&lanes.len())
+                && (1..=LANE_WIDTH).contains(&lanes)
                 && (2..=LANE_MAX_STAGES).contains(&fabric.stages()),
             "the batch layer packs only eligible words"
         );
@@ -209,11 +198,9 @@ impl<'a> FifoEngine<'a> {
         let positions = cap + PAD;
         FifoEngine {
             config,
-            sampler,
-            tags: &table.tag_of_destination,
             next,
-            streams: LaneStreams::new(&config.traffic, cells, lanes),
-            tally: LaneTally::new(lanes.len()),
+            streams: LaneStreams::new(groups, &table.tag_of_destination, cells),
+            tally: LaneTally::new(lanes),
             cycle: 0,
             stages,
             cells,
@@ -223,8 +210,6 @@ impl<'a> FifoEngine<'a> {
             planes,
             occ: vec![0; queues * positions],
             data: vec![0; queues * positions * planes],
-            claims: vec![0; cells * 2],
-            new_tags: vec![0; cells * 2 * conn_bits],
             vc_queued: VerticalCounter::default(),
             vc_occupancy: VerticalCounter::default(),
         }
@@ -380,50 +365,39 @@ impl<'a> FifoEngine<'a> {
         }
     }
 
-    /// Phase 3 — injection through the word engines' shared loop
-    /// ([`LaneStreams::inject`]): each lane's accepted packets of a cell
-    /// gather in per-cell words and join the tail of its first-stage queue
-    /// in terminal order, injection cycle attached.
+    /// Phase 3 — injection through the word engines' one draw path
+    /// ([`LaneStreams::inject_cell`]), cell by cell: a lane's cell takes a
+    /// first packet unless its queue is full and a second unless it is one
+    /// short of full too, and the accepted packets join the tail of the
+    /// queue in terminal order, injection cycle attached.
     fn inject(&mut self) {
-        self.claims.fill(0);
-        self.new_tags.fill(0);
-        let mut tails = QueueTails {
-            occ: &self.occ,
-            cap: self.cap,
-            positions: self.positions,
-            conn_bits: self.conn_bits,
-            claims: &mut self.claims,
-            new_tags: &mut self.new_tags,
-        };
-        let (sampler, tags) = (self.sampler, self.tags);
-        self.streams.inject(
-            self.cycle,
-            self.cells,
-            &mut self.tally,
-            |cell, rng| Some(tags[sampler.draw(cell, rng) as usize]),
-            &mut tails,
-        );
         let (cap, positions) = (self.cap, self.positions);
         let (planes, conn_bits) = (self.planes, self.conn_bits);
         let mut src = [0u64; MAX_PLANES];
         for (b, plane) in src[conn_bits..planes].iter_mut().enumerate() {
             *plane = if self.cycle >> b & 1 == 1 { !0 } else { 0 };
         }
-        for (k, &mask) in self.claims.iter().enumerate() {
-            if mask == 0 {
-                continue;
+        let mut landing = Landing::new();
+        for cell in 0..self.cells {
+            let occ = &self.occ[cell * positions..cell * positions + cap];
+            let room = [!occ[cap - 1], !occ[cap - 2]];
+            self.streams
+                .inject_cell(cell, room, None, &mut self.tally, &mut landing);
+            for (q, &mask) in landing.occupied.iter().enumerate() {
+                if mask == 0 {
+                    break;
+                }
+                landing.planes(q, &mut src[..conn_bits]);
+                append(
+                    &mut self.occ[cell * positions..cell * positions + cap],
+                    &mut self.data[cell * positions * planes..(cell + 1) * positions * planes],
+                    planes,
+                    mask,
+                    0,
+                    &src[..planes],
+                );
+                self.vc_queued.add(mask);
             }
-            src[..conn_bits].copy_from_slice(&self.new_tags[k * conn_bits..(k + 1) * conn_bits]);
-            let cell = k / 2;
-            append(
-                &mut self.occ[cell * positions..cell * positions + cap],
-                &mut self.data[cell * positions * planes..(cell + 1) * positions * planes],
-                planes,
-                mask,
-                0,
-                &src[..planes],
-            );
-            self.vc_queued.add(mask);
         }
     }
 
@@ -449,35 +423,6 @@ impl<'a> FifoEngine<'a> {
     }
 }
 
-/// The first-stage queues as [`LaneStreams::inject`]'s target: a lane's
-/// cell takes as many packets as its queue has free positions, and its
-/// `j`-th packet of the cycle is gathered in word `cell * 2 + j`.
-struct QueueTails<'a> {
-    occ: &'a [u64],
-    cap: usize,
-    positions: usize,
-    conn_bits: usize,
-    claims: &'a mut [u64],
-    new_tags: &'a mut [u64],
-}
-
-impl Admit for QueueTails<'_> {
-    fn room(&mut self, cell: usize, r: usize) -> u32 {
-        let queue = &self.occ[cell * self.positions..cell * self.positions + self.cap];
-        // Room for two unless the queue is full or one short of it.
-        (2 - (queue[self.cap - 1] >> r & 1) - (queue[self.cap - 2] >> r & 1)) as u32
-    }
-
-    fn admit(&mut self, cell: usize, r: usize, j: u32, packet_tag: u32) {
-        let k = cell * 2 + j as usize;
-        self.claims[k] |= 1 << r;
-        let planes = &mut self.new_tags[k * self.conn_bits..(k + 1) * self.conn_bits];
-        for (b, plane) in planes.iter_mut().enumerate() {
-            *plane |= u64::from(packet_tag >> b & 1) << r;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,7 +443,12 @@ mod tests {
         let fabric = Fabric::for_traffic(net.clone(), &config.traffic).unwrap();
         let (sampler, faults) = prepare(&fabric, config).unwrap();
         assert!(faults.is_none());
-        let packed = run_word(&fabric, config, &sampler, lanes);
+        let group = LaneGroup {
+            traffic: &config.traffic,
+            sampler: &sampler,
+            lanes,
+        };
+        let packed = run_word(&fabric, config, &[group]);
         assert_eq!(packed.len(), lanes.len());
         for (m, &(seed, load)) in packed.iter().zip(lanes) {
             assert_eq!(

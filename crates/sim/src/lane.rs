@@ -1,10 +1,10 @@
 //! Word-packed simulation of up to 64 unbuffered lanes at once, and the
 //! pieces all three word engines share: the bit-sliced
-//! [`VerticalCounter`], the per-lane keystreams ([`LaneRng`]), traffic
-//! sources and injection coins ([`LaneStreams`]) with the one lane-major
-//! injection loop ([`LaneStreams::inject`]), and the metric read-out
-//! ([`LaneTally`]). The FIFO and wormhole engines are `crate::fifo` and
-//! `crate::worm`.
+//! [`VerticalCounter`], the per-lane keystreams ([`LaneRng`]), injection
+//! coins and lane-packed ON/OFF chains ([`LaneStreams`]) with the one
+//! cell-major injection loop ([`LaneStreams::inject_cell`]), and the metric
+//! read-out ([`LaneTally`]). The FIFO and wormhole engines are
+//! `crate::fifo` and `crate::worm`.
 //!
 //! The [`LaneEngine`] packs words the way the GF(2) eliminator of
 //! `min_labels::bitmat` does: instead of simulating replications one after
@@ -42,15 +42,16 @@
 //!   engine: switch coins in (stage descending, cell ascending) order, then
 //!   injection draws in (cell ascending, terminal) order. Draws happen only
 //!   for bits that would draw in the scalar engine (a coin only where that
-//!   lane has a same-port conflict), so the streams stay aligned. The
-//!   stateless patterns' cell-major injection decides a cell's two
-//!   terminals on peeked words without a branch and then takes exactly the
-//!   words the scalar draws read ([`CellDraw::one_word`]); hot-spot
-//!   traffic, fault reroutes and the few cells that straddle a buffer end
-//!   draw word by word instead ([`CellDraw::general`]). ON/OFF traffic
-//!   keeps per-terminal chains, so each lane also owns its
-//!   [`TrafficSources`], and its offers go through the shared lane-major
-//!   loop instead.
+//!   lane has a same-port conflict), so the streams stay aligned. A word's
+//!   lanes come as contiguous traffic groups ([`LaneGroup`]), and the
+//!   injection walks cells, each group's lanes running the group's own
+//!   draw: uniform, table and ON/OFF groups decide a cell's two terminals
+//!   on peeked words without a branch and then take exactly the words the
+//!   scalar draws read ([`CellDraw::one_word`], [`CellDraw::on_off`]);
+//!   Zipf and hot-spot traffic, fault reroutes and the few cells that
+//!   straddle a buffer end draw word by word in the scalar order instead
+//!   ([`CellDraw::general`]), reading a destination only for an accepted
+//!   packet. ON/OFF chain state is one lane-packed word per terminal.
 //! * **Per-lane injection thresholds.** The offered load enters the model
 //!   only through the injection coin, one `next_u64` compared against a
 //!   threshold. Each lane holds its own [`Bernoulli`] coin, built once from
@@ -66,22 +67,23 @@
 //! Metric updates within a cycle are commutative (sums, max, histogram
 //! increments), so per-bit accumulation order does not affect the result.
 //!
-//! The engine is crate-private: [`crate::batch::run_replications`] is its
-//! one caller. The batch validates the config and every lane load, builds
-//! the fabric, sampler and fault runtime once, and hands a word here only
-//! when [`crate::batch::packed_eligible`] holds, or the traffic is ON/OFF
-//! and the batch has at least [`ON_OFF_THRESHOLD`] lanes, and the fabric
-//! routes by destination tag; the engine repeats none of those checks. The scalar
+//! The engine is crate-private: [`crate::batch::run_bundle`] is its one
+//! caller. The batch validates the config and every lane load, builds the
+//! fabric, each traffic's sampler and the fault runtime once, and hands a
+//! word here only when every curve of the batch packs
+//! ([`crate::batch::packed_eligible`] for stateless traffic, at least
+//! [`ON_OFF_THRESHOLD`] lanes for ON/OFF) and the fabric routes by
+//! destination tag; the engine repeats none of those checks. The scalar
 //! engine remains the reference oracle, and the oracle tests pin the two
 //! paths byte-identical.
 
 use crate::batch::LANE_MAX_STAGES;
 use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
-use crate::fault::{FaultRuntime, FaultView, LinkStatus};
+use crate::fault::{FaultRuntime, FaultView, LinkStatus, RerouteTable};
 use crate::metrics::Metrics;
 use crate::switch::fair_coin;
-use crate::traffic::{DestSampler, Offer, TrafficPattern, TrafficSources, UniformCell};
+use crate::traffic::{DestSampler, TrafficPattern, TrafficSources, UniformCell};
 use rand::distributions::{Bernoulli, Distribution};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::rand_core::block::BlockRngCore;
@@ -182,8 +184,8 @@ impl VerticalCounter {
 
 /// One lane's ChaCha8 stream, read straight out of its block buffer: the
 /// words of `ChaCha8Rng::seed_from_u64(seed)`, in order, whether they are
-/// drawn through [`RngCore`] or looked at [`PEEK_WORDS`] at a time with
-/// [`LaneRng::peek`] and then consumed by count with [`LaneRng::take`].
+/// drawn through [`RngCore`] or looked at up to [`PEEK_WORDS`] at a time
+/// with [`LaneRng::peek`] and then consumed by count with [`LaneRng::take`].
 #[derive(Clone, Debug)]
 pub(crate) struct LaneRng {
     core: ChaCha8Core,
@@ -192,9 +194,10 @@ pub(crate) struct LaneRng {
     index: usize,
 }
 
-/// The most keystream words one cell's two terminals read on the one-word
-/// injection path: two coins and two one-word destination draws.
-const PEEK_WORDS: usize = 8;
+/// The most keystream words one cell's two terminals read on a branch-free
+/// injection path: per terminal an ON/OFF exit coin, the injection coin and
+/// a one-word destination.
+const PEEK_WORDS: usize = 12;
 
 impl LaneRng {
     fn len(&self) -> usize {
@@ -206,19 +209,17 @@ impl LaneRng {
         self.index = 0;
     }
 
-    /// The next [`PEEK_WORDS`] words, unconsumed, or `None` when fewer than
-    /// that remain before the buffer ends (the caller then draws through
-    /// [`RngCore`], which refills across the end). An exhausted buffer is
-    /// refilled first, which skips no word.
+    /// The next `N` words (at most [`PEEK_WORDS`]), unconsumed, or `None`
+    /// when fewer than that remain before the buffer ends (the caller then
+    /// draws through [`RngCore`], which refills across the end). An
+    /// exhausted buffer is refilled first, which skips no word.
     #[inline]
-    pub(crate) fn peek(&mut self) -> Option<[u32; PEEK_WORDS]> {
+    pub(crate) fn peek<const N: usize>(&mut self) -> Option<[u32; N]> {
+        debug_assert!(N <= PEEK_WORDS);
         if self.index == self.len() {
             self.refill();
         }
-        let window = self
-            .results
-            .as_ref()
-            .get(self.index..self.index + PEEK_WORDS)?;
+        let window = self.results.as_ref().get(self.index..self.index + N)?;
         window.try_into().ok()
     }
 
@@ -266,7 +267,7 @@ impl RngCore for LaneRng {
 }
 
 /// One peeked `u64`, handed as a generator to a draw that reads exactly
-/// one word — an injection coin, a power-of-two uniform or a Zipf
+/// one word — an injection or exit coin, or a power-of-two uniform
 /// destination — so the draw runs its own code on a word not yet taken.
 /// Which draws read one word is [`DestSampler::fixed_words`]'s to say; the
 /// oracle tests pin the word count against the scalar stream.
@@ -283,93 +284,289 @@ impl RngCore for OneWord {
     }
 }
 
-/// The per-lane randomness and traffic state of one word, built exactly
-/// like the scalar engine's: one ChaCha8 stream per `(seed, load)` lane,
-/// one [`TrafficSources`] per lane (ON/OFF chains carry per-terminal
-/// state), and the injection coin each lane's sources flip at its load.
+/// The `u64` words of a peek, in draw order.
+#[inline(always)]
+fn words<const N: usize, const W: usize>(peek: [u32; N]) -> [u64; W] {
+    std::array::from_fn(|i| u64::from(peek[2 * i + 1]) << 32 | u64::from(peek[2 * i]))
+}
+
+/// One traffic pattern's lanes of a word: the pattern, the destination
+/// sampler the batch prepared for it, and its `(seed, offered load)`
+/// lanes. A word's groups are contiguous runs of its lanes, in lane order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LaneGroup<'a> {
+    pub(crate) traffic: &'a TrafficPattern,
+    pub(crate) sampler: &'a DestSampler,
+    pub(crate) lanes: &'a [(u64, f64)],
+}
+
+/// How a group decides a cell's two terminals while no reroute is active,
+/// chosen once per word.
+#[derive(Clone, Copy, Debug)]
+enum Fast {
+    /// Stateless or ON/OFF offers to a power-of-two uniform destination,
+    /// decided branch-free on peeked words ([`CellDraw::one_word`],
+    /// [`CellDraw::on_off`]).
+    Uniform,
+    /// Stateless offers to a destination that reads no word (a table),
+    /// decided the same way.
+    Table,
+    /// The scalar order, a destination drawn only for an accepted packet
+    /// ([`CellDraw::general`]): Zipf and hot-spot traffic, whose
+    /// destinations a refused offer never reads.
+    General,
+}
+
+/// One group of a word, as [`LaneStreams`] runs it.
+#[derive(Clone, Copy, Debug)]
+struct Group<'a> {
+    /// The group's lanes, `start..end`.
+    start: usize,
+    end: usize,
+    sampler: &'a DestSampler,
+    /// An ON/OFF group's exit coins, `[leave OFF, leave ON]`.
+    exits: Option<[Bernoulli; 2]>,
+    fast: Fast,
+}
+
+/// What one cell's injection leaves for a word engine to store: per slot
+/// (0 for a lane's first accepted packet of the cycle, 1 for its second),
+/// the lanes that put a packet there and the bytes of their routing tags.
 #[derive(Debug)]
-pub(crate) struct LaneStreams {
-    pub(crate) rngs: Vec<LaneRng>,
-    pub(crate) sources: Vec<TrafficSources>,
-    pub(crate) coins: Vec<Bernoulli>,
+pub(crate) struct Landing {
+    pub(crate) occupied: [u64; 2],
+    /// `bytes[q][h][r]`: byte `h` of lane `r`'s tag in slot `q`. Each lane
+    /// rewrites its entries at every cell; [`Landing::planes`] masks the
+    /// stale ones.
+    bytes: [[[u8; LANE_WIDTH]; 2]; 2],
 }
 
-/// Where [`LaneStreams::inject`] puts a word engine's accepted packets.
-pub(crate) trait Admit {
-    /// How many packets lane `r`'s first-stage cell `cell` accepts this
-    /// cycle; only 0, 1 and "2 or more" are told apart.
-    fn room(&mut self, cell: usize, r: usize) -> u32;
-    /// Takes lane `r`'s `j`-th accepted packet at `cell` this cycle,
-    /// carrying routing tag `tag`.
-    fn admit(&mut self, cell: usize, r: usize, j: u32, tag: u32);
-}
-
-impl LaneStreams {
-    pub(crate) fn new(traffic: &TrafficPattern, cells: usize, lanes: &[(u64, f64)]) -> Self {
-        let sources = TrafficSources::new(traffic, cells);
-        let (rngs, coins) = lanes
-            .iter()
-            .map(|&(seed, load)| (LaneRng::seed_from_u64(seed), sources.coin(load)))
-            .unzip();
-        LaneStreams {
-            rngs,
-            sources: vec![sources; lanes.len()],
-            coins,
+impl Landing {
+    pub(crate) fn new() -> Self {
+        Landing {
+            occupied: [0; 2],
+            bytes: [[[0; LANE_WIDTH]; 2]; 2],
         }
     }
 
-    /// The injection phase of a word engine, one draw path for every
-    /// pattern but trace replay: per lane, the exact scalar order over
-    /// (cell ascending, terminal 0..2) — offer, count it, capacity test,
-    /// destination draw and tag (`dest_tag`, `None` when the fault plan
-    /// leaves the pair unroutable), then the hand-off to `admit`.
-    /// Lane-major, so each lane's stream and sources stay hot through its
-    /// offers.
-    pub(crate) fn inject<A: Admit, F: FnMut(u32, &mut LaneRng) -> Option<u32>>(
-        &mut self,
-        cycle: u64,
-        cells: usize,
-        tally: &mut LaneTally,
-        mut dest_tag: F,
-        admit: &mut A,
-    ) {
-        let lanes = self.rngs.iter_mut().zip(&mut self.sources).zip(&self.coins);
-        for (r, ((rng, source), coin)) in lanes.enumerate() {
-            let (mut offered, mut injected, mut unroutable) = (0, 0, 0);
-            for cell in 0..cells {
-                let room = admit.room(cell, r);
-                let mut accepted = 0;
-                for terminal in 0..2 {
-                    let offer = source.offer_with(cycle, cell as u32, terminal, coin, rng);
-                    debug_assert!(!matches!(offer, Offer::PacketTo(_)), "no trace replay");
-                    if offer == Offer::Idle {
-                        continue;
-                    }
-                    offered += 1;
-                    if accepted == room {
-                        continue;
-                    }
-                    let Some(tag) = dest_tag(cell as u32, rng) else {
-                        unroutable += 1;
-                        continue;
-                    };
-                    admit.admit(cell, r, accepted, tag);
-                    accepted += 1;
+    /// Writes slot `q`'s tag planes: plane `b` holds bit `b` of every
+    /// occupying lane's tag, and 0 for every other lane.
+    #[inline]
+    pub(crate) fn planes(&self, q: usize, planes: &mut [u64]) {
+        write_planes(&self.bytes[q], self.occupied[q], planes);
+    }
+}
+
+/// The per-lane randomness and traffic state of one word, built exactly
+/// like the scalar engine's: one ChaCha8 stream per `(seed, load)` lane,
+/// the injection coin each lane's sources flip at its load, and the ON/OFF
+/// chains of every terminal, lane-packed.
+#[derive(Debug)]
+pub(crate) struct LaneStreams<'a> {
+    pub(crate) rngs: Vec<LaneRng>,
+    coins: Vec<Bernoulli>,
+    groups: Vec<Group<'a>>,
+    /// ON/OFF chain state, word `2 · cell + terminal`: bit `r` is set
+    /// while lane `r`'s source there is ON (every source starts ON). Bits
+    /// of lanes outside an ON/OFF group are never read.
+    on: Vec<u64>,
+    /// The uniform destination draw over the fabric's cells.
+    uniform: UniformCell,
+    /// The fabric's destination-tag table.
+    tags: &'a [u32],
+}
+
+impl<'a> LaneStreams<'a> {
+    /// The streams of a word of `groups` (at most [`LANE_WIDTH`] lanes in
+    /// all, no trace replay) on a fabric of `cells` cells per stage with
+    /// destination-tag table `tags`.
+    pub(crate) fn new(groups: &[LaneGroup<'a>], tags: &'a [u32], cells: usize) -> Self {
+        let (mut rngs, mut coins) = (Vec::new(), Vec::new());
+        let groups: Vec<Group> = groups
+            .iter()
+            .map(|group| {
+                debug_assert!(!group.traffic.is_trace(), "no trace replay");
+                let sources = TrafficSources::new(group.traffic, cells);
+                let start = rngs.len();
+                for &(seed, load) in group.lanes {
+                    rngs.push(LaneRng::seed_from_u64(seed));
+                    coins.push(sources.coin(load));
                 }
-                injected += u64::from(accepted);
-            }
-            tally.offered[r] += offered;
-            tally.injected[r] += injected;
-            tally.unroutable[r] += unroutable;
+                let exits = sources.exit_coins();
+                // An ON/OFF burst's destination is uniform.
+                let uniform = matches!(group.traffic, TrafficPattern::Uniform) || exits.is_some();
+                let fast = match (exits, group.sampler.fixed_words()) {
+                    (None, Some(0)) => Fast::Table,
+                    (_, Some(1)) if uniform => Fast::Uniform,
+                    _ => Fast::General,
+                };
+                Group {
+                    start,
+                    end: rngs.len(),
+                    sampler: group.sampler,
+                    exits,
+                    fast,
+                }
+            })
+            .collect();
+        debug_assert!(rngs.len() <= LANE_WIDTH);
+        LaneStreams {
+            rngs,
+            coins,
+            on: vec![!0; 2 * cells],
+            groups,
+            uniform: UniformCell::new(cells as u32),
+            tags,
         }
+    }
+
+    /// Injection at first-stage cell `cell`, the one draw path of every
+    /// word engine: each lane, on its own stream and in the scalar order
+    /// over the cell's two terminals, makes the offer (stepping its ON/OFF
+    /// chain first), counts it, tests its room — `room[0]` holds the lanes
+    /// whose cell takes a first packet this cycle, `room[1]` those that
+    /// take a second — and draws the accepted packet's destination and tag
+    /// (from `reroute` while a fault is active, `None` there refusing an
+    /// unroutable pair). The counts land in `tally`, the accepted packets
+    /// in `landing`.
+    ///
+    /// Each group runs its own monomorphized lane loop. With no reroute,
+    /// uniform, table and ON/OFF groups decide both terminals on peeked
+    /// words without a branch; Zipf, hot-spot and rerouted draws take the
+    /// scalar order, reading a destination only for an accepted packet.
+    #[inline]
+    pub(crate) fn inject_cell(
+        &mut self,
+        cell: usize,
+        room: [u64; 2],
+        reroute: Option<&RerouteTable>,
+        tally: &mut LaneTally,
+        landing: &mut Landing,
+    ) {
+        landing.occupied = [0; 2];
+        let (tags, uniform, c) = (self.tags, self.uniform, cell as u32);
+        for group in &self.groups {
+            let lanes = GroupCell {
+                rngs: &mut self.rngs,
+                coins: &self.coins,
+                start: group.start,
+                end: group.end,
+                room,
+                tally: &mut *tally,
+                landing: &mut *landing,
+            };
+            let (zero, one) = self.on[2 * cell..2 * cell + 2].split_at_mut(1);
+            let (sampler, exits) = (group.sampler, group.exits);
+            let chains = exits.map(|_| [&mut zero[0], &mut one[0]]);
+            match (reroute, group.fast) {
+                (Some(table), _) => lanes.chained(chains, |room, coin, rng, on| {
+                    let mut dest_tag = |cell, rng: &mut LaneRng| {
+                        table.tag(cell as usize, sampler.draw(cell, rng) as usize)
+                    };
+                    CellDraw::general(c, room, coin, exits.as_ref(), on, rng, &mut dest_tag)
+                }),
+                (None, Fast::Uniform) => {
+                    let tag_of = |_, x| tags[uniform.draw(&mut OneWord(x)) as usize];
+                    match exits {
+                        Some(exits) => lanes.chained(chains, |room, coin, rng, on| {
+                            CellDraw::on_off(c, room, coin, &exits, on, rng, &tag_of)
+                        }),
+                        None => lanes.run(|room, coin, rng, _| {
+                            CellDraw::one_word::<1, _>(c, room, coin, rng, &tag_of)
+                        }),
+                    }
+                }
+                (None, Fast::Table) => {
+                    let tag_of = |cell, _| tags[sampler.draw(cell, &mut OneWord(0)) as usize];
+                    lanes.run(|room, coin, rng, _| {
+                        CellDraw::one_word::<0, _>(c, room, coin, rng, &tag_of)
+                    });
+                }
+                (None, Fast::General) => lanes.chained(chains, |room, coin, rng, on| {
+                    let mut dest_tag =
+                        |cell, rng: &mut LaneRng| Some(tags[sampler.draw(cell, rng) as usize]);
+                    CellDraw::general(c, room, coin, exits.as_ref(), on, rng, &mut dest_tag)
+                }),
+            }
+        }
+    }
+}
+
+/// One group's lanes at one cell, with the counts and the landing their
+/// draws feed.
+struct GroupCell<'s> {
+    rngs: &'s mut [LaneRng],
+    coins: &'s [Bernoulli],
+    start: usize,
+    end: usize,
+    room: [u64; 2],
+    tally: &'s mut LaneTally,
+    landing: &'s mut Landing,
+}
+
+impl GroupCell<'_> {
+    /// Runs `draw` for every lane of the group, in lane order: it is handed
+    /// the lane's room (for a first and a second packet), its injection
+    /// coin, its stream and its lane index.
+    #[inline]
+    fn run<D: FnMut([bool; 2], &Bernoulli, &mut LaneRng, usize) -> CellDraw>(self, mut draw: D) {
+        let GroupCell {
+            rngs,
+            coins,
+            start,
+            end,
+            room,
+            tally,
+            landing,
+        } = self;
+        assert!(end <= LANE_WIDTH && end <= rngs.len() && end <= coins.len());
+        let (offered, injected) = (
+            &mut tally.offered[start..end],
+            &mut tally.injected[start..end],
+        );
+        let unroutable = &mut tally.unroutable[start..end];
+        for r in start..end {
+            let lane_room = [room[0] >> r & 1 == 1, room[1] >> r & 1 == 1];
+            let d = draw(lane_room, &coins[r], &mut rngs[r], r);
+            offered[r - start] += u64::from(d.offered);
+            injected[r - start] += u64::from(d.packets);
+            unroutable[r - start] += u64::from(d.unroutable);
+            landing.occupied[0] |= u64::from(d.packets > 0) << r;
+            landing.occupied[1] |= u64::from(d.packets > 1) << r;
+            let [front, back] = d.tags;
+            landing.bytes[0][0][r] = front as u8;
+            landing.bytes[0][1][r] = (front >> 8) as u8;
+            landing.bytes[1][0][r] = back as u8;
+            landing.bytes[1][1][r] = (back >> 8) as u8;
+        }
+    }
+
+    /// [`GroupCell::run`] where `draw` also steps the lane's two ON/OFF
+    /// chain states, read from and written back to the cell's chain words
+    /// `chains` (always ON for a group without chains).
+    #[inline]
+    fn chained<D>(self, chains: Option<[&mut u64; 2]>, mut draw: D)
+    where
+        D: FnMut([bool; 2], &Bernoulli, &mut LaneRng, &mut [bool; 2]) -> CellDraw,
+    {
+        let Some([zero, one]) = chains else {
+            return self.run(|room, coin, rng, _| draw(room, coin, rng, &mut [true; 2]));
+        };
+        self.run(|room, coin, rng, r| {
+            let mut on = [*zero >> r & 1 == 1, *one >> r & 1 == 1];
+            let d = draw(room, coin, rng, &mut on);
+            *zero = *zero & !(1 << r) | u64::from(on[0]) << r;
+            *one = *one & !(1 << r) | u64::from(on[1]) << r;
+            d
+        });
     }
 }
 
 /// The per-lane counts every word engine keeps, and their read-out.
 #[derive(Debug)]
 pub(crate) struct LaneTally {
-    /// Offered, injected and unroutable packets per lane, counted inside
-    /// the (already per-lane) injection loop.
+    /// Offered, injected and unroutable packets per lane, counted by the
+    /// injection draws.
     pub(crate) offered: Vec<u64>,
     pub(crate) injected: Vec<u64>,
     pub(crate) unroutable: Vec<u64>,
@@ -407,34 +604,45 @@ impl LaneTally {
     }
 }
 
-/// What one lane's two terminals put into a first-stage cell in one cycle.
-/// Every offer is either accepted or unroutable: the switching pass left
-/// both slots free.
+/// What one lane's two terminals do at a first-stage cell in one cycle.
 #[derive(Clone, Copy, Debug, Default)]
 struct CellDraw {
-    /// Accepted packets: the first takes the front slot, the second the
-    /// back one.
+    offered: u32,
+    /// Accepted packets: the first takes slot 0, the second slot 1.
     packets: u32,
     unroutable: u32,
-    /// The front and back slot's routing tags; an empty slot's entry is
+    /// Slot 0's and slot 1's routing tags; an empty slot's entry is
     /// arbitrary, since the occupancy word masks the planes.
     tags: [u32; 2],
 }
 
 impl CellDraw {
-    /// The general draw, in the scalar order: each terminal flips the coin,
-    /// and an offer resolves its destination tag through `dest_tag`
-    /// (`None` when the fault plan leaves the pair unroutable).
+    /// The general draw, in the scalar order: each terminal makes its
+    /// offer — an ON/OFF source (`exits` its exit coins, `on` its chain
+    /// states) first steps its chain on one exit coin and offers only while
+    /// ON — an offer meeting room resolves its destination tag through
+    /// `dest_tag` (`None` when the fault plan leaves the pair unroutable,
+    /// which takes no room), and an offer meeting none is refused.
     #[inline]
     fn general<F: FnMut(u32, &mut LaneRng) -> Option<u32>>(
         cell: u32,
+        room: [bool; 2],
         coin: &Bernoulli,
+        exits: Option<&[Bernoulli; 2]>,
+        on: &mut [bool; 2],
         rng: &mut LaneRng,
         dest_tag: &mut F,
     ) -> Self {
         let mut draw = CellDraw::default();
-        for _terminal in 0..2 {
-            if !coin.sample(rng) {
+        for on in on.iter_mut() {
+            if let Some(exits) = exits {
+                *on ^= exits[usize::from(*on)].sample(rng);
+            }
+            if !(*on && coin.sample(rng)) {
+                continue;
+            }
+            draw.offered += 1;
+            if !room[draw.packets as usize] {
                 continue;
             }
             match dest_tag(cell, rng) {
@@ -448,14 +656,56 @@ impl CellDraw {
         draw
     }
 
-    /// [`CellDraw::general`] for a destination that always routes and reads
-    /// exactly `W` words, zero or one, where a peek comes back short; out
-    /// of line, so the hot loop keeps its registers.
+    /// The draws of two stateless terminals whose destination always
+    /// routes and reads exactly `W` words, zero or one, decided without a
+    /// branch: both coins and both candidate destinations are evaluated on
+    /// peeked words, then exactly the words the general draw would read are
+    /// taken. `tag_of` maps a source cell and a destination word to the
+    /// routing tag. Near the end of the buffer, where a peek comes back
+    /// short, the same draws run word by word instead.
+    #[inline]
+    fn one_word<const W: usize, T: Fn(u32, u64) -> u32>(
+        cell: u32,
+        room: [bool; 2],
+        coin: &Bernoulli,
+        rng: &mut LaneRng,
+        tag_of: &T,
+    ) -> Self {
+        let Some(peek) = rng.peek::<8>() else {
+            return Self::at_end::<W, T>(cell, room, coin, None, &mut [true; 2], rng, tag_of);
+        };
+        let x: [u64; 4] = words(peek);
+        let c0 = coin.sample(&mut OneWord(x[0]));
+        let a0 = c0 & room[0];
+        // Terminal 1's coin comes after terminal 0's coin and, when that
+        // packet was accepted, its destination word.
+        let i1 = 1 + W * usize::from(a0);
+        let c1 = coin.sample(&mut OneWord(x[i1]));
+        let a1 = c1 & room[usize::from(a0)];
+        let t0 = tag_of(cell, x[1]);
+        let t1 = tag_of(cell, x[i1 + W]);
+        let packets = u32::from(a0) + u32::from(a1);
+        rng.take(2 * (2 + W * packets as usize));
+        CellDraw {
+            offered: u32::from(c0) + u32::from(c1),
+            packets,
+            unroutable: 0,
+            tags: [if a0 { t0 } else { t1 }, t1],
+        }
+    }
+
+    /// [`CellDraw::one_word`]'s and [`CellDraw::on_off`]'s draws where a
+    /// peek comes back short: the general draw, its destination always
+    /// routing and reading `W` words. Out of line, so the hot loop keeps its
+    /// registers.
     #[cold]
     #[inline(never)]
-    fn window_end<const W: usize, T: Fn(u32, u64) -> u32>(
+    fn at_end<const W: usize, T: Fn(u32, u64) -> u32>(
         cell: u32,
+        room: [bool; 2],
         coin: &Bernoulli,
+        exits: Option<&[Bernoulli; 2]>,
+        on: &mut [bool; 2],
         rng: &mut LaneRng,
         tag_of: &T,
     ) -> Self {
@@ -463,41 +713,49 @@ impl CellDraw {
             let word = if W == 1 { rng.next_u64() } else { 0 };
             Some(tag_of(cell, word))
         };
-        Self::general(cell, coin, rng, &mut dest_tag)
+        Self::general(cell, room, coin, exits, on, rng, &mut dest_tag)
     }
 
-    /// The same draws for a destination that always routes and reads
-    /// exactly `W` words, zero or one, decided without a branch: both coins
-    /// and both candidate destinations are evaluated on peeked words, then
-    /// exactly the words the general draw would read are taken. `tag_of`
-    /// maps a source cell and a destination word to the routing tag. Near
-    /// the end of the buffer, where a peek comes back short, the general
-    /// draw runs instead ([`CellDraw::window_end`]).
+    /// The draws of two ON/OFF terminals (chain states `on`, stepped here
+    /// on the exit coins `exits`) sending to a one-word destination,
+    /// decided without a branch on one peek: per terminal, the exit coin of
+    /// its chain state, the injection coin where the chain is ON and the
+    /// candidate destination, each evaluated at the word the general draw
+    /// would read it from; then exactly the words it would read are taken.
+    /// Near the end of the buffer, where a peek comes back short, the
+    /// general draw runs instead.
     #[inline]
-    fn one_word<const W: usize, T: Fn(u32, u64) -> u32>(
+    fn on_off<T: Fn(u32, u64) -> u32>(
         cell: u32,
+        room: [bool; 2],
         coin: &Bernoulli,
+        exits: &[Bernoulli; 2],
+        on: &mut [bool; 2],
         rng: &mut LaneRng,
         tag_of: &T,
     ) -> Self {
-        let Some(w) = rng.peek() else {
-            return Self::window_end::<W, T>(cell, coin, rng, tag_of);
+        let Some(peek) = rng.peek::<PEEK_WORDS>() else {
+            return Self::at_end::<1, T>(cell, room, coin, Some(exits), on, rng, tag_of);
         };
-        let x: [u64; PEEK_WORDS / 2] =
-            std::array::from_fn(|i| u64::from(w[2 * i + 1]) << 32 | u64::from(w[2 * i]));
-        let c0 = coin.sample(&mut OneWord(x[0]));
-        // Terminal 1's coin comes after terminal 0's coin and, when that
-        // landed, its destination word.
-        let i1 = 1 + W * usize::from(c0);
-        let c1 = coin.sample(&mut OneWord(x[i1]));
-        let t0 = tag_of(cell, x[1]);
-        let t1 = tag_of(cell, x[i1 + W]);
-        let packets = u32::from(c0) + u32::from(c1);
-        rng.take(2 * (2 + W * packets as usize));
+        let x: [u64; PEEK_WORDS / 2] = words(peek);
+        // `i` is the next word the general draw would read.
+        let (mut i, mut offered, mut accepted, mut tags) = (0, 0, [false; 2], [0; 2]);
+        for t in 0..2 {
+            on[t] ^= exits[usize::from(on[t])].sample(&mut OneWord(x[i]));
+            let offer = on[t] & coin.sample(&mut OneWord(x[i + 1]));
+            i += 1 + usize::from(on[t]);
+            // Terminal 1 meets the room left after terminal 0.
+            accepted[t] = offer & room[usize::from(accepted[0])];
+            tags[t] = tag_of(cell, x[i]);
+            i += usize::from(accepted[t]);
+            offered += u32::from(offer);
+        }
+        rng.take(2 * i);
         CellDraw {
-            packets,
+            offered,
+            packets: u32::from(accepted[0]) + u32::from(accepted[1]),
             unroutable: 0,
-            tags: [if c0 { t0 } else { t1 }, t1],
+            tags: [if accepted[0] { tags[0] } else { tags[1] }, tags[1]],
         }
     }
 }
@@ -537,110 +795,6 @@ fn write_planes(bytes: &[[u8; LANE_WIDTH]; 2], occupied: u64, planes: &mut [u64]
     }
 }
 
-/// Split mutable borrows of the engine state handed to the monomorphized
-/// injection loop ([`InjectCtx::run`]).
-struct InjectCtx<'a> {
-    cells: usize,
-    /// One injection coin per lane, at that lane's offered load.
-    coins: &'a [Bernoulli],
-    conn_bits: usize,
-    occ: &'a mut [u64],
-    tag: &'a mut [u64],
-    rngs: &'a mut [LaneRng],
-    offered: &'a mut [u64],
-    injected: &'a mut [u64],
-    unroutable: &'a mut [u64],
-}
-
-impl InjectCtx<'_> {
-    /// Cell-major, lane-minor injection: each lane still draws in the
-    /// scalar (cell ascending, terminal) order on its own stream, flipping
-    /// its own precomputed injection coin, while one cell's two slot words
-    /// and tag planes stay hot across all lanes instead of re-walking the
-    /// whole stage-0 region once per lane. `draw` decides one lane's two
-    /// terminals at one cell ([`CellDraw::one_word`] or
-    /// [`CellDraw::general`]); the lanes' tags gather byte by byte in
-    /// per-slot arrays, and each slot's tag planes are written once per
-    /// cell from them ([`write_planes`]), masked by its occupancy word.
-    /// Offered packets are the accepted plus the unroutable ones, since
-    /// both slots are free.
-    fn run<F: FnMut(u32, &Bernoulli, &mut LaneRng) -> CellDraw>(self, mut draw: F) {
-        let InjectCtx {
-            cells,
-            coins,
-            conn_bits,
-            occ,
-            tag,
-            rngs,
-            offered,
-            injected,
-            unroutable,
-        } = self;
-        let mut new_injected = [0u64; LANE_WIDTH];
-        let mut new_unroutable = [0u64; LANE_WIDTH];
-        // `tag_bytes[q][h][r]`: byte `h` of lane `r`'s tag in slot `q`.
-        // Every lane rewrites its entries at every cell; the entries past
-        // the word's last lane stay 0.
-        let mut tag_bytes = [[[0u8; LANE_WIDTH]; 2]; 2];
-        for cell in 0..cells {
-            let mut slot_occ = [0u64; 2];
-            for (r, (rng, coin)) in rngs.iter_mut().zip(coins).enumerate() {
-                let d = draw(cell as u32, coin, rng);
-                new_injected[r] += u64::from(d.packets);
-                new_unroutable[r] += u64::from(d.unroutable);
-                slot_occ[0] |= u64::from(d.packets > 0) << r;
-                slot_occ[1] |= u64::from(d.packets > 1) << r;
-                let [front, back] = d.tags;
-                tag_bytes[0][0][r] = front as u8;
-                tag_bytes[0][1][r] = (front >> 8) as u8;
-                tag_bytes[1][0][r] = back as u8;
-                tag_bytes[1][1][r] = (back >> 8) as u8;
-            }
-            // The switching pass drained stage 0, so the flush is a plain
-            // store — including the zero planes, which replaces a wholesale
-            // clear of the stage-0 tag region.
-            for (q, (bytes, occupied)) in tag_bytes.iter().zip(slot_occ).enumerate() {
-                let slot = cell * 2 + q;
-                occ[slot] = occupied;
-                write_planes(
-                    bytes,
-                    occupied,
-                    &mut tag[slot * conn_bits..(slot + 1) * conn_bits],
-                );
-            }
-        }
-        for r in 0..coins.len() {
-            offered[r] += new_injected[r] + new_unroutable[r];
-            injected[r] += new_injected[r];
-            unroutable[r] += new_unroutable[r];
-        }
-    }
-}
-
-/// The unbuffered engine's stage-0 slots as [`LaneStreams::inject`]'s
-/// target: the switching pass drained them, so a lane's `j`-th packet of a
-/// cycle takes slot `j` of its cell, and its tag planes are written whole.
-struct SlotAdmit<'a> {
-    occ: &'a mut [u64],
-    tag: &'a mut [u64],
-    conn_bits: usize,
-}
-
-impl Admit for SlotAdmit<'_> {
-    fn room(&mut self, _cell: usize, _r: usize) -> u32 {
-        2
-    }
-
-    fn admit(&mut self, cell: usize, r: usize, j: u32, packet_tag: u32) {
-        let slot = cell * 2 + j as usize;
-        self.occ[slot] |= 1 << r;
-        let planes = &mut self.tag[slot * self.conn_bits..(slot + 1) * self.conn_bits];
-        for (b, plane) in planes.iter_mut().enumerate() {
-            *plane = (*plane & !(1 << r)) | (u64::from(packet_tag >> b & 1) << r);
-        }
-    }
-}
-
 /// A word-packed engine running up to [`LANE_WIDTH`] independent unbuffered
 /// lanes of one scenario in lockstep, each lane a `(seed, offered load)`
 /// replication, over the fabric, sampler and fault runtime its batch built.
@@ -650,11 +804,9 @@ impl Admit for SlotAdmit<'_> {
 pub(crate) struct LaneEngine<'a> {
     fabric: &'a Fabric,
     config: &'a SimConfig,
-    /// The fabric's destination-tag table.
-    tags: &'a [u32],
     /// One independent ChaCha8 stream per lane, seeded exactly like the
-    /// scalar engine, with the lane's traffic sources and injection coin.
-    streams: LaneStreams,
+    /// scalar engine, with the lane's injection coin and ON/OFF chains.
+    streams: LaneStreams<'a>,
     /// Offered, injected, unroutable and delivered counts, and the cold per-lane
     /// metrics the fault-loss counters and per-stage exposure vectors land
     /// in directly; everything else is folded in from the vertical
@@ -668,9 +820,6 @@ pub(crate) struct LaneEngine<'a> {
     cells: usize,
     /// Tag bits consulted while switching (`stages - 1` port choices).
     conn_bits: usize,
-    /// Destination sampler of the traffic pattern, shared with the scalar
-    /// engine's draw path so both stay bit-identical.
-    sampler: &'a DestSampler,
     /// Queue occupancy, one word per slot: slot `(stage*cells + cell)*2 + q`
     /// holds position `q` (0 = front) of that cell's two-packet queue; bit
     /// `r` is set when replication `r` has a packet there.
@@ -696,33 +845,36 @@ pub(crate) struct LaneEngine<'a> {
 }
 
 impl<'a> LaneEngine<'a> {
-    /// Builds a packed engine for `lanes.len()` `(seed, offered load)` lanes
-    /// of one scenario, in output order, and rewinds the batch's fault
-    /// runtime to cycle 0. The lanes' loads replace `config.offered_load`.
+    /// Builds a packed engine for the lanes of `groups`, in output order,
+    /// and rewinds the batch's fault runtime to cycle 0. The groups' traffic
+    /// and the lanes' loads replace `config.traffic` and
+    /// `config.offered_load`.
     ///
-    /// The batch layer has checked everything: `config` is valid and
-    /// [`crate::batch::packed_eligible`], the word holds `1..=LANE_WIDTH`
-    /// lanes at loads in `[0, 1]`, the fabric routes by destination tag,
-    /// and `sampler` and `faults` were prepared for this fabric and config.
-    pub(crate) fn with_lanes(
+    /// The batch layer has checked everything: `config` is valid for every
+    /// group's traffic and packs, the word holds `1..=LANE_WIDTH` lanes at
+    /// loads in `[0, 1]`, the fabric routes by destination tag, and each
+    /// group's sampler and `faults` were prepared for this fabric.
+    pub(crate) fn with_groups(
         fabric: &'a Fabric,
         config: &'a SimConfig,
-        sampler: &'a DestSampler,
         mut faults: Option<&'a mut FaultRuntime>,
-        lanes: &[(u64, f64)],
+        groups: &[LaneGroup<'a>],
     ) -> Self {
+        let lanes: usize = groups.iter().map(|g| g.lanes.len()).sum();
         debug_assert!(
             config.buffer_mode == BufferMode::Unbuffered
-                && !config.traffic.is_trace()
-                && (1..=LANE_WIDTH).contains(&lanes.len())
+                && (1..=LANE_WIDTH).contains(&lanes)
                 && (2..=LANE_MAX_STAGES).contains(&fabric.stages())
-                && lanes.iter().all(|&(_, load)| (0.0..=1.0).contains(&load)),
+                && groups
+                    .iter()
+                    .flat_map(|g| g.lanes)
+                    .all(|&(_, load)| (0.0..=1.0).contains(&load)),
             "the batch layer packs only eligible words"
         );
         let Routing::Delta(table) = fabric.routing() else {
             unreachable!("the batch layer packs only delta fabrics");
         };
-        let streams = LaneStreams::new(&config.traffic, fabric.cells(), lanes);
+        let streams = LaneStreams::new(groups, &table.tag_of_destination, fabric.cells());
         if let Some(rt) = faults.as_deref_mut() {
             rt.rewind();
         }
@@ -740,24 +892,22 @@ impl<'a> LaneEngine<'a> {
         }
         LaneEngine {
             streams,
-            tally: LaneTally::new(lanes.len()),
+            tally: LaneTally::new(lanes),
             faults,
             cycle: 0,
-            lanes: lanes.len(),
+            lanes,
             stages,
             cells,
             conn_bits,
-            sampler,
             occ: vec![0; slots],
             tag: vec![0; slots * conn_bits],
             next,
-            occ_fault: vec![0; lanes.len()],
+            occ_fault: vec![0; lanes],
             vc_measured: VerticalCounter::default(),
             vc_despite: VerticalCounter::default(),
             vc_arb: (0..stages - 1)
                 .map(|_| VerticalCounter::default())
                 .collect(),
-            tags: &table.tag_of_destination,
             fabric,
             config,
         }
@@ -948,86 +1098,30 @@ impl<'a> LaneEngine<'a> {
         }
     }
 
-    /// Phase 3 — injection: per lane, the exact scalar draw order over
-    /// (cell ascending, terminal 0..2).
+    /// Phase 3 — injection through the word engines' one draw path
+    /// ([`LaneStreams::inject_cell`]), cell by cell.
     ///
     /// The switching pass always drains stage 0 (an unbuffered packet moves
-    /// or drops every cycle), so injection starts from empty source queues:
-    /// the scalar engine's full-queue refusal can never fire here, the two
-    /// terminals fill the front then the back slot, and each cell's slot
-    /// words and tag planes are rebuilt from scratch (so the flush
-    /// overwrites last cycle's stage-0 state with no separate clearing
-    /// pass). The destination-to-tag resolution is monomorphized per
-    /// traffic pattern and fault state. While no dead link or switch is
-    /// active it indexes the fabric's tag table directly, and the patterns
-    /// whose destination reads a fixed number of words
-    /// ([`DestSampler::fixed_words`]: uniform and Zipf one, a table none)
-    /// take the branch-free [`CellDraw::one_word`] path; hot-spot traffic
-    /// and fault reroutes take [`CellDraw::general`].
-    ///
-    /// ON/OFF chains keep per-terminal state in each lane's sources, so
-    /// they take the word engines' shared lane-major loop
-    /// ([`LaneStreams::inject`]) instead, writing each accepted packet
-    /// straight into its stage-0 slot.
+    /// or drops every cycle), so every cell has room for both terminals:
+    /// the scalar engine's full-queue refusal can never fire here, and a
+    /// lane's first and second accepted packets take the front and back
+    /// slot. Each cell's slot words and tag planes are rebuilt from scratch
+    /// — zero planes included — so the flush overwrites last cycle's
+    /// stage-0 state with no separate clearing pass. While a dead link or
+    /// switch is active, destinations resolve through the fault runtime's
+    /// reroute table.
     fn inject(&mut self, faults: Option<&FaultRuntime>) {
         debug_assert!(self.occ[..self.cells * 2].iter().all(|&w| w == 0));
-        let tags = self.tags;
-        let sampler = self.sampler;
         let reroute = faults.and_then(FaultRuntime::rerouting);
-        if self.config.traffic.is_stateful() {
-            let mut slots = SlotAdmit {
-                occ: &mut self.occ,
-                tag: &mut self.tag,
-                conn_bits: self.conn_bits,
-            };
-            let dest_tag = |cell, rng: &mut LaneRng| {
-                let destination = sampler.draw(cell, rng);
-                match reroute {
-                    Some(table) => table.tag(cell as usize, destination as usize),
-                    None => Some(tags[destination as usize]),
-                }
-            };
-            let (cycle, cells) = (self.cycle, self.cells);
+        let conn_bits = self.conn_bits;
+        let mut landing = Landing::new();
+        for cell in 0..self.cells {
             self.streams
-                .inject(cycle, cells, &mut self.tally, dest_tag, &mut slots);
-            return;
-        }
-        let ctx = InjectCtx {
-            cells: self.cells,
-            coins: &self.streams.coins,
-            conn_bits: self.conn_bits,
-            occ: &mut self.occ,
-            tag: &mut self.tag,
-            rngs: &mut self.streams.rngs,
-            offered: &mut self.tally.offered,
-            injected: &mut self.tally.injected,
-            unroutable: &mut self.tally.unroutable,
-        };
-        match (&self.config.traffic, reroute, sampler.fixed_words()) {
-            (TrafficPattern::Uniform, None, Some(1)) => {
-                let uniform = UniformCell::new(self.cells as u32);
-                let tag_of = |_, x| tags[uniform.draw(&mut OneWord(x)) as usize];
-                ctx.run(|cell, coin, rng| CellDraw::one_word::<1, _>(cell, coin, rng, &tag_of))
-            }
-            (_, None, Some(0)) => {
-                let tag_of = |cell, _| tags[sampler.draw(cell, &mut OneWord(0)) as usize];
-                ctx.run(|cell, coin, rng| CellDraw::one_word::<0, _>(cell, coin, rng, &tag_of))
-            }
-            (_, None, Some(1)) => {
-                let tag_of = |cell, x| tags[sampler.draw(cell, &mut OneWord(x)) as usize];
-                ctx.run(|cell, coin, rng| CellDraw::one_word::<1, _>(cell, coin, rng, &tag_of))
-            }
-            (_, None, _) => {
-                let mut dest_tag =
-                    |cell, rng: &mut LaneRng| Some(tags[sampler.draw(cell, rng) as usize]);
-                ctx.run(|cell, coin, rng| CellDraw::general(cell, coin, rng, &mut dest_tag))
-            }
-            (_, Some(table), _) => {
-                let mut dest_tag = |cell, rng: &mut LaneRng| {
-                    let destination = sampler.draw(cell, rng);
-                    table.tag(cell as usize, destination as usize)
-                };
-                ctx.run(|cell, coin, rng| CellDraw::general(cell, coin, rng, &mut dest_tag))
+                .inject_cell(cell, [!0; 2], reroute, &mut self.tally, &mut landing);
+            for q in 0..2 {
+                let slot = cell * 2 + q;
+                self.occ[slot] = landing.occupied[q];
+                landing.planes(q, &mut self.tag[slot * conn_bits..(slot + 1) * conn_bits]);
             }
         }
     }
@@ -1139,7 +1233,21 @@ mod tests {
     ) -> Vec<Metrics> {
         let fabric = Fabric::for_traffic(net.clone(), &config.traffic).unwrap();
         let (sampler, mut faults) = prepare(&fabric, config).unwrap();
-        LaneEngine::with_lanes(&fabric, config, &sampler, faults.as_mut(), lanes).run()
+        let group = one_group(config, &sampler, lanes);
+        LaneEngine::with_groups(&fabric, config, faults.as_mut(), &[group]).run()
+    }
+
+    /// All of a word's lanes as one group of the config's traffic.
+    fn one_group<'a>(
+        config: &'a SimConfig,
+        sampler: &'a DestSampler,
+        lanes: &'a [(u64, f64)],
+    ) -> LaneGroup<'a> {
+        LaneGroup {
+            traffic: &config.traffic,
+            sampler,
+            lanes,
+        }
     }
 
     /// One word of seeds at the configured load.
@@ -1293,7 +1401,8 @@ mod tests {
                 .with_traffic(traffic.clone())
                 .with_cycles(2 * stages as u64, 2);
             let (sampler, _) = prepare(&fabric, &config).unwrap();
-            let packed = LaneEngine::with_lanes(&fabric, &config, &sampler, None, &lanes).run();
+            let group = one_group(&config, &sampler, &lanes);
+            let packed = LaneEngine::with_groups(&fabric, &config, None, &[group]).run();
             for (metrics, &(seed, load)) in packed.iter().zip(&lanes) {
                 let config = config.clone().with_seed(seed).with_load(load);
                 let fresh =
@@ -1391,9 +1500,9 @@ mod tests {
                 match op {
                     0 => prop_assert_eq!(lane.next_u32(), reference.next_u32()),
                     1 => prop_assert_eq!(lane.next_u64(), reference.next_u64()),
-                    _ => match lane.peek() {
+                    _ => match lane.peek::<PEEK_WORDS>() {
                         Some(window) => {
-                            prop_assert_eq!(lane.peek(), Some(window));
+                            prop_assert_eq!(lane.peek::<PEEK_WORDS>(), Some(window));
                             for &word in &window[..words] {
                                 prop_assert_eq!(word, reference.next_u32());
                             }

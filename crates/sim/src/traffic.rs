@@ -802,6 +802,18 @@ impl TrafficSources {
         Bernoulli::new(p).expect("validated load and on rate")
     }
 
+    /// An ON/OFF source's exit coins, `[leave OFF, leave ON]` (indexed by
+    /// the chain's state); `None` for every other pattern. The word engines
+    /// step their lane-packed chains on these.
+    pub(crate) fn exit_coins(&self) -> Option<[Bernoulli; 2]> {
+        match self.kind {
+            SourceKind::OnOff {
+                exit_on, exit_off, ..
+            } => Some([exit_off, exit_on]),
+            _ => None,
+        }
+    }
+
     /// [`TrafficSources::offer`] with its injection coin built once by
     /// [`TrafficSources::coin`]: the same draws, in the same order.
     #[inline]

@@ -3,7 +3,8 @@
 //! [`run_word`] is the wormhole sibling of [`crate::lane::LaneEngine`]: one
 //! `(seed, offered load)` lane per bit of a `u64`, every lane a replication
 //! of one healthy, destination-tag-routed [`BufferMode::Wormhole`]
-//! scenario, all of them stepped through a single cycle loop. It
+//! scenario under its group's traffic pattern, all of them stepped through
+//! a single cycle loop. It
 //! reproduces [`crate::switch::WormholeCore`] driven by
 //! [`crate::Simulator`], bit for bit and lane by lane.
 //!
@@ -36,32 +37,33 @@
 //!
 //! # Why this is exact
 //!
-//! Every lane owns its ChaCha8 stream and its traffic sources, and draws
+//! Every lane owns its ChaCha8 stream and its traffic state, and draws
 //! what the scalar engine draws, in the scalar order: an arbitration draw
 //! `gen_range(0..count)` in (stage descending, cell ascending, port 0
 //! before port 1) order, only where that lane has two or more candidates
 //! for the port; then the injection offers and destination draws in (cell
-//! ascending, terminal) order, through the loop all word engines share
-//! ([`LaneStreams::inject`]), which hands each accepted packet to the first
-//! free channel of its cell. Nothing else depends on the seed or the
+//! ascending, terminal) order, through the one cell-major loop all word
+//! engines share ([`LaneStreams::inject_cell`]). The cell's `ACTIVE` words
+//! give each lane's room and its first and second free channel, which take
+//! its first and second accepted packet. Nothing else depends on the seed or the
 //! load, so the shared fabric tables serve every lane. Within one cycle the
 //! metric updates are sums and histogram increments, so the order in which
 //! bits are visited does not matter.
 //!
-//! The engine is crate-private: [`crate::batch::run_replications`] hands it
-//! a word only for a batch of at least [`WORM_THRESHOLD`] lanes of a
+//! The engine is crate-private: [`crate::batch::run_bundle`] hands it a
+//! word only for a batch of at least [`WORM_THRESHOLD`] lanes of a
 //! wormhole config with an empty fault plan, stateless or ON/OFF traffic
 //! and at most [`WORM_MAX_LANES`] channels per cell, on a fabric that
-//! routes by destination tag. Destination-tag routing delivers
+//! routes by destination tag; the batch's lanes may span several traffic
+//! patterns. Destination-tag routing delivers
 //! every worm to its tag's destination, so the scalar misroute audit is the
 //! constant zero here, and with no fault plan nothing is ever dropped.
 
 use crate::batch::LANE_MAX_STAGES;
 use crate::config::{BufferMode, SimConfig};
 use crate::fabric::{Fabric, Routing};
-use crate::lane::{Admit, LaneStreams, LaneTally, VerticalCounter, LANE_WIDTH};
+use crate::lane::{Landing, LaneGroup, LaneStreams, LaneTally, VerticalCounter, LANE_WIDTH};
 use crate::metrics::Metrics;
-use crate::traffic::DestSampler;
 use rand::RngCore;
 
 /// Most virtual channels per cell the packed wormhole engine accepts, the
@@ -84,20 +86,17 @@ const ACTIVE: usize = 0;
 const ROUTED: usize = 1;
 const HELD: usize = 2;
 
-/// Runs one word of `(seed, offered load)` lanes of a wormhole scenario
-/// and returns one [`Metrics`] per lane, in the order the lanes were given.
+/// Runs one word of `(seed, offered load)` lanes of a wormhole scenario,
+/// in traffic groups, and returns one [`Metrics`] per lane, in the order
+/// the lanes were given.
 ///
-/// The batch layer has checked everything: `config` is valid, in wormhole
-/// mode with at most [`WORM_MAX_LANES`] channels per cell, an empty fault
-/// plan and no trace replay; the word holds `1..=LANE_WIDTH` lanes at
-/// loads in `[0, 1]`; the fabric routes by destination tag and `sampler`
-/// was prepared for it.
-pub(crate) fn run_word(
-    fabric: &Fabric,
-    config: &SimConfig,
-    sampler: &DestSampler,
-    lanes: &[(u64, f64)],
-) -> Vec<Metrics> {
+/// The batch layer has checked everything: `config` is valid for every
+/// group's traffic, in wormhole mode with at most [`WORM_MAX_LANES`]
+/// channels per cell and an empty fault plan, and no group replays a
+/// trace; the word holds `1..=LANE_WIDTH` lanes at loads in `[0, 1]`; the
+/// fabric routes by destination tag and each group's sampler was prepared
+/// for it.
+pub(crate) fn run_word(fabric: &Fabric, config: &SimConfig, groups: &[LaneGroup]) -> Vec<Metrics> {
     let BufferMode::Wormhole {
         lanes: channels, ..
     } = config.buffer_mode
@@ -105,10 +104,10 @@ pub(crate) fn run_word(
         unreachable!("the batch layer packs only wormhole words here");
     };
     match channels {
-        1 => WormEngine::<1>::new(fabric, config, sampler, lanes).run(),
-        2 => WormEngine::<2>::new(fabric, config, sampler, lanes).run(),
-        3 | 4 => WormEngine::<4>::new(fabric, config, sampler, lanes).run(),
-        _ => WormEngine::<8>::new(fabric, config, sampler, lanes).run(),
+        1 => WormEngine::<1>::new(fabric, config, groups).run(),
+        2 => WormEngine::<2>::new(fabric, config, groups).run(),
+        3 | 4 => WormEngine::<4>::new(fabric, config, groups).run(),
+        _ => WormEngine::<8>::new(fabric, config, groups).run(),
     }
 }
 
@@ -203,56 +202,16 @@ fn pick<const SPAN: u64>(rng: &mut impl RngCore) -> usize {
     }
 }
 
-/// The first-stage channels as [`LaneStreams::inject`]'s target: a lane's
-/// accepted packet claims the first channel of its cell that neither an
-/// older worm nor an earlier packet of this cycle holds.
-struct FreeChannels<'a, const L: usize> {
-    slots: &'a [u64],
-    stride: usize,
-    conn_bits: usize,
-    cycle: u64,
-    claims: &'a mut [u64],
-    new_tags: &'a mut [u64],
-    born: &'a mut [u64],
-    /// The channels of the cell being offered to that the lane finds taken.
-    taken: u64,
-}
-
-impl<const L: usize> Admit for FreeChannels<'_, L> {
-    fn room(&mut self, cell: usize, r: usize) -> u32 {
-        self.taken = 0;
-        for l in 0..L {
-            self.taken |= (self.slots[(cell * L + l) * self.stride + ACTIVE] >> r & 1) << l;
-        }
-        L as u32 - self.taken.count_ones()
-    }
-
-    fn admit(&mut self, cell: usize, r: usize, _j: u32, packet_tag: u32) {
-        let l = (!self.taken).trailing_zeros() as usize;
-        self.taken |= 1 << l;
-        let k = cell * L + l;
-        self.claims[k] |= 1 << r;
-        let planes = &mut self.new_tags[k * self.conn_bits..(k + 1) * self.conn_bits];
-        for (b, plane) in planes.iter_mut().enumerate() {
-            *plane |= u64::from(packet_tag >> b & 1) << r;
-        }
-        self.born[k * LANE_WIDTH + r] = self.cycle;
-    }
-}
-
 /// A word-packed engine running up to [`LANE_WIDTH`] wormhole lanes of one
 /// scenario in lockstep, with its cells' channels padded to `L`.
 #[derive(Debug)]
 struct WormEngine<'a, const L: usize> {
     config: &'a SimConfig,
-    sampler: &'a DestSampler,
-    /// The fabric's destination-tag table.
-    tags: &'a [u32],
     /// Downstream cell reached from `(stage, cell, port)`, entry
     /// `(stage * cells + cell) * 2 + port`.
     next: Vec<u32>,
-    /// Each lane's stream, traffic sources and injection coin.
-    streams: LaneStreams,
+    /// Each lane's stream, injection coin and ON/OFF chains.
+    streams: LaneStreams<'a>,
     /// Offered and injected packets, delivered worms and the per-lane
     /// metrics that latencies are recorded into.
     tally: LaneTally,
@@ -273,10 +232,6 @@ struct WormEngine<'a, const L: usize> {
     /// Slot records, slot `(stage * cells + cell) * L + l` at
     /// `slot * stride`.
     slots: Vec<u64>,
-    /// Injection scratch: the lanes claiming each first-stage slot this
-    /// cycle, and their tag planes (`stages - 1` per slot).
-    claims: Vec<u64>,
-    new_tags: Vec<u64>,
     /// Injection cycle of the worm holding each slot, per lane:
     /// `born[slot * LANE_WIDTH + r]`.
     born: Vec<u64>,
@@ -290,12 +245,7 @@ struct WormEngine<'a, const L: usize> {
 }
 
 impl<'a, const L: usize> WormEngine<'a, L> {
-    fn new(
-        fabric: &'a Fabric,
-        config: &'a SimConfig,
-        sampler: &'a DestSampler,
-        lanes: &[(u64, f64)],
-    ) -> Self {
+    fn new(fabric: &'a Fabric, config: &'a SimConfig, groups: &[LaneGroup<'a>]) -> Self {
         let BufferMode::Wormhole {
             lanes: channels,
             lane_depth,
@@ -304,11 +254,11 @@ impl<'a, const L: usize> WormEngine<'a, L> {
         else {
             unreachable!("the batch layer packs only wormhole words here");
         };
+        let lanes: usize = groups.iter().map(|g| g.lanes.len()).sum();
         debug_assert!(
             config.fault_plan.is_empty()
-                && !config.traffic.is_trace()
                 && (1..=L).contains(&channels)
-                && (1..=LANE_WIDTH).contains(&lanes.len())
+                && (1..=LANE_WIDTH).contains(&lanes)
                 && (2..=LANE_MAX_STAGES).contains(&fabric.stages()),
             "the batch layer packs only eligible words"
         );
@@ -342,11 +292,9 @@ impl<'a, const L: usize> WormEngine<'a, L> {
         }
         WormEngine {
             config,
-            sampler,
-            tags: &table.tag_of_destination,
             next,
-            streams: LaneStreams::new(&config.traffic, cells, lanes),
-            tally: LaneTally::new(lanes.len()),
+            streams: LaneStreams::new(groups, &table.tag_of_destination, cells),
+            tally: LaneTally::new(lanes),
             cycle: 0,
             stages,
             cells,
@@ -358,8 +306,6 @@ impl<'a, const L: usize> WormEngine<'a, L> {
             out,
             stride,
             slots: records,
-            claims: vec![0; cells * L],
-            new_tags: vec![0; cells * L * (stages - 1)],
             born: vec![0; slots * LANE_WIDTH],
             vc_flits: VerticalCounter::default(),
             vc_stalls: VerticalCounter::default(),
@@ -654,54 +600,65 @@ impl<'a, const L: usize> WormEngine<'a, L> {
         self.vc_active.remove(released);
     }
 
-    /// Phase 3 — injection through the word engines' shared loop
-    /// ([`LaneStreams::inject`]): an accepted packet becomes a worm whose
-    /// head flit sits in the first free channel of its source cell. The
-    /// claims of all lanes gather in per-slot words and land in the slot
-    /// records once per cycle.
+    /// Phase 3 — injection through the word engines' one draw path
+    /// ([`LaneStreams::inject_cell`]), cell by cell: an accepted packet
+    /// becomes a worm whose head flit sits in the first channel of its
+    /// source cell that neither an older worm nor an earlier packet of this
+    /// cycle holds. The cell's `ACTIVE` words give each lane's first and
+    /// second free channel as masks, and with them its room.
     fn inject(&mut self) {
         let conn_bits = self.stages - 1;
-        let stride = self.stride;
-        self.claims.fill(0);
-        self.new_tags.fill(0);
-        let mut channels = FreeChannels::<L> {
-            slots: &self.slots,
-            stride,
-            conn_bits,
-            cycle: self.cycle,
-            claims: &mut self.claims,
-            new_tags: &mut self.new_tags,
-            born: &mut self.born,
-            taken: 0,
-        };
-        let (sampler, tags) = (self.sampler, self.tags);
-        self.streams.inject(
-            self.cycle,
-            self.cells,
-            &mut self.tally,
-            |cell, rng| Some(tags[sampler.draw(cell, rng) as usize]),
-            &mut channels,
-        );
-        let (receive, tag, flits) = (self.receive, self.tag, self.flits);
-        for k in 0..self.cells * L {
-            let c = self.claims[k];
-            if c == 0 {
+        let (stride, receive, tag, flits) = (self.stride, self.receive, self.tag, self.flits);
+        let mut landing = Landing::new();
+        let mut planes = [[0u64; LANE_MAX_STAGES - 1]; 2];
+        for cell in 0..self.cells {
+            let base = cell * L;
+            // `free[0][l]` holds the lanes whose first free channel is `l`,
+            // `free[1][l]` those whose second is; `one` and `two` the lanes
+            // with at least one and two free channels so far.
+            let mut free = [[0u64; L]; 2];
+            let (mut one, mut two) = (0u64, 0u64);
+            for l in 0..L {
+                let idle = !self.slots[(base + l) * stride + ACTIVE];
+                free[0][l] = idle & !one;
+                free[1][l] = idle & one & !two;
+                two |= idle & one;
+                one |= idle;
+            }
+            self.streams
+                .inject_cell(cell, [one, two], None, &mut self.tally, &mut landing);
+            if landing.occupied[0] == 0 {
                 continue;
             }
-            let rec = &mut self.slots[k * stride..(k + 1) * stride];
-            rec[ACTIVE] |= c;
-            rec[ROUTED] &= !c;
-            // The head flit enters with the packet; the rest of the worm
-            // streams in from the staging buffer.
-            assign(&mut rec[HELD..receive], c, 1);
-            assign(&mut rec[receive..tag], c, flits - 1);
-            for (b, &plane) in self.new_tags[k * conn_bits..(k + 1) * conn_bits]
-                .iter()
-                .enumerate()
-            {
-                rec[tag + b] = (rec[tag + b] & !c) | plane;
+            for (q, planes) in planes.iter_mut().enumerate() {
+                landing.planes(q, &mut planes[..conn_bits]);
             }
-            self.vc_active.add(c);
+            for l in 0..L {
+                let from = [0, 1].map(|q| landing.occupied[q] & free[q][l]);
+                let c = from[0] | from[1];
+                if c == 0 {
+                    continue;
+                }
+                let k = base + l;
+                let rec = &mut self.slots[k * stride..(k + 1) * stride];
+                rec[ACTIVE] |= c;
+                rec[ROUTED] &= !c;
+                // The head flit enters with the packet; the rest of the worm
+                // streams in from the staging buffer.
+                assign(&mut rec[HELD..receive], c, 1);
+                assign(&mut rec[receive..tag], c, flits - 1);
+                for b in 0..conn_bits {
+                    let plane = (planes[0][b] & from[0]) | (planes[1][b] & from[1]);
+                    rec[tag + b] = (rec[tag + b] & !c) | plane;
+                }
+                self.vc_active.add(c);
+                let mut bits = c;
+                while bits != 0 {
+                    let r = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.born[k * LANE_WIDTH + r] = self.cycle;
+                }
+            }
         }
     }
 
@@ -758,7 +715,12 @@ mod tests {
         let fabric = Fabric::for_traffic(net.clone(), &config.traffic).unwrap();
         let (sampler, faults) = prepare(&fabric, config).unwrap();
         assert!(faults.is_none());
-        run_word(&fabric, config, &sampler, lanes)
+        let group = LaneGroup {
+            traffic: &config.traffic,
+            sampler: &sampler,
+            lanes,
+        };
+        run_word(&fabric, config, &[group])
     }
 
     fn assert_matches_scalar(net: &ConnectionNetwork, config: &SimConfig, lanes: &[(u64, f64)]) {
