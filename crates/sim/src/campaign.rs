@@ -386,8 +386,8 @@ impl CampaignConfig {
     ///
     /// One pass moves each scenario into its shard, finding its bundle by
     /// index arithmetic; eligibility is decided once per bundle, and no
-    /// fabric is built (a non-delta fabric takes [`crate::batch::run_replications`]'
-    /// scalar fallback).
+    /// fabric is built (a non-delta fabric takes
+    /// [`crate::batch::run_bundle`]'s scalar fallback).
     pub fn plan_chunked(&self, points_per_shard: usize) -> Result<CampaignPlan, CampaignError> {
         if points_per_shard == 0 {
             return Err(CampaignError::ZeroShardSize);
@@ -400,9 +400,6 @@ impl CampaignConfig {
         // load.
         let plans = self.fault_plans.len();
         let step = self.buffer_modes.len() * plans;
-        let bundles_traffic: Vec<bool> = (0..step)
-            .map(|column| bundles_traffic(self.buffer_modes[column / plans]))
-            .collect();
         // Each pattern's position among the patterns a buffered bundle
         // gathers (all but trace replay).
         let mut gathered = 0;
@@ -438,7 +435,7 @@ impl CampaignConfig {
                 let traffic = point / (step * loads) % patterns;
                 let cell = point / (step * loads * patterns);
                 let (t, lanes, lane) = match rank[traffic] {
-                    Some(rank) if bundles_traffic[column] => (
+                    Some(rank) if bundles_traffic(self.buffer_modes[column / plans]) => (
                         patterns,
                         gathered * loads * reps,
                         (rank * loads + load) * reps,

@@ -525,20 +525,23 @@ impl GroupCell<'_> {
             &mut tally.injected[start..end],
         );
         let unroutable = &mut tally.unroutable[start..end];
+        let mut occupied = [0u64; 2];
         for r in start..end {
             let lane_room = [room[0] >> r & 1 == 1, room[1] >> r & 1 == 1];
             let d = draw(lane_room, &coins[r], &mut rngs[r], r);
             offered[r - start] += u64::from(d.offered);
             injected[r - start] += u64::from(d.packets);
             unroutable[r - start] += u64::from(d.unroutable);
-            landing.occupied[0] |= u64::from(d.packets > 0) << r;
-            landing.occupied[1] |= u64::from(d.packets > 1) << r;
+            occupied[0] |= u64::from(d.packets > 0) << r;
+            occupied[1] |= u64::from(d.packets > 1) << r;
             let [front, back] = d.tags;
             landing.bytes[0][0][r] = front as u8;
             landing.bytes[0][1][r] = (front >> 8) as u8;
             landing.bytes[1][0][r] = back as u8;
             landing.bytes[1][1][r] = (back >> 8) as u8;
         }
+        landing.occupied[0] |= occupied[0];
+        landing.occupied[1] |= occupied[1];
     }
 
     /// [`GroupCell::run`] where `draw` also steps the lane's two ON/OFF
