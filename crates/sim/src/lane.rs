@@ -45,13 +45,15 @@
 //!   lane has a same-port conflict), so the streams stay aligned. A word's
 //!   lanes come as contiguous traffic groups ([`LaneGroup`]), and the
 //!   injection walks cells, each group's lanes running the group's own
-//!   draw: uniform, table and ON/OFF groups decide a cell's two terminals
-//!   on peeked words without a branch and then take exactly the words the
-//!   scalar draws read ([`CellDraw::one_word`], [`CellDraw::on_off`]);
-//!   Zipf and hot-spot traffic, fault reroutes and the few cells that
-//!   straddle a buffer end draw word by word in the scalar order instead
-//!   ([`CellDraw::general`]), reading a destination only for an accepted
-//!   packet. ON/OFF chain state is one lane-packed word per terminal.
+//!   draw: uniform, table, Zipf and ON/OFF groups decide a cell's two
+//!   terminals on peeked words and then take exactly the words the scalar
+//!   draws read ([`CellDraw::one_word`], [`CellDraw::on_off`]), all but
+//!   Zipf without a branch (a Zipf destination is searched only for an
+//!   accepted packet); hot-spot traffic, fault reroutes and the few cells
+//!   that straddle a buffer end draw word by word in the scalar order
+//!   instead ([`CellDraw::general`]), reading a destination only for an
+//!   accepted packet. ON/OFF chain state is one lane-packed word per
+//!   terminal.
 //! * **Per-lane injection thresholds.** The offered load enters the model
 //!   only through the injection coin, one `next_u64` compared against a
 //!   threshold. Each lane holds its own [`Bernoulli`] coin, built once from
@@ -311,9 +313,12 @@ enum Fast {
     /// Stateless offers to a destination that reads no word (a table),
     /// decided the same way.
     Table,
+    /// Stateless offers to a Zipf destination, decided on peeked words,
+    /// the destination searched only for an accepted packet.
+    Zipf,
     /// The scalar order, a destination drawn only for an accepted packet
-    /// ([`CellDraw::general`]): Zipf and hot-spot traffic, whose
-    /// destinations a refused offer never reads.
+    /// ([`CellDraw::general`]): hot-spot traffic, whose draw reads a
+    /// varying number of words.
     General,
 }
 
@@ -398,6 +403,7 @@ impl<'a> LaneStreams<'a> {
                 let fast = match (exits, group.sampler.fixed_words()) {
                     (None, Some(0)) => Fast::Table,
                     (_, Some(1)) if uniform => Fast::Uniform,
+                    (None, Some(1)) => Fast::Zipf,
                     _ => Fast::General,
                 };
                 Group {
@@ -431,9 +437,10 @@ impl<'a> LaneStreams<'a> {
     /// in `landing`.
     ///
     /// Each group runs its own monomorphized lane loop. With no reroute,
-    /// uniform, table and ON/OFF groups decide both terminals on peeked
-    /// words without a branch; Zipf, hot-spot and rerouted draws take the
-    /// scalar order, reading a destination only for an accepted packet.
+    /// uniform, table, Zipf and ON/OFF groups decide both terminals on
+    /// peeked words, Zipf searching a destination only for an accepted
+    /// packet; hot-spot and rerouted draws take the scalar order, reading a
+    /// destination only for an accepted packet.
     #[inline]
     pub(crate) fn inject_cell(
         &mut self,
@@ -472,14 +479,20 @@ impl<'a> LaneStreams<'a> {
                             CellDraw::on_off(c, room, coin, &exits, on, rng, &tag_of)
                         }),
                         None => lanes.run(|room, coin, rng, _| {
-                            CellDraw::one_word::<1, _>(c, room, coin, rng, &tag_of)
+                            CellDraw::one_word::<1, false, _>(c, room, coin, rng, &tag_of)
                         }),
                     }
                 }
                 (None, Fast::Table) => {
                     let tag_of = |cell, _| tags[sampler.draw(cell, &mut OneWord(0)) as usize];
                     lanes.run(|room, coin, rng, _| {
-                        CellDraw::one_word::<0, _>(c, room, coin, rng, &tag_of)
+                        CellDraw::one_word::<0, false, _>(c, room, coin, rng, &tag_of)
+                    });
+                }
+                (None, Fast::Zipf) => {
+                    let tag_of = |cell, x| tags[sampler.draw(cell, &mut OneWord(x)) as usize];
+                    lanes.run(|room, coin, rng, _| {
+                        CellDraw::one_word::<1, true, _>(c, room, coin, rng, &tag_of)
                     });
                 }
                 (None, Fast::General) => lanes.chained(chains, |room, coin, rng, on| {
@@ -660,14 +673,17 @@ impl CellDraw {
     }
 
     /// The draws of two stateless terminals whose destination always
-    /// routes and reads exactly `W` words, zero or one, decided without a
-    /// branch: both coins and both candidate destinations are evaluated on
+    /// routes and reads exactly `W` words, zero or one, decided on one
+    /// peek: both coins and both candidate destinations are evaluated on
     /// peeked words, then exactly the words the general draw would read are
-    /// taken. `tag_of` maps a source cell and a destination word to the
-    /// routing tag. Near the end of the buffer, where a peek comes back
-    /// short, the same draws run word by word instead.
+    /// taken. A `LAZY` draw evaluates a candidate destination only for an
+    /// accepted packet, for a `tag_of` too costly to waste on a refused
+    /// offer (a Zipf search); otherwise the draw takes no branch. `tag_of`
+    /// maps a source cell and a destination word to the routing tag. Near
+    /// the end of the buffer, where a peek comes back short, the same draws
+    /// run word by word instead.
     #[inline]
-    fn one_word<const W: usize, T: Fn(u32, u64) -> u32>(
+    fn one_word<const W: usize, const LAZY: bool, T: Fn(u32, u64) -> u32>(
         cell: u32,
         room: [bool; 2],
         coin: &Bernoulli,
@@ -685,8 +701,12 @@ impl CellDraw {
         let i1 = 1 + W * usize::from(a0);
         let c1 = coin.sample(&mut OneWord(x[i1]));
         let a1 = c1 & room[usize::from(a0)];
-        let t0 = tag_of(cell, x[1]);
-        let t1 = tag_of(cell, x[i1 + W]);
+        let t0 = if LAZY && !a0 { 0 } else { tag_of(cell, x[1]) };
+        let t1 = if LAZY && !a1 {
+            0
+        } else {
+            tag_of(cell, x[i1 + W])
+        };
         let packets = u32::from(a0) + u32::from(a1);
         rng.take(2 * (2 + W * packets as usize));
         CellDraw {
