@@ -286,9 +286,9 @@ impl RngCore for OneWord {
     }
 }
 
-/// The `u64` words of a peek, in draw order.
+/// The `X = N / 2` `u64` draws of an `N`-word peek, in draw order.
 #[inline(always)]
-fn words<const N: usize, const W: usize>(peek: [u32; N]) -> [u64; W] {
+fn words<const N: usize, const X: usize>(peek: [u32; N]) -> [u64; X] {
     std::array::from_fn(|i| u64::from(peek[2 * i + 1]) << 32 | u64::from(peek[2 * i]))
 }
 

@@ -120,6 +120,7 @@ def summarize(pairs, better):
 
 def record(args):
     scratch = args.scratch or tempfile.mkdtemp(prefix="bench_record.")
+    print(f"bench_record: building and running in {scratch}", file=sys.stderr)
     base_sha, base_path = export(args.base, scratch)
     head_sha, head_path = export(args.head, scratch)
     seeds = [int(s) for s in args.seeds.split(",")]
