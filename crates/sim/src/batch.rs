@@ -6,11 +6,11 @@
 //! list of `(seed, offered load)` lanes of one scenario — one grid point's
 //! replications, or a whole load curve's — and a bundle is several such
 //! curves that differ only in traffic pattern. [`run_replications`] runs a
-//! batch as a bundle of one curve through [`run_bundle`], which does the
-//! setup once: it checks every lane load and each curve's config, builds
-//! the fabric (once, for a delta network), and prepares each traffic's
-//! destination sampler and the fault runtime. Then it picks the engine
-//! from what it holds. A batch of at least
+//! batch as a bundle of one curve through the crate-private `run_bundle`,
+//! which does the setup once: it checks every lane load and each curve's
+//! config, builds the fabric (once, for a delta network), prepares each
+//! traffic's destination sampler, and builds the fault runtime once. Then
+//! it picks the engine from what it holds. A batch of at least
 //! [`LANE_THRESHOLD`] lanes on a destination-tag routed fabric of at most
 //! [`LANE_MAX_STAGES`] stages runs word-packed, 64 lanes per `u64` whatever
 //! their loads and, in a bundle, their traffic patterns, in one of three
@@ -34,7 +34,7 @@
 //! byte-for-byte report determinism gate.
 
 use crate::config::{BufferMode, ConfigError, SimConfig};
-use crate::engine::{prepare, SimError, Simulator};
+use crate::engine::{fault_runtime, sampler, SimError, Simulator};
 use crate::fabric::{Fabric, Routing};
 use crate::fault::FaultRuntime;
 use crate::fifo::{self, FIFO_MAX_DEPTH, FIFO_THRESHOLD};
@@ -68,32 +68,43 @@ pub fn packed_eligible(config: &SimConfig, stages: usize, replications: usize) -
         && (2..=LANE_MAX_STAGES).contains(&stages)
 }
 
+/// Fewest lanes a batch of this workload packs at: [`LANE_THRESHOLD`] for
+/// unbuffered work with stateless traffic, `ON_OFF_THRESHOLD` for
+/// unbuffered ON/OFF work, `FIFO_THRESHOLD` and `WORM_THRESHOLD` for FIFO
+/// and wormhole work. The campaign planner also keeps a bundle's last
+/// remainder shorter than this in its previous word.
+pub(crate) fn pack_threshold(config: &SimConfig) -> usize {
+    match config.buffer_mode {
+        BufferMode::Unbuffered if matches!(config.traffic, TrafficPattern::OnOff { .. }) => {
+            ON_OFF_THRESHOLD
+        }
+        BufferMode::Unbuffered => LANE_THRESHOLD,
+        BufferMode::Fifo(_) => FIFO_THRESHOLD,
+        BufferMode::Wormhole { .. } => WORM_THRESHOLD,
+    }
+}
+
 /// Whether a batch of `replications` lanes of this workload runs
 /// word-packed on a destination-tag routed fabric of at most
-/// [`LANE_MAX_STAGES`] stages: the unbuffered work [`packed_eligible`]
-/// admits, unbuffered ON/OFF work of at least `ON_OFF_THRESHOLD` lanes
-/// (faults included), or healthy buffered work — an empty fault plan and no
-/// trace replay (its schedule would be copied per lane) — that is FIFO of
-/// at most `FIFO_MAX_DEPTH` packets per port and at least `FIFO_THRESHOLD`
-/// lanes, or wormhole of at most `WORM_MAX_LANES` channels per cell and at
-/// least `WORM_THRESHOLD` lanes. A pure function of the config, so the
-/// campaign planner gathers such curves into words without building a
+/// [`LANE_MAX_STAGES`] stages: at least [`pack_threshold`] lanes of the
+/// unbuffered work [`packed_eligible`] admits, of unbuffered ON/OFF work
+/// (faults included), or of healthy buffered work — an empty fault plan and
+/// no trace replay (its schedule would be copied per lane) — that is FIFO
+/// of at most `FIFO_MAX_DEPTH` packets per port or wormhole of at most
+/// `WORM_MAX_LANES` channels per cell. A pure function of the config, so
+/// the campaign planner gathers such curves into words without building a
 /// fabric.
 pub(crate) fn packs(config: &SimConfig, stages: usize, replications: usize) -> bool {
     let healthy = config.fault_plan.is_empty() && !config.traffic.is_trace();
     (2..=LANE_MAX_STAGES).contains(&stages)
+        && replications >= pack_threshold(config)
         && match config.buffer_mode {
             BufferMode::Unbuffered => {
-                packed_eligible(config, stages, replications)
+                !config.traffic.is_stateful()
                     || matches!(config.traffic, TrafficPattern::OnOff { .. })
-                        && replications >= ON_OFF_THRESHOLD
             }
-            BufferMode::Fifo(depth) => {
-                healthy && depth <= FIFO_MAX_DEPTH && replications >= FIFO_THRESHOLD
-            }
-            BufferMode::Wormhole { lanes, .. } => {
-                healthy && lanes <= WORM_MAX_LANES && replications >= WORM_THRESHOLD
-            }
+            BufferMode::Fifo(depth) => healthy && depth <= FIFO_MAX_DEPTH,
+            BufferMode::Wormhole { lanes, .. } => healthy && lanes <= WORM_MAX_LANES,
         }
 }
 
@@ -116,13 +127,12 @@ pub fn run_replications(
 }
 
 /// One curve of a bundle, set up: its lanes, its config (the curve's
-/// traffic, its first lane's seed and load), sampler and fault runtime, and
-/// its own fabric unless it shares the bundle's delta fabric.
+/// traffic, its first lane's seed and load) and sampler, and its own
+/// fabric unless it shares the bundle's delta fabric.
 struct Curve<'l> {
     lanes: &'l [(u64, f64)],
     config: SimConfig,
     sampler: DestSampler,
-    faults: Option<FaultRuntime>,
     fabric: Option<Fabric>,
 }
 
@@ -133,20 +143,22 @@ struct Curve<'l> {
 ///
 /// Each curve is checked as [`run_replications`] checks a batch, in curve
 /// order; the first error comes back with its curve's position. A delta
-/// fabric routes every traffic alike, so it is built once. When every
-/// curve packs at the bundle's lane count on a delta fabric, the lanes are
-/// cut into 64-lane words in curve order, so one word may carry several
-/// patterns as contiguous groups; otherwise each curve runs on its own
-/// scalar [`Simulator`], rewound per lane.
-pub fn run_bundle(
+/// fabric routes every traffic alike, so it is built once, and the fault
+/// runtime, which depends on the plan and the network alone, is built once
+/// and passed from curve to curve with the reroute epochs it cached. When
+/// every curve packs at the bundle's lane count on a delta fabric, the
+/// lanes are cut into 64-lane words in curve order, so one word may carry
+/// several patterns as contiguous groups; otherwise each curve runs on its
+/// own scalar [`Simulator`], rewound per lane.
+pub(crate) fn run_bundle(
     net: &ConnectionNetwork,
     config: &SimConfig,
     curves: &[(&TrafficPattern, &[(u64, f64)])],
 ) -> Result<Vec<Metrics>, (usize, SimError)> {
-    let mut shared: Option<Fabric> = None;
+    let (mut shared, mut faults) = (None, None);
     let mut set_up = Vec::with_capacity(curves.len());
     for (i, &(traffic, lanes)) in curves.iter().enumerate() {
-        let curve = set_up_curve(net, config, traffic, lanes, &mut shared);
+        let curve = set_up_curve(net, config, traffic, lanes, &mut shared, &mut faults);
         set_up.extend(curve.map_err(|error| (i, error))?);
     }
     let total: usize = curves.iter().map(|(_, lanes)| lanes.len()).sum();
@@ -156,8 +168,6 @@ pub fn run_bundle(
         set_up.iter().all(|c| packs(&c.config, stages, total))
     };
     if let Some(fabric) = shared.as_ref().filter(packed) {
-        // The fault runtime depends on the plan alone: one serves the word.
-        let mut faults = set_up[0].faults.take();
         let config = &set_up[0].config;
         for start in (0..total).step_by(LANE_WIDTH) {
             let groups = word_groups(&set_up, start..total.min(start + LANE_WIDTH));
@@ -173,24 +183,27 @@ pub fn run_bundle(
     }
     for curve in set_up {
         let fabric = curve.fabric.or_else(|| shared.clone()).expect("a fabric");
-        let mut sim = Simulator::prepared(fabric, curve.config, curve.sampler, curve.faults);
+        let mut sim = Simulator::prepared(fabric, curve.config, curve.sampler, faults);
         out.extend(curve.lanes.iter().map(|&(seed, load)| {
             sim.rewind(seed, load);
             sim.run()
         }));
+        faults = sim.into_faults();
     }
     Ok(out)
 }
 
 /// Checks and sets up one curve of a bundle in [`run_replications`]' error
 /// order, building its fabric unless the delta fabric in `shared` serves
-/// it; an empty curve checks nothing and sets up nothing.
+/// it, and the bundle's fault runtime into `faults` unless an earlier
+/// curve built it; an empty curve checks nothing and sets up nothing.
 fn set_up_curve<'l>(
     net: &ConnectionNetwork,
     config: &SimConfig,
     traffic: &TrafficPattern,
     lanes: &'l [(u64, f64)],
     shared: &mut Option<Fabric>,
+    faults: &mut Option<FaultRuntime>,
 ) -> Result<Option<Curve<'l>>, SimError> {
     if let Some(&(_, load)) = lanes.iter().find(|(_, load)| !(0.0..=1.0).contains(load)) {
         return Err(ConfigError::InvalidLoad(load).into());
@@ -209,10 +222,11 @@ fn set_up_curve<'l>(
         Some(_) => None,
         None => Some(Fabric::for_traffic(net.clone(), traffic)?),
     };
-    let (sampler, faults) = prepare(
-        fabric.as_ref().or(shared.as_ref()).expect("a fabric"),
-        &config,
-    )?;
+    let built = fabric.as_ref().or(shared.as_ref()).expect("a fabric");
+    let sampler = sampler(built, &config)?;
+    if faults.is_none() {
+        *faults = fault_runtime(built, &config)?;
+    }
     if fabric
         .as_ref()
         .is_some_and(|f| matches!(f.routing(), Routing::Delta(_)))
@@ -223,7 +237,6 @@ fn set_up_curve<'l>(
         lanes,
         config,
         sampler,
-        faults,
         fabric,
     }))
 }
@@ -502,25 +515,42 @@ mod tests {
         );
         // Benes has no destination-tag table, so each curve builds its own
         // fabric (looping circuits for the permutation) and runs scalar;
-        // an empty curve runs nothing.
-        let config = SimConfig::default().with_cycles(120, 12);
+        // faulty FIFO work on Omega shares the delta fabric but runs scalar
+        // too. Under a dead link from cycle 30 the curves pass one fault
+        // runtime along, its reroute epoch computed once. An empty curve
+        // runs nothing.
         let curves = [
             (&uniform, &lanes[..5]),
             (&uniform, &lanes[..0]),
             (&permutation, &lanes[5..]),
         ];
-        let net = benes(3);
-        let bundled = run_bundle(&net, &config, &curves).unwrap();
-        let expected: Vec<Metrics> = curves
-            .iter()
-            .flat_map(|&(traffic, lanes)| lanes.iter().map(move |&lane| (traffic, lane)))
-            .map(|(traffic, (seed, load))| {
-                let config = config.clone().with_traffic(traffic.clone()).with_load(load);
-                fresh(&net, &config, seed)
-            })
-            .collect();
-        assert_eq!(bundled, expected);
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::none().with_dead_link(1, 0, 1, 30),
+        ];
+        for (net, mode) in [
+            (benes(3), BufferMode::Unbuffered),
+            (omega(3), BufferMode::Fifo(2)),
+        ] {
+            for plan in &plans {
+                let config = SimConfig::default()
+                    .with_cycles(120, 12)
+                    .with_buffer(mode)
+                    .with_faults(plan.clone());
+                let bundled = run_bundle(&net, &config, &curves).unwrap();
+                let expected: Vec<Metrics> = curves
+                    .iter()
+                    .flat_map(|&(traffic, lanes)| lanes.iter().map(move |&lane| (traffic, lane)))
+                    .map(|(traffic, (seed, load))| {
+                        let config = config.clone().with_traffic(traffic.clone()).with_load(load);
+                        fresh(&net, &config, seed)
+                    })
+                    .collect();
+                assert_eq!(bundled, expected, "{mode:?} under {plan:?}");
+            }
+        }
         // Errors name the first failing curve.
+        let config = SimConfig::default().with_cycles(120, 12);
         let mut bad = lanes.clone();
         bad[7].1 = 2.0;
         let curves = [(&uniform, &bad[..5]), (&permutation, &bad[5..])];
@@ -663,6 +693,197 @@ mod tests {
                     "{:?} {} load {load}",
                     config.buffer_mode,
                     config.traffic.label()
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod mixed_oracle {
+    //! Scalar-vs-packed oracle for words that carry several traffic patterns.
+    //!
+    //! [`run_bundle`] runs the curves of one scenario that differ only in
+    //! traffic, and when every curve packs at the bundle's lane count it cuts
+    //! their lanes, in curve order, into words of 64: a word then holds its
+    //! patterns as contiguous groups, each with its own draw, all through the
+    //! one injection loop of the word engines. This proptest holds every lane
+    //! of such bundles to a fresh scalar [`Simulator`] at that lane's traffic,
+    //! seed and load, field for field, in all three engines: 2 to 4 patterns
+    //! per bundle drawn from uniform, Zipf, ON/OFF, hot-spot and bit-reversal
+    //! traffic, group boundaries anywhere in a word (one-lane groups and empty
+    //! curves among them), loads of exactly 0 and 1 in every bundle, and
+    //! bundles of 16 to 128 lanes, so a word holds anything from 1 to 64 lanes.
+    //! Unbuffered bundles also run under a fault plan, whose reroutes every
+    //! group draws through.
+
+    use super::run_bundle;
+    use crate::campaign::scenario_seed;
+    use crate::config::{BufferMode, SimConfig};
+    use crate::engine::Simulator;
+    use crate::fault::FaultPlan;
+    use crate::lane::LANE_WIDTH;
+    use crate::metrics::Metrics;
+    use crate::traffic::TrafficPattern;
+    use min_core::ConnectionNetwork;
+    use min_networks::random::random_independent_banyan;
+    use min_networks::ClassicalNetwork;
+    use min_routing::tag::destination_tags;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// Most lanes one bundle draws: two full words.
+    const MAX_LANES: usize = 2 * LANE_WIDTH;
+
+    /// A catalog network, or one past the catalog a random Banyan network whose
+    /// every stage is a proper independent connection, resampled until it
+    /// routes by destination tag (Omega if none turns up).
+    fn network(stages: usize, family: usize, seed: u64) -> ConnectionNetwork {
+        if let Some(family) = ClassicalNetwork::ALL.get(family) {
+            return family.build(stages);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..64)
+            .filter_map(|_| random_independent_banyan(stages, 256, &mut rng))
+            .find(|net| destination_tags(net).is_some())
+            .unwrap_or_else(|| ClassicalNetwork::Omega.build(stages))
+    }
+
+    /// Uniform, Zipf, hot-spot, bit-reversal or ON/OFF traffic by `kind`,
+    /// sized to `cells`.
+    fn traffic(kind: usize, cells: usize, fraction: f64, seed: u64) -> TrafficPattern {
+        match kind {
+            0 => TrafficPattern::Uniform,
+            1 => TrafficPattern::Zipf {
+                exponent: 2.0 * fraction,
+            },
+            2 => TrafficPattern::Hotspot {
+                fraction,
+                target: (seed % cells as u64) as u32,
+            },
+            3 => TrafficPattern::BitReversal,
+            _ => TrafficPattern::OnOff {
+                on_dwell: 1.0 + 20.0 * fraction,
+                off_dwell: 1.0 + 10.0 * (1.0 - fraction),
+                on_rate: fraction.max(0.05),
+            },
+        }
+    }
+
+    /// One `(seed, load)` lane per draw, seeded from `seed`: a draw of kind 0
+    /// or 1 runs at load 0 or 1, any other at its drawn load, and the first
+    /// and last lanes run at 0 and 1.
+    fn mixed_lanes(draws: &[(usize, f64)], seed: u64) -> Vec<(u64, f64)> {
+        let mut lanes: Vec<(u64, f64)> = draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, load))| {
+                let load = match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => load,
+                };
+                (scenario_seed(seed, i), load)
+            })
+            .collect();
+        lanes[0].1 = 0.0;
+        let last = lanes.len() - 1;
+        lanes[last].1 = 1.0;
+        lanes
+    }
+
+    /// The metrics of a fresh scalar simulator at `seed` and `load`.
+    fn fresh(net: &ConnectionNetwork, config: &SimConfig, seed: u64, load: f64) -> Metrics {
+        Simulator::new(net.clone(), config.clone().with_seed(seed).with_load(load))
+            .unwrap()
+            .run()
+    }
+
+    /// The three engines' modes: unbuffered, FIFO of depth 1 to 4, and
+    /// wormhole of 1 to 8 channels per cell with lane depths and worm lengths
+    /// from 1 to 5.
+    fn mode_strategy() -> impl Strategy<Value = BufferMode> {
+        (0usize..3, 1usize..=4, 1usize..=8, 1usize..=5, 1usize..=5).prop_map(
+            |(kind, depth, lanes, lane_depth, flits_per_packet)| match kind {
+                0 => BufferMode::Unbuffered,
+                1 => BufferMode::Fifo(depth),
+                _ => BufferMode::Wormhole {
+                    lanes,
+                    lane_depth,
+                    flits_per_packet,
+                },
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn mixed_traffic_words_match_fresh_scalar_simulators(
+            stages in 2usize..=6,
+            family in 0usize..=ClassicalNetwork::ALL.len(),
+            mode in mode_strategy(),
+            faulty in any::<bool>(),
+            cycles in 40u64..=100,
+            count in 16usize..=MAX_LANES,
+            draws in proptest::collection::vec((0usize..4, 0.0f64..=1.0), MAX_LANES),
+            groups in 2usize..=4,
+            kinds in proptest::collection::vec(0usize..5, 4),
+            cuts in proptest::collection::vec(0usize..=MAX_LANES, 3),
+            one_lane_group in any::<bool>(),
+            fraction in 0.05f64..0.95,
+            seed in any::<u64>(),
+        ) {
+            let net = network(stages, family, seed);
+            let cells = net.cells_per_stage();
+            // A dead link from the first stage, live from the start: every
+            // unbuffered group then draws through the reroute table.
+            let plan = if faulty && mode == BufferMode::Unbuffered {
+                FaultPlan::none().with_dead_link(0, 0, 1, 0)
+            } else {
+                FaultPlan::none()
+            };
+            let config = SimConfig::default()
+                .with_cycles(cycles, cycles / 10)
+                .with_buffer(mode)
+                .with_faults(plan);
+            let patterns: Vec<TrafficPattern> = kinds[..groups]
+                .iter()
+                .map(|&k| traffic(k, cells, fraction, seed))
+                .collect();
+            // Group boundaries anywhere in the bundle's lanes, the first group
+            // a single lane when asked.
+            let mut bounds: Vec<usize> = cuts[..patterns.len() - 1]
+                .iter()
+                .map(|&cut| cut % (count + 1))
+                .collect();
+            if one_lane_group {
+                bounds[0] = 1;
+            }
+            bounds.sort_unstable();
+            bounds.insert(0, 0);
+            bounds.push(count);
+            let lanes = mixed_lanes(&draws[..count], seed);
+            let curves: Vec<(&TrafficPattern, &[(u64, f64)])> = patterns
+                .iter()
+                .zip(bounds.windows(2))
+                .map(|(pattern, bound)| (pattern, &lanes[bound[0]..bound[1]]))
+                .collect();
+            let packed = run_bundle(&net, &config, &curves).unwrap();
+            prop_assert_eq!(packed.len(), count);
+            let expected = curves.iter().flat_map(|&(pattern, lanes)| {
+                let config = config.clone().with_traffic(pattern.clone());
+                lanes
+                    .iter()
+                    .map(move |&(seed, load)| (pattern.label(), load, config.clone(), seed))
+            });
+            for (metrics, (label, load, config, seed)) in packed.iter().zip(expected) {
+                let scalar = fresh(&net, &config, seed, load);
+                prop_assert!(
+                    *metrics == scalar,
+                    "{label} at load {load} in {mode:?}: packed {metrics:?}, scalar {scalar:?}"
                 );
             }
         }

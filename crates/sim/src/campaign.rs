@@ -15,7 +15,7 @@
 //! 2. **[`execute_shard`]** is pure — shard in, slotted [`ScenarioResult`]s
 //!    out. It hands each bundle — the shard's scenarios that differ only in
 //!    offered load and seed, and for FIFO and wormhole work in traffic
-//!    pattern too — to [`crate::batch::run_bundle`] as `(seed, load)`
+//!    pattern too — to the batch layer ([`crate::batch`]) as `(seed, load)`
 //!    lanes per curve, which builds the fabric tables, switch arenas and
 //!    fault machinery once per bundle and — for unbuffered, or healthy FIFO
 //!    and wormhole, bundles with enough lanes on a delta fabric — runs up
@@ -69,7 +69,7 @@
 //! assert_eq!(sequential.to_json(), parallel.to_json());
 //! ```
 
-use crate::batch::{packs, run_bundle, LANE_THRESHOLD};
+use crate::batch::{pack_threshold, packs, run_bundle};
 use crate::config::{BufferMode, ConfigError, SimConfig};
 use crate::engine::SimError;
 use crate::fault::{FaultError, FaultPlan};
@@ -369,8 +369,9 @@ impl CampaignConfig {
     /// The plan both executors run ([`run_campaign`] at one grid point per
     /// shard). Lanes that a word engine takes are gathered into bundles,
     /// even where their points are not contiguous, and each bundle is cut
-    /// into shards of one 64-lane word each (the last word keeps a
-    /// remainder too short to pack on its own):
+    /// into shards of one 64-lane word each (a last remainder below the
+    /// bundle's packing bound — 8 lanes for stateless unbuffered work, 16
+    /// for the rest — stays in the word before it):
     ///
     /// * a FIFO or wormhole bundle is every grid point of one `(cell,
     ///   buffer mode, fault plan)` across all traffic patterns but trace
@@ -386,8 +387,8 @@ impl CampaignConfig {
     ///
     /// One pass moves each scenario into its shard, finding its bundle by
     /// index arithmetic; eligibility is decided once per bundle, and no
-    /// fabric is built (a non-delta fabric takes
-    /// [`crate::batch::run_bundle`]'s scalar fallback).
+    /// fabric is built (a non-delta fabric takes the batch layer's scalar
+    /// fallback).
     pub fn plan_chunked(&self, points_per_shard: usize) -> Result<CampaignPlan, CampaignError> {
         if points_per_shard == 0 {
             return Err(CampaignError::ZeroShardSize);
@@ -413,14 +414,11 @@ impl CampaignConfig {
                 })
             })
             .collect();
-        // A packed bundle's words are full but for the last, which keeps a
-        // remainder too short to pack on its own.
-        let words = |lanes: usize| (lanes + LANE_WIDTH - LANE_THRESHOLD) / LANE_WIDTH;
         let mut shards: Vec<Vec<Scenario>> = Vec::with_capacity(points);
-        // Per bundle, once seen: the shard of its first word, if it packs.
-        // Bundle `(cell · (patterns + 1) + t) · step + column` is a curve
+        // Per bundle, once seen: the shard of its first word and its word
+        // count, if it packs. Bundle `(cell · (patterns + 1) + t) · step + column` is a curve
         // for `t < patterns` and a buffered bundle for `t = patterns`.
-        let mut bundles: Vec<Option<Option<usize>>> =
+        let mut bundles: Vec<Option<Option<(usize, usize)>>> =
             vec![None; points / (patterns * loads) * (patterns + 1) * step];
         // The shard taking unpacked grid points, and how many it holds.
         let mut open = (0, points_per_shard);
@@ -443,17 +441,20 @@ impl CampaignConfig {
                     _ => (traffic, loads * reps, load * reps),
                 };
                 let bundle = (cell * (patterns + 1) + t) * step + column;
-                let words = words(lanes);
                 let packed = *bundles[bundle].get_or_insert_with(|| {
                     let config = scenario.sim_config(self);
                     packs(&config, scenario.stages, lanes).then(|| {
-                        let size = lanes.min(LANE_WIDTH + LANE_THRESHOLD - 1);
+                        // The words are full but for the last, which keeps a
+                        // remainder too short to pack on its own.
+                        let short = pack_threshold(&config);
+                        let words = (lanes + LANE_WIDTH - short) / LANE_WIDTH;
+                        let size = lanes.min(LANE_WIDTH + short - 1);
                         shards.extend((0..words).map(|_| Vec::with_capacity(size)));
-                        shards.len() - words
+                        (shards.len() - words, words)
                     })
                 });
                 place = match packed {
-                    Some(first) => (first, Some(lane), words),
+                    Some((first, words)) => (first, Some(lane), words),
                     None => {
                         if open.1 == points_per_shard {
                             shards.push(Vec::with_capacity(reps * points_per_shard.min(points)));
@@ -957,7 +958,8 @@ pub enum CampaignError {
         cycles: u64,
     },
     /// A scenario could not be simulated: the first scenario of the
-    /// failing curve, and why [`run_bundle`] refused it.
+    /// failing curve, and why the batch layer ([`crate::batch`]) refused
+    /// it.
     Scenario {
         /// Index of the failing scenario.
         scenario: usize,
@@ -1239,7 +1241,7 @@ fn run_points(
 /// the same shard produces byte-identical results on any thread, process,
 /// machine or retry. Scenarios of one bundle — differing only in offered
 /// load and seed, and for FIFO and wormhole work in traffic pattern too —
-/// are batched through [`crate::batch::run_bundle`] (and, when the
+/// are run together by the batch layer ([`crate::batch`]) (and, when the
 /// bundle's lanes are eligible, the bit-parallel engines), so hand-built
 /// shards need no particular order or alignment to stay fast.
 pub fn execute_shard(
@@ -1374,6 +1376,7 @@ fn aggregate(results: &[ScenarioResult]) -> CampaignAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::LANE_THRESHOLD;
     use crate::fabric::FabricError;
     use crate::fifo::FIFO_THRESHOLD;
     use crate::lane::ON_OFF_THRESHOLD;
@@ -2054,7 +2057,9 @@ mod tests {
     /// unbuffered and FIFO cells, one or two fault plans, and curves of
     /// `loads × replications` lanes below the packing threshold, above it,
     /// in one word with a short remainder (4 × 17 = 68), and past one word
-    /// plus the threshold (from 2 × 37 = 74).
+    /// plus the threshold (from 2 × 37 = 74, whose 10 lanes past a word
+    /// are a word of their own in a uniform curve and the previous word's
+    /// tail in a FIFO or wormhole bundle).
     fn grid_strategy() -> impl proptest::prelude::Strategy<Value = CampaignConfig> {
         use proptest::prelude::*;
         (
@@ -2138,15 +2143,18 @@ mod tests {
                 let bundle: Vec<&Scenario> =
                     scenarios.iter().filter(|s| same_bundle(s, first)).collect();
                 // Uniform and Zipf unbuffered curves pack from 8 lanes,
-                // ON/OFF ones and healthy buffered bundles from 16.
-                let packed = match first.buffer_mode {
+                // ON/OFF ones and healthy buffered bundles from 16, and a
+                // bundle's last remainder shorter than that stays in its
+                // previous word.
+                let (packed, short) = match first.buffer_mode {
                     BufferMode::Unbuffered if !first.traffic.is_stateful() => {
-                        curve >= LANE_THRESHOLD
+                        (curve >= LANE_THRESHOLD, LANE_THRESHOLD)
                     }
-                    BufferMode::Unbuffered => curve >= ON_OFF_THRESHOLD,
+                    BufferMode::Unbuffered => (curve >= ON_OFF_THRESHOLD, ON_OFF_THRESHOLD),
                     BufferMode::Fifo(_) | BufferMode::Wormhole { .. } => {
                         prop_assert_eq!(bundle.len(), config.traffic.len() * curve);
-                        first.fault_plan.is_empty() && bundle.len() >= FIFO_THRESHOLD
+                        let packed = first.fault_plan.is_empty() && bundle.len() >= FIFO_THRESHOLD;
+                        (packed, FIFO_THRESHOLD)
                     }
                 };
                 if packed {
@@ -2160,8 +2168,7 @@ mod tests {
                     prop_assert!(
                         shard.len() == LANE_WIDTH
                             || at + shard.len() == bundle.len()
-                                && (LANE_THRESHOLD..LANE_WIDTH + LANE_THRESHOLD)
-                                    .contains(&shard.len()),
+                                && (short..LANE_WIDTH + short).contains(&shard.len()),
                         "a packed unit of {} lanes",
                         shard.len()
                     );

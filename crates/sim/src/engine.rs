@@ -290,6 +290,12 @@ impl Simulator {
         self.next_packet_id = 0;
         self.metrics = Metrics::default();
     }
+
+    /// The fault runtime, with every reroute epoch it cached, for the next
+    /// curve of a bundle ([`crate::batch::run_bundle`]).
+    pub(crate) fn into_faults(self) -> Option<FaultRuntime> {
+        self.faults
+    }
 }
 
 /// The setup both engines share once their fabric is built: the traffic
@@ -299,25 +305,39 @@ pub(crate) fn prepare(
     fabric: &Fabric,
     config: &SimConfig,
 ) -> Result<(DestSampler, Option<FaultRuntime>), SimError> {
+    Ok((sampler(fabric, config)?, fault_runtime(fabric, config)?))
+}
+
+/// The traffic pattern checked against the fabric, and its destination
+/// sampler.
+pub(crate) fn sampler(fabric: &Fabric, config: &SimConfig) -> Result<DestSampler, SimError> {
     let cells = fabric.cells();
     config
         .traffic
         .validate_for(cells as u32)
         .map_err(ConfigError::from)?;
-    let sampler = config
+    Ok(config
         .traffic
-        .sampler(cells as u32, fabric.network().width());
-    let faults = if config.fault_plan.is_empty() {
-        None
-    } else {
-        config.fault_plan.validate(fabric.stages(), cells)?;
-        Some(FaultRuntime::new(
-            &config.fault_plan,
-            fabric.stages(),
-            cells,
-        ))
-    };
-    Ok((sampler, faults))
+        .sampler(cells as u32, fabric.network().width()))
+}
+
+/// The fault runtime of a non-empty plan, its sites checked first; `None`
+/// for a healthy run.
+pub(crate) fn fault_runtime(
+    fabric: &Fabric,
+    config: &SimConfig,
+) -> Result<Option<FaultRuntime>, SimError> {
+    if config.fault_plan.is_empty() {
+        return Ok(None);
+    }
+    config
+        .fault_plan
+        .validate(fabric.stages(), fabric.cells())?;
+    Ok(Some(FaultRuntime::new(
+        &config.fault_plan,
+        fabric.stages(),
+        fabric.cells(),
+    )))
 }
 
 /// Convenience wrapper: build a simulator, run it, return the metrics.

@@ -381,8 +381,7 @@ impl<'a> FifoEngine<'a> {
         for cell in 0..self.cells {
             let occ = &self.occ[cell * positions..cell * positions + cap];
             let room = [!occ[cap - 1], !occ[cap - 2]];
-            self.streams
-                .inject_cell(cell, room, None, &mut self.tally, &mut landing);
+            self.streams.inject_cell(cell, room, None, &mut landing);
             for (q, &mask) in landing.occupied.iter().enumerate() {
                 if mask == 0 {
                     break;
@@ -399,6 +398,7 @@ impl<'a> FifoEngine<'a> {
                 self.vc_queued.add(mask);
             }
         }
+        landing.count_into(&mut self.tally);
     }
 
     /// Runs the configured cycle budget and returns one [`Metrics`] per

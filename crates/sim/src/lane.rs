@@ -337,6 +337,8 @@ struct Group<'a> {
 /// What one cell's injection leaves for a word engine to store: per slot
 /// (0 for a lane's first accepted packet of the cycle, 1 for its second),
 /// the lanes that put a packet there and the bytes of their routing tags.
+/// It also sums each lane's counts over a whole injection pass, which
+/// [`Landing::count_into`] adds to the engine's tally once per pass.
 #[derive(Debug)]
 pub(crate) struct Landing {
     pub(crate) occupied: [u64; 2],
@@ -344,6 +346,8 @@ pub(crate) struct Landing {
     /// rewrites its entries at every cell; [`Landing::planes`] masks the
     /// stale ones.
     bytes: [[[u8; LANE_WIDTH]; 2]; 2],
+    /// Offered, injected and unroutable packets per lane over the pass.
+    counts: [[u32; LANE_WIDTH]; 3],
 }
 
 impl Landing {
@@ -351,6 +355,21 @@ impl Landing {
         Landing {
             occupied: [0; 2],
             bytes: [[[0; LANE_WIDTH]; 2]; 2],
+            counts: [[0; LANE_WIDTH]; 3],
+        }
+    }
+
+    /// Adds the pass's per-lane counts to `tally`.
+    pub(crate) fn count_into(&self, tally: &mut LaneTally) {
+        let totals = [
+            &mut tally.offered,
+            &mut tally.injected,
+            &mut tally.unroutable,
+        ];
+        for (total, counts) in totals.into_iter().zip(&self.counts) {
+            for (t, &c) in total.iter_mut().zip(counts) {
+                *t += u64::from(c);
+            }
         }
     }
 
@@ -433,8 +452,8 @@ impl<'a> LaneStreams<'a> {
     /// whose cell takes a first packet this cycle, `room[1]` those that
     /// take a second — and draws the accepted packet's destination and tag
     /// (from `reroute` while a fault is active, `None` there refusing an
-    /// unroutable pair). The counts land in `tally`, the accepted packets
-    /// in `landing`.
+    /// unroutable pair). The counts and the accepted packets land in
+    /// `landing`.
     ///
     /// Each group runs its own monomorphized lane loop. With no reroute,
     /// uniform, table, Zipf and ON/OFF groups decide both terminals on
@@ -447,7 +466,6 @@ impl<'a> LaneStreams<'a> {
         cell: usize,
         room: [u64; 2],
         reroute: Option<&RerouteTable>,
-        tally: &mut LaneTally,
         landing: &mut Landing,
     ) {
         landing.occupied = [0; 2];
@@ -459,7 +477,6 @@ impl<'a> LaneStreams<'a> {
                 start: group.start,
                 end: group.end,
                 room,
-                tally: &mut *tally,
                 landing: &mut *landing,
             };
             let (zero, one) = self.on[2 * cell..2 * cell + 2].split_at_mut(1);
@@ -505,15 +522,13 @@ impl<'a> LaneStreams<'a> {
     }
 }
 
-/// One group's lanes at one cell, with the counts and the landing their
-/// draws feed.
+/// One group's lanes at one cell, with the landing their draws feed.
 struct GroupCell<'s> {
     rngs: &'s mut [LaneRng],
     coins: &'s [Bernoulli],
     start: usize,
     end: usize,
     room: [u64; 2],
-    tally: &'s mut LaneTally,
     landing: &'s mut Landing,
 }
 
@@ -529,22 +544,16 @@ impl GroupCell<'_> {
             start,
             end,
             room,
-            tally,
             landing,
         } = self;
         assert!(end <= LANE_WIDTH && end <= rngs.len() && end <= coins.len());
-        let (offered, injected) = (
-            &mut tally.offered[start..end],
-            &mut tally.injected[start..end],
-        );
-        let unroutable = &mut tally.unroutable[start..end];
         let mut occupied = [0u64; 2];
         for r in start..end {
             let lane_room = [room[0] >> r & 1 == 1, room[1] >> r & 1 == 1];
             let d = draw(lane_room, &coins[r], &mut rngs[r], r);
-            offered[r - start] += u64::from(d.offered);
-            injected[r - start] += u64::from(d.packets);
-            unroutable[r - start] += u64::from(d.unroutable);
+            landing.counts[0][r] += d.offered;
+            landing.counts[1][r] += d.packets;
+            landing.counts[2][r] += d.unroutable;
             occupied[0] |= u64::from(d.packets > 0) << r;
             occupied[1] |= u64::from(d.packets > 1) << r;
             let [front, back] = d.tags;
@@ -1140,13 +1149,14 @@ impl<'a> LaneEngine<'a> {
         let mut landing = Landing::new();
         for cell in 0..self.cells {
             self.streams
-                .inject_cell(cell, [!0; 2], reroute, &mut self.tally, &mut landing);
+                .inject_cell(cell, [!0; 2], reroute, &mut landing);
             for q in 0..2 {
                 let slot = cell * 2 + q;
                 self.occ[slot] = landing.occupied[q];
                 landing.planes(q, &mut self.tag[slot * conn_bits..(slot + 1) * conn_bits]);
             }
         }
+        landing.count_into(&mut self.tally);
     }
 
     /// Runs one cycle for every replication.

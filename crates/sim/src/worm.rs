@@ -626,7 +626,7 @@ impl<'a, const L: usize> WormEngine<'a, L> {
                 one |= idle;
             }
             self.streams
-                .inject_cell(cell, [one, two], None, &mut self.tally, &mut landing);
+                .inject_cell(cell, [one, two], None, &mut landing);
             if landing.occupied[0] == 0 {
                 continue;
             }
@@ -660,6 +660,7 @@ impl<'a, const L: usize> WormEngine<'a, L> {
                 }
             }
         }
+        landing.count_into(&mut self.tally);
     }
 
     /// Runs the configured cycle budget and returns one [`Metrics`] per

@@ -3,24 +3,22 @@
 the file.
 
     python3 scripts/bench_record.py BASE [HEAD] [--workload stability]
-        [--seeds 0,7] [--pairs 5] [--seconds 20] [--label TEXT]
-        [--out BENCH_e2e.json] [--scratch DIR]
-    python3 scripts/bench_record.py --check [BENCH_e2e.json]
+        [--pairs 5] [--label TEXT] [--scratch DIR]
+    python3 scripts/bench_record.py --check
 
 The writer exports both revisions with `git archive` into a scratch
 directory (each builds into its own `target/`), then runs
-`perfbench/run.py --workload W --seed S --seconds N --trace 0` in both,
-`--pairs` times per seed, alternating which side runs first (the second
-run of a pair tends to read slower on a shared box). Each pair keeps
-both sides' end-to-end medians as perfbench reports them. It appends one
-record to the output file: the revisions, the workload, the seeds, every
-pair in run order, the medians, quartiles and head wins over the pairs,
-and perfbench's provenance line for the head run.
+`perfbench/run.py --workload W --seed S --seconds N --trace 0` in both at
+seeds 0 and 7, with BENCHMARK.json's run length N, `--pairs` times per
+seed, alternating which side runs first (the second run of a pair tends to
+read slower on a shared box). Each pair keeps both sides' end-to-end
+medians as perfbench reports them. It appends one record to
+BENCH_e2e.json: the revisions, the workload, the seeds and run length,
+every pair in run order, the medians, quartiles and head wins over the
+pairs, and perfbench's provenance line for the head run.
 
 `--check` validates the schema and that every record's medians,
 quartiles and wins follow from its pairs. It never judges the numbers.
-Records marked `"source": "CHANGES.md"` were transcribed from prose and
-may hold medians without pairs.
 """
 
 import argparse
@@ -32,7 +30,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_FILE = os.path.join(ROOT, "BENCH_e2e.json")
+RECORDS = os.path.join(ROOT, "BENCH_e2e.json")
+SEEDS = (0, 7)
+with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+    SECONDS = json.load(f)["run_seconds"]
 # perfbench's end-to-end metrics and which way is better.
 BETTER = {
     "wall_s": "lower",
@@ -41,15 +42,15 @@ BETTER = {
     "peak_rss_mb": "lower",
     "work_per_s": "higher",
 }
-SOURCES = ("measured", "CHANGES.md")
 REQUIRED = {
     "label": str,
     "base": str,
     "head": str,
     "workload": str,
     "seeds": list,
-    "source": str,
+    "seconds": (int, float),
     "better": dict,
+    "pairs": list,
     "medians": dict,
 }
 TOLERANCE = 1e-9
@@ -79,10 +80,10 @@ def export(rev, scratch):
     return sha, path
 
 
-def run_perfbench(path, workload, seed, seconds):
+def run_perfbench(path, workload, seed):
     """One `perfbench/run.py` end-to-end run; returns (metrics, provenance)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, cwd=path, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode or len(lines) < 2:
@@ -123,15 +124,14 @@ def record(args):
     print(f"bench_record: building and running in {scratch}", file=sys.stderr)
     base_sha, base_path = export(args.base, scratch)
     head_sha, head_path = export(args.head, scratch)
-    seeds = [int(s) for s in args.seeds.split(",")]
     pairs, provenance = [], None
     for i in range(args.pairs):
-        for seed in seeds:
+        for seed in SEEDS:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 path = base_path if side == "base" else head_path
-                pair[side], prov = run_perfbench(path, args.workload, seed, args.seconds)
+                pair[side], prov = run_perfbench(path, args.workload, seed)
                 if side == "head":
                     provenance = prov
             pairs.append(pair)
@@ -144,17 +144,16 @@ def record(args):
         "base": base_sha,
         "head": head_sha,
         "workload": args.workload,
-        "seeds": seeds,
-        "seconds": args.seconds,
-        "source": "measured",
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
         "better": better,
         "pairs": pairs,
         **summarize(pairs, better),
         "provenance": provenance,
     }
-    records = load(args.out) if os.path.exists(args.out) else []
+    records = load(RECORDS) if os.path.exists(RECORDS) else []
     records.append(entry)
-    with open(args.out, "w") as f:
+    with open(RECORDS, "w") as f:
         json.dump(records, f, indent=1)
         f.write("\n")
     medians = entry["medians"]
@@ -188,21 +187,14 @@ def same(want, got):
 
 def check_record(r):
     for key, kind in REQUIRED.items():
-        if not isinstance(r.get(key), kind):
-            return f"`{key}` missing or not a {kind.__name__}"
-    if r["source"] not in SOURCES:
-        return f"unknown source `{r['source']}`"
+        if not isinstance(r.get(key), kind) or isinstance(r.get(key), bool):
+            return f"`{key}` missing or of the wrong type"
     better = r["better"]
     if not better or any(BETTER.get(m) != b for m, b in better.items()):
         return f"`better` must map end-to-end metrics to their direction: {better}"
-    if r["source"] == "CHANGES.md" and "pairs" not in r:
-        for side in ("base", "head"):
-            if set(r["medians"].get(side, {})) - set(better):
-                return f"medians of `{side}` name metrics outside `better`"
-        return None
-    pairs = r.get("pairs")
-    if not isinstance(pairs, list) or not pairs:
-        return "a measured record needs its pairs"
+    pairs = r["pairs"]
+    if not pairs:
+        return "a record needs its pairs"
     for i, p in enumerate(pairs):
         if p.get("seed") not in r["seeds"] or p.get("first") not in ("base", "head"):
             return f"pair {i}: bad `seed` or `first`"
@@ -217,34 +209,31 @@ def check_record(r):
     return None
 
 
-def check(path):
-    records = load(path)
+def check():
+    records = load(RECORDS)
     for i, r in enumerate(records):
         if not isinstance(r, dict):
-            fail(f"{path}: record {i} is not an object")
+            fail(f"{RECORDS}: record {i} is not an object")
         problem = check_record(r)
         if problem:
-            fail(f"{path}: record {i} ({r.get('workload')}, {r.get('label')!r}): {problem}")
-    print(f"{path}: {len(records)} records, medians, quartiles and wins follow from their pairs")
+            fail(f"{RECORDS}: record {i} ({r.get('workload')}, {r.get('label')!r}): {problem}")
+    print(f"{RECORDS}: {len(records)} records, medians, quartiles and wins follow from their pairs")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", nargs="?", help="base revision")
     parser.add_argument("head", nargs="?", default="HEAD", help="head revision (HEAD)")
-    parser.add_argument("--check", nargs="?", const=DEFAULT_FILE, metavar="FILE",
-                        help="validate FILE (default BENCH_e2e.json) and exit")
+    parser.add_argument("--check", action="store_true",
+                        help="validate BENCH_e2e.json and exit")
     parser.add_argument("--workload", default="stability",
                         choices=("stability", "saturation", "classify", "serve"))
-    parser.add_argument("--seeds", default="0,7")
     parser.add_argument("--pairs", type=int, default=5, help="pairs per seed")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--label", default="", help="what the head revision changes")
-    parser.add_argument("--out", default=DEFAULT_FILE)
     parser.add_argument("--scratch", help="directory for the exported revisions")
     args = parser.parse_args()
     if args.check:
-        check(args.check)
+        check()
     elif args.base:
         record(args)
     else:
