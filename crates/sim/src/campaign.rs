@@ -1380,6 +1380,7 @@ mod tests {
     use crate::fabric::FabricError;
     use crate::fifo::FIFO_THRESHOLD;
     use crate::lane::ON_OFF_THRESHOLD;
+    use crate::worm::WORM_THRESHOLD;
 
     fn tiny() -> CampaignConfig {
         CampaignConfig::over_catalog(3..=3)
@@ -2153,8 +2154,11 @@ mod tests {
                     BufferMode::Unbuffered => (curve >= ON_OFF_THRESHOLD, ON_OFF_THRESHOLD),
                     BufferMode::Fifo(_) | BufferMode::Wormhole { .. } => {
                         prop_assert_eq!(bundle.len(), config.traffic.len() * curve);
-                        let packed = first.fault_plan.is_empty() && bundle.len() >= FIFO_THRESHOLD;
-                        (packed, FIFO_THRESHOLD)
+                        let short = match first.buffer_mode {
+                            BufferMode::Fifo(_) => FIFO_THRESHOLD,
+                            _ => WORM_THRESHOLD,
+                        };
+                        (first.fault_plan.is_empty() && bundle.len() >= short, short)
                     }
                 };
                 if packed {
